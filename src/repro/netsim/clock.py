@@ -10,9 +10,12 @@ order they were scheduled — a property several NAT-race tests rely on.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Tuple
+import sys
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.netsim.packet import PACKET_POOL
+#: "No deadline" / "no event budget" for :meth:`Scheduler._drain`.
+_FOREVER = float("inf")
+_NO_LIMIT = sys.maxsize
 
 
 class Timer:
@@ -24,7 +27,7 @@ class Timer:
 
     __slots__ = (
         "when", "_callback", "_args", "_cancelled", "_fired", "_scheduler",
-        "_ctx", "_items", "_inext", "_bseq", "_unpack",
+        "_ctx", "_items", "_inext", "_bseq",
     )
 
     def __init__(
@@ -75,18 +78,15 @@ class Timer:
         """True while the timer is pending (not yet fired nor cancelled)."""
         return not (self._cancelled or self._fired)
 
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        self._fired = True
-        self._callback(*self._args)
-
 
 class Scheduler:
     """A deterministic discrete-event scheduler with virtual time.
 
     Time is a float in seconds and starts at 0.0.  Nothing advances the clock
-    except :meth:`step`, :meth:`run_until`, or :meth:`run`.
+    except :meth:`step`, :meth:`run`, :meth:`run_while` and
+    :meth:`run_until` — four stopping rules over one event loop
+    (:meth:`_drain`), so how a simulation is driven, or sliced between them,
+    never changes what it does.
 
     Cancelled timers stay in the heap until popped (cheap cancellation), but
     once they outnumber the live timers the heap is lazily compacted: dead
@@ -104,7 +104,7 @@ class Scheduler:
         self._now = 0.0
         #: Causal context of the currently-executing timer chain (an attempt
         #: id from :mod:`repro.obs.flight`, or None).  New timers capture it;
-        #: the fire loops restore it before each callback.
+        #: the event loop restores it before each callback.
         self.context = None
         self._heap: List[Tuple[float, int, Timer]] = []
         #: Insertion sequence of the most recently created timer.  A plain
@@ -204,15 +204,22 @@ class Scheduler:
             self.max_queue_depth = len(heap)
         return timer
 
-    def call_later_batched(self, delay: float, fire_item: Callable[[Any], None]) -> Timer:
+    def call_later_batched(self, delay: float, drain: Callable[[Timer, int], None]) -> Timer:
         """One heap entry that fires many same-instant events.
 
-        Returns a timer whose item list the caller extends (via
-        :meth:`batch_append`); each queued item fires as its *own* scheduler
-        event — one per :meth:`step`, in append order, calling
-        ``fire_item(item)`` — so event granularity, ``events_fired``, and
-        ``run_while`` predicate boundaries are byte-identical to scheduling
-        one timer per item.  Only the heap traffic is coalesced.
+        Returns a timer whose ``_items`` list the caller extends; each queued
+        item fires as its *own* scheduler event, in append order, so event
+        granularity, ``events_fired``, and ``run_while`` predicate boundaries
+        are byte-identical to scheduling one timer per item.  Only the heap
+        traffic is coalesced.
+
+        The items are fired by their owner: when the entry comes due the
+        event loop calls ``drain(timer, limit)``, which must fire up to
+        *limit* items starting at ``timer._inext`` — advancing ``_inext``
+        *before* each one, stopping early if the timer is cancelled — and
+        the loop counts the advance of ``_inext`` as events fired.  The
+        entry stays at the top of the heap until the queue drains, so a
+        partial drain resumes where it stopped.
 
         Contract for callers: append only while (a) no other timer has been
         created since this one (``_seq`` unchanged — the items would have
@@ -221,61 +228,91 @@ class Scheduler:
         still active.  :class:`repro.netsim.link.Link` is the intended
         caller and enforces both.
         """
-        timer = self.call_later(delay, fire_item)
+        timer = self.call_later(delay, drain)
         timer._items = []
         timer._inext = 0
         # The creation sequence number, readable by the append-eligibility
         # check ("has any timer been created since?").
         timer._bseq = self._seq
-        # Opt-in direct dispatch (see run_until): the creator may set this
-        # True to promise every item is a ``(sender, receiver, packet,
-        # dispatch-entry)`` wire delivery whose observable effect is exactly
-        # ``receiver.receive(packet, fire_item.__self__)`` for non-None
-        # items — letting the drain loop skip the per-item trampoline call
-        # and, when the entry is valid, the receive() demux itself.
-        # ``step`` always goes through ``fire_item``, so the two dispatch
-        # routes must stay observably identical.
-        timer._unpack = False
         return timer
+
+    def _drain(
+        self,
+        deadline: float = _FOREVER,
+        max_events: int = _NO_LIMIT,
+        keep_going: Optional[Callable[[], bool]] = None,
+    ) -> bool:
+        """The event loop; every public drive method is a wrapper over it.
+
+        Fires pending events in (when, insertion) order until the heap is
+        empty, the next event is later than *deadline*, *max_events* have
+        fired, or *keep_going()* — evaluated once before every event, each
+        item of a batch included — is false.  Returns True when the caller's
+        own rule (budget or predicate) stopped it, False when it ran out of
+        due events.  The clock moves to the time of each event fired and
+        nowhere else; wrappers that promise a final time set it themselves.
+        """
+        fired = 0
+        while fired < max_events:
+            if keep_going is not None and not keep_going():
+                return True
+            # self._heap is re-read for every event (never cached across a
+            # callback): any callback can cancel timers and trigger a
+            # compaction, which rebuilds — and rebinds — the heap list.
+            while True:
+                heap = self._heap
+                if not heap:
+                    return False
+                when, _, timer = heap[0]
+                if when > deadline:
+                    return False
+                if not timer._cancelled:
+                    break
+                heapq.heappop(heap)
+                self._cancelled_in_heap -= 1
+            self._now = when
+            self.context = timer._ctx
+            if timer._items is None:
+                heapq.heappop(heap)
+                self.events_fired += 1
+                fired += 1
+                timer._fired = True
+                timer._callback(*timer._args)
+                continue
+            # Batched timer: its owner fires the queued items, all of them
+            # in one call unless a predicate or the event budget has to be
+            # consulted in between.  Nothing can preempt the batch
+            # mid-drain: a callback cannot schedule before `when` (past
+            # scheduling is an error) and anything it schedules AT `when`
+            # carries a higher sequence number, i.e. sorts after this entry
+            # — exactly the order one heap entry per item would produce.
+            start = timer._inext
+            try:
+                timer._callback(
+                    timer, 1 if keep_going is not None else max_events - fired
+                )
+            finally:
+                advanced = timer._inext - start
+                self.events_fired += advanced
+                fired += advanced
+                # Pop the drained entry even when a callback raises, or the
+                # spent entry would fire again with an empty queue.  Pop
+                # from self._heap, not the local binding: a cancellation
+                # inside a callback may have compacted (rebuilt) the heap.
+                # A batch cancelled mid-drain (the link went down in a
+                # delivery callback) is popped as a dead entry next pass.
+                if (
+                    not timer._cancelled
+                    and not timer._fired
+                    and timer._inext >= len(timer._items)
+                ):
+                    timer._fired = True
+                    heapq.heappop(self._heap)
+        return True
 
     def step(self) -> bool:
         """Fire the earliest pending event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            when, _, timer = heap[0]
-            if timer._cancelled:
-                heapq.heappop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            items = timer._items
-            if items is None:
-                heapq.heappop(heap)
-                self._now = when
-                self.events_fired += 1
-                self.context = timer._ctx
-                timer._fire()
-                return True
-            # Batched timer: fire exactly one queued item, leaving the heap
-            # entry in place until the queue drains.  New pushes during the
-            # callback sort after this entry (same when -> higher sequence),
-            # so it is still the top when we pop.
-            i = timer._inext
-            timer._inext = i + 1
-            self._now = when
-            self.events_fired += 1
-            self.context = timer._ctx
-            try:
-                timer._callback(items[i])
-            finally:
-                # Pop-on-drain must happen even when the callback raises, or
-                # the spent entry would fire again with an empty queue.  Pop
-                # from self._heap, not the local binding: a cancellation
-                # inside the callback may have compacted (rebuilt) the heap.
-                if not timer._cancelled and timer._inext >= len(timer._items):
-                    timer._fired = True
-                    heapq.heappop(self._heap)
-            return True
-        return False
+        return self._drain(max_events=1)
 
     def run_until(self, deadline: float) -> None:
         """Run events with ``when <= deadline``; clock ends at *deadline*.
@@ -287,123 +324,7 @@ class Scheduler:
             raise ValueError(
                 f"deadline t={deadline:.6f} is before now={self._now:.6f}"
             )
-        # self._heap is re-read every iteration (never cached in a local):
-        # any callback below can cancel timers and trigger a compaction,
-        # which rebuilds — and rebinds — the heap list.
-        while self._heap:
-            when, _, timer = self._heap[0]
-            if when > deadline:
-                break
-            if timer._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled_in_heap -= 1
-                continue
-            items = timer._items
-            if items is None:
-                heapq.heappop(self._heap)
-                self._now = when
-                self.events_fired += 1
-                self.context = timer._ctx
-                timer._fire()
-                continue
-            # Batched timer: drain the whole queue here instead of looping
-            # back through the heap peek for every item.  This is safe
-            # because nothing can preempt the batch mid-drain: a callback
-            # cannot schedule before `when` (past scheduling is an error)
-            # and anything it schedules AT `when` carries a higher sequence
-            # number, i.e. sorts after this entry — exactly the order the
-            # outer loop would produce one item at a time.  Each item still
-            # counts as its own scheduler event in events_fired.
-            self._now = when
-            i = timer._inext
-            callback = timer._callback
-            # Context is constant across the batch and nothing inside a
-            # delivery callback reassigns it, so set it once; events_fired is
-            # accumulated locally and flushed after the drain (per-item
-            # attribute bumps are measurable at batch sizes in the thousands).
-            self.context = timer._ctx
-            fired = 0
-            try:
-                # len() is re-read every pass: a same-instant transmit on a
-                # zero-latency link may append to this batch while it fires.
-                if timer._unpack:
-                    # Direct dispatch (see call_later_batched): the creator
-                    # guaranteed every item is a (sender, receiver, packet,
-                    # entry) wire delivery, so skip the per-item trampoline
-                    # frame and — when the entry's resolved deliver callable
-                    # is still valid for the receiver's current delivery
-                    # version — the receive() demux too, landing straight in
-                    # the transport stack (or bound socket).  Consuming
-                    # deliveries recycle the packet into the pool;
-                    # generation-stamping happens at release so stale
-                    # references are detectable (see PacketPool).
-                    owner = callback.__self__
-                    pool = PACKET_POOL
-                    free = (
-                        pool._free
-                        if pool.enabled and len(pool._free) < pool.max_free
-                        else None
-                    )
-                    poison = pool.debug_poison
-                    released = 0
-                    while i < len(items):
-                        timer._inext = i + 1
-                        fired += 1
-                        item = items[i]
-                        if item is not None:
-                            _sender, receiver, packet, entry = item
-                            deliver, dversion, consuming, _rcv, _nh = entry
-                            if (
-                                deliver is not None
-                                and dversion == receiver._delivery_version
-                            ):
-                                receiver.packets_received += 1
-                                deliver(packet)
-                                if free is not None and consuming:
-                                    if poison:
-                                        pool.release(packet)  # counts itself
-                                    else:
-                                        packet.gen += 1
-                                        free.append(packet)
-                                        released += 1
-                            else:
-                                receiver.receive(packet, owner)
-                                if free is not None and receiver.consumes_packets:
-                                    if poison:
-                                        pool.release(packet)  # counts itself
-                                    else:
-                                        packet.gen += 1
-                                        free.append(packet)
-                                        released += 1
-                        if timer._cancelled:
-                            break
-                        i = timer._inext
-                    if released:
-                        pool.released += released
-                else:
-                    while i < len(items):
-                        timer._inext = i + 1
-                        fired += 1
-                        callback(items[i])
-                        if timer._cancelled:
-                            # Cancelled mid-drain (e.g. the link went down in
-                            # a delivery callback); the dead entry is popped
-                            # by the cancellation branch above on the next
-                            # pass.
-                            break
-                        i = timer._inext
-            finally:
-                self.events_fired += fired
-                # Pop the drained entry even when a callback raises.  Pop
-                # from self._heap, not a local binding: a cancellation
-                # inside a callback may have compacted (rebuilt) the heap.
-                if (
-                    not timer._cancelled
-                    and not timer._fired
-                    and timer._inext >= len(timer._items)
-                ):
-                    timer._fired = True
-                    heapq.heappop(self._heap)
+        self._drain(deadline)
         self._now = deadline
 
     def run(self, max_events: int = 1_000_000, strict: bool = True) -> int:
@@ -415,26 +336,25 @@ class Scheduler:
         with ``strict`` (the default) budget exhaustion also raises
         ``RuntimeError``, so livelocks cannot pass silently.
         """
-        fired = 0
-        while fired < max_events and self.step():
-            fired += 1
-        self.last_run_exhausted = fired >= max_events and any(
-            timer.active for _, _, timer in self._heap
+        before = self.events_fired
+        self.last_run_exhausted = (
+            self._drain(max_events=max_events) and self.pending > 0
         )
         if self.last_run_exhausted and strict:
             raise RuntimeError(f"scheduler exceeded {max_events} events")
-        return fired
+        return self.events_fired - before
 
     def run_while(self, predicate: Callable[[], bool], deadline: float) -> bool:
         """Run while *predicate()* is true, up to *deadline*.
 
         Returns True if the predicate became false (condition met), False if
-        the deadline was reached first.  Useful for "run until connected or
-        5 s elapse" patterns in tests and examples.
+        the deadline was reached first — no event later than *deadline*
+        fires, and the clock ends at *deadline* unless it is already past
+        it.  Useful for "run until connected or 5 s elapse" patterns in
+        tests and examples.
         """
-        while predicate():
-            if not self._heap or self._heap[0][0] > deadline:
-                self._now = deadline
-                return False
-            self.step()
-        return True
+        if self._drain(deadline, keep_going=predicate):
+            return True
+        if deadline > self._now:
+            self._now = deadline
+        return False

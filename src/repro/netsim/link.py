@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.clock import Scheduler, Timer
-from repro.netsim.packet import IpProtocol, Packet
+from repro.netsim.packet import PACKET_POOL, IpProtocol, Packet
 from repro.obs.metrics import Counter
 from repro.util.rng import SeededRng
 
@@ -140,10 +140,10 @@ class Link:
         self._flight_seq = itertools.count()
         #: Pending coalesced-delivery timers (fast path only; see
         #: Scheduler.call_later_batched), insertion-ordered so flap/detach
-        #: drops replay in schedule order.  Items are (sender, receiver,
-        #: packet, dispatch-entry) 4-tuples; a detached entry is nulled in
-        #: place.
-        self._batches: Dict[int, Timer] = {}
+        #: drops replay in schedule order; :meth:`_drain_batch` removes a
+        #: batch once it has drained.  Items are (sender, receiver, packet,
+        #: dispatch-entry) 4-tuples; a detached entry is nulled in place.
+        self._batches: Dict[Timer, None] = {}
         #: Direct-dispatch memo: ``dst._key * 4 + proto.wire_index`` ->
         #: ``(deliver, delivery_version, consuming, receiver, nh_value)``.
         #: *deliver* is the callable the drain loop invokes instead of the
@@ -163,7 +163,6 @@ class Link:
         #: closes it on any profile change), so ``_open_tick == now`` is
         #: equivalent to the full ``batch.when == now + latency`` compare.
         self._open_tick = -1.0
-        self._batch_ids = itertools.count()
         self.packets_dropped = 0
         self.queue_drops = 0
         self.flap_drops = 0
@@ -285,18 +284,14 @@ class Link:
             if receiver is node:
                 timer.cancel()
                 del self._in_flight[seq]
-                self.packets_dropped += 1
-                self._record(packet, sender, receiver, "detach-drop")
-                self._flight_drop(packet, "detach-drop")
-        for timer in self._batches.values():
+                self._drop(packet, sender, receiver, "detach-drop")
+        for timer in self._batches:
             items = timer._items
             for i in range(timer._inext, len(items)):
                 item = items[i]
                 if item is not None and item[1] is node:
                     items[i] = None
-                    self.packets_dropped += 1
-                    self._record(item[2], item[0], node, "detach-drop")
-                    self._flight_drop(item[2], "detach-drop")
+                    self._drop(item[2], item[0], node, "detach-drop")
 
     # -- link state (fault injection) -------------------------------------------
 
@@ -316,20 +311,16 @@ class Link:
         self._ge_bad = False
         for timer, sender, receiver, packet in self._in_flight.values():
             timer.cancel()
-            self.packets_dropped += 1
+            self._drop(packet, sender, receiver, "flap-drop")
             self.flap_drops += 1
-            self._record(packet, sender, receiver, "flap-drop")
-            self._flight_drop(packet, "flap-drop")
         self._in_flight.clear()
-        for timer in self._batches.values():
+        for timer in self._batches:
             items = timer._items
             for i in range(timer._inext, len(items)):
                 item = items[i]
                 if item is not None:
-                    self.packets_dropped += 1
+                    self._drop(item[2], item[0], item[1], "flap-drop")
                     self.flap_drops += 1
-                    self._record(item[2], item[0], item[1], "flap-drop")
-                    self._flight_drop(item[2], "flap-drop")
             timer.cancel()
         self._batches.clear()
         self._open_batch = None
@@ -397,50 +388,29 @@ class Link:
             scheduler = self.scheduler
             batch = self._open_batch
             if (
-                batch is not None
-                and batch._bseq == scheduler._seq
-                and not batch._fired
-                and self._open_tick == scheduler._now
+                batch is None
+                or batch._bseq != scheduler._seq
+                or batch._fired
+                or self._open_tick != scheduler._now
             ):
-                # No timer was created since the batch's own, so this
-                # delivery would have drawn the very next sequence number at
-                # the same deadline — appending preserves fire order exactly.
-                batch._items.append((sender, receiver, packet, entry))
-            else:
-                batches = self._batches
-                # Batches drain in creation order (constant latency), so
-                # purging spent timers from the front keeps the pending set
-                # small on long runs.
-                while batches:
-                    bid0 = next(iter(batches))
-                    if batches[bid0]._fired:
-                        del batches[bid0]
-                    else:
-                        break
                 batch = scheduler.call_later_batched(
-                    self._fast_latency, self._fire_delivery
+                    self._fast_latency, self._drain_batch
                 )
-                batch._bseq = scheduler._seq
-                # Items are (sender, receiver, packet, entry) wire deliveries
-                # and _fire_delivery does nothing else — let run_until's
-                # drain loop dispatch into the receiver directly.
-                batch._unpack = True
-                batch._items.append((sender, receiver, packet, entry))
-                batches[next(self._batch_ids)] = batch
+                self._batches[batch] = None
                 self._open_batch = batch
                 self._open_tick = scheduler._now
+            # Either the batch is new, or no timer was created since its own,
+            # so this delivery would have drawn the very next sequence number
+            # at the same deadline — appending preserves fire order exactly.
+            batch._items.append((sender, receiver, packet, entry))
             return True
         if not self._up:
-            self.packets_dropped += 1
+            self._drop(packet, sender, None, "link-down")
             self.flap_drops += 1
-            self._record(packet, sender, None, "link-down")
-            self._flight_drop(packet, "link-down")
             return False
         receiver = self._owner_index.get(IPv4Address(next_hop_ip))
         if receiver is None or receiver is sender:
-            self.packets_dropped += 1
-            self._record(packet, sender, None, "no-next-hop")
-            self._flight_drop(packet, "no-next-hop")
+            self._drop(packet, sender, None, "no-next-hop")
             return False
         if not self._wire_one(packet, sender, receiver, 0.0, dup=False):
             return False
@@ -465,17 +435,13 @@ class Link:
         delivery was scheduled."""
         profile = self._profile
         if profile.loss and self._rng.chance(profile.loss):
-            self.packets_dropped += 1
+            self._drop(packet, sender, receiver, "lost")
             self._lost_handles[packet.proto].inc()
-            self._record(packet, sender, receiver, "lost")
-            self._flight_drop(packet, "lost")
             return False
         if profile.burst_enter and self._ge_burst_drops(packet):
-            self.packets_dropped += 1
+            self._drop(packet, sender, receiver, "burst-lost")
             self.burst_drops += 1
             self._lost_handles[packet.proto].inc()
-            self._record(packet, sender, receiver, "burst-lost")
-            self._flight_drop(packet, "burst-lost")
             return False
         delay = profile.latency + extra_delay
         if profile.jitter:
@@ -487,10 +453,8 @@ class Link:
                 profile.max_queue_delay is not None
                 and queue_wait > profile.max_queue_delay
             ):
-                self.packets_dropped += 1
+                self._drop(packet, sender, receiver, "queue-drop")
                 self.queue_drops += 1
-                self._record(packet, sender, receiver, "queue-drop")
-                self._flight_drop(packet, "queue-drop")
                 return False
             serialization = packet.size * 8 / profile.bandwidth_bps
             self._busy_until = now + queue_wait + serialization
@@ -538,13 +502,63 @@ class Link:
         self._dispatch[dst._key * 4 + proto.wire_index] = entry
         return entry
 
-    def _fire_delivery(self, item) -> None:
-        """Deliver one coalesced-batch item (the scheduler fires one item per
-        event; a nulled item was detach-dropped while in flight).  Always the
-        receive() trampoline — step()-driven runs take this route and must
-        stay observably identical to the drain loop's direct dispatch."""
-        if item is not None:
-            item[1].receive(item[2], self)
+    def _drain_batch(self, batch: Timer, limit: int) -> None:
+        """Fire up to *limit* queued deliveries of *batch* (the scheduler's
+        event loop calls this when the batch comes due; see
+        :meth:`Scheduler.call_later_batched`).
+
+        This is the one route from the wire into a receiver on the fast
+        path.  When the item's dispatch entry is still valid for the
+        receiver's current delivery version the packet lands straight in
+        the resolved transport stack or bound socket; otherwise — a
+        forwarding receiver, or a binding that changed while the packet was
+        in flight — it goes through the full ``receive()`` demux.  A nulled
+        item was detach-dropped in flight and fires as an empty event.
+        Consuming deliveries recycle the packet into the pool;
+        generation-stamping happens at release so stale references are
+        detectable (see :class:`PacketPool`).
+        """
+        items = batch._items
+        pool = PACKET_POOL
+        free = (
+            pool._free
+            if pool.enabled and len(pool._free) < pool.max_free
+            else None
+        )
+        poison = pool.debug_poison
+        released = 0
+        i = batch._inext
+        stop = i + limit
+        # len() is re-read every pass: a same-instant transmit on a
+        # zero-latency link may append to this batch while it fires.
+        while i < stop and i < len(items):
+            batch._inext = i + 1
+            item = items[i]
+            if item is not None:
+                _sender, receiver, packet, entry = item
+                deliver, dversion, consuming, _rcv, _nh = entry
+                if deliver is not None and dversion == receiver._delivery_version:
+                    receiver.packets_received += 1
+                    deliver(packet)
+                else:
+                    receiver.receive(packet, self)
+                    consuming = receiver.consumes_packets
+                if consuming and free is not None:
+                    if poison:
+                        pool.release(packet)  # counts itself
+                    else:
+                        packet.gen += 1
+                        free.append(packet)
+                        released += 1
+            if batch._cancelled:
+                # Cancelled mid-drain: this link went down inside a
+                # delivery callback and flap-dropped the rest.
+                break
+            i = batch._inext
+        if released:
+            pool.released += released
+        if i >= len(items):
+            self._batches.pop(batch, None)  # drained; down() may have cleared
 
     def _ge_burst_drops(self, packet: Packet) -> bool:
         """Advance the Gilbert-Elliott two-state chain one packet and report
@@ -567,8 +581,11 @@ class Link:
         _, _, receiver, packet = self._in_flight.pop(seq)
         receiver.receive(packet, self)
 
-    def _flight_drop(self, packet: Packet, reason: str) -> None:
-        """Flight-record a wire drop; drop paths only, never the send path."""
+    def _drop(self, packet: Packet, sender: "Node", receiver, reason: str) -> None:
+        """Count, trace and flight-record one packet this link dropped (drop
+        paths only; the fast path's no-next-hop drop just counts)."""
+        self.packets_dropped += 1
+        self._record(packet, sender, receiver, reason)
         if self._flight is not None:
             self._flight.packet_event(
                 "link.drop", packet, link=self.name, reason=reason

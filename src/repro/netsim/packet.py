@@ -58,9 +58,9 @@ _RECYCLED = _RecycledField()
 class PacketPool:
     """Free-list recycler for hot-path Packets.
 
-    Only the scheduler's batched drain loop releases packets, and only for
-    deliveries that provably consume them: UDP socket dispatch (the callback
-    receives ``(payload, src)``, both immutable and safe to retain) and
+    Only a link's batch drain (``Link._drain_batch``) releases packets, and
+    only for deliveries that provably consume them: UDP socket dispatch (the
+    callback receives ``(payload, src)``, both immutable and safe to retain) and
     nodes whose class declares ``consumes_packets = True`` (NAT devices —
     their receive path always emits a fresh clone and never stows the
     original).  Packets handed to generic protocol handlers are *never*

@@ -39,7 +39,7 @@ class HostStack:
             rst_seq_validation=rst_seq_validation,
             icmp_validation=icmp_validation,
         )
-        # UDP registers a dispatch resolver so the scheduler's drain loop can
+        # UDP registers a dispatch resolver so a link's batch drain can
         # deliver straight into the bound socket; TCP and ICMP use the
         # generic handler binding (still one frame shorter than receive()).
         host.register_protocol(

@@ -124,18 +124,12 @@ class UdpSocket:
         self.closed = True
         self._stack._release(self)
 
-    def _deliver(self, packet: Packet) -> None:
-        self.datagrams_received += 1
-        self._stack.datagrams_received += 1
-        if self.on_datagram is not None:
-            self.on_datagram(packet.payload, packet.src)
-
     def _deliver_direct(self, packet: Packet) -> None:
-        """Drain-loop dispatch target (see :meth:`UdpStack.resolve_dispatch`).
+        """Hand one datagram to the application: the tail of
+        :meth:`UdpStack.handle_packet` and the link drain's direct-dispatch
+        target (see :meth:`UdpStack.resolve_dispatch`).
 
-        Identical to the tail of :meth:`UdpStack.handle_packet` — the node's
-        ``packets_received`` bump happens in the drain loop itself.  This
-        delivery is *consuming*: the callback gets (payload, src), both
+        This delivery is *consuming*: the callback gets (payload, src), both
         immutable shared objects it may retain freely, and the packet object
         is never exposed — the licence for the pool to recycle it.
         """
@@ -155,14 +149,10 @@ class UdpStack:
 
     def __init__(self, host: Host) -> None:
         self.host = host
+        #: Every bind/close bumps the host's delivery version, so
+        #: direct-dispatch entries resolved against an old socket set can
+        #: never fire.
         self._bindings: Dict[_BindKey, UdpSocket] = {}
-        #: Hot mirrors of ``_bindings`` for the per-datagram demux: exact
-        #: binds keyed by the folded ``Endpoint._key`` int, wildcard binds
-        #: by bare port.  Rebuilt (with a host delivery-version bump) on
-        #: every bind/close, so direct-dispatch entries resolved against an
-        #: old socket set can never fire.
-        self._by_key: Dict[int, UdpSocket] = {}
-        self._by_port: Dict[int, UdpSocket] = {}
         self._next_ephemeral = EPHEMERAL_BASE
         self.packets_dropped = 0
         #: Stack-wide totals (per-socket counts live on the sockets, which
@@ -189,10 +179,6 @@ class UdpStack:
         source_ip = bind_ip if bind_ip is not None else self.host.primary_ip
         sock = UdpSocket(self, Endpoint(source_ip, port), wildcard=bind_ip is None)
         self._bindings[key] = sock
-        if bind_ip is not None:
-            self._by_key[bind_ip._value * 65536 + port] = sock
-        else:
-            self._by_port[port] = sock
         self.host._delivery_version += 1
         return sock
 
@@ -209,54 +195,40 @@ class UdpStack:
 
     def _release(self, sock: UdpSocket) -> None:
         self._bindings = {k: s for k, s in self._bindings.items() if s is not sock}
-        self._by_key = {k: s for k, s in self._by_key.items() if s is not sock}
-        self._by_port = {k: s for k, s in self._by_port.items() if s is not sock}
         self.host._delivery_version += 1
+
+    def _socket_for(self, dst: Endpoint) -> Optional[UdpSocket]:
+        """The open socket *dst* demultiplexes to: an exact (ip, port) bind
+        wins over a wildcard-IP bind on the same port."""
+        bindings = self._bindings
+        sock = bindings.get((dst.ip._value, dst.port))
+        if sock is None or sock.closed:
+            sock = bindings.get((None, dst.port))
+            if sock is None or sock.closed:
+                return None
+        return sock
 
     def resolve_dispatch(self, dst: Endpoint) -> tuple:
         """Direct-dispatch resolver (see :meth:`Node.resolve_dispatch`):
         bind drain-loop deliveries for *dst* straight onto the owning
         socket's :meth:`UdpSocket._deliver_direct`.  Consuming — UDP
         delivery exposes only (payload, src), never the packet object."""
-        sock = self._by_key.get(dst._key)
-        if sock is None or sock.closed:
-            sock = self._by_port.get(dst.port)
-            if sock is None or sock.closed:
-                return None, False
+        sock = self._socket_for(dst)
+        if sock is None:
+            return None, False
         return sock._deliver_direct, True
 
     def handle_packet(self, packet: Packet) -> None:
-        """Demultiplex one inbound UDP packet to a bound socket.
-
-        This is ``_lookup`` + ``UdpSocket._deliver`` inlined: the demux runs
-        once per delivered datagram and the two extra frames are measurable
-        on the NAT echo path.
-        """
-        dst = packet.dst
-        sock = self._by_key.get(dst._key)
-        if sock is None or sock.closed:
-            sock = self._by_port.get(dst.port)
-            if sock is None or sock.closed:
-                self.packets_dropped += 1
-                return
-        sock.datagrams_received += 1
-        self.datagrams_received += 1
-        callback = sock.on_datagram
-        if callback is not None:
-            callback(packet.payload, packet.src)
-
-    def _lookup(self, dst: Endpoint) -> Optional[UdpSocket]:
-        exact = self._bindings.get((dst.ip._value, dst.port))
-        if exact is not None and not exact.closed:
-            return exact
-        wildcard = self._bindings.get((None, dst.port))
-        if wildcard is not None and not wildcard.closed:
-            return wildcard
-        return None
+        """Demultiplex one inbound UDP packet to a bound socket."""
+        sock = self._socket_for(packet.dst)
+        if sock is None:
+            self.packets_dropped += 1
+            return
+        sock._deliver_direct(packet)
 
     def handle_icmp(self, error: IcmpError) -> None:
         """Attribute an ICMP error to the socket that sent the offender."""
-        sock = self._lookup(error.original_src)
+        sock = self._socket_for(error.original_src)
         if sock is not None and sock.on_icmp_error is not None:
             sock.on_icmp_error(error)
 

@@ -168,6 +168,45 @@ def test_run_while_deadline():
     assert s.now == 3.0
 
 
+def test_run_while_never_fires_past_deadline():
+    """A cancelled timer at the head of the heap must not let the live
+    event behind it — due after the deadline — fire."""
+    s = Scheduler()
+    fired = []
+    s.call_at(1.0, fired.append, "dead").cancel()
+    s.call_at(10.0, fired.append, "late")
+    assert s.run_while(lambda: True, deadline=5.0) is False
+    assert fired == []
+    assert s.now == 5.0
+    s.run_until(10.0)
+    assert fired == ["late"]
+
+
+def test_clock_is_monotone_across_mixed_drivers():
+    s = Scheduler()
+    seen = []
+    for when in (1.0, 2.0, 3.0, 4.0, 6.0, 9.0):
+        s.call_at(when, lambda: seen.append(s.now))
+    s.call_at(2.5, lambda: None).cancel()
+    clock = [s.now]
+    s.step()
+    clock.append(s.now)
+    s.run(max_events=1, strict=False)
+    clock.append(s.now)
+    s.run_while(lambda: len(seen) < 3, deadline=5.0)
+    clock.append(s.now)
+    s.run_until(5.0)
+    clock.append(s.now)
+    s.run_while(lambda: True, deadline=2.0)  # a deadline already behind us
+    clock.append(s.now)
+    s.run_while(lambda: True, deadline=7.0)
+    clock.append(s.now)
+    s.run()
+    clock.append(s.now)
+    assert clock == [0.0, 1.0, 2.0, 3.0, 5.0, 5.0, 7.0, 9.0]
+    assert seen == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
+
+
 def test_pending_counts_active_only():
     s = Scheduler()
     t1 = s.call_later(1.0, lambda: None)

@@ -1,6 +1,6 @@
 """Direct-dispatch invalidation suite.
 
-The scheduler's drain loop delivers packets straight into resolved
+A link's batch drain delivers packets straight into resolved
 transport handlers via 5-tuple entries cached on ``Link._dispatch``; each
 entry is validated against the receiver's ``_delivery_version`` at both
 transmit time and fire time.  Any binding change — transport stack
@@ -61,7 +61,22 @@ def _build(seed: int = 1, serve: bool = True):
     return net, backbone, lan, nat, client, server, echo
 
 
-def _run(perturb=None, serve: bool = True):
+def _run_until_slices(net):
+    while net.now < 5.0:
+        net.run_until(min(5.0, net.now + 0.0007))
+
+
+def _run_while(net):
+    net.scheduler.run_while(lambda: True, 5.0)
+
+
+#: Every scenario is driven both ways: deadline slices that cut the packet
+#: stream at arbitrary instants, and the predicate loop (one predicate check
+#: per event, so coalesced batches are entered one delivery at a time).
+DRIVERS = (_run_until_slices, _run_while)
+
+
+def _run(perturb=None, serve: bool = True, drive=_run_until_slices):
     net, backbone, lan, nat, client, server, echo = _build(serve=serve)
     arrivals = []
     sock = client.stack.udp.socket(4321)
@@ -71,9 +86,10 @@ def _run(perturb=None, serve: bool = True):
         net.scheduler.call_at(i * SEND_SPACING, sock.sendto, b"%04d" % i, dest)
     if perturb is not None:
         perturb(net, nat, client, server, echo)
-    net.run_until(5.0)
+    drive(net)
     observables = {
         "arrivals": arrivals,
+        "now": net.now,
         "events_fired": net.scheduler.events_fired,
         "lan": (lan.packets_sent, lan.bytes_sent, lan.packets_dropped),
         "backbone": (
@@ -104,13 +120,14 @@ def _run(perturb=None, serve: bool = True):
 
 
 def _both(perturb=None, serve: bool = True):
-    """Run the scenario on the fast path and the slow path; assert identity."""
-    with _fast_path(True):
-        fast = _run(perturb, serve=serve)
-    with _fast_path(False):
-        slow = _run(perturb, serve=serve)
-    assert fast == slow
-    return fast
+    """Run the scenario on the fast path and the slow path under each
+    driver; assert identity."""
+    runs = []
+    for enabled in (True, False):
+        with _fast_path(enabled):
+            runs.extend(_run(perturb, serve=serve, drive=drive) for drive in DRIVERS)
+    assert all(run == runs[0] for run in runs[1:])
+    return runs[0]
 
 
 class TestStackDetachMidRun:

@@ -1,6 +1,8 @@
 """Property-based tests on core invariants (hypothesis)."""
 
-from hypothesis import given, settings, strategies as st
+import functools
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.nat.mapping import NatTable, mapping_key
 from repro.nat.policy import MappingPolicy, PortAllocation
@@ -154,3 +156,142 @@ def test_tcp_delivers_any_payload_sequence_in_order(payloads, seed):
         client.send(payload)
     net.run_until(net.now + 10)
     assert b"".join(got) == b"".join(payloads)
+
+
+# -- one event loop: how a run is sliced between drivers changes nothing -----
+
+SLICED_UNTIL = 2.0  # generated driver slices stop here ...
+SLICED_END = 4.0  # ... and one run_until carries every run to the same end
+
+driver_ops = st.one_of(
+    st.just(("step",)),
+    st.tuples(st.just("run"), st.integers(1, 40)),
+    st.tuples(st.just("while"), st.integers(1, 6), st.floats(0.0, 0.05)),
+    st.tuples(st.just("until"), st.floats(0.0, 0.05)),
+)
+
+
+def _drive_echo_and_punch(ops):
+    """One seeded network carrying a NAT echo stream and a UDP hole punch,
+    driven by *ops* up to SLICED_UNTIL and by one ``run_until`` from there.
+
+    LAN B jitters, so its packets are one timer each while the other links
+    coalesce deliveries into batches; four echo datagrams leave per tick, so
+    ``step()`` and small ``run`` budgets stop in the middle of a batch.
+    """
+    from repro.netsim.link import LinkProfile
+    from repro.netsim.packet import PACKET_POOL
+    from repro.scenarios import build_two_nats
+
+    prior = PACKET_POOL.enabled, PACKET_POOL.debug_poison
+    PACKET_POOL.disable()  # empty free list: every run starts from the same pool
+    PACKET_POOL.enable()
+    PACKET_POOL.debug_poison = True
+    released_before = PACKET_POOL.released
+    try:
+        sc = build_two_nats(seed=11)
+        sched = sc.scheduler
+        sc.net.links["lan-B"].profile = LinkProfile(latency=0.0005, jitter=0.0002)
+        arrivals = []
+
+        echo = sc.hosts["S"].stack.udp.socket(7)
+        echo.on_datagram = echo.sendto
+        sock = sc.hosts["A"].stack.udp.socket(5555)
+        sock.on_datagram = lambda data, src: arrivals.append((sched.now, "echo", data))
+        echo_at = Endpoint("18.181.0.31", 7)
+        for tick in range(int(SLICED_END / 0.025)):
+            for n in range(4):
+                sched.call_at(tick * 0.025, sock.sendto, b"%d.%d" % (tick, n), echo_at)
+
+        def on_session(session):
+            session.on_data = lambda data: arrivals.append((sched.now, "peer", data))
+            for n in range(10):
+                sched.call_later(0.02 * n, session.send, b"hello %d" % n)
+
+        def on_peer_session(session):
+            session.on_data = session.send
+
+        sc.clients["B"].on_peer_session = on_peer_session
+        for client in sc.clients.values():
+            client.register_udp()
+        sched.call_at(
+            0.5,
+            lambda: sc.clients["A"].connect_udp(
+                2,
+                on_session=on_session,
+                on_failure=lambda err: arrivals.append((sched.now, "failed", err)),
+            ),
+        )
+
+        clock = [sched.now]
+        for op in ops:
+            if sched.now >= SLICED_UNTIL:
+                break
+            if op[0] == "step":
+                sched.step()
+            elif op[0] == "run":
+                sched.run(max_events=op[1], strict=False)
+            elif op[0] == "while":
+                target = len(arrivals) + op[1]
+                sched.run_while(lambda: len(arrivals) < target, sched.now + op[2])
+            else:
+                sched.run_until(sched.now + op[1])
+            clock.append(sched.now)
+        sched.run_until(SLICED_END)
+        assert clock == sorted(clock)
+        return {
+            "arrivals": arrivals,
+            "now": sched.now,
+            "events": (sched.events_fired, sched.events_cancelled),
+            "links": {
+                name: (link.packets_sent, link.bytes_sent, link.packets_dropped)
+                for name, link in sc.net.links.items()
+            },
+            "nats": {
+                label: (
+                    nat.translations_out,
+                    nat.translations_in,
+                    nat.packets_received,
+                    nat.packets_dropped,
+                )
+                for label, nat in sc.nats.items()
+            },
+            "udp": {
+                label: (
+                    host.packets_received,
+                    host.stack.udp.datagrams_sent,
+                    host.stack.udp.datagrams_received,
+                    host.stack.udp.packets_dropped,
+                )
+                for label, host in sc.hosts.items()
+            },
+            "pool_released": PACKET_POOL.released - released_before,
+        }
+    finally:
+        PACKET_POOL.debug_poison = prior[1]
+        PACKET_POOL.disable()  # drop the poisoned carcasses
+        if prior[0]:
+            PACKET_POOL.enable()
+
+
+@functools.lru_cache(maxsize=None)
+def _single_run_until():
+    """The reference run: no slices, one ``run_until`` to SLICED_END."""
+    return _drive_echo_and_punch(())
+
+
+@given(st.lists(driver_ops, max_size=60))
+@example([("run", 7)] * 40)
+@example([("step",)] * 60)
+@example([("while", 1, 0.05)] * 40)
+@settings(max_examples=25, deadline=None)
+def test_driver_slicing_is_unobservable(ops):
+    """Any interleaving of ``step`` / ``run`` / ``run_while`` / ``run_until``
+    slices is the same simulation as a single ``run_until``: same arrival
+    timeline, counters, event count, final clock and — because every driver
+    delivers through the same route — the same packets recycled, with
+    recycled packets poisoned so a stale reference would raise."""
+    reference = _single_run_until()
+    assert any(tag == "peer" for _, tag, _ in reference["arrivals"])
+    assert reference["pool_released"] > 0
+    assert _drive_echo_and_punch(ops) == reference
