@@ -5,7 +5,12 @@ regressions in the hot paths (scheduler heap, link delivery, NAT
 translation) are visible.  The 380-device Table 1 fleet leans on these.
 """
 
+import collections
+import contextlib
+import enum
 import os
+import random
+import sys
 import time
 
 import pytest
@@ -155,6 +160,79 @@ def test_profiler_wraps_active_run():
     assert prof.events > 0 and prof.packets > 0
     assert prof.events_per_second > 0 and prof.packets_per_second > 0
     assert prof.time_dilation > 0
+
+
+@contextlib.contextmanager
+def _counting_calls():
+    """Count Python-level calls under a ``sys.setprofile`` hook.
+
+    Yields ``(calls, edges)``: calls per callee code object, and per
+    ``(caller code, callee code)`` pair.  Counts, not clocks — the same on a
+    laptop and on a shared CI runner.
+    """
+    calls, edges = collections.Counter(), collections.Counter()
+
+    def hook(frame, event, _arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+            if frame.f_back is not None:
+                edges[frame.f_back.f_code, frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield calls, edges
+    finally:
+        sys.setprofile(previous)
+
+
+def test_survey_route_cost_guard():
+    """The Table 1 survey route stays off the overheads PR 13 removed.
+
+    One ``check_device``: no ``enum`` flag operators at all (TCP flag tests
+    are int mask compares, unions are module constants), at most one
+    ``Enum.__hash__`` per inbound segment from ``handle_segment`` (the static
+    state table; the per-call dict cost nine), and only the generators that
+    actually draw get seeded (the eager constructor seeded 13).  A 2-vendor
+    fleet walks ``canonical_json`` once per distinct (behaviour, config).
+    """
+    from repro.cache import fingerprint
+    from repro.natcheck import fleet
+    from repro.transport.tcp import TcpConnection
+
+    spec = fleet.VENDOR_SPECS[0]
+    behavior, config = fleet.device_behavior(spec, 0), fleet.device_config(spec, 0)
+    assert config.run_tcp
+    with _counting_calls() as (calls, edges):
+        report = fleet.check_device(behavior, config, seed=7)
+    assert report.tcp_punch_ok is not None  # the TCP phases really ran
+
+    flag_ops = {
+        code.co_name: n
+        for code, n in calls.items()
+        if code.co_filename == enum.__file__
+        and code.co_name in ("__and__", "__or__", "__xor__", "__invert__")
+    }
+    assert flag_ops == {}
+    segments = calls[TcpConnection.handle_segment.__code__]
+    assert segments > 10
+    hashes = edges[TcpConnection.handle_segment.__code__, enum.Enum.__hash__.__code__]
+    assert hashes <= segments
+    assert calls[random.Random.seed.__code__] <= 6
+
+    specs = fleet.VENDOR_SPECS[:2]
+    distinct = {
+        fleet.device_fingerprint(
+            fleet.device_behavior(spec, index), fleet.device_config(spec, index), 7
+        ).core
+        for spec in specs
+        for index in range(spec.population)
+    }
+    fingerprint._payload_memo.clear()
+    with _counting_calls() as (calls, _edges):
+        fleet.run_fleet(specs, seed=7, workers=1, cache=False)
+    assert calls[fingerprint.canonical_json.__code__] == len(distinct)
+    assert len(distinct) < sum(spec.population for spec in specs) / 4
 
 
 def test_private_port_conflict_check_scales_flat():

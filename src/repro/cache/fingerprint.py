@@ -53,6 +53,15 @@ VERSION_SALT = ""
 
 _suite_memo: Dict[str, str] = {}
 
+#: ``repr(parts)`` -> canonical payload, for :func:`behavior_fingerprint`.  A
+#: fleet fingerprints every device but has only a handful of distinct
+#: behaviours.  Keyed on the repr, not on the parts: dataclasses compare
+#: ``True == 1 == 1.0`` while :func:`canonicalize` encodes ``True`` apart from
+#: the numbers, and the repr keeps them apart too (at worst ``1`` and ``1.0``
+#: fill two entries with the same payload).  Emptied when full.
+_payload_memo: Dict[str, str] = {}
+_PAYLOAD_MEMO_MAX = 256
+
 
 def canonicalize(obj: object) -> object:
     """Normalise *obj* into JSON-safe primitives with stable encodings.
@@ -126,7 +135,12 @@ def behavior_fingerprint(seed: int = 0, suite: str | None = None, **parts: objec
     ``seed`` is a pure function of the run seed and the canonical payload,
     so equal parts + equal run seed always yield the same simulation.
     """
-    payload = canonical_json(parts)
+    key = repr(parts)
+    payload = _payload_memo.get(key)
+    if payload is None:
+        if len(_payload_memo) >= _PAYLOAD_MEMO_MAX:
+            _payload_memo.clear()
+        payload = _payload_memo[key] = canonical_json(parts)
     core = hashlib.sha256(f"{int(seed)}:{payload}".encode()).hexdigest()
     suite_hash = suite if suite is not None else suite_version()
     full = hashlib.sha256(f"{core}:{suite_hash}".encode()).hexdigest()

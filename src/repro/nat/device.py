@@ -19,11 +19,13 @@ from repro.netsim.clock import Scheduler
 from repro.netsim.link import Link
 from repro.netsim.node import Interface, Router
 from repro.netsim.packet import (
+    ACK_BIT,
+    RST_ACK,
+    RST_BIT,
     IcmpError,
     IcmpType,
     IpProtocol,
     Packet,
-    TcpFlags,
     _pool_free,
     icmp_error_for,
     next_packet_id,
@@ -341,7 +343,7 @@ class NatDevice(Router):
             if (
                 self._rst_validate
                 and proto is IpProtocol.TCP
-                and packet.tcp.flags & TcpFlags.RST
+                and packet.tcp.flags._value_ & RST_BIT
                 and mapping.last_ack_out is not None
                 and packet.tcp.seq != mapping.last_ack_out
             ):
@@ -540,7 +542,7 @@ class NatDevice(Router):
                 translated.payload, src.ip, mapping.public.ip
             )
         if proto is IpProtocol.TCP:
-            if self._rst_validate and packet.tcp.flags & TcpFlags.ACK:
+            if self._rst_validate and packet.tcp.flags._value_ & ACK_BIT:
                 mapping.last_ack_out = packet.tcp.ack
             mapping.observe_tcp_flags(packet.tcp.flags, outbound=True, now=now)
             if mapping.closing_since is not None:
@@ -637,7 +639,7 @@ class NatDevice(Router):
             rst = tcp_packet(
                 packet.dst,
                 packet.src,
-                TcpFlags.RST | TcpFlags.ACK,
+                RST_ACK,
                 seq=0,
                 ack=(packet.tcp.seq + 1) % (1 << 32),
             )

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.netsim.addresses import Endpoint, IPv4Address
 from repro.netsim.clock import Scheduler, Timer
-from repro.netsim.packet import IpProtocol, TcpFlags
+from repro.netsim.packet import FIN_BIT, RST_BIT, IpProtocol, TcpFlags
 from repro.nat.policy import MappingPolicy, PortAllocation, QuotaPolicy
 from repro.util.errors import AddressError
 from repro.util.rng import SeededRng
@@ -165,10 +165,11 @@ class NatMapping:
 
     def observe_tcp_flags(self, flags: TcpFlags, outbound: bool, now: float) -> None:
         """Track close signals so the table can expire dead TCP sessions."""
-        if flags & TcpFlags.RST:
+        bits = flags._value_
+        if bits & RST_BIT:
             self.tcp_rst_seen = True
             self.closing_since = now
-        if flags & TcpFlags.FIN:
+        if bits & FIN_BIT:
             if outbound:
                 self.tcp_fin_outbound = True
             else:

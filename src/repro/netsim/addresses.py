@@ -13,6 +13,7 @@ benchmarks — these types are ``__slots__``-lean and hashable.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.util.errors import AddressError
@@ -83,13 +84,20 @@ class IPv4Address:
         return f"IPv4Address({str(self)!r})"
 
 
+def _is_decimal(text: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` alone also accepts every other
+    Unicode digit (``"٤"``, ``"４"``), which ``int()`` then happily reads."""
+    return text.isascii() and text.isdigit()
+
+
+@lru_cache(maxsize=1024)  # topologies re-parse the same few literals per build
 def _parse_dotted_quad(text: str) -> int:
     parts = text.strip().split(".")
     if len(parts) != 4:
         raise AddressError(f"malformed IPv4 address: {text!r}")
     value = 0
     for part in parts:
-        if not part.isdigit():
+        if not _is_decimal(part):
             raise AddressError(f"malformed IPv4 address: {text!r}")
         octet = int(part)
         if octet > 255 or (len(part) > 1 and part[0] == "0"):
@@ -112,6 +120,8 @@ class IPv4Network:
                 raise AddressError(f"prefix missing mask length: {spec!r}")
             addr_text, _, len_text = spec.partition("/")
             address = IPv4Address(addr_text)
+            if not _is_decimal(len_text):
+                raise AddressError(f"malformed prefix length: {spec!r}")
             prefix_len = int(len_text)
         else:
             address = IPv4Address(spec)
@@ -144,7 +154,11 @@ class IPv4Network:
         return 1 << (32 - self._prefix_len)
 
     def __contains__(self, address) -> bool:
-        return (int(IPv4Address(address)) & self.netmask_int()) == self._network
+        try:
+            value = address._value
+        except AttributeError:  # given as str/int/bytes
+            value = IPv4Address(address)._value
+        return value & self.netmask_int() == self._network
 
     def hosts(self) -> Iterator[IPv4Address]:
         """Iterate usable host addresses (excludes network/broadcast on /30-)."""
@@ -211,7 +225,7 @@ class Endpoint:
     def parse(cls, text: str) -> "Endpoint":
         """Parse ``"1.2.3.4:5678"``."""
         host, sep, port_text = text.rpartition(":")
-        if not sep or not port_text.isdigit():
+        if not sep or not _is_decimal(port_text):
             raise AddressError(f"malformed endpoint: {text!r}")
         return cls(host, int(port_text))
 

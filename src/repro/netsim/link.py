@@ -233,11 +233,14 @@ class Link:
         subscriptions; see docs/performance.md for the invalidation matrix.
         """
         p = self._profile
+        #: Whether wire events are being captured; the per-packet sites test
+        #: this instead of calling into a disabled trace.
+        self._tracing = self._trace is not None and self._trace.enabled
         self._fast = (
             self.fast_path_enabled
             and self._up
             and self._flight is None
-            and (self._trace is None or not self._trace.enabled)
+            and not self._tracing
             and p.bandwidth_bps is None
             and not (
                 p.loss or p.jitter or p.burst_enter or p.duplicate or p.reorder
@@ -352,15 +355,15 @@ class Link:
         on the wire — exactly how a datagram to a non-existent private host
         behaves in the paper's §3.4 scenario.
         """
+        try:
+            nh_value = next_hop_ip._value
+        except AttributeError:  # next hop given as str/int/bytes
+            nh_value = IPv4Address(next_hop_ip)._value
         if self._fast:
             # Statistical fast path: the gate (see _refresh_fast_path) has
             # already proven every fault/trace/flight branch below is a
             # no-op, so this block only does the work that observably
             # happens — counter bumps and a coalesced delivery timer.
-            try:
-                nh_value = next_hop_ip._value
-            except AttributeError:  # next hop given as str/int/bytes
-                nh_value = IPv4Address(next_hop_ip)._value
             proto = packet.proto
             # Resolve (or validate) the direct-dispatch entry for this flow.
             # The entry memoises both the next-hop owner and the local
@@ -408,7 +411,7 @@ class Link:
             self._drop(packet, sender, None, "link-down")
             self.flap_drops += 1
             return False
-        receiver = self._owner_index.get(IPv4Address(next_hop_ip))
+        receiver = self._owner_values.get(nh_value)
         if receiver is None or receiver is sender:
             self._drop(packet, sender, None, "no-next-hop")
             return False
@@ -464,9 +467,11 @@ class Link:
             self.packets_reordered += 1
         if dup:
             self.duplicates_delivered += 1
-        self.bytes_sent += packet.size
-        self._sent_handles[packet.proto].inc()
-        self._record(packet, sender, receiver, "duplicated" if dup else "sent")
+        proto = packet.proto
+        self.bytes_sent += proto.header_bytes + len(packet.payload)
+        self._sent_by_index[proto.wire_index].value += 1
+        if self._tracing:
+            self._record(packet, sender, receiver, "duplicated" if dup else "sent")
         self._schedule_delivery(packet, sender, receiver, delay)
         return True
 
@@ -585,22 +590,22 @@ class Link:
         """Count, trace and flight-record one packet this link dropped (drop
         paths only; the fast path's no-next-hop drop just counts)."""
         self.packets_dropped += 1
-        self._record(packet, sender, receiver, reason)
+        if self._tracing:
+            self._record(packet, sender, receiver, reason)
         if self._flight is not None:
             self._flight.packet_event(
                 "link.drop", packet, link=self.name, reason=reason
             )
 
     def _record(self, packet: Packet, sender: "Node", receiver, event: str) -> None:
-        if self._trace is not None:
-            self._trace.record(
-                time=self.scheduler.now,
-                link=self.name,
-                sender=sender.name,
-                receiver=receiver.name if receiver is not None else None,
-                event=event,
-                packet=packet,
-            )
+        self._trace.record(
+            time=self.scheduler.now,
+            link=self.name,
+            sender=sender.name,
+            receiver=receiver.name if receiver is not None else None,
+            event=event,
+            packet=packet,
+        )
 
     def __repr__(self) -> str:
         return f"Link({self.name!r}, attached={len(self._attachments)})"

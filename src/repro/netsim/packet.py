@@ -169,8 +169,29 @@ class TcpFlags(enum.IntFlag):
     ACK = 0x10
 
     def describe(self) -> str:
-        names = [flag.name for flag in (TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN, TcpFlags.RST) if self & flag]
+        bits = self._value_
+        names = [
+            flag.name
+            for flag in (TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN, TcpFlags.RST)
+            if bits & flag._value_
+        ]
         return "+".join(names) if names else "none"
+
+
+#: Plain-int masks for per-packet flag tests.  ``flags._value_ & RST_BIT`` is
+#: an attribute read and a C-level int op; ``flags & TcpFlags.RST`` is a
+#: Python-level ``Flag.__and__`` that also looks up and returns a member.
+FIN_BIT = TcpFlags.FIN._value_
+SYN_BIT = TcpFlags.SYN._value_
+RST_BIT = TcpFlags.RST._value_
+ACK_BIT = TcpFlags.ACK._value_
+_SYN_ACK_BITS = SYN_BIT | ACK_BIT
+
+#: The flag unions the send paths use, built once (``|`` on members is a
+#: Python-level ``Flag.__or__``).
+SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
+FIN_ACK = TcpFlags.FIN | TcpFlags.ACK
+RST_ACK = TcpFlags.RST | TcpFlags.ACK
 
 
 @dataclass(slots=True)
@@ -188,20 +209,20 @@ class TcpHeader:
     ack: int = 0
 
     def has(self, flag: TcpFlags) -> bool:
-        return bool(self.flags & flag)
+        return self.flags._value_ & flag._value_ != 0
 
     @property
     def is_syn_only(self) -> bool:
         """A "raw" SYN: connection-opening segment with no ACK (paper §4.4)."""
-        return self.has(TcpFlags.SYN) and not self.has(TcpFlags.ACK)
+        return self.flags._value_ & _SYN_ACK_BITS == SYN_BIT
 
     @property
     def is_syn_ack(self) -> bool:
-        return self.has(TcpFlags.SYN) and self.has(TcpFlags.ACK)
+        return self.flags._value_ & _SYN_ACK_BITS == _SYN_ACK_BITS
 
     @property
     def is_rst(self) -> bool:
-        return self.has(TcpFlags.RST)
+        return self.flags._value_ & RST_BIT != 0
 
 
 class IcmpType(enum.Enum):

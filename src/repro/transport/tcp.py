@@ -44,6 +44,11 @@ from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
 from repro.netsim.node import Host
 from repro.netsim.packet import (
+    ACK_BIT,
+    FIN_ACK,
+    FIN_BIT,
+    RST_ACK,
+    SYN_ACK,
     IcmpError,
     Packet,
     TcpFlags,
@@ -222,18 +227,13 @@ class TcpConnection:
     def abort(self) -> None:
         """Reset the connection (RST to peer, immediate local teardown)."""
         if self.state not in (TcpState.CLOSED, TcpState.TIME_WAIT):
-            self._send_flags(TcpFlags.RST | TcpFlags.ACK)
+            self._send_flags(RST_ACK)
         self._teardown(notify_close=True)
 
     # -- segment construction --------------------------------------------------
 
-    def _ack_args(self) -> Tuple[TcpFlags, int]:
-        if self.rcv_nxt is None:
-            return TcpFlags.NONE, 0
-        return TcpFlags.ACK, self.rcv_nxt
-
     def _send_flags(self, flags: TcpFlags, seq: Optional[int] = None, payload: bytes = b"") -> None:
-        ack = self.rcv_nxt if (flags & TcpFlags.ACK and self.rcv_nxt is not None) else 0
+        ack = self.rcv_nxt if (flags._value_ & ACK_BIT and self.rcv_nxt is not None) else 0
         self.stack.host.send(
             tcp_packet(
                 self.local,
@@ -249,13 +249,14 @@ class TcpConnection:
         entry.tries += 1
         if entry.tries > 1:
             self.stack.retransmits += 1
-        ack_flag, _ = self._ack_args()
+        # Every segment acknowledges once the peer's SYN has been seen.
+        acking = self.rcv_nxt is not None
         if entry.kind is _SegmentKind.SYN:
-            flags = TcpFlags.SYN | ack_flag
+            flags = SYN_ACK if acking else TcpFlags.SYN
         elif entry.kind is _SegmentKind.FIN:
-            flags = TcpFlags.FIN | ack_flag
+            flags = FIN_ACK if acking else TcpFlags.FIN
         else:
-            flags = TcpFlags.ACK if ack_flag else TcpFlags.NONE
+            flags = TcpFlags.ACK if acking else TcpFlags.NONE
         self._send_flags(flags, seq=entry.seq, payload=entry.payload)
 
     def _enqueue_and_send(self, entry: _QueuedSegment) -> None:
@@ -364,19 +365,9 @@ class TcpConnection:
         if header.is_rst:
             self._handle_rst(header)
             return
-        handler = {
-            TcpState.SYN_SENT: self._segment_in_syn_sent,
-            TcpState.SYN_RCVD: self._segment_in_syn_rcvd,
-            TcpState.ESTABLISHED: self._segment_in_established,
-            TcpState.FIN_WAIT_1: self._segment_in_established,
-            TcpState.FIN_WAIT_2: self._segment_in_established,
-            TcpState.CLOSE_WAIT: self._segment_in_established,
-            TcpState.CLOSING: self._segment_in_established,
-            TcpState.LAST_ACK: self._segment_in_established,
-            TcpState.TIME_WAIT: self._segment_in_time_wait,
-        }.get(self.state)
+        handler = _SEGMENT_HANDLERS.get(self.state)
         if handler is not None:
-            handler(packet)
+            handler(self, packet)
 
     def _handle_rst(self, header) -> None:
         if self.state is TcpState.CLOSED:
@@ -460,11 +451,12 @@ class TcpConnection:
 
     def _segment_in_established(self, packet: Packet) -> None:
         header = packet.tcp
-        if header.has(TcpFlags.ACK):
+        bits = header.flags._value_
+        if bits & ACK_BIT:
             self._ack_queue(header.ack)
         if packet.payload:
             self._receive_data(header.seq, packet.payload)
-        if header.has(TcpFlags.FIN):
+        if bits & FIN_BIT:
             self._receive_fin(header)
 
     def _segment_in_time_wait(self, packet: Packet) -> None:
@@ -546,6 +538,22 @@ class TcpConnection:
             f"TcpConnection({self.local} <-> {self.remote}, {self.state.value},"
             f" {'passive' if self.passive else 'active'})"
         )
+
+
+#: Per-state segment processing for :meth:`TcpConnection.handle_segment`.
+#: CLOSED and LISTEN are absent: a connection object in either state ignores
+#: segments (the stack answers for closed ports).
+_SEGMENT_HANDLERS: Dict[TcpState, Callable[[TcpConnection, Packet], None]] = {
+    TcpState.SYN_SENT: TcpConnection._segment_in_syn_sent,
+    TcpState.SYN_RCVD: TcpConnection._segment_in_syn_rcvd,
+    TcpState.ESTABLISHED: TcpConnection._segment_in_established,
+    TcpState.FIN_WAIT_1: TcpConnection._segment_in_established,
+    TcpState.FIN_WAIT_2: TcpConnection._segment_in_established,
+    TcpState.CLOSE_WAIT: TcpConnection._segment_in_established,
+    TcpState.CLOSING: TcpConnection._segment_in_established,
+    TcpState.LAST_ACK: TcpConnection._segment_in_established,
+    TcpState.TIME_WAIT: TcpConnection._segment_in_time_wait,
+}
 
 
 class TcpListener:
@@ -862,7 +870,7 @@ class TcpStack:
             rst = tcp_packet(packet.dst, packet.src, TcpFlags.RST, seq=header.ack)
         else:
             ack = seq_add(header.seq, (1 if header.has(TcpFlags.SYN) else 0) + len(packet.payload))
-            rst = tcp_packet(packet.dst, packet.src, TcpFlags.RST | TcpFlags.ACK, seq=0, ack=ack)
+            rst = tcp_packet(packet.dst, packet.src, RST_ACK, seq=0, ack=ack)
         self.host.send(rst)
 
     def handle_icmp(self, error: IcmpError) -> None:

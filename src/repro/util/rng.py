@@ -25,8 +25,17 @@ class SeededRng:
     def __init__(self, seed: int = 0, name: str = "root") -> None:
         self.seed = seed
         self.name = name
-        digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
-        self._random = random.Random(int.from_bytes(digest[:8], "big"))
+
+    def __getattr__(self, attr: str):
+        # Reached only while ``_random`` is unset.  A topology names a child
+        # generator for every link, NAT and stack but few of them ever draw,
+        # so hashing the name and seeding the Mersenne Twister wait for the
+        # first draw; the stream is a function of (seed, name) alone.
+        if attr != "_random":
+            raise AttributeError(attr)
+        digest = hashlib.sha256(f"{self.seed}:{self.name}".encode()).digest()
+        self._random = generator = random.Random(int.from_bytes(digest[:8], "big"))
+        return generator
 
     def child(self, name: str) -> "SeededRng":
         """Derive an independent generator namespaced under *name*."""

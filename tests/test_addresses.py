@@ -47,11 +47,30 @@ class TestIPv4Address:
         assert a.complement() != a
 
     @pytest.mark.parametrize(
-        "bad", ["", "1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "01.2.3.4", "-1.0.0.0"]
+        "bad",
+        [
+            "", "1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "01.2.3.4", "-1.0.0.0",
+            # Unicode digits: str.isdigit() and int() both accept these.
+            "\u0661.\u0662.\u0663.\u0664", "1.2.3.\uff14", "1.2.3.\u00b2", "+1.2.3.4", "1.2.3.4_0",
+        ],
     )
     def test_malformed_strings(self, bad):
-        with pytest.raises(AddressError):
-            IPv4Address(bad)
+        # Twice: the parser is memoised, and must never cache a rejection.
+        for _ in range(2):
+            with pytest.raises(AddressError):
+                IPv4Address(bad)
+
+    def test_memoised_parse_keeps_spellings_apart(self):
+        """A spelling served from the memo is the one that was parsed: a
+        rejected look-alike stays rejected after its canonical twin was
+        cached, and accepted spellings still give their own value."""
+        assert int(IPv4Address("1.2.3.4")) == 0x01020304
+        assert int(IPv4Address(" 1.2.3.4 ")) == 0x01020304  # stripped, as before
+        for bad in ("1.2.3.\uff14", "01.2.3.4", "1.2.3.4.", "1.2.3.04"):
+            with pytest.raises(AddressError):
+                IPv4Address(bad)
+        assert int(IPv4Address("1.2.3.4")) == 0x01020304
+        assert int(IPv4Address("1.2.3.5")) == 0x01020305
 
     def test_out_of_range_int(self):
         with pytest.raises(AddressError):
@@ -109,8 +128,10 @@ class TestIPv4Network:
         assert len(hosts) == 6
 
     def test_bad_prefix_length(self):
-        with pytest.raises(AddressError):
-            IPv4Network("10.0.0.0/33")
+        for bad in ("33", "x", "", " 8", "8 ", "+8", "-0", "-1", "\u0668", "\uff18", "8.0", "1_0"):
+            with pytest.raises(AddressError):
+                IPv4Network(f"10.0.0.0/{bad}")
+        assert IPv4Network("10.0.0.0/8").prefix_len == 8
 
     def test_missing_mask(self):
         with pytest.raises(AddressError):
@@ -155,6 +176,8 @@ class TestEndpoint:
             Endpoint.parse("155.99.25.11")
         with pytest.raises(AddressError):
             Endpoint.parse("1.2.3.4:notaport")
+        with pytest.raises(AddressError):
+            Endpoint.parse("1.2.3.4:\u0668\u0660")  # Arabic-Indic "80"
 
     def test_port_range(self):
         with pytest.raises(AddressError):

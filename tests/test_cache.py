@@ -8,7 +8,9 @@ the store only ever serves records whose full identity (payload + suite
 version hash) matches exactly.
 """
 
+import dataclasses
 import enum
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +29,7 @@ from repro.cache import (
     suite_sources,
     suite_version,
 )
+from repro.cache import fingerprint as fingerprint_mod
 from repro.cache.store import RECORD_FORMAT
 from repro.nat import behavior as B
 from repro.natcheck.fleet import device_seed
@@ -116,6 +119,75 @@ def test_fingerprint_seed_derives_from_payload():
     other = behavior_fingerprint(seed=9, behavior=B.WELL_BEHAVED)
     assert fp.seed != other.seed
     assert fp.seed == mix_seed(9, canonical_json({"behavior": B.SYMMETRIC}))
+
+
+# -- the payload memo ---------------------------------------------------------
+
+
+def _uncached_fingerprint(seed, **parts):
+    """What ``behavior_fingerprint`` computed before it memoised payloads."""
+    payload = canonical_json(parts)
+    core = hashlib.sha256(f"{seed}:{payload}".encode()).hexdigest()
+    full = hashlib.sha256(f"{core}:{suite_version()}".encode()).hexdigest()
+    return Fingerprint(core, suite_version(), mix_seed(seed, payload), full)
+
+
+def test_payload_memo_keeps_apart_what_canonicalize_keeps_apart():
+    """Frozen dataclasses compare ``True == 1 == 1.0``; ``canonicalize``
+    encodes the bool apart from the numbers.  Whatever was fingerprinted
+    first, each spelling must get its own (uncached-identical) result."""
+    from repro.natcheck.client import NatCheckConfig
+
+    spellings = [NatCheckConfig(run_tcp=value) for value in (True, 1, 1.0)]
+    assert spellings[0] == spellings[1] == spellings[2]
+    for order in (spellings, spellings[::-1]):
+        fingerprint_mod._payload_memo.clear()
+        for _ in range(2):  # miss, then hit
+            for config in order:
+                assert behavior_fingerprint(seed=3, config=config) == (
+                    _uncached_fingerprint(3, config=config)
+                )
+    as_bool, as_int, as_float = (behavior_fingerprint(seed=3, config=c) for c in spellings)
+    assert as_bool != as_int
+    assert as_int == as_float  # 1 and 1.0 canonicalize identically
+
+
+def test_payload_memo_hit_still_folds_in_seed_suite_and_salt(monkeypatch):
+    fingerprint_mod._payload_memo.clear()
+    first = behavior_fingerprint(seed=5, behavior=B.WELL_BEHAVED)
+    assert len(fingerprint_mod._payload_memo) == 1
+    assert behavior_fingerprint(seed=5, behavior=B.WELL_BEHAVED) == first
+    other_seed = behavior_fingerprint(seed=6, behavior=B.WELL_BEHAVED)
+    assert (other_seed.core, other_seed.seed) != (first.core, first.seed)
+    pinned = behavior_fingerprint(seed=5, behavior=B.WELL_BEHAVED, suite="abc")
+    assert pinned.core == first.core and pinned.full != first.full
+    monkeypatch.setattr(fingerprint_mod, "VERSION_SALT", "simulated code change")
+    salted = behavior_fingerprint(seed=5, behavior=B.WELL_BEHAVED)
+    assert salted.core == first.core and salted.seed == first.seed
+    assert salted.suite != first.suite and salted.full != first.full
+    assert len(fingerprint_mod._payload_memo) == 1  # every call above was a hit
+
+
+def test_payload_memo_is_bounded():
+    fingerprint_mod._payload_memo.clear()
+    for n in range(fingerprint_mod._PAYLOAD_MEMO_MAX * 2 + 3):
+        behavior_fingerprint(seed=0, n=n)
+        assert len(fingerprint_mod._payload_memo) <= fingerprint_mod._PAYLOAD_MEMO_MAX
+    assert behavior_fingerprint(seed=0, n=0) == _uncached_fingerprint(0, n=0)
+
+
+def test_fleet_fingerprint_parts_hide_nothing_from_their_repr():
+    """The memo is keyed on ``repr(parts)``: sound as long as every field
+    ``canonicalize`` reads is printed by the dataclass-generated repr."""
+    from repro.natcheck.client import NatCheckConfig
+    from repro.netsim.link import LinkProfile
+
+    for cls in (B.NatBehavior, NatCheckConfig, LinkProfile):
+        obj = cls()
+        shown = ", ".join(
+            f"{field.name}={getattr(obj, field.name)!r}" for field in dataclasses.fields(cls)
+        )
+        assert repr(obj) == f"{cls.__name__}({shown})"
 
 
 # -- suite version hashing ----------------------------------------------------

@@ -206,6 +206,23 @@ class TestExpiry:
         m.observe_tcp_flags(TcpFlags.RST, outbound=False, now=2.0)
         assert m.tcp_rst_seen and m.closing_since == 2.0
 
+    @pytest.mark.parametrize("outbound", [True, False])
+    def test_close_tracking_matches_intflag_reference(self, outbound):
+        """All 32 values of the five low flag bits, against the operator
+        definitions the int mask tests replaced."""
+        for value in range(32):
+            flags = TcpFlags(value)
+            table = make_table()
+            m = table.create(MappingPolicy.ENDPOINT_INDEPENDENT, IpProtocol.TCP, PRIV, S, 3600.0)
+            m.tcp_fin_outbound = not outbound  # the other side already closed
+            m.tcp_fin_inbound = outbound
+            before = (m.tcp_fin_outbound, m.tcp_fin_inbound)
+            m.observe_tcp_flags(flags, outbound=outbound, now=7.0)
+            rst, fin = bool(flags & TcpFlags.RST), bool(flags & TcpFlags.FIN)
+            assert m.tcp_rst_seen is rst
+            assert (m.tcp_fin_outbound, m.tcp_fin_inbound) == ((True, True) if fin else before)
+            assert m.closing_since == (7.0 if rst or fin else None)
+
     def test_remove_cancels_timer(self):
         table = make_table()
         m = table.create(MappingPolicy.ENDPOINT_INDEPENDENT, IpProtocol.UDP, PRIV, S, 20.0)

@@ -116,3 +116,38 @@ def test_describe_human_readable():
     p = tcp_packet(A, B, TcpFlags.SYN | TcpFlags.ACK, seq=1, ack=2, payload=b"xy")
     text = p.describe()
     assert "tcp" in text and "SYN+ACK" in text and "2B" in text
+
+
+# -- flag predicates: int mask compares vs. the IntFlag-operator reference ----
+
+ALL_FLAG_VALUES = [TcpFlags(value) for value in range(32)]  # five low bits, 0x08 unnamed
+
+
+@pytest.mark.parametrize("flags", ALL_FLAG_VALUES, ids=lambda f: f"{int(f):#04x}")
+def test_header_predicates_match_intflag_reference(flags):
+    header = TcpHeader(flags=flags)
+    has_syn, has_ack = bool(flags & TcpFlags.SYN), bool(flags & TcpFlags.ACK)
+    for flag in (TcpFlags.NONE, TcpFlags.FIN, TcpFlags.SYN, TcpFlags.RST, TcpFlags.ACK,
+                 TcpFlags.SYN | TcpFlags.ACK, TcpFlags.RST | TcpFlags.FIN):
+        assert header.has(flag) is bool(flags & flag)
+    assert header.is_syn_only is (has_syn and not has_ack)
+    assert header.is_syn_ack is (has_syn and has_ack)
+    assert header.is_rst is bool(flags & TcpFlags.RST)
+    assert header.flags is flags  # still the public TcpFlags value
+
+
+@pytest.mark.parametrize("flags", ALL_FLAG_VALUES, ids=lambda f: f"{int(f):#04x}")
+def test_describe_matches_intflag_reference(flags):
+    names = [flag.name for flag in (TcpFlags.SYN, TcpFlags.ACK, TcpFlags.FIN, TcpFlags.RST) if flags & flag]
+    assert flags.describe() == ("+".join(names) if names else "none")
+
+
+def test_send_path_flag_unions_are_the_operator_results():
+    from repro.netsim import packet
+
+    assert packet.SYN_ACK == TcpFlags.SYN | TcpFlags.ACK
+    assert packet.FIN_ACK == TcpFlags.FIN | TcpFlags.ACK
+    assert packet.RST_ACK == TcpFlags.RST | TcpFlags.ACK
+    for union in (packet.SYN_ACK, packet.FIN_ACK, packet.RST_ACK):
+        assert isinstance(union, TcpFlags)
+    assert packet.SYN_ACK.describe() == "SYN+ACK"

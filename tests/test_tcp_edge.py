@@ -189,3 +189,45 @@ def test_data_delivery_callback_exceptions_do_not_wedge_stack():
     client.send(b"second")
     net.run_until(net.now + 2)
     assert calls[-1] == b"second"
+
+
+# -- per-state dispatch: the static table vs. the per-call dict it replaced ---
+
+def _reference_handler(conn):
+    """The dispatch dict ``handle_segment`` used to build on every call."""
+    return {
+        TcpState.SYN_SENT: conn._segment_in_syn_sent,
+        TcpState.SYN_RCVD: conn._segment_in_syn_rcvd,
+        TcpState.ESTABLISHED: conn._segment_in_established,
+        TcpState.FIN_WAIT_1: conn._segment_in_established,
+        TcpState.FIN_WAIT_2: conn._segment_in_established,
+        TcpState.CLOSE_WAIT: conn._segment_in_established,
+        TcpState.CLOSING: conn._segment_in_established,
+        TcpState.LAST_ACK: conn._segment_in_established,
+        TcpState.TIME_WAIT: conn._segment_in_time_wait,
+    }.get(conn.state)
+
+
+@pytest.mark.parametrize("state", list(TcpState), ids=lambda s: s.name)
+def test_handle_segment_dispatches_as_the_per_call_dict_did(state, monkeypatch):
+    from repro.transport import tcp as tcp_mod
+
+    net, a, _b = make_lan_pair()
+    conn = a.stack.tcp.connect(B_EP)
+    conn.state = state
+    expected = _reference_handler(conn)
+    calls = []
+    for handled_state, function in list(tcp_mod._SEGMENT_HANDLERS.items()):
+        monkeypatch.setitem(
+            tcp_mod._SEGMENT_HANDLERS,
+            handled_state,
+            lambda self, packet, function=function: calls.append((function, self, packet)),
+        )
+    segment = tcp_packet(B_EP, conn.local, TcpFlags.ACK, seq=1, ack=conn.snd_nxt, payload=b"x")
+    conn.handle_segment(segment)
+    if expected is None:  # CLOSED / LISTEN: a connection object ignores segments
+        assert state in (TcpState.CLOSED, TcpState.LISTEN)
+        assert calls == []
+    else:
+        assert calls == [(expected.__func__, conn, segment)]
+    assert conn.state is state
