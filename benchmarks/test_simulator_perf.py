@@ -287,11 +287,13 @@ def test_private_port_conflict_check_scales_flat():
 
 
 @pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="parallel fleet speedup needs more than one core",
+    (os.cpu_count() or 1) < 4,
+    reason="four workers need four cores to show 1.5x: the serial fleet is "
+    "~0.5 s, so on fewer cores pool start-up dominates",
 )
 def test_parallel_fleet_speedup():
-    """run_fleet(workers=4) must beat serial by >= 1.5x on multi-core hosts.
+    """run_fleet(workers=4) must beat serial by >= 1.5x on hosts with a core
+    per worker.
 
     The fleet is embarrassingly parallel (each device an isolated
     simulation), so anything below 1.5x at four workers means the pool is

@@ -22,7 +22,7 @@ from repro.nat.policy import (
 )
 from repro.nat.behavior import NatBehavior
 from repro.nat.mapping import NatMapping, NatTable
-from repro.nat.device import BasicNatDevice, NatDevice
+from repro.nat.device import NatDevice
 
 __all__ = [
     "FilteringPolicy",
@@ -32,6 +32,5 @@ __all__ = [
     "NatBehavior",
     "NatMapping",
     "NatTable",
-    "BasicNatDevice",
     "NatDevice",
 ]

@@ -1,4 +1,4 @@
-"""NAT devices: NAPT (the paper's default assumption) and Basic NAT.
+"""NAT devices: NAPT (the paper's default assumption).
 
 A :class:`NatDevice` is a router with one WAN interface and one or more LAN
 interfaces.  Traffic arriving on a LAN interface and routed toward the WAN is
@@ -26,9 +26,7 @@ from repro.netsim.packet import (
     IcmpType,
     IpProtocol,
     Packet,
-    _pool_free,
     icmp_error_for,
-    next_packet_id,
     tcp_packet,
 )
 from repro.nat.behavior import NatBehavior
@@ -72,11 +70,6 @@ class NatDevice(Router):
         #: addressed to us / is this a hairpin" compares (int equality is
         #: C-level; IPv4Address equality is a Python call per packet).
         self._public_value: Optional[int] = None
-        #: LAN-side routing verdict per destination value (0=no-route,
-        #: 1=wan, 2=lan transit), keyed on the routing-table version like
-        #: the base-class forwarding cache.
-        self._lan_route_cache: dict = {}
-        self._lan_route_version = -1
         self.behavior = behavior or NatBehavior()
         self._rng = rng or SeededRng(0, f"nat/{name}")
         self._wan_name: Optional[str] = None
@@ -86,6 +79,9 @@ class NatDevice(Router):
         #: which resets it with ``clear()`` — so the inbound per-packet
         #: probe pays one attribute hop instead of two.
         self._by_public: dict = {}
+        #: Alias of ``table.outbound_memo``, same pattern: the table empties
+        #: it in place on every create/remove/reset.
+        self._out_memo: dict = {}
         self.lan_pool: Optional[AddressPool] = None
         self.translations_out = 0
         self.translations_in = 0
@@ -142,12 +138,8 @@ class NatDevice(Router):
             table.capacity = b.table_capacity
             table.max_per_host = b.max_mappings_per_host
             table.quota_eviction = b.quota_eviction
-        #: Outbound-mapping memo: (proto index, folded src, folded dst) ->
-        #: live NatMapping, keyed on :attr:`NatTable.version` so any table
-        #: mutation (create/remove/reset — which is also exactly when the
-        #: §6.3 conflict-downgrade answer can change) drops every entry.
-        self._out_cache: dict = {}
-        self._out_cache_version = -1
+            # The mapping policy is half of what the outbound memo answers.
+            table.outbound_memo.clear()
 
     def _count_drop(self, reason: str) -> None:
         handle = self._drop_handles.get(reason)
@@ -219,6 +211,7 @@ class NatDevice(Router):
             quota_eviction=self.behavior.quota_eviction,
         )
         self._by_public = self.table._by_public
+        self._out_memo = self.table.outbound_memo
         return interface
 
     def add_lan(self, ip, network, link: Link, name: str = "lan0") -> Interface:
@@ -267,15 +260,6 @@ class NatDevice(Router):
                 port_base = self.behavior.port_base
         mappings_lost = len(self.table)
         self.table.reset(port_base=port_base)
-        # Forget every memoised routing/forwarding decision: a rebooted box
-        # re-resolves its world from scratch (and any test that rewires
-        # routes around a reboot gets a coherent view either way).
-        self._fwd_cache.clear()
-        self._fwd_version = -1
-        self._lan_route_cache.clear()
-        self._lan_route_version = -1
-        self._out_cache.clear()
-        self._out_cache_version = -1
         if self.flight is not None:
             # Context-free: the reboot breaks every session through this
             # device, so attribution matches it to attempts by time window.
@@ -289,11 +273,8 @@ class NatDevice(Router):
     # -- data path ----------------------------------------------------------------
 
     def receive(self, packet: Packet, link: Link) -> None:
-        """Per-packet entry point.  Both sides of the per-packet path live
-        inline here — the LAN-side triage (hairpin check plus the memoised
-        routing verdict, formerly ``_from_lan``) and the WAN-side inbound
-        translation (formerly ``_inbound``) — because each runs once per
-        forwarded packet and the call frames were the remaining cost."""
+        """Per-packet entry point: WAN-side inbound translation, then the
+        LAN-side triage (hairpin, outbound translation, LAN transit)."""
         self.packets_received += 1
         if link is self._wan_link:
             dst = packet.dst
@@ -312,24 +293,7 @@ class NatDevice(Router):
                 self._count_drop("no-mapping")
                 self._flight_drop(packet, "no-mapping", self._refuse(packet))
                 return
-            # The filter check, specialised per policy: open filters (NONE /
-            # endpoint-independent) skip it entirely; the by-port policy —
-            # the paper's default NAT and the echo-bench hot path — is one
-            # dict probe plus the §3.6 per-session freshness compare,
-            # inlined here (``_filter_permits`` + ``permits`` are two frames
-            # per packet).
-            if self._filter_open:
-                permitted = True
-            elif self._filter_by_port:
-                last = mapping._remote_activity.get(packet.src._key)
-                permitted = last is not None and (
-                    not self._session_timers
-                    or mapping.proto is not IpProtocol.UDP
-                    or self.scheduler._now - last <= self._udp_timeout
-                )
-            else:
-                permitted = self._filter_permits(mapping, packet.src)
-            if not permitted:
+            if not self._filter_permits(mapping, packet.src):
                 self.inbound_refused += 1
                 self._count_drop("filtered")
                 self._flight_drop(packet, "filtered", self._refuse(packet))
@@ -351,59 +315,20 @@ class NatDevice(Router):
                 self._count_drop("rst-invalid")
                 self._flight_drop(packet, "rst-invalid")
                 return
-            # Delivery (formerly ``_deliver_inbound``) — the tail of the
-            # per-packet inbound path.
             if packet.ttl <= 1:
                 self.packets_dropped += 1
                 self._count_drop("ttl-expired")
                 self._flight_drop(packet, "ttl-expired")
                 return
-            # mapping.note_inbound, inlined (per-packet path).
-            mapping.packets_in += 1
-            if self._refresh_inbound:
-                now = self.scheduler._now
-                mapping.last_activity = now
-                key = packet.src._key
-                activity = mapping._remote_activity
-                if key in activity:
-                    activity[key] = now
-            # Fused copy-and-rewrite, as in ``_translate_outbound``: the
-            # clone's invariants hold by construction, so skip ``copy()`` +
-            # re-assignment (pool acquire first, as in ``Packet.copy``).
-            free = _pool_free
-            if free:
-                translated = free.pop()
-            else:
-                translated = object.__new__(Packet)
-                translated.gen = 0
-            translated.proto = proto
-            translated.src = packet.src
+            mapping.note_inbound(self.scheduler._now, self._refresh_inbound, packet.src)
+            translated = packet.copy()
             translated.dst = mapping.private
-            translated.payload = packet.payload
-            translated.tcp = packet.tcp
-            translated.icmp = packet.icmp
             translated.ttl = packet.ttl - 1
-            translated.packet_id = next_packet_id()
-            translated.flow = packet.flow
             if proto is IpProtocol.TCP:
                 mapping.observe_tcp_flags(packet.tcp.flags, outbound=False, now=self.scheduler._now)
                 if mapping.closing_since is not None:
                     self.table.schedule_close(mapping, self.behavior.tcp_close_linger)
             self.translations_in += 1
-            # Forwarding-closure hit inlined, as in ``_translate_outbound``;
-            # the per-mapping memo keeps steady sessions off the cache
-            # probes entirely (the inbound next hop is fixed — it is the
-            # mapping's private endpoint).
-            memo = mapping._fwd_in
-            if memo is not None and memo[0] == self.routing.version:
-                memo[1].transmit(translated, self, memo[2])
-                return
-            if self._fwd_version == self.routing.version:
-                closure = self._fwd_cache.get(translated.dst.ip._value)
-                if closure is not None:
-                    mapping._fwd_in = (self.routing.version, closure[0], closure[1])
-                    closure[0].transmit(translated, self, closure[1])
-                    return
             self._emit(translated)
             return
         arrival = self._iface_by_link.get(link)
@@ -411,36 +336,19 @@ class NatDevice(Router):
             self.packets_dropped += 1
             return
         dst_ip = packet.dst.ip
-        dst_value = dst_ip._value
-        if dst_value == self._public_value:
+        if dst_ip._value == self._public_value:
             self._hairpin(packet)
             return
-        # LAN-side routing verdict, memoised per destination and keyed on
-        # the routing-table version (same invalidation rule as Node._emit).
-        if self._lan_route_version != self.routing.version:
-            self._lan_route_cache.clear()
-            self._lan_route_version = self.routing.version
-            verdict = None
-        else:
-            verdict = self._lan_route_cache.get(dst_value)
-        if verdict is None:
-            route = self.routing.try_lookup(dst_ip)
-            if route is None:
-                verdict = 0
-            elif route.interface == self._wan_name:
-                verdict = 1
-            else:
-                verdict = 2
-            self._lan_route_cache[dst_value] = verdict
-        if verdict == 1:
-            self._translate_outbound(packet)
-        elif verdict == 2:
-            # LAN-to-LAN transit: plain forwarding, no translation.
-            self.forward(packet, arrival.link)
-        else:
+        closure = self._fwd_cache.get(dst_ip._value) or self._resolve(dst_ip)
+        if closure is None:
             self.packets_dropped += 1
             self._count_drop("no-route")
             self._flight_drop(packet, "no-route")
+        elif closure[2] is self._wan_iface:
+            self._translate_outbound(packet, closure)
+        else:
+            # LAN-to-LAN transit: plain forwarding, no translation.
+            self.forward(packet, arrival.link)
 
     # -- outbound (LAN -> WAN) ------------------------------------------------------
 
@@ -480,7 +388,9 @@ class NatDevice(Router):
                 )
         return mapping
 
-    def _translate_outbound(self, packet: Packet) -> None:
+    def _translate_outbound(self, packet: Packet, closure: tuple) -> None:
+        """Source-translate a LAN packet whose route (*closure*, resolved by
+        the caller) leaves through the WAN, and transmit it there."""
         proto = packet.proto
         if proto is IpProtocol.ICMP:
             self.forward(packet, self.wan_interface.link)
@@ -492,51 +402,21 @@ class NatDevice(Router):
             return
         src = packet.src
         dst = packet.dst
-        remote_key = dst._key
-        table = self.table
-        cache_key = (proto.wire_index, src._key, remote_key)
-        if self._out_cache_version != table.version:
-            self._out_cache.clear()
-            self._out_cache_version = table.version
-            mapping = None
-        else:
-            mapping = self._out_cache.get(cache_key)
+        cache_key = (proto.wire_index, src._key, dst._key)
+        mapping = self._out_memo.get(cache_key)
         if mapping is None:
             try:
                 mapping = self._obtain_mapping(proto, src, dst)
             except (QuotaExceeded, TableExhausted) as exc:
                 self._drop_unallocatable(packet, exc)
                 return
-            if self._out_cache_version != table.version:
-                # _obtain_mapping created the mapping (version bump), which
-                # may also have changed the §6.3 conflict answer for other
-                # cached flows — start the memo over from just this entry.
-                self._out_cache.clear()
-                self._out_cache_version = table.version
-            self._out_cache[cache_key] = mapping
-        # mapping.note_outbound, inlined: this runs once per outbound packet
-        # and the attribute writes are the entire effect.
+            # After _obtain_mapping: a create() inside it emptied the memo.
+            self._out_memo[cache_key] = mapping
         now = self.scheduler._now
-        mapping._remote_activity[remote_key] = now
-        mapping.last_activity = now
-        mapping.packets_out += 1
-        # Packet.copy + the src/ttl rewrite, fused (one clone per packet;
-        # pool acquire first, as in ``Packet.copy``).
-        free = _pool_free
-        if free:
-            translated = free.pop()
-        else:
-            translated = object.__new__(Packet)
-            translated.gen = 0
-        translated.proto = proto
+        mapping.note_outbound(dst, now)
+        translated = packet.copy()
         translated.src = mapping.public
-        translated.dst = dst
-        translated.payload = packet.payload
-        translated.tcp = packet.tcp
-        translated.icmp = packet.icmp
         translated.ttl = packet.ttl - 1
-        translated.packet_id = next_packet_id()
-        translated.flow = packet.flow
         if self._mangles and translated.payload:
             translated.payload = self._mangle(
                 translated.payload, src.ip, mapping.public.ip
@@ -548,22 +428,7 @@ class NatDevice(Router):
             if mapping.closing_since is not None:
                 self.table.schedule_close(mapping, self.behavior.tcp_close_linger)
         self.translations_out += 1
-        # ``Node._emit`` with the forwarding-closure hit hoisted inline; the
-        # miss/invalidation path (and its no-route drop accounting) stays in
-        # ``_emit``.  The per-mapping memo pins the dst object — one
-        # endpoint-independent mapping serves many remotes, each with its
-        # own next hop.
-        memo = mapping._fwd_out
-        if memo is not None and memo[0] is dst and memo[1] == self.routing.version:
-            memo[2].transmit(translated, self, memo[3])
-            return
-        if self._fwd_version == self.routing.version:
-            closure = self._fwd_cache.get(dst.ip._value)
-            if closure is not None:
-                mapping._fwd_out = (dst, self.routing.version, closure[0], closure[1])
-                closure[0].transmit(translated, self, closure[1])
-                return
-        self._emit(translated)
+        closure[0].transmit(translated, self, closure[1])
 
     def _mangle(self, payload: bytes, private_ip: IPv4Address, public_ip: IPv4Address) -> bytes:
         """§5.3: blindly rewrite 4-byte spans equal to the private source IP,
@@ -579,17 +444,12 @@ class NatDevice(Router):
     def _filter_permits(self, mapping: NatMapping, remote: Endpoint) -> bool:
         if self._filter_open:
             return True
-        behavior = self._behavior
-        now = session_timeout = None
-        if behavior.per_session_timers and mapping.proto is IpProtocol.UDP:
-            now = self.scheduler.now
-            session_timeout = behavior.udp_timeout
-        return mapping.permits(
-            remote,
-            by_port=self._filter_by_port,
-            now=now,
-            session_timeout=session_timeout,
-        )
+        if self._session_timers and mapping.proto is IpProtocol.UDP:
+            # §3.6: idle timers run per session, not per mapping.
+            return mapping.permits(
+                remote, self._filter_by_port, self.scheduler._now, self._udp_timeout
+            )
+        return mapping.permits(remote, self._filter_by_port)
 
     def _inbound_icmp(self, packet: Packet) -> None:
         """Translate an ICMP error about one of our mapped sessions back to
@@ -702,78 +562,3 @@ class NatDevice(Router):
         self.hairpin_forwarded += 1
         self._emit(translated)
 
-
-class BasicNatDevice(Router):
-    """Basic NAT (§2.1): translates IP addresses only, one public IP per
-    private host, ports untouched.
-
-    Rarely deployed next to NAPT but included for completeness; mapping is
-    created on first outbound packet and is endpoint-independent by nature.
-    """
-
-    forwards_packets = True
-
-    def __init__(
-        self,
-        name: str,
-        scheduler: Scheduler,
-        public_pool: AddressPool,
-    ) -> None:
-        super().__init__(name, scheduler)
-        self.public_pool = public_pool
-        self._wan_name: Optional[str] = None
-        self._priv_to_pub = {}
-        self._pub_to_priv = {}
-        self.translations_out = 0
-        self.translations_in = 0
-
-    def set_wan(self, ip, network, link: Link, gateway=None) -> Interface:
-        interface = self.add_interface("wan", ip, network, link)
-        self._wan_name = "wan"
-        if gateway is not None:
-            self.routing.add_default("wan", gateway)
-        return interface
-
-    def add_lan(self, ip, network, link: Link, name: str = "lan0") -> Interface:
-        return self.add_interface(name, ip, network, link)
-
-    def receive(self, packet: Packet, link: Link) -> None:
-        self.packets_received += 1
-        wan = self.interfaces.get(self._wan_name) if self._wan_name else None
-        if wan is not None and wan.link is link:
-            self._inbound(packet)
-        else:
-            self._outbound(packet)
-
-    def _outbound(self, packet: Packet) -> None:
-        if packet.ttl <= 1 or packet.proto is IpProtocol.ICMP:
-            self.packets_dropped += 1
-            return
-        private_ip = packet.src.ip
-        public_ip = self._priv_to_pub.get(private_ip)
-        if public_ip is None:
-            public_ip = self.public_pool.allocate()
-            self._priv_to_pub[private_ip] = public_ip
-            self._pub_to_priv[public_ip] = private_ip
-            # Answer for the new public address on the WAN segment.
-            self.wan_interface_link.attach(self, public_ip)
-        translated = packet.copy()
-        translated.ttl = packet.ttl - 1
-        translated.src = Endpoint(public_ip, packet.src.port)
-        self.translations_out += 1
-        self._emit(translated)
-
-    def _inbound(self, packet: Packet) -> None:
-        private_ip = self._pub_to_priv.get(packet.dst.ip)
-        if private_ip is None or packet.ttl <= 1:
-            self.packets_dropped += 1
-            return
-        translated = packet.copy()
-        translated.ttl = packet.ttl - 1
-        translated.dst = Endpoint(private_ip, packet.dst.port)
-        self.translations_in += 1
-        self._emit(translated)
-
-    @property
-    def wan_interface_link(self) -> Link:
-        return self.interfaces[self._wan_name].link

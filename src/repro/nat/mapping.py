@@ -105,14 +105,6 @@ class NatMapping:
         self.last_ack_out: Optional[int] = None
         self.packets_out = 0
         self.packets_in = 0
-        #: Per-mapping forwarding memos, filled by the translate hot paths:
-        #: inbound is (routing-version, link, next-hop) — the next hop is
-        #: fixed, it's the mapping's private endpoint; outbound additionally
-        #: pins the destination object, (dst, routing-version, link,
-        #: next-hop), because one endpoint-independent mapping serves many
-        #: remotes.  A routing change bumps the version and misses.
-        self._fwd_in: Optional[tuple] = None
-        self._fwd_out: Optional[tuple] = None
 
     @property
     def remotes(self) -> Set[Endpoint]:
@@ -217,13 +209,14 @@ class NatTable:
         #: Public-port index keyed by ``proto.wire_index << 16 | port`` (one
         #: int, C-speed hashing — probed once per inbound packet).
         self._by_public: Dict[int, NatMapping] = {}
-        #: Bumped on every create/remove/reset so callers that memoise
-        #: lookups against this table (NatDevice's outbound-mapping cache)
-        #: can invalidate with one int comparison per packet.  Any event
-        #: that could change a future lookup's answer — including the §6.3
-        #: conflict-downgrade state, which only moves when mappings are
-        #: created or removed — bumps it.
-        self.version = 0
+        #: Outbound-mapping memo the owning NatDevice fills: (proto wire
+        #: index, folded private endpoint, folded remote endpoint) -> the
+        #: live mapping that flow translates through.  :meth:`create`,
+        #: :meth:`remove` and :meth:`reset` empty it — the only events that
+        #: can change a lookup's answer, including the §6.3
+        #: conflict-downgrade state, which only moves when mappings come
+        #: or go.
+        self.outbound_memo: Dict[Tuple[int, int, int], NatMapping] = {}
         #: Bumped on every :meth:`reset`.  Expiry/close timers capture the
         #: generation they were armed under and no-op if it moved — a rebooted
         #: NAT can never fire stale (possibly attacker-induced) evictions into
@@ -355,7 +348,7 @@ class NatTable:
             wire = proto.wire_index
             self._dynamic_in_use[wire] = self._dynamic_in_use.get(wire, 0) + 1
         self.mappings_created += 1
-        self.version += 1
+        self.outbound_memo.clear()
         self._arm_expiry(mapping, idle_timeout)
         return mapping
 
@@ -440,7 +433,7 @@ class NatTable:
         self._by_public.pop(
             mapping.proto.wire_index << 16 | mapping.public.port, None
         )
-        self.version += 1
+        self.outbound_memo.clear()
         timer = self._timers.pop(mapping.key, None)
         if timer is not None:
             timer.cancel()
@@ -481,7 +474,7 @@ class NatTable:
         self._private_port_owners.clear()
         self._by_host.clear()
         self._dynamic_in_use.clear()
-        self.version += 1
+        self.outbound_memo.clear()
         # New table generation: any timer armed before this instant —
         # including attacker-induced quota evictions and close lingers whose
         # Timer handles leaked out of _timers via re-arming races — becomes a

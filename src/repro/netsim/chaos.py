@@ -12,6 +12,8 @@ must satisfy regardless of what the plan did:
 * every connect attempt terminates (success or failure — never a hang);
 * no leaked timers once the actors are shut down;
 * NAT mapping tables stay bounded;
+* every memoised forwarding closure and outbound mapping is what a fresh
+  lookup would return (a memo is never served stale);
 * the same seed replays to a byte-identical wire trace.
 
 The module sits at the netsim layer: it knows nothing about clients or
@@ -40,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
+from repro.netsim.addresses import Endpoint, IPv4Address
 from repro.netsim.faults import (
     FAULT_LINK_FLAP,
     FAULT_NAT_REBOOT,
@@ -48,6 +51,7 @@ from repro.netsim.faults import (
     FAULT_SERVER_REVIVE,
     FaultPlan,
 )
+from repro.netsim.packet import IpProtocol
 from repro.util.rng import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -203,6 +207,10 @@ def check_invariants(
 ) -> List[str]:
     """Evaluate the global invariants; returns human-readable violations.
 
+    Memo coherence is always checked: every entry of every node's
+    ``routing.closures`` and of every NAT's ``table.outbound_memo`` must be
+    what a fresh lookup returns now.
+
     Args:
         net: the network under test (its scheduler is inspected).
         nats: NAT devices (anything with a ``table`` supporting ``len``).
@@ -221,6 +229,21 @@ def check_invariants(
             leak they witnessed becomes an invariant violation.
     """
     violations: List[str] = []
+    # Memo coherence: each forwarding closure equals a fresh routing lookup.
+    for node in net.nodes.values():
+        for value, closure in node.routing.closures.items():
+            dst = IPv4Address(value)
+            route = node.routing.try_lookup(dst)
+            fresh = None
+            if route is not None:
+                interface = node.interfaces[route.interface]
+                next_hop = route.next_hop if route.next_hop is not None else dst
+                fresh = (interface.link, next_hop, interface)
+            if closure != fresh:
+                violations.append(
+                    f"node {node.name} stale forwarding closure for {dst}: "
+                    f"{closure} (fresh lookup: {fresh})"
+                )
     if attempts is not None:
         for label in attempts.unfinished:
             violations.append(f"connect attempt {label!r} never terminated")
@@ -262,6 +285,22 @@ def check_invariants(
                 f"NAT {name} timer skew: {len(timers)} expiry timers for "
                 f"{size} mappings"
             )
+        # Memo coherence: each memoised outbound mapping is the live one a
+        # fresh lookup under the device's effective policy returns.
+        for key, mapping in getattr(table, "outbound_memo", {}).items():
+            proto = tuple(IpProtocol)[key[0]]
+            private = Endpoint(key[1] >> 16, key[1] & 0xFFFF)
+            remote = Endpoint(key[2] >> 16, key[2] & 0xFFFF)
+            live = table.lookup_outbound(
+                nat._effective_policy(proto, private), proto, private, remote
+            )
+            if live is not mapping or table.lookup_inbound(
+                proto, mapping.public.port
+            ) is not mapping:
+                violations.append(
+                    f"NAT {name} stale outbound memo for {proto.value} "
+                    f"{private} -> {remote}: {mapping} (live: {live})"
+                )
     for probe in leak_probes:
         violations.extend(getattr(probe, "violations", ()))
     return violations

@@ -125,8 +125,7 @@ class Link:
         #: default) keeps every drop site to a single attribute test.
         self._flight = None
         self._attachments: List[Tuple["Node", IPv4Address]] = []
-        self._owner_index: Dict[IPv4Address, "Node"] = {}
-        #: Hot mirror of ``_owner_index`` keyed by the raw 32-bit address
+        #: Attached node per interface IP, keyed by the raw 32-bit address
         #: value: int probes hash at C speed, IPv4Address probes pay a
         #: Python-level ``__hash__`` call per packet.
         self._owner_values: Dict[int, "Node"] = {}
@@ -265,10 +264,9 @@ class Link:
     def attach(self, node: "Node", ip) -> None:
         """Attach *node*'s interface at *ip* to this segment."""
         address = IPv4Address(ip)
-        if address in self._owner_index:
+        if address._value in self._owner_values:
             raise ValueError(f"duplicate IP {address} on link {self.name}")
         self._attachments.append((node, address))
-        self._owner_index[address] = node
         self._owner_values[address._value] = node
         self._dispatch.clear()
 
@@ -280,7 +278,6 @@ class Link:
         the wire when it left the segment.
         """
         self._attachments = [(n, ip) for n, ip in self._attachments if n is not node]
-        self._owner_index = {ip: n for n, ip in self._attachments}
         self._owner_values = {ip._value: n for n, ip in self._attachments}
         self._dispatch.clear()
         for seq, (timer, sender, receiver, packet) in list(self._in_flight.items()):
@@ -345,7 +342,7 @@ class Link:
 
     def owner_of(self, ip) -> Optional["Node"]:
         """Node whose interface on this link owns *ip*, if any."""
-        return self._owner_index.get(IPv4Address(ip))
+        return self._owner_values.get(IPv4Address(ip)._value)
 
     def transmit(self, packet: Packet, sender: "Node", next_hop_ip) -> bool:
         """Send *packet* toward the attached interface owning *next_hop_ip*.

@@ -53,20 +53,18 @@ class Node:
         self.scheduler = scheduler
         self.interfaces: Dict[str, Interface] = {}
         self.routing = RoutingTable()
-        self._protocol_handlers: Dict[IpProtocol, Callable[[Packet], None]] = {}
-        #: Forwarding closures: destination IP (as its raw 32-bit int —
-        #: int keys probe with C-level hashing, IPv4Address keys pay a
-        #: Python-level ``__hash__`` call) -> (link, next_hop) resolved once
-        #: per (destination, routing-table version); see :meth:`_emit`.
-        self._fwd_cache: Dict[int, tuple] = {}
-        self._fwd_version = -1
+        #: Alias of ``routing.closures``: destination IP (as its raw 32-bit
+        #: int — int keys probe with C-level hashing, IPv4Address keys pay a
+        #: Python-level ``__hash__`` call) -> (link, next_hop, interface).
+        #: Filled only by :meth:`_resolve`; emptied in place by the routing
+        #: table whenever a route is added or removed.
+        self._fwd_cache: Dict[int, tuple] = self.routing.closures
         #: Raw int values of IPs this node owns, for the O(1) local-delivery
         #: test (``packet.dst.ip._value in self._local_ips``).  Kept in sync
         #: by :meth:`add_interface` (interfaces are never removed).
         self._local_ips: set = set()
         #: Per-protocol handlers as a dense list indexed by
-        #: ``IpProtocol.wire_index`` — the hot mirror of
-        #: ``_protocol_handlers`` (same objects, cheaper probe).
+        #: ``IpProtocol.wire_index``.
         self._handlers_by_index: List = [None] * len(IpProtocol)
         #: Optional per-protocol dispatch resolvers (see
         #: :meth:`resolve_dispatch`); transport stacks install one to bind
@@ -138,7 +136,6 @@ class Node:
         a finer-grained dispatch hook the drain loop uses to deliver
         straight into the destination socket (see :meth:`resolve_dispatch`).
         """
-        self._protocol_handlers[proto] = handler
         self._handlers_by_index[proto.wire_index] = handler
         self._dispatch_resolvers[proto.wire_index] = resolver
         self._delivery_version += 1
@@ -146,7 +143,6 @@ class Node:
     def unregister_protocol(self, proto: IpProtocol) -> None:
         """Remove the handler (and resolver) for *proto*; packets for it now
         drop on the local-delivery path, exactly as if it was never bound."""
-        self._protocol_handlers.pop(proto, None)
         self._handlers_by_index[proto.wire_index] = None
         self._dispatch_resolvers[proto.wire_index] = None
         self._delivery_version += 1
@@ -181,43 +177,37 @@ class Node:
         immediately via the scheduler, preserving async semantics.
         Returns True if the packet was handed to a link (or looped back).
         """
-        dst_value = packet.dst.ip._value
-        if dst_value in self._local_ips:
+        if packet.dst.ip._value in self._local_ips:
             self.scheduler.call_later(0.0, self.deliver_local, packet)
             return True
-        # ``_emit`` with the forwarding-closure hit inlined (send is once per
-        # originated packet); miss and invalidation fall through to ``_emit``.
-        if self._fwd_version == self.routing.version:
-            closure = self._fwd_cache.get(dst_value)
-            if closure is not None:
-                return closure[0].transmit(packet, self, closure[1])
         return self._emit(packet)
+
+    def _resolve(self, dst_ip: IPv4Address) -> Optional[tuple]:
+        """Resolve *dst_ip* through the routing table and memoise the
+        forwarding closure ``(link, next_hop, interface)``; None (nothing
+        memoised) when no route matches.  The only fill site of
+        :attr:`_fwd_cache` — every reader is
+        ``cache.get(value) or self._resolve(ip)``.
+        """
+        route = self.routing.try_lookup(dst_ip)
+        if route is None:
+            return None
+        interface = self.interfaces[route.interface]
+        next_hop = route.next_hop if route.next_hop is not None else dst_ip
+        closure = self._fwd_cache[dst_ip._value] = (interface.link, next_hop, interface)
+        return closure
 
     def _emit(self, packet: Packet) -> bool:
         """Route and transmit without the local-delivery check.
 
-        The (link, next_hop) pair for each destination is resolved through
-        the routing table once and memoised as a forwarding closure; the
-        cache is keyed on ``RoutingTable.version`` so any route add/remove
-        (topology change, gateway install, fault rewiring) drops every
-        closure at the next emit.
+        A packet with no route is this node's drop; one the egress link
+        refuses or loses is the link's (it counts it), not ours.
         """
         dst_ip = packet.dst.ip
-        if self._fwd_version != self.routing.version:
-            self._fwd_cache.clear()
-            self._fwd_version = self.routing.version
-            closure = None
-        else:
-            closure = self._fwd_cache.get(dst_ip._value)
+        closure = self._fwd_cache.get(dst_ip._value) or self._resolve(dst_ip)
         if closure is None:
-            route = self.routing.try_lookup(dst_ip)
-            if route is None:
-                self.packets_dropped += 1
-                return False
-            link = self.interfaces[route.interface].link
-            next_hop = route.next_hop if route.next_hop is not None else dst_ip
-            closure = (link, next_hop)
-            self._fwd_cache[dst_ip._value] = closure
+            self.packets_dropped += 1
+            return False
         return closure[0].transmit(packet, self, closure[1])
 
     def receive(self, packet: Packet, link: Link) -> None:
@@ -252,10 +242,13 @@ class Node:
             return
         forwarded = packet.copy()
         forwarded.ttl = packet.ttl - 1
-        if self._emit(forwarded):
-            self.packets_forwarded += 1
-        else:
+        dst_ip = forwarded.dst.ip
+        closure = self._fwd_cache.get(dst_ip._value) or self._resolve(dst_ip)
+        if closure is None:
             self.packets_dropped += 1
+            return
+        self.packets_forwarded += 1
+        closure[0].transmit(forwarded, self, closure[1])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, ifaces={list(self.interfaces)})"

@@ -20,11 +20,6 @@ DEFAULT_TTL = 64
 
 _packet_ids = itertools.count(1)
 
-#: Bound C-level allocator for fresh packet ids — hot constructors (NAT
-#: rewrites, UDP sends) call this instead of ``next(_packet_ids)`` to skip
-#: one builtin dispatch per packet.
-next_packet_id = _packet_ids.__next__
-
 
 class _RecycledField:
     """Poison value installed on a released Packet's fields in pool debug

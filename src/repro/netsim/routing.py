@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.netsim.addresses import IPv4Address, IPv4Network
 from repro.util.errors import RoutingError
@@ -31,10 +31,11 @@ class RoutingTable:
 
     def __init__(self) -> None:
         self._routes: List[Route] = []
-        #: Bumped on every add/remove; nodes key their per-destination
-        #: forwarding caches on this so a topology change invalidates every
-        #: cached routing decision without a subscription mechanism.
-        self.version = 0
+        #: Forwarding closures the owning node resolved through this table
+        #: (raw destination IP value -> ``(link, next_hop, interface)``; see
+        #: ``Node._resolve``).  :meth:`add` and :meth:`remove` empty it, so a
+        #: closure never outlives the route set it was derived from.
+        self.closures: Dict[int, tuple] = {}
 
     def add(self, prefix, interface: str, next_hop=None) -> Route:
         """Install a route; most-specific prefix wins at lookup time."""
@@ -45,7 +46,7 @@ class RoutingTable:
         )
         self._routes.append(route)
         self._routes.sort(key=lambda r: r.prefix.prefix_len, reverse=True)
-        self.version += 1
+        self.closures.clear()
         return route
 
     def add_default(self, interface: str, next_hop) -> Route:
@@ -55,7 +56,7 @@ class RoutingTable:
     def remove(self, prefix) -> None:
         target = IPv4Network(prefix)
         self._routes = [r for r in self._routes if r.prefix != target]
-        self.version += 1
+        self.closures.clear()
 
     def lookup(self, destination) -> Route:
         """Return the most specific matching route.

@@ -16,14 +16,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.netsim.addresses import Endpoint, IPv4Address
 from repro.netsim.node import Host
-from repro.netsim.packet import (
-    DEFAULT_TTL,
-    IcmpError,
-    IpProtocol,
-    Packet,
-    _pool_free,
-    next_packet_id,
-)
+from repro.netsim.packet import IcmpError, Packet, udp_packet
 from repro.util.errors import BindError
 
 #: Start of the ephemeral port range (IANA suggested range).
@@ -59,12 +52,6 @@ class UdpSocket:
         self.on_icmp_error: Optional[ErrorHandler] = None
         self.datagrams_sent = 0
         self.datagrams_received = 0
-        #: One-slot forwarding memo: (dest-endpoint, routing-version, link,
-        #: next-hop) for the last destination this socket routed to.  Hit by
-        #: identity on the dest object (steady senders reuse one Endpoint);
-        #: any routing change — including a new local interface, which adds
-        #: a connected route — bumps the version and misses the memo.
-        self._fwd_memo: Optional[tuple] = None
 
     def sendto(self, payload: bytes, dest: Endpoint) -> bool:
         """Send one datagram; returns False if it could not be routed."""
@@ -73,49 +60,7 @@ class UdpSocket:
         self.datagrams_sent += 1
         stack = self._stack
         stack.datagrams_sent += 1
-        # ``udp_packet``, inlined: sendto is the per-datagram hot path and
-        # the UDP invariants (no tcp/icmp body) hold by construction.  The
-        # packet comes from the pool's free list when one is waiting (every
-        # field below is reassigned; ``gen`` deliberately isn't — it stamps
-        # recycling, not identity).
-        free = _pool_free
-        if free:
-            packet = free.pop()
-        else:
-            packet = object.__new__(Packet)
-            packet.gen = 0
-        packet.proto = IpProtocol.UDP
-        packet.src = self.local
-        packet.dst = dest
-        packet.payload = payload
-        packet.tcp = None
-        packet.icmp = None
-        packet.ttl = DEFAULT_TTL
-        packet.packet_id = next_packet_id()
-        packet.flow = None
-        # ``Node.send`` with the forwarding-closure hit inlined (one frame
-        # per datagram); loopback, cache misses, and routing-version skew
-        # fall back to the full send path.  The socket-local one-slot memo
-        # keeps steady flows (same dest object, unchanged routing) off the
-        # per-datagram cache probes entirely.
-        host = stack.host
-        memo = self._fwd_memo
-        if (
-            memo is not None
-            and memo[0] is dest
-            and memo[1] == host.routing.version
-        ):
-            return memo[2].transmit(packet, host, memo[3])
-        dst_value = dest.ip._value
-        if (
-            host._fwd_version == host.routing.version
-            and dst_value not in host._local_ips
-        ):
-            closure = host._fwd_cache.get(dst_value)
-            if closure is not None:
-                self._fwd_memo = (dest, host.routing.version, closure[0], closure[1])
-                return closure[0].transmit(packet, host, closure[1])
-        return host.send(packet)
+        return stack.host.send(udp_packet(self.local, dest, payload))
 
     def close(self) -> None:
         """Release the port binding; idempotent."""

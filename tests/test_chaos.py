@@ -151,6 +151,28 @@ class TestInvariantChecker:
         assert check_invariants(sc.net, pending_timer_cap=1000) == []
 
 
+    def test_stale_memo_entries_are_reported(self):
+        sc = build_two_nats(seed=952)
+        for client in sc.clients.values():
+            client.register_udp()
+        sc.run_for(2.0)
+        nat = sc.nats["A"]
+        assert nat.routing.closures and nat.table.outbound_memo  # warm
+        assert check_invariants(sc.net, nats=sc.nats.values()) == []
+        # A closure pointing out of the wrong interface ...
+        value, (link, next_hop, interface) = next(iter(nat.routing.closures.items()))
+        other = next(i for i in nat.interfaces.values() if i is not interface)
+        nat.routing.closures[value] = (other.link, next_hop, other)
+        # ... and a memo entry that outlived its mapping.
+        key, mapping = next(iter(nat.table.outbound_memo.items()))
+        nat.table.remove(mapping)
+        nat.table.outbound_memo[key] = mapping
+        violations = check_invariants(sc.net, nats=sc.nats.values())
+        assert len(violations) == 2
+        assert "stale forwarding closure" in violations[0]
+        assert "stale outbound memo" in violations[1]
+
+
 class TestChaosSmoke:
     def test_one_chaos_run_holds_all_invariants(self):
         violations, _ = _chaos_run(seed=960)

@@ -218,6 +218,49 @@ class TestNodesAndForwarding:
         net.run()
         assert b.packets_dropped == 1
 
+    def test_no_route_drop_is_counted_once(self):
+        net, r, a, b = self._routed_topology()
+        a.send(udp_packet(Endpoint("10.0.1.1", 1), Endpoint("99.9.9.9", 2)))
+        net.run()
+        assert (r.packets_received, r.packets_dropped, r.packets_forwarded) == (1, 1, 0)
+
+    def test_wire_loss_is_charged_to_the_link_not_the_router(self):
+        net, r, a, b = self._routed_topology()
+        egress = r.interfaces["if2"].link
+        egress.profile = LinkProfile(loss=1.0)
+        a.send(udp_packet(Endpoint("10.0.1.1", 1), Endpoint("10.0.2.1", 2)))
+        net.run()
+        assert egress.packets_dropped == 1
+        assert (r.packets_dropped, r.packets_forwarded) == (0, 1)
+
+    def test_route_changes_steer_warm_closures(self):
+        """add/remove after traffic has flowed: the routing table empties the
+        closures resolved from it, so the very next packet follows the new
+        routes (fails if either ``closures.clear()`` in routing.py is removed)."""
+        net, r, a, b = self._routed_topology()
+        l3 = net.create_link("l3")
+        r.add_interface("if3", "10.0.3.254", "10.0.3.0/24", l3)
+        twin = net.add_host("twin", ip="10.0.2.1", network="10.0.2.0/24", link=l3)
+        at_b, at_twin = [], []
+        b.register_protocol(IpProtocol.UDP, at_b.append)
+        twin.register_protocol(IpProtocol.UDP, at_twin.append)
+
+        def ping():
+            a.send(udp_packet(Endpoint("10.0.1.1", 1), Endpoint("10.0.2.1", 2)))
+            net.run()
+            return len(at_b), len(at_twin)
+
+        assert ping() == (1, 0)
+        assert ping() == (2, 0)  # closures warm on a and r
+        r.routing.add("10.0.2.1/32", "if3")
+        assert ping() == (2, 1)
+        r.routing.remove("10.0.2.1/32")
+        assert ping() == (3, 1)
+        r.routing.remove("10.0.2.0/24")
+        assert ping() == (3, 1)
+        assert (r.packets_dropped, r.packets_forwarded) == (1, 4)
+        assert r.routing.closures is r._fwd_cache
+
     def test_duplicate_interface_name(self):
         net = Network(seed=1)
         l1 = net.create_link("l1")

@@ -11,9 +11,9 @@ from repro.nat.behavior import (
     UNFILTERED,
     WELL_BEHAVED,
 )
-from repro.nat.device import BasicNatDevice, NatDevice
+from repro.nat.device import NatDevice
 from repro.nat.policy import FilteringPolicy, TcpRefusalPolicy
-from repro.netsim.addresses import AddressPool, Endpoint, IPv4Network
+from repro.netsim.addresses import Endpoint
 from repro.netsim.network import Network
 from repro.netsim.packet import IpProtocol, udp_packet
 from repro.transport.stack import attach_stack
@@ -354,31 +354,80 @@ class TestConflictDowngrade:
         assert len(c2_ports) == 2  # degraded to per-destination mappings
 
 
-class TestBasicNat:
-    def test_ip_only_translation_preserves_port(self):
-        net = Network(seed=3)
-        backbone = net.create_link("backbone")
-        server = net.add_host("S", ip="18.181.0.31", network="0.0.0.0/0", link=backbone)
-        attach_stack(server)
-        pool = AddressPool(IPv4Network("155.99.25.0/24"), reserved=["155.99.25.1"])
-        nat = BasicNatDevice("BNAT", net.scheduler, pool)
-        net.add_node(nat)
-        nat.set_wan("155.99.25.1", "0.0.0.0/0", backbone)
-        lan = net.create_link("lan")
-        nat.add_lan("10.0.0.254", "10.0.0.0/24", lan)
-        client = net.add_host("C", ip="10.0.0.1", network="10.0.0.0/24", link=lan,
-                              gateway="10.0.0.254")
-        attach_stack(client)
-        seen, got = [], []
-        s = server.stack.udp.socket(1234)
-        s.on_datagram = lambda d, src: (seen.append(src), s.sendto(b"re", src))
-        c = client.stack.udp.socket(4321)
-        c.on_datagram = lambda d, src: got.append(d)
-        c.sendto(b"hi", S_EP)
-        net.run_until(1.0)
-        assert seen[0].port == 4321  # port untouched (§2.1 Basic NAT)
-        assert str(seen[0].ip) == "155.99.25.2"
-        assert got == [b"re"]
+class TestMemoInvalidation:
+    """Route and table changes after traffic has flowed.  The table that
+    mutates empties the memo derived from it, so the next packet sees the
+    new state; each case fails if the owning ``.clear()`` is removed
+    (``RoutingTable.add``/``remove``, ``NatTable.create``/``remove``/``reset``).
+    """
+
+    def _warm(self, behavior=WELL_BEHAVED):
+        net, nat, client, server = build(behavior)
+        seen = []
+        server.stack.udp.socket(1234).on_datagram = lambda d, src: seen.append(src)
+        sock = client.stack.udp.socket(4321)
+
+        def ping():
+            sock.sendto(b"x", S_EP)
+            net.run_until(net.now + 1.0)
+            return seen[-1]
+
+        first = ping()
+        assert ping() == first == Endpoint("155.99.25.11", 62000)
+        return net, nat, ping, seen
+
+    def test_lan_transit_route_shadows_the_wan_default(self):
+        net, nat, ping, seen = self._warm()
+        lan1 = net.create_link("lan1")
+        nat.add_lan("10.0.1.254", "10.0.1.0/24", lan1, name="lan1")
+        twin = net.add_host("twin", ip="18.181.0.31", network="10.0.1.0/24", link=lan1)
+        at_twin = []
+        twin.register_protocol(IpProtocol.UDP, at_twin.append)
+        ping()  # re-warm after add_lan's connected route
+        nat.routing.add("18.181.0.31/32", "lan1")
+        ping()
+        assert len(seen) == 3 and nat.translations_out == 3
+        assert [p.src for p in at_twin] == [Endpoint("10.0.0.1", 4321)]
+        assert nat.packets_forwarded == 1
+
+    def test_default_route_removed_is_one_no_route_drop(self):
+        net, nat, ping, seen = self._warm()
+        nat.routing.remove("0.0.0.0/0")
+        ping()
+        assert len(seen) == 2
+        assert nat.drops_by_reason == {"no-route": 1}
+        assert nat.packets_dropped == 1
+
+    def test_expired_mapping_is_not_served_from_the_memo(self):
+        net, nat, ping, seen = self._warm(WELL_BEHAVED.but(udp_timeout=20.0))
+        net.run_until(net.now + 30.0)
+        assert len(nat.table) == 0
+        assert ping() == Endpoint("155.99.25.11", 62001)
+        assert nat.table.lookup_inbound(IpProtocol.UDP, 62001) is not None
+
+    def test_reboot_is_not_served_from_the_memo(self):
+        net, nat, ping, seen = self._warm()
+        nat.reset_state()
+        assert ping() == Endpoint("155.99.25.11", 62000 + nat.REBOOT_PORT_SHIFT)
+
+    def test_behavior_change_is_not_served_from_the_memo(self):
+        net, nat, ping, seen = self._warm()
+        nat.behavior = SYMMETRIC
+        assert ping() == Endpoint("155.99.25.11", 62001)
+
+    def test_conflicting_host_downgrades_the_warm_flow(self):
+        """§6.3: the second host's mapping changes the policy the first
+        host's established flow is translated under."""
+        net, nat, ping, seen = self._warm(
+            WELL_BEHAVED.but(per_port_conflict_downgrade=True)
+        )
+        other = net.add_host("C2", ip="10.0.0.2", network="10.0.0.0/24",
+                             link=net.links["lan"], gateway="10.0.0.254")
+        attach_stack(other, rng=net.rng.child("c2"))
+        other.stack.udp.socket(4321).sendto(b"y", S_EP)
+        net.run_until(net.now + 1.0)
+        assert seen[-1] == Endpoint("155.99.25.11", 62001)
+        assert ping() == Endpoint("155.99.25.11", 62002)
 
 
 class TestIcmpTranslation:

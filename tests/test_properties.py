@@ -295,3 +295,84 @@ def test_driver_slicing_is_unobservable(ops):
     assert any(tag == "peer" for _, tag, _ in reference["arrivals"])
     assert reference["pool_released"] > 0
     assert _drive_echo_and_punch(ops) == reference
+
+
+# -- owner-cleared memos: emptying them at any moment changes nothing --------
+
+memo_ops = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 1), st.sampled_from((7, 8))),
+    st.tuples(st.just("route"), st.sampled_from(("NAT", "C")), st.booleans()),
+    st.tuples(st.just("advance"), st.floats(0.01, 40.0)),
+    st.just(("reset",)),
+)
+
+
+def _drive_nat_echo(ops, scrub):
+    """Two clients on one private port behind a NAT with a 20 s UDP timeout
+    and the §6.3 downgrade, echoing off a public server, under *ops*.  With
+    *scrub* every routing and mapping memo in the network is emptied before
+    every op — which must be unobservable, because a memo only ever holds
+    what a fresh lookup would return."""
+    from repro.nat.behavior import WELL_BEHAVED
+    from repro.transport.stack import attach_stack
+    from tests.test_nat_device import build
+
+    behavior = WELL_BEHAVED.but(udp_timeout=20.0, per_port_conflict_downgrade=True)
+    net, nat, client, server = build(behavior, seed=5)
+    other = net.add_host("C2", ip="10.0.0.2", network="10.0.0.0/24",
+                         link=net.links["lan"], gateway="10.0.0.254")
+    attach_stack(other, rng=net.rng.child("c2"))
+    arrivals, socks = [], []
+    for port in (7, 8):
+        echo = server.stack.udp.socket(port)
+        echo.on_datagram = lambda d, src, echo=echo: (
+            arrivals.append((net.now, "S", d, src)), echo.sendto(d, src))
+    for i, host in enumerate((client, other)):
+        sock = host.stack.udp.socket(4321)
+        sock.on_datagram = lambda d, src, i=i: arrivals.append((net.now, i, d, src))
+        socks.append(sock)
+    nodes = {"NAT": (nat, "lan0"), "C": (client, "eth0")}
+
+    for n, op in enumerate(ops):
+        if scrub:
+            for node in net.nodes.values():
+                node.routing.closures.clear()
+            nat.table.outbound_memo.clear()
+        if op[0] == "send":
+            socks[op[1]].sendto(b"%d" % n, Endpoint("18.181.0.31", op[2]))
+            net.run_until(net.now + 0.05)  # there and back again
+        elif op[0] == "route":
+            node, interface = nodes[op[1]]
+            if op[2]:  # an on-link route to nowhere shadowing the default
+                node.routing.add("18.181.0.31/32", interface)
+            else:
+                node.routing.remove("18.181.0.31/32")
+        elif op[0] == "advance":
+            net.run_until(net.now + op[1])
+        else:
+            nat.reset_state()
+    net.run_until(net.now + 1.0)
+    return {
+        "arrivals": arrivals,
+        "nat": (nat.translations_out, nat.translations_in, nat.packets_received,
+                nat.packets_forwarded, nat.packets_dropped, nat.drops_by_reason,
+                nat.table.mappings_created, nat.table.mappings_expired),
+        "table": [(m.proto, m.private, m.public, sorted(map(str, m.remotes)),
+                   m.packets_out, m.packets_in) for m in nat.table.mappings],
+        "links": {name: (link.packets_sent, link.packets_dropped)
+                  for name, link in net.links.items()},
+        "hosts": {name: (node.packets_received, node.packets_dropped)
+                  for name, node in net.nodes.items()},
+    }
+
+
+@given(st.lists(memo_ops, max_size=40))
+@example([("send", 0, 7), ("route", "NAT", True), ("send", 0, 7), ("route", "NAT", False),
+          ("send", 0, 7), ("send", 1, 7), ("send", 0, 7), ("advance", 30.0),
+          ("send", 0, 7), ("reset",), ("send", 0, 7)])
+@settings(max_examples=60, deadline=None)
+def test_emptying_memos_is_unobservable(ops):
+    """Route add/remove, mapping expiry, the §6.3 downgrade and reboots all
+    empty the memos they feed, so emptying every memo before every step as
+    well gives the same arrivals, counters and NAT table."""
+    assert _drive_nat_echo(ops, scrub=False) == _drive_nat_echo(ops, scrub=True)
