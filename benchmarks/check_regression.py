@@ -31,11 +31,12 @@ import sys
 from typing import List, Optional
 
 #: Throughput metrics the gate always protects (higher is better).  The
-#: link-level echo view and the pure batch-drain rate graduated from
-#: :data:`OPTIONAL_METRICS` once every live baseline carried them: they
-#: bracket the direct-dispatch delivery path from both sides (with and
-#: without the NAT in the loop), so a silent fast-path regression cannot
-#: hide behind the application-level number alone.
+#: link-level echo view and the batched-delivery rate (send loop inside the
+#: timed window) graduated from :data:`OPTIONAL_METRICS` once every live
+#: baseline carried them: they bracket the link's transmit-to-receiver
+#: path from both sides (with and without the NAT in the loop), so a
+#: silent packet-path regression cannot hide behind the application-level
+#: number alone.
 GATED_METRICS = (
     "scheduler_events_per_second",
     "nat_packets_per_second",

@@ -27,7 +27,7 @@ import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import Fingerprint, ResultCache, behavior_fingerprint, mix_seed
 from repro.nat.behavior import NatBehavior
@@ -763,64 +763,6 @@ class MonteCarloColumn:
         }
 
 
-def run_monte_carlo(
-    samples: int = 1500,
-    seed: int = 0,
-    config: Optional[NatCheckConfig] = None,
-) -> Dict[str, object]:
-    """Survey punch success over a uniformly sampled NAT design space.
-
-    Draws *samples* devices via :func:`sample_behavior` (stream
-    ``SeededRng(seed, "monte-carlo")``), dedups them by behavioral
-    fingerprint — the sample space holds :data:`MONTE_CARLO_SPACE` distinct
-    designs, so a large draw repeats combinations — simulates each distinct
-    design once with the full NAT Check protocol, and weights its outcome by
-    the design's multiplicity in the draw.
-
-    Returns a record with, per Table 1 column, the weighted success count,
-    trial count, success rate, and 95% Wilson confidence interval, plus the
-    dedup accounting (``distinct_designs`` is the number of simulations the
-    sweep actually ran).
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if config is None:
-        config = NatCheckConfig(
-            run_udp_hairpin=True, run_tcp=True, run_tcp_hairpin=True
-        )
-    rng = SeededRng(seed, "monte-carlo")
-    weights: Dict[str, int] = {}
-    designs: Dict[str, Tuple[NatBehavior, Fingerprint]] = {}
-    for _ in range(samples):
-        behavior = sample_behavior(rng)
-        fingerprint = device_fingerprint(behavior, config, seed)
-        weights[fingerprint.full] = weights.get(fingerprint.full, 0) + 1
-        if fingerprint.full not in designs:
-            designs[fingerprint.full] = (behavior, fingerprint)
-
-    columns = {
-        "udp": MonteCarloColumn(),
-        "udp_hairpin": MonteCarloColumn(),
-        "tcp": MonteCarloColumn(),
-        "tcp_hairpin": MonteCarloColumn(),
-    }
-    for full, (behavior, fingerprint) in designs.items():
-        report = check_device(behavior, config, seed=fingerprint.seed)
-        weight = weights[full]
-        columns["udp"].add(report.udp_punch_ok, weight)
-        columns["udp_hairpin"].add(report.udp_hairpin, weight)
-        columns["tcp"].add(report.tcp_punch_ok, weight)
-        columns["tcp_hairpin"].add(report.tcp_hairpin, weight)
-
-    return {
-        "samples": samples,
-        "seed": seed,
-        "space_size": MONTE_CARLO_SPACE,
-        "distinct_designs": len(designs),
-        "columns": {name: column.to_dict() for name, column in columns.items()},
-    }
-
-
 #: Punch-technique columns every Monte-Carlo survey reports, mapped to the
 #: :class:`~repro.natcheck.classify.NatCheckReport` field holding the outcome.
 MONTE_CARLO_COLUMNS: Tuple[Tuple[str, str], ...] = (
@@ -829,6 +771,86 @@ MONTE_CARLO_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("tcp", "tcp_punch_ok"),
     ("tcp_hairpin", "tcp_hairpin"),
 )
+
+_Columns = Dict[str, MonteCarloColumn]
+
+
+def _fresh_columns() -> _Columns:
+    return {name: MonteCarloColumn() for name, _ in MONTE_CARLO_COLUMNS}
+
+
+def _columns_record(columns: _Columns) -> Dict[str, object]:
+    return {name: column.to_dict() for name, column in columns.items()}
+
+
+def _survey_designs(
+    designs: Iterable[Tuple[NatBehavior, int]],
+    seed: int,
+    config: Optional[NatCheckConfig],
+    also_into: Optional[Callable[[NatBehavior], Iterable[_Columns]]] = None,
+) -> Dict[str, object]:
+    """The Monte-Carlo engine both survey modes feed.
+
+    Takes ``(design, weight)`` pairs, simulates each distinct behavioral
+    fingerprint once with the full NAT Check protocol (*config* None = every
+    probe: hairpin + TCP) and adds every design's outcomes, weighted, into
+    the overall columns — and into whatever extra column sets
+    ``also_into(design)`` names (the stratified mode's sensitivity buckets).
+    Returns the record tail: ``distinct_designs`` (the number of simulations
+    actually run) and the ``columns`` table.
+    """
+    if config is None:
+        config = NatCheckConfig(
+            run_udp_hairpin=True, run_tcp=True, run_tcp_hairpin=True
+        )
+    columns = _fresh_columns()
+    reports: Dict[str, NatCheckReport] = {}
+    for behavior, weight in designs:
+        fingerprint = device_fingerprint(behavior, config, seed)
+        report = reports.get(fingerprint.full)
+        if report is None:
+            report = check_device(behavior, config, seed=fingerprint.seed)
+            reports[fingerprint.full] = report
+        targets = [columns, *also_into(behavior)] if also_into else [columns]
+        for name, field_name in MONTE_CARLO_COLUMNS:
+            outcome = getattr(report, field_name)
+            for target in targets:
+                target[name].add(outcome, weight)
+    return {
+        "distinct_designs": len(reports),
+        "columns": _columns_record(columns),
+    }
+
+
+def run_monte_carlo(
+    samples: int = 1500,
+    seed: int = 0,
+    config: Optional[NatCheckConfig] = None,
+) -> Dict[str, object]:
+    """Survey punch success over a uniformly sampled NAT design space.
+
+    Draws *samples* devices via :func:`sample_behavior` (stream
+    ``SeededRng(seed, "monte-carlo")``) and feeds them, weight one each, to
+    :func:`_survey_designs`, which dedups them by behavioral fingerprint —
+    the sample space holds :data:`MONTE_CARLO_SPACE` distinct designs, so a
+    large draw repeats combinations — and simulates each distinct design
+    once.
+
+    Returns a record with, per Table 1 column, the weighted success count,
+    trial count, success rate, and 95% Wilson confidence interval, plus the
+    dedup accounting (``distinct_designs`` is the number of simulations the
+    sweep actually ran).
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = SeededRng(seed, "monte-carlo")
+    designs = ((sample_behavior(rng), 1) for _ in range(samples))
+    return {
+        "samples": samples,
+        "seed": seed,
+        "space_size": MONTE_CARLO_SPACE,
+        **_survey_designs(designs, seed, config),
+    }
 
 
 def _option_key(option: object) -> str:
@@ -878,10 +900,6 @@ def run_monte_carlo_stratified(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if strata_limit is not None and strata_limit < 1:
         raise ValueError(f"strata_limit must be >= 1, got {strata_limit}")
-    if config is None:
-        config = NatCheckConfig(
-            run_udp_hairpin=True, run_tcp=True, run_tcp_hairpin=True
-        )
     axis_names = tuple(MONTE_CARLO_AXES)
     cells = list(itertools.product(*MONTE_CARLO_AXES.values()))
     if strata_limit is not None:
@@ -893,55 +911,33 @@ def run_monte_carlo_stratified(
         for index in rng.sample(range(len(cells)), remainder):
             allocation[index] += 1
 
-    columns = {name: MonteCarloColumn() for name, _ in MONTE_CARLO_COLUMNS}
-    sensitivity: Dict[str, Dict[str, Dict[str, MonteCarloColumn]]] = {
-        axis: {
-            _option_key(option): {
-                name: MonteCarloColumn() for name, _ in MONTE_CARLO_COLUMNS
-            }
-            for option in options
-        }
+    sensitivity: Dict[str, Dict[str, _Columns]] = {
+        axis: {_option_key(option): _fresh_columns() for option in options}
         for axis, options in MONTE_CARLO_AXES.items()
     }
-    reports: Dict[str, NatCheckReport] = {}
-    simulations = 0
-    populated = 0
-    for assignment, weight in zip(cells, allocation):
-        if weight == 0:
-            continue
-        populated += 1
-        behavior = NatBehavior(**dict(zip(axis_names, assignment)))
-        fingerprint = device_fingerprint(behavior, config, seed)
-        report = reports.get(fingerprint.full)
-        if report is None:
-            report = check_device(behavior, config, seed=fingerprint.seed)
-            reports[fingerprint.full] = report
-            simulations += 1
-        outcomes = [
-            (name, getattr(report, field_name))
-            for name, field_name in MONTE_CARLO_COLUMNS
-        ]
-        for name, outcome in outcomes:
-            columns[name].add(outcome, weight)
-        for axis, option in zip(axis_names, assignment):
-            bucket = sensitivity[axis][_option_key(option)]
-            for name, outcome in outcomes:
-                bucket[name].add(outcome, weight)
+    designs = [
+        (NatBehavior(**dict(zip(axis_names, assignment))), weight)
+        for assignment, weight in zip(cells, allocation)
+        if weight
+    ]
+
+    def buckets_of(behavior: NatBehavior) -> Iterable[_Columns]:
+        return (
+            sensitivity[axis][_option_key(getattr(behavior, axis))]
+            for axis in axis_names
+        )
 
     return {
         "samples": samples,
         "seed": seed,
         "space_size": MONTE_CARLO_SPACE,
         "strata": len(cells),
-        "strata_populated": populated,
+        "strata_populated": len(designs),
         "strata_limit": strata_limit,
-        "distinct_designs": simulations,
-        "columns": {name: column.to_dict() for name, column in columns.items()},
+        **_survey_designs(designs, seed, config, also_into=buckets_of),
         "sensitivity": {
             axis: {
-                option: {
-                    name: column.to_dict() for name, column in buckets.items()
-                }
+                option: _columns_record(buckets)
                 for option, buckets in options.items()
             }
             for axis, options in sensitivity.items()

@@ -212,8 +212,8 @@ class Endpoint:
             raise AddressError(f"port out of range: {port}")
         object.__setattr__(self, "port", int(port))
         #: The 48-bit session key ``ip << 16 | port``, precomputed once.
-        #: Every per-packet integer key in the system — NAT mapping activity,
-        #: UDP demux, direct-dispatch entries — folds (ip, port) exactly this
+        #: Every per-packet integer key in the system — NAT mapping keys,
+        #: per-remote mapping activity — folds (ip, port) exactly this
         #: way, so hot paths read one slot instead of redoing the arithmetic
         #: (two attribute hops, a multiply, and an add) per packet.
         object.__setattr__(self, "_key", self.ip._value * 65536 + self.port)

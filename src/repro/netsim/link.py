@@ -140,22 +140,9 @@ class Link:
         #: Pending coalesced-delivery timers (fast path only; see
         #: Scheduler.call_later_batched), insertion-ordered so flap/detach
         #: drops replay in schedule order; :meth:`_drain_batch` removes a
-        #: batch once it has drained.  Items are (sender, receiver, packet,
-        #: dispatch-entry) 4-tuples; a detached entry is nulled in place.
+        #: batch once it has drained.  Items are (sender, receiver, packet)
+        #: triples; a detached item is nulled in place.
         self._batches: Dict[Timer, None] = {}
-        #: Direct-dispatch memo: ``dst._key * 4 + proto.wire_index`` ->
-        #: ``(deliver, delivery_version, consuming, receiver, nh_value)``.
-        #: *deliver* is the callable the drain loop invokes instead of the
-        #: ``receiver.receive`` trampoline (None = always slow path, e.g.
-        #: forwarding receivers); *delivery_version* is the receiver's
-        #: :attr:`Node._delivery_version` at resolve time (None = never
-        #: stale) and is re-checked both at transmit and at fire, so a stack
-        #: detach or socket close between the two falls back to the slow
-        #: path; *nh_value* is the raw next-hop IP the receiver was resolved
-        #: from, so a transmit hit skips the owner-index probe.  Cleared
-        #: whenever the attachment set changes — receiver identity per
-        #: next-hop is part of what the entry memoises.
-        self._dispatch: Dict[int, tuple] = {}
         self._open_batch: Optional[Timer] = None
         #: Scheduler tick at which ``_open_batch`` was created.  While the
         #: batch stays open the latency is constant (``_refresh_fast_path``
@@ -268,7 +255,6 @@ class Link:
             raise ValueError(f"duplicate IP {address} on link {self.name}")
         self._attachments.append((node, address))
         self._owner_values[address._value] = node
-        self._dispatch.clear()
 
     def detach(self, node: "Node") -> None:
         """Remove every attachment belonging to *node*.
@@ -279,7 +265,6 @@ class Link:
         """
         self._attachments = [(n, ip) for n, ip in self._attachments if n is not node]
         self._owner_values = {ip._value: n for n, ip in self._attachments}
-        self._dispatch.clear()
         for seq, (timer, sender, receiver, packet) in list(self._in_flight.items()):
             if receiver is node:
                 timer.cancel()
@@ -356,33 +341,19 @@ class Link:
             nh_value = next_hop_ip._value
         except AttributeError:  # next hop given as str/int/bytes
             nh_value = IPv4Address(next_hop_ip)._value
+        if not self._up:
+            self._drop(packet, sender, None, "link-down")
+            self.flap_drops += 1
+            return False
+        receiver = self._owner_values.get(nh_value)
+        if receiver is None or receiver is sender:
+            self._drop(packet, sender, None, "no-next-hop")
+            return False
+        # The gate (see _refresh_fast_path) picks only how the delivery is
+        # timed: a coalesced batch when every fault/trace/flight branch of
+        # ``_wire_one`` is proven a no-op, a per-packet timer otherwise.
         if self._fast:
-            # Statistical fast path: the gate (see _refresh_fast_path) has
-            # already proven every fault/trace/flight branch below is a
-            # no-op, so this block only does the work that observably
-            # happens — counter bumps and a coalesced delivery timer.
             proto = packet.proto
-            # Resolve (or validate) the direct-dispatch entry for this flow.
-            # The entry memoises both the next-hop owner and the local
-            # delivery target, so a hit skips the owner-index probe here and
-            # the full demux at fire time; a next-hop mismatch (two next
-            # hops sharing a dst key on one segment) or a stale delivery
-            # version re-resolves.
-            entry = self._dispatch.get(packet.dst._key * 4 + proto.wire_index)
-            if entry is None or entry[4] != nh_value:
-                receiver = self._owner_values.get(nh_value)
-                if receiver is None or receiver is sender:
-                    self.packets_dropped += 1
-                    return False
-                entry = self._resolve_dispatch(packet.dst, proto, receiver, nh_value)
-            else:
-                receiver = entry[3]
-                if receiver is sender:
-                    self.packets_dropped += 1
-                    return False
-                version = entry[1]
-                if version is not None and version != receiver._delivery_version:
-                    entry = self._resolve_dispatch(packet.dst, proto, receiver, nh_value)
             self.bytes_sent += proto.header_bytes + len(packet.payload)
             self._sent_by_index[proto.wire_index].value += 1
             scheduler = self.scheduler
@@ -402,16 +373,8 @@ class Link:
             # Either the batch is new, or no timer was created since its own,
             # so this delivery would have drawn the very next sequence number
             # at the same deadline — appending preserves fire order exactly.
-            batch._items.append((sender, receiver, packet, entry))
+            batch._items.append((sender, receiver, packet))
             return True
-        if not self._up:
-            self._drop(packet, sender, None, "link-down")
-            self.flap_drops += 1
-            return False
-        receiver = self._owner_values.get(nh_value)
-        if receiver is None or receiver is sender:
-            self._drop(packet, sender, None, "no-next-hop")
-            return False
         if not self._wire_one(packet, sender, receiver, 0.0, dup=False):
             return False
         if self.profile.duplicate and self._rng.chance(self.profile.duplicate):
@@ -472,53 +435,19 @@ class Link:
         self._schedule_delivery(packet, sender, receiver, delay)
         return True
 
-    def _resolve_dispatch(
-        self, dst, proto: IpProtocol, receiver: "Node", nh_value: int
-    ) -> tuple:
-        """Build and memoise the direct-dispatch entry for (dst, proto) via
-        *receiver* — see the ``_dispatch`` attribute docs for the layout.
-
-        Forwarding receivers (routers, NATs) get a permanent slow-path entry
-        (``version`` None: ``forwards_packets`` is a class property, so the
-        answer can never go stale); host receivers resolve through
-        :meth:`Node.resolve_dispatch` and are pinned to the host's current
-        delivery version.  *nh_value* — the raw next-hop IP the entry was
-        resolved against — rides in slot 4 so a transmit hit can reuse the
-        memoised receiver without re-probing the owner index.
-        """
-        if receiver.forwards_packets:
-            entry = (None, None, False, receiver, nh_value)
-        elif dst.ip._value not in receiver._local_ips:
-            # Not locally addressed (the host will drop it): slow path, but
-            # re-resolved if the host grows an interface.
-            entry = (None, receiver._delivery_version, False, receiver, nh_value)
-        else:
-            deliver, consuming = receiver.resolve_dispatch(proto, dst)
-            entry = (
-                deliver,
-                receiver._delivery_version,
-                consuming,
-                receiver,
-                nh_value,
-            )
-        self._dispatch[dst._key * 4 + proto.wire_index] = entry
-        return entry
-
     def _drain_batch(self, batch: Timer, limit: int) -> None:
         """Fire up to *limit* queued deliveries of *batch* (the scheduler's
         event loop calls this when the batch comes due; see
         :meth:`Scheduler.call_later_batched`).
 
-        This is the one route from the wire into a receiver on the fast
-        path.  When the item's dispatch entry is still valid for the
-        receiver's current delivery version the packet lands straight in
-        the resolved transport stack or bound socket; otherwise — a
-        forwarding receiver, or a binding that changed while the packet was
-        in flight — it goes through the full ``receive()`` demux.  A nulled
-        item was detach-dropped in flight and fires as an empty event.
-        Consuming deliveries recycle the packet into the pool;
-        generation-stamping happens at release so stale references are
-        detectable (see :class:`PacketPool`).
+        Every item goes through the receiver's ``receive()`` — the same
+        route the per-packet timer takes (:meth:`_deliver`).  A nulled item
+        was detach-dropped in flight and fires as an empty event.  The
+        packet is recycled into the pool when whoever held it says it kept
+        no reference: ``receive()`` returned ``True`` (a UDP socket
+        delivery) or the receiver declares ``consumes_packets`` (NAT
+        devices).  Generation-stamping happens at release so stale
+        references are detectable (see :class:`PacketPool`).
         """
         items = batch._items
         pool = PACKET_POOL
@@ -531,36 +460,36 @@ class Link:
         released = 0
         i = batch._inext
         stop = i + limit
-        # len() is re-read every pass: a same-instant transmit on a
-        # zero-latency link may append to this batch while it fires.
-        while i < stop and i < len(items):
-            batch._inext = i + 1
-            item = items[i]
-            if item is not None:
-                _sender, receiver, packet, entry = item
-                deliver, dversion, consuming, _rcv, _nh = entry
-                if deliver is not None and dversion == receiver._delivery_version:
-                    receiver.packets_received += 1
-                    deliver(packet)
-                else:
-                    receiver.receive(packet, self)
-                    consuming = receiver.consumes_packets
-                if consuming and free is not None:
-                    if poison:
-                        pool.release(packet)  # counts itself
-                    else:
-                        packet.gen += 1
-                        free.append(packet)
-                        released += 1
-            if batch._cancelled:
-                # Cancelled mid-drain: this link went down inside a
-                # delivery callback and flap-dropped the rest.
-                break
-            i = batch._inext
-        if released:
+        try:
+            # len() is re-read every pass: a same-instant transmit on a
+            # zero-latency link may append to this batch while it fires.
+            while i < stop and i < len(items):
+                batch._inext = i + 1
+                item = items[i]
+                if item is not None:
+                    receiver = item[1]
+                    packet = item[2]
+                    if (
+                        receiver.receive(packet, self) is True
+                        or receiver.consumes_packets
+                    ) and free is not None:
+                        if poison:
+                            pool.release(packet)  # counts itself
+                        else:
+                            packet.gen += 1
+                            free.append(packet)
+                            released += 1
+                if batch._cancelled:
+                    # Cancelled mid-drain: this link went down inside a
+                    # delivery callback and flap-dropped the rest.
+                    break
+                i = batch._inext
+        finally:
+            # Also when a delivery callback raises: the packets already on
+            # the free list stay counted and a spent batch leaves the books.
             pool.released += released
-        if i >= len(items):
-            self._batches.pop(batch, None)  # drained; down() may have cleared
+            if batch._inext >= len(items):
+                self._batches.pop(batch, None)  # drained; down() may have cleared
 
     def _ge_burst_drops(self, packet: Packet) -> bool:
         """Advance the Gilbert-Elliott two-state chain one packet and report
@@ -584,8 +513,8 @@ class Link:
         receiver.receive(packet, self)
 
     def _drop(self, packet: Packet, sender: "Node", receiver, reason: str) -> None:
-        """Count, trace and flight-record one packet this link dropped (drop
-        paths only; the fast path's no-next-hop drop just counts)."""
+        """Count, trace and flight-record one packet this link dropped (the
+        trace and flight tests are no-ops whenever the fast gate holds)."""
         self.packets_dropped += 1
         if self._tracing:
             self._record(packet, sender, receiver, reason)

@@ -37,9 +37,10 @@ class Node:
     forwards_packets = False
     #: True when this node's :meth:`receive` provably never retains the
     #: delivered packet object (it re-emits a fresh clone or drops) — the
-    #: licence for the drain loop to recycle fast-path deliveries into the
+    #: node-level licence for the drain loop to recycle a delivery into the
     #: packet pool.  NAT devices set it; hosts must not (application
-    #: handlers may stow packets).
+    #: handlers may stow packets) — a host's handler answers per packet
+    #: through the return value of :meth:`receive` instead.
     consumes_packets = False
     #: The owning network's MetricsRegistry, set by ``Network.add_node`` so
     #: protocol layers above can reach it; None for standalone nodes.
@@ -66,17 +67,6 @@ class Node:
         #: Per-protocol handlers as a dense list indexed by
         #: ``IpProtocol.wire_index``.
         self._handlers_by_index: List = [None] * len(IpProtocol)
-        #: Optional per-protocol dispatch resolvers (see
-        #: :meth:`resolve_dispatch`); transport stacks install one to bind
-        #: drain-loop deliveries straight onto their sockets.
-        self._dispatch_resolvers: List = [None] * len(IpProtocol)
-        #: Local-delivery epoch.  Every cached direct-dispatch entry (see
-        #: ``Link._dispatch``) records the version it was resolved under and
-        #: is dead the moment they differ, so anything that can change where
-        #: a locally-addressed packet lands — handler (un)registration,
-        #: stack attach/detach, socket bind/close, a new interface — must
-        #: bump this.
-        self._delivery_version = 0
         #: Arrival-link -> interface (first interface wins, matching the
         #: historical scan order); NAT devices classify every received
         #: packet by arrival interface.
@@ -99,7 +89,6 @@ class Node:
         self._iface_by_link.setdefault(link, interface)
         link.attach(self, interface.ip)
         self.routing.add(interface.network, name, next_hop=None)
-        self._delivery_version += 1
         return interface
 
     def interface_for(self, ip) -> Optional[Interface]:
@@ -122,51 +111,22 @@ class Node:
     # -- protocol handlers ---------------------------------------------------
 
     def register_protocol(
-        self,
-        proto: IpProtocol,
-        handler: Callable[[Packet], None],
-        resolver: Optional[Callable] = None,
+        self, proto: IpProtocol, handler: Callable[[Packet], Optional[bool]]
     ) -> None:
         """Register the local delivery handler for one transport protocol.
 
         Transport stacks call this once at attach time; re-registration
-        replaces the handler (used by tests to interpose observers).
-
-        *resolver*, if given, is ``resolver(dst) -> (deliver, consuming)``:
-        a finer-grained dispatch hook the drain loop uses to deliver
-        straight into the destination socket (see :meth:`resolve_dispatch`).
+        replaces the handler (used by tests to interpose observers).  A
+        handler returns ``True`` only where it provably kept no reference
+        to the packet object (see :meth:`receive`); anything else — the
+        usual ``None`` — leaves the packet alone.
         """
         self._handlers_by_index[proto.wire_index] = handler
-        self._dispatch_resolvers[proto.wire_index] = resolver
-        self._delivery_version += 1
 
     def unregister_protocol(self, proto: IpProtocol) -> None:
-        """Remove the handler (and resolver) for *proto*; packets for it now
-        drop on the local-delivery path, exactly as if it was never bound."""
+        """Remove the handler for *proto*; packets for it now drop on the
+        local-delivery path, exactly as if it was never bound."""
         self._handlers_by_index[proto.wire_index] = None
-        self._dispatch_resolvers[proto.wire_index] = None
-        self._delivery_version += 1
-
-    def resolve_dispatch(self, proto: IpProtocol, dst) -> tuple:
-        """Resolve the direct-dispatch target for local (proto, dst) traffic.
-
-        Returns ``(deliver, consuming)``: *deliver* is the callable the
-        drain loop invokes instead of :meth:`receive` (None forces the slow
-        path), and *consuming* is True only when the delivery provably does
-        not retain the packet object, licensing pool recycling.  Entries
-        derived from this answer are validated against
-        :attr:`_delivery_version` on every use, so a stale binding can never
-        deliver — it falls back to :meth:`receive`.
-        """
-        resolver = self._dispatch_resolvers[proto.wire_index]
-        if resolver is not None:
-            return resolver(dst)
-        handler = self._handlers_by_index[proto.wire_index]
-        if handler is None:
-            return None, False
-        # Generic handler: saves the receive() trampoline but never recycles
-        # (the handler may legitimately stow the packet).
-        return handler, False
 
     # -- data path -----------------------------------------------------------
 
@@ -210,8 +170,13 @@ class Node:
             return False
         return closure[0].transmit(packet, self, closure[1])
 
-    def receive(self, packet: Packet, link: Link) -> None:
-        """Entry point for packets arriving from a link."""
+    def receive(self, packet: Packet, link: Link) -> Optional[bool]:
+        """Entry point for packets arriving from a link.
+
+        Returns what the protocol handler returned: ``True`` is the
+        handler's statement that it kept no reference to *packet*, which
+        licenses the link's batch drain to recycle it into the pool.
+        """
         self.packets_received += 1
         if packet.dst.ip._value in self._local_ips:
             # deliver_local, inlined: one packet in every NAT-echo round trip
@@ -219,13 +184,13 @@ class Node:
             handler = self._handlers_by_index[packet.proto.wire_index]
             if handler is None:
                 self.packets_dropped += 1
-            else:
-                handler(packet)
-            return
+                return None
+            return handler(packet)
         if not self.forwards_packets:
             self.packets_dropped += 1
-            return
+            return None
         self.forward(packet, link)
+        return None
 
     def deliver_local(self, packet: Packet) -> None:
         """Hand a locally-addressed packet to the protocol handler."""

@@ -54,13 +54,14 @@ class PacketPool:
     """Free-list recycler for hot-path Packets.
 
     Only a link's batch drain (``Link._drain_batch``) releases packets, and
-    only for deliveries that provably consume them: UDP socket dispatch (the
-    callback receives ``(payload, src)``, both immutable and safe to retain) and
-    nodes whose class declares ``consumes_packets = True`` (NAT devices —
-    their receive path always emits a fresh clone and never stows the
-    original).  Packets handed to generic protocol handlers are *never*
-    recycled, so application code that stows a delivered packet keeps a
-    valid object; code that must retain one across deliveries should take
+    only where the code that held the packet says it kept no reference:
+    ``receive()`` returned ``True`` (``UdpStack.handle_packet`` handing a
+    socket ``(payload, src)``, both immutable and safe to retain) or the
+    node's class declares ``consumes_packets = True`` (NAT devices — their
+    receive path always emits a fresh clone and never stows the original).
+    A handler that returns anything else is *never* recycled from, so
+    application code that stows a delivered packet keeps a valid object;
+    code that must retain one across deliveries should take
     :meth:`Packet.stow` anyway, which is recycle-proof by construction.
 
     Every release bumps the packet's generation stamp (:attr:`Packet.gen`),

@@ -39,12 +39,7 @@ class HostStack:
             rst_seq_validation=rst_seq_validation,
             icmp_validation=icmp_validation,
         )
-        # UDP registers a dispatch resolver so a link's batch drain can
-        # deliver straight into the bound socket; TCP and ICMP use the
-        # generic handler binding (still one frame shorter than receive()).
-        host.register_protocol(
-            IpProtocol.UDP, self.udp.handle_packet, resolver=self.udp.resolve_dispatch
-        )
+        host.register_protocol(IpProtocol.UDP, self.udp.handle_packet)
         host.register_protocol(IpProtocol.TCP, self.tcp.handle_packet)
         host.register_protocol(IpProtocol.ICMP, self._handle_icmp)
 
@@ -52,11 +47,8 @@ class HostStack:
         """Unregister this stack's protocol handlers from the host.
 
         Locally-addressed packets drop afterwards, exactly as on a host that
-        never attached a stack; the delivery-version bumps inside
-        ``unregister_protocol`` invalidate every direct-dispatch entry bound
-        to this stack, so in-flight fast-path deliveries fall back to the
-        slow path (and its drop accounting) rather than landing in a
-        detached stack.
+        never attached a stack — packets already in flight included, since
+        every delivery looks the handler up when it fires.
         """
         host = self.host
         host.unregister_protocol(IpProtocol.UDP)

@@ -69,21 +69,6 @@ class UdpSocket:
         self.closed = True
         self._stack._release(self)
 
-    def _deliver_direct(self, packet: Packet) -> None:
-        """Hand one datagram to the application: the tail of
-        :meth:`UdpStack.handle_packet` and the link drain's direct-dispatch
-        target (see :meth:`UdpStack.resolve_dispatch`).
-
-        This delivery is *consuming*: the callback gets (payload, src), both
-        immutable shared objects it may retain freely, and the packet object
-        is never exposed — the licence for the pool to recycle it.
-        """
-        self.datagrams_received += 1
-        self._stack.datagrams_received += 1
-        callback = self.on_datagram
-        if callback is not None:
-            callback(packet.payload, packet.src)
-
     def __repr__(self) -> str:
         star = "*" if self._wildcard else ""
         return f"UdpSocket({star}{self.local})"
@@ -94,9 +79,6 @@ class UdpStack:
 
     def __init__(self, host: Host) -> None:
         self.host = host
-        #: Every bind/close bumps the host's delivery version, so
-        #: direct-dispatch entries resolved against an old socket set can
-        #: never fire.
         self._bindings: Dict[_BindKey, UdpSocket] = {}
         self._next_ephemeral = EPHEMERAL_BASE
         self.packets_dropped = 0
@@ -124,7 +106,6 @@ class UdpStack:
         source_ip = bind_ip if bind_ip is not None else self.host.primary_ip
         sock = UdpSocket(self, Endpoint(source_ip, port), wildcard=bind_ip is None)
         self._bindings[key] = sock
-        self.host._delivery_version += 1
         return sock
 
     def _allocate_ephemeral(self, bind_ip) -> int:
@@ -139,37 +120,36 @@ class UdpStack:
         raise BindError(f"{self.host.name}: UDP ephemeral ports exhausted")
 
     def _release(self, sock: UdpSocket) -> None:
-        self._bindings = {k: s for k, s in self._bindings.items() if s is not sock}
-        self.host._delivery_version += 1
+        ip = None if sock._wildcard else sock.local.ip._value
+        del self._bindings[ip, sock.local.port]
 
     def _socket_for(self, dst: Endpoint) -> Optional[UdpSocket]:
         """The open socket *dst* demultiplexes to: an exact (ip, port) bind
-        wins over a wildcard-IP bind on the same port."""
+        wins over a wildcard-IP bind on the same port.  A closed socket is
+        never found: :meth:`UdpSocket.close` removes its binding."""
         bindings = self._bindings
-        sock = bindings.get((dst.ip._value, dst.port))
-        if sock is None or sock.closed:
-            sock = bindings.get((None, dst.port))
-            if sock is None or sock.closed:
-                return None
-        return sock
+        return bindings.get((dst.ip._value, dst.port)) or bindings.get(
+            (None, dst.port)
+        )
 
-    def resolve_dispatch(self, dst: Endpoint) -> tuple:
-        """Direct-dispatch resolver (see :meth:`Node.resolve_dispatch`):
-        bind drain-loop deliveries for *dst* straight onto the owning
-        socket's :meth:`UdpSocket._deliver_direct`.  Consuming — UDP
-        delivery exposes only (payload, src), never the packet object."""
-        sock = self._socket_for(dst)
-        if sock is None:
-            return None, False
-        return sock._deliver_direct, True
+    def handle_packet(self, packet: Packet) -> Optional[bool]:
+        """Demultiplex one inbound UDP packet to a bound socket.
 
-    def handle_packet(self, packet: Packet) -> None:
-        """Demultiplex one inbound UDP packet to a bound socket."""
+        Returns ``True`` where the datagram reached a socket.  That delivery
+        is *consuming*: the callback gets (payload, src), both immutable
+        shared objects it may retain freely, and the packet object is never
+        exposed — so the caller may recycle it (see :meth:`Node.receive`).
+        """
         sock = self._socket_for(packet.dst)
         if sock is None:
             self.packets_dropped += 1
-            return
-        sock._deliver_direct(packet)
+            return None
+        sock.datagrams_received += 1
+        self.datagrams_received += 1
+        callback = sock.on_datagram
+        if callback is not None:
+            callback(packet.payload, packet.src)
+        return True
 
     def handle_icmp(self, error: IcmpError) -> None:
         """Attribute an ICMP error to the socket that sent the offender."""

@@ -1,19 +1,16 @@
-"""Direct-dispatch invalidation suite.
+"""Mid-run binding perturbations: batched vs per-packet delivery identity.
 
-A link's batch drain delivers packets straight into resolved
-transport handlers via 5-tuple entries cached on ``Link._dispatch``; each
-entry is validated against the receiver's ``_delivery_version`` at both
-transmit time and fire time.  Any binding change — transport stack
-detach/attach, socket close/rebind, a NAT reboot — must therefore make
-cached entries fall back to the slow ``Node.receive`` path with
-observables identical to a run that never engaged the fast path at all.
+Every packet leaves a link through ``receiver.receive()``; the fast gate
+only picks whether the delivery rides a coalesced batch or its own timer.
+Any binding change — transport stack detach/attach, socket close/rebind, a
+NAT reboot — must therefore produce observables identical to a run with
+``Link.fast_path_enabled`` off.
 
-Every scenario here perturbs bindings *mid-run*: entries are already
-cached and packets are already in flight when the binding changes, so the
-invalidation machinery (version stamps, ``_dispatch`` clearing, NAT state
-reset) is what stands between a stale entry and a mis-delivery.  Each test
-asserts fast-vs-slow observable identity plus a non-vacuousness witness
-that the perturbation really bit.
+Every scenario here perturbs bindings *mid-run*: packets are already in
+flight when the binding changes, so a delivery that resolved its target
+anywhere but at fire time would mis-deliver.  Each test asserts
+fast-vs-slow observable identity plus a non-vacuousness witness that the
+perturbation really bit.
 """
 
 import contextlib
@@ -137,16 +134,15 @@ class TestStackDetachMidRun:
 
         obs = _both(perturb)
         # Echoes before the detach arrived; datagrams after it drop at the
-        # (now handler-less) host instead of firing a stale socket entry.
+        # (now handler-less) host instead of landing in the detached stack.
         assert 0 < len(obs["arrivals"]) < PACKETS
         assert obs["server"][1] > 0
 
 
 class TestStackAttachMidRun:
     def test_never_valid_entries_refresh_after_attach(self):
-        # Until the stack attaches, resolve yields (None, ...) entries that
-        # can never fire; the register bumps the delivery version, so the
-        # same cached slots re-resolve onto the live socket.
+        # Until the stack attaches, datagrams drop at the handler-less
+        # host; the ones in flight when it attaches land in the new socket.
         def perturb(net, nat, client, server, echo):
             def attach():
                 attach_stack(server)
@@ -190,38 +186,3 @@ class TestNatRebootMidRun:
         assert 0 < len(obs["arrivals"]) < PACKETS
         assert obs["arrivals"][-1][0] > 0.02
 
-
-class TestDispatchBookkeeping:
-    @staticmethod
-    def _two_hosts():
-        net = Network(seed=3)
-        link = net.create_link("lan", LAN_LINK)
-        a = net.add_host("A", ip="10.0.0.1", network="10.0.0.0/24", link=link)
-        b = net.add_host("B", ip="10.0.0.2", network="10.0.0.0/24", link=link)
-        attach_stack(a)
-        attach_stack(b)
-        return net, link, a, b
-
-    def test_traffic_populates_and_attach_clears_cache(self):
-        net, link, a, b = self._two_hosts()
-        echo = b.stack.udp.socket(9)
-        echo.on_datagram = echo.sendto
-        sock = a.stack.udp.socket(8)
-        sock.on_datagram = lambda data, src: None
-        sock.sendto(b"x", Endpoint("10.0.0.2", 9))
-        net.run_until(1.0)
-        assert link._dispatch  # transmit resolved and cached entries
-        net.add_host("T", ip="10.0.0.3", network="10.0.0.0/24", link=link)
-        assert not link._dispatch  # a new attachment flushes the cache
-
-    def test_binding_changes_bump_delivery_version(self):
-        net, link, a, b = self._two_hosts()
-        v0 = b._delivery_version
-        sock = b.stack.udp.socket(7)
-        v1 = b._delivery_version
-        assert v1 > v0  # bind
-        sock.close()
-        v2 = b._delivery_version
-        assert v2 > v1  # close
-        b.stack.detach()
-        assert b._delivery_version > v2  # stack detach (unregisters handlers)

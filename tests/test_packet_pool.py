@@ -6,9 +6,11 @@ holder can always detect reuse, ``stow()`` survives recycling by
 construction, poison mode turns any stale access into a loud error, and
 ``disable()`` collapses the acquire fast path back to plain allocation
 without invalidating the module-level ``_pool_free`` aliases the hot
-constructors hold.  Recycling itself only ever happens from the drain
-loop's fast path, so an attached flight recorder (which disables the fast
-path) must also stop recycling entirely.
+constructors hold.  Recycling itself only ever happens from the link's
+batch drain, so an attached flight recorder (which takes deliveries off
+the batch) must also stop recycling entirely; and the drain recycles only
+on the holder's own word — ``receive()`` returned ``True`` or the node
+declares ``consumes_packets``.
 """
 
 import pytest
@@ -17,7 +19,7 @@ from repro.netsim import packet as packet_module
 from repro.netsim.addresses import Endpoint
 from repro.netsim.link import LAN_LINK
 from repro.netsim.network import Network
-from repro.netsim.packet import PACKET_POOL, udp_packet
+from repro.netsim.packet import PACKET_POOL, IpProtocol, udp_packet
 from repro.transport.stack import attach_stack
 
 
@@ -179,3 +181,84 @@ class TestRecyclingGates:
             net.scheduler.call_at(i * 0.001, sock.sendto, b"x", Endpoint("10.0.0.2", 9))
         net.run_until(2.0)
         assert PACKET_POOL.released == before
+
+
+class TestRecycleLicence:
+    """The drain recycles iff ``receive(...) is True`` or the receiver
+    ``consumes_packets`` — nothing a generic handler returns can license it."""
+
+    @pytest.mark.parametrize("answer", [None, 1, "yes", [0]])
+    def test_generic_handler_is_never_recycled(self, answer):
+        PACKET_POOL.debug_poison = True
+        net, a, b = _echo_net()
+        stowed = []
+
+        def handler(packet):
+            stowed.append((packet, packet.gen))
+            return answer
+
+        b.register_protocol(IpProtocol.UDP, handler)
+        sock = a.stack.udp.socket(8)
+        before = PACKET_POOL.released
+        for i in range(10):
+            net.scheduler.call_at(i * 0.0001, sock.sendto, b"%d" % i, Endpoint("10.0.0.2", 9))
+        net.run_until(1.0)
+        assert PACKET_POOL.released == before
+        assert [p.payload for p, _ in stowed] == [b"%d" % i for i in range(10)]
+        assert all(p.gen == gen and p.dst.port == 9 for p, gen in stowed)
+
+    def test_socket_deliveries_recycle_across_bind_and_close_in_flight(self):
+        # The licence is the delivery's own answer, so what else happened to
+        # the receiving host's bindings while the datagram flew is irrelevant.
+        net, a, b = _echo_net()
+        sock = a.stack.udp.socket(8)
+        sock.on_datagram = lambda payload, src: None
+        for _ in range(3):
+            sock.sendto(b"x", Endpoint("10.0.0.2", 9))
+        net.scheduler.call_at(0.0002, lambda: b.stack.udp.socket(10).close())
+        before = PACKET_POOL.released
+        net.run_until(1.0)
+        assert sock.datagrams_received == 3
+        assert PACKET_POOL.released - before == 6  # 3 at the echo + 3 echoes
+
+    def test_released_counts_socket_deliveries_plus_nat_hops(self):
+        from tests.test_nat_device import S_EP, build
+
+        net, nat, client, server = build()
+        echo = server.stack.udp.socket(1234)
+        echo.on_datagram = echo.sendto
+        sock = client.stack.udp.socket(4321)
+        sock.on_datagram = lambda payload, src: None
+        before = PACKET_POOL.released
+        for i in range(10):
+            net.scheduler.call_at(i * 0.001, sock.sendto, b"x", S_EP)
+        net.run_until(1.0)
+        deliveries = echo.datagrams_received + sock.datagrams_received
+        assert deliveries == 20 and nat.packets_received == 20
+        assert PACKET_POOL.released - before == deliveries + nat.packets_received
+
+
+class TestDrainBooks:
+    def test_raising_handler_keeps_pool_and_link_books(self):
+        net, a, b = _echo_net()
+        link = net.links["lan"]
+        calls = []
+
+        def on_datagram(payload, src):
+            calls.append(payload)
+            if len(calls) == 3:
+                raise RuntimeError("application bug")
+
+        b.stack.udp.bound_ports[(None, 9)].on_datagram = on_datagram
+        sock = a.stack.udp.socket(8)
+        for i in range(3):  # same tick: one coalesced batch
+            sock.sendto(b"%d" % i, Endpoint("10.0.0.2", 9))
+        assert len(link._batches) == 1
+        released, free = PACKET_POOL.released, PACKET_POOL.free
+        with pytest.raises(RuntimeError):
+            net.run_until(1.0)
+        assert calls == [b"0", b"1", b"2"]
+        assert PACKET_POOL.free - free == 2  # the two that were delivered
+        assert PACKET_POOL.released - released == PACKET_POOL.free - free
+        assert not link._batches  # the spent batch left the link's books
+        assert net.scheduler.pending == 0

@@ -376,3 +376,99 @@ def test_emptying_memos_is_unobservable(ops):
     empty the memos they feed, so emptying every memo before every step as
     well gives the same arrivals, counters and NAT table."""
     assert _drive_nat_echo(ops, scrub=False) == _drive_nat_echo(ops, scrub=True)
+
+
+# -- one wire-to-receiver route: bindings may change under packets in flight --
+
+binding_ops = st.one_of(
+    st.tuples(st.just("send"), st.integers(1, 4), st.booleans()),
+    st.tuples(st.just("advance"), st.sampled_from((0.0004, 0.004, 0.011, 0.025, 0.2))),
+    st.sampled_from([("close",), ("rebind",), ("detach",), ("attach",),
+                     ("iface",), ("host",)]),
+)
+
+
+def _drive_binding_churn(ops, fast):
+    """A NATed client streaming at a public echo server while the server's
+    socket, stack, interfaces and segment change — never waiting for the
+    wire to empty first — under *ops*, with the link fast gate *fast* and
+    recycled packets poisoned.  Every delivery looks its target up when it
+    fires, so the batch/per-packet timing choice must be unobservable."""
+    from repro.netsim.link import Link
+    from repro.netsim.packet import PACKET_POOL
+    from repro.transport.stack import attach_stack
+    from tests.test_nat_device import build
+
+    prior = Link.fast_path_enabled, PACKET_POOL.debug_poison
+    Link.fast_path_enabled, PACKET_POOL.debug_poison = fast, True
+    try:
+        net, nat, client, server = build(seed=5)
+        backbone = net.links["backbone"]
+        arrivals, extra_ips = [], []
+
+        def bind_echo():
+            echo = server.stack.udp.socket(1234)
+            echo.on_datagram = lambda d, src: (
+                arrivals.append((net.now, "S", d, str(src))), echo.sendto(d, src))
+            return echo
+
+        echo = bind_echo()
+        sock = client.stack.udp.socket(4321)
+        sock.on_datagram = lambda d, src: arrivals.append((net.now, "C", d, str(src)))
+        for n, op in enumerate(ops):
+            if op[0] == "send":
+                ip = extra_ips[-1] if op[2] and extra_ips else "18.181.0.31"
+                for k in range(op[1]):
+                    sock.sendto(b"%d.%d" % (n, k), Endpoint(ip, 1234))
+            elif op[0] == "advance":
+                net.run_until(net.now + op[1])
+            elif op[0] == "close" and echo is not None:
+                echo.close()
+                echo = None
+            elif op[0] == "rebind" and echo is None and server.stack is not None:
+                echo = bind_echo()
+            elif op[0] == "detach" and server.stack is not None:
+                server.stack.detach()
+                echo = None
+            elif op[0] == "attach" and server.stack is None:
+                attach_stack(server, rng=net.rng.child("s%d" % n))
+            elif op[0] == "iface":
+                extra_ips.append("18.181.1.%d" % (len(extra_ips) + 1))
+                server.add_interface("eth%d" % len(extra_ips), extra_ips[-1],
+                                     "18.181.1.0/24", backbone)
+            elif op[0] == "host":
+                attach_stack(net.add_host("H%d" % n, ip="18.181.2.%d" % (n + 1),
+                                          network="0.0.0.0/0", link=backbone))
+        net.run_until(net.now + 1.0)
+        return {
+            "arrivals": arrivals,
+            "events_fired": net.scheduler.events_fired,
+            "nat": (nat.translations_out, nat.translations_in,
+                    nat.packets_received, nat.packets_dropped, nat.drops_by_reason),
+            "links": {name: (link.packets_sent, link.bytes_sent, link.packets_dropped)
+                      for name, link in net.links.items()},
+            "nodes": {name: (node.packets_received, node.packets_dropped)
+                      for name, node in net.nodes.items()},
+            "stacks": {name: (node.stack.udp.datagrams_sent,
+                              node.stack.udp.datagrams_received,
+                              node.stack.udp.packets_dropped)
+                       for name, node in net.nodes.items()
+                       if getattr(node, "stack", None) is not None},
+        }
+    finally:
+        Link.fast_path_enabled, PACKET_POOL.debug_poison = prior
+
+
+@given(st.lists(binding_ops, max_size=40))
+@example([("send", 4, False), ("advance", 0.011), ("close",), ("advance", 0.011),
+          ("send", 2, False), ("rebind",), ("advance", 0.025), ("send", 3, False),
+          ("advance", 0.011), ("detach",), ("advance", 0.011), ("attach",),
+          ("send", 2, False), ("advance", 0.025), ("rebind",), ("send", 2, False),
+          ("iface",), ("send", 2, True), ("host",), ("advance", 0.011),
+          ("send", 1, False)])
+@settings(max_examples=60, deadline=None)
+def test_binding_churn_in_flight_is_route_independent(ops):
+    """Socket close/rebind, stack detach/attach, a new interface and a new
+    host on the segment, all with packets on the wire: batched and
+    per-packet delivery give identical arrivals, counters and event count."""
+    assert _drive_binding_churn(ops, fast=True) == _drive_binding_churn(ops, fast=False)
