@@ -167,16 +167,19 @@ def _counting_calls():
     """Count Python-level calls under a ``sys.setprofile`` hook.
 
     Yields ``(calls, edges)``: calls per callee code object, and per
-    ``(caller code, callee code)`` pair.  Counts, not clocks — the same on a
-    laptop and on a shared CI runner.
+    ``(caller code, callee code)`` pair.  Calls into C show up in ``edges``
+    only, as ``(caller code, qualified name)`` — ``"Struct.pack"``.  Counts,
+    not clocks — the same on a laptop and on a shared CI runner.
     """
     calls, edges = collections.Counter(), collections.Counter()
 
-    def hook(frame, event, _arg):
+    def hook(frame, event, arg):
         if event == "call":
             calls[frame.f_code] += 1
             if frame.f_back is not None:
                 edges[frame.f_back.f_code, frame.f_code] += 1
+        elif event == "c_call":
+            edges[frame.f_code, arg.__qualname__] += 1
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -233,6 +236,72 @@ def test_survey_route_cost_guard():
         fleet.run_fleet(specs, seed=7, workers=1, cache=False)
     assert calls[fingerprint.canonical_json.__code__] == len(distinct)
     assert len(distinct) < sum(spec.population for spec in specs) / 4
+
+
+def test_session_route_cost_guard():
+    """The session route stays off the per-message re-derivations PR 17 removed.
+
+    On one established pair pushing 4 KiB writes, an ACK costs the same
+    number of Python frames with 64 segments in flight as with 4 (the
+    retransmit queue pops its acknowledged prefix; the filter it replaced
+    walked every entry, four frames each), TCP demux hashes and compares
+    ints (no ``Endpoint.__hash__`` / ``__eq__`` frame under
+    ``handle_packet``), ``tcp_packet`` runs no dataclass ``__init__`` /
+    ``__post_init__``, and a ``SessionData`` crosses the codec in one
+    ``Struct.pack`` and one ``Struct.unpack_from``.
+    """
+    from repro.core import protocol
+    from repro.netsim.packet import Packet, TcpHeader
+    from repro.transport.tcp import TcpConnection, TcpStack
+    from tests.conftest import make_lan_pair, run_until
+
+    def drain(in_flight: int):
+        net, a, b = make_lan_pair(seed=3)
+        accepted = []
+        b.stack.tcp.listen(80, on_accept=accepted.append)
+        client = a.stack.tcp.connect(Endpoint("192.0.2.2", 80))
+        run_until(net, lambda: accepted and client.established)
+        chunk = bytes(4096)
+        for _ in range(in_flight):
+            client.send(chunk)
+        assert len(client._queue) == in_flight
+        with _counting_calls() as (calls, edges):
+            net.run_until(net.now + 5)
+        assert not client._queue and accepted[0].bytes_received == in_flight * len(chunk)
+        # Data segments carry ACK too, so both ends process one per segment.
+        assert calls[TcpConnection._ack_queue.__code__] == 2 * in_flight
+        return calls, edges
+
+    few, _ = drain(4)
+    calls, edges = drain(64)
+    per_ack_few = sum(few.values()) / 4
+    per_ack_many = sum(calls.values()) / 64
+    # Equal but for the run's fixed frames, which spread over fewer ACKs in
+    # the short run; walking the queue would add ~130 frames to the long one.
+    assert abs(per_ack_many - per_ack_few) <= 4
+
+    demux = TcpStack.handle_packet.__code__
+    assert calls[demux] == 2 * 64
+    assert edges[demux, Endpoint.__hash__.__code__] == 0
+    assert edges[demux, Endpoint.__eq__.__code__] == 0
+    for dataclass_frame in (Packet.__init__, Packet.__post_init__, TcpHeader.__init__):
+        assert calls[dataclass_frame.__code__] == 0
+
+    def struct_calls(edges):
+        found = collections.Counter()
+        for (_caller, callee), n in edges.items():
+            if isinstance(callee, str) and callee.startswith("Struct."):
+                found[callee] += n
+        return found
+
+    message = protocol.SessionData(sender=7, receiver=9, nonce=2**40 + 5, payload=b"d" * 512)
+    with _counting_calls() as (_calls, edges):
+        wire = protocol.encode(message)
+    assert struct_calls(edges) == {"Struct.pack": 1}
+    with _counting_calls() as (_calls, edges):
+        decoded = protocol.decode(wire)
+    assert struct_calls(edges) == {"Struct.unpack_from": 1}
+    assert decoded == message
 
 
 def test_private_port_conflict_check_scales_flat():

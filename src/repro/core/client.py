@@ -73,6 +73,11 @@ StreamHandler = Callable[[TcpStream], None]
 FailureHandler = Callable[[Exception], None]
 _Claimant = Callable[[TcpStream, Hello], None]
 
+#: What peers send each other over UDP (punch probes and session traffic, the
+#: per-datagram bulk of an established session); everything else the UDP
+#: socket receives is rendezvous control.
+_PEER_MESSAGES = frozenset((Punch, PunchAck, SessionData, SessionKeepalive, SessionClose))
+
 #: How long an accepted-but-unclaimed authenticated stream is parked before
 #: being dropped (covers Hello racing ahead of the endpoint exchange).
 PARK_GRACE = 5.0
@@ -114,6 +119,7 @@ class PeerClient:
         else:
             raise ReproError("PeerClient needs a server endpoint (or servers list)")
         self.host = host
+        self.scheduler = host.scheduler
         self.client_id = client_id
         #: The rendezvous server currently in use; a ServerFailover manager
         #: rewrites this on migration, and every send path reads it live.
@@ -199,10 +205,6 @@ class PeerClient:
             self.failover = ServerFailover(self, server_list, failover_config)
 
     # -- conveniences ------------------------------------------------------------
-
-    @property
-    def scheduler(self):
-        return self.host.scheduler
 
     @property
     def tcp_stack(self):
@@ -368,7 +370,9 @@ class PeerClient:
         if message is None:
             self.stray_messages += 1
             return
-        if isinstance(message, Registered):
+        if type(message) in _PEER_MESSAGES:
+            self._route_peer_message(message, src)
+        elif isinstance(message, Registered):
             self._udp_registered(message)
         elif isinstance(message, KeepaliveAck):
             if message.client_id == self.client_id and self.failover is not None:
@@ -376,8 +380,6 @@ class PeerClient:
         elif isinstance(message, PeerEndpoints):
             if message.transport == TRANSPORT_UDP:
                 self._udp_endpoint_exchange(message)
-        elif isinstance(message, (Punch, PunchAck, SessionData, SessionKeepalive, SessionClose)):
-            self._route_peer_message(message, src)
         elif isinstance(message, RelayPayload):
             self._route_relay(message, TRANSPORT_UDP)
         elif isinstance(message, RelayError):

@@ -20,105 +20,135 @@ Over TCP, messages are framed with a u16 big-endian length prefix; use
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type
 
 from repro.netsim.addresses import Endpoint
-from repro.util.errors import AddressError, ProtocolError
+from repro.util.errors import ProtocolError
 
 MAGIC = 0x5A
 VERSION = 1
 FLAG_OBFUSCATED = 0x01
 
 HEADER = struct.Struct("!BBBB")
-U32 = struct.Struct("!I")
-U64 = struct.Struct("!Q")
 U16 = struct.Struct("!H")
 
 #: Transport selector carried in connect requests.
 TRANSPORT_UDP = 0
 TRANSPORT_TCP = 1
 
-
-def _pack_endpoint(ep: Endpoint, obfuscate: bool) -> bytes:
-    return (ep.obfuscated() if obfuscate else ep).pack()
-
-
-def _unpack_endpoint(data: bytes, obfuscated: bool) -> Endpoint:
-    ep = Endpoint.unpack(data)
-    return ep.obfuscated() if obfuscated else ep
+#: ``_layout`` kind -> struct format of its fixed-size wire encoding.  An
+#: endpoint is the address word plus the port; ``bytes`` has no fixed part.
+_WIRE_FORMATS = {"u8": "B", "u16": "H", "u32": "I", "u64": "Q", "ep": "IH"}
 
 
 @dataclass
 class Message:
     """Base class; concrete messages define TYPE and a field layout.
 
-    Field layout conventions (``_layout`` tuples): ``("name", "u8"|"u32"|
-    "u64"|"ep"|"bytes")``.  ``bytes`` must be last (consumes the remainder).
+    Field layout conventions (``_layout`` tuples): ``("name", "u8"|"u16"|
+    "u32"|"u64"|"ep"|"bytes")``, in dataclass field order.  ``bytes`` must
+    be last (consumes the remainder).  :func:`_register` compiles the layout
+    into the class's codec, ``_pack`` / ``_unpack``; every encode and decode
+    entry point in this module runs on those two functions.
     """
 
     TYPE: ClassVar[int] = 0
     _layout: ClassVar[Tuple[Tuple[str, str], ...]] = ()
+    #: ``message._pack(obfuscate)`` -> header + body.
+    _pack: ClassVar[Callable[..., bytes]]
+    #: ``cls._unpack(data)`` -> message, from a whole encoding whose magic,
+    #: version and type have been checked.
+    _unpack: ClassVar[Callable[[bytes], "Message"]]
 
     def pack_body(self, obfuscate: bool) -> bytes:
-        parts: List[bytes] = []
-        for name, kind in self._layout:
-            value = getattr(self, name)
-            if kind == "u8":
-                parts.append(struct.pack("!B", value))
-            elif kind == "u16":
-                parts.append(U16.pack(value))
-            elif kind == "u32":
-                parts.append(U32.pack(value))
-            elif kind == "u64":
-                parts.append(U64.pack(value))
-            elif kind == "ep":
-                parts.append(_pack_endpoint(value, obfuscate))
-            elif kind == "bytes":
-                parts.append(bytes(value))
-            else:  # pragma: no cover - layout typo guard
-                raise ProtocolError(f"unknown layout kind {kind!r}")
-        return b"".join(parts)
+        return self._pack(obfuscate)[HEADER.size :]
 
     @classmethod
     def unpack_body(cls, body: bytes, obfuscated: bool) -> "Message":
-        values = {}
-        offset = 0
-        for name, kind in cls._layout:
-            try:
-                if kind == "u8":
-                    values[name] = body[offset]
-                    offset += 1
-                elif kind == "u16":
-                    values[name] = U16.unpack_from(body, offset)[0]
-                    offset += 2
-                elif kind == "u32":
-                    values[name] = U32.unpack_from(body, offset)[0]
-                    offset += 4
-                elif kind == "u64":
-                    values[name] = U64.unpack_from(body, offset)[0]
-                    offset += 8
-                elif kind == "ep":
-                    values[name] = _unpack_endpoint(body[offset : offset + 6], obfuscated)
-                    offset += 6
-                elif kind == "bytes":
-                    values[name] = body[offset:]
-                    offset = len(body)
-            except (struct.error, IndexError, AddressError) as exc:
-                raise ProtocolError(f"truncated {cls.__name__} body") from exc
-        if offset != len(body):
-            raise ProtocolError(
-                f"{cls.__name__}: {len(body) - offset} trailing bytes"
-            )
-        return cls(**values)
+        flags = FLAG_OBFUSCATED if obfuscated else 0
+        return cls._unpack(HEADER.pack(MAGIC, VERSION, cls.TYPE, flags) + body)
 
 
 _REGISTRY: Dict[int, Type[Message]] = {}
+
+#: What :func:`_compile` generates per message class.  ``pack`` /
+#: ``unpack_from`` belong to the class's one ``struct.Struct`` (header plus
+#: every fixed-size field); an endpoint occupies two of its slots, the
+#: address word — XORed with ``mask`` to apply / remove the one's complement
+#: — and the port; a trailing ``bytes`` field is appended / sliced off.
+_CODEC_SOURCE = """\
+def _pack(m, obfuscate):
+    mask = 0xFFFFFFFF if obfuscate else 0
+    return pack({magic}, {version}, {type}, {flag} if obfuscate else 0{pack_args}){pack_tail}
+
+def _unpack(data):
+    if len(data) {size_test} {size}:
+        raise _wrong_size({label!r}, len(data) - {size})
+    _, _, _, flags{unpack_names} = unpack_from(data)
+    mask = 0xFFFFFFFF if flags & {flag} else 0
+    return cls({built})
+"""
+
+
+def _wrong_size(label: str, excess: int) -> ProtocolError:
+    if excess < 0:
+        return ProtocolError(f"truncated {label} body")
+    return ProtocolError(f"{label}: {excess} trailing bytes")
+
+
+def _compile(cls: Type[Message]) -> None:
+    """Compile ``cls._layout`` into the straight-line ``_pack`` / ``_unpack``
+    pair of :data:`_CODEC_SOURCE`, once, when the class registers."""
+    layout = cls._layout
+    if [name for name, _ in layout] != [f.name for f in fields(cls)]:
+        raise ProtocolError(f"{cls.__name__}: _layout order differs from the dataclass fields")
+    if any(kind == "bytes" for _, kind in layout[:-1]):
+        raise ProtocolError(f"{cls.__name__}: a bytes field must be last")
+    tail = layout[-1][0] if layout and layout[-1][1] == "bytes" else None
+    fixed = layout[:-1] if tail else layout
+    wire = struct.Struct(HEADER.format + "".join(_WIRE_FORMATS[kind] for _, kind in fixed))
+    pack_args, unpack_names, built = [], [], []
+    for name, kind in fixed:
+        if kind == "ep":
+            pack_args += [f"m.{name}.ip._value ^ mask", f"m.{name}.port"]
+            unpack_names += [f"{name}_ip", f"{name}_port"]
+            built.append(f"Endpoint({name}_ip ^ mask, {name}_port)")
+        else:
+            pack_args.append(f"m.{name}")
+            unpack_names.append(name)
+            built.append(name)
+    if tail:
+        built.append(f"data[{wire.size}:]")
+    source = _CODEC_SOURCE.format(
+        magic=MAGIC,
+        version=VERSION,
+        type=cls.TYPE,
+        flag=FLAG_OBFUSCATED,
+        label=cls.__name__,
+        size=wire.size,
+        size_test="<" if tail else "!=",
+        pack_args="".join(f", {arg}" for arg in pack_args),
+        pack_tail=f" + bytes(m.{tail})" if tail else "",
+        unpack_names="".join(f", {name}" for name in unpack_names),
+        built=", ".join(built),
+    )
+    namespace = {
+        "pack": wire.pack,
+        "unpack_from": wire.unpack_from,
+        "cls": cls,
+        "Endpoint": Endpoint,
+        "_wrong_size": _wrong_size,
+    }
+    exec(compile(source, f"<{cls.__name__} wire codec>", "exec"), namespace)
+    cls._pack = namespace["_pack"]
+    cls._unpack = staticmethod(namespace["_unpack"])
 
 
 def _register(cls: Type[Message]) -> Type[Message]:
     if cls.TYPE in _REGISTRY:  # pragma: no cover - development guard
         raise ProtocolError(f"duplicate message type 0x{cls.TYPE:02x}")
+    _compile(cls)
     _REGISTRY[cls.TYPE] = cls
     return cls
 
@@ -658,23 +688,21 @@ class SeqReady(Message):
 
 def encode(message: Message, obfuscate: bool = False) -> bytes:
     """Serialize *message* (header + body)."""
-    flags = FLAG_OBFUSCATED if obfuscate else 0
-    return HEADER.pack(MAGIC, VERSION, message.TYPE, flags) + message.pack_body(obfuscate)
+    return message._pack(obfuscate)
 
 
 def decode(data: bytes) -> Message:
     """Parse one message; raises ProtocolError on garbage (stray traffic)."""
     if len(data) < HEADER.size:
         raise ProtocolError(f"short message ({len(data)} bytes)")
-    magic, version, msg_type, flags = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic 0x{magic:02x}")
-    if version != VERSION:
-        raise ProtocolError(f"unsupported version {version}")
-    cls = _REGISTRY.get(msg_type)
+    if data[0] != MAGIC:
+        raise ProtocolError(f"bad magic 0x{data[0]:02x}")
+    if data[1] != VERSION:
+        raise ProtocolError(f"unsupported version {data[1]}")
+    cls = _REGISTRY.get(data[2])
     if cls is None:
-        raise ProtocolError(f"unknown message type 0x{msg_type:02x}")
-    return cls.unpack_body(data[HEADER.size :], bool(flags & FLAG_OBFUSCATED))
+        raise ProtocolError(f"unknown message type 0x{data[2]:02x}")
+    return cls._unpack(data)
 
 
 def try_decode(data: bytes) -> Optional[Message]:

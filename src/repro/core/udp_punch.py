@@ -103,7 +103,8 @@ class UdpSession:
         self.nonce = nonce
         self.remote = remote
         self.config = config
-        self.established_at = client.scheduler.now
+        self._scheduler = client.scheduler
+        self.established_at = self._scheduler.now
         self.on_data: Optional[Callable[[bytes], None]] = None
         self.on_broken: Optional[Callable[[], None]] = None
         self.on_repunched: Optional[Callable[["UdpSession"], None]] = None
@@ -141,7 +142,7 @@ class UdpSession:
         if self.closed:
             raise TimeoutError_("send on closed UDP session")
         self.bytes_sent += len(payload)
-        self._last_outbound = self.client.scheduler.now
+        self._last_outbound = self._scheduler._now
         self.client._send_peer(
             SessionData(
                 sender=self.client.client_id,
@@ -183,14 +184,14 @@ class UdpSession:
     # -- keepalives (§3.6) -----------------------------------------------------------
 
     def _schedule_keepalive(self) -> None:
-        self._keepalive_timer = self.client.scheduler.call_later(
+        self._keepalive_timer = self._scheduler.call_later(
             self.config.keepalive_interval, self._keepalive_tick
         )
 
     def _keepalive_tick(self) -> None:
         if self.closed:
             return
-        now = self.client.scheduler.now
+        now = self._scheduler.now
         silent_for = now - self._last_inbound
         if silent_for > self.config.keepalive_interval * self.config.broken_after_missed:
             self._mark_broken()
@@ -229,17 +230,16 @@ class UdpSession:
     # -- inbound ------------------------------------------------------------------
 
     def _handle(self, message, src: Endpoint) -> None:
-        self._last_inbound = self.client.scheduler.now
-        if isinstance(message, SessionClose):
-            callback = self.on_closed_by_peer
-            self.close()
-            if callback is not None:
-                callback()
-            return
+        self._last_inbound = self._scheduler._now
         if isinstance(message, SessionData):
             self.bytes_received += len(message.payload)
             if self.on_data is not None:
                 self.on_data(message.payload)
+        elif isinstance(message, SessionClose):
+            callback = self.on_closed_by_peer
+            self.close()
+            if callback is not None:
+                callback()
         elif isinstance(message, Punch):
             # Peer re-punching (perhaps it saw the session die): ack so it
             # can re-lock quickly.
@@ -254,7 +254,7 @@ class UdpSession:
         elif isinstance(message, SessionKeepalive):
             # Echo a keepalive if we have been quiet: the sender needs an
             # answer to distinguish "peer idle" from "hole dead" (§3.6).
-            now = self.client.scheduler.now
+            now = self._scheduler.now
             if now - self._last_outbound >= self.config.keepalive_interval / 2:
                 self._last_outbound = now
                 self.keepalives_sent += 1

@@ -377,12 +377,13 @@ class Link:
             return True
         if not self._wire_one(packet, sender, receiver, 0.0, dup=False):
             return False
-        if self.profile.duplicate and self._rng.chance(self.profile.duplicate):
+        profile = self._profile
+        if profile.duplicate and self._rng.chance(profile.duplicate):
             # A duplicated datagram trails its original by one extra latency
             # and is charged/checked like any other wire packet: it takes its
             # own loss and burst draws, pays the serialization charge, and
             # can tail-drop — a duplicate is not exempt from the link model.
-            self._wire_one(packet, sender, receiver, self.profile.latency, dup=True)
+            self._wire_one(packet, sender, receiver, profile.latency, dup=True)
         return True
 
     def _wire_one(
@@ -494,12 +495,13 @@ class Link:
     def _ge_burst_drops(self, packet: Packet) -> bool:
         """Advance the Gilbert-Elliott two-state chain one packet and report
         whether the bad state claims this packet."""
+        profile = self._profile
         if self._ge_bad:
-            if self._rng.chance(self.profile.burst_exit):
+            if self._rng.chance(profile.burst_exit):
                 self._ge_bad = False
-        elif self._rng.chance(self.profile.burst_enter):
+        elif self._rng.chance(profile.burst_enter):
             self._ge_bad = True
-        return self._ge_bad and self._rng.chance(self.profile.burst_loss)
+        return self._ge_bad and self._rng.chance(profile.burst_loss)
 
     def _schedule_delivery(
         self, packet: Packet, sender: "Node", receiver: "Node", delay: float

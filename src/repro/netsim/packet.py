@@ -387,14 +387,30 @@ def tcp_packet(
     ack: int = 0,
     payload: bytes = b"",
 ) -> Packet:
-    """Convenience constructor for a TCP segment."""
-    return Packet(
-        proto=IpProtocol.TCP,
-        src=src,
-        dst=dst,
-        payload=payload,
-        tcp=TcpHeader(flags=flags, seq=seq % (1 << 32), ack=ack % (1 << 32)),
-    )
+    """Convenience constructor for a TCP segment.
+
+    Built like :func:`udp_packet` — straight into ``__new__``, because the
+    TCP send path creates one packet per segment and a TCP packet with a
+    header and no ICMP body satisfies ``__post_init__`` by construction —
+    except that it never draws from :data:`PACKET_POOL`: which carcasses the
+    pool hands out and takes back stays a property of the UDP and NAT paths.
+    """
+    header = object.__new__(TcpHeader)
+    header.flags = flags
+    header.seq = seq % (1 << 32)
+    header.ack = ack % (1 << 32)
+    packet = object.__new__(Packet)
+    packet.gen = 0
+    packet.proto = IpProtocol.TCP
+    packet.src = src
+    packet.dst = dst
+    packet.payload = payload
+    packet.tcp = header
+    packet.icmp = None
+    packet.ttl = DEFAULT_TTL
+    packet.packet_id = next(_packet_ids)
+    packet.flow = None
+    return packet
 
 
 def icmp_error_for(offender: Packet, icmp_type: IcmpType, reporter_ip) -> Packet:

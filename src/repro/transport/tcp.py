@@ -38,7 +38,7 @@ TIME_WAIT shortened to 1 s of virtual time.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
@@ -59,6 +59,7 @@ from repro.util.errors import BindError, ConnectionError_
 from repro.util.rng import SeededRng
 
 SEQ_MOD = 1 << 32
+_SEQ_HALF = 1 << 31
 
 #: Initial SYN retransmission timeout (paper §4.2 step 4 suggests ~1 s retry).
 SYN_RTO = 1.0
@@ -82,7 +83,7 @@ def seq_diff(a: int, b: int) -> int:
 
 
 def seq_ge(a: int, b: int) -> bool:
-    return seq_diff(a, b) < (1 << 31)
+    return seq_diff(a, b) < _SEQ_HALF
 
 
 class TcpState(enum.Enum):
@@ -116,20 +117,15 @@ class _SegmentKind(enum.Enum):
 
 
 class _QueuedSegment:
-    __slots__ = ("kind", "seq", "payload", "tries")
+    __slots__ = ("kind", "seq", "payload", "tries", "length")
 
     def __init__(self, kind: _SegmentKind, seq: int, payload: bytes = b"") -> None:
         self.kind = kind
         self.seq = seq
         self.payload = payload
         self.tries = 0
-
-    @property
-    def length(self) -> int:
-        """Sequence space consumed."""
-        if self.kind is _SegmentKind.DATA:
-            return len(self.payload)
-        return 1  # SYN and FIN each consume one sequence number
+        #: Sequence space consumed: SYN and FIN each take one number.
+        self.length = len(payload) if kind is _SegmentKind.DATA else 1
 
 
 ConnectedHandler = Callable[["TcpConnection"], None]
@@ -171,7 +167,7 @@ class TcpConnection:
         self.on_error: Optional[ErrorHandler] = None
         self.on_data: Optional[DataHandler] = None
         self.on_close: Optional[CloseHandler] = None
-        # retransmission
+        # retransmission: unacknowledged segments in ``snd_nxt`` order
         self._queue: List[_QueuedSegment] = []
         self._rtx_timer: Optional[Timer] = None
         # reassembly
@@ -321,6 +317,8 @@ class TcpConnection:
             self._time_wait_timer.cancel()
         previous = self.state
         self.state = TcpState.CLOSED
+        if self.listener is not None:
+            self.listener._half_open.discard(self)
         self.stack._remove_connection(self)
         if notify_close and previous is not TcpState.CLOSED and self.on_close is not None:
             self.on_close()
@@ -349,6 +347,8 @@ class TcpConnection:
     def _become_established(self) -> None:
         self.stack._count_syn_outcome("connected")
         self.state = TcpState.ESTABLISHED
+        if self.listener is not None:
+            self.listener._half_open.discard(self)
         pending, self._pending_send = self._pending_send, []
         for chunk in pending:
             self._transmit_data(chunk)
@@ -457,24 +457,31 @@ class TcpConnection:
         if packet.payload:
             self._receive_data(header.seq, packet.payload)
         if bits & FIN_BIT:
-            self._receive_fin(header)
+            # The FIN sits after any bytes the segment carries (RFC 793).
+            self._receive_fin(seq_add(header.seq, len(packet.payload)))
 
     def _segment_in_time_wait(self, packet: Packet) -> None:
         if packet.tcp.has(TcpFlags.FIN):
             self._send_flags(TcpFlags.ACK)
 
     def _ack_queue(self, ack: int) -> None:
-        if not seq_ge(ack, self.snd_una):
+        if (ack - self.snd_una) % SEQ_MOD >= _SEQ_HALF:
             return
         self.snd_una = ack
-        before = len(self._queue)
-        self._queue = [
-            e for e in self._queue if not seq_ge(ack, seq_add(e.seq, e.length))
-        ]
-        if len(self._queue) != before:
+        # Entries were queued in ``snd_nxt`` order, so the ones a cumulative
+        # ACK covers (``seq_ge(ack, seq + length)``) are a prefix, and the
+        # scan can stop at the first survivor.
+        queue = self._queue
+        covered = 0
+        for entry in queue:
+            if (ack - entry.seq - entry.length) % SEQ_MOD >= _SEQ_HALF:
+                break
+            covered += 1
+        if covered:
+            del queue[:covered]
             self._cancel_rtx_timer()
             self._arm_rtx_timer()
-        if not self._queue:
+        if not queue:
             self._on_all_acked()
 
     def _on_all_acked(self) -> None:
@@ -507,8 +514,7 @@ class TcpConnection:
         if self.on_data is not None:
             self.on_data(payload)
 
-    def _receive_fin(self, header) -> None:
-        fin_seq = seq_add(header.seq, 0)
+    def _receive_fin(self, fin_seq: int) -> None:
         if self.rcv_nxt is None or fin_seq != self.rcv_nxt:
             return  # FIN not yet in order
         self.rcv_nxt = seq_add(self.rcv_nxt, 1)
@@ -566,6 +572,8 @@ class TcpListener:
         self.on_accept = on_accept
         self.closed = False
         self._accept_queue: List[TcpConnection] = []
+        #: Children spawned by this listener that are still in SYN_RCVD.
+        self._half_open: Set[TcpConnection] = set()
         self.accepted_count = 0
 
     def _deliver(self, conn: TcpConnection) -> None:
@@ -582,11 +590,8 @@ class TcpListener:
 
     @property
     def pending(self) -> int:
-        return sum(
-            1
-            for c in self.stack.connections
-            if c.listener is self and c.state is TcpState.SYN_RCVD
-        )
+        """Half-open (SYN_RCVD) connections this listener spawned."""
+        return len(self._half_open)
 
     def close(self) -> None:
         if self.closed:
@@ -644,7 +649,10 @@ class TcpStack:
         #: sequential hole punching variant.
         self.simultaneous_open_supported = simultaneous_open_supported
         self._rng = rng or SeededRng(0, f"tcp/{host.name}")
-        self._connections: Dict[Tuple[Endpoint, Endpoint], TcpConnection] = {}
+        #: Keyed on ``(local._key, remote._key)``: plain ints hash and compare
+        #: in C, where Endpoint keys cost a Python ``__hash__`` per half and,
+        #: for a NAT-rewritten (equal but not identical) endpoint, ``__eq__``.
+        self._connections: Dict[Tuple[int, int], TcpConnection] = {}
         self._listeners: Dict[int, TcpListener] = {}
         self._ports: Dict[int, _PortBinding] = {}
         self._next_ephemeral = 49152
@@ -768,7 +776,7 @@ class TcpStack:
         """
         local_port = self._bind_port(local_port, reuse)
         local = Endpoint(self.host.primary_ip, local_port)
-        key = (local, remote)
+        key = (local._key, remote._key)
         if key in self._connections:
             self._release_port(local_port)
             raise ConnectionError_(
@@ -789,8 +797,7 @@ class TcpStack:
 
     def handle_packet(self, packet: Packet) -> None:
         header = packet.tcp
-        key = (packet.dst, packet.src)
-        conn = self._connections.get(key)
+        conn = self._connections.get((packet.dst._key, packet.src._key))
         if conn is not None:
             if header.is_syn_only and conn.state is TcpState.SYN_SENT:
                 if (
@@ -838,7 +845,8 @@ class TcpStack:
             listener=listener,
         )
         self._bind_port_internal(local.port)  # kernel-spawned: bypasses REUSE check
-        self._connections[(local, syn.src)] = conn
+        self._connections[(local._key, syn.src._key)] = conn
+        listener._half_open.add(conn)
         conn._begin_passive_open(syn)
 
     def _listen_preferred_takeover(self, active: TcpConnection, syn: Packet) -> None:
@@ -874,14 +882,16 @@ class TcpStack:
         self.host.send(rst)
 
     def handle_icmp(self, error: IcmpError) -> None:
-        conn = self._connections.get((error.original_src, error.original_dst))
+        conn = self._connections.get(
+            (error.original_src._key, error.original_dst._key)
+        )
         if conn is not None:
             conn._icmp_error(error)
 
     # -- bookkeeping ----------------------------------------------------------------
 
     def _remove_connection(self, conn: TcpConnection) -> None:
-        key = (conn.local, conn.remote)
+        key = (conn.local._key, conn.remote._key)
         if self._connections.get(key) is conn:
             del self._connections[key]
             self._release_port(conn.local.port)

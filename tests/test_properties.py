@@ -472,3 +472,97 @@ def test_binding_churn_in_flight_is_route_independent(ops):
     host on the segment, all with packets on the wire: batched and
     per-packet delivery give identical arrivals, counters and event count."""
     assert _drive_binding_churn(ops, fast=True) == _drive_binding_churn(ops, fast=False)
+
+
+# -- TCP: the cumulative-ACK prefix pop against the filter it replaced ---------
+
+def _filtering_ack_queue(self, ack):
+    """``TcpConnection._ack_queue`` as it was: every queued entry filtered
+    through ``seq_ge(ack, end)`` on every ACK.  Kept as the reference."""
+    if not seq_ge(ack, self.snd_una):
+        return
+    self.snd_una = ack
+    before = len(self._queue)
+    self._queue = [
+        e for e in self._queue if not seq_ge(ack, seq_add(e.seq, e.length))
+    ]
+    if len(self._queue) != before:
+        self._cancel_rtx_timer()
+        self._arm_rtx_timer()
+    if not self._queue:
+        self._on_all_acked()
+
+
+def _connection_with_queue(iss, syn, sizes, fin, state):
+    """A connection whose retransmit queue holds [SYN] DATA* [FIN], queued the
+    way the send paths queue them (in ``snd_nxt`` order), RTO timer armed."""
+    from repro.transport.tcp import TcpConnection, _QueuedSegment, _SegmentKind
+    from tests.conftest import make_lan_pair
+
+    net, a, _b = make_lan_pair()
+    stack = a.stack.tcp
+    conn = TcpConnection(stack, Endpoint("192.0.2.1", 4000), Endpoint("192.0.2.9", 80),
+                         iss=iss, passive=False)
+    stack._connections[(conn.local._key, conn.remote._key)] = conn
+    stack._bind_port_internal(conn.local.port)
+    conn.rcv_nxt = 1
+    kinds = ([_SegmentKind.SYN] if syn else []) + [_SegmentKind.DATA] * len(sizes)
+    kinds += [_SegmentKind.FIN] if fin else []
+    payloads = ([b""] if syn else []) + [bytes(size) for size in sizes] + ([b""] if fin else [])
+    for kind, payload in zip(kinds, payloads):
+        entry = _QueuedSegment(kind, conn.snd_nxt, payload)
+        entry.tries = 1
+        conn._queue.append(entry)
+        conn.snd_nxt = seq_add(conn.snd_nxt, entry.length)
+    conn.state = state
+    conn._arm_rtx_timer()
+    return net, conn
+
+
+def _ack_observables(net, conn):
+    timer = conn._rtx_timer
+    return (
+        [(e.kind, e.seq, e.length) for e in conn._queue],
+        conn.snd_una,
+        conn.state,
+        None if timer is None else (timer.when, timer.active),
+        net.scheduler.events_cancelled,
+        conn._time_wait_timer is not None,
+        len(conn.stack.connections),
+    )
+
+
+_closing_states = st.sampled_from(["ESTABLISHED", "FIN_WAIT_1", "CLOSING", "LAST_ACK", "SYN_RCVD"])
+#: An ACK as (queue boundary it refers to, signed byte offset from it): exact,
+#: partial (inside a segment), old (before ``snd_una``), beyond ``snd_nxt``.
+_ack_points = st.tuples(st.integers(0, 9), st.sampled_from([0, 0, 0, -1, 1, -700, 700, -70_000, 70_000]))
+
+
+@given(
+    iss=st.integers(SEQ_MOD - 65_536, SEQ_MOD - 1) | st.integers(0, 65_536),
+    syn=st.booleans(),
+    sizes=st.lists(st.sampled_from([1, 2, 536, 4096, 30_000]), max_size=8),
+    fin=st.booleans(),
+    state=_closing_states,
+    acks=st.lists(_ack_points, min_size=1, max_size=12),
+)
+@example(iss=SEQ_MOD - 10, syn=False, sizes=[4096, 4096], fin=True, state="FIN_WAIT_1",
+         acks=[(1, 0), (1, 0), (2, -1), (0, -1), (3, 0)])  # exact, dup, partial, old, all
+@example(iss=SEQ_MOD - 1, syn=True, sizes=[1], fin=True, state="LAST_ACK", acks=[(3, 0), (3, 0)])
+@example(iss=5, syn=False, sizes=[536] * 8, fin=False, state="CLOSING", acks=[(4, 1), (8, 70_000)])
+@settings(max_examples=150, deadline=None)
+def test_ack_prefix_pop_matches_the_filter_it_replaced(iss, syn, sizes, fin, state, acks):
+    from repro.transport.tcp import TcpState
+
+    state = TcpState[state]
+    net_new, new = _connection_with_queue(iss, syn, sizes, fin, state)
+    net_old, old = _connection_with_queue(iss, syn, sizes, fin, state)
+    boundaries = [new.snd_una] + [seq_add(e.seq, e.length) for e in new._queue]
+    assert _ack_observables(net_new, new) == _ack_observables(net_old, old)
+    for index, offset in acks:
+        ack = seq_add(boundaries[index % len(boundaries)], offset)
+        new._ack_queue(ack)
+        _filtering_ack_queue(old, ack)
+        assert _ack_observables(net_new, new) == _ack_observables(net_old, old)
+        for net in (net_new, net_old):
+            net.run_until(net.now + 0.05)  # re-armed timers sit at distinct deadlines
