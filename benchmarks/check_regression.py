@@ -19,6 +19,11 @@ single-core host omits the parallel timing and marks the record
 multi-core record must carry the parallel timing and speedup.  Both shapes
 pass — an inconsistent mixture fails.
 
+The ``cold_start`` record is gated on its counts, not its times: the number
+of ``repro`` modules an entry point loads in a fresh interpreter is exact on
+any host, so it may not *rise* over the baseline at all (no tolerance), while
+the import wall times are printed for the reader and never fail the job.
+
 Run:  PYTHONPATH=src python benchmarks/check_regression.py \
           --baseline BENCH_perf.json --fresh fresh/BENCH_perf.json
 """
@@ -93,6 +98,35 @@ def fleet_shape_error(fleet: object, label: str) -> Optional[str]:
     return None
 
 
+def cold_start_failures(baseline: object, fresh: object) -> List[str]:
+    """Entry points that load more ``repro`` modules than the baseline says
+    (or vanished from the fresh record); prints one line per entry point."""
+    baseline = baseline if isinstance(baseline, dict) else {}
+    fresh = fresh if isinstance(fresh, dict) else {}
+    failures: List[str] = []
+    for name in sorted(set(baseline) | set(fresh)):
+        if name not in fresh:
+            print(f"[FAIL] cold_start[{name}]: in baseline but missing from fresh record")
+            failures.append(f"cold_start[{name}]")
+            continue
+        new = fresh[name]
+        timing = f"import {new['import_wall_ms']:.0f} ms"
+        if name not in baseline:
+            print(f"[NEW]  cold_start[{name}]: {new['repro_modules']} modules, {timing} "
+                  f"(no baseline to gate against)")
+            continue
+        base = baseline[name]
+        grew = new["repro_modules"] > base["repro_modules"]
+        print(
+            f"[{'FAIL' if grew else 'OK'}] cold_start[{name}]: baseline "
+            f"{base['repro_modules']} -> fresh {new['repro_modules']} modules; {timing} "
+            f"(baseline {base['import_wall_ms']:.0f} ms, not gated)"
+        )
+        if grew:
+            failures.append(f"cold_start[{name}]")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", default="BENCH_perf.json",
@@ -145,6 +179,7 @@ def main(argv=None) -> int:
         else:
             print(f"[FAIL] {error}")
             failures.append(f"table1_fleet[{label}]")
+    failures.extend(cold_start_failures(baseline.get("cold_start"), fresh.get("cold_start")))
     # Adversarial correctness canary: a fresh record carrying the robustness
     # sweep must report hardening holding for every attack family.  This is
     # deliberately not a throughput gate — it asserts the adversarial work
@@ -164,7 +199,8 @@ def main(argv=None) -> int:
     if failures:
         print(
             f"perf regression gate FAILED: {', '.join(failures)} — dropped more "
-            f"than {args.tolerance:.0%} below baseline or malformed record"
+            f"than {args.tolerance:.0%} below baseline, loaded more modules than "
+            f"the baseline, or malformed record"
         )
         return 1
     print("perf regression gate passed")

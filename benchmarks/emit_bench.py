@@ -24,9 +24,12 @@ Records:
     ``dedup_distinct_fingerprints``), the 100k-device
     ``scaled_population`` record, the ``adversarial`` record (forged
     packet injection rate plus the robustness sweep's hardening verdicts),
-    and the ``rendezvous_scale`` record (the sharded registration plane at
+    the ``rendezvous_scale`` record (the sharded registration plane at
     10k/100k/1M peers vs a per-peer-timer baseline; see
-    ``rendezvous_scale.py``).
+    ``rendezvous_scale.py``), and the ``cold_start`` record (per entry point,
+    the ``repro`` modules a fresh interpreter loads — an exact count, which
+    ``check_regression.py`` refuses to let rise — and the import wall time,
+    informational).
 
 Run:  PYTHONPATH=src python benchmarks/emit_bench.py [--quick] [--only NAME]
 """
@@ -39,6 +42,7 @@ import gc
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -597,6 +601,7 @@ def emit_perf(ctx: BenchContext) -> dict:
     record["rendezvous_scale"] = ctx.get(
         "rendezvous_scale", lambda: bench_rendezvous_subprocess(quick=ctx.quick)
     )
+    record["cold_start"] = ctx.get("cold_start", bench_cold_start)
     return record
 
 
@@ -619,6 +624,61 @@ def bench_rendezvous_subprocess(quick: bool = False) -> dict:
         cmd.append("--quick")
     result = subprocess.run(cmd, check=True, capture_output=True, text=True)
     return json.loads(result.stdout)
+
+
+#: Entry point -> the statement a fresh interpreter executes: the package
+#: itself, what ``benchmarks/e2e``'s workloads import first (simulator,
+#: registry, fleet, scenario builder), and the smallest thing a user runs
+#: (``--list`` needs only the behaviour presets).
+COLD_START_ENTRY_POINTS = {
+    "repro": "import repro",
+    "repro.netsim.network": "import repro.netsim.network",
+    "repro.core.registry": "import repro.core.registry",
+    "repro.natcheck.fleet": "import repro.natcheck.fleet",
+    "repro.scenarios.topologies": "import repro.scenarios.topologies",
+    "python -m repro.natcheck --list": (
+        "import contextlib, io, runpy\n"
+        "sys.argv = ['natcheck', '--list']\n"
+        "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        "    runpy.run_module('repro.natcheck', run_name='__main__')"
+    ),
+}
+
+_COLD_START_SCRIPT = """\
+import sys, time
+started = time.perf_counter()
+{statement}
+wall = time.perf_counter() - started
+print(sum(1 for name in sys.modules if name.startswith("repro")), wall)
+"""
+
+
+def bench_cold_start(processes: int = 5) -> dict:
+    """What each entry point costs a fresh interpreter.
+
+    ``repro_modules`` is exact on any host (the package ``__init__`` files
+    export lazily, so it is the entry point's real dependency closure);
+    ``import_wall_ms`` is the median over *processes* fresh interpreters and
+    is recorded for the reader, not gated.
+    """
+    record = {}
+    for entry_point, statement in COLD_START_ENTRY_POINTS.items():
+        script = _COLD_START_SCRIPT.format(statement=statement)
+        counts, walls = set(), []
+        for _ in range(processes):
+            done = subprocess.run(
+                [sys.executable, "-c", script], check=True, capture_output=True, text=True
+            )
+            count, wall = done.stdout.split()
+            counts.add(int(count))
+            walls.append(float(wall))
+        if len(counts) != 1:
+            raise RuntimeError(f"{entry_point}: module count varies between runs: {counts}")
+        record[entry_point] = {
+            "repro_modules": counts.pop(),
+            "import_wall_ms": 1000.0 * statistics.median(walls),
+        }
+    return record
 
 
 # -- driver ------------------------------------------------------------------
@@ -725,6 +785,11 @@ def main(argv=None) -> int:
                 hi=sudp["ci95"][1],
             )
         )
+        cold = perf["cold_start"]
+        print("  cold start: " + "; ".join(
+            f"{name} {cell['repro_modules']} modules {cell['import_wall_ms']:.0f} ms"
+            for name, cell in cold.items()
+        ))
         if args.sensitivity_out:
             with open(args.sensitivity_out, "w") as fh:
                 json.dump(strat, fh, indent=2)

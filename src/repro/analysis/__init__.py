@@ -4,6 +4,9 @@
 :func:`repro.analysis.report.generate_report` returns it as a string.
 """
 
-from repro.analysis.report import ReportSection, generate_report
+from repro import _lazy_exports
 
-__all__ = ["ReportSection", "generate_report"]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "ReportSection": "report",
+    "generate_report": "report",
+})

@@ -11,14 +11,13 @@ baseline / attacked / hardened modes (see :mod:`repro.analysis.robustness`).
 
 import argparse
 
-from repro.analysis.explain import SCENARIOS, render_explanation
-from repro.analysis.report import generate_report
-from repro.analysis.robustness import render_robustness, run_robustness
+from repro.analysis.explain import SCENARIOS  # ``choices=`` needs the names
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(
-        description="Regenerate every table/figure of the hole-punching paper."
+        prog="python -m repro.analysis",
+        description="Regenerate every table/figure of the hole-punching paper.",
     )
     parser.add_argument("--quick", action="store_true",
                         help="skip the 380-device Table 1 fleet")
@@ -39,12 +38,18 @@ def main() -> None:
     args = parser.parse_args()
     try:
         if args.explain:
+            from repro.analysis.explain import render_explanation
+
             print(render_explanation(args.explain, seed=args.seed,
                                      dump_dir=args.dump_dir))
         elif args.robustness:
+            from repro.analysis.robustness import render_robustness, run_robustness
+
             print(render_robustness(
                 run_robustness(seed=args.seed, quick=args.quick)))
         else:
+            from repro.analysis.report import generate_report
+
             print(generate_report(seed=args.seed, quick=args.quick))
     except BrokenPipeError:  # output piped into head etc.
         pass

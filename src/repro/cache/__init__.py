@@ -11,36 +11,20 @@ See ``docs/performance.md`` ("Caching & dedup") for the fingerprint recipe
 and the invalidation rules; :mod:`repro.natcheck.fleet` is the main client.
 """
 
-from repro.cache.fingerprint import (
-    SUITE_PACKAGES,
-    Fingerprint,
-    behavior_fingerprint,
-    canonical_json,
-    canonicalize,
-    hash_sources,
-    mix_seed,
-    suite_sources,
-    suite_version,
-)
-from repro.cache.store import (
-    CACHE_DIR_ENV,
-    RECORD_FORMAT,
-    ResultCache,
-    default_cache_dir,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "Fingerprint",
-    "RECORD_FORMAT",
-    "ResultCache",
-    "SUITE_PACKAGES",
-    "behavior_fingerprint",
-    "canonical_json",
-    "canonicalize",
-    "default_cache_dir",
-    "hash_sources",
-    "mix_seed",
-    "suite_sources",
-    "suite_version",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "CACHE_DIR_ENV": "store",
+    "Fingerprint": "fingerprint",
+    "RECORD_FORMAT": "store",
+    "ResultCache": "store",
+    "SUITE_PACKAGES": "fingerprint",
+    "behavior_fingerprint": "fingerprint",
+    "canonical_json": "fingerprint",
+    "canonicalize": "fingerprint",
+    "default_cache_dir": "store",
+    "hash_sources": "fingerprint",
+    "mix_seed": "fingerprint",
+    "suite_sources": "fingerprint",
+    "suite_version": "fingerprint",
+})

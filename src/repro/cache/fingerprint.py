@@ -28,10 +28,14 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import json
 import zlib
-from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
+
+# ``json`` and ``pathlib`` are imported where they are used: only a payload-memo
+# miss and source hashing need them, and ``pathlib`` drags in ``fnmatch``,
+# ``urllib.parse`` and ``ipaddress``.
+if TYPE_CHECKING:
+    from pathlib import Path
 
 #: Packages (under ``src/repro``) whose sources feed the suite version hash.
 #: These are the layers a NAT Check simulation's outcome can depend on; the
@@ -93,6 +97,8 @@ def canonicalize(obj: object) -> object:
 
 def canonical_json(obj: object) -> str:
     """The canonical wire form: sorted keys, fixed separators, no whitespace."""
+    import json
+
     return json.dumps(canonicalize(obj), sort_keys=True, separators=(",", ":"))
 
 
@@ -150,11 +156,18 @@ def behavior_fingerprint(seed: int = 0, suite: str | None = None, **parts: objec
 # -- suite version hashing ----------------------------------------------------
 
 
-def suite_sources(packages: Sequence[str] = SUITE_PACKAGES) -> List[Path]:
-    """The source files feeding the version hash (sorted, stable order)."""
+def _source_root() -> Path:
+    """The ``repro`` package directory, which the suite packages live under."""
+    from pathlib import Path
+
     import repro
 
-    base = Path(repro.__file__).resolve().parent
+    return Path(repro.__file__).resolve().parent
+
+
+def suite_sources(packages: Sequence[str] = SUITE_PACKAGES) -> List[Path]:
+    """The source files feeding the version hash (sorted, stable order)."""
+    base = _source_root()
     files: List[Path] = []
     for package in packages:
         files.extend(sorted((base / package).rglob("*.py")))
@@ -183,8 +196,5 @@ def suite_version() -> str:
     salt = VERSION_SALT
     cached = _suite_memo.get(salt)
     if cached is None:
-        import repro
-
-        base = Path(repro.__file__).resolve().parent
-        cached = _suite_memo[salt] = hash_sources(suite_sources(), base, salt)
+        cached = _suite_memo[salt] = hash_sources(suite_sources(), _source_root(), salt)
     return cached

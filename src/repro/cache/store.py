@@ -20,12 +20,16 @@ optimisation, not a correctness dependency.
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.cache.fingerprint import Fingerprint
+
+# ``pathlib`` and ``json`` are imported by the methods that use them: a process
+# that imports the fleet but never opens a store (``cache=False``, every packet
+# workload) should not pay for either.
+if TYPE_CHECKING:
+    from pathlib import Path
 
 #: Environment override for the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -36,6 +40,8 @@ RECORD_FORMAT = 1
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
+    from pathlib import Path
+
     raw = os.environ.get(CACHE_DIR_ENV, "").strip()
     if raw:
         return Path(raw).expanduser()
@@ -55,6 +61,8 @@ class ResultCache:
     """
 
     def __init__(self, root: Optional[object] = None) -> None:
+        from pathlib import Path
+
         self.root = Path(root).expanduser() if root is not None else default_cache_dir()
         self.hits = 0
         self.misses = 0
@@ -74,6 +82,8 @@ class ResultCache:
         except OSError:
             self.misses += 1
             return None
+        import json
+
         try:
             record = json.loads(raw)
         except ValueError:
@@ -103,6 +113,8 @@ class ResultCache:
         """
         if self._broken:
             return
+        import json
+
         record: Dict[str, object] = {
             "format": RECORD_FORMAT,
             "fingerprint": fingerprint.full,

@@ -13,26 +13,20 @@
 * :mod:`repro.core.failover` — rendezvous-server failover (survivability).
 """
 
-from repro.core.client import PeerClient
-from repro.core.failover import FailoverConfig, ServerFailover
-from repro.core.connector import ConnectOutcome, ConnectResult, P2PConnector, RetryPolicy
-from repro.core.rendezvous import RendezvousServer
-from repro.core.relay import RelaySession
-from repro.core.udp_punch import UdpHolePuncher, UdpSession
-from repro.core.tcp_punch import TcpHolePuncher, TcpStream
+from repro import _lazy_exports
 
-__all__ = [
-    "PeerClient",
-    "FailoverConfig",
-    "ServerFailover",
-    "ConnectOutcome",
-    "ConnectResult",
-    "P2PConnector",
-    "RetryPolicy",
-    "RendezvousServer",
-    "RelaySession",
-    "UdpHolePuncher",
-    "UdpSession",
-    "TcpHolePuncher",
-    "TcpStream",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "PeerClient": "client",
+    "FailoverConfig": "failover",
+    "ServerFailover": "failover",
+    "ConnectOutcome": "connector",
+    "ConnectResult": "connector",
+    "P2PConnector": "connector",
+    "RetryPolicy": "connector",
+    "RendezvousServer": "rendezvous",
+    "RelaySession": "relay",
+    "UdpHolePuncher": "udp_punch",
+    "UdpSession": "udp_punch",
+    "TcpHolePuncher": "tcp_punch",
+    "TcpStream": "tcp_punch",
+})

@@ -14,23 +14,15 @@ deciding whether hole punching works:
 * UDP idle timeout — ``NatBehavior.udp_timeout`` (§3.6).
 """
 
-from repro.nat.policy import (
-    FilteringPolicy,
-    MappingPolicy,
-    PortAllocation,
-    TcpRefusalPolicy,
-)
-from repro.nat.behavior import NatBehavior
-from repro.nat.mapping import NatMapping, NatTable
-from repro.nat.device import NatDevice
+from repro import _lazy_exports
 
-__all__ = [
-    "FilteringPolicy",
-    "MappingPolicy",
-    "PortAllocation",
-    "TcpRefusalPolicy",
-    "NatBehavior",
-    "NatMapping",
-    "NatTable",
-    "NatDevice",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "FilteringPolicy": "policy",
+    "MappingPolicy": "policy",
+    "PortAllocation": "policy",
+    "TcpRefusalPolicy": "policy",
+    "NatBehavior": "behavior",
+    "NatMapping": "mapping",
+    "NatTable": "mapping",
+    "NatDevice": "device",
+})

@@ -6,40 +6,25 @@ endpoint translation (§5.1) and silent dropping of unsolicited TCP SYNs
 client behind the NAT under test and three well-known public servers.
 """
 
-from repro.natcheck.classify import NatCheckReport
-from repro.natcheck.client import NatCheckClient, NatCheckConfig
-from repro.natcheck.discovery import DiscoveryResult, NatDiscovery
-from repro.natcheck.fleet import (
-    FleetCacheStats,
-    FleetResult,
-    VendorSpec,
-    VENDOR_SPECS,
-    device_fingerprint,
-    device_seed,
-    resolve_workers,
-    run_fleet,
-    scale_population,
-)
-from repro.natcheck.servers import NatCheckServers
-from repro.natcheck.table import Table1Row, render_table1, table1_rows
+from repro import _lazy_exports
 
-__all__ = [
-    "DiscoveryResult",
-    "NatDiscovery",
-    "NatCheckReport",
-    "NatCheckClient",
-    "NatCheckConfig",
-    "FleetCacheStats",
-    "FleetResult",
-    "VendorSpec",
-    "VENDOR_SPECS",
-    "device_fingerprint",
-    "device_seed",
-    "resolve_workers",
-    "run_fleet",
-    "scale_population",
-    "NatCheckServers",
-    "Table1Row",
-    "render_table1",
-    "table1_rows",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "DiscoveryResult": "discovery",
+    "NatDiscovery": "discovery",
+    "NatCheckReport": "classify",
+    "NatCheckClient": "client",
+    "NatCheckConfig": "client",
+    "FleetCacheStats": "fleet",
+    "FleetResult": "fleet",
+    "VendorSpec": "fleet",
+    "VENDOR_SPECS": "fleet",
+    "device_fingerprint": "fleet",
+    "device_seed": "fleet",
+    "resolve_workers": "fleet",
+    "run_fleet": "fleet",
+    "scale_population": "fleet",
+    "NatCheckServers": "servers",
+    "Table1Row": "table",
+    "render_table1": "table",
+    "table1_rows": "table",
+})

@@ -11,7 +11,6 @@ the NAT under test selected from the behaviour presets.
 import argparse
 
 from repro.nat import behavior as B
-from repro.natcheck.fleet import check_device
 
 PRESETS = {
     "well-behaved": B.WELL_BEHAVED,
@@ -43,6 +42,9 @@ def main(argv=None) -> int:
             print(f"{name:22s} udp_friendly={behavior.udp_punch_friendly} "
                   f"tcp_friendly={behavior.tcp_punch_friendly} hairpin={behavior.hairpin}")
         return 0
+    # After parse_args: --list, --help and usage errors need only the presets.
+    from repro.natcheck.fleet import check_device
+
     behavior = PRESETS[args.behavior]
     report = check_device(behavior, seed=args.seed)
     print(f"device behaviour : {args.behavior}")

@@ -12,57 +12,36 @@ composes randomized fault plans and checks global run invariants
 (:mod:`repro.netsim.chaos`).
 """
 
-from repro.netsim.addresses import (
-    Endpoint,
-    IPv4Address,
-    IPv4Network,
-    AddressPool,
-    is_private,
-)
-from repro.netsim.chaos import (
-    AttemptTracker,
-    ChaosConfig,
-    check_invariants,
-    random_fault_plan,
-    trace_fingerprint,
-)
-from repro.netsim.clock import Scheduler, Timer
-from repro.netsim.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.netsim.link import Link, LinkProfile
-from repro.netsim.network import Network
-from repro.netsim.node import Host, Node, Router
-from repro.netsim.packet import IcmpError, IpProtocol, Packet, TcpFlags, TcpHeader
-from repro.netsim.routing import RoutingTable
-from repro.netsim.trace import PacketTrace, TraceRecord
+from repro import _lazy_exports
 
-__all__ = [
-    "Endpoint",
-    "IPv4Address",
-    "IPv4Network",
-    "AddressPool",
-    "is_private",
-    "Scheduler",
-    "Timer",
-    "AttemptTracker",
-    "ChaosConfig",
-    "check_invariants",
-    "random_fault_plan",
-    "trace_fingerprint",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "Link",
-    "LinkProfile",
-    "Network",
-    "Host",
-    "Node",
-    "Router",
-    "IcmpError",
-    "IpProtocol",
-    "Packet",
-    "TcpFlags",
-    "TcpHeader",
-    "RoutingTable",
-    "PacketTrace",
-    "TraceRecord",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "Endpoint": "addresses",
+    "IPv4Address": "addresses",
+    "IPv4Network": "addresses",
+    "AddressPool": "addresses",
+    "is_private": "addresses",
+    "Scheduler": "clock",
+    "Timer": "clock",
+    "AttemptTracker": "chaos",
+    "ChaosConfig": "chaos",
+    "check_invariants": "chaos",
+    "random_fault_plan": "chaos",
+    "trace_fingerprint": "chaos",
+    "FaultEvent": "faults",
+    "FaultInjector": "faults",
+    "FaultPlan": "faults",
+    "Link": "link",
+    "LinkProfile": "link",
+    "Network": "network",
+    "Host": "node",
+    "Node": "node",
+    "Router": "node",
+    "IcmpError": "packet",
+    "IpProtocol": "packet",
+    "Packet": "packet",
+    "TcpFlags": "packet",
+    "TcpHeader": "packet",
+    "RoutingTable": "routing",
+    "PacketTrace": "trace",
+    "TraceRecord": "trace",
+})

@@ -207,7 +207,8 @@ class Endpoint:
     __slots__ = ("ip", "port", "_key")
 
     def __init__(self, ip, port: int) -> None:
-        object.__setattr__(self, "ip", IPv4Address(ip))
+        # An IPv4Address is immutable, so one handed in is shared, not copied.
+        object.__setattr__(self, "ip", ip if type(ip) is IPv4Address else IPv4Address(ip))
         if not 0 <= port <= 0xFFFF:
             raise AddressError(f"port out of range: {port}")
         object.__setattr__(self, "port", int(port))

@@ -22,98 +22,49 @@ The observability layer the evaluation (Table 1, §6) is reported through:
 See ``docs/observability.md`` for the metric and span catalog.
 """
 
-from repro.obs.attribution import (
-    CAT_FILTERED,
-    CAT_HAIRPIN,
-    CAT_LOSS,
-    CAT_NAT_REBOOT,
-    CAT_NONE,
-    CAT_RST,
-    CAT_SERVER_DEAD,
-    CAT_SYMMETRIC,
-    CAT_TIMEOUT,
-    CAT_UNKNOWN,
-    CATEGORIES,
-    Verdict,
-    explain,
-    explain_all,
-    render_verdict,
-)
-from repro.obs.export import (
-    from_json,
-    render_text,
-    summarize_for_report,
-    summarize_values,
-    to_json,
-)
-from repro.obs.flight import Attempt, FlightEvent, FlightRecorder
-from repro.obs.flight_export import (
-    from_chrome_trace,
-    from_jsonl,
-    to_chrome_trace,
-    to_jsonl,
-    write_flight_files,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    format_metric_name,
-)
-from repro.obs.profile import RunProfiler
-from repro.obs.spans import (
-    NULL_SPAN,
-    OUTCOME_ERROR,
-    OUTCOME_FALLBACK,
-    OUTCOME_LOCKED,
-    OUTCOME_MIGRATED,
-    OUTCOME_OK,
-    OUTCOME_TIMEOUT,
-    Span,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Attempt",
-    "CATEGORIES",
-    "CAT_FILTERED",
-    "CAT_HAIRPIN",
-    "CAT_LOSS",
-    "CAT_NAT_REBOOT",
-    "CAT_NONE",
-    "CAT_RST",
-    "CAT_SERVER_DEAD",
-    "CAT_SYMMETRIC",
-    "CAT_TIMEOUT",
-    "CAT_UNKNOWN",
-    "Counter",
-    "FlightEvent",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RunProfiler",
-    "Span",
-    "Verdict",
-    "explain",
-    "explain_all",
-    "from_chrome_trace",
-    "from_jsonl",
-    "render_verdict",
-    "to_chrome_trace",
-    "to_jsonl",
-    "write_flight_files",
-    "NULL_SPAN",
-    "OUTCOME_ERROR",
-    "OUTCOME_FALLBACK",
-    "OUTCOME_LOCKED",
-    "OUTCOME_MIGRATED",
-    "OUTCOME_OK",
-    "OUTCOME_TIMEOUT",
-    "format_metric_name",
-    "from_json",
-    "render_text",
-    "summarize_for_report",
-    "summarize_values",
-    "to_json",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "Attempt": "flight",
+    "CATEGORIES": "attribution",
+    "CAT_FILTERED": "attribution",
+    "CAT_HAIRPIN": "attribution",
+    "CAT_LOSS": "attribution",
+    "CAT_NAT_REBOOT": "attribution",
+    "CAT_NONE": "attribution",
+    "CAT_RST": "attribution",
+    "CAT_SERVER_DEAD": "attribution",
+    "CAT_SYMMETRIC": "attribution",
+    "CAT_TIMEOUT": "attribution",
+    "CAT_UNKNOWN": "attribution",
+    "Counter": "metrics",
+    "FlightEvent": "flight",
+    "FlightRecorder": "flight",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "RunProfiler": "profile",
+    "Span": "spans",
+    "Verdict": "attribution",
+    "explain": "attribution",
+    "explain_all": "attribution",
+    "from_chrome_trace": "flight_export",
+    "from_jsonl": "flight_export",
+    "render_verdict": "attribution",
+    "to_chrome_trace": "flight_export",
+    "to_jsonl": "flight_export",
+    "write_flight_files": "flight_export",
+    "NULL_SPAN": "spans",
+    "OUTCOME_ERROR": "spans",
+    "OUTCOME_FALLBACK": "spans",
+    "OUTCOME_LOCKED": "spans",
+    "OUTCOME_MIGRATED": "spans",
+    "OUTCOME_OK": "spans",
+    "OUTCOME_TIMEOUT": "spans",
+    "format_metric_name": "metrics",
+    "from_json": "export",
+    "render_text": "export",
+    "summarize_for_report": "export",
+    "summarize_values": "export",
+    "to_json": "export",
+})

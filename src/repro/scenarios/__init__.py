@@ -1,21 +1,13 @@
 """Canonical topologies and runnable scenarios for the paper's figures."""
 
-from repro.scenarios.topologies import (
-    Scenario,
-    build_common_nat,
-    build_multilevel,
-    build_one_sided,
-    build_public_pair,
-    build_sharded_pool,
-    build_two_nats,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Scenario",
-    "build_common_nat",
-    "build_multilevel",
-    "build_one_sided",
-    "build_public_pair",
-    "build_sharded_pool",
-    "build_two_nats",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "Scenario": "topologies",
+    "build_common_nat": "topologies",
+    "build_multilevel": "topologies",
+    "build_one_sided": "topologies",
+    "build_public_pair": "topologies",
+    "build_sharded_pool": "topologies",
+    "build_two_nats": "topologies",
+})

@@ -2,27 +2,18 @@
 and a Berkeley-style socket facade with SO_REUSEADDR semantics (paper §4.1).
 """
 
-from repro.transport.stack import HostStack, attach_stack
-from repro.transport.tcp import (
-    TcpConnection,
-    TcpListener,
-    TcpStack,
-    TcpState,
-    TcpStyle,
-)
-from repro.transport.udp import UdpSocket, UdpStack
-from repro.transport.sockets import ReuseSocket, SocketApi
+from repro import _lazy_exports
 
-__all__ = [
-    "HostStack",
-    "attach_stack",
-    "TcpConnection",
-    "TcpListener",
-    "TcpStack",
-    "TcpState",
-    "TcpStyle",
-    "UdpSocket",
-    "UdpStack",
-    "ReuseSocket",
-    "SocketApi",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "HostStack": "stack",
+    "attach_stack": "stack",
+    "TcpConnection": "tcp",
+    "TcpListener": "tcp",
+    "TcpStack": "tcp",
+    "TcpState": "tcp",
+    "TcpStyle": "tcp",
+    "UdpSocket": "udp",
+    "UdpStack": "udp",
+    "ReuseSocket": "sockets",
+    "SocketApi": "sockets",
+})

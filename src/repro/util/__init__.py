@@ -1,23 +1,14 @@
 """Shared utilities: error types, deterministic RNG, structured event logging."""
 
-from repro.util.errors import (
-    ReproError,
-    AddressError,
-    BindError,
-    ConnectionError_,
-    ProtocolError,
-    RoutingError,
-    TimeoutError_,
-)
-from repro.util.rng import SeededRng
+from repro import _lazy_exports
 
-__all__ = [
-    "ReproError",
-    "AddressError",
-    "BindError",
-    "ConnectionError_",
-    "ProtocolError",
-    "RoutingError",
-    "TimeoutError_",
-    "SeededRng",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "ReproError": "errors",
+    "AddressError": "errors",
+    "BindError": "errors",
+    "ConnectionError_": "errors",
+    "ProtocolError": "errors",
+    "RoutingError": "errors",
+    "TimeoutError_": "errors",
+    "SeededRng": "rng",
+})

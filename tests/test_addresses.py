@@ -223,6 +223,38 @@ class TestEndpoint:
         assert Endpoint.unpack(e.pack()) == e
         assert Endpoint.parse(str(e)) == e
 
+    def test_shares_the_address_it_is_given(self):
+        """An ``IPv4Address`` handed in is kept, not copied (it is immutable);
+        every other spelling still goes through the ``IPv4Address`` parser."""
+        addr = IPv4Address("138.76.29.7")
+        e = Endpoint(addr, 31000)
+        assert e.ip is addr
+        assert e.obfuscated().obfuscated().ip == addr
+        for spelling in ("138.76.29.7", int(addr), bytes(addr), bytearray(bytes(addr))):
+            other = Endpoint(spelling, 31000)
+            assert type(other.ip) is IPv4Address and other.ip is not addr
+            assert other == e and hash(other) == hash(e) and other._key == e._key
+            assert not other < e and not e < other
+            assert other.pack() == e.pack() and str(other) == str(e)
+        for garbage in ("138.76.29", "138.76.29.256", 1 << 32, -1, b"\x01\x02\x03", None, 1.5):
+            with pytest.raises(AddressError):
+                Endpoint(garbage, 31000)
+
+    def test_subclassed_address_is_normalised(self):
+        class Tagged(IPv4Address):
+            __slots__ = ("tag",)
+
+        e = Endpoint(Tagged("10.0.0.1"), 1)
+        assert type(e.ip) is IPv4Address and e.ip == IPv4Address("10.0.0.1")
+
+    def test_pickle_roundtrip(self):
+        import pickle
+
+        e = Endpoint(IPv4Address("10.0.0.1"), 4321)
+        clone = pickle.loads(pickle.dumps(e))
+        assert clone == e and hash(clone) == hash(e) and clone._key == e._key
+        assert type(clone.ip) is IPv4Address
+
 
 class TestAddressPool:
     def test_deterministic_order(self):
