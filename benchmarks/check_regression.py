@@ -24,6 +24,13 @@ of ``repro`` modules an entry point loads in a fresh interpreter is exact on
 any host, so it may not *rise* over the baseline at all (no tolerance), while
 the import wall times are printed for the reader and never fail the job.
 
+The ``rendezvous_scale`` record's two ``tracemalloc`` figures
+(:data:`FOOTPRINT_METRICS`, bytes per peer — lower is better) do not depend
+on the host's load either, only on the interpreter's object layouts, which
+differ by a few bytes between minor versions: they may not rise more than
+:data:`FOOTPRINT_TOLERANCE` (10 %) over the baseline, and are reported as
+``NEW`` when the baseline predates them.
+
 Run:  PYTHONPATH=src python benchmarks/check_regression.py \
           --baseline BENCH_perf.json --fresh fresh/BENCH_perf.json
 """
@@ -57,6 +64,13 @@ OPTIONAL_METRICS = (
 )
 
 DEFAULT_TOLERANCE = 0.25
+
+#: ``rendezvous_scale`` fields counting bytes per peer (lower is better).
+FOOTPRINT_METRICS = (
+    "table_bytes_per_registration",
+    "wheel_bytes_per_registrant",
+)
+FOOTPRINT_TOLERANCE = 0.10
 
 
 def lookup(record: dict, path: str) -> Optional[float]:
@@ -127,6 +141,38 @@ def cold_start_failures(baseline: object, fresh: object) -> List[str]:
     return failures
 
 
+def footprint_failures(baseline: object, fresh: object) -> List[str]:
+    """:data:`FOOTPRINT_METRICS` that rose more than the tolerance between two
+    ``rendezvous_scale`` records (or vanished from the fresh one); prints one
+    line per metric."""
+    baseline = baseline if isinstance(baseline, dict) else {}
+    fresh = fresh if isinstance(fresh, dict) else {}
+    ceiling = 1.0 + FOOTPRINT_TOLERANCE
+    failures: List[str] = []
+    for metric in FOOTPRINT_METRICS:
+        name = f"rendezvous_scale.{metric}"
+        base, new = baseline.get(metric), fresh.get(metric)
+        if base is None:
+            if new is None:
+                print(f"[SKIP] {name}: not recorded yet")
+            else:
+                print(f"[NEW]  {name}: {new:.1f} B (no baseline to gate against)")
+            continue
+        if new is None:
+            print(f"[FAIL] {name}: in baseline but missing from fresh record")
+            failures.append(name)
+            continue
+        ratio = new / base if base > 0 else float("inf")
+        verdict = "OK" if ratio <= ceiling else "FAIL"
+        print(
+            f"[{verdict}] {name}: baseline {base:.1f} B -> fresh {new:.1f} B "
+            f"(x{ratio:.2f}, ceiling x{ceiling:.2f})"
+        )
+        if ratio > ceiling:
+            failures.append(name)
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", default="BENCH_perf.json",
@@ -180,6 +226,9 @@ def main(argv=None) -> int:
             print(f"[FAIL] {error}")
             failures.append(f"table1_fleet[{label}]")
     failures.extend(cold_start_failures(baseline.get("cold_start"), fresh.get("cold_start")))
+    failures.extend(
+        footprint_failures(baseline.get("rendezvous_scale"), fresh.get("rendezvous_scale"))
+    )
     # Adversarial correctness canary: a fresh record carrying the robustness
     # sweep must report hardening holding for every attack family.  This is
     # deliberately not a throughput gate — it asserts the adversarial work
@@ -199,7 +248,8 @@ def main(argv=None) -> int:
     if failures:
         print(
             f"perf regression gate FAILED: {', '.join(failures)} — dropped more "
-            f"than {args.tolerance:.0%} below baseline, loaded more modules than "
+            f"than {args.tolerance:.0%} below baseline, loaded more modules or "
+            f"allocated over {FOOTPRINT_TOLERANCE:.0%} more bytes per peer than "
             f"the baseline, or malformed record"
         )
         return 1

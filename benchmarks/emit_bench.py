@@ -25,7 +25,9 @@ Records:
     ``scaled_population`` record, the ``adversarial`` record (forged
     packet injection rate plus the robustness sweep's hardening verdicts),
     the ``rendezvous_scale`` record (the sharded registration plane at
-    10k/100k/1M peers vs a per-peer-timer baseline; see
+    10k/100k/1M peers vs a per-peer-timer baseline, plus the untimed
+    ``table_bytes_per_registration`` / ``wheel_bytes_per_registrant``
+    footprint ``check_regression.py`` holds to 10 %; see
     ``rendezvous_scale.py``), and the ``cold_start`` record (per entry point,
     the ``repro`` modules a fresh interpreter loads — an exact count, which
     ``check_regression.py`` refuses to let rise — and the import wall time,
@@ -751,11 +753,14 @@ def main(argv=None) -> int:
         print(
             "  rendezvous: {live:,} live registrations max; "
             "{rate:,.0f} registrations/s, lookup p95 {p95:.2f}us, "
-            "x{speedup:.1f} vs per-peer timers".format(
+            "x{speedup:.1f} vs per-peer timers; {table:.0f} B table + "
+            "{wheel:.0f} B wheel per peer".format(
                 live=rdv["max_live_registrations"],
                 rate=rdv["registrations_per_second"],
                 p95=rdv["lookup_p95_us"],
                 speedup=rdv["speedup_vs_timer_baseline"],
+                table=rdv["table_bytes_per_registration"],
+                wheel=rdv["wheel_bytes_per_registrant"],
             )
         )
         mc = perf["monte_carlo"]

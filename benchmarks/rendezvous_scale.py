@@ -38,6 +38,14 @@ lookup sampling quiesces the collector.
 expiries over the summed wall time of the timed phases — is the lifecycle
 rate the ``speedup_vs_timer_baseline`` compares at 100k peers.
 
+After every timed phase has finished, one *untimed* pass
+(:func:`measure_plane_bytes`) registers 100k peers under ``tracemalloc`` and
+reports what a peer costs in memory: ``table_bytes_per_registration`` (the
+record plus its share of the shard's dict and sweep bucket) and
+``wheel_bytes_per_registrant`` (the keepalive handle, its args tuple and
+wheel bucket slot).  Allocated bytes do not depend on the host's load, so
+``check_regression.py`` holds them to 10 %.
+
 Run standalone:  PYTHONPATH=src python benchmarks/rendezvous_scale.py [--quick]
 """
 
@@ -47,6 +55,7 @@ import contextlib
 import gc
 import random
 import time
+import tracemalloc
 from typing import List, Optional
 
 from repro.core.registry import KeepaliveWheel, RegistryConfig, ShardedRegistry
@@ -118,7 +127,7 @@ def _shard_endpoints(num_shards: int) -> List[Endpoint]:
 
 def _make_registrations(peers: int) -> List[Registration]:
     """Entries pre-built outside the timed windows: the bench measures the
-    registration plane, not the dataclass allocator — and both designs
+    registration plane, not the record allocator — and both designs
     store the identical objects.  Endpoints are shared for the same reason."""
     public = Endpoint("155.99.25.11", 4321)
     private = Endpoint("10.0.0.1", 4321)
@@ -215,6 +224,45 @@ def run_scale_workload(
     }
 
 
+def measure_plane_bytes(peers: int = COMPARISON_SIZE, num_shards: int = NUM_SHARDS) -> dict:
+    """Bytes the plane allocates per peer, by ``tracemalloc``; untimed.
+
+    The registrations are built inside the traced window — S allocates one
+    per Register it accepts — while the ids and the endpoints, which the
+    caller owns, are built before it.  Tracing slows every allocation, so
+    this must never share a process phase with a timed number.
+    """
+    scheduler = Scheduler()
+    registry = ShardedRegistry(
+        lambda: scheduler.now,
+        _shard_endpoints(num_shards),
+        RegistryConfig(ttl=TTL, sweep_granularity=SWEEP_GRANULARITY),
+    )
+    wheel = KeepaliveWheel(scheduler, granularity=1.0)
+    refreshers = [shard.refresh for shard in registry.shards]
+    public = Endpoint("155.99.25.11", 4321)
+    private = Endpoint("10.0.0.1", 4321)
+    ids = list(range(peers))
+    placed = [0] * peers
+    register, add = registry.register, wheel.add
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for cid in ids:
+            placed[cid] = register(cid, Registration(cid, public, private, 0.0, 0.0))
+        table = tracemalloc.get_traced_memory()[0] - base
+        for cid in ids:
+            add(KEEPALIVE_INTERVAL, refreshers[placed[cid]], cid)
+        wheel_bytes = tracemalloc.get_traced_memory()[0] - base - table
+    finally:
+        tracemalloc.stop()
+    return {
+        "table_bytes_per_registration": table / peers,
+        "wheel_bytes_per_registrant": wheel_bytes / peers,
+    }
+
+
 def run_timer_baseline(peers: int) -> dict:
     """The per-peer-timer design the wheel replaces (same virtual script).
 
@@ -296,6 +344,7 @@ def bench_rendezvous_scale(quick: bool = False) -> dict:
     by_peers = {row["peers"]: row for row in rows}
     comparison = by_peers[COMPARISON_SIZE]
     baseline = run_timer_baseline(COMPARISON_SIZE)
+    footprint = measure_plane_bytes()  # last: nothing timed runs under tracing
     speedup = (
         comparison["maintenance_ops_per_second"]
         / baseline["maintenance_ops_per_second"]
@@ -313,6 +362,7 @@ def bench_rendezvous_scale(quick: bool = False) -> dict:
         "lookup_p95_us": comparison["lookup_p95_us"],
         "timer_baseline_100k": baseline,
         "speedup_vs_timer_baseline": speedup,
+        **footprint,
         "quick": quick,
     }
 

@@ -106,6 +106,16 @@ class RegistrationTable:
     re-filed under its *real* deadline — refreshes never touch the wheel
     eagerly, which is the whole trick: keepalives are O(1) attribute work
     instead of cancel + reschedule on a million-entry timer heap.
+
+    Filing invariant (TTL tables): every live id has exactly one *live
+    filing* — one occurrence in one bucket that the sweep will act on.
+    Removing an id (``del``, LRU eviction) leaves its filing behind as an
+    *orphan*; ``_orphans[id]`` counts them, and only while that count is
+    non-zero does ``_armed[id]`` name the bucket holding the id's live
+    filing (absent when the id is not live), so the sweep can tell the two
+    apart: a filing of an id with orphans in any other bucket is an orphan
+    and consumes one count.  An id that was never removed while filed
+    appears in neither map — with no removals both stay empty.
     """
 
     __slots__ = (
@@ -120,6 +130,7 @@ class RegistrationTable:
         "_tracking",
         "_entries",
         "_armed",
+        "_orphans",
         "_buckets",
         "_sweep_timer",
         "_hits",
@@ -141,6 +152,10 @@ class RegistrationTable:
     ) -> None:
         if sweep_granularity <= 0:
             raise ValueError("sweep_granularity must be positive")
+        if ttl is not None and ttl <= 0:
+            raise ValueError("ttl must be positive (or None for no expiry)")
+        if max_entries is not None and max_entries < 1:
+            raise ValueError("max_entries must be at least 1 (or None for unbounded)")
         self._now = now_fn
         self.ttl = ttl
         self.max_entries = max_entries
@@ -148,9 +163,11 @@ class RegistrationTable:
         self.on_evict = on_evict
         self._tracking = ttl is not None or max_entries is not None
         self._entries: Dict[int, object] = {}
-        #: client id -> wheel bucket the id is currently filed under.  Every
-        #: live id appears in exactly one bucket; stale bucket residues are
-        #: recognised (armed index mismatch) and skipped by the sweep.
+        #: client id -> orphan filings it has in the wheel (see the class
+        #: docstring); an id leaves the map when the sweep has met them all.
+        self._orphans: Dict[int, int] = {}
+        #: client id -> bucket of its live filing, kept only for ids that
+        #: have orphans.
         self._armed: Dict[int, int] = {}
         self._buckets: Dict[int, List[int]] = {}
         self._sweep_timer = None
@@ -184,7 +201,8 @@ class RegistrationTable:
 
     def __delitem__(self, client_id: int) -> None:
         del self._entries[client_id]
-        self._armed.pop(client_id, None)
+        if self.ttl is not None:
+            self._strand(client_id)
 
     def get(self, client_id: int, default=None):
         return self._entries.get(client_id, default)
@@ -200,6 +218,7 @@ class RegistrationTable:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._orphans.clear()
         self._armed.clear()
         self._buckets.clear()
 
@@ -220,26 +239,26 @@ class RegistrationTable:
         if not self._tracking:
             entries[client_id] = entry
             return
+        filed = client_id in entries  # a live id already has its live filing
         if self.max_entries is not None:
-            if client_id in entries:
+            if filed:
                 del entries[client_id]
             elif len(entries) >= self.max_entries:
                 self._evict_lru()
         entries[client_id] = entry
-        if self.ttl is not None:
-            armed = self._armed
-            if client_id not in armed:
-                try:
-                    last_seen = entry.last_seen
-                except AttributeError:
-                    last_seen = self._now()
-                index = int((last_seen + self.ttl) / self.granularity) + 1
-                armed[client_id] = index
-                bucket = self._buckets.get(index)
-                if bucket is None:
-                    self._buckets[index] = [client_id]
-                else:
-                    bucket.append(client_id)
+        if self.ttl is not None and not filed:
+            try:
+                last_seen = entry.last_seen
+            except AttributeError:
+                last_seen = self._now()
+            index = int((last_seen + self.ttl) / self.granularity) + 1
+            if self._orphans and client_id in self._orphans:
+                self._armed[client_id] = index
+            bucket = self._buckets.get(index)
+            if bucket is None:
+                self._buckets[index] = [client_id]
+            else:
+                bucket.append(client_id)
 
     def touch(self, client_id: int) -> None:
         """Refresh recency after the caller updated ``entry.last_seen``; O(1).
@@ -308,17 +327,25 @@ class RegistrationTable:
 
     def _arm(self, client_id: int, deadline: float) -> None:
         index = self._bucket_index(deadline)
-        self._armed[client_id] = index
+        if self._orphans and client_id in self._orphans:
+            self._armed[client_id] = index
         bucket = self._buckets.get(index)
         if bucket is None:
             self._buckets[index] = [client_id]
         else:
             bucket.append(client_id)
 
+    def _strand(self, client_id: int) -> None:
+        """Account for the live filing a just-removed id leaves in the wheel."""
+        orphans = self._orphans
+        orphans[client_id] = orphans.get(client_id, 0) + 1
+        self._armed.pop(client_id, None)
+
     def _evict_lru(self) -> None:
         client_id = next(iter(self._entries))
         entry = self._entries.pop(client_id)
-        self._armed.pop(client_id, None)
+        if self.ttl is not None:
+            self._strand(client_id)
         self.evicted_lru += 1
         self._lru_evictions.inc()
         if self.on_evict is not None:
@@ -335,25 +362,40 @@ class RegistrationTable:
             return []
         if now is None:
             now = self._now()
+        ttl = self.ttl
+        entries = self._entries
+        orphans = self._orphans
+        armed = self._armed
         current = int(now / self.granularity)
         due = [index for index in self._buckets if index <= current]
         evicted: List[object] = []
         examined = 0
         for index in sorted(due):
             for client_id in self._buckets.pop(index):
-                if self._armed.get(client_id) != index:
-                    continue  # stale residue: deleted or re-filed meanwhile
-                entry = self._entries.get(client_id)
-                if entry is None:
-                    del self._armed[client_id]
+                if orphans and client_id in orphans and armed.get(client_id) != index:
+                    # An orphan: the id was removed while filed here.
+                    if orphans[client_id] > 1:
+                        orphans[client_id] -= 1
+                    else:
+                        del orphans[client_id]
+                        armed.pop(client_id, None)
                     continue
+                entry = entries.get(client_id)
+                if entry is None:
+                    armed.pop(client_id, None)
+                    continue  # filed but no longer held: nothing to expire
                 examined += 1
-                deadline = entry.last_seen + self.ttl
+                try:
+                    deadline = entry.last_seen + ttl
+                except AttributeError:
+                    # Nothing to refresh, so not refreshed since it was filed.
+                    deadline = now
                 if deadline > now:
                     self._arm(client_id, deadline)
                 else:
-                    del self._entries[client_id]
-                    del self._armed[client_id]
+                    del entries[client_id]
+                    if orphans:
+                        armed.pop(client_id, None)
                     evicted.append(entry)
         self.sweeps += 1
         self._sweep_hist.observe(float(examined))
@@ -479,7 +521,6 @@ class ShardedRegistry:
     ) -> None:
         self.config = config or RegistryConfig()
         self.ring = ShardRing(endpoints)
-        self._now = now_fn
         self.shards: List[RegistrationTable] = [
             RegistrationTable(
                 now_fn,
@@ -501,19 +542,8 @@ class ShardedRegistry:
         return index
 
     def touch(self, peer_id: int) -> bool:
-        """Keepalive refresh: bump ``last_seen`` and recency; O(1).
-
-        One placement, one dict probe, one attribute store — the recency
-        move is delegated only when the shard actually bounds its size.
-        """
-        shard = self.shards[self.ring.owner_index(peer_id)]
-        entry = shard._entries.get(peer_id)
-        if entry is None:
-            return False
-        entry.last_seen = self._now()
-        if shard.max_entries is not None:
-            shard.touch(peer_id)
-        return True
+        """Keepalive refresh: the owning shard's :meth:`RegistrationTable.refresh`."""
+        return self.shards[self.ring.owner_index(peer_id)].refresh(peer_id)
 
     def lookup(self, peer_id: int):
         return self.shards[self.ring.owner_index(peer_id)].lookup(peer_id)

@@ -129,6 +129,58 @@ def test_sweep_batches_whole_buckets():
     assert table.evicted_ttl == 100
 
 
+def test_sweep_evicts_an_entry_without_last_seen():
+    # ``register`` accepts an entry that has no ``last_seen`` (it is filed
+    # from the clock); such an entry can never be refreshed, so the sweep
+    # that retires its bucket must evict it, not crash on the attribute.
+    sched = Scheduler()
+    reasons = []
+    table = make_table(
+        sched, ttl=5.0, sweep_granularity=5.0, on_evict=lambda e, r: reasons.append((e, r))
+    )
+    table.register(1, "x")
+    assert table.sweep(4.0) == [] and 1 in table
+    assert table.sweep(10.0) == ["x"]
+    assert 1 not in table and reasons == [("x", "ttl")] and table.evicted_ttl == 1
+
+
+def test_ttl_only_lifecycle_leaves_the_wheel_index_empty():
+    # Nothing here removes an id while it is filed, so the orphan count and
+    # the bucket index kept for ids that have orphans are never written.
+    sched = Scheduler()
+    table = make_table(sched, ttl=10.0, sweep_granularity=5.0)
+    table.start_sweeps(sched)
+    for cid in range(50):
+        table.register(cid, Entry(last_seen=sched.now))
+    for t in (6.0, 12.0, 18.0):
+        sched.run_until(t)
+        for cid in range(0, 50, 2):
+            assert table.refresh(cid)
+        table.register(1, Entry(last_seen=sched.now))  # re-register a live id
+        assert not table._armed and not table._orphans
+    assert len(table) == 26
+    sched.run_until(40.0)
+    assert len(table) == 0 and table.evicted_ttl == 50
+    assert not table._armed and not table._orphans and not table._buckets
+
+
+def test_removed_ids_are_forgotten_once_their_filings_come_due():
+    sched = Scheduler()
+    table = make_table(sched, ttl=10.0, sweep_granularity=5.0)
+    table.register(1, Entry(last_seen=0.0))
+    del table[1]
+    table.register(1, Entry(last_seen=0.0))  # same bucket as the orphan
+    del table[1]
+    assert table._orphans == {1: 2} and not table._armed
+    sched.run_until(7.0)
+    table.register(1, Entry(last_seen=7.0))  # live filing two buckets later
+    assert table._armed == {1: 4}
+    assert table.sweep(15.0) == [] and 1 in table  # both orphans met and dropped
+    assert not table._orphans and not table._armed
+    assert [e.last_seen for e in table.sweep(20.0)] == [7.0]
+    assert not table._buckets
+
+
 # -- LRU eviction ------------------------------------------------------------------
 
 
@@ -310,3 +362,30 @@ def test_config_validation():
         ShardRing([])
     with pytest.raises(ValueError):
         KeepaliveWheel(sched, granularity=0.0)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [{"max_entries": 0}, {"max_entries": -1}, {"ttl": 0}, {"ttl": 0.0}, {"ttl": -5.0}],
+)
+def test_policy_values_are_validated(policy):
+    sched = Scheduler()
+    with pytest.raises(ValueError):
+        RegistrationTable(lambda: sched.now, **policy)
+    # The sharded plane and the servers build their tables from a
+    # RegistryConfig, so the same check covers them.
+    with pytest.raises(ValueError):
+        ShardedRegistry(lambda: sched.now, endpoints(2), RegistryConfig(**policy))
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [{}, {"ttl": None, "max_entries": None}, {"ttl": 0.5}, {"max_entries": 1},
+     {"ttl": 30.0, "max_entries": 1000}],
+)
+def test_valid_policy_values_still_construct(policy):
+    sched = Scheduler()
+    table = RegistrationTable(lambda: sched.now, **policy)
+    table.register(1, Entry())
+    table.register(2, Entry())
+    assert len(table) == min(2, policy.get("max_entries") or 2)
