@@ -84,6 +84,9 @@ PARK_GRACE = 5.0
 #: How long an accepted stream may stay silent before being dropped.
 ACCEPT_AUTH_GRACE = 5.0
 
+#: Span label / flight-attempt suffix of each carrier of the connect protocol.
+_TRANSPORT_NAMES = {TRANSPORT_UDP: "udp", TRANSPORT_TCP: "tcp"}
+
 
 class PeerClient:
     """A peer application instance on one simulated host.
@@ -141,7 +144,6 @@ class PeerClient:
         self._udp_register_tries = 0
         self._server_keepalive_timer: Optional[Timer] = None
         self._keepalive_wheel_entry = None
-        self._pending_udp: Dict[int, tuple] = {}
         self.punchers: Dict[int, UdpHolePuncher] = {}
         self.sessions: Dict[int, UdpSession] = {}
         self._repunch_timers: Dict[int, Timer] = {}
@@ -157,7 +159,6 @@ class PeerClient:
         self._control = None  # TcpConnection
         self._control_buffer = FrameBuffer()
         self._listener = None
-        self._pending_tcp: Dict[int, tuple] = {}
         self.tcp_punchers: Dict[int, TcpHolePuncher] = {}
         self._stream_claimants: Dict[Tuple[int, int], _Claimant] = {}
         self._parked_streams: Dict[Tuple[int, int], Tuple[TcpStream, Hello]] = {}
@@ -187,7 +188,12 @@ class PeerClient:
         self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry(
             now_fn=lambda: host.scheduler.now
         )
-        #: Live connect-attempt spans keyed by (transport, peer_id); opened by
+        #: Connect requests awaiting S's endpoint exchange, keyed by
+        #: (transport, peer_id): ``(on_connected, on_failure, config)``.  An
+        #: entry leaves when the peer's endpoints arrive, when its deadline
+        #: passes, or when S answers with a RendezvousError.
+        self._pending: Dict[Tuple[int, int], tuple] = {}
+        #: Live connect-attempt spans under the same key; opened by
         #: connect_udp/connect_tcp, handed to the puncher at endpoint exchange.
         self._connect_spans: Dict[Tuple[int, int], Span] = {}
         #: The owning network's flight recorder (None when none is attached).
@@ -260,12 +266,7 @@ class PeerClient:
         if self.failover is not None:
             self.failover.start(interval)
             return
-        if self._server_keepalive_timer is not None:
-            self._server_keepalive_timer.cancel()
-            self._server_keepalive_timer = None
-        if self._keepalive_wheel_entry is not None:
-            self._keepalive_wheel_entry.cancel()
-            self._keepalive_wheel_entry = None
+        self.stop_server_keepalives()
         if wheel is not None:
             self._keepalive_wheel_entry = wheel.add(
                 interval,
@@ -308,53 +309,123 @@ class PeerClient:
         if existing is not None and existing.alive:
             self.scheduler.call_later(0.0, on_session, existing)
             return
-        span = self.metrics.span("connect", transport="udp", peer=str(peer_id))
-        span.event("connect-request-sent")
-        self._connect_spans[(TRANSPORT_UDP, peer_id)] = span
-        if self.flight is not None:
-            self._connect_attempts[(TRANSPORT_UDP, peer_id)] = self.flight.attempt(
-                "connect.udp", client=self.client_id, peer=peer_id
-            )
-        self._pending_udp[peer_id] = (on_session, on_failure, config)
+        entry = self._open_connect(TRANSPORT_UDP, peer_id, on_session, on_failure, config)
         # Retransmit the request while it is pending: the request or the
         # server's forwarded endpoints may be lost in transit, and S keeps a
         # stable pairing nonce across retries.
         budget = (config or self.punch_config).timeout
         self._udp_connect_attempt(peer_id, tries_left=max(1, int(budget)))
-        # If S never answers (down, unreachable, restarting) the request must
-        # still fail in bounded time so recovery loops can back off and retry.
-        self.scheduler.call_later(budget, self._udp_connect_deadline, peer_id)
+        self.scheduler.call_later(
+            budget, self._connect_deadline, (TRANSPORT_UDP, peer_id), entry
+        )
 
-    def _udp_connect_deadline(self, peer_id: int) -> None:
-        pending = self._pending_udp.pop(peer_id, None)
-        if pending is None:
+    def _udp_connect_attempt(self, peer_id: int, tries_left: int) -> None:
+        if (TRANSPORT_UDP, peer_id) not in self._pending or tries_left <= 0:
+            return
+        self._request_endpoints(TRANSPORT_UDP, peer_id)
+        self.scheduler.call_later(
+            1.0, self._udp_connect_attempt, peer_id, tries_left - 1
+        )
+
+    # -- the pending-connect book (both carriers) ---------------------------------
+
+    def _open_connect(self, transport: int, peer_id: int, on_connected, on_failure, config) -> tuple:
+        """Open the span, the flight attempt and the pending entry of one
+        connect request, in that order; returns the entry."""
+        key = (transport, peer_id)
+        name = _TRANSPORT_NAMES[transport]
+        span = self.metrics.span("connect", transport=name, peer=str(peer_id))
+        span.event("connect-request-sent")
+        self._connect_spans[key] = span
+        if self.flight is not None:
+            self._connect_attempts[key] = self.flight.attempt(
+                "connect." + name, client=self.client_id, peer=peer_id
+            )
+        entry = self._pending[key] = (on_connected, on_failure, config)
+        return entry
+
+    def _request_endpoints(self, transport: int, peer_id: int) -> None:
+        """§3.2 / §4.2 step 1: ask S to introduce us to *peer_id*."""
+        request = ConnectRequest(
+            requester_id=self.client_id, target_id=peer_id, transport=transport
+        )
+        if transport == TRANSPORT_UDP:
+            self._send_server_udp(request)
+        else:
+            self._send_server_tcp(request)
+
+    def _connect_deadline(self, key: Tuple[int, int], entry: tuple) -> None:
+        """If S never answers (down, unreachable, restarting, killed
+        mid-request) the request must still fail in bounded time so recovery
+        loops can back off and retry.  The timer is never cancelled; it
+        carries the entry it was armed for, so once that request is settled
+        it cannot fail a later request to the same peer."""
+        if self._pending.get(key) is not entry:
             return  # endpoints arrived (or the request already failed)
-        _, on_failure, _cfg = pending
-        span = self._connect_spans.pop((TRANSPORT_UDP, peer_id), None)
+        del self._pending[key]
+        self._fail_connect(
+            key,
+            entry[1],
+            "endpoint exchange timed out",
+            "timeout",
+            TimeoutError_(f"endpoint exchange with peer {key[1]} timed out"),
+        )
+
+    def _request_failed(self, error: RendezvousError, transport: int) -> None:
+        """S refused a request on *transport*: every connect pending there fails."""
+        if (
+            transport == TRANSPORT_UDP
+            and error.code == RendezvousError.NOT_REGISTERED
+            and self.auto_reregister
+            and self.udp_registered
+        ):
+            # S lost our registration (restart, state flush) while we thought
+            # we were registered.  Re-register and keep the pending connects:
+            # their retransmit loops will retry once we are back in the table.
+            self.metrics.counter("client.reregistrations").inc()
+            self.register_udp()
+            return
+        failed = [item for item in self._pending.items() if item[0][0] == transport]
+        for key, _ in failed:
+            del self._pending[key]
+        for key, (_, on_failure, _cfg) in failed:
+            self._fail_connect(
+                key,
+                on_failure,
+                error.reason,
+                "error",
+                ReproError(f"rendezvous error: {error.reason}"),
+            )
+
+    def _fail_connect(
+        self,
+        key: Tuple[int, int],
+        on_failure: Optional[FailureHandler],
+        reason: str,
+        outcome: str,
+        error: Exception,
+    ) -> None:
+        span = self._connect_spans.pop(key, None)
         if span is not None:
-            span.finish(OUTCOME_ERROR, reason="endpoint exchange timed out")
-        self._finish_connect_attempt(TRANSPORT_UDP, peer_id, "timeout")
+            span.finish(OUTCOME_ERROR, reason=reason)
+        self._finish_connect_attempt(*key, outcome)
         if on_failure is not None:
-            on_failure(TimeoutError_(f"endpoint exchange with peer {peer_id} timed out"))
+            on_failure(error)
+
+    def _take_pending(self, transport: int, peer_id: int) -> Tuple[Optional[tuple], Optional[Span]]:
+        """S sent the peer's endpoints: the request they answer (None when
+        we are the responder) and the span to hand to the puncher."""
+        key = (transport, peer_id)
+        pending = self._pending.pop(key, None)
+        span = self._connect_spans.pop(key, None)
+        if span is not None:
+            span.event("endpoints-received")
+        return pending, span
 
     def _finish_connect_attempt(self, transport: int, peer_id: int, outcome: str) -> None:
         attempt = self._connect_attempts.pop((transport, peer_id), None)
         if attempt is not None:
             self.flight.finish(attempt, outcome)
-
-    def _udp_connect_attempt(self, peer_id: int, tries_left: int) -> None:
-        if peer_id not in self._pending_udp or tries_left <= 0:
-            return
-        self._send_server_udp(
-            ConnectRequest(
-                requester_id=self.client_id,
-                target_id=peer_id,
-                transport=TRANSPORT_UDP,
-            )
-        )
-        self.scheduler.call_later(
-            1.0, self._udp_connect_attempt, peer_id, tries_left - 1
-        )
 
     def _send_server_udp(self, message: Message) -> None:
         self.udp_socket.sendto(protocol.encode(message, self.obfuscate), self.server)
@@ -389,7 +460,7 @@ class PeerClient:
         elif isinstance(message, protocol.ShardRedirect):
             self._handle_shard_redirect(message)
         elif isinstance(message, RendezvousError):
-            self._udp_request_failed(message)
+            self._request_failed(message, TRANSPORT_UDP)
 
     def _udp_registered(self, message: Registered) -> None:
         if message.client_id != self.client_id:
@@ -441,17 +512,9 @@ class PeerClient:
             # response arriving after lock-in, or the extra shard-to-shard
             # hop in a sharded pool — don't restart a live punch).
             return
-        pending = self._pending_udp.pop(peer_id, None)
-        if pending is not None:
-            on_session, on_failure, config = pending
-        else:
-            # Responder role: deliver via the application-level handler.
-            on_session = self._deliver_incoming_session
-            on_failure = None
-            config = None
-        span = self._connect_spans.pop((TRANSPORT_UDP, peer_id), None)
-        if span is not None:
-            span.event("endpoints-received")
+        pending, span = self._take_pending(TRANSPORT_UDP, peer_id)
+        # Responder role (nothing pending): deliver via the application handler.
+        on_session, on_failure, config = pending or (self._deliver_incoming_session, None, None)
         puncher = UdpHolePuncher(
             client=self,
             peer_id=peer_id,
@@ -474,13 +537,7 @@ class PeerClient:
         puncher = self.punchers.get(peer_id)
         if puncher is None or puncher.finished:
             return
-        self._send_server_udp(
-            ConnectRequest(
-                requester_id=self.client_id,
-                target_id=peer_id,
-                transport=TRANSPORT_UDP,
-            )
-        )
+        self._request_endpoints(TRANSPORT_UDP, peer_id)
         self.scheduler.call_later(1.0, self._udp_connect_nudge, peer_id)
 
     def _route_peer_message(self, message, src: Endpoint) -> None:
@@ -525,27 +582,6 @@ class PeerClient:
         session = self.relays.get((error.target, transport))
         if session is not None:
             session._send_failed(error)
-
-    def _udp_request_failed(self, error: RendezvousError) -> None:
-        if (
-            error.code == RendezvousError.NOT_REGISTERED
-            and self.auto_reregister
-            and self.udp_registered
-        ):
-            # S lost our registration (restart, state flush) while we thought
-            # we were registered.  Re-register and keep the pending connects:
-            # their retransmit loops will retry once we are back in the table.
-            self.metrics.counter("client.reregistrations").inc()
-            self.register_udp()
-            return
-        pending, self._pending_udp = self._pending_udp, {}
-        for peer_id, (_, on_failure, _cfg) in pending.items():
-            span = self._connect_spans.pop((TRANSPORT_UDP, peer_id), None)
-            if span is not None:
-                span.finish(OUTCOME_ERROR, reason=error.reason)
-            self._finish_connect_attempt(TRANSPORT_UDP, peer_id, "error")
-            if on_failure is not None:
-                on_failure(ReproError(f"rendezvous error: {error.reason}"))
 
     # -- puncher/session bookkeeping --------------------------------------------------
 
@@ -706,37 +742,12 @@ class PeerClient:
         """
         if not self.tcp_registered:
             raise ReproError("connect_tcp before TCP registration completed")
-        span = self.metrics.span("connect", transport="tcp", peer=str(peer_id))
-        span.event("connect-request-sent")
-        self._connect_spans[(TRANSPORT_TCP, peer_id)] = span
-        if self.flight is not None:
-            self._connect_attempts[(TRANSPORT_TCP, peer_id)] = self.flight.attempt(
-                "connect.tcp", client=self.client_id, peer=peer_id
-            )
-        self._pending_tcp[peer_id] = (on_stream, on_failure, config)
-        self._send_server_tcp(
-            ConnectRequest(
-                requester_id=self.client_id,
-                target_id=peer_id,
-                transport=TRANSPORT_TCP,
-            )
-        )
-        # Parity with connect_udp: if S never answers (down, unreachable,
-        # killed mid-request) the attempt must still fail in bounded time.
+        entry = self._open_connect(TRANSPORT_TCP, peer_id, on_stream, on_failure, config)
+        self._request_endpoints(TRANSPORT_TCP, peer_id)
         budget = (config or self.tcp_punch_config).timeout
-        self.scheduler.call_later(budget, self._tcp_connect_deadline, peer_id)
-
-    def _tcp_connect_deadline(self, peer_id: int) -> None:
-        pending = self._pending_tcp.pop(peer_id, None)
-        if pending is None:
-            return  # endpoints arrived (or the request already failed)
-        _, on_failure, _cfg = pending
-        span = self._connect_spans.pop((TRANSPORT_TCP, peer_id), None)
-        if span is not None:
-            span.finish(OUTCOME_ERROR, reason="endpoint exchange timed out")
-        self._finish_connect_attempt(TRANSPORT_TCP, peer_id, "timeout")
-        if on_failure is not None:
-            on_failure(TimeoutError_(f"endpoint exchange with peer {peer_id} timed out"))
+        self.scheduler.call_later(
+            budget, self._connect_deadline, (TRANSPORT_TCP, peer_id), entry
+        )
 
     def connect_tcp_sequential(
         self,
@@ -814,23 +825,15 @@ class PeerClient:
         elif isinstance(message, RelayError):
             self._relay_send_failed(message, TRANSPORT_TCP)
         elif isinstance(message, RendezvousError):
-            self._tcp_request_failed(message)
+            self._request_failed(message, TRANSPORT_TCP)
 
     def _tcp_endpoint_exchange(self, message: PeerEndpoints) -> None:
         """§4.2 step 2/3: start connecting while we keep listening."""
         peer_id = message.peer_id
         if peer_id in self.tcp_punchers and not self.tcp_punchers[peer_id].finished:
             return
-        pending = self._pending_tcp.pop(peer_id, None)
-        if pending is not None:
-            on_stream, on_failure, config = pending
-        else:
-            on_stream = self._deliver_incoming_stream
-            on_failure = None
-            config = None
-        span = self._connect_spans.pop((TRANSPORT_TCP, peer_id), None)
-        if span is not None:
-            span.event("endpoints-received")
+        pending, span = self._take_pending(TRANSPORT_TCP, peer_id)
+        on_stream, on_failure, config = pending or (self._deliver_incoming_stream, None, None)
         puncher = TcpHolePuncher(
             client=self,
             peer_id=peer_id,
@@ -845,16 +848,6 @@ class PeerClient:
         self.tcp_punchers[peer_id] = puncher
         self._register_stream_claimant(peer_id, message.nonce, puncher.offer_accepted)
         puncher.start()
-
-    def _tcp_request_failed(self, error: RendezvousError) -> None:
-        pending, self._pending_tcp = self._pending_tcp, {}
-        for peer_id, (_, on_failure, _cfg) in pending.items():
-            span = self._connect_spans.pop((TRANSPORT_TCP, peer_id), None)
-            if span is not None:
-                span.finish(OUTCOME_ERROR, reason=error.reason)
-            self._finish_connect_attempt(TRANSPORT_TCP, peer_id, "error")
-            if on_failure is not None:
-                on_failure(ReproError(f"rendezvous error: {error.reason}"))
 
     def _tcp_puncher_finished(self, puncher: TcpHolePuncher) -> None:
         self._finish_connect_attempt(
@@ -911,15 +904,26 @@ class PeerClient:
         for peer_id, pair in list(self.turn_pairs.items()):
             if pair.closed:
                 continue
-            self._send_server_udp(
-                protocol.TurnExchange(
-                    sender=self.client_id,
-                    target=peer_id,
-                    relay_ep=new_relay,
-                    nonce=pair.nonce,
-                )
-            )
+            self._advertise_relay(peer_id, pair.nonce)
             pair.resume()
+
+    def _advertise_relay(self, peer_id: int, nonce: int) -> None:
+        """Tell *peer_id* (via S) where our relayed endpoint is."""
+        self._send_server_udp(
+            protocol.TurnExchange(
+                sender=self.client_id,
+                target=peer_id,
+                relay_ep=self.turn.relay_endpoint,
+                nonce=nonce,
+            )
+        )
+
+    def _when_allocated(self, action: Callable[[], None]) -> None:
+        """Run *action* once we hold a relayed endpoint, allocating if needed."""
+        if self.turn.relay_endpoint is not None:
+            action()
+        else:
+            self.turn.allocate(lambda _relay_ep: action())
 
     def connect_via_turn(
         self,
@@ -943,21 +947,7 @@ class PeerClient:
             timeout, self._turn_connect_timeout, peer_id
         )
         self._pending_turn[peer_id] = (on_session, on_failure, nonce, deadline)
-
-        def allocated(_relay_ep: Endpoint) -> None:
-            self._send_server_udp(
-                protocol.TurnExchange(
-                    sender=self.client_id,
-                    target=peer_id,
-                    relay_ep=self.turn.relay_endpoint,
-                    nonce=nonce,
-                )
-            )
-
-        if self.turn.relay_endpoint is not None:
-            allocated(self.turn.relay_endpoint)
-        else:
-            self.turn.allocate(allocated)
+        self._when_allocated(lambda: self._advertise_relay(peer_id, nonce))
 
     def _turn_connect_timeout(self, peer_id: int) -> None:
         pending = self._pending_turn.pop(peer_id, None)
@@ -996,36 +986,19 @@ class PeerClient:
                 # and re-run the opener handshake.
                 existing.resume(peer_relay=message.relay_ep)
                 if self.turn.relay_endpoint is not None:
-                    self._send_server_udp(
-                        protocol.TurnExchange(
-                            sender=self.client_id,
-                            target=peer_id,
-                            relay_ep=self.turn.relay_endpoint,
-                            nonce=message.nonce,
-                        )
-                    )
+                    self._advertise_relay(peer_id, message.nonce)
             return  # duplicate (or now-refreshed) exchange
 
-        def respond(_relay_ep: Endpoint) -> None:
+        def respond() -> None:
             pair = TurnPairSession(
                 self, self.turn, peer_id, message.nonce, message.relay_ep
             )
             self.turn_pairs[peer_id] = pair
             if self.on_turn_session is not None:
                 pair.on_established = self.on_turn_session
-            self._send_server_udp(
-                protocol.TurnExchange(
-                    sender=self.client_id,
-                    target=peer_id,
-                    relay_ep=self.turn.relay_endpoint,
-                    nonce=message.nonce,
-                )
-            )
+            self._advertise_relay(peer_id, message.nonce)
 
-        if self.turn.relay_endpoint is not None:
-            respond(self.turn.relay_endpoint)
-        else:
-            self.turn.allocate(respond)
+        self._when_allocated(respond)
 
     def _on_turn_data(self, src: Endpoint, payload: bytes) -> None:
         """Traffic arrived at our relayed endpoint: route by source relay."""

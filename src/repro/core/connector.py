@@ -48,20 +48,21 @@ class RetryPolicy:
 
     Attributes:
         max_retries: ladder re-runs before giving up (0 disables recovery).
-        backoff: delay before the first re-run; doubles per recovery.
-        backoff_cap: upper bound on the re-run delay.
+        backoff: delay before the first re-run; doubles per recovery, up
+            to :data:`BACKOFF_CAP`.
         tcp_keepalive_interval: if > 0, arm in-band keepalive probes on a
             winning :class:`TcpStream` so an idle punched stream detects a
             dead peer (UDP sessions carry their own keepalive config).
-        tcp_broken_after_missed: consecutive silent intervals before a probed
-            TCP stream is declared broken.
     """
 
     max_retries: int = 2
     backoff: float = 0.5
-    backoff_cap: float = 8.0
     tcp_keepalive_interval: float = 0.0
-    tcp_broken_after_missed: int = 3
+
+
+#: Upper bound on the delay between ladder re-runs (§3.6 asks for re-punching
+#: "on demand": recovery may slow down but never stops being prompt).
+BACKOFF_CAP = 8.0
 
 
 @dataclass
@@ -116,13 +117,11 @@ class P2PConnector:
         client: PeerClient,
         transport: int = TRANSPORT_UDP,
         phase_timeout: float = 10.0,
-        use_reversal: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.client = client
         self.transport = transport
         self.phase_timeout = phase_timeout
-        self.use_reversal = use_reversal and transport == TRANSPORT_TCP
         self.retry_policy = retry_policy
         #: Ladder re-runs triggered by broken channels, across all connects.
         self.recoveries = 0
@@ -139,7 +138,7 @@ class P2PConnector:
     def _connect(self, peer_id: int, on_result: ResultHandler, recovery: int) -> None:
         result = ConnectResult(recovery=recovery)
         strategies = [STRATEGY_PUNCH]
-        if self.use_reversal:
+        if self.transport == TRANSPORT_TCP:
             strategies.append(STRATEGY_REVERSAL)
         if self.transport == TRANSPORT_UDP and self.client.turn is not None:
             # A dedicated TURN relay (§2.2) beats burdening S with data.
@@ -256,9 +255,7 @@ class P2PConnector:
         elif isinstance(channel, TcpStream):
             channel.on_close = trip
             if policy.tcp_keepalive_interval > 0:
-                channel.start_keepalives(
-                    policy.tcp_keepalive_interval, policy.tcp_broken_after_missed
-                )
+                channel.start_keepalives(policy.tcp_keepalive_interval)
         elif isinstance(channel, RelaySession):
             # Relaying rides the client/server connections, so the only
             # breakage signal is S bouncing a payload (peer gone / failover
@@ -272,7 +269,7 @@ class P2PConnector:
             return
         self.recoveries += 1
         self.client.metrics.counter("connector.recoveries").inc()
-        delay = min(policy.backoff * (2 ** recovery), policy.backoff_cap)
+        delay = min(policy.backoff * (2 ** recovery), BACKOFF_CAP)
         self.client.scheduler.call_later(
             delay, self._connect, peer_id, on_result, recovery + 1
         )

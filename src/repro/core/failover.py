@@ -50,13 +50,16 @@ class FailoverConfig:
             double as the §3.6 NAT-mapping refresh toward S).
         dead_after_missed: consecutive unacknowledged probes (or control
             reconnect failures) after which the server is declared dead.
-        control_retry: delay before re-dialling the TCP control connection
-            after it errors (each failed dial counts as one miss).
     """
 
     keepalive_interval: float = 2.0
     dead_after_missed: int = 3
-    control_retry: float = 1.0
+
+
+#: Delay before re-dialling the TCP control connection after it errors (each
+#: failed dial counts as one miss) — §4.2 step 4's "short delay (e.g., one
+#: second)" applied to the connection to S.
+CONTROL_RETRY = 1.0
 
 
 class ServerFailover:
@@ -170,7 +173,7 @@ class ServerFailover:
             return
         if self._control_timer is None or not self._control_timer.active:
             self._control_timer = self.client.scheduler.call_later(
-                self.config.control_retry, self._redial_control
+                CONTROL_RETRY, self._redial_control
             )
 
     def _redial_control(self) -> None:

@@ -14,7 +14,7 @@ punching (§4.5).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.core import protocol
 from repro.core.protocol import (
@@ -136,6 +136,28 @@ class _ControlConnection:
             self.conn.abort()
 
 
+#: What a request arrived with, and so where its direct answer goes: the
+#: datagram's source endpoint, or the TCP control connection.
+_Carrier = Union[Endpoint, _ControlConnection]
+
+#: How long after a pair's last connect request S still answers the next one
+#: with the same nonce (see ``_pair_nonces``): every retransmit and nudge of
+#: one punch renews it; a reconnect after a longer silence draws a fresh one.
+PAIR_NONCE_TTL = 30.0
+
+
+def _describe(kind, reg: Registration, nonce: int, **extra) -> Message:
+    """§3.2 step 2: the *kind* of message that tells a client about its peer
+    *reg* — who it is and both endpoints S holds for it."""
+    return kind(
+        peer_id=reg.client_id,
+        public_ep=reg.public_ep,
+        private_ep=reg.private_ep,
+        nonce=nonce,
+        **extra,
+    )
+
+
 class RendezvousServer:
     """The well-known server S, serving UDP and TCP on one port.
 
@@ -202,7 +224,6 @@ class RendezvousServer:
         #: connect requests (datagram loss, §3.2's asynchronous timing) keep
         #: authenticating the same punch attempt.
         self._pair_nonces: Dict[tuple, tuple] = {}
-        self.pair_nonce_ttl = 30.0
         # metrics
         self.connect_requests = 0
         self.relayed_messages = 0
@@ -343,25 +364,10 @@ class RendezvousServer:
         message = protocol.try_decode(data)
         if message is None:
             return  # stray traffic
-        now = self.scheduler.now
         if isinstance(message, Register):
             if self._misrouted(message.client_id, src):
                 return
-            self.udp_clients[message.client_id] = Registration(
-                client_id=message.client_id,
-                public_ep=src,
-                private_ep=message.private_ep,
-                registered_at=now,
-                last_seen=now,
-            )
-            self._send_udp(
-                Registered(
-                    client_id=message.client_id,
-                    public_ep=src,
-                    private_ep=message.private_ep,
-                ),
-                src,
-            )
+            self._register(self.udp_clients, message, src, src)
         elif isinstance(message, Keepalive):
             if self._misrouted(message.client_id, src):
                 return
@@ -372,38 +378,34 @@ class RendezvousServer:
                 self._error(
                     RendezvousError.NOT_REGISTERED,
                     f"client {message.client_id} not registered",
-                    reply_to=src,
+                    src,
                 )
-            elif reg.public_ep == src:
-                reg.last_seen = now
-                reg.keepalives += 1
-                self.udp_clients.touch(message.client_id)
-                self._send_udp(KeepaliveAck(client_id=message.client_id), src)
-            else:
+                return
+            if reg.public_ep != src:
                 # Same client, new observed endpoint: its NAT rebooted or the
                 # old mapping expired and the keepalive cut a fresh one.  Track
                 # the move so later endpoint exchanges hand out a hole that
                 # still exists.
                 reg.public_ep = src
-                reg.last_seen = now
-                reg.keepalives += 1
                 self.endpoint_moves += 1
-                self.udp_clients.touch(message.client_id)
-                self._send_udp(KeepaliveAck(client_id=message.client_id), src)
+            reg.last_seen = self.scheduler.now
+            reg.keepalives += 1
+            self.udp_clients.touch(message.client_id)
+            self._send_udp(KeepaliveAck(client_id=message.client_id), src)
         elif isinstance(message, ConnectRequest):
-            self._handle_connect(message, reply_to=src)
+            self._handle_connect(message, src)
         elif isinstance(message, ShardForward):
-            self._handle_shard_forward(message, reply_to=src)
+            self._handle_shard_forward(message, src)
         elif isinstance(message, ShardForwardReply):
             self._handle_shard_forward_reply(message)
         elif isinstance(message, RelayPayload):
-            self._handle_relay(message, transport=TRANSPORT_UDP, reply_to=src)
+            self._handle_relay(message, TRANSPORT_UDP, src)
         elif isinstance(message, TurnExchange):
             target = self.udp_clients.lookup(message.target)
             if target is not None:
                 self._send_to_client(target, message, TRANSPORT_UDP)
         elif isinstance(message, ReverseRequest):
-            self._handle_reverse(message, reply_to=src)
+            self._handle_reverse(message, src)
 
     # -- sharding ----------------------------------------------------------------
 
@@ -413,7 +415,7 @@ class RendezvousServer:
             return True
         return self.shard_ring.owner_index(peer_id) == self.shard_index
 
-    def _misrouted(self, peer_id: int, reply_to: Endpoint) -> bool:
+    def _misrouted(self, peer_id: int, src: Endpoint) -> bool:
         """Redirect a client whose id another shard owns; True when redirected."""
         if self._owns(peer_id):
             return False
@@ -421,11 +423,11 @@ class RendezvousServer:
         self._redirect_counter.inc()
         self._send_udp(
             ShardRedirect(peer_id=peer_id, server=self.shard_ring.owner(peer_id)),
-            reply_to,
+            src,
         )
         return True
 
-    def _handle_shard_forward(self, forward: ShardForward, reply_to: Endpoint) -> None:
+    def _handle_shard_forward(self, forward: ShardForward, src: Endpoint) -> None:
         """Finish a cross-shard connect request as the target's owner.
 
         We resolve the target locally, mint the pairing nonce, send the
@@ -446,7 +448,7 @@ class RendezvousServer:
                     transport=forward.transport,
                     status=ShardForwardReply.STATUS_UNKNOWN_PEER,
                 ),
-                reply_to,
+                src,
             )
             return
         nonce = self._pair_nonce(forward.requester_id, forward.target_id, forward.transport)
@@ -472,7 +474,7 @@ class RendezvousServer:
                 transport=forward.transport,
                 status=ShardForwardReply.STATUS_OK,
             ),
-            reply_to,
+            src,
         )
 
     def _handle_shard_forward_reply(self, reply: ShardForwardReply) -> None:
@@ -490,7 +492,7 @@ class RendezvousServer:
             self._error(
                 RendezvousError.UNKNOWN_PEER,
                 f"peer {reply.target_id} not registered",
-                reply_to=requester.public_ep,
+                requester.public_ep,
             )
             return
         self._send_udp(
@@ -511,35 +513,21 @@ class RendezvousServer:
         _ControlConnection(self, conn)
 
     def _dispatch_tcp(self, message: Message, control: _ControlConnection) -> None:
-        now = self.scheduler.now
         if isinstance(message, Register):
             control.client_id = message.client_id
             self._tcp_conns[message.client_id] = control
-            self.tcp_clients[message.client_id] = Registration(
-                client_id=message.client_id,
-                public_ep=control.conn.remote,
-                private_ep=message.private_ep,
-                registered_at=now,
-                last_seen=now,
-            )
-            control.send(
-                Registered(
-                    client_id=message.client_id,
-                    public_ep=control.conn.remote,
-                    private_ep=message.private_ep,
-                )
-            )
+            self._register(self.tcp_clients, message, control.conn.remote, control)
         elif isinstance(message, Keepalive):
             reg = self.tcp_clients.get(message.client_id)
             if reg is not None:
-                reg.last_seen = now
+                reg.last_seen = self.scheduler.now
                 reg.keepalives += 1
         elif isinstance(message, ConnectRequest):
-            self._handle_connect(message, control=control)
+            self._handle_connect(message, control)
         elif isinstance(message, RelayPayload):
-            self._handle_relay(message, transport=TRANSPORT_TCP, control=control)
+            self._handle_relay(message, TRANSPORT_TCP, control)
         elif isinstance(message, ReverseRequest):
-            self._handle_reverse(message, control=control)
+            self._handle_reverse(message, control)
         elif isinstance(message, SeqRequest):
             self._handle_seq_request(message, control)
         elif isinstance(message, SeqReady):
@@ -553,47 +541,58 @@ class RendezvousServer:
 
     # -- request handling ------------------------------------------------------------
 
-    def _error(
-        self,
-        code: int,
-        detail: str,
-        reply_to: Optional[Endpoint] = None,
-        control: Optional[_ControlConnection] = None,
-    ) -> None:
-        self.errors_sent += 1
-        message = RendezvousError(code=code, detail=detail.encode())
-        if control is not None:
-            control.send(message)
-        elif reply_to is not None:
-            self._send_udp(message, reply_to)
+    def _reply(self, message: Message, reply: _Carrier) -> None:
+        """Answer a request on the carrier it arrived with."""
+        if isinstance(reply, Endpoint):
+            self._send_udp(message, reply)
+        else:
+            reply.send(message)
 
-    def _handle_connect(
-        self,
-        request: ConnectRequest,
-        reply_to: Optional[Endpoint] = None,
-        control: Optional[_ControlConnection] = None,
+    def _register(
+        self, table: RegistrationTable, message: Register, observed: Endpoint, reply: _Carrier
     ) -> None:
+        """§3.1: store what the client reported and what S observed, and
+        tell the client both."""
+        now = self.scheduler.now
+        table[message.client_id] = Registration(
+            client_id=message.client_id,
+            public_ep=observed,
+            private_ep=message.private_ep,
+            registered_at=now,
+            last_seen=now,
+        )
+        self._reply(
+            Registered(
+                client_id=message.client_id,
+                public_ep=observed,
+                private_ep=message.private_ep,
+            ),
+            reply,
+        )
+
+    def _error(self, code: int, detail: str, reply: _Carrier) -> None:
+        self.errors_sent += 1
+        self._reply(RendezvousError(code=code, detail=detail.encode()), reply)
+
+    def _handle_connect(self, request: ConnectRequest, reply: _Carrier) -> None:
         """§3.2 step 2: forward each peer's endpoints to the other."""
         self.connect_requests += 1
         transport = request.transport
-        if transport == TRANSPORT_UDP and control is None and reply_to is not None:
-            if self._misrouted(request.requester_id, reply_to):
-                return
+        # Sharding covers the UDP plane only: a UDP exchange asked for by
+        # datagram is the one request another shard may own.
+        sharded = transport == TRANSPORT_UDP and isinstance(reply, Endpoint)
+        if sharded and self._misrouted(request.requester_id, reply):
+            return
         table = self.udp_clients if transport == TRANSPORT_UDP else self.tcp_clients
         requester = table.lookup(request.requester_id)
         if requester is None:
             self._error(
                 RendezvousError.NOT_REGISTERED,
                 f"client {request.requester_id} not registered",
-                reply_to,
-                control,
+                reply,
             )
             return
-        if (
-            transport == TRANSPORT_UDP
-            and control is None
-            and not self._owns(request.target_id)
-        ):
+        if sharded and not self._owns(request.target_id):
             # The target's registration lives on another shard: hand the
             # exchange over with everything the owner needs (§3.2 step 2 runs
             # there).  Retransmitted connect requests re-forward; the owner's
@@ -616,35 +615,24 @@ class RendezvousServer:
             self._error(
                 RendezvousError.UNKNOWN_PEER,
                 f"peer {request.target_id} not registered",
-                reply_to,
-                control,
+                reply,
             )
             return
         nonce = self._pair_nonce(request.requester_id, request.target_id, transport)
-        to_requester = PeerEndpoints(
-            peer_id=target.client_id,
-            public_ep=target.public_ep,
-            private_ep=target.private_ep,
-            nonce=nonce,
-            transport=transport,
-            role=PeerEndpoints.ROLE_REQUESTER,
+        to_requester = _describe(
+            PeerEndpoints, target, nonce, transport=transport, role=PeerEndpoints.ROLE_REQUESTER
         )
-        to_target = PeerEndpoints(
-            peer_id=requester.client_id,
-            public_ep=requester.public_ep,
-            private_ep=requester.private_ep,
-            nonce=nonce,
-            transport=transport,
-            role=PeerEndpoints.ROLE_RESPONDER,
+        to_target = _describe(
+            PeerEndpoints, requester, nonce, transport=transport, role=PeerEndpoints.ROLE_RESPONDER
         )
-        self._send_to_client(requester, to_requester, transport, reply_to, control)
+        self._send_to_client(requester, to_requester, transport, reply)
         self._send_to_client(target, to_target, transport)
 
     def _pair_nonce(self, id_a: int, id_b: int, transport: int) -> int:
         key = (min(id_a, id_b), max(id_a, id_b), transport)
         now = self.scheduler.now
         cached = self._pair_nonces.get(key)
-        if cached is not None and now - cached[1] <= self.pair_nonce_ttl:
+        if cached is not None and now - cached[1] <= PAIR_NONCE_TTL:
             self._pair_nonces[key] = (cached[0], now)
             return cached[0]
         nonce = self._rng.nonce64()
@@ -656,23 +644,24 @@ class RendezvousServer:
         reg: Registration,
         message: Message,
         transport: int,
-        reply_to: Optional[Endpoint] = None,
-        control: Optional[_ControlConnection] = None,
+        reply: Optional[_Carrier] = None,
     ) -> None:
+        """Deliver on the channel *transport* names.  *reply* — the carrier of
+        the request being answered, when *reg* is its sender — is used only
+        if it is that kind of channel; otherwise (and for the other party)
+        the client's own registration on that plane is."""
         if transport == TRANSPORT_UDP:
-            self._send_udp(message, reply_to if reply_to is not None else reg.public_ep)
+            self._send_udp(message, reply if isinstance(reply, Endpoint) else reg.public_ep)
             return
-        conn = self._tcp_conns.get(reg.client_id) if control is None else control
+        conn = (
+            reply
+            if isinstance(reply, _ControlConnection)
+            else self._tcp_conns.get(reg.client_id)
+        )
         if conn is not None:
             conn.send(message)
 
-    def _handle_relay(
-        self,
-        message: RelayPayload,
-        transport: int,
-        reply_to: Optional[Endpoint] = None,
-        control: Optional[_ControlConnection] = None,
-    ) -> None:
+    def _handle_relay(self, message: RelayPayload, transport: int, reply: _Carrier) -> None:
         """§2.2: forward the payload to the target over its own channel.
 
         An unknown target (never registered, or lost in a restart) is
@@ -684,72 +673,45 @@ class RendezvousServer:
         target = table.lookup(message.target)
         if target is None:
             self.relay_send_failures += 1
-            error = RelayError(
-                sender=message.sender,
-                target=message.target,
-                code=RelayError.TARGET_UNREACHABLE,
+            self._reply(
+                RelayError(
+                    sender=message.sender,
+                    target=message.target,
+                    code=RelayError.TARGET_UNREACHABLE,
+                ),
+                reply,
             )
-            if control is not None:
-                control.send(error)
-            elif reply_to is not None:
-                self._send_udp(error, reply_to)
             return
         self.relayed_messages += 1
         self.relayed_bytes += len(message.payload)
         self._send_to_client(target, message, transport)
 
-    def _handle_reverse(
-        self,
-        request: ReverseRequest,
-        reply_to: Optional[Endpoint] = None,
-        control: Optional[_ControlConnection] = None,
-    ) -> None:
+    def _handle_reverse(self, request: ReverseRequest, reply: _Carrier) -> None:
         """§2.3: relay a connection-reversal request to the target."""
         table = self.tcp_clients
         requester = table.get(request.requester_id)
         target = table.get(request.target_id)
         if requester is None or target is None:
-            self._error(
-                RendezvousError.UNKNOWN_PEER,
-                "reversal peer not registered",
-                reply_to,
-                control,
-            )
+            self._error(RendezvousError.UNKNOWN_PEER, "reversal peer not registered", reply)
             return
         nonce = self._rng.nonce64()
         self._send_to_client(
             requester,
             ReverseExpect(peer_id=target.client_id, nonce=nonce),
             TRANSPORT_TCP,
-            control=control,
+            reply,
         )
-        self._send_to_client(
-            target,
-            ReverseConnect(
-                peer_id=requester.client_id,
-                public_ep=requester.public_ep,
-                private_ep=requester.private_ep,
-                nonce=nonce,
-            ),
-            TRANSPORT_TCP,
-        )
+        self._send_to_client(target, _describe(ReverseConnect, requester, nonce), TRANSPORT_TCP)
 
     def _handle_seq_request(self, request: SeqRequest, control: _ControlConnection) -> None:
         """§4.5 step 1: A asks to communicate; S tells B to punch toward A."""
         requester = self.tcp_clients.get(request.requester_id)
         target = self.tcp_clients.get(request.target_id)
         if requester is None or target is None:
-            self._error(RendezvousError.UNKNOWN_PEER, "sequential peer not registered", control=control)
+            self._error(RendezvousError.UNKNOWN_PEER, "sequential peer not registered", control)
             return
         self._send_to_client(
-            target,
-            SeqConnect(
-                peer_id=requester.client_id,
-                public_ep=requester.public_ep,
-                private_ep=requester.private_ep,
-                nonce=self._rng.nonce64(),
-            ),
-            TRANSPORT_TCP,
+            target, _describe(SeqConnect, requester, self._rng.nonce64()), TRANSPORT_TCP
         )
 
     def _handle_seq_ready(self, ready: SeqReady, control: _ControlConnection) -> None:
@@ -759,13 +721,4 @@ class RendezvousServer:
         sender = self.tcp_clients.get(sender_id) if sender_id is not None else None
         if target is None or sender is None:
             return
-        self._send_to_client(
-            target,
-            SeqReady(
-                peer_id=sender.client_id,
-                public_ep=sender.public_ep,
-                private_ep=sender.private_ep,
-                nonce=ready.nonce,
-            ),
-            TRANSPORT_TCP,
-        )
+        self._send_to_client(target, _describe(SeqReady, sender, ready.nonce), TRANSPORT_TCP)

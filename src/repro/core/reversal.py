@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.core.auth import message_is_from_peer
 from repro.core.protocol import Hello, ReverseConnect
 from repro.core.tcp_punch import TcpStream
 from repro.netsim.clock import Timer
@@ -61,11 +62,7 @@ class ReversalRequest:
             return
         self.finished = True
         self._timer.cancel()
-        stream.peer_id = self.target_id
-        stream.nonce = self.nonce
-        stream.authenticated = True
-        if not stream.hello_sent:
-            stream.send_hello(self.target_id, self.nonce)
+        stream.authenticate(self.target_id, self.nonce)
         stream.selected = True
         self.client._reversal_finished(self)
         self.on_stream(stream)
@@ -107,14 +104,10 @@ class ReversalResponder:
         stream.send_hello(self.request.peer_id, self.request.nonce)
 
     def _on_message(self, message) -> None:
-        if isinstance(message, Hello) and (
-            message.sender == self.request.peer_id
-            and message.receiver == self.client.client_id
-            and message.nonce == self.request.nonce
+        if isinstance(message, Hello) and message_is_from_peer(
+            message, self.client.client_id, self.request.peer_id, self.request.nonce
         ):
-            self.stream.authenticated = True
-            self.stream.peer_id = self.request.peer_id
-            self.stream.nonce = self.request.nonce
+            self.stream.authenticate(self.request.peer_id, self.request.nonce)
             self.stream.selected = True
             self.client._deliver_incoming_stream(self.stream)
 

@@ -47,25 +47,26 @@ class TcpPunchConfig:
     """Timing knobs for TCP hole punching.
 
     Attributes:
-        retry_delay: delay before re-trying a connect that failed with a
-            network error (§4.2 step 4 suggests "e.g., one second").
         timeout: application-defined maximum for the whole punch.
-        auth_timeout: how long a fresh stream may stay unauthenticated
-            before being dropped (guards against wrong-host connections).
         select_delay: settle window after the first authenticated stream
             before the controlling side selects (lets a better/racing
             stream finish authenticating).
     """
 
-    retry_delay: float = 1.0
     timeout: float = 30.0
-    auth_timeout: float = 4.0
     select_delay: float = 0.25
 
 
 StreamHandler = Callable[["TcpStream"], None]
 FailureHandler = Callable[[Exception], None]
 
+#: Delay before re-trying a connect that failed with a network error (§4.2
+#: step 4: "simply re-tries that connection attempt after a short delay
+#: (e.g., one second)").
+CONNECT_RETRY_DELAY = 1.0
+#: How long a fresh stream may stay unauthenticated before being dropped
+#: (§4.2 step 5: guards against a connection to the wrong host).
+AUTH_TIMEOUT = 4.0
 #: A stream whose own probing is off still answers incoming probes, but at
 #: most once per this window (prevents echo storms between armed peers).
 STREAM_ECHO_SUPPRESS_SECONDS = 0.5
@@ -255,6 +256,15 @@ class TcpStream:
         self._send_message(
             Hello(sender=self.client.client_id, receiver=peer_id, nonce=nonce)
         )
+
+    def authenticate(self, peer_id: int, nonce: int) -> None:
+        """The far end proved to be *peer_id* under pairing *nonce*: bind the
+        stream to them, and identify ourselves if we have not yet."""
+        self.peer_id = peer_id
+        self.nonce = nonce
+        self.authenticated = True
+        if not self.hello_sent:
+            self.send_hello(peer_id, nonce)
 
     def _feed(self, data: bytes) -> None:
         self._last_inbound = self.client.scheduler.now
@@ -446,12 +456,12 @@ class TcpHolePuncher:
 
     def _schedule_retry(self, endpoint: Endpoint) -> None:
         remaining = (self.started_at + self.config.timeout) - self.client.scheduler.now
-        if remaining <= self.config.retry_delay:
+        if remaining <= CONNECT_RETRY_DELAY:
             return
         self.retries += 1
         self._retry_counter.inc()
         self._retry_timers.append(
-            self.client.scheduler.call_later(self.config.retry_delay, self._attempt, endpoint)
+            self.client.scheduler.call_later(CONNECT_RETRY_DELAY, self._attempt, endpoint)
         )
 
     # -- incoming streams ---------------------------------------------------------------
@@ -480,11 +490,7 @@ class TcpHolePuncher:
         """Client demux hands us an accepted stream whose Hello matched."""
         stream._on_message = lambda m, s=stream: self._stream_message(s, m)
         self.streams.append(stream)
-        stream.peer_id = self.peer_id
-        stream.nonce = self.nonce
-        stream.authenticated = True
-        if not stream.hello_sent:
-            stream.send_hello(self.peer_id, self.nonce)
+        stream.authenticate(self.peer_id, self.nonce)
         self._stream_authenticated(stream)
 
     # -- stream events --------------------------------------------------------------------
@@ -494,12 +500,9 @@ class TcpHolePuncher:
             if not message_is_from_peer(message, self.client.client_id, self.peer_id, self.nonce):
                 stream.abort()  # wrong host (§4.2 step 5): drop, keep waiting
                 return
-            stream.peer_id = self.peer_id
-            stream.nonce = self.nonce
-            if not stream.authenticated:
-                stream.authenticated = True
-                if not stream.hello_sent:
-                    stream.send_hello(self.peer_id, self.nonce)
+            fresh = not stream.authenticated
+            stream.authenticate(self.peer_id, self.nonce)
+            if fresh:
                 self._stream_authenticated(stream)
         elif isinstance(message, StreamSelect):
             if not message_is_from_peer(message, self.client.client_id, self.peer_id, self.nonce):
@@ -567,7 +570,7 @@ class TcpHolePuncher:
             if not stream.authenticated and not stream.closed and not self.finished:
                 stream.abort()
 
-        self.client.scheduler.call_later(self.config.auth_timeout, check)
+        self.client.scheduler.call_later(AUTH_TIMEOUT, check)
 
     def _on_deadline(self) -> None:
         if self.finished:

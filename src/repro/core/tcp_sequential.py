@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.core.auth import message_is_from_peer
 from repro.core.protocol import Hello, SeqConnect, SeqReady, SeqRequest
 from repro.core.tcp_punch import TcpStream
 from repro.netsim.clock import Timer
@@ -102,11 +103,7 @@ class SequentialRequester:
     def _on_message(self, stream: TcpStream, message) -> None:
         if not isinstance(message, Hello):
             return
-        if (
-            message.sender != self.target_id
-            or message.receiver != self.client.client_id
-            or message.nonce != self._nonce
-        ):
+        if not message_is_from_peer(message, self.client.client_id, self.target_id, self._nonce):
             stream.abort()
             return
         if self.finished:
@@ -114,9 +111,7 @@ class SequentialRequester:
         self.finished = True
         self.elapsed = self.client.scheduler.now - self.started_at
         self._timer.cancel()
-        stream.authenticated = True
-        stream.peer_id = self.target_id
-        stream.nonce = self._nonce
+        stream.authenticate(self.target_id, self._nonce)
         stream.selected = True
         self.stream = stream
         self.client._sequential_finished(self)
@@ -199,11 +194,7 @@ class SequentialResponder:
         )
 
     def _claim_stream(self, stream: TcpStream, hello: Hello) -> None:
-        stream.peer_id = self.request.peer_id
-        stream.nonce = self.request.nonce
-        stream.authenticated = True
-        if not stream.hello_sent:
-            stream.send_hello(self.request.peer_id, self.request.nonce)
+        stream.authenticate(self.request.peer_id, self.request.nonce)
         stream.selected = True
         if self.config.consume_control:
             self.client._consume_control_connection()

@@ -31,7 +31,7 @@ DEFAULT_LIFETIME = 600.0
 
 #: Consecutive unanswered refreshes after which a TurnClient declares its
 #: server dead and re-allocates (on the next server if it has fallbacks).
-DEFAULT_REFRESH_MISSES = 3
+REFRESH_MISSES = 3
 
 
 class _Allocation:
@@ -205,8 +205,7 @@ class TurnClient:
 
     def __init__(self, host: Host, server: Endpoint, client_id: int,
                  refresh_interval: Optional[float] = None,
-                 fallback_servers: Sequence[Endpoint] = (),
-                 dead_after_missed: int = DEFAULT_REFRESH_MISSES) -> None:
+                 fallback_servers: Sequence[Endpoint] = ()) -> None:
         self.host = host
         self.servers: List[Endpoint] = [server, *fallback_servers]
         self.server_index = 0
@@ -220,12 +219,12 @@ class TurnClient:
         #: endpoint (server restarted, or we failed over to a fallback):
         #: whoever advertised the old endpoint must re-advertise.
         self.on_relocated: Optional[Callable[[Endpoint], None]] = None
-        #: Fired when ``dead_after_missed`` refreshes went unanswered.
+        #: Fired when ``REFRESH_MISSES`` refreshes went unanswered.
         self.on_failure: Optional[Callable[[Exception], None]] = None
-        self._on_allocated: Optional[Callable[[Endpoint], None]] = None
+        #: Everyone waiting on the next TurnAllocated, in request order.
+        self._on_allocated: List[Callable[[Endpoint], None]] = []
         self._refresh_interval = refresh_interval
         self._refresh_timer: Optional[Timer] = None
-        self.dead_after_missed = dead_after_missed
         self._refresh_misses = 0
         self.failovers = 0
         self.relocations = 0
@@ -248,7 +247,8 @@ class TurnClient:
 
     def allocate(self, on_allocated: Optional[Callable[[Endpoint], None]] = None) -> None:
         """Request (or refresh) the relayed endpoint."""
-        self._on_allocated = on_allocated
+        if on_allocated is not None:
+            self._on_allocated.append(on_allocated)
         self.socket.sendto(
             protocol.encode(TurnAllocate(client_id=self.client_id)), self.server
         )
@@ -265,7 +265,7 @@ class TurnClient:
         # TurnAllocated back.  Count the ones that did not — a dead server
         # would otherwise be refreshed forever while our allocation is gone.
         self._refresh_misses += 1
-        if self._refresh_misses > self.dead_after_missed:
+        if self._refresh_misses > REFRESH_MISSES:
             self._server_dead()
             return
         self.socket.sendto(
@@ -311,8 +311,8 @@ class TurnClient:
                 and self.relay_endpoint != message.relay_ep
             )
             self.relay_endpoint = message.relay_ep
-            callback, self._on_allocated = self._on_allocated, None
-            if callback is not None:
+            callbacks, self._on_allocated = self._on_allocated, []
+            for callback in callbacks:
                 callback(message.relay_ep)
             if moved:
                 # The server rebuilt our allocation on a new relay port

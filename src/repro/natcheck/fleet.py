@@ -27,7 +27,7 @@ import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cache import Fingerprint, ResultCache, behavior_fingerprint, mix_seed
 from repro.nat.behavior import NatBehavior
@@ -481,6 +481,31 @@ def _clone_report(base: NatCheckReport, vendor: str, device: str) -> NatCheckRep
     return clone
 
 
+def _fan_out(
+    jobs: Sequence[Tuple[object, VendorSpec, int, int]],
+    seed: int,
+    effective: int,
+    _runner: Callable[[VendorSpec, int, int, int], List[NatCheckReport]],
+) -> Iterator[Tuple[object, List[NatCheckReport]]]:
+    """Run ``(key, spec, start, stop)`` jobs on a process pool, yielding
+    ``(key, reports)`` in completion order; the first error (a job's, or the
+    consumer's while handling a result) cancels whatever has not started."""
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    with ProcessPoolExecutor(max_workers=min(effective, len(jobs) or 1)) as pool:
+        futures = {
+            pool.submit(_runner, spec, seed, start, stop): key
+            for key, spec, start, stop in jobs
+        }
+        try:
+            for future in as_completed(futures):
+                yield futures[future], future.result()
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+
+
 def _run_fleet_nocache(
     specs: Sequence[VendorSpec],
     seed: int,
@@ -500,32 +525,18 @@ def _run_fleet_nocache(
             result.reports[spec.name] = vendor_reports
         return result
 
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    tasks = _chunk_tasks(specs, FLEET_CHUNK)
     chunks: Dict[Tuple[int, int], List[NatCheckReport]] = {}
     completed = {spec.name: 0 for spec in specs}
-    with ProcessPoolExecutor(max_workers=min(effective, len(tasks) or 1)) as pool:
-        futures = {
-            pool.submit(_runner, specs[position], seed, start, stop): (
-                position,
-                start,
-                stop,
-            )
-            for position, start, stop in tasks
-        }
-        try:
-            for future in as_completed(futures):
-                position, start, stop = futures[future]
-                chunks[(position, start)] = future.result()
-                if progress is not None:
-                    spec = specs[position]
-                    completed[spec.name] += stop - start
-                    progress(spec.name, completed[spec.name], spec.population)
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+    jobs = [
+        ((position, start, stop), specs[position], start, stop)
+        for position, start, stop in _chunk_tasks(specs, FLEET_CHUNK)
+    ]
+    for (position, start, stop), reports in _fan_out(jobs, seed, effective, _runner):
+        chunks[(position, start)] = reports
+        if progress is not None:
+            spec = specs[position]
+            completed[spec.name] += stop - start
+            progress(spec.name, completed[spec.name], spec.population)
     for position, spec in enumerate(specs):
         vendor_reports = []
         for start in range(0, spec.population, FLEET_CHUNK):
@@ -577,22 +588,12 @@ def _run_fleet_dedup(
                     specs[position], seed, index, index + 1
                 )[0]
         else:
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-
-            with ProcessPoolExecutor(max_workers=min(effective, len(todo))) as pool:
-                futures = {
-                    pool.submit(_runner, specs[position], seed, index, index + 1): (
-                        fingerprint.full
-                    )
-                    for position, index, fingerprint in todo
-                }
-                try:
-                    for future in as_completed(futures):
-                        reports_by_fp[futures[future]] = future.result()[0]
-                except BaseException:
-                    for future in futures:
-                        future.cancel()
-                    raise
+            jobs = [
+                (fingerprint.full, specs[position], index, index + 1)
+                for position, index, fingerprint in todo
+            ]
+            for full, reports in _fan_out(jobs, seed, effective, _runner):
+                reports_by_fp[full] = reports[0]
         if store is not None:
             stores_before = store.stores
             for position, index, fingerprint in todo:

@@ -106,6 +106,39 @@ class TestConnectExchange:
         assert sc.server.connect_requests == requests_before  # no new exchange
 
 
+class TestConnectDeadline:
+    @pytest.mark.parametrize("transport", ["udp", "tcp"])
+    def test_settled_requests_deadline_spares_the_next_request(self, transport):
+        """A request's deadline timer is never cancelled; once that request
+        is settled it must not fail a later request to the same peer."""
+        from repro.core.tcp_punch import TcpPunchConfig
+        from repro.core.udp_punch import PunchConfig
+        from repro.util.errors import TimeoutError_
+
+        sc = build_two_nats(seed=3)
+        a = sc.clients["A"]
+        if transport == "udp":
+            sc.register_all_udp()
+            connect, config = a.connect_udp, PunchConfig(timeout=10.0)
+        else:
+            sc.register_all_tcp()
+            connect, config = a.connect_tcp, TcpPunchConfig(timeout=10.0)
+        channels, failures = [], []
+        connect(2, channels.append, config=config)  # t = 0: deadline armed for t = 10
+        sc.wait_for(lambda: channels, 5.0)
+        sc.run_until(5.0)
+        channels[0].close()
+        sc.run_until(6.0)
+        sc.server._handle_connect = lambda *args, **kwargs: None  # S goes silent
+        connect(2, channels.append,
+                lambda error: failures.append((sc.scheduler.now, error)), config=config)
+        sc.run_until(15.9)
+        assert failures == []  # not at t = 10, the first request's deadline
+        sc.run_until(16.1)
+        assert len(failures) == 1 and isinstance(failures[0][1], TimeoutError_)
+        assert failures[0][0] == pytest.approx(16.0)
+
+
 class TestTcpRegistration:
     def test_tcp_registration_records_connection_endpoint(self):
         sc = build_two_nats(seed=11)
@@ -185,3 +218,124 @@ class TestRelay:
             relay.send(b"x")
         fresh = sc.clients["A"].open_relay(2)
         assert fresh is not relay
+
+
+# -- carrier x transport -------------------------------------------------------
+
+#: Server-to-client control messages the carrier tests look for (punch
+#: traffic the endpoint exchange kicks off is not their subject).
+_CONTROL_REPLIES = ("PeerEndpoints", "RendezvousError", "RelayError",
+                    "ReverseExpect", "ReverseConnect")
+
+
+def _carrier_rig(seed):
+    """Two NATed clients registered on both carriers, every control message
+    each receives logged as ``(where, channel, message type)``; ``aux`` is a
+    second UDP socket on A's host, so a datagram sent from it has a source
+    that is *not* A's registered public endpoint."""
+    from repro.core import protocol
+
+    sc = build_two_nats(seed=seed)
+    sc.register_all_udp()
+    sc.register_all_tcp()
+    log = []
+
+    def note(where, channel, message):
+        name = type(message).__name__
+        if name in _CONTROL_REPLIES:
+            log.append((where, channel, name))
+
+    for name, client in sc.clients.items():
+        def on_udp(data, src, name=name, inner=client.udp_socket.on_datagram):
+            note(name, "udp", protocol.try_decode(data))
+            inner(data, src)
+
+        def on_tcp(message, name=name, inner=client._dispatch_server_tcp):
+            note(name, "tcp", message)
+            inner(message)
+
+        client.udp_socket.on_datagram = on_udp
+        client._dispatch_server_tcp = on_tcp
+    aux = sc.clients["A"].host.stack.udp.socket(5000)
+    aux.on_datagram = lambda data, src: note("A-aux", "udp", protocol.try_decode(data))
+
+    def send(carrier, message):
+        if carrier == "udp":
+            aux.sendto(protocol.encode(message), sc.server.endpoint)
+        else:
+            sc.clients["A"]._send_server_tcp(message)
+        sc.run_for(0.5)
+        return sorted(log)
+
+    return sc, send
+
+
+class TestCarrierCrossProduct:
+    """A reply leaves on the channel its *transport* names; the carrier the
+    request arrived on is used only when it is that kind of channel."""
+
+    @pytest.mark.parametrize("carrier,transport,expected", [
+        # Same kind: the requester's copy answers the datagram's source /
+        # the control connection the request came in on.
+        ("udp", TRANSPORT_UDP, [("A-aux", "udp"), ("B", "udp")]),
+        ("tcp", TRANSPORT_TCP, [("A", "tcp"), ("B", "tcp")]),
+        # Mixed: the carrier cannot bear the reply, so the requester's copy
+        # falls back to its registration on the other plane.
+        ("tcp", TRANSPORT_UDP, [("A", "udp"), ("B", "udp")]),
+        ("udp", TRANSPORT_TCP, [("A", "tcp"), ("B", "tcp")]),
+    ])
+    def test_connect_request(self, carrier, transport, expected):
+        from repro.core.protocol import ConnectRequest
+
+        sc, send = _carrier_rig(seed=21)
+        got = send(carrier, ConnectRequest(requester_id=1, target_id=2, transport=transport))
+        assert got == [(where, channel, "PeerEndpoints") for where, channel in expected]
+        assert sc.server.errors_sent == 0
+
+    @pytest.mark.parametrize("carrier,transport,expected", [
+        ("udp", TRANSPORT_UDP, ("A-aux", "udp")),
+        ("tcp", TRANSPORT_TCP, ("A", "tcp")),
+        # An error answers the request itself, whatever transport it named.
+        ("tcp", TRANSPORT_UDP, ("A", "tcp")),
+        ("udp", TRANSPORT_TCP, ("A-aux", "udp")),
+    ])
+    def test_connect_request_unknown_target(self, carrier, transport, expected):
+        from repro.core.protocol import ConnectRequest
+
+        sc, send = _carrier_rig(seed=22)
+        got = send(carrier, ConnectRequest(requester_id=1, target_id=99, transport=transport))
+        assert got == [expected + ("RendezvousError",)]
+        assert sc.server.errors_sent == 1
+
+    @pytest.mark.parametrize("carrier,expected", [
+        ("udp", ("A-aux", "udp")),
+        ("tcp", ("A", "tcp")),
+    ])
+    def test_relay_to_unknown_target(self, carrier, expected):
+        from repro.core.protocol import RelayPayload
+
+        sc, send = _carrier_rig(seed=23)
+        got = send(carrier, RelayPayload(sender=1, target=99, payload=b"x"))
+        assert got == [expected + ("RelayError",)]
+        assert sc.server.relay_send_failures == 1
+        assert sc.server.relayed_messages == 0
+
+    @pytest.mark.parametrize("carrier,expected", [
+        ("udp", ("A-aux", "udp")),
+        ("tcp", ("A", "tcp")),
+    ])
+    def test_reverse_request_unregistered_peer(self, carrier, expected):
+        from repro.core.protocol import ReverseRequest
+
+        sc, send = _carrier_rig(seed=24)
+        got = send(carrier, ReverseRequest(requester_id=1, target_id=99))
+        assert got == [expected + ("RendezvousError",)]
+
+    @pytest.mark.parametrize("carrier", ["udp", "tcp"])
+    def test_reverse_request_rides_control_connections(self, carrier):
+        """Reversal is TCP-plane signalling even when asked for by datagram."""
+        from repro.core.protocol import ReverseRequest
+
+        sc, send = _carrier_rig(seed=25)
+        got = send(carrier, ReverseRequest(requester_id=1, target_id=2))
+        assert got == [("A", "tcp", "ReverseExpect"), ("B", "tcp", "ReverseConnect")]

@@ -189,3 +189,31 @@ def test_config_timeout_respected():
                                 config=TcpPunchConfig(timeout=5.0))
     sc.wait_for(lambda: failures, 30.0)
     assert sc.scheduler.now - started < 7.0
+
+
+@pytest.mark.parametrize("hello_already_sent", [True, False])
+def test_authenticate_binds_the_stream_and_says_hello_once(hello_already_sent):
+    """The one binding step (§4.2 step 5): identity recorded, and our Hello
+    goes out exactly once however the stream came to be authenticated."""
+    from repro.core.protocol import FrameBuffer, Hello
+    from repro.core.tcp_punch import TcpStream
+
+    class Wire:  # the slice of TcpConnection a stream touches
+        on_data = on_close = on_error = None
+
+        def __init__(self):
+            self.sent = FrameBuffer()
+            self.messages = []
+
+        def send(self, data):
+            self.messages.extend(self.sent.feed(data))
+
+    client = build_two_nats(seed=35).clients["A"]
+    wire = Wire()
+    stream = TcpStream(client, wire, origin="accept")
+    if hello_already_sent:
+        stream.send_hello(2, 77)
+    stream.authenticate(2, 77)
+    stream.authenticate(2, 77)  # a duplicate Hello from the peer re-binds
+    assert (stream.peer_id, stream.nonce, stream.authenticated) == (2, 77, True)
+    assert wire.messages == [Hello(sender=1, receiver=2, nonce=77)]

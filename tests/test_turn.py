@@ -126,6 +126,18 @@ def test_reallocation_is_idempotent():
     assert server.allocations_created == 2  # no duplicate allocation
 
 
+def test_allocate_answers_every_waiting_caller_in_order():
+    """Two requests before the first TurnAllocated: neither is forgotten."""
+    net, server, clients = build_turn_world()
+    fired = []
+    clients["A"].allocate(lambda ep: fired.append(("first", ep)))
+    clients["A"].allocate(lambda ep: fired.append(("second", ep)))
+    net.run_until(net.now + 2)
+    relay = clients["A"].relay_endpoint
+    assert fired == [("first", relay), ("second", relay)]
+    assert server.allocations_created == 1
+
+
 def test_turn_works_behind_symmetric_nats():
     """The §2.2 guarantee relaying exists for: it must work even where hole
     punching cannot."""
@@ -142,7 +154,7 @@ def test_turn_works_behind_symmetric_nats():
 class TestTurnPairViaPeerClient:
     """connect_via_turn: TURN-to-TURN channels between PeerClients."""
 
-    def _world(self, seed=5, behavior=B.SYMMETRIC_RANDOM):
+    def _world(self, seed=5, behavior=B.SYMMETRIC_RANDOM, peers=2):
         from repro.core.turn import TurnServer
         from repro.scenarios.topologies import ScenarioBuilder, Scenario
 
@@ -152,7 +164,8 @@ class TestTurnPairViaPeerClient:
         turn_server = TurnServer(relay_host)
         clients = {}
         for index, (label, pub, prefix) in enumerate(
-            [("A", "155.99.25.11", "10.0.0.0/24"), ("B", "138.76.29.7", "10.1.1.0/24")],
+            [("A", "155.99.25.11", "10.0.0.0/24"), ("B", "138.76.29.7", "10.1.1.0/24"),
+             ("C", "99.4.8.15", "10.2.2.0/24")][:peers],
             start=1,
         ):
             nat, lan, gw = builder.add_nat(label, pub, prefix, behavior)
@@ -187,6 +200,18 @@ class TestTurnPairViaPeerClient:
         assert got["a"] == [b"and back"]
         # Both sides hold allocations; the data really crossed the relay.
         assert turn_server.allocations_created == 2
+
+    def test_back_to_back_connects_on_a_fresh_client_both_complete(self):
+        """Both requests wait on the same first allocation."""
+        sc, turn_server = self._world(seed=9, peers=3)
+        a = sc.clients["A"]
+        sessions, failures = {}, []
+        a.connect_via_turn(2, on_session=lambda s: sessions.setdefault(2, s),
+                           on_failure=failures.append)
+        a.connect_via_turn(3, on_session=lambda s: sessions.setdefault(3, s),
+                           on_failure=failures.append)
+        sc.wait_for(lambda: len(sessions) == 2 or failures, 30.0)
+        assert sorted(sessions) == [2, 3], failures
 
     def test_turn_pair_source_is_peer_relay(self):
         sc, turn_server = self._world(seed=6)
