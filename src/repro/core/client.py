@@ -143,7 +143,6 @@ class PeerClient:
         self._udp_register_timer: Optional[Timer] = None
         self._udp_register_tries = 0
         self._server_keepalive_timer: Optional[Timer] = None
-        self._keepalive_wheel_entry = None
         self.punchers: Dict[int, UdpHolePuncher] = {}
         self.sessions: Dict[int, UdpSession] = {}
         self._repunch_timers: Dict[int, Timer] = {}
@@ -250,29 +249,17 @@ class PeerClient:
             retry_interval, self._udp_register_attempt, retry_interval, tries_left - 1
         )
 
-    def start_server_keepalives(self, interval: float = 15.0, wheel=None) -> None:
+    def start_server_keepalives(self, interval: float = 15.0) -> None:
         """Periodically refresh the registration's NAT mapping (§3.6).
 
         With a :class:`~repro.core.failover.ServerFailover` attached the
         manager drives the loop instead: its probes double as liveness
         checks, and unanswered ones trigger migration to the next server.
-
-        Pass a shared :class:`~repro.core.registry.KeepaliveWheel` as
-        *wheel* when many clients keep alive in one simulation: the wheel
-        batches every client due in the same tick under one scheduler timer
-        instead of one ``call_later`` loop per client (the default, kept for
-        small scenarios and byte-identical traces).
         """
         if self.failover is not None:
             self.failover.start(interval)
             return
         self.stop_server_keepalives()
-        if wheel is not None:
-            self._keepalive_wheel_entry = wheel.add(
-                interval,
-                lambda: self._send_server_udp(Keepalive(client_id=self.client_id)),
-            )
-            return
 
         def tick() -> None:
             self._send_server_udp(Keepalive(client_id=self.client_id))
@@ -286,9 +273,6 @@ class PeerClient:
         if self._server_keepalive_timer is not None:
             self._server_keepalive_timer.cancel()
             self._server_keepalive_timer = None
-        if self._keepalive_wheel_entry is not None:
-            self._keepalive_wheel_entry.cancel()
-            self._keepalive_wheel_entry = None
 
     def connect_udp(
         self,
@@ -310,6 +294,8 @@ class PeerClient:
             self.scheduler.call_later(0.0, on_session, existing)
             return
         entry = self._open_connect(TRANSPORT_UDP, peer_id, on_session, on_failure, config)
+        if entry is None:
+            return
         # Retransmit the request while it is pending: the request or the
         # server's forwarded endpoints may be lost in transit, and S keeps a
         # stable pairing nonce across retries.
@@ -329,10 +315,23 @@ class PeerClient:
 
     # -- the pending-connect book (both carriers) ---------------------------------
 
-    def _open_connect(self, transport: int, peer_id: int, on_connected, on_failure, config) -> tuple:
+    def _open_connect(
+        self, transport: int, peer_id: int, on_connected, on_failure, config
+    ) -> Optional[tuple]:
         """Open the span, the flight attempt and the pending entry of one
-        connect request, in that order; returns the entry."""
+        connect request, in that order; returns the entry.
+
+        A connect to a peer already pending or punching on *transport* joins
+        that one instead and returns None: its callbacks fire after the
+        earlier callers', with the same outcome, and its *config* is ignored.
+        """
         key = (transport, peer_id)
+        pending = self._pending.get(key)
+        puncher = (self.punchers if transport == TRANSPORT_UDP else self.tcp_punchers).get(peer_id)
+        if pending is not None or (puncher is not None and not puncher.finished):
+            callbacks = pending[0] if pending is not None else puncher._callbacks
+            callbacks.append((on_connected, on_failure))
+            return None
         name = _TRANSPORT_NAMES[transport]
         span = self.metrics.span("connect", transport=name, peer=str(peer_id))
         span.event("connect-request-sent")
@@ -341,7 +340,7 @@ class PeerClient:
             self._connect_attempts[key] = self.flight.attempt(
                 "connect." + name, client=self.client_id, peer=peer_id
             )
-        entry = self._pending[key] = (on_connected, on_failure, config)
+        entry = self._pending[key] = ([(on_connected, on_failure)], config)
         return entry
 
     def _request_endpoints(self, transport: int, peer_id: int) -> None:
@@ -365,7 +364,7 @@ class PeerClient:
         del self._pending[key]
         self._fail_connect(
             key,
-            entry[1],
+            entry[0],
             "endpoint exchange timed out",
             "timeout",
             TimeoutError_(f"endpoint exchange with peer {key[1]} timed out"),
@@ -388,10 +387,10 @@ class PeerClient:
         failed = [item for item in self._pending.items() if item[0][0] == transport]
         for key, _ in failed:
             del self._pending[key]
-        for key, (_, on_failure, _cfg) in failed:
+        for key, (callbacks, _cfg) in failed:
             self._fail_connect(
                 key,
-                on_failure,
+                callbacks,
                 error.reason,
                 "error",
                 ReproError(f"rendezvous error: {error.reason}"),
@@ -400,7 +399,7 @@ class PeerClient:
     def _fail_connect(
         self,
         key: Tuple[int, int],
-        on_failure: Optional[FailureHandler],
+        callbacks: list,
         reason: str,
         outcome: str,
         error: Exception,
@@ -409,8 +408,9 @@ class PeerClient:
         if span is not None:
             span.finish(OUTCOME_ERROR, reason=reason)
         self._finish_connect_attempt(*key, outcome)
-        if on_failure is not None:
-            on_failure(error)
+        for _, on_failure in callbacks:
+            if on_failure is not None:
+                on_failure(error)
 
     def _take_pending(self, transport: int, peer_id: int) -> Tuple[Optional[tuple], Optional[Span]]:
         """S sent the peer's endpoints: the request they answer (None when
@@ -450,7 +450,7 @@ class PeerClient:
                 self.failover.note_ack()
         elif isinstance(message, PeerEndpoints):
             if message.transport == TRANSPORT_UDP:
-                self._udp_endpoint_exchange(message)
+                self._endpoint_exchange(message)
         elif isinstance(message, RelayPayload):
             self._route_relay(message, TRANSPORT_UDP)
         elif isinstance(message, RelayError):
@@ -500,34 +500,42 @@ class PeerClient:
             return None
         return self.udp_public != self.udp_private
 
-    def _udp_endpoint_exchange(self, message: PeerEndpoints) -> None:
-        """§3.2 step 2/3: we know the peer's endpoints — start punching."""
-        peer_id = message.peer_id
-        if peer_id in self.punchers and not self.punchers[peer_id].finished:
+    def _endpoint_exchange(self, message: PeerEndpoints) -> None:
+        """§3.2 / §4.2 steps 2-3: we know the peer's endpoints — start
+        punching (over TCP: connecting while we keep listening)."""
+        peer_id, udp = message.peer_id, message.transport == TRANSPORT_UDP
+        punchers = self.punchers if udp else self.tcp_punchers
+        if peer_id in punchers and not punchers[peer_id].finished:
             return  # already punching this peer
-        session = self.sessions.get(peer_id)
+        session = self.sessions.get(peer_id) if udp else None
         if session is not None and session.alive and session.nonce == message.nonce:
             # Late duplicate of an exchange we already completed (S reuses
             # the pairing nonce precisely so stragglers — e.g. a nudge's
             # response arriving after lock-in, or the extra shard-to-shard
             # hop in a sharded pool — don't restart a live punch).
             return
-        pending, span = self._take_pending(TRANSPORT_UDP, peer_id)
+        pending, span = self._take_pending(message.transport, peer_id)
         # Responder role (nothing pending): deliver via the application handler.
-        on_session, on_failure, config = pending or (self._deliver_incoming_session, None, None)
-        puncher = UdpHolePuncher(
-            client=self,
-            peer_id=peer_id,
-            nonce=message.nonce,
-            candidates=[message.public_ep, message.private_ep],
-            on_session=on_session,
-            on_failure=on_failure,
-            config=config or self.punch_config,
-            span=span,
-        )
-        self.punchers[peer_id] = puncher
+        incoming = self._deliver_incoming_session if udp else self._deliver_incoming_stream
+        callbacks, config = pending or ([(incoming, None)], None)
+        on_connected, on_failure = callbacks[0]
+        candidates = [message.public_ep, message.private_ep]
+        if udp:
+            puncher = UdpHolePuncher(
+                self, peer_id, message.nonce, candidates, on_connected, on_failure,
+                config or self.punch_config, span,
+            )
+        else:
+            controlling = message.role == PeerEndpoints.ROLE_REQUESTER
+            puncher = TcpHolePuncher(
+                self, peer_id, message.nonce, candidates, controlling, on_connected,
+                on_failure, config or self.tcp_punch_config, span,
+            )
+            self._register_stream_claimant(peer_id, message.nonce, puncher.offer_accepted)
+        puncher._callbacks = callbacks  # with every connect that joined
+        punchers[peer_id] = puncher
         puncher.start()
-        if pending is not None:
+        if udp and pending is not None:
             # We are the requester: keep nudging S while the punch is live,
             # in case the responder's copy of the endpoint exchange was lost
             # (S reuses the pairing nonce, so late copies still match).
@@ -585,17 +593,19 @@ class PeerClient:
 
     # -- puncher/session bookkeeping --------------------------------------------------
 
-    def _puncher_succeeded(self, puncher: UdpHolePuncher, session: UdpSession) -> None:
-        self._finish_connect_attempt(TRANSPORT_UDP, puncher.peer_id, "connected")
-        self.punchers.pop(puncher.peer_id, None)
-        old = self.sessions.get(puncher.peer_id)
-        if old is not None and old.alive:
-            old.close()
-        self.sessions[puncher.peer_id] = session
-
-    def _puncher_failed(self, puncher: UdpHolePuncher) -> None:
-        self._finish_connect_attempt(TRANSPORT_UDP, puncher.peer_id, "timeout")
-        self.punchers.pop(puncher.peer_id, None)
+    def _punch_finished(self, puncher, outcome: str, session=None) -> None:
+        """A puncher on either carrier locked in or timed out: finish its
+        connect attempt and drop it from its book.  A UDP *session* becomes
+        the peer's current one."""
+        self._finish_connect_attempt(puncher._transport, puncher.peer_id, outcome)
+        punchers = self.punchers if puncher._transport == TRANSPORT_UDP else self.tcp_punchers
+        if punchers.get(puncher.peer_id) is puncher:
+            del punchers[puncher.peer_id]
+        if isinstance(session, UdpSession):
+            old = self.sessions.get(puncher.peer_id)
+            if old is not None and old.alive:
+                old.close()
+            self.sessions[puncher.peer_id] = session
 
     def _session_closed(self, session: UdpSession) -> None:
         if self.sessions.get(session.peer_id) is session:
@@ -743,6 +753,8 @@ class PeerClient:
         if not self.tcp_registered:
             raise ReproError("connect_tcp before TCP registration completed")
         entry = self._open_connect(TRANSPORT_TCP, peer_id, on_stream, on_failure, config)
+        if entry is None:
+            return
         self._request_endpoints(TRANSPORT_TCP, peer_id)
         budget = (config or self.tcp_punch_config).timeout
         self.scheduler.call_later(
@@ -806,7 +818,7 @@ class PeerClient:
                     callback()
         elif isinstance(message, PeerEndpoints):
             if message.transport == TRANSPORT_TCP:
-                self._tcp_endpoint_exchange(message)
+                self._endpoint_exchange(message)
         elif isinstance(message, ReverseExpect):
             for request in self._reversals:
                 if request.target_id == message.peer_id and not request.finished:
@@ -826,38 +838,6 @@ class PeerClient:
             self._relay_send_failed(message, TRANSPORT_TCP)
         elif isinstance(message, RendezvousError):
             self._request_failed(message, TRANSPORT_TCP)
-
-    def _tcp_endpoint_exchange(self, message: PeerEndpoints) -> None:
-        """§4.2 step 2/3: start connecting while we keep listening."""
-        peer_id = message.peer_id
-        if peer_id in self.tcp_punchers and not self.tcp_punchers[peer_id].finished:
-            return
-        pending, span = self._take_pending(TRANSPORT_TCP, peer_id)
-        on_stream, on_failure, config = pending or (self._deliver_incoming_stream, None, None)
-        puncher = TcpHolePuncher(
-            client=self,
-            peer_id=peer_id,
-            nonce=message.nonce,
-            candidates=[message.public_ep, message.private_ep],
-            controlling=message.role == PeerEndpoints.ROLE_REQUESTER,
-            on_stream=on_stream,
-            on_failure=on_failure,
-            config=config or self.tcp_punch_config,
-            span=span,
-        )
-        self.tcp_punchers[peer_id] = puncher
-        self._register_stream_claimant(peer_id, message.nonce, puncher.offer_accepted)
-        puncher.start()
-
-    def _tcp_puncher_finished(self, puncher: TcpHolePuncher) -> None:
-        self._finish_connect_attempt(
-            TRANSPORT_TCP,
-            puncher.peer_id,
-            "connected" if puncher.winner is not None else "timeout",
-        )
-        if self.tcp_punchers.get(puncher.peer_id) is puncher:
-            del self.tcp_punchers[puncher.peer_id]
-        self._unregister_stream_claimant(puncher.peer_id, puncher.nonce)
 
     def _sequential_finished(self, requester: SequentialRequester) -> None:
         if self._sequentials.get(requester.target_id) is requester:
@@ -942,23 +922,29 @@ class PeerClient:
             raise ReproError("connect_via_turn before enable_turn")
         if not self.udp_registered:
             raise ReproError("connect_via_turn before UDP registration")
+        pending = self._pending_turn.get(peer_id)
+        if pending is not None:
+            # Join the exchange already under way (same pair, same deadline).
+            pending[0].append((on_session, on_failure))
+            return
         nonce = self._rng.nonce64()
         deadline = self.scheduler.call_later(
             timeout, self._turn_connect_timeout, peer_id
         )
-        self._pending_turn[peer_id] = (on_session, on_failure, nonce, deadline)
+        self._pending_turn[peer_id] = ([(on_session, on_failure)], nonce, deadline)
         self._when_allocated(lambda: self._advertise_relay(peer_id, nonce))
 
     def _turn_connect_timeout(self, peer_id: int) -> None:
         pending = self._pending_turn.pop(peer_id, None)
         if pending is None:
             return
-        _, on_failure, _, _ = pending
         pair = self.turn_pairs.get(peer_id)
         if pair is not None and pair.established:
             return
-        if on_failure is not None:
-            on_failure(ReproError(f"TURN exchange with peer {peer_id} timed out"))
+        error = ReproError(f"TURN exchange with peer {peer_id} timed out")
+        for _, on_failure in pending[0]:
+            if on_failure is not None:
+                on_failure(error)
 
     def _handle_turn_exchange(self, message) -> None:
         """The peer advertised its relayed endpoint (forwarded by S)."""
@@ -967,14 +953,19 @@ class PeerClient:
         peer_id = message.sender
         pending = self._pending_turn.get(peer_id)
         if pending is not None:
-            on_session, _, nonce, deadline = pending
+            callbacks, nonce, deadline = pending
             if message.nonce != nonce:
                 return
             del self._pending_turn[peer_id]
             deadline.cancel()
             pair = TurnPairSession(self, self.turn, peer_id, nonce, message.relay_ep)
             self.turn_pairs[peer_id] = pair
-            pair.on_established = lambda p: on_session(p)
+
+            def established(session: TurnPairSession) -> None:
+                for on_session, _ in callbacks:
+                    on_session(session)
+
+            pair.on_established = established
             return
         # Responder role: allocate, answer with our relay endpoint, and
         # deliver the session once the openers cross.

@@ -32,11 +32,12 @@ from repro.core.protocol import (
     StreamKeepalive,
     StreamSelect,
 )
+from repro.core.udp_punch import _HolePunch, _PeerSession
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
-from repro.obs.spans import OUTCOME_LOCKED, OUTCOME_TIMEOUT, Span
+from repro.obs.spans import Span
 from repro.transport.tcp import TcpConnection
-from repro.util.errors import ConnectionError_, ProtocolError, TimeoutError_
+from repro.util.errors import ConnectionError_, ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import PeerClient
@@ -72,45 +73,31 @@ AUTH_TIMEOUT = 4.0
 STREAM_ECHO_SUPPRESS_SECONDS = 0.5
 
 
-class TcpStream:
+class TcpStream(_PeerSession):
     """A framed, authenticated message stream over one TCP connection.
 
     During punching the owning :class:`TcpHolePuncher` drives it; once
     selected it is handed to the application, which uses :meth:`send`,
-    :attr:`on_data`, and :meth:`close`.
+    :attr:`on_data`, and :meth:`close`.  Its session attempt opens only on
+    selection (punch-race losers are not sessions).
     """
 
+    _transport = TRANSPORT_TCP
+    _name = "tcp"
+
     def __init__(self, client: "PeerClient", conn: TcpConnection, origin: str) -> None:
-        self.client = client
+        super().__init__(client)
         self.conn = conn
         self.origin = origin  # "connect" | "accept"
         self.buffer = FrameBuffer()
         self.authenticated = False
         self.hello_sent = False
-        self.peer_id: Optional[int] = None
         self.nonce: Optional[int] = None
         self.selected = False
-        self.closed = False
-        self.broken = False
         self._on_message: Optional[Callable[[protocol.Message], None]] = None
         self._on_data: Optional[Callable[[bytes], None]] = None
         self._pending_payloads: List[bytes] = []
         self.on_close: Optional[Callable[[], None]] = None
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.keepalives_sent = 0
-        self._keepalive_interval: Optional[float] = None
-        self._broken_after_missed = 3
-        self._keepalive_timer: Optional[Timer] = None
-        now = client.scheduler.now
-        self._last_inbound = now
-        self._last_outbound = now
-        #: Set when the puncher selects this stream (session survival clock).
-        self.established_at: Optional[float] = None
-        # Flight recorder wiring; the attempt opens only on selection
-        # (punch-race losers are not sessions).
-        self._flight = getattr(client, "flight", None)
-        self._attempt = None
         conn.on_data = self._feed
         conn.on_close = self._closed_by_peer
         conn.on_error = self._conn_error
@@ -143,35 +130,9 @@ class TcpStream:
             for payload in pending:
                 callback(payload)
 
-    def _begin_session(self, peer_id: int) -> None:
-        """Selected by the puncher: the stream becomes its own flight attempt
-        (child of the requester's connect attempt), so a punched stream that
-        later dies is attributed in the session's window — mirroring
-        :class:`~repro.core.udp_punch.UdpSession`."""
-        self.established_at = self.client.scheduler.now
-        if self.peer_id is None:
-            self.peer_id = peer_id
-        if self._flight is not None and self._attempt is None:
-            self._attempt = self._flight.attempt(
-                "session.tcp",
-                parent=self.client._connect_attempts.get((TRANSPORT_TCP, peer_id)),
-                peer=peer_id,
-                remote=str(self.remote),
-            )
-
-    def _finish_session(self, outcome: str) -> None:
-        if self._attempt is not None:
-            if outcome == "broken":
-                self._flight.record(
-                    "session.broken", peer=self.peer_id, remote=str(self.remote)
-                )
-            self._flight.finish(self._attempt, outcome)
-
     def close(self) -> None:
         if self.closed:
             return
-        self.closed = True
-        self._stop_keepalives()
         self._finish_session("closed")
         self.conn.close()
 
@@ -183,49 +144,9 @@ class TcpStream:
         self.conn.abort()
 
     # -- liveness (§3.6 ladder, TCP flavour) ------------------------------------
-
-    def start_keepalives(self, interval: float, broken_after_missed: int = 3) -> None:
-        """Probe the peer with in-band :class:`StreamKeepalive` frames.
-
-        TCP's own retransmission machinery only detects a dead peer while we
-        have data in flight; an idle punched stream whose peer silently died
-        (or whose NAT mapping expired, §5.1) blackholes forever.  Probing in
-        band gives idle streams the same liveness ladder punched UDP sessions
-        have: after ``interval * broken_after_missed`` seconds of silence the
-        stream is marked broken and torn down, firing ``on_close`` so the
-        connector can re-run its ladder.
-        """
-        if self.closed:
-            return
-        self._keepalive_interval = interval
-        self._broken_after_missed = broken_after_missed
-        now = self.client.scheduler.now
-        self._last_inbound = now
-        self._schedule_keepalive()
-
-    def _schedule_keepalive(self) -> None:
-        assert self._keepalive_interval is not None
-        self._keepalive_timer = self.client.scheduler.call_later(
-            self._keepalive_interval, self._keepalive_tick
-        )
-
-    def _stop_keepalives(self) -> None:
-        if self._keepalive_timer is not None:
-            self._keepalive_timer.cancel()
-            self._keepalive_timer = None
-        self._keepalive_interval = None
-
-    def _keepalive_tick(self) -> None:
-        if self.closed or self._keepalive_interval is None:
-            return
-        now = self.client.scheduler.now
-        silent_for = now - self._last_inbound
-        if silent_for > self._keepalive_interval * self._broken_after_missed:
-            self._mark_broken()
-            return
-        if now - self._last_outbound >= self._keepalive_interval:
-            self._send_keepalive()
-        self._schedule_keepalive()
+    # TCP's retransmissions only detect a dead peer while data is in flight;
+    # an idle punched stream whose peer died (or whose NAT mapping expired,
+    # §5.1) would blackhole forever, so start_keepalives probes in band.
 
     def _send_keepalive(self) -> None:
         self.keepalives_sent += 1
@@ -235,14 +156,14 @@ class TcpStream:
     def _mark_broken(self) -> None:
         """Too long without a peer frame: declare the stream dead.
 
-        ``abort`` resets the connection, which fires ``on_close`` (via the
-        connection teardown) — that is the signal the connector's channel
-        watch re-runs the ladder on.
+        Resetting the connection fires ``on_close`` (via the connection
+        teardown) — that is the signal the connector's channel watch re-runs
+        the ladder on.
         """
         self.broken = True
         self.client.metrics.counter("session.tcp.broken").inc()
         self._finish_session("broken")
-        self.abort()
+        self.conn.abort()
 
     # -- internals ----------------------------------------------------------------
 
@@ -306,8 +227,6 @@ class TcpStream:
             self._on_message(message)
 
     def _closed_by_peer(self) -> None:
-        self.closed = True
-        self._stop_keepalives()
         self._finish_session("closed")
         if self.on_close is not None:
             self.on_close()
@@ -316,9 +235,7 @@ class TcpStream:
         """The transport declared the peer dead (RST, or data retransmission
         exhausted its timeout).  Teardown already happened without a close
         notification, so surface it as one: the stream is gone either way."""
-        self.closed = True
         self.broken = True
-        self._stop_keepalives()
         self.client.metrics.counter("session.tcp.dead_peer", reason=error.reason).inc()
         self._finish_session("broken")
         if self.on_close is not None:
@@ -331,8 +248,14 @@ class TcpStream:
         )
 
 
-class TcpHolePuncher:
+class TcpHolePuncher(_HolePunch):
     """One in-flight parallel TCP hole punch toward a single peer (§4.2)."""
+
+    _transport = TRANSPORT_TCP
+    _name = "tcp"
+    _kind_counter = "punch.tcp.stream_origin"
+    _kind_label = "origin"
+    _latency_histogram = "punch.tcp.connect_seconds"
 
     def __init__(
         self,
@@ -346,48 +269,30 @@ class TcpHolePuncher:
         config: TcpPunchConfig,
         span: Optional[Span] = None,
     ) -> None:
-        self.client = client
-        self.peer_id = peer_id
-        self.nonce = nonce
+        super().__init__(client, peer_id, nonce, on_stream, on_failure, config, span)
         seen = set()
         self.candidates = [c for c in candidates if not (c in seen or seen.add(c))]
         metrics = client.metrics
-        self._parent_span = span
-        self.span = (
-            span.child("punch.tcp")
-            if span is not None
-            else metrics.span("punch.tcp", peer=str(peer_id))
-        )
         self._attempt_counter = metrics.counter("punch.tcp.connect_attempts")
         self._retry_counter = metrics.counter("punch.tcp.retries")
         self._in_use_counter = metrics.counter("punch.tcp.address_in_use")
         self.controlling = controlling
-        self.on_stream = on_stream
-        self.on_failure = on_failure
-        self.config = config
-        self.started_at = client.scheduler.now
-        self.finished = False
-        self.elapsed: Optional[float] = None
         self.connect_attempts = 0
         self.retries = 0
         self.address_in_use_errors = 0
         self.streams: List[TcpStream] = []
         self.authenticated_streams: List[TcpStream] = []
         self.winner: Optional[TcpStream] = None
-        self._deadline_timer: Optional[Timer] = None
         self._select_timer: Optional[Timer] = None
         self._retry_timers: List[Timer] = []
         self._in_flight: List[TcpConnection] = []
 
-    def start(self) -> None:
+    def _punch(self) -> None:
         """§4.2 step 3: connect to all candidates while listening."""
         self.span.event(
             "punching-started",
             candidates=len(self.candidates),
             controlling=self.controlling,
-        )
-        self._deadline_timer = self.client.scheduler.call_later(
-            self.config.timeout, self._on_deadline
         )
         # Adopt any already-accepted stream that authenticated for us while
         # the endpoint exchange was still in flight.
@@ -538,30 +443,14 @@ class TcpHolePuncher:
     def _deliver(self, stream: TcpStream) -> None:
         if self.finished:
             return
-        self.finished = True
-        self.elapsed = self.client.scheduler.now - self.started_at
         self.winner = stream
         stream.selected = True
         stream.conn.on_error = stream._conn_error
-        # Open the session attempt while the connect attempt is still live
-        # (it is popped by _tcp_puncher_finished below) so parenting links up.
+        # Open the session attempt before _succeed: the connect attempt it
+        # parents to is still live, and the losing streams' resets (sent by
+        # _release) run in the session's causal context.
         stream._begin_session(self.peer_id)
-        metrics = self.client.metrics
-        metrics.counter("punch.tcp.succeeded").inc()
-        metrics.counter("punch.tcp.stream_origin", origin=stream.origin).inc()
-        metrics.histogram("punch.tcp.connect_seconds").observe(self.elapsed)
-        self.span.finish(
-            OUTCOME_LOCKED, remote=str(stream.remote), origin=stream.origin
-        )
-        if self._parent_span is not None:
-            self._parent_span.finish(OUTCOME_LOCKED)
-        self._cancel_timers()
-        self._abandon_in_flight(keep=stream.conn)
-        for other in self.streams:
-            if other is not stream and not other.closed:
-                other.abort()
-        self.client._tcp_puncher_finished(self)
-        self.on_stream(stream)
+        self._succeed(stream, stream.origin, remote=str(stream.remote), origin=stream.origin)
 
     # -- timers / failure -------------------------------------------------------------------
 
@@ -572,43 +461,24 @@ class TcpHolePuncher:
 
         self.client.scheduler.call_later(AUTH_TIMEOUT, check)
 
-    def _on_deadline(self) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        self.client.metrics.counter("punch.tcp.failed").inc()
-        self.span.finish(OUTCOME_TIMEOUT)
-        if self._parent_span is not None:
-            self._parent_span.finish(OUTCOME_TIMEOUT)
-        self._cancel_timers()
-        self._abandon_in_flight(keep=None)
-        for stream in self.streams:
-            if not stream.closed:
-                stream.abort()
-        self.client._tcp_puncher_finished(self)
-        if self.on_failure is not None:
-            self.on_failure(
-                TimeoutError_(
-                    f"TCP hole punch to peer {self.peer_id} timed out after "
-                    f"{self.config.timeout:.1f}s"
-                )
-            )
-
-    def _abandon_in_flight(self, keep) -> None:
-        """Tear down connect attempts that never completed (half-open
-        SYN_SENT sockets would otherwise keep retransmitting)."""
-        for conn in self._in_flight:
-            if conn is keep or conn.established:
-                continue
-            conn.close()  # quiet teardown for SYN_SENT/SYN_RCVD states
-
-    def _cancel_timers(self) -> None:
+    def _release(self, keep: Optional[TcpStream]) -> None:
+        """Stop punching: cancel the retries and the pending selection, tear
+        down connect attempts that never completed (half-open SYN_SENT
+        sockets would otherwise keep retransmitting), abort every stream but
+        *keep*, and stop claiming accepted streams for this pairing."""
         for timer in self._retry_timers:
             timer.cancel()
-        if self._deadline_timer is not None:
-            self._deadline_timer.cancel()
         if self._select_timer is not None:
             self._select_timer.cancel()
+        keep_conn = keep.conn if keep is not None else None
+        for conn in self._in_flight:
+            if conn is keep_conn or conn.established:
+                continue
+            conn.close()  # quiet teardown for SYN_SENT/SYN_RCVD states
+        for stream in self.streams:
+            if stream is not keep and not stream.closed:
+                stream.abort()
+        self.client._unregister_stream_claimant(self.peer_id, self.nonce)
 
     def __repr__(self) -> str:
         return (

@@ -11,6 +11,12 @@ the technique.
 The :class:`UdpSession` it produces carries application data, sends
 keep-alives to hold the NAT hole open (§3.6), and detects a dead hole so the
 application can re-punch on demand.
+
+§4.2 runs the same procedure over TCP, so the parts that do not depend on the
+carrier live here once and :mod:`repro.core.tcp_punch` builds on them:
+:class:`_HolePunch` (span, deadline, lock-in and timeout accounting) and
+:class:`_PeerSession` (the session's flight attempt and the §3.6 keep-alive
+ladder).
 """
 
 from __future__ import annotations
@@ -77,7 +83,110 @@ SessionHandler = Callable[["UdpSession"], None]
 FailureHandler = Callable[[Exception], None]
 
 
-class UdpSession:
+class _PeerSession:
+    """What a punched session is on either carrier (§3.6).
+
+    It is its own flight attempt — a child of the requester's connect
+    attempt — so a hole that later dies is attributed in the session's window
+    (the nat.reboot / fault that killed it), not the long-finished punch's.
+    And it runs the keep-alive ladder: probe the peer after an idle
+    interval, declare the session broken after ``broken_after_missed``
+    silent ones.  A carrier supplies ``_send_keepalive`` and ``_mark_broken``.
+    """
+
+    _transport = TRANSPORT_UDP
+    _name = "udp"
+
+    def __init__(self, client: "PeerClient") -> None:
+        self.client = client
+        self.peer_id: Optional[int] = None
+        self.closed = False
+        self.broken = False
+        self.bytes_sent = 0
+        self.bytes_received = 0
+        self.keepalives_sent = 0
+        #: When the punch locked this session in (session survival clock).
+        self.established_at: Optional[float] = None
+        self._keepalive_interval: Optional[float] = None
+        self._broken_after_missed = 3
+        self._keepalive_timer: Optional[Timer] = None
+        now = client.scheduler.now
+        self._last_inbound = now
+        self._last_outbound = now
+        self._flight = getattr(client, "flight", None)
+        self._attempt = None
+
+    def _begin_session(self, peer_id: int) -> None:
+        """The punch locked in: start the session clock and open the session
+        attempt while the connect attempt is still live, so parenting links
+        up."""
+        self.established_at = self.client.scheduler.now
+        if self.peer_id is None:
+            self.peer_id = peer_id
+        if self._flight is not None and self._attempt is None:
+            self._attempt = self._flight.attempt(
+                "session." + self._name,
+                parent=self.client._connect_attempts.get((self._transport, peer_id)),
+                peer=peer_id,
+                remote=str(self.remote),
+            )
+
+    def _finish_session(self, outcome: str) -> None:
+        """The session is over (``closed`` or ``broken``): stop probing and
+        close its attempt, recording the break."""
+        self.closed = True
+        self._stop_keepalives()
+        if self._attempt is not None:
+            if outcome == "broken":
+                self._flight.record(
+                    "session.broken", peer=self.peer_id, remote=str(self.remote)
+                )
+            self._flight.finish(self._attempt, outcome)
+
+    # -- keepalives (§3.6) -----------------------------------------------------------
+
+    def start_keepalives(self, interval: float, broken_after_missed: int = 3) -> None:
+        """Probe the peer whenever the session has been idle for *interval*.
+
+        After ``interval * broken_after_missed`` seconds without hearing from
+        the peer the session is marked broken and torn down — §3.6's cue to
+        re-run hole punching on demand.
+        """
+        if self.closed:
+            return
+        self._keepalive_interval = interval
+        self._broken_after_missed = broken_after_missed
+        self._last_inbound = self.client.scheduler.now
+        self._schedule_keepalive()
+
+    def _schedule_keepalive(self) -> None:
+        self._keepalive_timer = self.client.scheduler.call_later(
+            self._keepalive_interval, self._keepalive_tick
+        )
+
+    def _stop_keepalives(self) -> None:
+        if self._keepalive_timer is not None:
+            self._keepalive_timer.cancel()
+            self._keepalive_timer = None
+        self._keepalive_interval = None
+
+    def _keepalive_tick(self) -> None:
+        if self.closed or self._keepalive_interval is None:
+            return
+        now = self.client.scheduler.now
+        silent_for = now - self._last_inbound
+        if silent_for > self._keepalive_interval * self._broken_after_missed:
+            self._mark_broken()
+            return
+        # The tolerance absorbs float drift along the timer chain: a tick
+        # landing a hair short of a full idle interval must still probe, or
+        # an idle session skips every few intervals.
+        if now - self._last_outbound >= self._keepalive_interval - 1e-9:
+            self._send_keepalive()
+        self._schedule_keepalive()
+
+
+class UdpSession(_PeerSession):
     """An established peer-to-peer UDP session.
 
     Attributes:
@@ -98,42 +207,21 @@ class UdpSession:
         remote: Endpoint,
         config: PunchConfig,
     ) -> None:
-        self.client = client
+        super().__init__(client)
         self.peer_id = peer_id
         self.nonce = nonce
         self.remote = remote
         self.config = config
         self._scheduler = client.scheduler
-        self.established_at = self._scheduler.now
         self.on_data: Optional[Callable[[bytes], None]] = None
         self.on_broken: Optional[Callable[[], None]] = None
         self.on_repunched: Optional[Callable[["UdpSession"], None]] = None
         self.on_closed_by_peer: Optional[Callable[[], None]] = None
-        self.closed = False
-        self.broken = False
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.keepalives_sent = 0
-        self._last_outbound = self.established_at
-        self._last_inbound = self.established_at
-        self._keepalive_timer: Optional[Timer] = None
         client.metrics.counter("session.udp.established").inc()
         self._keepalive_counter = client.metrics.counter("session.udp.keepalives")
-        # Flight recorder: the session is its own attempt (child of the
-        # requester's connect attempt), so a hole that later dies can be
-        # attributed — the nat.reboot / fault that killed it lands in this
-        # attempt's window, not the long-finished punch's.
-        self._flight = getattr(client, "flight", None)
-        self._attempt = None
-        if self._flight is not None:
-            self._attempt = self._flight.attempt(
-                "session.udp",
-                parent=client._connect_attempts.get((TRANSPORT_UDP, peer_id)),
-                peer=peer_id,
-                remote=str(remote),
-            )
+        self._begin_session(peer_id)
         if config.keepalive_interval > 0:
-            self._schedule_keepalive()
+            self.start_keepalives(config.keepalive_interval, config.broken_after_missed)
 
     # -- application API ---------------------------------------------------------
 
@@ -170,11 +258,7 @@ class UdpSession:
                 ),
                 self.remote,
             )
-        self.closed = True
-        if self._keepalive_timer is not None:
-            self._keepalive_timer.cancel()
-        if self._attempt is not None:
-            self._flight.finish(self._attempt, "closed")
+        self._finish_session("closed")
         self.client._session_closed(self)
 
     @property
@@ -183,44 +267,26 @@ class UdpSession:
 
     # -- keepalives (§3.6) -----------------------------------------------------------
 
-    def _schedule_keepalive(self) -> None:
-        self._keepalive_timer = self._scheduler.call_later(
-            self.config.keepalive_interval, self._keepalive_tick
+    def _send_keepalive(self) -> None:
+        self.keepalives_sent += 1
+        self._keepalive_counter.inc()
+        self._last_outbound = self._scheduler._now
+        self.client._send_peer(
+            SessionKeepalive(
+                sender=self.client.client_id,
+                receiver=self.peer_id,
+                nonce=self.nonce,
+            ),
+            self.remote,
         )
-
-    def _keepalive_tick(self) -> None:
-        if self.closed:
-            return
-        now = self._scheduler.now
-        silent_for = now - self._last_inbound
-        if silent_for > self.config.keepalive_interval * self.config.broken_after_missed:
-            self._mark_broken()
-            return
-        if now - self._last_outbound >= self.config.keepalive_interval - 1e-9:
-            self.keepalives_sent += 1
-            self._keepalive_counter.inc()
-            self._last_outbound = now
-            self.client._send_peer(
-                SessionKeepalive(
-                    sender=self.client.client_id,
-                    receiver=self.peer_id,
-                    nonce=self.nonce,
-                ),
-                self.remote,
-            )
-        self._schedule_keepalive()
 
     def _mark_broken(self) -> None:
         """The hole died (e.g. NAT idle timeout outlived our keepalives)."""
         self.broken = True
         self.client.metrics.counter("session.udp.broken").inc()
-        if self._attempt is not None:
-            self._flight.record(
-                "session.broken", peer=self.peer_id, remote=str(self.remote)
-            )
-            self._flight.finish(self._attempt, "broken")
         callback = self.on_broken
-        self.close()
+        self._finish_session("broken")
+        self.client._session_closed(self)
         # The client gets first look so automatic re-punch (§3.6: re-run the
         # hole punching procedure on demand) can start before the app reacts.
         self.client._session_broken(self)
@@ -254,25 +320,106 @@ class UdpSession:
         elif isinstance(message, SessionKeepalive):
             # Echo a keepalive if we have been quiet: the sender needs an
             # answer to distinguish "peer idle" from "hole dead" (§3.6).
-            now = self._scheduler.now
-            if now - self._last_outbound >= self.config.keepalive_interval / 2:
-                self._last_outbound = now
-                self.keepalives_sent += 1
-                self._keepalive_counter.inc()
-                self.client._send_peer(
-                    SessionKeepalive(
-                        sender=self.client.client_id,
-                        receiver=self.peer_id,
-                        nonce=self.nonce,
-                    ),
-                    self.remote,
-                )
+            if self._scheduler.now - self._last_outbound >= self.config.keepalive_interval / 2:
+                self._send_keepalive()
 
     def __repr__(self) -> str:
         return f"UdpSession(peer={self.peer_id}, remote={self.remote}, alive={self.alive})"
 
 
-class UdpHolePuncher:
+class _HolePunch:
+    """One hole punch toward one peer, whichever carrier runs it.
+
+    §3.2's lifecycle, which §4.2 repeats over TCP: a ``punch.<t>`` span
+    (child of the requester's connect span, a root span for the responder),
+    a deadline, and the accounting of the two ways a punch ends — the first
+    authenticated answer locks in, or the deadline passes.  A carrier
+    supplies ``_punch`` (its probing or connecting) and ``_release`` (stop
+    punching), and ``_session`` when what won is not itself the session.
+    """
+
+    _transport = TRANSPORT_UDP
+    _name = "udp"
+    #: Lock-in accounting: the counter split by what won (and its label),
+    #: and the lock-in latency histogram.
+    _kind_counter = "punch.udp.endpoint"
+    _kind_label = "kind"
+    _latency_histogram = "punch.udp.lock_in_seconds"
+
+    def __init__(
+        self, client: "PeerClient", peer_id: int, nonce: int, on_connected, on_failure, config, span
+    ) -> None:
+        self.client = client
+        self.peer_id = peer_id
+        self.nonce = nonce
+        self.config = config
+        self._parent_span = span
+        name = "punch." + self._name
+        self.span = (
+            span.child(name)
+            if span is not None
+            else client.metrics.span(name, peer=str(peer_id))
+        )
+        #: ``(on_connected, on_failure)`` of the connect this punch answers,
+        #: then of every connect that joined it, in call order.
+        self._callbacks = [(on_connected, on_failure)]
+        self.started_at = client.scheduler.now
+        self.finished = False
+        self.elapsed: Optional[float] = None
+        self._deadline_timer: Optional[Timer] = None
+
+    def start(self) -> None:
+        """Arm the application-defined deadline and start punching."""
+        self._deadline_timer = self.client.scheduler.call_later(
+            self.config.timeout, self._on_deadline
+        )
+        self._punch()
+
+    def _succeed(self, keep, kind: str, **span_tags: object):
+        """The first authenticated answer wins (§3.2 step 3, §4.2 step 5):
+        account for it, stop punching everywhere but through *keep*, and hand
+        the session to the client and then to every waiting caller."""
+        self.finished = True
+        self.elapsed = self.client.scheduler.now - self.started_at
+        if self._deadline_timer is not None:
+            self._deadline_timer.cancel()
+        metrics = self.client.metrics
+        metrics.counter(f"punch.{self._name}.succeeded").inc()
+        metrics.counter(self._kind_counter, **{self._kind_label: kind}).inc()
+        metrics.histogram(self._latency_histogram).observe(self.elapsed)
+        self.span.finish(OUTCOME_LOCKED, **span_tags)
+        if self._parent_span is not None:
+            self._parent_span.finish(OUTCOME_LOCKED)
+        self._release(keep)
+        session = self._session(keep)
+        self.client._punch_finished(self, "connected", session)
+        for on_connected, _ in self._callbacks:
+            on_connected(session)
+        return session
+
+    def _session(self, keep):
+        return keep
+
+    def _on_deadline(self) -> None:
+        if self.finished:
+            return
+        self.finished = True
+        self.client.metrics.counter(f"punch.{self._name}.failed").inc()
+        self.span.finish(OUTCOME_TIMEOUT)
+        if self._parent_span is not None:
+            self._parent_span.finish(OUTCOME_TIMEOUT)
+        self._release(None)
+        self.client._punch_finished(self, "timeout")
+        error = TimeoutError_(
+            f"{self._name.upper()} hole punch to peer {self.peer_id} timed out "
+            f"after {self.config.timeout:.1f}s"
+        )
+        for _, on_failure in self._callbacks:
+            if on_failure is not None:
+                on_failure(error)
+
+
+class UdpHolePuncher(_HolePunch):
     """One in-flight UDP hole punch toward a single peer (§3.2).
 
     Created by :class:`~repro.core.client.PeerClient` when the endpoint
@@ -292,9 +439,7 @@ class UdpHolePuncher:
         config: PunchConfig,
         span: Optional[Span] = None,
     ) -> None:
-        self.client = client
-        self.peer_id = peer_id
-        self.nonce = nonce
+        super().__init__(client, peer_id, nonce, on_session, on_failure, config, span)
         # Remember where each candidate came from so the lock-in can be
         # classified (public/private/predicted/peer-reflexive).
         self._public_candidate = candidates[0] if candidates else None
@@ -316,34 +461,18 @@ class UdpHolePuncher:
         seen = set()
         self.candidates = [c for c in candidates if not (c in seen or seen.add(c))]
         metrics = client.metrics
-        self._parent_span = span
-        self.span = (
-            span.child("punch.udp")
-            if span is not None
-            else metrics.span("punch.udp", peer=str(peer_id))
-        )
         self._probe_counter = metrics.counter("punch.udp.probes_sent")
         self._ack_counter = metrics.counter("punch.udp.acks_received")
         self._reflexive_counter = metrics.counter("punch.udp.peer_reflexive")
-        self.on_session = on_session
-        self.on_failure = on_failure
-        self.config = config
-        self.started_at = client.scheduler.now
-        self.finished = False
         self.probes_sent = 0
         self.acks_received = 0
         self.peer_reflexive_candidates = 0
         self.locked_endpoint: Optional[Endpoint] = None
-        self.elapsed: Optional[float] = None
         self._probe_timer: Optional[Timer] = None
-        self._deadline_timer: Optional[Timer] = None
 
-    def start(self) -> None:
-        """Begin probing all candidate endpoints (§3.2 step 3)."""
+    def _punch(self) -> None:
+        """§3.2 step 3: probe every candidate endpoint at once."""
         self.span.event("probing-started", candidates=len(self.candidates))
-        self._deadline_timer = self.client.scheduler.call_later(
-            self.config.timeout, self._on_deadline
-        )
         self._probe_round()
 
     def _probe_round(self) -> None:
@@ -417,49 +546,18 @@ class UdpHolePuncher:
         """§3.2 step 3: first endpoint that elicited a valid response wins."""
         if self.finished:
             return
-        self.finished = True
         self.locked_endpoint = endpoint
-        self.elapsed = self.client.scheduler.now - self.started_at
-        self._cancel_timers()
-        metrics = self.client.metrics
         kind = self.endpoint_kind(endpoint)
-        metrics.counter("punch.udp.succeeded").inc()
-        metrics.counter("punch.udp.endpoint", kind=kind).inc()
-        metrics.histogram("punch.udp.lock_in_seconds").observe(self.elapsed)
-        self.span.finish(OUTCOME_LOCKED, endpoint=str(endpoint), endpoint_kind=kind)
-        if self._parent_span is not None:
-            self._parent_span.finish(OUTCOME_LOCKED)
-        session = UdpSession(
-            self.client, self.peer_id, self.nonce, endpoint, self.config
-        )
-        self.client._puncher_succeeded(self, session)
-        self.on_session(session)
+        session = self._succeed(endpoint, kind, endpoint=str(endpoint), endpoint_kind=kind)
         if replay is not None:
             session._handle(replay, endpoint)
 
-    def _on_deadline(self) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        self._cancel_timers()
-        self.client.metrics.counter("punch.udp.failed").inc()
-        self.span.finish(OUTCOME_TIMEOUT)
-        if self._parent_span is not None:
-            self._parent_span.finish(OUTCOME_TIMEOUT)
-        self.client._puncher_failed(self)
-        if self.on_failure is not None:
-            self.on_failure(
-                TimeoutError_(
-                    f"UDP hole punch to peer {self.peer_id} timed out after "
-                    f"{self.config.timeout:.1f}s"
-                )
-            )
+    def _session(self, endpoint: Endpoint) -> UdpSession:
+        return UdpSession(self.client, self.peer_id, self.nonce, endpoint, self.config)
 
-    def _cancel_timers(self) -> None:
+    def _release(self, keep) -> None:
         if self._probe_timer is not None:
             self._probe_timer.cancel()
-        if self._deadline_timer is not None:
-            self._deadline_timer.cancel()
 
     def __repr__(self) -> str:
         return (

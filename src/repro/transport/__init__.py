@@ -1,5 +1,5 @@
-"""Host transport stacks: UDP, TCP (RFC 793 subset incl. simultaneous open),
-and a Berkeley-style socket facade with SO_REUSEADDR semantics (paper §4.1).
+"""Host transport stacks: UDP, and TCP (RFC 793 subset incl. simultaneous open)
+with the SO_REUSEADDR port-sharing rule of paper §4.1.
 """
 
 from repro import _lazy_exports
@@ -14,6 +14,4 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "TcpStyle": "tcp",
     "UdpSocket": "udp",
     "UdpStack": "udp",
-    "ReuseSocket": "sockets",
-    "SocketApi": "sockets",
 })

@@ -4,7 +4,7 @@ TTL sweeps at the server, handover state preservation, and failover."""
 import pytest
 
 from repro.core.protocol import Keepalive, TRANSPORT_UDP
-from repro.core.registry import KeepaliveWheel, RegistryConfig
+from repro.core.registry import RegistryConfig
 from repro.scenarios import build_sharded_pool, build_two_nats
 
 
@@ -96,24 +96,6 @@ def test_server_ttl_sweep_expires_silent_clients_and_allows_reregistration():
     B._send_server_udp(Keepalive(client_id=B.client_id))
     sc.run_for(5.0)
     assert B.client_id in server.udp_clients
-
-
-def test_keepalive_wheel_drives_many_clients_registrations():
-    sc = build_sharded_pool(
-        seed=5, num_shards=1, registry_config=RegistryConfig(ttl=20.0, sweep_granularity=5.0)
-    )
-    A, B = _registered_pair(sc)
-    wheel = KeepaliveWheel(sc.scheduler, granularity=1.0)
-    A.start_server_keepalives(6.0, wheel=wheel)
-    B.start_server_keepalives(6.0, wheel=wheel)
-    sc.run_for(60.0)
-    assert A.client_id in sc.server.udp_clients
-    assert B.client_id in sc.server.udp_clients
-    assert wheel.ticks_fired >= 8
-    A.stop_server_keepalives()
-    B.stop_server_keepalives()
-    sc.run_for(40.0)
-    assert len(sc.server.udp_clients) == 0  # wheel entries cancelled => swept
 
 
 def test_handover_preserves_last_seen_and_pair_nonces():

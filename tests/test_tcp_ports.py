@@ -1,9 +1,8 @@
-"""TCP port binding, SO_REUSEADDR semantics (§4.1), and the socket facade."""
+"""TCP port binding and SO_REUSEADDR semantics (§4.1)."""
 
 import pytest
 
 from repro.netsim.addresses import Endpoint
-from repro.transport.sockets import SocketApi
 from repro.util.errors import BindError
 
 from tests.conftest import make_lan_pair, run_until
@@ -84,82 +83,32 @@ class TestStackPortRules:
 
 
 class TestSocketApi:
+    """The paper's §4.1 socket pattern, spelled with ``TcpStack``'s
+    ``reuse=`` flag (the SO_REUSEADDR of every socket on the port)."""
+
     def test_paper_usage_pattern(self):
         """The §4.1 pattern: one listen + N connects on one local port, all
         with SO_REUSEADDR."""
         net, a, b = make_lan_pair()
         b.stack.tcp.listen(80)
-        api = SocketApi(a.stack)
-        listener_sock = api.socket()
-        listener_sock.set_reuse_addr(True)
-        listener_sock.bind(4321)
-        listener_sock.listen()
-        conn_sock = api.socket()
-        conn_sock.set_reuse_addr(True)
-        conn_sock.bind(4321)
+        a.stack.tcp.listen(4321, reuse=True)
         done = []
-        conn_sock.connect(B_EP, on_connected=done.append)
+        a.stack.tcp.connect(B_EP, local_port=4321, reuse=True, on_connected=done.append)
         run_until(net, lambda: done)
         assert done[0].local.port == 4321
-        assert len(api.sockets_on_port(4321)) == 2
+        census = a.stack.tcp.port_census(4321)
+        assert census["listeners"] + census["connections"] == 2
 
     def test_bind_without_reuse_conflicts(self):
-        net, a, _ = make_lan_pair()
-        api = SocketApi(a.stack)
-        s1 = api.socket()
-        s1.bind(4321)
-        s2 = api.socket()
-        s2.set_reuse_addr(True)
-        with pytest.raises(BindError):
-            s2.bind(4321)
-
-    def test_reuse_after_bind_rejected(self):
-        net, a, _ = make_lan_pair()
-        api = SocketApi(a.stack)
-        s = api.socket()
-        s.bind(4321)
-        with pytest.raises(BindError):
-            s.set_reuse_addr(True)
-
-    def test_double_bind_rejected(self):
-        net, a, _ = make_lan_pair()
-        api = SocketApi(a.stack)
-        s = api.socket()
-        s.bind(4321)
-        with pytest.raises(BindError):
-            s.bind(4322)
-
-    def test_listen_requires_bind(self):
-        net, a, _ = make_lan_pair()
-        api = SocketApi(a.stack)
-        with pytest.raises(BindError):
-            api.socket().listen()
+        """A connect that did not set the option holds the port against a
+        later listener that did."""
+        net, a, b = make_lan_pair()
+        b.stack.tcp.listen(80)
+        a.stack.tcp.connect(B_EP, local_port=4321)
+        with pytest.raises(BindError, match="SO_REUSEADDR"):
+            a.stack.tcp.listen(4321, reuse=True)
 
     def test_connect_auto_binds_ephemeral(self):
         net, a, b = make_lan_pair()
         b.stack.tcp.listen(80)
-        api = SocketApi(a.stack)
-        s = api.socket()
-        s.connect(B_EP)
-        assert s.local_port >= 49152
-
-    def test_close_releases_api_binding(self):
-        net, a, _ = make_lan_pair()
-        api = SocketApi(a.stack)
-        s = api.socket()
-        s.set_reuse_addr(True)
-        s.bind(4321)
-        s.close()
-        fresh = api.socket()
-        fresh.bind(4321)  # no reuse needed now
-
-    def test_one_socket_one_role(self):
-        net, a, b = make_lan_pair()
-        b.stack.tcp.listen(80)
-        api = SocketApi(a.stack)
-        s = api.socket()
-        s.set_reuse_addr(True)
-        s.bind(4321)
-        s.listen()
-        with pytest.raises(BindError):
-            s.connect(B_EP)
+        assert a.stack.tcp.connect(B_EP).local.port >= 49152
