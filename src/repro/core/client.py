@@ -20,6 +20,7 @@ connection to S, all sharing one local TCP port via SO_REUSEADDR (§4.1).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import protocol
@@ -44,6 +45,7 @@ from repro.core.protocol import (
     ReverseRequest,
     SeqConnect,
     SeqReady,
+    SeqRequest,
     SessionClose,
     SessionData,
     SessionKeepalive,
@@ -84,8 +86,15 @@ PARK_GRACE = 5.0
 #: How long an accepted stream may stay silent before being dropped.
 ACCEPT_AUTH_GRACE = 5.0
 
-#: Span label / flight-attempt suffix of each carrier of the connect protocol.
-_TRANSPORT_NAMES = {TRANSPORT_UDP: "udp", TRANSPORT_TCP: "tcp"}
+#: Each connect technique by its name — the key of the client's books and the
+#: label of its connect span and flight attempt, never sent on the wire — and
+#: the carrier its requests to S ride.
+_TECHNIQUES = {
+    "udp": TRANSPORT_UDP,
+    "tcp": TRANSPORT_TCP,
+    "reversal": TRANSPORT_TCP,
+    "sequential": TRANSPORT_TCP,
+}
 
 
 class PeerClient:
@@ -161,8 +170,15 @@ class PeerClient:
         self.tcp_punchers: Dict[int, TcpHolePuncher] = {}
         self._stream_claimants: Dict[Tuple[int, int], _Claimant] = {}
         self._parked_streams: Dict[Tuple[int, int], Tuple[TcpStream, Hello]] = {}
-        self._reversals: List[ReversalRequest] = []
-        self._sequentials: Dict[int, SequentialRequester] = {}
+        self._reversal_punchers: Dict[int, ReversalRequest] = {}
+        self._sequential_punchers: Dict[int, SequentialRequester] = {}
+        #: The punch under way toward each peer, one book per technique.
+        self._punch_books = {
+            "udp": self.punchers,
+            "tcp": self.tcp_punchers,
+            "reversal": self._reversal_punchers,
+            "sequential": self._sequential_punchers,
+        }
         # --- fallbacks and app handlers ----------------------------------------
         self.relays: Dict[Tuple[int, int], RelaySession] = {}
         self.on_peer_session: Optional[SessionHandler] = None
@@ -187,20 +203,21 @@ class PeerClient:
         self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry(
             now_fn=lambda: host.scheduler.now
         )
-        #: Connect requests awaiting S's endpoint exchange, keyed by
-        #: (transport, peer_id): ``(on_connected, on_failure, config)``.  An
-        #: entry leaves when the peer's endpoints arrive, when its deadline
-        #: passes, or when S answers with a RendezvousError.
-        self._pending: Dict[Tuple[int, int], tuple] = {}
+        #: Connect requests awaiting S's answer (the peer's endpoints, or
+        #: ReverseExpect / SeqReady), keyed by (technique, peer_id):
+        #: ``([(on_connected, on_failure), ...], config)``.  An entry leaves
+        #: when the answer arrives, when its deadline passes, or when S
+        #: answers with a RendezvousError.
+        self._pending: Dict[Tuple[str, int], tuple] = {}
         #: Live connect-attempt spans under the same key; opened by
-        #: connect_udp/connect_tcp, handed to the puncher at endpoint exchange.
-        self._connect_spans: Dict[Tuple[int, int], Span] = {}
+        #: _open_connect, handed to the puncher when S answers.
+        self._connect_spans: Dict[Tuple[str, int], Span] = {}
         #: The owning network's flight recorder (None when none is attached).
-        #: connect_udp/connect_tcp open one attempt each; everything causally
-        #: downstream (retransmits, punch probes, the server's replies)
-        #: inherits its correlation id through the scheduler context.
+        #: Every connect opens one attempt; everything causally downstream
+        #: (retransmits, punch probes, the server's replies) inherits its
+        #: correlation id through the scheduler context.
         self.flight = getattr(host, "flight", None)
-        self._connect_attempts: Dict[Tuple[int, int], object] = {}
+        self._connect_attempts: Dict[Tuple[str, int], object] = {}
         # --- rendezvous failover (multi-server survivability) ----------------------
         #: Present when the client was given an ordered ``servers`` list (or an
         #: explicit failover config): drives keepalives and migrates the
@@ -293,7 +310,7 @@ class PeerClient:
         if existing is not None and existing.alive:
             self.scheduler.call_later(0.0, on_session, existing)
             return
-        entry = self._open_connect(TRANSPORT_UDP, peer_id, on_session, on_failure, config)
+        entry = self._open_connect("udp", peer_id, on_session, on_failure, config)
         if entry is None:
             return
         # Retransmit the request while it is pending: the request or the
@@ -301,59 +318,65 @@ class PeerClient:
         # stable pairing nonce across retries.
         budget = (config or self.punch_config).timeout
         self._udp_connect_attempt(peer_id, tries_left=max(1, int(budget)))
-        self.scheduler.call_later(
-            budget, self._connect_deadline, (TRANSPORT_UDP, peer_id), entry
-        )
+        self.scheduler.call_later(budget, self._connect_deadline, ("udp", peer_id), entry)
 
     def _udp_connect_attempt(self, peer_id: int, tries_left: int) -> None:
-        if (TRANSPORT_UDP, peer_id) not in self._pending or tries_left <= 0:
+        if ("udp", peer_id) not in self._pending or tries_left <= 0:
             return
-        self._request_endpoints(TRANSPORT_UDP, peer_id)
+        self._request_endpoints(peer_id)
         self.scheduler.call_later(
             1.0, self._udp_connect_attempt, peer_id, tries_left - 1
         )
 
-    # -- the pending-connect book (both carriers) ---------------------------------
+    def _request_endpoints(self, peer_id: int) -> None:
+        """§3.2 step 1: ask S to introduce us to *peer_id*."""
+        self._send_server_udp(
+            ConnectRequest(requester_id=self.client_id, target_id=peer_id, transport=TRANSPORT_UDP)
+        )
+
+    # -- the pending-connect book (every technique) ---------------------------------
 
     def _open_connect(
-        self, transport: int, peer_id: int, on_connected, on_failure, config
+        self, technique: str, peer_id: int, on_connected, on_failure, config
     ) -> Optional[tuple]:
         """Open the span, the flight attempt and the pending entry of one
         connect request, in that order; returns the entry.
 
-        A connect to a peer already pending or punching on *transport* joins
+        A connect to a peer already pending or punching by *technique* joins
         that one instead and returns None: its callbacks fire after the
         earlier callers', with the same outcome, and its *config* is ignored.
         """
-        key = (transport, peer_id)
+        key = (technique, peer_id)
         pending = self._pending.get(key)
-        puncher = (self.punchers if transport == TRANSPORT_UDP else self.tcp_punchers).get(peer_id)
+        puncher = self._punch_books[technique].get(peer_id)
         if pending is not None or (puncher is not None and not puncher.finished):
             callbacks = pending[0] if pending is not None else puncher._callbacks
             callbacks.append((on_connected, on_failure))
             return None
-        name = _TRANSPORT_NAMES[transport]
-        span = self.metrics.span("connect", transport=name, peer=str(peer_id))
+        span = self.metrics.span("connect", transport=technique, peer=str(peer_id))
         span.event("connect-request-sent")
         self._connect_spans[key] = span
         if self.flight is not None:
             self._connect_attempts[key] = self.flight.attempt(
-                "connect." + name, client=self.client_id, peer=peer_id
+                "connect." + technique, client=self.client_id, peer=peer_id
             )
         entry = self._pending[key] = ([(on_connected, on_failure)], config)
         return entry
 
-    def _request_endpoints(self, transport: int, peer_id: int) -> None:
-        """§3.2 / §4.2 step 1: ask S to introduce us to *peer_id*."""
-        request = ConnectRequest(
-            requester_id=self.client_id, target_id=peer_id, transport=transport
-        )
-        if transport == TRANSPORT_UDP:
-            self._send_server_udp(request)
-        else:
-            self._send_server_tcp(request)
+    def _connect_on_control(
+        self, technique: str, peer_id: int, request: Message, on_connected, on_failure, config
+    ) -> None:
+        """A connect whose *request* rides the TCP control connection (§4.2,
+        §4.5, §2.3): one request, then a deadline of *config*'s timeout for
+        S's answer — the punch it starts gets that budget again."""
+        entry = self._open_connect(technique, peer_id, on_connected, on_failure, config)
+        if entry is None:
+            return
+        self._send_server_tcp(request)
+        budget = (config or self.tcp_punch_config).timeout
+        self.scheduler.call_later(budget, self._connect_deadline, (technique, peer_id), entry)
 
-    def _connect_deadline(self, key: Tuple[int, int], entry: tuple) -> None:
+    def _connect_deadline(self, key: Tuple[str, int], entry: tuple) -> None:
         """If S never answers (down, unreachable, restarting, killed
         mid-request) the request must still fail in bounded time so recovery
         loops can back off and retry.  The timer is never cancelled; it
@@ -371,7 +394,8 @@ class PeerClient:
         )
 
     def _request_failed(self, error: RendezvousError, transport: int) -> None:
-        """S refused a request on *transport*: every connect pending there fails."""
+        """S refused a request on *transport*: every connect pending there
+        fails, whatever its technique — the error names no request."""
         if (
             transport == TRANSPORT_UDP
             and error.code == RendezvousError.NOT_REGISTERED
@@ -384,7 +408,7 @@ class PeerClient:
             self.metrics.counter("client.reregistrations").inc()
             self.register_udp()
             return
-        failed = [item for item in self._pending.items() if item[0][0] == transport]
+        failed = [item for item in self._pending.items() if _TECHNIQUES[item[0][0]] == transport]
         for key, _ in failed:
             del self._pending[key]
         for key, (callbacks, _cfg) in failed:
@@ -398,7 +422,7 @@ class PeerClient:
 
     def _fail_connect(
         self,
-        key: Tuple[int, int],
+        key: Tuple[str, int],
         callbacks: list,
         reason: str,
         outcome: str,
@@ -412,18 +436,26 @@ class PeerClient:
             if on_failure is not None:
                 on_failure(error)
 
-    def _take_pending(self, transport: int, peer_id: int) -> Tuple[Optional[tuple], Optional[Span]]:
-        """S sent the peer's endpoints: the request they answer (None when
-        we are the responder) and the span to hand to the puncher."""
-        key = (transport, peer_id)
+    def _take_pending(self, technique: str, peer_id: int) -> Tuple[Optional[tuple], Optional[Span]]:
+        """S answered: the request it answers (None when we are the
+        responder, or the request already failed) and the span to hand to
+        the puncher."""
+        key = (technique, peer_id)
         pending = self._pending.pop(key, None)
         span = self._connect_spans.pop(key, None)
         if span is not None:
             span.event("endpoints-received")
         return pending, span
 
-    def _finish_connect_attempt(self, transport: int, peer_id: int, outcome: str) -> None:
-        attempt = self._connect_attempts.pop((transport, peer_id), None)
+    def _start_punch(self, puncher, callbacks: list) -> None:
+        """Book *puncher* under its technique and start it for every connect
+        in *callbacks* (the one it answers, then each that joined)."""
+        puncher._callbacks = callbacks
+        self._punch_books[puncher._name][puncher.peer_id] = puncher
+        puncher.start()
+
+    def _finish_connect_attempt(self, technique: str, peer_id: int, outcome: str) -> None:
+        attempt = self._connect_attempts.pop((technique, peer_id), None)
         if attempt is not None:
             self.flight.finish(attempt, outcome)
 
@@ -504,7 +536,8 @@ class PeerClient:
         """§3.2 / §4.2 steps 2-3: we know the peer's endpoints — start
         punching (over TCP: connecting while we keep listening)."""
         peer_id, udp = message.peer_id, message.transport == TRANSPORT_UDP
-        punchers = self.punchers if udp else self.tcp_punchers
+        technique = "udp" if udp else "tcp"
+        punchers = self._punch_books[technique]
         if peer_id in punchers and not punchers[peer_id].finished:
             return  # already punching this peer
         session = self.sessions.get(peer_id) if udp else None
@@ -514,7 +547,7 @@ class PeerClient:
             # response arriving after lock-in, or the extra shard-to-shard
             # hop in a sharded pool — don't restart a live punch).
             return
-        pending, span = self._take_pending(message.transport, peer_id)
+        pending, span = self._take_pending(technique, peer_id)
         # Responder role (nothing pending): deliver via the application handler.
         incoming = self._deliver_incoming_session if udp else self._deliver_incoming_stream
         callbacks, config = pending or ([(incoming, None)], None)
@@ -532,9 +565,7 @@ class PeerClient:
                 on_failure, config or self.tcp_punch_config, span,
             )
             self._register_stream_claimant(peer_id, message.nonce, puncher.offer_accepted)
-        puncher._callbacks = callbacks  # with every connect that joined
-        punchers[peer_id] = puncher
-        puncher.start()
+        self._start_punch(puncher, callbacks)
         if udp and pending is not None:
             # We are the requester: keep nudging S while the punch is live,
             # in case the responder's copy of the endpoint exchange was lost
@@ -545,7 +576,7 @@ class PeerClient:
         puncher = self.punchers.get(peer_id)
         if puncher is None or puncher.finished:
             return
-        self._request_endpoints(TRANSPORT_UDP, peer_id)
+        self._request_endpoints(peer_id)
         self.scheduler.call_later(1.0, self._udp_connect_nudge, peer_id)
 
     def _route_peer_message(self, message, src: Endpoint) -> None:
@@ -594,11 +625,11 @@ class PeerClient:
     # -- puncher/session bookkeeping --------------------------------------------------
 
     def _punch_finished(self, puncher, outcome: str, session=None) -> None:
-        """A puncher on either carrier locked in or timed out: finish its
-        connect attempt and drop it from its book.  A UDP *session* becomes
-        the peer's current one."""
-        self._finish_connect_attempt(puncher._transport, puncher.peer_id, outcome)
-        punchers = self.punchers if puncher._transport == TRANSPORT_UDP else self.tcp_punchers
+        """A punch of any technique locked in or failed: finish its connect
+        attempt and drop it from its book.  A UDP *session* becomes the
+        peer's current one."""
+        self._finish_connect_attempt(puncher._name, puncher.peer_id, outcome)
+        punchers = self._punch_books[puncher._name]
         if punchers.get(puncher.peer_id) is puncher:
             del punchers[puncher.peer_id]
         if isinstance(session, UdpSession):
@@ -752,14 +783,10 @@ class PeerClient:
         """
         if not self.tcp_registered:
             raise ReproError("connect_tcp before TCP registration completed")
-        entry = self._open_connect(TRANSPORT_TCP, peer_id, on_stream, on_failure, config)
-        if entry is None:
-            return
-        self._request_endpoints(TRANSPORT_TCP, peer_id)
-        budget = (config or self.tcp_punch_config).timeout
-        self.scheduler.call_later(
-            budget, self._connect_deadline, (TRANSPORT_TCP, peer_id), entry
+        request = ConnectRequest(
+            requester_id=self.client_id, target_id=peer_id, transport=TRANSPORT_TCP
         )
+        self._connect_on_control("tcp", peer_id, request, on_stream, on_failure, config)
 
     def connect_tcp_sequential(
         self,
@@ -770,11 +797,10 @@ class PeerClient:
         """Open a P2P TCP stream using the §4.5 sequential procedure."""
         if not self.tcp_registered:
             raise ReproError("connect_tcp_sequential before TCP registration")
-        requester = SequentialRequester(
-            self, peer_id, on_stream, on_failure, self.sequential_config
+        request = SeqRequest(requester_id=self.client_id, target_id=peer_id)
+        self._connect_on_control(
+            "sequential", peer_id, request, on_stream, on_failure, self.sequential_config
         )
-        self._sequentials[peer_id] = requester
-        requester.start()
 
     def request_reversal(
         self,
@@ -783,14 +809,14 @@ class PeerClient:
         on_failure: Optional[FailureHandler] = None,
         timeout: float = 15.0,
     ) -> None:
-        """Ask *target_id* (via S) to connect back to us (§2.3)."""
+        """Ask *target_id* (via S) to connect back to us (§2.3).  *timeout*
+        bounds S's answer and then the wait for the stream, like
+        ``connect_tcp``'s punch timeout."""
         if not self.tcp_registered:
             raise ReproError("request_reversal before TCP registration")
-        request = ReversalRequest(self, target_id, on_stream, on_failure, timeout)
-        self._reversals.append(request)
-        self._send_server_tcp(
-            ReverseRequest(requester_id=self.client_id, target_id=target_id)
-        )
+        request = ReverseRequest(requester_id=self.client_id, target_id=target_id)
+        config = dataclasses.replace(self.tcp_punch_config, timeout=timeout)
+        self._connect_on_control("reversal", target_id, request, on_stream, on_failure, config)
 
     def open_relay(self, peer_id: int, transport: int = TRANSPORT_UDP) -> RelaySession:
         """Open (or return) a relayed channel to *peer_id* via S (§2.2)."""
@@ -820,18 +846,13 @@ class PeerClient:
             if message.transport == TRANSPORT_TCP:
                 self._endpoint_exchange(message)
         elif isinstance(message, ReverseExpect):
-            for request in self._reversals:
-                if request.target_id == message.peer_id and not request.finished:
-                    request.expect(message.nonce)
-                    break
+            self._control_answer(ReversalRequest, message)
         elif isinstance(message, ReverseConnect):
             ReversalResponder(self, message)
         elif isinstance(message, SeqConnect):
             SequentialResponder(self, message, self.sequential_config)
         elif isinstance(message, SeqReady):
-            requester = self._sequentials.get(message.peer_id)
-            if requester is not None:
-                requester.handle_ready(message)
+            self._control_answer(SequentialRequester, message)
         elif isinstance(message, RelayPayload):
             self._route_relay(message, TRANSPORT_TCP)
         elif isinstance(message, RelayError):
@@ -839,13 +860,14 @@ class PeerClient:
         elif isinstance(message, RendezvousError):
             self._request_failed(message, TRANSPORT_TCP)
 
-    def _sequential_finished(self, requester: SequentialRequester) -> None:
-        if self._sequentials.get(requester.target_id) is requester:
-            del self._sequentials[requester.target_id]
-
-    def _reversal_finished(self, request: ReversalRequest) -> None:
-        if request in self._reversals:
-            self._reversals.remove(request)
+    def _control_answer(self, carrier, message) -> None:
+        """S answered a reversal or sequential request (``ReverseExpect`` /
+        ``SeqReady``): run the *carrier* punch for every caller waiting."""
+        pending, span = self._take_pending(carrier._name, message.peer_id)
+        if pending is None:
+            return  # nothing asked, or the request already failed
+        callbacks, config = pending
+        self._start_punch(carrier(self, message, *callbacks[0], config, span), callbacks)
 
     # =====================================================================
     # TURN: relayed peer-to-peer channels (§2.2's TURN design)

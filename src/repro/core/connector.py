@@ -164,14 +164,11 @@ class P2PConnector:
     ) -> None:
         strategy = strategies[index]
         started = self.client.scheduler.now
-        done = {"fired": False}
         if span is not None:
             span.event("strategy-started", strategy=strategy)
 
+        # Every rung answers exactly once (tests/test_connector.py pins it).
         def succeed(channel: Channel, detail: str = "") -> None:
-            if done["fired"]:
-                return
-            done["fired"] = True
             elapsed = self.client.scheduler.now - started
             result.attempts.append(ConnectOutcome(strategy, True, elapsed, detail))
             result.channel = channel
@@ -189,9 +186,6 @@ class P2PConnector:
             on_result(result)
 
         def fail(error: Exception) -> None:
-            if done["fired"]:
-                return
-            done["fired"] = True
             elapsed = self.client.scheduler.now - started
             result.attempts.append(
                 ConnectOutcome(strategy, False, elapsed, detail=str(error))

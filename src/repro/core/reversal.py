@@ -13,73 +13,44 @@ ladder uses it between direct punching and relaying.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.auth import message_is_from_peer
-from repro.core.protocol import Hello, ReverseConnect
+from repro.core.protocol import Hello, ReverseConnect, ReverseExpect
 from repro.core.tcp_punch import TcpStream
-from repro.netsim.clock import Timer
-from repro.util.errors import ConnectionError_, TimeoutError_
+from repro.core.udp_punch import _HolePunch
+from repro.util.errors import ConnectionError_
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import PeerClient
 
-StreamHandler = Callable[[TcpStream], None]
-FailureHandler = Callable[[Exception], None]
 
+class ReversalRequest(_HolePunch):
+    """Requester side, from ``ReverseExpect`` on: the punch is claiming the
+    stream the target dials back, and the first to authenticate wins."""
 
-class ReversalRequest:
-    """Requester-side state: waiting for the target to dial back."""
+    _name = "reversal"
+    _kind_counter = "punch.reversal.stream_origin"
+    _kind_label = "origin"
+    _latency_histogram = "punch.reversal.connect_seconds"
 
     def __init__(
-        self,
-        client: "PeerClient",
-        target_id: int,
-        on_stream: StreamHandler,
-        on_failure: Optional[FailureHandler],
-        timeout: float,
+        self, client: "PeerClient", expect: ReverseExpect, on_stream, on_failure, config, span
     ) -> None:
-        self.client = client
-        self.target_id = target_id
-        self.on_stream = on_stream
-        self.on_failure = on_failure
-        self.nonce: Optional[int] = None
-        self.finished = False
-        self._timer: Timer = client.scheduler.call_later(timeout, self._on_timeout)
+        super().__init__(client, expect.peer_id, expect.nonce, on_stream, on_failure, config, span)
 
-    def expect(self, nonce: int) -> None:
-        """ReverseExpect arrived: register to claim the inbound stream."""
-        self.nonce = nonce
-        self.client._register_stream_claimant(
-            self.target_id, nonce, self._claim_stream
-        )
-        for stream, hello in self.client._claim_parked_streams(self.target_id, nonce):
-            self._claim_stream(stream, hello)
+    def _punch(self) -> None:
+        self.client._register_stream_claimant(self.peer_id, self.nonce, self._claim)
+        for stream, hello in self.client._claim_parked_streams(self.peer_id, self.nonce):
+            self._claim(stream, hello)
 
-    def _claim_stream(self, stream: TcpStream, hello: Hello) -> None:
-        if self.finished:
-            stream.abort()
-            return
-        self.finished = True
-        self._timer.cancel()
-        stream.authenticate(self.target_id, self.nonce)
+    def _claim(self, stream: TcpStream, hello: Hello) -> None:
+        stream.authenticate(self.peer_id, self.nonce)
         stream.selected = True
-        self.client._reversal_finished(self)
-        self.on_stream(stream)
+        self._succeed(stream, stream.origin, remote=str(stream.remote), origin=stream.origin)
 
-    def _on_timeout(self) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        if self.nonce is not None:
-            self.client._unregister_stream_claimant(self.target_id, self.nonce)
-        self.client._reversal_finished(self)
-        if self.on_failure is not None:
-            self.on_failure(
-                TimeoutError_(
-                    f"connection reversal via peer {self.target_id} timed out"
-                )
-            )
+    def _release(self, keep: Optional[TcpStream]) -> None:
+        self.client._unregister_stream_claimant(self.peer_id, self.nonce)
 
 
 class ReversalResponder:

@@ -24,14 +24,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core import protocol
 from repro.core.auth import message_is_from_peer
-from repro.core.protocol import (
-    TRANSPORT_TCP,
-    FrameBuffer,
-    Hello,
-    StreamData,
-    StreamKeepalive,
-    StreamSelect,
-)
+from repro.core.protocol import FrameBuffer, Hello, StreamData, StreamKeepalive, StreamSelect
 from repro.core.udp_punch import _HolePunch, _PeerSession
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
@@ -82,7 +75,6 @@ class TcpStream(_PeerSession):
     selection (punch-race losers are not sessions).
     """
 
-    _transport = TRANSPORT_TCP
     _name = "tcp"
 
     def __init__(self, client: "PeerClient", conn: TcpConnection, origin: str) -> None:
@@ -251,7 +243,6 @@ class TcpStream(_PeerSession):
 class TcpHolePuncher(_HolePunch):
     """One in-flight parallel TCP hole punch toward a single peer (§4.2)."""
 
-    _transport = TRANSPORT_TCP
     _name = "tcp"
     _kind_counter = "punch.tcp.stream_origin"
     _kind_label = "origin"

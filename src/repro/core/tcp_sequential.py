@@ -21,19 +21,17 @@ knob, and :attr:`PeerClient.control_reconnects` counts consumed connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.auth import message_is_from_peer
-from repro.core.protocol import Hello, SeqConnect, SeqReady, SeqRequest
+from repro.core.protocol import Hello, SeqConnect, SeqReady
 from repro.core.tcp_punch import TcpStream
-from repro.netsim.clock import Timer
-from repro.util.errors import ConnectionError_, TimeoutError_
+from repro.core.udp_punch import _HolePunch
+from repro.obs.spans import OUTCOME_ERROR
+from repro.util.errors import ConnectionError_
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import PeerClient
-
-StreamHandler = Callable[[TcpStream], None]
-FailureHandler = Callable[[Exception], None]
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,8 @@ class SequentialConfig:
         punch_delay: how long B lets its doomed connect run before giving up
             and listening (§4.5: "too little delay risks a lost SYN derailing
             the process, whereas too much delay increases the total time").
-        timeout: overall deadline for the requester.
+        timeout: the requester's budget, spent once waiting for ``SeqReady``
+            and once more on the dial (the same rule as ``connect_tcp``).
         consume_control: reproduce NatTrav's consumption of both clients'
             connections to S (close + reconnect after the punch).
     """
@@ -54,41 +53,25 @@ class SequentialConfig:
     consume_control: bool = True
 
 
-class SequentialRequester:
-    """A's side of §4.5: request, wait for SeqReady, then dial B."""
+class SequentialRequester(_HolePunch):
+    """A's side of §4.5 from step 4 on (the request and the wait for
+    ``SeqReady`` are the client's connect book): dial B's public endpoint,
+    through the hole B just punched, and authenticate."""
+
+    _name = "sequential"
+    _kind_counter = "punch.sequential.stream_origin"
+    _kind_label = "origin"
+    _latency_histogram = "punch.sequential.connect_seconds"
 
     def __init__(
-        self,
-        client: "PeerClient",
-        target_id: int,
-        on_stream: StreamHandler,
-        on_failure: Optional[FailureHandler],
-        config: SequentialConfig,
+        self, client: "PeerClient", ready: SeqReady, on_stream, on_failure, config, span
     ) -> None:
-        self.client = client
-        self.target_id = target_id
-        self.on_stream = on_stream
-        self.on_failure = on_failure
-        self.config = config
-        self.started_at = client.scheduler.now
-        self.finished = False
-        self.elapsed: Optional[float] = None
-        self.stream: Optional[TcpStream] = None
-        self._nonce: Optional[int] = None
-        self._timer: Timer = client.scheduler.call_later(config.timeout, self._fail_timeout)
+        super().__init__(client, ready.peer_id, ready.nonce, on_stream, on_failure, config, span)
+        self._target = ready.public_ep
 
-    def start(self) -> None:
-        self.client._send_server_tcp(
-            SeqRequest(requester_id=self.client.client_id, target_id=self.target_id)
-        )
-
-    def handle_ready(self, ready: SeqReady) -> None:
-        """Step 4: B is listening behind its punched hole — dial it."""
-        if self.finished:
-            return
-        self._nonce = ready.nonce
+    def _punch(self) -> None:
         self.client.tcp_stack.connect(
-            ready.public_ep,
+            self._target,
             local_port=self.client.tcp_local_port,
             reuse=True,
             on_connected=self._on_connected,
@@ -98,51 +81,33 @@ class SequentialRequester:
     def _on_connected(self, conn) -> None:
         stream = TcpStream(self.client, conn, origin="connect")
         stream._on_message = lambda m, s=stream: self._on_message(s, m)
-        stream.send_hello(self.target_id, self._nonce)
+        stream.send_hello(self.peer_id, self.nonce)
 
     def _on_message(self, stream: TcpStream, message) -> None:
         if not isinstance(message, Hello):
             return
-        if not message_is_from_peer(message, self.client.client_id, self.target_id, self._nonce):
+        if not message_is_from_peer(message, self.client.client_id, self.peer_id, self.nonce):
             stream.abort()
             return
         if self.finished:
             return
-        self.finished = True
-        self.elapsed = self.client.scheduler.now - self.started_at
-        self._timer.cancel()
-        stream.authenticate(self.target_id, self._nonce)
+        stream.authenticate(self.peer_id, self.nonce)
         stream.selected = True
-        self.stream = stream
-        self.client._sequential_finished(self)
-        if self.config.consume_control:
-            self.client._consume_control_connection()
-        self.on_stream(stream)
+        self._succeed(stream, stream.origin, remote=str(stream.remote), origin=stream.origin)
 
     def _on_error(self, error: ConnectionError_) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        self._timer.cancel()
-        self.client._sequential_finished(self)
-        if self.on_failure is not None:
-            self.on_failure(
-                ConnectionError_(
-                    error.reason,
-                    f"sequential punch dial to peer {self.target_id} failed: "
-                    f"{error.reason} (§4.5: the procedure is timing-dependent)",
-                )
-            )
+        self._fail(
+            OUTCOME_ERROR,
+            ConnectionError_(
+                error.reason,
+                f"sequential punch dial to peer {self.peer_id} failed: "
+                f"{error.reason} (§4.5: the procedure is timing-dependent)",
+            ),
+        )
 
-    def _fail_timeout(self) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        self.client._sequential_finished(self)
-        if self.on_failure is not None:
-            self.on_failure(
-                TimeoutError_(f"sequential punch to peer {self.target_id} timed out")
-            )
+    def _release(self, keep: Optional[TcpStream]) -> None:
+        if keep is not None and self.config.consume_control:
+            self.client._consume_control_connection()
 
 
 class SequentialResponder:

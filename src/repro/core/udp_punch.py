@@ -14,7 +14,8 @@ application can re-punch on demand.
 
 §4.2 runs the same procedure over TCP, so the parts that do not depend on the
 carrier live here once and :mod:`repro.core.tcp_punch` builds on them:
-:class:`_HolePunch` (span, deadline, lock-in and timeout accounting) and
+:class:`_HolePunch` (span, deadline, lock-in and failure accounting — also
+the lifecycle of connection reversal and sequential punching) and
 :class:`_PeerSession` (the session's flight attempt and the §3.6 keep-alive
 ladder).
 """
@@ -25,14 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core.auth import message_is_from_peer
-from repro.core.protocol import (
-    Punch,
-    PunchAck,
-    SessionClose,
-    SessionData,
-    SessionKeepalive,
-    TRANSPORT_UDP,
-)
+from repro.core.protocol import Punch, PunchAck, SessionClose, SessionData, SessionKeepalive
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
 from repro.obs.spans import OUTCOME_LOCKED, OUTCOME_TIMEOUT, Span
@@ -94,7 +88,6 @@ class _PeerSession:
     silent ones.  A carrier supplies ``_send_keepalive`` and ``_mark_broken``.
     """
 
-    _transport = TRANSPORT_UDP
     _name = "udp"
 
     def __init__(self, client: "PeerClient") -> None:
@@ -126,7 +119,7 @@ class _PeerSession:
         if self._flight is not None and self._attempt is None:
             self._attempt = self._flight.attempt(
                 "session." + self._name,
-                parent=self.client._connect_attempts.get((self._transport, peer_id)),
+                parent=self.client._connect_attempts.get((self._name, peer_id)),
                 peer=peer_id,
                 remote=str(self.remote),
             )
@@ -330,15 +323,17 @@ class UdpSession(_PeerSession):
 class _HolePunch:
     """One hole punch toward one peer, whichever carrier runs it.
 
-    §3.2's lifecycle, which §4.2 repeats over TCP: a ``punch.<t>`` span
-    (child of the requester's connect span, a root span for the responder),
-    a deadline, and the accounting of the two ways a punch ends — the first
-    authenticated answer locks in, or the deadline passes.  A carrier
-    supplies ``_punch`` (its probing or connecting) and ``_release`` (stop
-    punching), and ``_session`` when what won is not itself the session.
+    §3.2's lifecycle, which §4.2 repeats over TCP and connection reversal
+    (§2.3) and sequential punching (§4.5) repeat with one stream: a
+    ``punch.<t>`` span (child of the requester's connect span, a root span
+    for the responder), a deadline, and the accounting of the ways a punch
+    ends — the first authenticated answer locks in, or it fails (the
+    deadline passes, or the carrier gives up).  A carrier supplies ``_punch``
+    (its probing or connecting) and ``_release`` (stop punching), and
+    ``_session`` when what won is not itself the session.  ``_name`` keys
+    the client's books and names the spans, counters and errors.
     """
 
-    _transport = TRANSPORT_UDP
     _name = "udp"
     #: Lock-in accounting: the counter split by what won (and its label),
     #: and the lock-in latency histogram.
@@ -401,19 +396,28 @@ class _HolePunch:
         return keep
 
     def _on_deadline(self) -> None:
+        self._fail(
+            OUTCOME_TIMEOUT,
+            TimeoutError_(
+                f"{self._name.upper()} hole punch to peer {self.peer_id} timed out "
+                f"after {self.config.timeout:.1f}s"
+            ),
+        )
+
+    def _fail(self, outcome: str, error: Exception) -> None:
+        """The punch ends without a session (*outcome* on both spans and the
+        connect attempt): stop punching and hand *error* to every caller."""
         if self.finished:
             return
         self.finished = True
+        if self._deadline_timer is not None:
+            self._deadline_timer.cancel()
         self.client.metrics.counter(f"punch.{self._name}.failed").inc()
-        self.span.finish(OUTCOME_TIMEOUT)
+        self.span.finish(outcome)
         if self._parent_span is not None:
-            self._parent_span.finish(OUTCOME_TIMEOUT)
+            self._parent_span.finish(outcome)
         self._release(None)
-        self.client._punch_finished(self, "timeout")
-        error = TimeoutError_(
-            f"{self._name.upper()} hole punch to peer {self.peer_id} timed out "
-            f"after {self.config.timeout:.1f}s"
-        )
+        self.client._punch_finished(self, outcome)
         for _, on_failure in self._callbacks:
             if on_failure is not None:
                 on_failure(error)

@@ -32,6 +32,9 @@ causes the paper reasons about informally:
   outage) consumed the probe budget.
 * ``deadline-timeout`` — the attempt ran out its deadline with no more
   specific evidence.
+* ``refused`` — the attempt ended in an error answer with no more specific
+  evidence: the rendezvous server refused the request (e.g. the peer is not
+  registered), or the peer's end refused the dial.
 * ``unknown`` — nothing in the timeline matched (the acceptance bar for
   the Table 1 fleet is that this never happens for a real failure).
 
@@ -61,6 +64,7 @@ CAT_FILTERED = "inbound-filtered"
 CAT_SERVER_DEAD = "server-dead"
 CAT_LOSS = "loss-exhausted"
 CAT_TIMEOUT = "deadline-timeout"
+CAT_REFUSED = "refused"
 CAT_UNKNOWN = "unknown"
 
 #: Every failure category, in rule-priority order.
@@ -75,6 +79,7 @@ CATEGORIES = (
     CAT_SERVER_DEAD,
     CAT_LOSS,
     CAT_TIMEOUT,
+    CAT_REFUSED,
     CAT_UNKNOWN,
 )
 
@@ -340,6 +345,19 @@ def explain(attempt: Attempt, recorder: FlightRecorder) -> Verdict:
             CAT_TIMEOUT,
             "the attempt's deadline expired with no recorded drop or fault "
             "explaining the silence",
+            [e for e in timeline if e.kind == "attempt.end"],
+            attempt,
+        )
+
+    # 11. An error answer: the outcome a connect gets when S refuses its
+    # request (or a punch when its dial is refused).  Last, so it only
+    # names what no rule above explains.
+    if attempt.outcome == "error":
+        return Verdict(
+            CAT_REFUSED,
+            "the attempt was refused outright — the rendezvous server answered "
+            "with an error (e.g. the peer is not registered) or the peer's end "
+            "refused the dial — with no drop or fault explaining it",
             [e for e in timeline if e.kind == "attempt.end"],
             attempt,
         )

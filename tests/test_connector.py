@@ -189,3 +189,70 @@ def test_turn_rung_fails_over_to_s_relay_when_peer_lacks_turn():
         "hole-punch", STRATEGY_TURN, STRATEGY_RELAY,
     ]
     assert result.strategy == STRATEGY_RELAY
+
+
+# -- every rung answers exactly once (the ladder keeps no once-only guard) ----
+
+
+def _answers(sc, start, run=60.0):
+    """Start one rung the way the ladder does and record every answer it
+    gives over *run* virtual seconds — well past each rung's deadlines."""
+    answers = []
+    start(lambda channel, detail="": answers.append("ok"), lambda error: answers.append("failed"))
+    sc.run_for(run)
+    return answers
+
+
+@pytest.mark.parametrize("transport", [TRANSPORT_UDP, TRANSPORT_TCP], ids=["udp", "tcp"])
+@pytest.mark.parametrize(
+    "nat, expected", [(B.WELL_BEHAVED, "ok"), (B.SYMMETRIC_RANDOM, "failed")], ids=["wins", "fails"]
+)
+def test_punch_rung_answers_once(transport, nat, expected):
+    sc = build_two_nats(seed=73, behavior_a=nat)
+    sc.register_all_udp()
+    sc.register_all_tcp()
+    connector = P2PConnector(sc.clients["A"], transport=transport, phase_timeout=4.0)
+    assert _answers(sc, lambda ok, fail: connector._try_punch(2, ok, fail)) == [expected]
+
+
+@pytest.mark.parametrize(
+    "build, expected", [(build_one_sided, "ok"), (build_two_nats, "failed")], ids=["wins", "fails"]
+)
+def test_reversal_rung_answers_once(build, expected):
+    sc = build(seed=74)
+    sc.register_all_tcp()
+    b = sc.clients["B"]
+    start = lambda ok, fail: b.request_reversal(1, ok, fail, timeout=4.0)
+    assert _answers(sc, start) == [expected]
+
+
+@pytest.mark.parametrize("peer_has_turn, expected", [(True, "ok"), (False, "failed")], ids=["wins", "fails"])
+def test_turn_rung_answers_once(peer_has_turn, expected):
+    from repro.core.turn import TurnServer
+    from repro.transport.stack import attach_stack
+
+    sc = build_two_nats(seed=75, behavior_a=B.SYMMETRIC_RANDOM)
+    relay_host = sc.net.add_host("relay", ip="30.0.0.1", network="0.0.0.0/0",
+                                 link=sc.net.links["backbone"])
+    attach_stack(relay_host)
+    turn_server = TurnServer(relay_host)
+    sc.register_all_udp()
+    clients = sc.clients.values() if peer_has_turn else [sc.clients["A"]]
+    for c in clients:
+        c.enable_turn(turn_server.endpoint)
+    a = sc.clients["A"]
+    start = lambda ok, fail: a.connect_via_turn(2, ok, fail, timeout=4.0)
+    assert _answers(sc, start) == [expected]
+
+
+def test_relay_rung_answers_once():
+    """The relay rung answers synchronously; the ladder then reports exactly
+    one result however long the run goes on."""
+    sc = build_two_nats(seed=76, behavior_a=B.SYMMETRIC_RANDOM)
+    sc.register_all_udp()
+    connector = P2PConnector(sc.clients["A"], phase_timeout=4.0)
+    results = []
+    connector.connect(2, on_result=results.append)
+    sc.run_for(60.0)
+    assert [r.strategy for r in results] == [STRATEGY_RELAY]
+    assert [a.strategy for a in results[0].attempts] == [STRATEGY_PUNCH, STRATEGY_RELAY]

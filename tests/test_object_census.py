@@ -30,7 +30,7 @@ OPTIONAL_PARTS = (
     "relays", "on_relay_session",
     "turn", "turn_pairs", "_pending_turn", "on_turn_session",
     "failover",
-    "_reversals", "_sequentials", "sequential_config",
+    "_reversal_punchers", "_sequential_punchers", "sequential_config",
     "_stream_claimants", "_parked_streams",
 )
 

@@ -1,38 +1,74 @@
-"""The hole-punch lifecycle both carriers share (§3.2, §4.2) and the §3.6
-session ladder that follows it, pinned once per carrier: the span tree, the
-counters, the flight attempts — and the joining of a second connect to the
-same peer."""
+"""The hole-punch lifecycle every connect technique shares — UDP and TCP
+punching (§3.2, §4.2), connection reversal (§2.3) and sequential punching
+(§4.5) — and the §3.6 session ladder that follows the two parallel punches,
+pinned once per technique: the span tree, the counters, the flight attempts
+and their verdicts — and the joining of a second connect to the same peer."""
 
 import pytest
 
 from repro.core.tcp_punch import TcpPunchConfig
+from repro.core.tcp_sequential import SequentialConfig
 from repro.core.turn import TurnServer
 from repro.core.udp_punch import PunchConfig
 from repro.nat import behavior as B
+from repro.obs.attribution import CAT_FILTERED, CAT_REFUSED, CAT_UNKNOWN, explain
 from repro.obs.spans import OUTCOME_LOCKED, OUTCOME_TIMEOUT
-from repro.scenarios import build_two_nats
+from repro.scenarios import build_one_sided, build_two_nats
 from repro.transport.stack import attach_stack
 
 CARRIERS = ["udp", "tcp"]
+TECHNIQUES = CARRIERS + ["reversal", "sequential"]
 #: The keepalive counter each carrier's session bumps.
 KEEPALIVE_COUNTER = {"udp": "session.udp.keepalives", "tcp": "session.tcp.keepalives_sent"}
+#: Reversal needs a reachable requester: B (public in build_one_sided) asks
+#: A (id 1).  With every other technique A asks B (id 2).
+PEER = {"reversal": 1}
+#: A seeded scenario in which each technique connects.
+SCENARIO = {
+    "udp": (build_two_nats, 3),
+    "tcp": (build_two_nats, 3),
+    "reversal": (build_one_sided, 51),
+    "sequential": (build_two_nats, 41),
+}
 
 
-def _connect(sc, carrier, config=None):
-    """Register on *carrier* and have A connect to B (id 2); returns the dict
-    the outcome lands in (``a`` / ``b`` / ``error``)."""
-    a, b = sc.clients["A"], sc.clients["B"]
-    result = {}
-    on_a = lambda s: result.setdefault("a", s)
-    on_error = lambda e: result.setdefault("error", e)
-    if carrier == "udp":
+def _requester(sc, technique, peer=None, timeout=None):
+    """Register what *technique* rides; returns ``connect(on_connected,
+    on_failure)`` — the requester asking *peer* (default: its usual peer) —
+    and the usual peer's client."""
+    usual = PEER.get(technique, 2)
+    peer = usual if peer is None else peer
+    requester = sc.clients["B" if usual == 1 else "A"]
+    target = sc.clients["A" if usual == 1 else "B"]
+    if technique == "udp":
         sc.register_all_udp()
-        b.on_peer_session = lambda s: result.setdefault("b", s)
-        a.connect_udp(2, on_a, on_error, config=config)
+        config = PunchConfig(timeout=timeout) if timeout else None
+        return lambda ok, fail: requester.connect_udp(peer, ok, fail, config=config), target
+    sc.register_all_tcp()
+    if technique == "tcp":
+        config = TcpPunchConfig(timeout=timeout) if timeout else None
+        return lambda ok, fail: requester.connect_tcp(peer, ok, fail, config=config), target
+    if technique == "reversal":
+        return (
+            lambda ok, fail: requester.request_reversal(peer, ok, fail, timeout=timeout or 15.0),
+            target,
+        )
+    if timeout:
+        requester.sequential_config = SequentialConfig(timeout=timeout)
+    return lambda ok, fail: requester.connect_tcp_sequential(peer, ok, fail), target
+
+
+def _connect(sc, technique, timeout=None):
+    """Have the requester connect to its peer by *technique*; returns the
+    dict the outcome lands in (``a`` / ``b`` / ``error``)."""
+    connect, target = _requester(sc, technique, timeout=timeout)
+    result = {}
+    incoming = lambda s: result.setdefault("b", s)
+    if technique == "udp":
+        target.on_peer_session = incoming
     else:
-        sc.register_all_tcp()
-        b.on_peer_stream = lambda s: result.setdefault("b", s)
-        a.connect_tcp(2, on_a, on_error, config=config)
+        target.on_peer_stream = incoming
+    connect(lambda s: result.setdefault("a", s), lambda e: result.setdefault("error", e))
     return result
 
 
@@ -52,41 +88,49 @@ def _attempts(sc, name):
     return [a for a in sc.net.flight.attempts.values() if a.name == name]
 
 
-@pytest.mark.parametrize("carrier", CARRIERS)
-def test_locked_punch_span_tree_and_counters(carrier):
-    sc, _, _ = _connected(carrier, seed=61)
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_locked_punch_span_tree_and_counters(technique):
+    build = build_one_sided if technique == "reversal" else build_two_nats
+    sc = build(seed=61, flight=True)
+    result = _connect(sc, technique)
+    sc.wait_for(lambda: "a" in result and "b" in result, 40.0)
     sc.run_for(1.0)  # the responder's lock-in may land a beat later
     reg = sc.net.metrics
     (connect,) = reg.find_spans("connect", recursive=False)
-    assert connect.tags["transport"] == carrier and connect.outcome == OUTCOME_LOCKED
-    assert [c.name for c in connect.children] == [f"punch.{carrier}"]
+    assert connect.tags["transport"] == technique and connect.outcome == OUTCOME_LOCKED
+    assert [c.name for c in connect.children] == [f"punch.{technique}"]
     assert connect.children[0].outcome == OUTCOME_LOCKED
-    # The responder's punch is a root span of its own.
-    roots = reg.find_spans(f"punch.{carrier}", recursive=False)
-    assert [s.outcome for s in roots] == [OUTCOME_LOCKED]
-    assert reg.counter_value(f"punch.{carrier}.succeeded") == 2
-    assert reg.counter_value(f"punch.{carrier}.failed") == 0
+    # The responder's parallel punch is a root span of its own; a reversal
+    # or sequential responder only dials or listens.
+    both_punch = technique in CARRIERS
+    roots = reg.find_spans(f"punch.{technique}", recursive=False)
+    assert [s.outcome for s in roots] == [OUTCOME_LOCKED] * both_punch
+    assert reg.counter_value(f"punch.{technique}.succeeded") == 1 + both_punch
+    assert reg.counter_value(f"punch.{technique}.failed") == 0
 
 
-@pytest.mark.parametrize("carrier", CARRIERS)
-def test_timed_out_punch_span_tree_and_counters(carrier):
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_timed_out_punch_span_tree_and_counters(technique):
     sc = build_two_nats(seed=62, behavior_a=B.SYMMETRIC_RANDOM, flight=True)
-    config = PunchConfig(timeout=4.0) if carrier == "udp" else TcpPunchConfig(timeout=4.0)
-    result = _connect(sc, carrier, config)
+    result = _connect(sc, technique, timeout=4.0)
     sc.wait_for(lambda: "error" in result, 10.0)
-    sc.run_for(float(40 if carrier == "tcp" else 15))  # the responder times out too
-    assert f"{carrier.upper()} hole punch to peer 2 timed out after 4.0s" in str(result["error"])
+    sc.run_for(float(40 if technique == "tcp" else 15))  # the responder times out too
+    peer = PEER.get(technique, 2)
+    assert f"{technique.upper()} hole punch to peer {peer} timed out after 4.0s" in str(
+        result["error"]
+    )
     reg = sc.net.metrics
     (connect,) = reg.find_spans("connect", recursive=False)
     assert connect.outcome == OUTCOME_TIMEOUT
     assert [(c.name, c.outcome) for c in connect.children] == [
-        (f"punch.{carrier}", OUTCOME_TIMEOUT)
+        (f"punch.{technique}", OUTCOME_TIMEOUT)
     ]
-    assert reg.counter_value(f"punch.{carrier}.succeeded") == 0
-    assert reg.counter_value(f"punch.{carrier}.failed") == 2
-    (attempt,) = _attempts(sc, f"connect.{carrier}")
+    assert reg.counter_value(f"punch.{technique}.succeeded") == 0
+    assert reg.counter_value(f"punch.{technique}.failed") == 1 + (technique in CARRIERS)
+    (attempt,) = _attempts(sc, f"connect.{technique}")
     assert attempt.outcome == "timeout"
-    assert _attempts(sc, f"session.{carrier}") == []
+    assert explain(attempt, sc.net.flight).category != CAT_UNKNOWN
+    assert _attempts(sc, f"session.{technique}") == []
 
 
 @pytest.mark.parametrize("carrier", CARRIERS)
@@ -141,46 +185,42 @@ def _outcomes():
     return calls, (lambda tag: lambda value: calls.append((tag, value)))
 
 
-@pytest.mark.parametrize("carrier", CARRIERS)
-def test_back_to_back_connects_both_hear_back(carrier):
-    sc = build_two_nats(seed=3, flight=True)
-    if carrier == "udp":
-        sc.register_all_udp()
-        connect = sc.clients["A"].connect_udp
-    else:
-        sc.register_all_tcp()
-        connect = sc.clients["A"].connect_tcp
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_back_to_back_connects_both_hear_back(technique):
+    """Regressions: a second sequential request made the peer re-dial the
+    4-tuple of its first doomed connect (the run raised); a second reversal's
+    nonce went to the first request, so the second waited out its timeout."""
+    build, seed = SCENARIO[technique]
+    sc = build(seed=seed, flight=True)
+    connect, _ = _requester(sc, technique)
     calls, note = _outcomes()
-    connect(2, note("first"), note("first-failed"))
-    connect(2, note("second"), note("second-failed"))
+    connect(note("first"), note("first-failed"))
+    connect(note("second"), note("second-failed"))
     sc.run_for(45.0)
     assert [tag for tag, _ in calls] == ["first", "second"]
     assert calls[0][1] is calls[1][1]
     (span,) = sc.net.metrics.find_spans("connect", recursive=False)
     assert span.outcome == OUTCOME_LOCKED
-    (attempt,) = _attempts(sc, f"connect.{carrier}")
+    (attempt,) = _attempts(sc, f"connect.{technique}")
     assert attempt.outcome == "connected"
 
 
-@pytest.mark.parametrize("carrier", CARRIERS)
-def test_connect_during_punch_joins_it(carrier):
-    """A connect issued while a punch toward that peer is running (endpoints
-    received, not yet locked in) gets that punch's outcome instead of
-    waiting out the endpoint-exchange deadline."""
-    sc = build_two_nats(seed=3)
-    a = sc.clients["A"]
-    if carrier == "udp":
-        sc.register_all_udp()
-        connect, punchers = a.connect_udp, a.punchers
-    else:
-        sc.register_all_tcp()
-        connect, punchers = a.connect_tcp, a.tcp_punchers
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_connect_during_punch_joins_it(technique):
+    """A connect issued while a punch toward that peer is running (S has
+    answered, not yet locked in) gets that punch's outcome instead of
+    waiting out the request deadline."""
+    build, seed = SCENARIO[technique]
+    sc = build(seed=seed)
+    connect, target = _requester(sc, technique)
+    peer = target.client_id
+    punchers = sc.clients["B" if peer == 1 else "A"]._punch_books[technique]
     calls, note = _outcomes()
-    connect(2, note("first"), note("first-failed"))
-    sc.scheduler.run_while(lambda: 2 not in punchers, sc.scheduler.now + 5.0)
-    assert 2 in punchers and not calls
+    connect(note("first"), note("first-failed"))
+    sc.scheduler.run_while(lambda: peer not in punchers, sc.scheduler.now + 5.0)
+    assert peer in punchers and not calls
     started = sc.scheduler.now
-    connect(2, note("second"), note("second-failed"))
+    connect(note("second"), note("second-failed"))
     sc.scheduler.run_while(lambda: len(calls) < 2, started + 40.0)
     assert [tag for tag, _ in calls] == ["first", "second"]
     assert calls[0][1] is calls[1][1]
@@ -228,3 +268,50 @@ def test_back_to_back_turn_connects_both_hear_back():
     sc.run_for(15.0)
     assert [tag for tag, _ in calls] == ["first", "second"]
     assert calls[0][1] is calls[1][1]
+
+
+# -- a refused request fails at once; every failure explains itself ----------
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_refused_request_fails_at_once(technique):
+    """S refuses a request for an unregistered peer within one round trip,
+    and the connect fails then (a refused reversal or sequential request
+    used to wait out its whole deadline) and explains as a refusal."""
+    sc = build_two_nats(seed=3, flight=True)
+    connect, _ = _requester(sc, technique, peer=99)
+    failures = []
+    started = sc.scheduler.now
+    connect(lambda channel: None, failures.append)
+    sc.scheduler.run_while(lambda: not failures, started + 40.0)
+    assert sc.scheduler.now - started < 1.0
+    assert "not registered" in str(failures[0])
+    (attempt,) = _attempts(sc, f"connect.{technique}")
+    assert attempt.outcome == "error"
+    assert explain(attempt, sc.net.flight).category == CAT_REFUSED
+
+
+def test_timed_out_reversal_explains():
+    """§2.3's limitation — the requester is behind a NAT too, so the dial
+    back dies at its NAT's filter — is named, not ``unknown``."""
+    sc = build_two_nats(seed=52, flight=True)
+    result = _connect(sc, "reversal", timeout=10.0)
+    sc.wait_for(lambda: "error" in result, 30.0)
+    (attempt,) = _attempts(sc, "connect.reversal")
+    assert attempt.outcome == "timeout"
+    assert explain(attempt, sc.net.flight).category == CAT_FILTERED
+
+
+def test_refused_sequential_dial_explains():
+    """A's dial leaves its symmetric NAT from a port B's NAT never saw, and
+    B's NAT resets it: the punch fails at once, and the NAT evidence — not
+    the refusal rule — explains it."""
+    sc = build_two_nats(
+        seed=62, behavior_a=B.SYMMETRIC_RANDOM, behavior_b=B.RST_SENDER, flight=True
+    )
+    result = _connect(sc, "sequential", timeout=4.0)
+    sc.wait_for(lambda: "error" in result, 10.0)
+    assert "sequential punch dial to peer 2 failed: reset" in str(result["error"])
+    (attempt,) = _attempts(sc, "connect.sequential")
+    assert attempt.outcome == "error"
+    assert explain(attempt, sc.net.flight).category not in (CAT_UNKNOWN, CAT_REFUSED)
