@@ -60,7 +60,7 @@ from repro.core.tcp_sequential import (
     SequentialRequester,
     SequentialResponder,
 )
-from repro.core.turn import TurnClient, TurnPairSession
+from repro.core.turn import TurnClient, TurnPairSession, TurnPunch
 from repro.core.udp_punch import PunchConfig, UdpHolePuncher, UdpSession
 from repro.netsim.addresses import Endpoint
 from repro.obs.metrics import MetricsRegistry
@@ -88,12 +88,14 @@ ACCEPT_AUTH_GRACE = 5.0
 
 #: Each connect technique by its name — the key of the client's books and the
 #: label of its connect span and flight attempt, never sent on the wire — and
-#: the carrier its requests to S ride.
+#: the carrier on which S may refuse its requests (S forwards a TurnExchange
+#: or drops it, never refuses it).
 _TECHNIQUES = {
     "udp": TRANSPORT_UDP,
     "tcp": TRANSPORT_TCP,
     "reversal": TRANSPORT_TCP,
     "sequential": TRANSPORT_TCP,
+    "turn": None,
 }
 
 
@@ -172,12 +174,14 @@ class PeerClient:
         self._parked_streams: Dict[Tuple[int, int], Tuple[TcpStream, Hello]] = {}
         self._reversal_punchers: Dict[int, ReversalRequest] = {}
         self._sequential_punchers: Dict[int, SequentialRequester] = {}
+        self._turn_punchers: Dict[int, TurnPunch] = {}
         #: The punch under way toward each peer, one book per technique.
         self._punch_books = {
             "udp": self.punchers,
             "tcp": self.tcp_punchers,
             "reversal": self._reversal_punchers,
             "sequential": self._sequential_punchers,
+            "turn": self._turn_punchers,
         }
         # --- fallbacks and app handlers ----------------------------------------
         self.relays: Dict[Tuple[int, int], RelaySession] = {}
@@ -188,7 +192,6 @@ class PeerClient:
         # --- TURN (enabled via enable_turn) ---------------------------------------
         self.turn: Optional[TurnClient] = None
         self.turn_pairs: Dict[int, TurnPairSession] = {}
-        self._pending_turn: Dict[int, tuple] = {}
         self.on_turn_session: Optional[Callable[[TurnPairSession], None]] = None
         self._rng = SeededRng(client_id, "peer-client")
         # --- metrics --------------------------------------------------------------
@@ -203,9 +206,10 @@ class PeerClient:
         self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry(
             now_fn=lambda: host.scheduler.now
         )
-        #: Connect requests awaiting S's answer (the peer's endpoints, or
-        #: ReverseExpect / SeqReady), keyed by (technique, peer_id):
-        #: ``([(on_connected, on_failure), ...], config)``.  An entry leaves
+        #: Connect requests awaiting S's answer (the peer's endpoints,
+        #: ReverseExpect / SeqReady, or the peer's TurnExchange), keyed by
+        #: (technique, peer_id): ``([(on_connected, on_failure), ...], config)``
+        #: (for TURN, config is ``(config, nonce)``).  An entry leaves
         #: when the answer arrives, when its deadline passes, or when S
         #: answers with a RendezvousError.
         self._pending: Dict[Tuple[str, int], tuple] = {}
@@ -938,56 +942,35 @@ class PeerClient:
 
         Works across ANY NAT pair (both sides only ever talk outbound to
         the relay), at the cost of relaying every byte — the §2.2 trade.
-        The peer must also have TURN enabled.
+        The peer must also have TURN enabled.  *timeout* bounds the peer's
+        answer and then the opener handshake, like ``connect_udp``'s.
         """
         if self.turn is None:
             raise ReproError("connect_via_turn before enable_turn")
         if not self.udp_registered:
             raise ReproError("connect_via_turn before UDP registration")
-        pending = self._pending_turn.get(peer_id)
-        if pending is not None:
-            # Join the exchange already under way (same pair, same deadline).
-            pending[0].append((on_session, on_failure))
-            return
         nonce = self._rng.nonce64()
-        deadline = self.scheduler.call_later(
-            timeout, self._turn_connect_timeout, peer_id
-        )
-        self._pending_turn[peer_id] = ([(on_session, on_failure)], nonce, deadline)
+        config = dataclasses.replace(self.punch_config, timeout=timeout)
+        entry = self._open_connect("turn", peer_id, on_session, on_failure, (config, nonce))
+        if entry is None:
+            return
         self._when_allocated(lambda: self._advertise_relay(peer_id, nonce))
-
-    def _turn_connect_timeout(self, peer_id: int) -> None:
-        pending = self._pending_turn.pop(peer_id, None)
-        if pending is None:
-            return
-        pair = self.turn_pairs.get(peer_id)
-        if pair is not None and pair.established:
-            return
-        error = ReproError(f"TURN exchange with peer {peer_id} timed out")
-        for _, on_failure in pending[0]:
-            if on_failure is not None:
-                on_failure(error)
+        self.scheduler.call_later(timeout, self._connect_deadline, ("turn", peer_id), entry)
 
     def _handle_turn_exchange(self, message) -> None:
         """The peer advertised its relayed endpoint (forwarded by S)."""
         if message.target != self.client_id or self.turn is None:
             return
         peer_id = message.sender
-        pending = self._pending_turn.get(peer_id)
+        pending = self._pending.get(("turn", peer_id))
         if pending is not None:
-            callbacks, nonce, deadline = pending
+            callbacks, (config, nonce) = pending
             if message.nonce != nonce:
                 return
-            del self._pending_turn[peer_id]
-            deadline.cancel()
-            pair = TurnPairSession(self, self.turn, peer_id, nonce, message.relay_ep)
+            _, span = self._take_pending("turn", peer_id)
+            pair = TurnPairSession(self, peer_id, nonce, message.relay_ep, config)
             self.turn_pairs[peer_id] = pair
-
-            def established(session: TurnPairSession) -> None:
-                for on_session, _ in callbacks:
-                    on_session(session)
-
-            pair.on_established = established
+            self._start_punch(TurnPunch(pair, *callbacks[0], span), callbacks)
             return
         # Responder role: allocate, answer with our relay endpoint, and
         # deliver the session once the openers cross.
@@ -1004,26 +987,32 @@ class PeerClient:
 
         def respond() -> None:
             pair = TurnPairSession(
-                self, self.turn, peer_id, message.nonce, message.relay_ep
+                self, peer_id, message.nonce, message.relay_ep, self.punch_config
             )
             self.turn_pairs[peer_id] = pair
-            if self.on_turn_session is not None:
-                pair.on_established = self.on_turn_session
+            incoming = self._deliver_incoming_turn
+            self._start_punch(TurnPunch(pair, incoming, None), [(incoming, None)])
             self._advertise_relay(peer_id, message.nonce)
 
         self._when_allocated(respond)
 
+    def _deliver_incoming_turn(self, session: TurnPairSession) -> None:
+        if self.on_turn_session is not None:
+            self.on_turn_session(session)
+
     def _on_turn_data(self, src: Endpoint, payload: bytes) -> None:
-        """Traffic arrived at our relayed endpoint: route by source relay."""
+        """Traffic arrived at our relayed endpoint: route by source relay to
+        the pair's opening punch while one runs, else to the pair."""
         message = protocol.try_decode(payload)
-        if message is None or not hasattr(message, "sender"):
+        pair = self.turn_pairs.get(getattr(message, "sender", None))
+        if pair is None or src != pair.peer_relay:
             self.stray_messages += 1
             return
-        pair = self.turn_pairs.get(getattr(message, "sender", None))
-        if pair is not None and src == pair.peer_relay:
-            pair._handle(message)
+        punch = self._turn_punchers.get(pair.peer_id)
+        if punch is not None and not punch.finished:
+            punch.handle(message)
         else:
-            self.stray_messages += 1
+            pair._handle(message)
 
     # -- accepted-stream routing (§4.2 step 5) -------------------------------------------------
 

@@ -13,6 +13,9 @@ forwarding are reproduced here:
 Allocations idle out after ``lifetime`` seconds unless refreshed by any
 control traffic from the owner — the same lazy-timer scheme NAT mappings
 use.
+
+A TURN-to-TURN channel between two clients rides the punch lifecycle
+(:class:`TurnPunch`) and the §3.6 session ladder (:class:`TurnPairSession`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core import protocol
+from repro.core.auth import message_is_from_peer
 from repro.core.protocol import TurnAllocate, TurnAllocated, TurnData, TurnSend
+from repro.core.udp_punch import PunchConfig, _HolePunch, _PeerSession
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
 from repro.netsim.node import Host
@@ -32,6 +37,8 @@ DEFAULT_LIFETIME = 600.0
 #: Consecutive unanswered refreshes after which a TurnClient declares its
 #: server dead and re-allocates (on the next server if it has fallbacks).
 REFRESH_MISSES = 3
+#: Seconds between the openers a TURN pair sends until the peer answers.
+OPENER_INTERVAL = 0.5
 
 
 class _Allocation:
@@ -65,7 +72,7 @@ class _Allocation:
         self.relay_socket.sendto(payload, dest)
 
     def _inbound(self, payload: bytes, src: Endpoint) -> None:
-        if self.server.require_permissions and src not in self.permissions:
+        if src not in self.permissions:
             self.server.rejected_inbound += 1
             return
         self.touch()
@@ -100,11 +107,9 @@ class TurnServer:
         host: Host,
         port: int = DEFAULT_TURN_PORT,
         lifetime: float = DEFAULT_LIFETIME,
-        require_permissions: bool = True,
     ) -> None:
         self.host = host
         self.lifetime = lifetime
-        self.require_permissions = require_permissions
         self._stack = host.stack  # type: ignore[attr-defined]
         self._control = self._stack.udp.socket(port)
         self._control.on_datagram = self._on_control
@@ -328,7 +333,7 @@ class TurnClient:
                 self.on_data(message.src, message.payload)
 
 
-class TurnPairSession:
+class TurnPairSession(_PeerSession):
     """A peer-to-peer channel where both directions traverse TURN relays.
 
     Each side allocates its own relayed endpoint and sends toward the
@@ -336,88 +341,59 @@ class TurnPairSession:
     traffic, so the channel works across any NAT pair — including
     double-symmetric, where every punching variant fails.  Messages carry
     the usual (sender, receiver, nonce) authentication.
+
+    A :class:`TurnPunch` opens it (and re-opens it after a relay moved,
+    :meth:`resume`); *config*'s timeout bounds each opening.  The §3.6
+    keepalive ladder runs only once :meth:`start_keepalives` is called.
     """
 
-    def __init__(
-        self,
-        client,
-        turn: TurnClient,
-        peer_id: int,
-        nonce: int,
-        peer_relay: Endpoint,
-        opener_interval: float = 0.5,
-        timeout: float = 10.0,
-    ) -> None:
-        from repro.core import protocol as _p
+    _name = "turn"
 
-        self._p = _p
-        self.client = client
-        self.turn = turn
+    def __init__(
+        self, client, peer_id: int, nonce: int, peer_relay: Endpoint, config: PunchConfig
+    ) -> None:
+        super().__init__(client)
+        self.turn = client.turn
         self.peer_id = peer_id
         self.nonce = nonce
         self.peer_relay = peer_relay
+        self.config = config
         self.established = False
-        self.closed = False
         self.on_data: Optional[Callable[[bytes], None]] = None
-        self.on_established: Optional[Callable[["TurnPairSession"], None]] = None
-        #: Fired when a resumed session re-establishes (relay moved and the
-        #: opener handshake completed again); distinct from on_established,
-        #: which fires only for the first establishment.
+        #: Fired each time a resumed session re-establishes (a relay moved
+        #: and the opener handshake completed again).
         self.on_resumed: Optional[Callable[["TurnPairSession"], None]] = None
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self.resumes = 0
-        self._established_ever = False
-        self._opener_interval = opener_interval
-        self._timeout = timeout
-        self._deadline = client.scheduler.now + timeout
-        self._opener_epoch = 0
-        self._send_opener(self._opener_epoch)
+
+    @property
+    def remote(self) -> Endpoint:
+        return self.peer_relay
 
     @property
     def alive(self) -> bool:
         return self.established and not self.closed
 
-    def _send_opener(self, epoch: int) -> None:
-        """Keepalive pings install the TURN permission for the peer's relay
-        and double as the establishment handshake."""
-        if epoch != self._opener_epoch:
-            return  # superseded by a resume()
-        if self.closed or self.established:
-            return
-        if self.client.scheduler.now > self._deadline:
-            return
-        self.turn.send(
-            self.peer_relay,
-            self._p.encode(
-                self._p.SessionKeepalive(
-                    sender=self.client.client_id,
-                    receiver=self.peer_id,
-                    nonce=self.nonce,
-                )
-            ),
-        )
-        self.client.scheduler.call_later(self._opener_interval, self._send_opener, epoch)
+    def _emit(self, kind, **body) -> None:
+        """Send the peer a *kind* message, through our relay to the peer's."""
+        self._last_outbound = self.client.scheduler.now
+        message = kind(sender=self.client.client_id, receiver=self.peer_id, nonce=self.nonce, **body)
+        self.turn.send(self.peer_relay, protocol.encode(message))
+
+    def _ping(self) -> None:
+        """A SessionKeepalive: it installs our relay's permission for the
+        peer's relay and doubles as the opener."""
+        self._emit(protocol.SessionKeepalive)
 
     def send(self, payload: bytes) -> None:
         """Send application data via both relays."""
         if self.closed:
             raise ValueError("send on closed TURN pair session")
         self.bytes_sent += len(payload)
-        self.turn.send(
-            self.peer_relay,
-            self._p.encode(
-                self._p.SessionData(
-                    sender=self.client.client_id,
-                    receiver=self.peer_id,
-                    nonce=self.nonce,
-                    payload=payload,
-                )
-            ),
-        )
+        self._emit(protocol.SessionData, payload=payload)
 
     def close(self) -> None:
-        self.closed = True
+        if not self.closed:
+            self._finish_session("closed")
 
     def resume(self, peer_relay: Optional[Endpoint] = None) -> None:
         """Re-run the opener handshake after a relay moved.
@@ -425,9 +401,10 @@ class TurnPairSession:
         Called with the peer's *new* relay endpoint when it re-advertised
         (its TURN server restarted / failed over), or with none when *our*
         relay moved and the peer needs fresh permissions installed from the
-        new endpoint.  The session drops back to not-established until the
-        openers cross again; application ``send`` keeps working (toward the
-        current ``peer_relay``) throughout.
+        new endpoint.  The session drops back to not-established until a
+        fresh :class:`TurnPunch` wins (an opening still under way just
+        carries on toward the new endpoint); application ``send`` keeps
+        working (toward the current ``peer_relay``) throughout.
         """
         if self.closed:
             return
@@ -435,57 +412,42 @@ class TurnPairSession:
             self.peer_relay = peer_relay
         self.resumes += 1
         self.established = False
-        self._deadline = self.client.scheduler.now + self._timeout
-        self._opener_epoch += 1
-        self._send_opener(self._opener_epoch)
+        punch = self.client._punch_books["turn"].get(self.peer_id)
+        if punch is None or punch.finished:
+            self.client._start_punch(TurnPunch(self, self._resumed, None), [(self._resumed, None)])
+
+    def _resumed(self, session: "TurnPairSession") -> None:
+        if self.on_resumed is not None:
+            self.on_resumed(session)
+
+    # -- the §3.6 ladder's carrier hooks ---------------------------------------------
+
+    def _send_keepalive(self) -> None:
+        self.keepalives_sent += 1
+        self.client.metrics.counter("session.turn.keepalives").inc()
+        self._ping()
+
+    def _mark_broken(self) -> None:
+        self.broken = True
+        self.client.metrics.counter("session.turn.broken").inc()
+        self._finish_session("broken")
+
+    # -- inbound ------------------------------------------------------------------
 
     def _handle(self, message) -> None:
         """A decoded message arrived at our relay from the peer's relay."""
-        if (
-            message.sender != self.peer_id
-            or message.receiver != self.client.client_id
-            or message.nonce != self.nonce
-        ):
+        if not message_is_from_peer(message, self.client.client_id, self.peer_id, self.nonce):
             return
-        if not self.established:
-            self.established = True
-            # Answer once more so the peer establishes too.
-            self.turn.send(
-                self.peer_relay,
-                self._p.encode(
-                    self._p.SessionKeepalive(
-                        sender=self.client.client_id,
-                        receiver=self.peer_id,
-                        nonce=self.nonce,
-                    )
-                ),
-            )
-            self._last_answer = self.client.scheduler.now
-            if not self._established_ever:
-                self._established_ever = True
-                if self.on_established is not None:
-                    self.on_established(self)
-            elif self.on_resumed is not None:
-                self.on_resumed(self)
-        elif isinstance(message, self._p.SessionKeepalive):
-            # The peer is (re-)opening while we are already established — it
-            # resumed after a relay move and needs an answer to cross with.
-            # Suppress echoes we sent within half an opener interval so two
-            # established sides do not ping-pong forever.
-            now = self.client.scheduler.now
-            if now - self._last_answer >= self._opener_interval / 2:
-                self._last_answer = now
-                self.turn.send(
-                    self.peer_relay,
-                    self._p.encode(
-                        self._p.SessionKeepalive(
-                            sender=self.client.client_id,
-                            receiver=self.peer_id,
-                            nonce=self.nonce,
-                        )
-                    ),
-                )
-        if isinstance(message, self._p.SessionData):
+        now = self.client.scheduler.now
+        self._last_inbound = now
+        if isinstance(message, protocol.SessionKeepalive):
+            # The peer is re-opening (it resumed after a relay move and needs
+            # an answer to cross with) or probing.  Suppress echoes within
+            # half an opener interval of our last send so two established
+            # sides do not ping-pong forever.
+            if now - self._last_outbound >= OPENER_INTERVAL / 2:
+                self._ping()
+        elif isinstance(message, protocol.SessionData):
             self.bytes_received += len(message.payload)
             if self.on_data is not None:
                 self.on_data(message.payload)
@@ -495,3 +457,46 @@ class TurnPairSession:
             f"TurnPairSession(peer={self.peer_id}, relay={self.peer_relay}, "
             f"established={self.established})"
         )
+
+
+class TurnPunch(_HolePunch):
+    """The opener handshake that opens (or re-opens) a :class:`TurnPairSession`:
+    a SessionKeepalive via our relay every :data:`OPENER_INTERVAL` until the
+    first authenticated message from the peer's relay wins."""
+
+    _name = "turn"
+    _kind_counter = "punch.turn.handshake"
+    _kind_label = "kind"
+    _latency_histogram = "punch.turn.open_seconds"
+
+    def __init__(self, pair: TurnPairSession, on_session, on_failure, span=None) -> None:
+        super().__init__(
+            pair.client, pair.peer_id, pair.nonce, on_session, on_failure, pair.config, span
+        )
+        self.pair = pair
+        self._opener_timer: Optional[Timer] = None
+
+    def _punch(self) -> None:
+        if self.pair.closed:
+            return
+        self.pair._ping()
+        self._opener_timer = self.client.scheduler.call_later(OPENER_INTERVAL, self._punch)
+
+    def handle(self, message) -> None:
+        """A message from the peer's relay: the first authenticated one wins,
+        and the session then takes it (it may carry the first payload)."""
+        if not message_is_from_peer(message, self.client.client_id, self.peer_id, self.nonce):
+            return
+        kind = "resume" if self.pair.resumes else "open"
+        self._succeed(self.pair, kind, relay=str(self.pair.peer_relay))
+        self.pair._handle(message)
+
+    def _session(self, pair: TurnPairSession) -> TurnPairSession:
+        pair.established = True
+        pair._begin_session(self.peer_id)
+        pair._ping()  # answer once so the peer's openers win too
+        return pair
+
+    def _release(self, keep) -> None:
+        if self._opener_timer is not None:
+            self._opener_timer.cancel()

@@ -15,9 +15,9 @@ application can re-punch on demand.
 §4.2 runs the same procedure over TCP, so the parts that do not depend on the
 carrier live here once and :mod:`repro.core.tcp_punch` builds on them:
 :class:`_HolePunch` (span, deadline, lock-in and failure accounting — also
-the lifecycle of connection reversal and sequential punching) and
-:class:`_PeerSession` (the session's flight attempt and the §3.6 keep-alive
-ladder).
+the lifecycle of connection reversal, sequential punching and the TURN
+pair's opener handshake) and :class:`_PeerSession` (the session's flight
+attempt and the §3.6 keep-alive ladder, also under the TURN pair).
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ FailureHandler = Callable[[Exception], None]
 
 
 class _PeerSession:
-    """What a punched session is on either carrier (§3.6).
+    """What a punched session is on any carrier (§3.6): UDP, TCP or a TURN
+    pair.
 
     It is its own flight attempt — a child of the requester's connect
     attempt — so a hole that later dies is attributed in the session's window
@@ -323,8 +324,9 @@ class UdpSession(_PeerSession):
 class _HolePunch:
     """One hole punch toward one peer, whichever carrier runs it.
 
-    §3.2's lifecycle, which §4.2 repeats over TCP and connection reversal
-    (§2.3) and sequential punching (§4.5) repeat with one stream: a
+    §3.2's lifecycle, which §4.2 repeats over TCP, connection reversal
+    (§2.3) and sequential punching (§4.5) repeat with one stream, and a TURN
+    pair (§2.2) repeats with openers between two relays: a
     ``punch.<t>`` span (child of the requester's connect span, a root span
     for the responder), a deadline, and the accounting of the ways a punch
     ends — the first authenticated answer locks in, or it fails (the

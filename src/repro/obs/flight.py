@@ -79,9 +79,10 @@ class FlightEvent:
 class Attempt:
     """One attempt lifecycle: a correlation-id scope with an outcome.
 
-    Attempts nest (a ``punch.udp`` attempt inside a ``connect.udp``
-    attempt); events recorded while a child is the active context belong to
-    the child but are visible from the parent's merged timeline.
+    Attempts nest (a ``session.udp`` attempt inside the ``connect.udp``
+    attempt whose punch opened it); events recorded while a child is the
+    active context belong to the child but are visible from the parent's
+    merged timeline.
     """
 
     __slots__ = ("id", "name", "tags", "start", "end", "outcome", "parent", "children")

@@ -15,6 +15,7 @@ from repro.core.tcp_punch import TcpStream
 from repro.core.udp_punch import UdpSession
 from repro.nat import behavior as B
 from repro.scenarios import build_one_sided, build_two_nats
+from tests.test_punch_lifecycle import _enable_turn, _turn_dies_after_allocation
 
 
 def run_ladder(scenario, transport, requester="A", target=2, phase_timeout=6.0):
@@ -191,6 +192,21 @@ def test_turn_rung_fails_over_to_s_relay_when_peer_lacks_turn():
     assert result.strategy == STRATEGY_RELAY
 
 
+def test_turn_rung_fails_over_to_s_relay_when_the_relay_dies():
+    """Regression: with both relays allocated and then the TURN server
+    gone, the ladder hung on its TURN rung instead of falling back."""
+    from repro.core.connector import STRATEGY_TURN
+
+    sc = build_two_nats(seed=70, behavior_a=B.SYMMETRIC_RANDOM,
+                        behavior_b=B.SYMMETRIC_RANDOM)
+    _turn_dies_after_allocation(sc, _enable_turn(sc))
+    result = run_ladder(sc, TRANSPORT_UDP, phase_timeout=5.0)
+    assert [a.strategy for a in result.attempts] == [
+        STRATEGY_PUNCH, STRATEGY_TURN, STRATEGY_RELAY,
+    ]
+    assert result.strategy == STRATEGY_RELAY
+
+
 # -- every rung answers exactly once (the ladder keeps no once-only guard) ----
 
 
@@ -226,8 +242,12 @@ def test_reversal_rung_answers_once(build, expected):
     assert _answers(sc, start) == [expected]
 
 
-@pytest.mark.parametrize("peer_has_turn, expected", [(True, "ok"), (False, "failed")], ids=["wins", "fails"])
-def test_turn_rung_answers_once(peer_has_turn, expected):
+@pytest.mark.parametrize(
+    "peer_has_turn, relay_dies, expected",
+    [(True, False, "ok"), (False, False, "failed"), (True, True, "failed")],
+    ids=["wins", "fails", "relay-dies"],
+)
+def test_turn_rung_answers_once(peer_has_turn, relay_dies, expected):
     from repro.core.turn import TurnServer
     from repro.transport.stack import attach_stack
 
@@ -240,6 +260,8 @@ def test_turn_rung_answers_once(peer_has_turn, expected):
     clients = sc.clients.values() if peer_has_turn else [sc.clients["A"]]
     for c in clients:
         c.enable_turn(turn_server.endpoint)
+    if relay_dies:
+        _turn_dies_after_allocation(sc, turn_server)
     a = sc.clients["A"]
     start = lambda ok, fail: a.connect_via_turn(2, ok, fail, timeout=4.0)
     assert _answers(sc, start) == [expected]

@@ -28,7 +28,7 @@ SHARED = (Host, Scheduler, MetricsRegistry, HostStack, Network, type, types.Modu
 #: Attributes of the subsystems a client may never use.
 OPTIONAL_PARTS = (
     "relays", "on_relay_session",
-    "turn", "turn_pairs", "_pending_turn", "on_turn_session",
+    "turn", "turn_pairs", "_turn_punchers", "on_turn_session",
     "failover",
     "_reversal_punchers", "_sequential_punchers", "sequential_config",
     "_stream_claimants", "_parked_streams",
