@@ -61,10 +61,10 @@ from repro.core.tcp_sequential import (
     SequentialResponder,
 )
 from repro.core.turn import TurnClient, TurnPairSession, TurnPunch
-from repro.core.udp_punch import PunchConfig, UdpHolePuncher, UdpSession
+from repro.core.udp_punch import PunchConfig, UdpHolePuncher, UdpSession, _Connect
 from repro.netsim.addresses import Endpoint
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import OUTCOME_ERROR, Span
+from repro.obs.spans import OUTCOME_ERROR
 from repro.util.rng import SeededRng
 from repro.netsim.clock import Timer
 from repro.netsim.node import Host
@@ -206,22 +206,17 @@ class PeerClient:
         self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry(
             now_fn=lambda: host.scheduler.now
         )
-        #: Connect requests awaiting S's answer (the peer's endpoints,
-        #: ReverseExpect / SeqReady, or the peer's TurnExchange), keyed by
-        #: (technique, peer_id): ``([(on_connected, on_failure), ...], config)``
-        #: (for TURN, config is ``(config, nonce)``).  An entry leaves
-        #: when the answer arrives, when its deadline passes, or when S
-        #: answers with a RendezvousError.
-        self._pending: Dict[Tuple[str, int], tuple] = {}
-        #: Live connect-attempt spans under the same key; opened by
-        #: _open_connect, handed to the puncher when S answers.
-        self._connect_spans: Dict[Tuple[str, int], Span] = {}
+        #: Connects awaiting S's answer (the peer's endpoints, ReverseExpect /
+        #: SeqReady, or the peer's TurnExchange), keyed by (technique,
+        #: peer_id).  A record leaves when the answer arrives — and rides the
+        #: punch it starts — when its deadline passes, or when S answers with
+        #: a RendezvousError.
+        self._connects: Dict[Tuple[str, int], _Connect] = {}
         #: The owning network's flight recorder (None when none is attached).
         #: Every connect opens one attempt; everything causally downstream
         #: (retransmits, punch probes, the server's replies) inherits its
         #: correlation id through the scheduler context.
         self.flight = getattr(host, "flight", None)
-        self._connect_attempts: Dict[Tuple[str, int], object] = {}
         # --- rendezvous failover (multi-server survivability) ----------------------
         #: Present when the client was given an ordered ``servers`` list (or an
         #: explicit failover config): drives keepalives and migrates the
@@ -314,18 +309,18 @@ class PeerClient:
         if existing is not None and existing.alive:
             self.scheduler.call_later(0.0, on_session, existing)
             return
-        entry = self._open_connect("udp", peer_id, on_session, on_failure, config)
-        if entry is None:
+        config = config or self.punch_config
+        connect = self._open_connect("udp", peer_id, on_session, on_failure, config)
+        if connect is None:
             return
         # Retransmit the request while it is pending: the request or the
         # server's forwarded endpoints may be lost in transit, and S keeps a
         # stable pairing nonce across retries.
-        budget = (config or self.punch_config).timeout
-        self._udp_connect_attempt(peer_id, tries_left=max(1, int(budget)))
-        self.scheduler.call_later(budget, self._connect_deadline, ("udp", peer_id), entry)
+        self._udp_connect_attempt(peer_id, tries_left=max(1, int(config.timeout)))
+        self.scheduler.call_later(config.timeout, self._connect_deadline, ("udp", peer_id), connect)
 
     def _udp_connect_attempt(self, peer_id: int, tries_left: int) -> None:
-        if ("udp", peer_id) not in self._pending or tries_left <= 0:
+        if ("udp", peer_id) not in self._connects or tries_left <= 0:
             return
         self._request_endpoints(peer_id)
         self.scheduler.call_later(
@@ -338,34 +333,36 @@ class PeerClient:
             ConnectRequest(requester_id=self.client_id, target_id=peer_id, transport=TRANSPORT_UDP)
         )
 
-    # -- the pending-connect book (every technique) ---------------------------------
+    # -- the connect book (every technique) -----------------------------------------
 
     def _open_connect(
         self, technique: str, peer_id: int, on_connected, on_failure, config
-    ) -> Optional[tuple]:
-        """Open the span, the flight attempt and the pending entry of one
-        connect request, in that order; returns the entry.
+    ) -> Optional[_Connect]:
+        """Open the span, the flight attempt and the record of one connect
+        request, in that order; returns the record.
 
         A connect to a peer already pending or punching by *technique* joins
         that one instead and returns None: its callbacks fire after the
         earlier callers', with the same outcome, and its *config* is ignored.
         """
         key = (technique, peer_id)
-        pending = self._pending.get(key)
+        connect = self._connects.get(key)
         puncher = self._punch_books[technique].get(peer_id)
-        if pending is not None or (puncher is not None and not puncher.finished):
-            callbacks = pending[0] if pending is not None else puncher._callbacks
-            callbacks.append((on_connected, on_failure))
+        if connect is None and puncher is not None and not puncher.finished:
+            connect = puncher.connect
+        if connect is not None:
+            connect.callbacks.append((on_connected, on_failure))
             return None
         span = self.metrics.span("connect", transport=technique, peer=str(peer_id))
         span.event("connect-request-sent")
-        self._connect_spans[key] = span
+        attempt = None
         if self.flight is not None:
-            self._connect_attempts[key] = self.flight.attempt(
+            attempt = self.flight.attempt(
                 "connect." + technique, client=self.client_id, peer=peer_id
             )
-        entry = self._pending[key] = ([(on_connected, on_failure)], config)
-        return entry
+        connect = _Connect([(on_connected, on_failure)], config, span, attempt)
+        self._connects[key] = connect
+        return connect
 
     def _connect_on_control(
         self, technique: str, peer_id: int, request: Message, on_connected, on_failure, config
@@ -373,25 +370,26 @@ class PeerClient:
         """A connect whose *request* rides the TCP control connection (§4.2,
         §4.5, §2.3): one request, then a deadline of *config*'s timeout for
         S's answer — the punch it starts gets that budget again."""
-        entry = self._open_connect(technique, peer_id, on_connected, on_failure, config)
-        if entry is None:
+        config = config or self.tcp_punch_config
+        connect = self._open_connect(technique, peer_id, on_connected, on_failure, config)
+        if connect is None:
             return
         self._send_server_tcp(request)
-        budget = (config or self.tcp_punch_config).timeout
-        self.scheduler.call_later(budget, self._connect_deadline, (technique, peer_id), entry)
+        self.scheduler.call_later(
+            config.timeout, self._connect_deadline, (technique, peer_id), connect
+        )
 
-    def _connect_deadline(self, key: Tuple[str, int], entry: tuple) -> None:
+    def _connect_deadline(self, key: Tuple[str, int], connect: _Connect) -> None:
         """If S never answers (down, unreachable, restarting, killed
         mid-request) the request must still fail in bounded time so recovery
         loops can back off and retry.  The timer is never cancelled; it
-        carries the entry it was armed for, so once that request is settled
+        carries the record it was armed for, so once that request is settled
         it cannot fail a later request to the same peer."""
-        if self._pending.get(key) is not entry:
+        if self._connects.get(key) is not connect:
             return  # endpoints arrived (or the request already failed)
-        del self._pending[key]
+        del self._connects[key]
         self._fail_connect(
-            key,
-            entry[0],
+            connect,
             "endpoint exchange timed out",
             "timeout",
             TimeoutError_(f"endpoint exchange with peer {key[1]} timed out"),
@@ -412,56 +410,37 @@ class PeerClient:
             self.metrics.counter("client.reregistrations").inc()
             self.register_udp()
             return
-        failed = [item for item in self._pending.items() if _TECHNIQUES[item[0][0]] == transport]
+        failed = [item for item in self._connects.items() if _TECHNIQUES[item[0][0]] == transport]
         for key, _ in failed:
-            del self._pending[key]
-        for key, (callbacks, _cfg) in failed:
+            del self._connects[key]
+        for _, connect in failed:
             self._fail_connect(
-                key,
-                callbacks,
+                connect,
                 error.reason,
                 "error",
                 ReproError(f"rendezvous error: {error.reason}"),
             )
 
-    def _fail_connect(
-        self,
-        key: Tuple[str, int],
-        callbacks: list,
-        reason: str,
-        outcome: str,
-        error: Exception,
-    ) -> None:
-        span = self._connect_spans.pop(key, None)
-        if span is not None:
-            span.finish(OUTCOME_ERROR, reason=reason)
-        self._finish_connect_attempt(*key, outcome)
-        for _, on_failure in callbacks:
+    def _fail_connect(self, connect: _Connect, reason: str, outcome: str, error: Exception) -> None:
+        connect.span.finish(OUTCOME_ERROR, reason=reason)
+        if connect.attempt is not None:
+            self.flight.finish(connect.attempt, outcome)
+        for _, on_failure in connect.callbacks:
             if on_failure is not None:
                 on_failure(error)
 
-    def _take_pending(self, technique: str, peer_id: int) -> Tuple[Optional[tuple], Optional[Span]]:
-        """S answered: the request it answers (None when we are the
-        responder, or the request already failed) and the span to hand to
-        the puncher."""
-        key = (technique, peer_id)
-        pending = self._pending.pop(key, None)
-        span = self._connect_spans.pop(key, None)
-        if span is not None:
-            span.event("endpoints-received")
-        return pending, span
+    def _take_pending(self, technique: str, peer_id: int) -> Optional[_Connect]:
+        """S answered: the connect it answers, for the punch to carry (None
+        when we are the responder, or the request already failed)."""
+        connect = self._connects.pop((technique, peer_id), None)
+        if connect is not None:
+            connect.span.event("endpoints-received")
+        return connect
 
-    def _start_punch(self, puncher, callbacks: list) -> None:
-        """Book *puncher* under its technique and start it for every connect
-        in *callbacks* (the one it answers, then each that joined)."""
-        puncher._callbacks = callbacks
+    def _start_punch(self, puncher) -> None:
+        """Book *puncher* under its technique and start it."""
         self._punch_books[puncher._name][puncher.peer_id] = puncher
         puncher.start()
-
-    def _finish_connect_attempt(self, technique: str, peer_id: int, outcome: str) -> None:
-        attempt = self._connect_attempts.pop((technique, peer_id), None)
-        if attempt is not None:
-            self.flight.finish(attempt, outcome)
 
     def _send_server_udp(self, message: Message) -> None:
         self.udp_socket.sendto(protocol.encode(message, self.obfuscate), self.server)
@@ -551,26 +530,21 @@ class PeerClient:
             # response arriving after lock-in, or the extra shard-to-shard
             # hop in a sharded pool — don't restart a live punch).
             return
-        pending, span = self._take_pending(technique, peer_id)
+        connect = self._take_pending(technique, peer_id)
+        requester = connect is not None
         # Responder role (nothing pending): deliver via the application handler.
         incoming = self._deliver_incoming_session if udp else self._deliver_incoming_stream
-        callbacks, config = pending or ([(incoming, None)], None)
-        on_connected, on_failure = callbacks[0]
+        config = self.punch_config if udp else self.tcp_punch_config
+        connect = connect or _Connect([(incoming, None)], config)
         candidates = [message.public_ep, message.private_ep]
         if udp:
-            puncher = UdpHolePuncher(
-                self, peer_id, message.nonce, candidates, on_connected, on_failure,
-                config or self.punch_config, span,
-            )
+            puncher = UdpHolePuncher(self, peer_id, message.nonce, candidates, connect)
         else:
             controlling = message.role == PeerEndpoints.ROLE_REQUESTER
-            puncher = TcpHolePuncher(
-                self, peer_id, message.nonce, candidates, controlling, on_connected,
-                on_failure, config or self.tcp_punch_config, span,
-            )
+            puncher = TcpHolePuncher(self, peer_id, message.nonce, candidates, controlling, connect)
             self._register_stream_claimant(peer_id, message.nonce, puncher.offer_accepted)
-        self._start_punch(puncher, callbacks)
-        if udp and pending is not None:
+        self._start_punch(puncher)
+        if udp and requester:
             # We are the requester: keep nudging S while the punch is live,
             # in case the responder's copy of the endpoint exchange was lost
             # (S reuses the pairing nonce, so late copies still match).
@@ -632,7 +606,8 @@ class PeerClient:
         """A punch of any technique locked in or failed: finish its connect
         attempt and drop it from its book.  A UDP *session* becomes the
         peer's current one."""
-        self._finish_connect_attempt(puncher._name, puncher.peer_id, outcome)
+        if puncher.connect.attempt is not None:
+            self.flight.finish(puncher.connect.attempt, outcome)
         punchers = self._punch_books[puncher._name]
         if punchers.get(puncher.peer_id) is puncher:
             del punchers[puncher.peer_id]
@@ -867,11 +842,10 @@ class PeerClient:
     def _control_answer(self, carrier, message) -> None:
         """S answered a reversal or sequential request (``ReverseExpect`` /
         ``SeqReady``): run the *carrier* punch for every caller waiting."""
-        pending, span = self._take_pending(carrier._name, message.peer_id)
-        if pending is None:
+        connect = self._take_pending(carrier._name, message.peer_id)
+        if connect is None:
             return  # nothing asked, or the request already failed
-        callbacks, config = pending
-        self._start_punch(carrier(self, message, *callbacks[0], config, span), callbacks)
+        self._start_punch(carrier(self, message, connect))
 
     # =====================================================================
     # TURN: relayed peer-to-peer channels (§2.2's TURN design)
@@ -951,26 +925,26 @@ class PeerClient:
             raise ReproError("connect_via_turn before UDP registration")
         nonce = self._rng.nonce64()
         config = dataclasses.replace(self.punch_config, timeout=timeout)
-        entry = self._open_connect("turn", peer_id, on_session, on_failure, (config, nonce))
-        if entry is None:
+        connect = self._open_connect("turn", peer_id, on_session, on_failure, config)
+        if connect is None:
             return
+        connect.nonce = nonce
         self._when_allocated(lambda: self._advertise_relay(peer_id, nonce))
-        self.scheduler.call_later(timeout, self._connect_deadline, ("turn", peer_id), entry)
+        self.scheduler.call_later(timeout, self._connect_deadline, ("turn", peer_id), connect)
 
     def _handle_turn_exchange(self, message) -> None:
         """The peer advertised its relayed endpoint (forwarded by S)."""
         if message.target != self.client_id or self.turn is None:
             return
         peer_id = message.sender
-        pending = self._pending.get(("turn", peer_id))
-        if pending is not None:
-            callbacks, (config, nonce) = pending
-            if message.nonce != nonce:
+        connect = self._connects.get(("turn", peer_id))
+        if connect is not None:
+            if message.nonce != connect.nonce:
                 return
-            _, span = self._take_pending("turn", peer_id)
-            pair = TurnPairSession(self, peer_id, nonce, message.relay_ep, config)
+            self._take_pending("turn", peer_id)
+            pair = TurnPairSession(self, peer_id, connect.nonce, message.relay_ep, connect.config)
             self.turn_pairs[peer_id] = pair
-            self._start_punch(TurnPunch(pair, *callbacks[0], span), callbacks)
+            self._start_punch(TurnPunch(pair, connect))
             return
         # Responder role: allocate, answer with our relay endpoint, and
         # deliver the session once the openers cross.
@@ -990,8 +964,8 @@ class PeerClient:
                 self, peer_id, message.nonce, message.relay_ep, self.punch_config
             )
             self.turn_pairs[peer_id] = pair
-            incoming = self._deliver_incoming_turn
-            self._start_punch(TurnPunch(pair, incoming, None), [(incoming, None)])
+            connect = _Connect([(self._deliver_incoming_turn, None)], pair.config)
+            self._start_punch(TurnPunch(pair, connect))
             self._advertise_relay(peer_id, message.nonce)
 
         self._when_allocated(respond)

@@ -14,6 +14,7 @@ punching (§4.5).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from repro.core import protocol
@@ -51,51 +52,21 @@ from repro.util.errors import ProtocolError
 from repro.util.rng import SeededRng
 
 
+@dataclass(slots=True)
 class Registration:
     """What S knows about one registered client (§3.1).
 
-    Hand-written ``__slots__`` in place of ``@dataclass`` (the 3.9 floor has
-    no ``dataclass(slots=True)``): S holds one of these per client, and the
-    keepalive path stores ``last_seen`` on every refresh.  Construction,
-    ``==``, ``repr`` and unhashability are the dataclass's.
+    Slotted (``dataclass(slots=True)`` is why the package needs Python
+    3.10): S holds one of these per client, and the keepalive path stores
+    ``last_seen`` on every refresh.
     """
 
-    __slots__ = (
-        "client_id",
-        "public_ep",
-        "private_ep",
-        "registered_at",
-        "last_seen",
-        "keepalives",
-    )
-
-    def __init__(
-        self,
-        client_id: int,
-        public_ep: Endpoint,
-        private_ep: Endpoint,
-        registered_at: float,
-        last_seen: float,
-        keepalives: int = 0,
-    ) -> None:
-        self.client_id = client_id
-        self.public_ep = public_ep
-        self.private_ep = private_ep
-        self.registered_at = registered_at
-        self.last_seen = last_seen
-        self.keepalives = keepalives
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            names = self.__slots__
-            return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
-        return NotImplemented
-
-    __hash__ = None  # mutable and compared by value
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
+    client_id: int
+    public_ep: Endpoint
+    private_ep: Endpoint
+    registered_at: float
+    last_seen: float
+    keepalives: int = 0
 
     @property
     def behind_nat(self) -> bool:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.auth import message_is_from_peer
 from repro.core.protocol import Hello, ReverseConnect, ReverseExpect
 from repro.core.tcp_punch import TcpStream
-from repro.core.udp_punch import _HolePunch
+from repro.core.udp_punch import _Connect, _HolePunch
 from repro.util.errors import ConnectionError_
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,10 +34,8 @@ class ReversalRequest(_HolePunch):
     _kind_label = "origin"
     _latency_histogram = "punch.reversal.connect_seconds"
 
-    def __init__(
-        self, client: "PeerClient", expect: ReverseExpect, on_stream, on_failure, config, span
-    ) -> None:
-        super().__init__(client, expect.peer_id, expect.nonce, on_stream, on_failure, config, span)
+    def __init__(self, client: "PeerClient", expect: ReverseExpect, connect: _Connect) -> None:
+        super().__init__(client, expect.peer_id, expect.nonce, connect)
 
     def _punch(self) -> None:
         self.client._register_stream_claimant(self.peer_id, self.nonce, self._claim)

@@ -25,10 +25,9 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 from repro.core import protocol
 from repro.core.auth import message_is_from_peer
 from repro.core.protocol import FrameBuffer, Hello, StreamData, StreamKeepalive, StreamSelect
-from repro.core.udp_punch import _HolePunch, _PeerSession
+from repro.core.udp_punch import _Connect, _HolePunch, _PeerSession
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
-from repro.obs.spans import Span
 from repro.transport.tcp import TcpConnection
 from repro.util.errors import ConnectionError_, ProtocolError
 
@@ -50,9 +49,6 @@ class TcpPunchConfig:
     timeout: float = 30.0
     select_delay: float = 0.25
 
-
-StreamHandler = Callable[["TcpStream"], None]
-FailureHandler = Callable[[Exception], None]
 
 #: Delay before re-trying a connect that failed with a network error (§4.2
 #: step 4: "simply re-tries that connection attempt after a short delay
@@ -255,12 +251,9 @@ class TcpHolePuncher(_HolePunch):
         nonce: int,
         candidates: List[Endpoint],
         controlling: bool,
-        on_stream: StreamHandler,
-        on_failure: Optional[FailureHandler],
-        config: TcpPunchConfig,
-        span: Optional[Span] = None,
+        connect: _Connect,
     ) -> None:
-        super().__init__(client, peer_id, nonce, on_stream, on_failure, config, span)
+        super().__init__(client, peer_id, nonce, connect)
         seen = set()
         self.candidates = [c for c in candidates if not (c in seen or seen.add(c))]
         metrics = client.metrics
@@ -440,7 +433,7 @@ class TcpHolePuncher(_HolePunch):
         # Open the session attempt before _succeed: the connect attempt it
         # parents to is still live, and the losing streams' resets (sent by
         # _release) run in the session's causal context.
-        stream._begin_session(self.peer_id)
+        stream._begin_session(self.peer_id, self.connect.attempt)
         self._succeed(stream, stream.origin, remote=str(stream.remote), origin=stream.origin)
 
     # -- timers / failure -------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.auth import message_is_from_peer
 from repro.core.protocol import Hello, SeqConnect, SeqReady
 from repro.core.tcp_punch import TcpStream
-from repro.core.udp_punch import _HolePunch
+from repro.core.udp_punch import _Connect, _HolePunch
 from repro.obs.spans import OUTCOME_ERROR
 from repro.util.errors import ConnectionError_
 
@@ -63,10 +63,8 @@ class SequentialRequester(_HolePunch):
     _kind_label = "origin"
     _latency_histogram = "punch.sequential.connect_seconds"
 
-    def __init__(
-        self, client: "PeerClient", ready: SeqReady, on_stream, on_failure, config, span
-    ) -> None:
-        super().__init__(client, ready.peer_id, ready.nonce, on_stream, on_failure, config, span)
+    def __init__(self, client: "PeerClient", ready: SeqReady, connect: _Connect) -> None:
+        super().__init__(client, ready.peer_id, ready.nonce, connect)
         self._target = ready.public_ep
 
     def _punch(self) -> None:

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core import protocol
 from repro.core.auth import message_is_from_peer
 from repro.core.protocol import TurnAllocate, TurnAllocated, TurnData, TurnSend
-from repro.core.udp_punch import PunchConfig, _HolePunch, _PeerSession
+from repro.core.udp_punch import PunchConfig, _Connect, _HolePunch, _PeerSession
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
 from repro.netsim.node import Host
@@ -414,7 +414,8 @@ class TurnPairSession(_PeerSession):
         self.established = False
         punch = self.client._punch_books["turn"].get(self.peer_id)
         if punch is None or punch.finished:
-            self.client._start_punch(TurnPunch(self, self._resumed, None), [(self._resumed, None)])
+            connect = _Connect([(self._resumed, None)], self.config)
+            self.client._start_punch(TurnPunch(self, connect))
 
     def _resumed(self, session: "TurnPairSession") -> None:
         if self.on_resumed is not None:
@@ -469,10 +470,8 @@ class TurnPunch(_HolePunch):
     _kind_label = "kind"
     _latency_histogram = "punch.turn.open_seconds"
 
-    def __init__(self, pair: TurnPairSession, on_session, on_failure, span=None) -> None:
-        super().__init__(
-            pair.client, pair.peer_id, pair.nonce, on_session, on_failure, pair.config, span
-        )
+    def __init__(self, pair: TurnPairSession, connect: _Connect) -> None:
+        super().__init__(pair.client, pair.peer_id, pair.nonce, connect)
         self.pair = pair
         self._opener_timer: Optional[Timer] = None
 
@@ -493,7 +492,7 @@ class TurnPunch(_HolePunch):
 
     def _session(self, pair: TurnPairSession) -> TurnPairSession:
         pair.established = True
-        pair._begin_session(self.peer_id)
+        pair._begin_session(self.peer_id, self.connect.attempt)
         pair._ping()  # answer once so the peer's openers win too
         return pair
 

@@ -73,10 +73,6 @@ class PunchConfig:
     repunch_backoff_cap: float = 8.0
 
 
-SessionHandler = Callable[["UdpSession"], None]
-FailureHandler = Callable[[Exception], None]
-
-
 class _PeerSession:
     """What a punched session is on any carrier (§3.6): UDP, TCP or a TURN
     pair.
@@ -110,17 +106,17 @@ class _PeerSession:
         self._flight = getattr(client, "flight", None)
         self._attempt = None
 
-    def _begin_session(self, peer_id: int) -> None:
+    def _begin_session(self, peer_id: int, parent) -> None:
         """The punch locked in: start the session clock and open the session
-        attempt while the connect attempt is still live, so parenting links
-        up."""
+        attempt as a child of *parent*, the connect attempt the punch carries
+        (None for a responder's punch)."""
         self.established_at = self.client.scheduler.now
         if self.peer_id is None:
             self.peer_id = peer_id
         if self._flight is not None and self._attempt is None:
             self._attempt = self._flight.attempt(
                 "session." + self._name,
-                parent=self.client._connect_attempts.get((self._name, peer_id)),
+                parent=parent,
                 peer=peer_id,
                 remote=str(self.remote),
             )
@@ -191,6 +187,8 @@ class UdpSession(_PeerSession):
         on_repunched: callback ``(new_session)`` invoked when the client's
             automatic re-punch (``config.repunch_attempts > 0``) replaces
             this broken session with a fresh one.
+
+    *parent* is the connect attempt its session attempt belongs to.
     """
 
     def __init__(
@@ -200,6 +198,7 @@ class UdpSession(_PeerSession):
         nonce: int,
         remote: Endpoint,
         config: PunchConfig,
+        parent,
     ) -> None:
         super().__init__(client)
         self.peer_id = peer_id
@@ -213,7 +212,7 @@ class UdpSession(_PeerSession):
         self.on_closed_by_peer: Optional[Callable[[], None]] = None
         client.metrics.counter("session.udp.established").inc()
         self._keepalive_counter = client.metrics.counter("session.udp.keepalives")
-        self._begin_session(peer_id)
+        self._begin_session(peer_id, parent)
         if config.keepalive_interval > 0:
             self.start_keepalives(config.keepalive_interval, config.broken_after_missed)
 
@@ -321,6 +320,28 @@ class UdpSession(_PeerSession):
         return f"UdpSession(peer={self.peer_id}, remote={self.remote}, alive={self.alive})"
 
 
+class _Connect:
+    """One connect (§3.2: a request to S, S's answer, a punch, a session),
+    from ``PeerClient._open_connect`` until its punch ends.
+
+    ``callbacks`` holds the ``(on_connected, on_failure)`` of the connect
+    that opened it, then of every connect that joined it, in call order;
+    ``config`` is the punch's timing.  ``span`` and ``attempt`` are the
+    connect span and flight attempt: both None for a responder's punch, and
+    ``attempt`` also when no recorder is attached.  ``nonce`` is a TURN
+    requester's pairing nonce.
+    """
+
+    __slots__ = ("callbacks", "config", "span", "attempt", "nonce")
+
+    def __init__(self, callbacks: list, config, span: Optional[Span] = None, attempt=None) -> None:
+        self.callbacks = callbacks
+        self.config = config
+        self.span = span
+        self.attempt = attempt
+        self.nonce: Optional[int] = None
+
+
 class _HolePunch:
     """One hole punch toward one peer, whichever carrier runs it.
 
@@ -333,7 +354,8 @@ class _HolePunch:
     deadline passes, or the carrier gives up).  A carrier supplies ``_punch``
     (its probing or connecting) and ``_release`` (stop punching), and
     ``_session`` when what won is not itself the session.  ``_name`` keys
-    the client's books and names the spans, counters and errors.
+    the client's books and names the spans, counters and errors.  The punch
+    carries its :class:`_Connect` whole until it ends.
     """
 
     _name = "udp"
@@ -343,23 +365,18 @@ class _HolePunch:
     _kind_label = "kind"
     _latency_histogram = "punch.udp.lock_in_seconds"
 
-    def __init__(
-        self, client: "PeerClient", peer_id: int, nonce: int, on_connected, on_failure, config, span
-    ) -> None:
+    def __init__(self, client: "PeerClient", peer_id: int, nonce: int, connect: _Connect) -> None:
         self.client = client
         self.peer_id = peer_id
         self.nonce = nonce
-        self.config = config
-        self._parent_span = span
+        self.connect = connect
+        self.config = connect.config
         name = "punch." + self._name
         self.span = (
-            span.child(name)
-            if span is not None
+            connect.span.child(name)
+            if connect.span is not None
             else client.metrics.span(name, peer=str(peer_id))
         )
-        #: ``(on_connected, on_failure)`` of the connect this punch answers,
-        #: then of every connect that joined it, in call order.
-        self._callbacks = [(on_connected, on_failure)]
         self.started_at = client.scheduler.now
         self.finished = False
         self.elapsed: Optional[float] = None
@@ -385,12 +402,12 @@ class _HolePunch:
         metrics.counter(self._kind_counter, **{self._kind_label: kind}).inc()
         metrics.histogram(self._latency_histogram).observe(self.elapsed)
         self.span.finish(OUTCOME_LOCKED, **span_tags)
-        if self._parent_span is not None:
-            self._parent_span.finish(OUTCOME_LOCKED)
+        if self.connect.span is not None:
+            self.connect.span.finish(OUTCOME_LOCKED)
         self._release(keep)
         session = self._session(keep)
         self.client._punch_finished(self, "connected", session)
-        for on_connected, _ in self._callbacks:
+        for on_connected, _ in self.connect.callbacks:
             on_connected(session)
         return session
 
@@ -416,11 +433,11 @@ class _HolePunch:
             self._deadline_timer.cancel()
         self.client.metrics.counter(f"punch.{self._name}.failed").inc()
         self.span.finish(outcome)
-        if self._parent_span is not None:
-            self._parent_span.finish(outcome)
+        if self.connect.span is not None:
+            self.connect.span.finish(outcome)
         self._release(None)
         self.client._punch_finished(self, outcome)
-        for _, on_failure in self._callbacks:
+        for _, on_failure in self.connect.callbacks:
             if on_failure is not None:
                 on_failure(error)
 
@@ -440,25 +457,22 @@ class UdpHolePuncher(_HolePunch):
         peer_id: int,
         nonce: int,
         candidates: List[Endpoint],
-        on_session: SessionHandler,
-        on_failure: Optional[FailureHandler],
-        config: PunchConfig,
-        span: Optional[Span] = None,
+        connect: _Connect,
     ) -> None:
-        super().__init__(client, peer_id, nonce, on_session, on_failure, config, span)
+        super().__init__(client, peer_id, nonce, connect)
         # Remember where each candidate came from so the lock-in can be
         # classified (public/private/predicted/peer-reflexive).
         self._public_candidate = candidates[0] if candidates else None
         self._private_candidate = candidates[1] if len(candidates) > 1 else None
         self._predicted: set = set()
-        if config.predict_ports and candidates:
+        if self.config.predict_ports and candidates:
             # §5.1 port prediction: the peer's NAT allocated `public.port`
             # for its session with S; a sequential allocator will hand the
             # punch session the next port(s).
             public = candidates[0]
             predicted = [
                 Endpoint(public.ip, public.port + k)
-                for k in range(1, config.predict_ports + 1)
+                for k in range(1, self.config.predict_ports + 1)
                 if public.port + k <= 0xFFFF
             ]
             self._predicted = set(predicted)
@@ -559,7 +573,9 @@ class UdpHolePuncher(_HolePunch):
             session._handle(replay, endpoint)
 
     def _session(self, endpoint: Endpoint) -> UdpSession:
-        return UdpSession(self.client, self.peer_id, self.nonce, endpoint, self.config)
+        return UdpSession(
+            self.client, self.peer_id, self.nonce, endpoint, self.config, self.connect.attempt
+        )
 
     def _release(self, keep) -> None:
         if self._probe_timer is not None:

@@ -326,6 +326,45 @@ def test_refused_request_fails_at_once(technique):
     assert explain(attempt, sc.net.flight).category == CAT_REFUSED
 
 
+#: Every way a connect ends, with a seeded scenario for it: S refuses only
+#: the requests it may refuse.
+DRAIN_CASES = [
+    (technique, outcome)
+    for technique in TECHNIQUES
+    for outcome in ("locked", "timed-out", "refused")
+    if outcome != "refused" or technique in REQUESTS
+]
+
+
+@pytest.mark.parametrize("technique,outcome", DRAIN_CASES)
+def test_connect_book_drains(technique, outcome):
+    """Whatever a connect's outcome, its record has left the client's book
+    and its ``connect`` span and ``connect.<t>`` attempt are finished."""
+    if outcome == "locked":
+        build, seed = SCENARIO[technique]
+        sc = build(seed=seed, flight=True)
+    else:
+        sc = build_two_nats(
+            seed=62 if outcome == "timed-out" else 3,
+            behavior_a=B.SYMMETRIC_RANDOM if outcome == "timed-out" else B.WELL_BEHAVED,
+            flight=True,
+        )
+    if technique == "turn" and outcome == "timed-out":
+        _turn_dies_after_allocation(sc, _enable_turn(sc))
+    connect, _ = _requester(
+        sc, technique, peer=99 if outcome == "refused" else None, timeout=4.0
+    )
+    calls, note = _outcomes()
+    connect(note("connected"), note("failed"))
+    sc.scheduler.run_while(lambda: not calls, sc.scheduler.now + 40.0)
+    assert [tag for tag, _ in calls] == ["connected" if outcome == "locked" else "failed"]
+    assert [c._connects for c in sc.clients.values()] == [{}, {}]
+    spans = sc.net.metrics.find_spans("connect", recursive=False)
+    attempts = _attempts(sc, f"connect.{technique}")
+    assert len(spans) == len(attempts) == 1
+    assert spans[0].finished and attempts[0].finished
+
+
 def test_timed_out_reversal_explains():
     """§2.3's limitation — the requester is behind a NAT too, so the dial
     back dies at its NAT's filter — is named, not ``unknown``."""

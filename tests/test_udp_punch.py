@@ -224,7 +224,7 @@ class TestPeerReflexive:
 
 def test_prediction_candidates_clamped_at_port_ceiling():
     """Predicted ports past 65535 are skipped, not wrapped or crashed."""
-    from repro.core.udp_punch import UdpHolePuncher
+    from repro.core.udp_punch import UdpHolePuncher, _Connect
     from repro.netsim.addresses import Endpoint
 
     sc = build_two_nats(seed=50)
@@ -233,8 +233,7 @@ def test_prediction_candidates_clamped_at_port_ceiling():
     puncher = UdpHolePuncher(
         client=client, peer_id=2, nonce=1,
         candidates=[Endpoint("138.76.29.7", 65534), Endpoint("10.1.1.3", 4321)],
-        on_session=lambda s: None, on_failure=None,
-        config=PunchConfig(predict_ports=4),
+        connect=_Connect([(lambda s: None, None)], PunchConfig(predict_ports=4)),
     )
     ports = [c.port for c in puncher.candidates if str(c.ip) == "138.76.29.7"]
     assert ports == [65534, 65535]  # 65536+ skipped
