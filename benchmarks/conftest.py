@@ -8,16 +8,6 @@ qualitative shape, and attaches the measured numbers to
 Run:  pytest benchmarks/ --benchmark-only
 """
 
-import pytest
-
-from repro.cache.store import CACHE_DIR_ENV
-
-
-@pytest.fixture(autouse=True)
-def _isolated_result_cache(tmp_path, monkeypatch):
-    """Keep benchmark runs away from the developer's real ~/.cache/repro."""
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "repro-cache"))
-
 
 def pytest_configure(config):
     # Benchmarks are simulations: a single round is deterministic, so we do

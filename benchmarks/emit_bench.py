@@ -19,9 +19,7 @@ Records:
     The perf-overhaul record: scheduler events/s, NAT packets/s, the
     serial-vs-parallel Table 1 fleet comparison (``requested_workers`` vs
     ``effective_workers``; the parallel timing and ``speedup`` are omitted
-    when the host collapses the pool to serial), the fingerprint-cache
-    cold/warm comparison (``table1_cached_wall_seconds``,
-    ``dedup_distinct_fingerprints``), the 100k-device
+    when the host collapses the pool to serial), the 100k-device
     ``scaled_population`` record, the ``adversarial`` record (forged
     packet injection rate plus the robustness sweep's hardening verdicts),
     the ``rendezvous_scale`` record (the sharded registration plane at
@@ -47,11 +45,9 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
-from repro.cache import ResultCache
 from repro.nat import behavior as B
 from repro.nat.device import NatDevice
 from repro.natcheck.fleet import (
@@ -302,9 +298,7 @@ def bench_obs_overhead(
     }
 
 
-def _timed_fleet(
-    quick: bool, workers: int, cache: Union[bool, None, ResultCache] = False
-) -> dict:
+def _timed_fleet(quick: bool, workers: int, cache: bool = False) -> dict:
     specs = VENDOR_SPECS[:2] if quick else VENDOR_SPECS
     started = time.perf_counter()
     fleet = run_fleet(specs=specs, seed=42, workers=workers, cache=cache)
@@ -335,7 +329,7 @@ def _serial_fleet(ctx: "BenchContext") -> dict:
 
 def bench_fleet(ctx: "BenchContext") -> dict:
     """Wall time of the uncached serial Table 1 fleet — the raw-simulation
-    baseline every cache/parallel speedup is measured against."""
+    baseline every dedup/parallel speedup is measured against."""
     record = dict(_serial_fleet(ctx))
     record.pop("rows")
     record.pop("cache_stats")
@@ -343,7 +337,7 @@ def bench_fleet(ctx: "BenchContext") -> dict:
 
 
 def bench_fleet_parallel(ctx: "BenchContext") -> dict:
-    """Serial vs parallel Table 1 fleet, with the fingerprint cache off so
+    """Serial vs parallel Table 1 fleet, with the fingerprint dedup off so
     the pool is dividing real simulation work.
 
     Both runs must produce identical report summaries — the parallel path is
@@ -382,32 +376,6 @@ def bench_fleet_parallel(ctx: "BenchContext") -> dict:
     )
     record["rows_identical"] = True
     return record
-
-
-def bench_fleet_cached(quick: bool = False) -> dict:
-    """Cold vs warm Table 1 through the fingerprint cache (fresh store).
-
-    The cold run dedups in-run (one simulation per distinct fingerprint) and
-    populates a throwaway store; the warm run serves every fingerprint from
-    disk.  Reports must stay identical run to run — the cache is only
-    allowed to be a speedup.
-    """
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        cold = _timed_fleet(quick, workers=1, cache=ResultCache(tmp))
-        warm = _timed_fleet(quick, workers=1, cache=ResultCache(tmp))
-    assert cold["rows"] == warm["rows"], "cached fleet diverged between runs"
-    warm_wall = warm["wall_seconds"]
-    return {
-        "devices": cold["devices"],
-        "cold_wall_seconds": cold["wall_seconds"],
-        "table1_cached_wall_seconds": warm_wall,
-        "warm_speedup": cold["wall_seconds"] / warm_wall if warm_wall > 0 else 0.0,
-        "dedup_distinct_fingerprints": cold["cache_stats"]["distinct_fingerprints"],
-        "cold_stats": cold["cache_stats"],
-        "warm_stats": warm["cache_stats"],
-        "rows_identical": True,
-        "quick": quick,
-    }
 
 
 def bench_monte_carlo(quick: bool = False) -> dict:
@@ -516,7 +484,7 @@ def bench_scaled_population(quick: bool = False, serial_wall: Optional[float] = 
     factor = 8 if quick else SCALED_FACTOR
     specs = scale_population(factor)
     started = time.perf_counter()
-    fleet = run_fleet(specs=specs, seed=42, cache=None)
+    fleet = run_fleet(specs=specs, seed=42, cache=True)
     survey_wall = time.perf_counter() - started
     started = time.perf_counter()
     rows = {row.vendor: row for row in table1_rows(fleet.reports)}
@@ -581,9 +549,6 @@ def emit_perf(ctx: BenchContext) -> dict:
     record["batched_delivery"] = ctx.get("batched_delivery", bench_batched_delivery)
     record["table1_fleet"] = ctx.get(
         "fleet_parallel", lambda: bench_fleet_parallel(ctx)
-    )
-    record["table1_cache"] = ctx.get(
-        "fleet_cached", lambda: bench_fleet_cached(quick=ctx.quick)
     )
     serial_wall = record["table1_fleet"]["serial_wall_seconds"]
     record["scaled_population"] = ctx.get(
@@ -728,12 +693,6 @@ def main(argv=None) -> int:
                 "  fleet:     {devices} devices, serial {serial_wall_seconds:.2f}s "
                 "(single-core host; parallel run skipped)".format(**fleet)
             )
-        cached = perf["table1_cache"]
-        print(
-            "  cache:     cold {cold_wall_seconds:.3f}s, warm "
-            "{table1_cached_wall_seconds:.3f}s (x{warm_speedup:.1f}), "
-            "{dedup_distinct_fingerprints} distinct fingerprints".format(**cached)
-        )
         scaled = perf["scaled_population"]
         print(
             "  scaled:    {devices} devices in {wall_seconds:.2f}s "

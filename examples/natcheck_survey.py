@@ -14,9 +14,8 @@ Run:  python examples/natcheck_survey.py [--quick] [--workers N]
       preserving every vendor's behaviour mix — tractable even at 100k+
       devices because behaviourally identical devices are simulated once
       (fingerprint dedup) and their reports cloned.
-      --no-cache disables the fingerprint dedup and the persistent result
-      store (REPRO_CACHE_DIR, default ~/.cache/repro) and simulates every
-      device individually; results are identical either way, only slower.
+      --no-cache disables the fingerprint dedup and simulates every device
+      individually; results are identical either way, only slower.
 """
 
 import argparse
@@ -36,7 +35,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="simulate every device individually (skip dedup + result store)",
+        help="simulate every device individually (skip the fingerprint dedup)",
     )
     args = parser.parse_args()
     if args.quick and args.population:
@@ -65,7 +64,7 @@ def main() -> None:
         seed=42,
         progress=progress,
         workers=args.workers,
-        cache=False if args.no_cache else True,
+        cache=not args.no_cache,
     )
     print(f"\n{result.total_devices} simulated NAT Check reports\n")
     print(render_table1(result.reports))

@@ -10,11 +10,10 @@ outcome** so that equal fingerprints provably denote equal results:
   same crc32 recipe as :func:`repro.natcheck.fleet.device_seed`, so two
   behaviourally identical devices replay the **identical** simulation (this
   is what makes in-run dedup sound even for behaviours that consume
-  randomness, e.g. random port allocation);
-* the *protocol-suite version* — a hash over the behaviour-relevant
-  ``repro`` module sources, so any code change to the NAT model, the NAT
-  Check protocol, the simulator, or the transport stacks self-invalidates
-  every previously cached result.
+  randomness, e.g. random port allocation).
+
+A fingerprint never outlives the process that computed it: it keys an
+in-run dedup, never a stored result, so there is no code version to fold in.
 
 Canonicalization guarantees byte-identical encodings for equivalent
 inputs: enums render as ``Type.NAME``, numbers normalise through ``float``
@@ -29,33 +28,7 @@ import dataclasses
 import enum
 import hashlib
 import zlib
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
-
-# ``json`` and ``pathlib`` are imported where they are used: only a payload-memo
-# miss and source hashing need them, and ``pathlib`` drags in ``fnmatch``,
-# ``urllib.parse`` and ``ipaddress``.
-if TYPE_CHECKING:
-    from pathlib import Path
-
-#: Packages (under ``src/repro``) whose sources feed the suite version hash.
-#: These are the layers a NAT Check simulation's outcome can depend on; the
-#: observability layer (passive instrumentation) and the analysis/report
-#: drivers (consumers, not inputs) are deliberately excluded so a metrics or
-#: report tweak does not throw away every cached result.
-SUITE_PACKAGES: Tuple[str, ...] = (
-    "cache",
-    "nat",
-    "natcheck",
-    "netsim",
-    "transport",
-    "util",
-)
-
-#: Test hook: appended to the version-hash input so the invalidation path can
-#: be exercised without editing source files on disk.
-VERSION_SALT = ""
-
-_suite_memo: Dict[str, str] = {}
+from typing import Dict
 
 #: ``repr(parts)`` -> canonical payload, for :func:`behavior_fingerprint`.  A
 #: fleet fingerprints every device but has only a handful of distinct
@@ -118,22 +91,15 @@ class Fingerprint:
 
     Attributes:
         core: sha256 over the run seed and the canonical input payload —
-            the on-disk filename, stable across code changes so a stale
-            record is *found* (and counted as an invalidation) rather than
-            silently orphaned.
-        suite: the protocol-suite version hash in effect when computed.
+            the dedup key: equal ``core`` means the same simulation.
         seed: the derived simulation seed (``mix_seed(run_seed, payload)``).
-        full: sha256 over ``core`` + ``suite`` — the identity a cached
-            record must match exactly to be served.
     """
 
     core: str
-    suite: str
     seed: int
-    full: str
 
 
-def behavior_fingerprint(seed: int = 0, suite: str | None = None, **parts: object) -> Fingerprint:
+def behavior_fingerprint(seed: int = 0, **parts: object) -> Fingerprint:
     """Fingerprint a simulation defined by keyword *parts* and a run *seed*.
 
     *parts* is whatever influences the outcome (behaviour, config, link
@@ -148,53 +114,4 @@ def behavior_fingerprint(seed: int = 0, suite: str | None = None, **parts: objec
             _payload_memo.clear()
         payload = _payload_memo[key] = canonical_json(parts)
     core = hashlib.sha256(f"{int(seed)}:{payload}".encode()).hexdigest()
-    suite_hash = suite if suite is not None else suite_version()
-    full = hashlib.sha256(f"{core}:{suite_hash}".encode()).hexdigest()
-    return Fingerprint(core=core, suite=suite_hash, seed=mix_seed(int(seed), payload), full=full)
-
-
-# -- suite version hashing ----------------------------------------------------
-
-
-def _source_root() -> Path:
-    """The ``repro`` package directory, which the suite packages live under."""
-    from pathlib import Path
-
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-def suite_sources(packages: Sequence[str] = SUITE_PACKAGES) -> List[Path]:
-    """The source files feeding the version hash (sorted, stable order)."""
-    base = _source_root()
-    files: List[Path] = []
-    for package in packages:
-        files.extend(sorted((base / package).rglob("*.py")))
-    return files
-
-
-def hash_sources(files: Iterable[Path], base: Path, salt: str = "") -> str:
-    """sha256 over relative names + contents of *files* (rooted at *base*)."""
-    digest = hashlib.sha256()
-    digest.update(salt.encode())
-    for path in files:
-        digest.update(str(path.relative_to(base)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
-def suite_version() -> str:
-    """Version hash of the behaviour-relevant ``repro`` sources (memoised).
-
-    Any edit to a file under :data:`SUITE_PACKAGES` changes this value,
-    which changes every :attr:`Fingerprint.full`, which makes every
-    previously cached record an invalidation on its next lookup.
-    """
-    salt = VERSION_SALT
-    cached = _suite_memo.get(salt)
-    if cached is None:
-        cached = _suite_memo[salt] = hash_sources(suite_sources(), _source_root(), salt)
-    return cached
+    return Fingerprint(core=core, seed=mix_seed(int(seed), payload))

@@ -156,7 +156,6 @@ class PeerClient:
         self._server_keepalive_timer: Optional[Timer] = None
         self.punchers: Dict[int, UdpHolePuncher] = {}
         self.sessions: Dict[int, UdpSession] = {}
-        self._repunch_timers: Dict[int, Timer] = {}
         #: Re-register automatically when S answers NOT_REGISTERED (it lost
         #: our registration, e.g. across a restart).
         self.auto_reregister = True
@@ -637,12 +636,9 @@ class PeerClient:
             self.metrics.counter("session.udp.repunch_exhausted").inc()
             return
         delay = min(config.repunch_backoff * (2 ** attempt), config.repunch_backoff_cap)
-        self._repunch_timers[session.peer_id] = self.scheduler.call_later(
-            delay, self._repunch_attempt, session, attempt
-        )
+        self.scheduler.call_later(delay, self._repunch_attempt, session, attempt)
 
     def _repunch_attempt(self, session: UdpSession, attempt: int) -> None:
-        self._repunch_timers.pop(session.peer_id, None)
         current = self.sessions.get(session.peer_id)
         if current is not None and current.alive:
             return  # the peer re-punched first; ride that session

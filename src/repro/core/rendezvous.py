@@ -206,8 +206,8 @@ class RendezvousServer:
         self.adopted_registrations = 0
         self.shard_redirects = 0
         self.shard_forwards = 0
-        self._redirect_counter = self.metrics.bound_counter("rendezvous.shard.redirects")
-        self._forward_counter = self.metrics.bound_counter("rendezvous.shard.forwards")
+        self._redirect_counter = self.metrics.counter("rendezvous.shard.redirects")
+        self._forward_counter = self.metrics.counter("rendezvous.shard.forwards")
         #: True while the server is killed (see :meth:`stop`).
         self.stopped = False
         if cfg.ttl is not None:

@@ -190,12 +190,6 @@ class TurnServer:
             allocation.close()
             self.allocations_expired += 1
 
-    @property
-    def total_relayed_bytes(self) -> int:
-        return sum(
-            a.bytes_relayed_in + a.bytes_relayed_out for a in self.allocations.values()
-        )
-
 
 class TurnClient:
     """Client-side allocation handle.

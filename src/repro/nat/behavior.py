@@ -154,7 +154,7 @@ class NatBehavior:
         """A copy with the given fields replaced (test/fleet convenience)."""
         return replace(self, **changes)
 
-    # -- canonicalization (the result cache's soundness foundation) ------------
+    # -- canonicalization (the fleet dedup's soundness foundation) -------------
 
     def canonical(self):
         """Canonical axis encoding, as the behavioral fingerprint sees it.
@@ -162,7 +162,7 @@ class NatBehavior:
         Two behaviours constructed with *equivalent* axis values — ``120``
         vs ``120.0``, a ``but()`` round trip back to the original — encode
         byte-identically, so they produce the same fingerprint and share one
-        cached simulation.  Distinct axis values always encode differently.
+        simulation.  Distinct axis values always encode differently.
         """
         from repro.cache.fingerprint import canonicalize
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.netsim.addresses import AddressPool, Endpoint, IPv4Address, IPv4Network
+from repro.netsim.addresses import Endpoint, IPv4Address
 from repro.netsim.clock import Scheduler
 from repro.netsim.link import Link
 from repro.netsim.node import Interface, Router
@@ -82,7 +82,6 @@ class NatDevice(Router):
         #: Alias of ``table.outbound_memo``, same pattern: the table empties
         #: it in place on every create/remove/reset.
         self._out_memo: dict = {}
-        self.lan_pool: Optional[AddressPool] = None
         self.translations_out = 0
         self.translations_in = 0
         self.inbound_refused = 0
@@ -215,12 +214,8 @@ class NatDevice(Router):
         return interface
 
     def add_lan(self, ip, network, link: Link, name: str = "lan0") -> Interface:
-        """Attach a private-side interface; the NAT also plays DHCP server
-        for the realm via :attr:`lan_pool` (deterministic allocation, §3.4)."""
-        interface = self.add_interface(name, ip, network, link)
-        if self.lan_pool is None:
-            self.lan_pool = AddressPool(IPv4Network(network), reserved=[interface.ip])
-        return interface
+        """Attach a private-side interface."""
+        return self.add_interface(name, ip, network, link)
 
     @property
     def wan_interface(self) -> Interface:
@@ -231,13 +226,6 @@ class NatDevice(Router):
     @property
     def public_ip(self) -> IPv4Address:
         return self.wan_interface.ip
-
-    def allocate_lan_address(self) -> IPv4Address:
-        """Hand out the next private address (deterministic, like the
-        vendor-default DHCP pools the paper blames for collisions)."""
-        if self.lan_pool is None:
-            raise RoutingError(f"{self.name}: no LAN configured")
-        return self.lan_pool.allocate()
 
     # -- fault injection ----------------------------------------------------------
 

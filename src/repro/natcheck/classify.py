@@ -97,13 +97,11 @@ class NatCheckReport:
         ]
         return "; ".join(parts)
 
-    # -- serialization (the result cache's record payload) --------------------
+    # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe encoding that round-trips exactly through
-        :meth:`from_dict` — every field, including floats (Python's JSON
-        float round-trip is value-exact), so cached and fresh reports can be
-        compared field for field."""
+        """A JSON-safe encoding of every field (endpoints as ``[ip, port]``),
+        for field-for-field comparisons and outcome digests."""
         data: Dict[str, object] = {}
         for field in fields(self):
             value = getattr(self, field.name)
@@ -111,25 +109,6 @@ class NatCheckReport:
                 value = [str(value.ip), value.port]
             data[field.name] = value
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NatCheckReport":
-        """Rebuild a report produced by :meth:`to_dict`.
-
-        Strict by design: an unknown key raises, but in practice never
-        fires — cached records carry the suite version hash, so a report
-        schema change invalidates them before they reach this path.
-        """
-        kwargs = dict(data)
-        for name in _ENDPOINT_FIELDS:
-            value = kwargs.get(name)
-            if value is not None:
-                ip, port = value
-                kwargs[name] = Endpoint(ip, port)
-        return cls(**kwargs)
-
-
-_ENDPOINT_FIELDS = ("udp_ep1", "udp_ep2", "tcp_ep1", "tcp_ep2")
 
 
 def _yn(value: Optional[bool]) -> str:

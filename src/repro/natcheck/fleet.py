@@ -27,9 +27,9 @@ import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cache import Fingerprint, ResultCache, behavior_fingerprint, mix_seed
+from repro.cache import Fingerprint, behavior_fingerprint, mix_seed
 from repro.nat.behavior import NatBehavior
 from repro.nat.device import NatDevice
 from repro.nat.policy import FilteringPolicy, MappingPolicy, TcpRefusalPolicy
@@ -230,25 +230,17 @@ def check_device(
 
 @dataclass
 class FleetCacheStats:
-    """What the fingerprint cache did during one :func:`run_fleet` call."""
+    """What the fingerprint dedup did during one :func:`run_fleet` call."""
 
     enabled: bool = True
-    persistent: bool = False
     devices: int = 0
     #: Distinct behavioral fingerprints in the population (the number of
-    #: simulations a fully cold, dedup'd run performs).
+    #: simulations a dedup'd run performs).
     distinct_fingerprints: int = 0
     #: Simulations actually executed this run.
     simulated: int = 0
     #: Reports produced by cloning an in-run result instead of simulating.
     dedup_clones: int = 0
-    #: Distinct fingerprints served from the persistent store.
-    disk_hits: int = 0
-    disk_misses: int = 0
-    #: Stale records found on disk (code change since they were written).
-    invalidations: int = 0
-    #: Records written to the persistent store this run.
-    stores: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -259,30 +251,17 @@ class FleetCacheStats:
         if not self.enabled:
             metrics.counter("fleet.cache.disabled").inc()
             return
-        for name in (
-            "distinct_fingerprints",
-            "simulated",
-            "dedup_clones",
-            "disk_hits",
-            "disk_misses",
-            "invalidations",
-            "stores",
-        ):
+        for name in ("distinct_fingerprints", "simulated", "dedup_clones"):
             metrics.counter(f"fleet.cache.{name}").inc(getattr(self, name))
 
     def summary(self) -> str:
         if not self.enabled:
             return f"cache disabled: {self.devices} devices simulated individually"
-        parts = [
-            f"{self.distinct_fingerprints} distinct fingerprints",
-            f"{self.simulated} simulated",
-            f"{self.dedup_clones} dedup clones",
-        ]
-        if self.persistent:
-            parts.append(f"{self.disk_hits} disk hits")
-            if self.invalidations:
-                parts.append(f"{self.invalidations} invalidated")
-        return f"cache: {self.devices} devices -> " + ", ".join(parts)
+        return (
+            f"cache: {self.devices} devices -> "
+            f"{self.distinct_fingerprints} distinct fingerprints, "
+            f"{self.simulated} simulated, {self.dedup_clones} dedup clones"
+        )
 
 
 @dataclass
@@ -298,13 +277,6 @@ class FleetResult:
 
     def all_reports(self) -> List[NatCheckReport]:
         return [r for reports in self.reports.values() for r in reports]
-
-    def latency_by_vendor(self):
-        """Per-vendor punch-latency distributions (see
-        :func:`repro.natcheck.table.latency_histograms`)."""
-        from repro.natcheck.table import latency_histograms
-
-        return latency_histograms(self.reports)
 
     def attribution_totals(self) -> Dict[str, Dict[str, int]]:
         """Failure root-cause counts per test phase.
@@ -340,12 +312,12 @@ def device_seed(seed: int, vendor: str, index: int) -> int:
     randomized per interpreter by ``PYTHONHASHSEED``, which would silently
     break "same seed => same fleet" across runs and across pool workers.
 
-    Note: since the behavioral-fingerprint cache, fleet simulations are
+    Note: since the behavioral-fingerprint dedup, fleet simulations are
     seeded by :func:`device_fingerprint` — the same crc32 mix, but over the
     device's behavioural content instead of its identity, so behaviourally
     identical devices replay the *identical* simulation (the property that
-    makes dedup and result caching provably sound).  ``device_seed`` remains
-    the derivation for callers who want unique-per-device seeds.
+    makes dedup provably sound).  ``device_seed`` remains the derivation
+    for callers who want unique-per-device seeds.
     """
     return mix_seed(seed, f"{vendor}:{index}")
 
@@ -357,9 +329,8 @@ def device_fingerprint(
 
     Covers everything that can influence the outcome: the behaviour axes,
     the NAT Check test config (which tests run, their ports and timers), the
-    link profiles :func:`check_device` wires up, the run seed (folded into
-    the derived simulation seed), and — inside the fingerprint — the
-    protocol-suite version hash, so results self-invalidate on code change.
+    link profiles :func:`check_device` wires up, and the run seed (folded
+    into the derived simulation seed).
     """
     return behavior_fingerprint(
         seed=seed,
@@ -417,13 +388,13 @@ def _chunk_tasks(
 
 def _plan_fleet(
     specs: Sequence[VendorSpec], seed: int
-) -> Tuple[List[List[Fingerprint]], Dict[str, Tuple[int, int, Fingerprint]]]:
+) -> Tuple[List[List[Fingerprint]], Dict[str, Tuple[int, int]]]:
     """Fingerprint every device without simulating anything.
 
     Returns ``(plan, representatives)``: ``plan[position][index]`` is the
     device's fingerprint, and ``representatives`` maps each distinct
-    ``Fingerprint.full`` to the first ``(position, index, fingerprint)``
-    carrying it — the one device actually simulated on a cold run.
+    ``Fingerprint.core`` to the first ``(position, index)`` carrying it —
+    the one device actually simulated.
 
     Devices are memoised by the boolean threshold key that fully determines
     :func:`device_behavior` + :func:`device_config` (the column slicing
@@ -434,7 +405,7 @@ def _plan_fleet(
     pins the memo key against the direct derivation.
     """
     plan: List[List[Fingerprint]] = []
-    representatives: Dict[str, Tuple[int, int, Fingerprint]] = {}
+    representatives: Dict[str, Tuple[int, int]] = {}
     for position, spec in enumerate(specs):
         combos: Dict[Tuple[bool, ...], Fingerprint] = {}
         row: List[Fingerprint] = []
@@ -458,9 +429,7 @@ def _plan_fleet(
                 behavior = device_behavior(spec, index)
                 config = device_config(spec, index)
                 fingerprint = combos[key] = device_fingerprint(behavior, config, seed)
-                representatives.setdefault(
-                    fingerprint.full, (position, index, fingerprint)
-                )
+                representatives.setdefault(fingerprint.core, (position, index))
             row.append(fingerprint)
         plan.append(row)
     return plan, representatives
@@ -550,69 +519,37 @@ def _run_fleet_dedup(
     seed: int,
     progress: Optional[Callable[[str, int, int], None]],
     effective: int,
-    store: Optional[ResultCache],
     _runner: Callable[[VendorSpec, int, int, int], List[NatCheckReport]],
 ) -> FleetResult:
-    """The cached path: one simulation per distinct fingerprint, then clone."""
+    """The dedup path: one simulation per distinct fingerprint, then clone."""
     plan, representatives = _plan_fleet(specs, seed)
     total = sum(spec.population for spec in specs)
-    stats = FleetCacheStats(
-        enabled=True,
-        persistent=store is not None,
-        devices=total,
-        distinct_fingerprints=len(representatives),
-    )
-
-    # Resolve each distinct fingerprint: persistent store first, then a
-    # simulation of the representative device.
     reports_by_fp: Dict[str, NatCheckReport] = {}
-    todo: List[Tuple[int, int, Fingerprint]] = []
-    if store is not None:
-        before = store.stats()
-    for full, (position, index, fingerprint) in representatives.items():
-        record = store.get(fingerprint) if store is not None else None
-        if record is not None:
-            reports_by_fp[full] = NatCheckReport.from_dict(record["report"])
-        else:
-            todo.append((position, index, fingerprint))
-    if store is not None:
-        after = store.stats()
-        stats.disk_hits = after["hits"] - before["hits"]
-        stats.disk_misses = after["misses"] - before["misses"]
-        stats.invalidations = after["invalidations"] - before["invalidations"]
+    if effective == 1 or len(representatives) <= 1:
+        for core, (position, index) in representatives.items():
+            reports_by_fp[core] = _runner(specs[position], seed, index, index + 1)[0]
+    else:
+        jobs = [
+            (core, specs[position], index, index + 1)
+            for core, (position, index) in representatives.items()
+        ]
+        for core, reports in _fan_out(jobs, seed, effective, _runner):
+            reports_by_fp[core] = reports[0]
 
-    if todo:
-        if effective == 1 or len(todo) == 1:
-            for position, index, fingerprint in todo:
-                reports_by_fp[fingerprint.full] = _runner(
-                    specs[position], seed, index, index + 1
-                )[0]
-        else:
-            jobs = [
-                (fingerprint.full, specs[position], index, index + 1)
-                for position, index, fingerprint in todo
-            ]
-            for full, reports in _fan_out(jobs, seed, effective, _runner):
-                reports_by_fp[full] = reports[0]
-        if store is not None:
-            stores_before = store.stores
-            for position, index, fingerprint in todo:
-                store.put(
-                    fingerprint,
-                    reports_by_fp[fingerprint.full].to_dict(),
-                    meta={"vendor": specs[position].name, "index": index},
-                )
-            stats.stores = store.stores - stores_before
-    stats.simulated = len(todo)
-    stats.dedup_clones = total - len(representatives)
-
-    result = FleetResult(cache=stats)
+    result = FleetResult(
+        cache=FleetCacheStats(
+            devices=total,
+            distinct_fingerprints=len(representatives),
+            simulated=len(representatives),
+            dedup_clones=total - len(representatives),
+        )
+    )
     for position, spec in enumerate(specs):
         row = plan[position]
         prefix = spec.name + "-"
         population = spec.population
         vendor_reports = [
-            _clone_report(reports_by_fp[row[index].full], spec.name, prefix + str(index))
+            _clone_report(reports_by_fp[row[index].core], spec.name, prefix + str(index))
             for index in range(population)
         ]
         result.reports[spec.name] = vendor_reports
@@ -626,27 +563,26 @@ def run_fleet(
     seed: int = 0,
     progress: Optional[Callable[[str, int, int], None]] = None,
     workers: Optional[int] = None,
-    cache: Union[bool, None, ResultCache] = True,
+    cache: bool = True,
     metrics: Optional[MetricsRegistry] = None,
     _runner: Callable[[VendorSpec, int, int, int], List[NatCheckReport]] = _check_range,
 ) -> FleetResult:
     """Run NAT Check against the whole synthetic fleet (Table 1's workload).
 
-    The *cache* knob controls the behavioral-fingerprint layer:
+    The *cache* knob controls the behavioral-fingerprint dedup:
 
-    * ``True`` (default) — in-run dedup **and** the persistent on-disk store
-      (``$REPRO_CACHE_DIR`` / ``~/.cache/repro``): devices with identical
+    * ``True`` (default) — in-run dedup: devices with identical
       fingerprints are simulated once and their reports cloned with the
-      identity fields rewritten, and distinct results persist across runs;
-    * a :class:`~repro.cache.ResultCache` — dedup plus that specific store;
-    * ``None`` — in-run dedup only, nothing touches disk;
+      identity fields rewritten;
     * ``False`` — the ``--no-cache`` path: every device simulated
-      individually (the soundness baseline the tier-1 cache tests compare
+      individually (the soundness baseline the tier-1 dedup tests compare
       against).
 
-    All paths derive each simulation's seed from the device's behavioral
-    fingerprint, so the cached and uncached paths produce field-for-field
-    identical :class:`FleetResult`\\ s, in the same order.
+    Nothing is read from or written to disk either way, so the result is a
+    pure function of the code and *seed*.  Both paths derive each
+    simulation's seed from the device's behavioral fingerprint, so they
+    produce field-for-field identical :class:`FleetResult`\\ s, in the same
+    order.
 
     With ``workers > 1`` (or ``REPRO_FLEET_WORKERS`` set) simulations fan
     out over a :class:`~concurrent.futures.ProcessPoolExecutor` — vendor-
@@ -654,24 +590,18 @@ def run_fleet(
     dedup'd — with identical results either way.  *progress* always runs in
     the calling process; a worker exception propagates to the caller after
     cancelling the remaining tasks.  When *metrics* is given, the run's
-    cache counters are published as ``fleet.cache.*``.
+    dedup counters are published as ``fleet.cache.*``.
     """
     effective = resolve_workers(workers)
-    if cache is False:
+    if cache:
+        result = _run_fleet_dedup(specs, seed, progress, effective, _runner)
+    else:
         result = _run_fleet_nocache(specs, seed, progress, effective, _runner)
         result.cache = FleetCacheStats(
             enabled=False,
             devices=result.total_devices,
             simulated=result.total_devices,
         )
-    else:
-        if isinstance(cache, ResultCache):
-            store: Optional[ResultCache] = cache
-        elif cache is True:
-            store = ResultCache()
-        else:
-            store = None
-        result = _run_fleet_dedup(specs, seed, progress, effective, store, _runner)
     if metrics is not None and result.cache is not None:
         result.cache.publish(metrics)
     return result
@@ -808,10 +738,10 @@ def _survey_designs(
     reports: Dict[str, NatCheckReport] = {}
     for behavior, weight in designs:
         fingerprint = device_fingerprint(behavior, config, seed)
-        report = reports.get(fingerprint.full)
+        report = reports.get(fingerprint.core)
         if report is None:
             report = check_device(behavior, config, seed=fingerprint.seed)
-            reports[fingerprint.full] = report
+            reports[fingerprint.core] = report
         targets = [columns, *also_into(behavior)] if also_into else [columns]
         for name, field_name in MONTE_CARLO_COLUMNS:
             outcome = getattr(report, field_name)

@@ -91,22 +91,9 @@ class Node:
         self.routing.add(interface.network, name, next_hop=None)
         return interface
 
-    def interface_for(self, ip) -> Optional[Interface]:
-        """The interface owning exactly *ip*, if any."""
-        address = IPv4Address(ip)
-        for interface in self.interfaces.values():
-            if interface.ip == address:
-                return interface
-        return None
-
     @property
     def addresses(self) -> List[IPv4Address]:
         return [i.ip for i in self.interfaces.values()]
-
-    def owns_address(self, ip) -> bool:
-        if type(ip) is IPv4Address:
-            return ip._value in self._local_ips
-        return IPv4Address(ip)._value in self._local_ips
 
     # -- protocol handlers ---------------------------------------------------
 

@@ -123,8 +123,8 @@ def summarize_values(values: Sequence[float], unit: str = "s") -> str:
 
 
 #: Counter prefixes surfaced by the compact per-section report summary.
-#: ``fleet.cache.`` carries the Table 1 dedup/persistence counters (hits,
-#: misses, invalidations) published by ``run_fleet(metrics=...)``.
+#: ``fleet.cache.`` carries the Table 1 dedup counters (distinct
+#: fingerprints, simulations, clones) published by ``run_fleet(metrics=...)``.
 #: ``rendezvous.`` carries the registration-plane counters (lookup hits and
 #: misses, TTL/LRU evictions, shard redirects/forwards) from
 #: ``repro.core.registry``.

@@ -233,6 +233,15 @@ class MetricsRegistry:
     # -- instruments ---------------------------------------------------------
 
     def counter(self, name: str, **labels: object) -> Counter:
+        """The counter for *name* and *labels*, created on first use.
+
+        Resolving a counter by name costs a label-key sort plus a dict
+        lookup — fine at snapshot time, too much per packet.  Hot layers
+        resolve once at setup, keep the returned handle, and increment it
+        directly; the handle stays valid for the registry's lifetime, and a
+        disabled registry hands back a shared inert sink so callers never
+        branch.
+        """
         if not self.enabled:
             return _NULL_COUNTER
         key = (name, _label_key(labels))
@@ -240,18 +249,6 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._counters[key] = Counter(name, key[1])
         return instrument
-
-    def bound_counter(self, name: str, **labels: object) -> Counter:
-        """Pre-bound counter handle for hot paths.
-
-        Resolving a counter by name costs a label-key sort plus a dict
-        lookup — fine at snapshot time, too much per packet.  Hot layers
-        (``Link``, ``NatDevice``, ``TcpStack``) call this once at setup,
-        cache the returned handle, and increment it directly; the handle
-        stays valid for the registry's lifetime, and a disabled registry
-        hands back a shared inert sink so callers never branch.
-        """
-        return self.counter(name, **labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         if not self.enabled:

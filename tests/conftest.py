@@ -4,21 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.store import CACHE_DIR_ENV
 from repro.netsim.addresses import Endpoint
 from repro.netsim.network import Network
 from repro.transport.stack import attach_stack
 from repro.transport.tcp import TcpStyle
-
-
-@pytest.fixture(autouse=True)
-def _isolated_result_cache(tmp_path, monkeypatch):
-    """Point the persistent result cache at a per-test directory.
-
-    Tests must never read from (stale hits) or write to (pollution) the
-    developer's real ``~/.cache/repro``.
-    """
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "repro-cache"))
 
 
 @pytest.fixture

@@ -1,21 +1,17 @@
-"""Cache soundness: cached, cloned, and fresh fleet results are identical.
+"""Dedup soundness: cloned and fresh fleet results are identical.
 
-The behavioral-fingerprint cache is only admissible if it is invisible in
-the results: a Table 1 produced by dedup + cloning, by the persistent
-store, or by simulating all 380 devices individually must be
-field-for-field the same.  These tests pin that contract, the planner's
-memoisation, the version-hash invalidation path, and the metrics flow —
-plus the headline perf claims (warm >= 5x, 100k devices under the
-380-device serial wall).
+The behavioral-fingerprint dedup is only admissible if it is invisible in
+the results: a Table 1 produced by dedup + cloning, or by simulating all
+380 devices individually, must be field-for-field the same, and must
+reflect the code that ran.  These tests pin that contract, the planner's
+memoisation, and the metrics flow — plus the headline perf claim (dedup
+>= 5x faster than simulating every device).
 """
 
 import time
 
 import pytest
 
-from repro.cache import ResultCache
-from repro.cache import fingerprint as fingerprint_mod
-from repro.natcheck.classify import NatCheckReport
 from repro.natcheck.fleet import (
     VENDOR_SPECS,
     VendorSpec,
@@ -43,13 +39,6 @@ def _dicts(result):
     return [r.to_dict() for r in result.all_reports()]
 
 
-def test_report_dict_roundtrip():
-    report = run_fleet(SMALL_SPECS[:1], seed=3, cache=None).all_reports()[0]
-    clone = NatCheckReport.from_dict(report.to_dict())
-    assert clone.to_dict() == report.to_dict()
-    assert clone.udp_ep1 == report.udp_ep1  # Endpoints rebuilt, not lists
-
-
 def test_plan_matches_direct_fingerprints():
     """The planner's boolean memo key must be exactly as discriminating as
     the full derivation: for every device of the real fleet, the planned
@@ -61,13 +50,13 @@ def test_plan_matches_direct_fingerprints():
                 device_behavior(spec, index), device_config(spec, index), 42
             )
             assert plan[position][index] == direct, (spec.name, index)
-    planned_fulls = {fp.full for row in plan for fp in row}
-    assert set(representatives) == planned_fulls
+    planned_cores = {fp.core for row in plan for fp in row}
+    assert set(representatives) == planned_cores
 
 
 def test_dedup_equals_nocache_field_for_field():
     baseline = run_fleet(SMALL_SPECS, seed=11, cache=False)
-    dedup = run_fleet(SMALL_SPECS, seed=11, cache=None)
+    dedup = run_fleet(SMALL_SPECS, seed=11, cache=True)
     assert list(baseline.reports) == list(dedup.reports)
     assert _dicts(baseline) == _dicts(dedup)
     assert dedup.cache.simulated == dedup.cache.distinct_fingerprints
@@ -75,78 +64,52 @@ def test_dedup_equals_nocache_field_for_field():
     assert baseline.cache.enabled is False
 
 
-def test_persistent_cache_cold_then_warm_identical(tmp_path):
-    store = ResultCache(tmp_path / "cache")
-    cold = run_fleet(SMALL_SPECS, seed=11, cache=store)
-    assert cold.cache.disk_hits == 0
-    assert cold.cache.stores == cold.cache.distinct_fingerprints
-
-    warm = run_fleet(SMALL_SPECS, seed=11, cache=ResultCache(tmp_path / "cache"))
-    assert warm.cache.simulated == 0
-    assert warm.cache.disk_hits == warm.cache.distinct_fingerprints
-    assert warm.cache.stores == 0
-    assert _dicts(cold) == _dicts(warm)
-
-
-def test_full_fleet_cached_identical_and_5x_faster(tmp_path):
+def test_full_fleet_cached_identical_and_5x_faster():
     """The headline tier-1 guarantee on the real 380-device fleet: the
-    warm cached run reproduces the no-cache Table 1 field-for-field and
-    at least 5x faster (in practice ~50x)."""
+    dedup'd run reproduces the no-cache Table 1 field-for-field and at
+    least 5x faster (18 simulations instead of 380)."""
     started = time.perf_counter()
     baseline = run_fleet(seed=42, cache=False)
     nocache_wall = time.perf_counter() - started
 
-    store = ResultCache(tmp_path / "cache")
-    run_fleet(seed=42, cache=store)  # cold: populate
     started = time.perf_counter()
-    warm = run_fleet(seed=42, cache=ResultCache(tmp_path / "cache"))
-    warm_wall = time.perf_counter() - started
+    dedup = run_fleet(seed=42, cache=True)
+    dedup_wall = time.perf_counter() - started
 
-    assert _dicts(baseline) == _dicts(warm)
+    assert _dicts(baseline) == _dicts(dedup)
     assert [r.__dict__ for r in baseline.all_reports()] == [
-        r.__dict__ for r in warm.all_reports()
+        r.__dict__ for r in dedup.all_reports()
     ]
-    assert warm.cache.simulated == 0
-    assert warm.cache.disk_hits == warm.cache.distinct_fingerprints
-    assert nocache_wall >= 5 * warm_wall, (nocache_wall, warm_wall)
+    assert dedup.cache.simulated == dedup.cache.distinct_fingerprints
+    assert nocache_wall >= 5 * dedup_wall, (nocache_wall, dedup_wall)
     # And the aggregation downstream agrees (Table 1 rows are derived data).
-    assert table1_rows(baseline.reports) == table1_rows(warm.reports)
+    assert table1_rows(baseline.reports) == table1_rows(dedup.reports)
 
 
-def test_code_change_invalidates_and_resimulates(tmp_path, monkeypatch):
-    """A protocol-suite version change must invalidate every record: the
-    next run finds the stale files, counts them, re-simulates, and
-    overwrites — and a further run under the new version hits again."""
-    store_root = tmp_path / "cache"
-    cold = run_fleet(SMALL_SPECS, seed=11, cache=ResultCache(store_root))
-    distinct = cold.cache.distinct_fingerprints
+def test_fleet_report_reflects_the_code_that_ran(monkeypatch):
+    """A second run in the same process after a code change reports what
+    the changed code computes: nothing from the first run is served again.
+    The attribution verdicts come from ``repro.obs.attribution``, so a
+    renamed category must show up in the very next fleet's totals."""
+    from repro.obs import attribution
 
-    monkeypatch.setattr(fingerprint_mod, "VERSION_SALT", "simulated code change")
-    stale = run_fleet(SMALL_SPECS, seed=11, cache=ResultCache(store_root))
-    assert stale.cache.invalidations == distinct
-    assert stale.cache.disk_hits == 0
-    assert stale.cache.simulated == distinct
-    assert stale.cache.stores == distinct  # overwritten in place
-    assert _dicts(stale) == _dicts(cold)  # same inputs → same results
-
-    fresh = run_fleet(SMALL_SPECS, seed=11, cache=ResultCache(store_root))
-    assert fresh.cache.disk_hits == distinct
-    assert fresh.cache.invalidations == 0
-    assert fresh.cache.simulated == 0
+    before = run_fleet(SMALL_SPECS, seed=11).attribution_totals()["tcp"]
+    assert attribution.CAT_RST in before
+    monkeypatch.setattr(attribution, "CAT_RST", "rst-from-nat")
+    after = run_fleet(SMALL_SPECS, seed=11).attribution_totals()["tcp"]
+    assert after.get("rst-from-nat") == before["rst-by-nat"]
+    assert "rst-by-nat" not in after
 
 
-def test_cache_counters_flow_into_obs_metrics(tmp_path):
+def test_cache_counters_flow_into_obs_metrics():
     metrics = MetricsRegistry()
-    result = run_fleet(
-        SMALL_SPECS, seed=11, cache=ResultCache(tmp_path / "cache"), metrics=metrics
-    )
+    result = run_fleet(SMALL_SPECS, seed=11, cache=True, metrics=metrics)
     counters = metrics.counters()
     assert counters["fleet.cache.distinct_fingerprints"] == (
         result.cache.distinct_fingerprints
     )
     assert counters["fleet.cache.simulated"] == result.cache.simulated
     assert counters["fleet.cache.dedup_clones"] == result.cache.dedup_clones
-    assert counters["fleet.cache.stores"] == result.cache.stores
     # ...and the analysis report's summary block surfaces them.
     lines = summarize_for_report(metrics)
     assert any("fleet.cache.distinct_fingerprints" in line for line in lines)
@@ -162,8 +125,8 @@ def test_scaled_population_preserves_mix_and_variety():
     factor = 4
     scaled = scale_population(factor, SMALL_SPECS)
     assert sum(s.population for s in scaled) == factor * 26
-    result = run_fleet(scaled, seed=11, cache=None)
-    base = run_fleet(SMALL_SPECS, seed=11, cache=None)
+    result = run_fleet(scaled, seed=11, cache=True)
+    base = run_fleet(SMALL_SPECS, seed=11, cache=True)
     # Behavioural variety does not grow with population...
     assert result.cache.distinct_fingerprints == base.cache.distinct_fingerprints
     # ...and every Table 1 cell scales exactly (percentages unchanged).

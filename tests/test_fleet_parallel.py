@@ -47,7 +47,7 @@ def _flatten(result):
     ]
 
 
-@pytest.mark.parametrize("cache", [False, None], ids=["nocache", "dedup"])
+@pytest.mark.parametrize("cache", [False, True], ids=["nocache", "dedup"])
 def test_parallel_equals_serial_report_for_report(cache):
     serial = run_fleet(SMALL_SPECS, seed=11, workers=1, cache=cache)
     parallel = run_fleet(SMALL_SPECS, seed=11, workers=2, cache=cache)
@@ -70,10 +70,8 @@ def _exploding_runner(spec, seed, start, stop):
     raise RuntimeError(f"worker died on {spec.name}[{start}:{stop}]")
 
 
-@pytest.mark.parametrize("cache", [False, None], ids=["nocache", "dedup"])
+@pytest.mark.parametrize("cache", [False, True], ids=["nocache", "dedup"])
 def test_worker_exception_propagates_instead_of_hanging(cache):
-    # cache=None keeps in-run dedup but no persistent store, so the failure
-    # cannot be masked by a disk hit from an earlier test run.
     with pytest.raises(RuntimeError, match="worker died"):
         run_fleet(SMALL_SPECS, seed=11, workers=2, cache=cache,
                   _runner=_exploding_runner)

@@ -311,7 +311,7 @@ def test_fleet_attribution_identical_across_cache_paths():
 
     specs = _small_specs()
     baseline = run_fleet(specs, seed=11, cache=False)
-    dedup = run_fleet(specs, seed=11, cache=None)
+    dedup = run_fleet(specs, seed=11, cache=True)
     assert baseline.attribution_totals() == dedup.attribution_totals()
     for base_report, dedup_report in zip(
         baseline.all_reports(), dedup.all_reports()
@@ -322,7 +322,7 @@ def test_fleet_attribution_identical_across_cache_paths():
 def test_fleet_failures_all_attributed_and_totals_match_table():
     from repro.natcheck.fleet import run_fleet
 
-    result = run_fleet(_small_specs(), seed=11, cache=None)
+    result = run_fleet(_small_specs(), seed=11, cache=True)
     totals = result.attribution_totals()
     for phase, counts in totals.items():
         assert attribution.CAT_UNKNOWN not in counts, (phase, counts)

@@ -135,10 +135,10 @@ def test_fleet_entry_point():
 
 
 def test_fleet_import_does_not_load_pathlib():
-    """``pathlib`` (and the ``urllib.parse`` it drags in) is imported where the
-    result store and source hashing use it.  A ``.pth`` file or a later
-    CPython may preload either, so compare with a bare interpreter of this
-    environment instead of assuming."""
+    """Importing the fleet loads neither ``pathlib`` nor the ``urllib.parse``
+    it drags in: nothing on the fleet path touches files.  A ``.pth`` file
+    or a later CPython may preload either, so compare with a bare
+    interpreter of this environment instead of assuming."""
     bare = _modules_after("pass")
     added = _modules_after("import repro.natcheck.fleet") - bare
     assert not added & {"pathlib", "urllib.parse"}
@@ -205,12 +205,9 @@ EXPORTS = {
     },
     "repro.analysis": {"ReportSection": "report", "generate_report": "report"},
     "repro.cache": {
-        "CACHE_DIR_ENV": "store", "Fingerprint": "fingerprint", "RECORD_FORMAT": "store",
-        "ResultCache": "store", "SUITE_PACKAGES": "fingerprint",
-        "behavior_fingerprint": "fingerprint", "canonical_json": "fingerprint",
-        "canonicalize": "fingerprint", "default_cache_dir": "store",
-        "hash_sources": "fingerprint", "mix_seed": "fingerprint",
-        "suite_sources": "fingerprint", "suite_version": "fingerprint",
+        "Fingerprint": "fingerprint", "behavior_fingerprint": "fingerprint",
+        "canonical_json": "fingerprint", "canonicalize": "fingerprint",
+        "mix_seed": "fingerprint",
     },
     "repro.core": {
         "PeerClient": "client", "FailoverConfig": "failover", "ServerFailover": "failover",
@@ -290,7 +287,7 @@ def test_every_package_is_covered():
         m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
     }
     assert found == set(EXPORTS)
-    assert sum(len(table) for table in EXPORTS.values()) == 157
+    assert sum(len(table) for table in EXPORTS.values()) == 149
 
 
 @pytest.mark.parametrize("package", PACKAGES)

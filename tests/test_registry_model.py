@@ -119,10 +119,10 @@ class ParentRegistrationTable:
         self.evicted_ttl = 0
         self.evicted_lru = 0
         metrics = metrics or MetricsRegistry(enabled=False)
-        self._hits = metrics.bound_counter("rendezvous.lookup.hits")
-        self._misses = metrics.bound_counter("rendezvous.lookup.misses")
-        self._ttl_evictions = metrics.bound_counter("rendezvous.evictions", reason="ttl")
-        self._lru_evictions = metrics.bound_counter("rendezvous.evictions", reason="lru")
+        self._hits = metrics.counter("rendezvous.lookup.hits")
+        self._misses = metrics.counter("rendezvous.lookup.misses")
+        self._ttl_evictions = metrics.counter("rendezvous.evictions", reason="ttl")
+        self._lru_evictions = metrics.counter("rendezvous.evictions", reason="lru")
         self._age_hist = metrics.histogram("rendezvous.lookup.age", unit="s")
         self._sweep_hist = metrics.histogram("rendezvous.sweep.batch_size", unit="entries")
 
