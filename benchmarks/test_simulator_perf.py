@@ -304,6 +304,81 @@ def test_session_route_cost_guard():
     assert decoded == message
 
 
+def test_registry_route_cost_guard():
+    """The registration route does its work without helper frames around it.
+
+    On a healthy ring ``ShardedRegistry`` places a peer inline (no
+    ``ShardRing.owner_index`` frame per register / touch / lookup); a wheel
+    opens a bucket with ``_file`` once and appends every later entry, on
+    ``add`` and when a tick re-files N same-interval entries; a sweep
+    re-files M live entries with no per-entry call; and reading
+    ``Scheduler.now`` runs no Python frame.
+    """
+    from repro.core.registry import (
+        KeepaliveWheel,
+        RegistrationTable,
+        RegistryConfig,
+        ShardedRegistry,
+        ShardRing,
+    )
+    from repro.core.rendezvous import Registration
+
+    public, private = Endpoint("155.99.25.11", 4321), Endpoint("10.0.0.1", 4321)
+    peers = range(2, 402, 2)
+    records = [Registration(cid, public, private, 0.0, 0.0) for cid in peers]
+
+    sched = Scheduler()
+    registry = ShardedRegistry(
+        lambda: sched.now,
+        [Endpoint(f"18.181.{i}.31", 3478) for i in range(8)],
+        RegistryConfig(ttl=30.0, sweep_granularity=5.0),
+    )
+    with _counting_calls() as (calls, _edges):
+        for cid, record in zip(peers, records):
+            registry.register(cid, record)
+        for cid in peers:
+            assert registry.touch(cid)
+            assert registry.lookup(cid) is registry.shard_for(cid)[cid]
+    assert calls[RegistrationTable.register.__code__] == len(peers)
+    assert calls[ShardRing.owner_index.__code__] == 0
+    registry.ring.mark_down(3)  # only a downed shard sends placement to the ring
+    with _counting_calls() as (calls, _edges):
+        registry.lookup(peers[0])
+    assert calls[ShardRing.owner_index.__code__] == 1
+
+    wheel = KeepaliveWheel(sched, granularity=1.0)
+    fired = []
+    with _counting_calls() as (calls, _edges):
+        for cid in peers:
+            wheel.add(10.0, fired.append, cid)
+    assert calls[KeepaliveWheel._file.__code__] == 1
+    with _counting_calls() as (calls, _edges):
+        sched.run_until(11.0)  # the one tick: every entry fires and re-files
+    assert fired == list(peers)
+    assert calls[KeepaliveWheel._fire.__code__] == 1
+    assert calls[KeepaliveWheel._file.__code__] <= 1
+
+    table = RegistrationTable(lambda: sched.now, ttl=10.0, sweep_granularity=5.0)
+    for cid, record in zip(peers, records):
+        table.register(cid, record)  # all due in the bucket swept at t = 15
+    for record in records:
+        record.last_seen = 12.0  # refreshed: the sweep re-files every one
+    sweep = RegistrationTable.sweep.__code__
+    with _counting_calls() as (calls, edges):
+        assert table.sweep(15.0) == []
+    assert len(table._buckets) == 1 and len(table) == len(peers)
+    frames = sum(
+        n for (caller, callee), n in edges.items()
+        if caller is sweep and not isinstance(callee, str)
+    )
+    assert frames <= 2  # the batch-size histogram, not one per entry
+
+    with _counting_calls() as (calls, _edges):
+        reads = [sched.now for _ in range(100)]
+    assert reads == [sched.now] * 100
+    assert all(n < 100 for n in calls.values())
+
+
 def test_private_port_conflict_check_scales_flat():
     """has_conflicting_private_port must be O(1) in table size.
 

@@ -51,19 +51,24 @@ Metric names (pre-bound, virtual-time histograms):
 
 from __future__ import annotations
 
-import zlib
+import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from zlib import crc32
 
 from repro.netsim.addresses import Endpoint
 from repro.obs.metrics import MetricsRegistry
 
 EvictionHandler = Callable[[object, str], None]
 
+#: A peer id's 4 placement bytes: the same as ``int.to_bytes(4, "big")``,
+#: without the method lookup and keyword parsing per call.
+_pack_u32 = struct.Struct(">I").pack
+
 
 def shard_of(peer_id: int, num_shards: int) -> int:
     """Deterministic home shard for *peer_id* (stable across interpreters)."""
-    return zlib.crc32((peer_id & 0xFFFFFFFF).to_bytes(4, "big")) % num_shards
+    return crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % num_shards
 
 
 @dataclass(frozen=True)
@@ -320,21 +325,6 @@ class RegistrationTable:
 
     # -- timer wheel -------------------------------------------------------------
 
-    def _bucket_index(self, deadline: float) -> int:
-        # +1 so a bucket only comes due strictly after every deadline filed
-        # in it has passed; the sweep re-checks real deadlines anyway.
-        return int(deadline / self.granularity) + 1
-
-    def _arm(self, client_id: int, deadline: float) -> None:
-        index = self._bucket_index(deadline)
-        if self._orphans and client_id in self._orphans:
-            self._armed[client_id] = index
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = [client_id]
-        else:
-            bucket.append(client_id)
-
     def _strand(self, client_id: int) -> None:
         """Account for the live filing a just-removed id leaves in the wheel."""
         orphans = self._orphans
@@ -363,15 +353,17 @@ class RegistrationTable:
         if now is None:
             now = self._now()
         ttl = self.ttl
+        granularity = self.granularity
         entries = self._entries
         orphans = self._orphans
         armed = self._armed
-        current = int(now / self.granularity)
-        due = [index for index in self._buckets if index <= current]
+        buckets = self._buckets
+        current = int(now / granularity)
+        due = [index for index in buckets if index <= current]
         evicted: List[object] = []
         examined = 0
         for index in sorted(due):
-            for client_id in self._buckets.pop(index):
+            for client_id in buckets.pop(index):
                 if orphans and client_id in orphans and armed.get(client_id) != index:
                     # An orphan: the id was removed while filed here.
                     if orphans[client_id] > 1:
@@ -391,7 +383,17 @@ class RegistrationTable:
                     # Nothing to refresh, so not refreshed since it was filed.
                     deadline = now
                 if deadline > now:
-                    self._arm(client_id, deadline)
+                    # Re-file under the real deadline.  +1 so a bucket only
+                    # comes due strictly after every deadline filed in it
+                    # has passed; the target is never one of the due ones.
+                    target = int(deadline / granularity) + 1
+                    if orphans and client_id in orphans:
+                        armed[client_id] = target
+                    bucket = buckets.get(target)
+                    if bucket is None:
+                        buckets[target] = [client_id]
+                    else:
+                        bucket.append(client_id)
                 else:
                     del entries[client_id]
                     if orphans:
@@ -465,11 +467,11 @@ class ShardRing:
         Healthy-pool fast path: with nothing down (the steady state, and
         the one the million-peer bench hammers) this is one crc32 and a
         modulo — no probe loop, no extra frame through ``home_index``.
+        :class:`ShardedRegistry` computes that healthy index itself and
+        calls here only while a shard is down.
         """
         down = self._down
-        index = zlib.crc32((peer_id & 0xFFFFFFFF).to_bytes(4, "big")) % len(
-            self.endpoints
-        )
+        index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % len(self.endpoints)
         if not down:
             return index
         for _ in range(len(self.endpoints)):
@@ -531,22 +533,48 @@ class ShardedRegistry:
             )
             for _ in endpoints
         ]
+        #: Shards in the pool; the pool never resizes, so this is the
+        #: healthy-ring modulus.
+        self._count = len(self.shards)
+
+    # Each operation places the peer inline (ShardRing.owner_index's
+    # healthy-pool fast path, without its frame) and asks the ring only
+    # while a shard is down.
 
     def shard_for(self, peer_id: int) -> RegistrationTable:
-        return self.shards[self.ring.owner_index(peer_id)]
+        ring = self.ring
+        if ring._down:
+            index = ring.owner_index(peer_id)
+        else:
+            index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count
+        return self.shards[index]
 
     def register(self, peer_id: int, entry) -> int:
         """Place *entry* on its owning shard; returns the shard index."""
-        index = self.ring.owner_index(peer_id)
+        ring = self.ring
+        if ring._down:
+            index = ring.owner_index(peer_id)
+        else:
+            index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count
         self.shards[index].register(peer_id, entry)
         return index
 
     def touch(self, peer_id: int) -> bool:
         """Keepalive refresh: the owning shard's :meth:`RegistrationTable.refresh`."""
-        return self.shards[self.ring.owner_index(peer_id)].refresh(peer_id)
+        ring = self.ring
+        if ring._down:
+            index = ring.owner_index(peer_id)
+        else:
+            index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count
+        return self.shards[index].refresh(peer_id)
 
     def lookup(self, peer_id: int):
-        return self.shards[self.ring.owner_index(peer_id)].lookup(peer_id)
+        ring = self.ring
+        if ring._down:
+            index = ring.owner_index(peer_id)
+        else:
+            index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count
+        return self.shards[index].lookup(peer_id)
 
     @property
     def live(self) -> int:
@@ -618,22 +646,29 @@ class KeepaliveWheel:
         at most one granularity late — the same trade every kernel timer
         wheel makes.  Extra positional *args* ride on the entry (the
         ``call_later`` convention), so a million registrants can share one
-        callback function instead of a million closures.
+        callback function instead of a million closures.  *interval* must
+        be positive: a non-positive one would re-file into an already-due
+        bucket on every fire and never let the clock move.
         """
+        if not interval > 0:  # NaN included
+            raise ValueError(f"interval must be positive, got {interval!r}")
         entry = _WheelEntry(callback, interval, args)
         self.registrants += 1
-        self._file(entry, self.scheduler.now + interval)
-        return entry
-
-    def _file(self, entry: _WheelEntry, when: float) -> None:
-        index = int(when / self.granularity) + 1
+        index = int((self.scheduler.now + interval) / self.granularity) + 1
         bucket = self._buckets.get(index)
         if bucket is None:
-            self._buckets[index] = [entry]
-            delay = max(0.0, index * self.granularity - self.scheduler.now)
-            self.scheduler.call_later(delay, self._fire, index)
+            self._file(index, entry)
         else:
             bucket.append(entry)
+        return entry
+
+    def _file(self, index: int, entry: _WheelEntry) -> List[_WheelEntry]:
+        """Open bucket *index* with *entry* as its first entry and arm the
+        bucket's timer; returns the bucket.  Later entries append to it."""
+        bucket = self._buckets[index] = [entry]
+        delay = max(0.0, index * self.granularity - self.scheduler.now)
+        self.scheduler.call_later(delay, self._fire, index)
+        return bucket
 
     def iter_entries(self) -> Iterator[_WheelEntry]:
         """Every filed entry, bucket order (cancelled ones still pending
@@ -648,20 +683,26 @@ class KeepaliveWheel:
         now = self.scheduler.now
         granularity = self.granularity
         buckets = self._buckets
-        file_slow = self._file
+        # interval -> the bucket this tick re-files it into.  Every entry
+        # of one interval lands in the same bucket, so the index arithmetic
+        # and the bucket probe run once per distinct interval; the cached
+        # bucket stays filed, since only its own tick removes it.
+        targets: Dict[float, List[_WheelEntry]] = {}
         for entry in entries:
             if entry.cancelled:
                 self.registrants -= 1
                 continue
             entry.callback(*entry.args)
-            # Inline re-file fast path: an existing target bucket is one
-            # append; only a bucket's first entry pays the timer schedule.
-            next_index = int((now + entry.interval) / granularity) + 1
-            bucket = buckets.get(next_index)
+            interval = entry.interval
+            bucket = targets.get(interval)
             if bucket is None:
-                file_slow(entry, now + entry.interval)
-            else:
-                bucket.append(entry)
+                next_index = int((now + interval) / granularity) + 1
+                bucket = buckets.get(next_index)
+                if bucket is None:
+                    targets[interval] = self._file(next_index, entry)
+                    continue
+                targets[interval] = bucket
+            bucket.append(entry)
 
 
 def attach_shard_ring(servers: Iterable) -> ShardRing:

@@ -223,7 +223,7 @@ class UdpSession(_PeerSession):
         if self.closed:
             raise TimeoutError_("send on closed UDP session")
         self.bytes_sent += len(payload)
-        self._last_outbound = self._scheduler._now
+        self._last_outbound = self._scheduler.now
         self.client._send_peer(
             SessionData(
                 sender=self.client.client_id,
@@ -263,7 +263,7 @@ class UdpSession(_PeerSession):
     def _send_keepalive(self) -> None:
         self.keepalives_sent += 1
         self._keepalive_counter.inc()
-        self._last_outbound = self._scheduler._now
+        self._last_outbound = self._scheduler.now
         self.client._send_peer(
             SessionKeepalive(
                 sender=self.client.client_id,
@@ -289,7 +289,7 @@ class UdpSession(_PeerSession):
     # -- inbound ------------------------------------------------------------------
 
     def _handle(self, message, src: Endpoint) -> None:
-        self._last_inbound = self._scheduler._now
+        self._last_inbound = self._scheduler.now
         if isinstance(message, SessionData):
             self.bytes_received += len(message.payload)
             if self.on_data is not None:

@@ -308,12 +308,12 @@ class NatDevice(Router):
                 self._count_drop("ttl-expired")
                 self._flight_drop(packet, "ttl-expired")
                 return
-            mapping.note_inbound(self.scheduler._now, self._refresh_inbound, packet.src)
+            mapping.note_inbound(self.scheduler.now, self._refresh_inbound, packet.src)
             translated = packet.copy()
             translated.dst = mapping.private
             translated.ttl = packet.ttl - 1
             if proto is IpProtocol.TCP:
-                mapping.observe_tcp_flags(packet.tcp.flags, outbound=False, now=self.scheduler._now)
+                mapping.observe_tcp_flags(packet.tcp.flags, outbound=False, now=self.scheduler.now)
                 if mapping.closing_since is not None:
                     self.table.schedule_close(mapping, self.behavior.tcp_close_linger)
             self.translations_in += 1
@@ -400,7 +400,7 @@ class NatDevice(Router):
                 return
             # After _obtain_mapping: a create() inside it emptied the memo.
             self._out_memo[cache_key] = mapping
-        now = self.scheduler._now
+        now = self.scheduler.now
         mapping.note_outbound(dst, now)
         translated = packet.copy()
         translated.src = mapping.public
@@ -435,7 +435,7 @@ class NatDevice(Router):
         if self._session_timers and mapping.proto is IpProtocol.UDP:
             # §3.6: idle timers run per session, not per mapping.
             return mapping.permits(
-                remote, self._filter_by_port, self.scheduler._now, self._udp_timeout
+                remote, self._filter_by_port, self.scheduler.now, self._udp_timeout
             )
         return mapping.permits(remote, self._filter_by_port)
 

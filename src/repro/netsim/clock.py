@@ -101,7 +101,10 @@ class Scheduler:
     COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds.  A plain attribute, so a read
+        #: runs no Python frame; only the event loop writes it (``_drain``,
+        #: ``run_until``, ``run_while``).
+        self.now = 0.0
         #: Causal context of the currently-executing timer chain (an attempt
         #: id from :mod:`repro.obs.flight`, or None).  New timers capture it;
         #: the event loop restores it before each callback.
@@ -131,11 +134,6 @@ class Scheduler:
         #: After :meth:`run`: True if it stopped because *max_events* was
         #: exhausted with work still pending, False if the queue drained.
         self.last_run_exhausted = False
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -174,9 +172,9 @@ class Scheduler:
         Scheduling in the past raises ``ValueError`` — it would silently
         reorder causality.
         """
-        if when < self._now:
+        if when < self.now:
             raise ValueError(
-                f"cannot schedule at t={when:.6f} before now={self._now:.6f}"
+                f"cannot schedule at t={when:.6f} before now={self.now:.6f}"
             )
         timer = Timer(when, callback, args, self)
         self._seq = seq = self._seq + 1
@@ -195,7 +193,7 @@ class Scheduler:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        when = self._now + delay
+        when = self.now + delay
         timer = Timer(when, callback, args, self)
         heap = self._heap
         self._seq = seq = self._seq + 1
@@ -270,7 +268,7 @@ class Scheduler:
                     break
                 heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
-            self._now = when
+            self.now = when
             self.context = timer._ctx
             if timer._items is None:
                 heapq.heappop(heap)
@@ -320,12 +318,12 @@ class Scheduler:
         The clock is advanced to exactly *deadline* even if the last event is
         earlier, so back-to-back ``run_until`` calls compose predictably.
         """
-        if deadline < self._now:
+        if deadline < self.now:
             raise ValueError(
-                f"deadline t={deadline:.6f} is before now={self._now:.6f}"
+                f"deadline t={deadline:.6f} is before now={self.now:.6f}"
             )
         self._drain(deadline)
-        self._now = deadline
+        self.now = deadline
 
     def run(self, max_events: int = 1_000_000, strict: bool = True) -> int:
         """Run until the event heap drains.  Returns events fired.
@@ -355,6 +353,6 @@ class Scheduler:
         """
         if self._drain(deadline, keep_going=predicate):
             return True
-        if deadline > self._now:
-            self._now = deadline
+        if deadline > self.now:
+            self.now = deadline
         return False

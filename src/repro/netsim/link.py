@@ -362,14 +362,14 @@ class Link:
                 batch is None
                 or batch._bseq != scheduler._seq
                 or batch._fired
-                or self._open_tick != scheduler._now
+                or self._open_tick != scheduler.now
             ):
                 batch = scheduler.call_later_batched(
                     self._fast_latency, self._drain_batch
                 )
                 self._batches[batch] = None
                 self._open_batch = batch
-                self._open_tick = scheduler._now
+                self._open_tick = scheduler.now
             # Either the batch is new, or no timer was created since its own,
             # so this delivery would have drawn the very next sequence number
             # at the same deadline — appending preserves fire order exactly.

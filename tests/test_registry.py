@@ -1,6 +1,10 @@
 """Unit tests for the sharded registration plane (repro.core.registry)."""
 
+import heapq
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.registry import (
     KeepaliveWheel,
@@ -312,6 +316,178 @@ def test_keepalive_wheel_cancel():
     handle.cancel()
     sched.run_until(30.0)
     assert len(fired) == 1
+
+
+@pytest.mark.parametrize("interval", [-5.0, 0.0, float("nan")])
+def test_keepalive_wheel_rejects_a_non_positive_interval(interval):
+    # Filed at t = 10, a negative interval lands in an already-due bucket and
+    # every fire re-files it into another one at delay 0: the clock never
+    # moves again.  The event budget makes such a wheel fail, not hang.
+    sched = Scheduler()
+    sched.run_until(10.0)
+    wheel = KeepaliveWheel(sched, granularity=1.0)
+    fired = []
+    with pytest.raises(ValueError, match="interval"):
+        wheel.add(interval, fired.append, 1)
+    assert wheel.registrants == 0 and sched.pending == 0
+    sched.run(max_events=10_000, strict=False)
+    assert not sched.last_run_exhausted and fired == [] and sched.now == 10.0
+
+
+class _Registrant:
+    __slots__ = ("callback", "args", "interval", "cancelled")
+
+    def __init__(self, callback, interval, args):
+        self.callback, self.interval, self.args = callback, interval, args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ReferenceWheel:
+    """What :class:`KeepaliveWheel` promises, one timer per registrant.
+
+    A registrant added at *t* first fires at ``tick(t + interval)`` and each
+    fire at *T* files the next at ``tick(T + interval)``, where ``tick(t) =
+    (int(t / g) + 1) * g``; fires sharing a tick run in filing order.  A
+    cancelled registrant stays filed until its tick comes, and only then
+    stops counting as a registrant.  Also its own clock.
+    """
+
+    def __init__(self, granularity):
+        self.granularity = granularity
+        self.now = 0.0
+        self.registrants = 0
+        #: Every tick a filing ever targeted: one wheel bucket each.
+        self.ticks = set()
+        self._heap = []
+        self._seq = 0
+
+    def tick(self, t):
+        return (int(t / self.granularity) + 1) * self.granularity
+
+    def _file(self, registrant, t):
+        when = self.tick(t + registrant.interval)
+        self.ticks.add(when)
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, registrant))
+
+    def add(self, interval, callback, *args):
+        registrant = _Registrant(callback, interval, args)
+        self.registrants += 1
+        self._file(registrant, self.now)
+        return registrant
+
+    def run_until(self, deadline):
+        while self._heap and self._heap[0][0] <= deadline:
+            when, _, registrant = heapq.heappop(self._heap)
+            if registrant.cancelled:
+                self.registrants -= 1
+                continue
+            self.now = when
+            registrant.callback(*registrant.args)
+            self._file(registrant, when)
+        self.now = deadline
+
+
+def _drive_wheel(wheel, clock, script, counts):
+    """Run *script* against *wheel* on *clock* (anything with ``now`` and
+    ``run_until``), then cancel every handle.  Returns the fire log
+    ``[(time, id)]``, each id's ``(t_add, interval)``, and ``counts()`` as
+    read after every advance."""
+    log, meta, handles, actions, seen = [], [], [], {}, []
+
+    def add(interval, action):
+        cid = len(handles)
+        meta.append((clock.now, interval))
+        actions[cid] = action
+        handles.append(wheel.add(interval, fire, cid))
+
+    def fire(cid):
+        log.append((clock.now, cid))
+        action = actions.pop(cid, None)  # acts on its first fire only
+        if action is None:
+            return
+        if action[0] == "cancel":
+            handles[action[1] % len(handles)].cancel()
+        elif action[0] == "cancel_self":
+            handles[cid].cancel()
+        else:  # an add; no interval means this entry's own, i.e. into the
+            # bucket it is about to be re-filed under
+            add(action[1] or meta[cid][1], None)
+
+    for step in script:
+        if step[0] == "add":
+            add(step[1], step[2])
+        elif step[0] == "cancel":
+            if handles:
+                handles[step[1] % len(handles)].cancel()
+        else:
+            clock.run_until(clock.now + step[1])
+            seen.append(counts())
+    for handle in handles:
+        handle.cancel()
+    return log, meta, seen
+
+
+_INTERVALS = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
+_ACTIONS = st.one_of(
+    st.none(),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.just(("cancel_self",)),
+    st.tuples(st.just("add"), st.one_of(st.none(), _INTERVALS)),
+)
+_STEPS = st.one_of(
+    st.tuples(st.just("add"), _INTERVALS, _ACTIONS),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    # Dyadic times, intervals and granularities keep every tick exact.
+    st.tuples(st.just("advance"), st.integers(0, 24).map(lambda k: k / 8)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    granularity=st.sampled_from([0.25, 0.5, 1.0]),
+    script=st.lists(_STEPS, max_size=40),
+)
+def test_keepalive_wheel_matches_one_timer_per_registrant(granularity, script):
+    sched = Scheduler()
+    wheel = KeepaliveWheel(sched, granularity=granularity)
+    log, meta, counts = _drive_wheel(
+        wheel, sched, script,
+        lambda: (sched.now, wheel.registrants, sched.events_fired, sched.pending),
+    )
+    reference = _ReferenceWheel(granularity)
+
+    def reference_counts():
+        # One scheduler event per bucket, i.e. per distinct tick targeted.
+        fired = sum(1 for t in reference.ticks if t <= reference.now)
+        return (reference.now, reference.registrants, fired, len(reference.ticks) - fired)
+
+    expected, _, expected_counts = _drive_wheel(
+        reference, reference, script, reference_counts
+    )
+    # The same callbacks at the same times in the same order: a tick fires
+    # in filing order, callback-issued adds and cancels included.
+    assert log == expected
+    # Fire times follow the tick formula, registrant by registrant.
+    fires = defaultdict(list)
+    for t, cid in log:
+        fires[cid].append(t)
+    for cid, times in fires.items():
+        t_add, interval = meta[cid]
+        due = reference.tick(t_add + interval)
+        for t in times:
+            assert t == due
+            due = reference.tick(t + interval)
+    # Bucket events and lazily removed registrants, after every advance.
+    assert counts == expected_counts
+    # Every handle is cancelled now: one more pass over each bucket drops
+    # them all and the wheel empties.
+    sched.run(max_events=10_000)
+    assert wheel.registrants == 0 and not wheel._buckets and sched.pending == 0
+    assert sched.events_fired == len(reference.ticks)
 
 
 # -- metrics -----------------------------------------------------------------------
