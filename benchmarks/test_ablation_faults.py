@@ -123,7 +123,7 @@ def test_rendezvous_failover_recovery_latency(benchmark):
 
     latencies = benchmark(sweep)
     p50, p95 = _percentiles(latencies)
-    # Detection needs dead_after_missed keepalive misses; migration itself is
+    # Detection needs DEAD_AFTER_MISSED keepalive misses; migration itself is
     # one registration round-trip against S2.
     assert p50 <= 15.0
     assert p95 <= 30.0

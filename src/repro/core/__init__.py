@@ -22,7 +22,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "ConnectOutcome": "connector",
     "ConnectResult": "connector",
     "P2PConnector": "connector",
-    "RetryPolicy": "connector",
     "RendezvousServer": "rendezvous",
     "RelaySession": "relay",
     "UdpHolePuncher": "udp_punch",

@@ -37,29 +37,21 @@ STRATEGY_TURN = "turn-relay"
 STRATEGY_RELAY = "relay"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the connector reacts when an established channel later breaks.
+# How the connector reacts when an established channel later breaks.  NAT
+# holes are leases, not contracts (§3.6): a NAT reboot or idle timeout can
+# kill a punched session mid-conversation.  With recovery on, the connector
+# re-runs the whole ladder — the network may have changed, so the winning
+# strategy may differ — with exponential backoff between recoveries.
 
-    NAT holes are leases, not contracts (§3.6): a NAT reboot or idle timeout
-    can kill a punched session mid-conversation.  With a policy attached the
-    connector re-runs the whole ladder — the network may have changed, so the
-    winning strategy may differ — with exponential backoff between recoveries.
-
-    Attributes:
-        max_retries: ladder re-runs before giving up (0 disables recovery).
-        backoff: delay before the first re-run; doubles per recovery, up
-            to :data:`BACKOFF_CAP`.
-        tcp_keepalive_interval: if > 0, arm in-band keepalive probes on a
-            winning :class:`TcpStream` so an idle punched stream detects a
-            dead peer (UDP sessions carry their own keepalive config).
-    """
-
-    max_retries: int = 2
-    backoff: float = 0.5
-    tcp_keepalive_interval: float = 0.0
-
-
+#: Ladder re-runs before giving up; 0 (the default) disables recovery.
+MAX_RETRIES = 0
+#: Delay before the first re-run; doubles per recovery, up to
+#: :data:`BACKOFF_CAP`.
+RETRY_BACKOFF = 0.5
+#: If > 0, arm in-band keepalive probes on a winning :class:`TcpStream` so an
+#: idle punched stream detects a dead peer (UDP sessions carry their own
+#: keepalive config).
+TCP_KEEPALIVE_INTERVAL = 0.0
 #: Upper bound on the delay between ladder re-runs (§3.6 asks for re-punching
 #: "on demand": recovery may slow down but never stops being prompt).
 BACKOFF_CAP = 8.0
@@ -85,7 +77,7 @@ class ConnectResult:
         strategy: the winning strategy name, or None.
         attempts: per-strategy outcomes in the order tried.
         recovery: 0 for the initial connect; N for the Nth ladder re-run
-            after a channel broke (see :class:`RetryPolicy`).
+            after a channel broke (see :data:`MAX_RETRIES`).
     """
 
     channel: Optional[Channel] = None
@@ -107,9 +99,10 @@ class P2PConnector:
         transport: TRANSPORT_UDP (punch then relay) or TRANSPORT_TCP
             (punch, reversal, then relay).
         phase_timeout: per-strategy budget in virtual seconds.
-        retry_policy: if set, a channel that later breaks (UDP keepalive
-            decay, peer-closed TCP stream) re-runs the ladder and fires
-            *on_result* again with ``result.recovery`` incremented.
+
+    With :data:`MAX_RETRIES` above 0, a channel that later breaks (UDP
+    keepalive decay, peer-closed TCP stream) re-runs the ladder and fires
+    *on_result* again with ``result.recovery`` incremented.
     """
 
     def __init__(
@@ -117,21 +110,20 @@ class P2PConnector:
         client: PeerClient,
         transport: int = TRANSPORT_UDP,
         phase_timeout: float = 10.0,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.client = client
         self.transport = transport
         self.phase_timeout = phase_timeout
-        self.retry_policy = retry_policy
         #: Ladder re-runs triggered by broken channels, across all connects.
         self.recoveries = 0
 
     def connect(self, peer_id: int, on_result: ResultHandler) -> None:
         """Run the ladder toward *peer_id*.
 
-        Without a :class:`RetryPolicy`, *on_result* fires exactly once.  With
-        one, it fires again after each successful recovery (``recovery`` > 0
-        on the new result), so the application can swap in the new channel.
+        With recovery off (:data:`MAX_RETRIES` = 0), *on_result* fires exactly
+        once.  With it on, it fires again after each successful recovery
+        (``recovery`` > 0 on the new result), so the application can swap in
+        the new channel.
         """
         self._connect(peer_id, on_result, recovery=0)
 
@@ -181,7 +173,7 @@ class P2PConnector:
                     else OUTCOME_OK
                 )
                 span.finish(outcome, strategy=strategy)
-            if self.retry_policy is not None:
+            if result.recovery < MAX_RETRIES:
                 self._watch_channel(peer_id, channel, on_result, result.recovery)
             on_result(result)
 
@@ -227,15 +219,12 @@ class P2PConnector:
         except ReproError as error:
             fail(error)
 
-    # -- recovery (RetryPolicy) ----------------------------------------------------
+    # -- recovery (MAX_RETRIES) ----------------------------------------------------
 
     def _watch_channel(
         self, peer_id: int, channel: Channel, on_result: ResultHandler, recovery: int
     ) -> None:
         """Hook the channel's breakage signal to a ladder re-run."""
-        policy = self.retry_policy
-        if policy is None or recovery >= policy.max_retries:
-            return
         tripped = {"fired": False}
 
         def trip(*_args) -> None:
@@ -248,8 +237,8 @@ class P2PConnector:
             channel.on_broken = trip
         elif isinstance(channel, TcpStream):
             channel.on_close = trip
-            if policy.tcp_keepalive_interval > 0:
-                channel.start_keepalives(policy.tcp_keepalive_interval)
+            if TCP_KEEPALIVE_INTERVAL > 0:
+                channel.start_keepalives(TCP_KEEPALIVE_INTERVAL)
         elif isinstance(channel, RelaySession):
             # Relaying rides the client/server connections, so the only
             # breakage signal is S bouncing a payload (peer gone / failover
@@ -258,12 +247,9 @@ class P2PConnector:
             channel.on_error = trip
 
     def _channel_broken(self, peer_id: int, on_result: ResultHandler, recovery: int) -> None:
-        policy = self.retry_policy
-        if policy is None:  # pragma: no cover - watch is only armed with a policy
-            return
         self.recoveries += 1
         self.client.metrics.counter("connector.recoveries").inc()
-        delay = min(policy.backoff * (2 ** recovery), BACKOFF_CAP)
+        delay = min(RETRY_BACKOFF * (2 ** recovery), BACKOFF_CAP)
         self.client.scheduler.call_later(
             delay, self._connect, peer_id, on_result, recovery + 1
         )

@@ -10,7 +10,7 @@ rendezvous deployments therefore run *pools* of servers; this module gives
 A :class:`ServerFailover` manager owns an ordered list of server endpoints
 and drives the client's server keepalives (§3.6).  Every keepalive to a live
 server draws a :class:`~repro.core.protocol.KeepaliveAck`; when
-``dead_after_missed`` consecutive probes go unanswered the manager declares
+``DEAD_AFTER_MISSED`` consecutive probes go unanswered the manager declares
 the current server dead and **migrates**: it advances to the next server in
 the list (wrapping), re-registers the client's UDP (and, if in use, TCP)
 registration there, and fires ``on_failover``.  Everything that addresses
@@ -48,12 +48,14 @@ class FailoverConfig:
     Attributes:
         keepalive_interval: seconds between server keepalive probes (these
             double as the §3.6 NAT-mapping refresh toward S).
-        dead_after_missed: consecutive unacknowledged probes (or control
-            reconnect failures) after which the server is declared dead.
     """
 
     keepalive_interval: float = 2.0
-    dead_after_missed: int = 3
+
+
+#: Consecutive unacknowledged probes (or control reconnect failures) after
+#: which the server is declared dead.
+DEAD_AFTER_MISSED = 3
 
 
 #: Delay before re-dialling the TCP control connection after it errors (each
@@ -130,7 +132,7 @@ class ServerFailover:
     def _tick(self) -> None:
         if not self._started:
             return
-        if self._misses >= self.config.dead_after_missed:
+        if self._misses >= DEAD_AFTER_MISSED:
             self._migrate("keepalive decay")
             return
         self._misses += 1  # provisional; an ack resets it
@@ -168,7 +170,7 @@ class ServerFailover:
             return
         self._misses += 1
         self._miss_counter.inc()
-        if self._misses >= self.config.dead_after_missed:
+        if self._misses >= DEAD_AFTER_MISSED:
             self._migrate("control connection failures")
             return
         if self._control_timer is None or not self._control_timer.active:

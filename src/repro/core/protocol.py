@@ -61,14 +61,6 @@ class Message:
     #: version and type have been checked.
     _unpack: ClassVar[Callable[[bytes], "Message"]]
 
-    def pack_body(self, obfuscate: bool) -> bytes:
-        return self._pack(obfuscate)[HEADER.size :]
-
-    @classmethod
-    def unpack_body(cls, body: bytes, obfuscated: bool) -> "Message":
-        flags = FLAG_OBFUSCATED if obfuscated else 0
-        return cls._unpack(HEADER.pack(MAGIC, VERSION, cls.TYPE, flags) + body)
-
 
 _REGISTRY: Dict[int, Type[Message]] = {}
 
@@ -745,7 +737,3 @@ class FrameBuffer:
             raw = bytes(self._buffer[2 : 2 + length])
             del self._buffer[: 2 + length]
             messages.append(decode(raw))
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buffer)

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 from zlib import crc32
 
 from repro.netsim.addresses import Endpoint
@@ -155,9 +155,9 @@ class RegistrationTable:
         metrics: Optional[MetricsRegistry] = None,
         on_evict: Optional[EvictionHandler] = None,
     ) -> None:
-        if sweep_granularity <= 0:
+        if not (sweep_granularity > 0):  # NaN included
             raise ValueError("sweep_granularity must be positive")
-        if ttl is not None and ttl <= 0:
+        if ttl is not None and not (ttl > 0):
             raise ValueError("ttl must be positive (or None for no expiry)")
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be at least 1 (or None for unbounded)")
@@ -211,9 +211,6 @@ class RegistrationTable:
 
     def get(self, client_id: int, default=None):
         return self._entries.get(client_id, default)
-
-    def keys(self):
-        return self._entries.keys()
 
     def values(self):
         return self._entries.values()
@@ -483,23 +480,11 @@ class ShardRing:
     def owner(self, peer_id: int) -> Endpoint:
         return self.endpoints[self.owner_index(peer_id)]
 
-    def index_of(self, endpoint: Endpoint) -> Optional[int]:
-        try:
-            return self.endpoints.index(endpoint)
-        except ValueError:
-            return None
-
     def mark_down(self, index: int) -> None:
         self._down.add(index)
 
     def mark_up(self, index: int) -> None:
         self._down.discard(index)
-
-    def is_down(self, index: int) -> bool:
-        return index in self._down
-
-    def alive_indices(self) -> List[int]:
-        return [i for i in range(len(self.endpoints)) if i not in self._down]
 
     def __repr__(self) -> str:
         return f"ShardRing(shards={len(self.endpoints)}, down={sorted(self._down)})"
@@ -629,7 +614,7 @@ class KeepaliveWheel:
     """
 
     def __init__(self, scheduler, granularity: float = 1.0) -> None:
-        if granularity <= 0:
+        if not (granularity > 0):  # NaN included
             raise ValueError("granularity must be positive")
         self.scheduler = scheduler
         self.granularity = granularity

@@ -203,7 +203,6 @@ class RendezvousServer:
         self.errors_sent = 0
         self.restarts = 0
         self.endpoint_moves = 0
-        self.adopted_registrations = 0
         self.shard_redirects = 0
         self.shard_forwards = 0
         self._redirect_counter = self.metrics.counter("rendezvous.shard.redirects")
@@ -247,7 +246,7 @@ class RendezvousServer:
         """Revive a stopped server on the same well-known endpoint.
 
         State is not restored — a revived server has the same amnesia as a
-        restarted one (use :meth:`adopt_registrations` for warm handover).
+        restarted one.
         """
         if not self.stopped:
             return
@@ -281,50 +280,6 @@ class RendezvousServer:
     def registration(self, client_id: int, transport: int = TRANSPORT_UDP) -> Optional[Registration]:
         table = self.udp_clients if transport == TRANSPORT_UDP else self.tcp_clients
         return table.get(client_id)
-
-    # -- failover hooks (registration handover) ---------------------------------
-
-    def export_registrations(self) -> Dict[int, Registration]:
-        """Snapshot the UDP registration table for handover to a successor."""
-        return {
-            cid: Registration(
-                client_id=reg.client_id,
-                public_ep=reg.public_ep,
-                private_ep=reg.private_ep,
-                registered_at=reg.registered_at,
-                last_seen=reg.last_seen,
-                keepalives=reg.keepalives,
-            )
-            for cid, reg in self.udp_clients.items()
-        }
-
-    def adopt_registrations(self, registrations: Dict[int, Registration]) -> None:
-        """Warm-failover import: accept a predecessor's UDP registrations.
-
-        The adopted public endpoints stay valid only while the clients' NAT
-        mappings toward the *old* server still exist and the NATs map
-        endpoint-independently — exactly the §3 assumption punching relies
-        on.  Clients that fail over re-register anyway; adoption just closes
-        the window where relayed payloads and connect requests would fail.
-        Registrations the successor already holds (the client re-registered
-        here first) are *not* overwritten — its own observation is fresher.
-        The import is a bulk O(n) insert with zero per-entry timer churn:
-        adopted entries join the successor's sweep wheel as plain bucket
-        appends (see :meth:`~repro.core.registry.RegistrationTable.adopt`).
-        """
-        self.adopted_registrations += self.udp_clients.adopt(registrations)
-
-    def handover_to(self, successor: "RendezvousServer") -> None:
-        """Push this server's registrations to *successor* (planned failover).
-
-        Pair nonces ride along (without overwriting the successor's own):
-        an in-flight punch whose connect-request retransmits land on the
-        successor keeps authenticating against the same nonce instead of
-        restarting the exchange.
-        """
-        successor.adopt_registrations(self.export_registrations())
-        for key, value in self._pair_nonces.items():
-            successor._pair_nonces.setdefault(key, value)
 
     # -- UDP side --------------------------------------------------------------
 

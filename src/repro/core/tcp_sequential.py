@@ -34,6 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import PeerClient
 
 
+#: Reproduce NatTrav's consumption of both clients' connections to S (close
+#: + reconnect after the punch).
+CONSUME_CONTROL = True
+
+
 @dataclass(frozen=True)
 class SequentialConfig:
     """Timing for the sequential procedure.
@@ -44,13 +49,10 @@ class SequentialConfig:
             the process, whereas too much delay increases the total time").
         timeout: the requester's budget, spent once waiting for ``SeqReady``
             and once more on the dial (the same rule as ``connect_tcp``).
-        consume_control: reproduce NatTrav's consumption of both clients'
-            connections to S (close + reconnect after the punch).
     """
 
     punch_delay: float = 0.6
     timeout: float = 30.0
-    consume_control: bool = True
 
 
 class SequentialRequester(_HolePunch):
@@ -104,7 +106,7 @@ class SequentialRequester(_HolePunch):
         )
 
     def _release(self, keep: Optional[TcpStream]) -> None:
-        if keep is not None and self.config.consume_control:
+        if keep is not None and CONSUME_CONTROL:
             self.client._consume_control_connection()
 
 
@@ -159,6 +161,6 @@ class SequentialResponder:
     def _claim_stream(self, stream: TcpStream, hello: Hello) -> None:
         stream.authenticate(self.request.peer_id, self.request.nonce)
         stream.selected = True
-        if self.config.consume_control:
+        if CONSUME_CONTROL:
             self.client._consume_control_connection()
         self.client._deliver_incoming_stream(stream)

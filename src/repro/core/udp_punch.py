@@ -36,12 +36,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import PeerClient
 
 
+#: Seconds between probe rounds to all candidates.
+PROBE_INTERVAL = 0.25
+
+
 @dataclass(frozen=True)
 class PunchConfig:
     """Timing knobs for UDP hole punching and session maintenance.
 
     Attributes:
-        probe_interval: seconds between probe rounds to all candidates.
         timeout: give up punching after this many seconds.
         keepalive_interval: idle gap after which a session keep-alive is sent
             (§3.6 — must undercut the NAT's UDP idle timeout).
@@ -63,7 +66,6 @@ class PunchConfig:
         repunch_backoff_cap: upper bound on the backoff delay.
     """
 
-    probe_interval: float = 0.25
     timeout: float = 10.0
     keepalive_interval: float = 15.0
     broken_after_missed: int = 3
@@ -510,7 +512,7 @@ class UdpHolePuncher(_HolePunch):
             )
         self._probe_counter.inc(len(self.candidates))
         self._probe_timer = self.client.scheduler.call_later(
-            self.config.probe_interval, self._probe_round
+            PROBE_INTERVAL, self._probe_round
         )
 
     # -- inbound -------------------------------------------------------------------

@@ -154,20 +154,6 @@ class NatBehavior:
         """A copy with the given fields replaced (test/fleet convenience)."""
         return replace(self, **changes)
 
-    # -- canonicalization (the fleet dedup's soundness foundation) -------------
-
-    def canonical(self):
-        """Canonical axis encoding, as the behavioral fingerprint sees it.
-
-        Two behaviours constructed with *equivalent* axis values — ``120``
-        vs ``120.0``, a ``but()`` round trip back to the original — encode
-        byte-identically, so they produce the same fingerprint and share one
-        simulation.  Distinct axis values always encode differently.
-        """
-        from repro.cache.fingerprint import canonicalize
-
-        return canonicalize(self)
-
 
 #: A fully P2P-friendly consumer NAT: cone mapping, port-restricted filter,
 #: silent SYN drop.  The paper's "well-behaved NAT".

@@ -352,11 +352,6 @@ class NatTable:
         self._arm_expiry(mapping, idle_timeout)
         return mapping
 
-    def mappings_for_host(self, private_ip) -> int:
-        """Live mappings owned by one private host (quota introspection)."""
-        owned = self._by_host.get(IPv4Address(private_ip)._value)
-        return len(owned) if owned else 0
-
     def lookup_inbound(self, proto: IpProtocol, public_port: int) -> Optional[NatMapping]:
         return self._by_public.get(proto.wire_index << 16 | public_port)
 

@@ -51,11 +51,6 @@ class DiscoveryResult:
         return self.mapping is MappingPolicy.ENDPOINT_INDEPENDENT
 
     @property
-    def punch_friendly_udp(self) -> Optional[bool]:
-        """§5.1's precondition for reliable UDP hole punching."""
-        return self.is_cone
-
-    @property
     def prediction_viable(self) -> Optional[bool]:
         """§5.1: prediction is worth attempting against a symmetric NAT with
         predictable allocation."""

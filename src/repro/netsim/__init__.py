@@ -18,7 +18,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "Endpoint": "addresses",
     "IPv4Address": "addresses",
     "IPv4Network": "addresses",
-    "AddressPool": "addresses",
     "is_private": "addresses",
     "Scheduler": "clock",
     "Timer": "clock",

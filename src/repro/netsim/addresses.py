@@ -1,4 +1,4 @@
-"""IPv4 addressing: addresses, prefixes, endpoints, realms, and pools.
+"""IPv4 addressing: addresses, prefixes, endpoints and realms.
 
 The paper's Figure 1 architecture — one global realm plus many private realms
 glued together by NATs — is modelled here.  Addresses are immutable value
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.util.errors import AddressError
 
@@ -142,16 +142,8 @@ class IPv4Network:
         return self._prefix_len
 
     @property
-    def network_address(self) -> IPv4Address:
-        return IPv4Address(self._network)
-
-    @property
     def broadcast_address(self) -> IPv4Address:
         return IPv4Address(self._network | (~self.netmask_int() & 0xFFFFFFFF))
-
-    @property
-    def num_addresses(self) -> int:
-        return 1 << (32 - self._prefix_len)
 
     def __contains__(self, address) -> bool:
         try:
@@ -276,35 +268,3 @@ class Endpoint:
     def __repr__(self) -> str:
         return f"Endpoint({str(self)!r})"
 
-
-class AddressPool:
-    """Allocates host addresses from a prefix, in order, with release.
-
-    NAT devices use one pool per private realm to play DHCP server (the paper
-    notes NATs "hand out IP addresses in a fairly deterministic way" — §3.4,
-    which is what makes private-endpoint collisions likely).
-    """
-
-    def __init__(self, network: IPv4Network, reserved: Optional[List] = None) -> None:
-        self.network = IPv4Network(network)
-        self._reserved: Set[IPv4Address] = {IPv4Address(a) for a in (reserved or [])}
-        self._allocated: Set[IPv4Address] = set()
-        self._cursor = iter(self.network.hosts())
-
-    def allocate(self) -> IPv4Address:
-        """Return the next free address; raises AddressError when exhausted."""
-        for address in self._cursor:
-            if address in self._reserved or address in self._allocated:
-                continue
-            self._allocated.add(address)
-            return address
-        raise AddressError(f"address pool {self.network} exhausted")
-
-    def release(self, address) -> None:
-        """Return an address to the pool (it will not be re-issued until the
-        cursor wraps; deterministic allocation order is preserved)."""
-        self._allocated.discard(IPv4Address(address))
-
-    @property
-    def allocated(self) -> Set[IPv4Address]:
-        return set(self._allocated)

@@ -51,7 +51,7 @@ attempts whose windows they land in (the ``mapping-exhausted`` and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.netsim.addresses import Endpoint, IPv4Address
 from repro.netsim.node import Host

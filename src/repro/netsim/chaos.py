@@ -40,7 +40,7 @@ Typical soak iteration::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.netsim.addresses import Endpoint, IPv4Address
 from repro.netsim.faults import (
@@ -67,22 +67,22 @@ class ChaosConfig:
             first connects settle, so plans stress *established* state too).
         horizon: faults fire in ``[warmup, horizon)``; the soak should run
             to at least ``horizon`` plus a recovery grace period.
-        min_events / max_events: how many faults one plan composes.
-        flap_range: (min, max) seconds a flapped link stays down.
-        kill_dead_range: (min, max) seconds between a ``server-kill`` and
-            its paired ``server-revive``.
-        kill_servers: generate kill/revive pairs (needs actors with
-            ``stop``/``start`` — disable when targets only support
-            ``restart``).
     """
 
     warmup: float = 5.0
     horizon: float = 45.0
-    min_events: int = 3
-    max_events: int = 8
-    flap_range: Tuple[float, float] = (0.5, 3.0)
-    kill_dead_range: Tuple[float, float] = (3.0, 10.0)
-    kill_servers: bool = True
+
+
+#: How many faults one plan composes, inclusive.
+EVENTS_RANGE = (3, 8)
+#: (min, max) seconds a flapped link stays down.
+FLAP_RANGE = (0.5, 3.0)
+#: (min, max) seconds between a ``server-kill`` and its paired
+#: ``server-revive``.
+KILL_DEAD_RANGE = (3.0, 10.0)
+#: Generate kill/revive pairs (needs actors with ``stop``/``start`` — turn
+#: off when targets only support ``restart``).
+KILL_SERVERS = True
 
 
 def random_fault_plan(
@@ -108,19 +108,19 @@ def random_fault_plan(
         families.append("nat-reboot")
     if servers:
         families.append("server-restart")
-        if cfg.kill_servers:
+        if KILL_SERVERS:
             families.append("server-kill")
     if not families:
         raise ValueError("random_fault_plan needs at least one target family")
 
     plan = FaultPlan()
-    count = rng.randint(cfg.min_events, cfg.max_events)
+    count = rng.randint(*EVENTS_RANGE)
     killed_until = {name: 0.0 for name in servers}
     for _ in range(count):
         time = rng.uniform(cfg.warmup, cfg.horizon)
         family = rng.choice(families)
         if family == "flap":
-            duration = rng.uniform(*cfg.flap_range)
+            duration = rng.uniform(*FLAP_RANGE)
             plan.add(time, FAULT_LINK_FLAP, rng.choice(list(links)), duration)
         elif family == "nat-reboot":
             plan.add(time, FAULT_NAT_REBOOT, rng.choice(list(nats)))
@@ -128,7 +128,7 @@ def random_fault_plan(
             plan.add(time, FAULT_SERVER_RESTART, rng.choice(list(servers)))
         else:  # server-kill (+ paired revive)
             target = rng.choice(list(servers))
-            dead_for = rng.uniform(*cfg.kill_dead_range)
+            dead_for = rng.uniform(*KILL_DEAD_RANGE)
             if killed_until[target] > time:
                 # Already down around this time; turn it into a restart so
                 # plans never depend on kill/revive idempotence for sanity.
@@ -185,10 +185,6 @@ class AttemptTracker:
     @property
     def unfinished(self) -> List[str]:
         return [a.label for a in self.attempts if not a.done]
-
-    @property
-    def all_terminated(self) -> bool:
-        return not self.unfinished
 
     def __repr__(self) -> str:
         return (

@@ -10,6 +10,7 @@ order they were scheduled — a property several NAT-race tests rely on.
 from __future__ import annotations
 
 import heapq
+import math
 import sys
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -170,9 +171,10 @@ class Scheduler:
         """Schedule *callback(*args)* at absolute time *when*.
 
         Scheduling in the past raises ``ValueError`` — it would silently
-        reorder causality.
+        reorder causality — and so does a NaN time, which no comparison
+        orders.
         """
-        if when < self.now:
+        if not (when >= self.now):
             raise ValueError(
                 f"cannot schedule at t={when:.6f} before now={self.now:.6f}"
             )
@@ -191,8 +193,8 @@ class Scheduler:
         is the constructor virtually every packet delivery and protocol
         timer goes through.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not (delay >= 0):  # also rejects NaN
+            raise ValueError(f"negative or NaN delay {delay!r}")
         when = self.now + delay
         timer = Timer(when, callback, args, self)
         heap = self._heap
@@ -318,7 +320,7 @@ class Scheduler:
         The clock is advanced to exactly *deadline* even if the last event is
         earlier, so back-to-back ``run_until`` calls compose predictably.
         """
-        if deadline < self.now:
+        if not (deadline >= self.now):  # also rejects NaN
             raise ValueError(
                 f"deadline t={deadline:.6f} is before now={self.now:.6f}"
             )
@@ -349,8 +351,10 @@ class Scheduler:
         the deadline was reached first — no event later than *deadline*
         fires, and the clock ends at *deadline* unless it is already past
         it.  Useful for "run until connected or 5 s elapse" patterns in
-        tests and examples.
+        tests and examples.  A NaN *deadline* raises ``ValueError``.
         """
+        if math.isnan(deadline):
+            raise ValueError("deadline is NaN")
         if self._drain(deadline, keep_going=predicate):
             return True
         if deadline > self.now:

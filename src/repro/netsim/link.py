@@ -73,7 +73,8 @@ class LinkProfile:
     reorder_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.latency < 0 or self.jitter < 0:
+        # Every bound is written ``not (x >= bound)`` so NaN fails it too.
+        if not (self.latency >= 0 and self.jitter >= 0):
             raise ValueError("latency/jitter must be non-negative")
         for name in ("loss", "burst_enter", "burst_exit", "burst_loss",
                      "duplicate", "reorder"):
@@ -84,11 +85,11 @@ class LinkProfile:
             raise ValueError("burst_enter requires a positive burst_exit")
         if self.reorder > 0 and self.reorder_delay <= 0:
             raise ValueError("reorder requires a positive reorder_delay")
-        if self.reorder_delay < 0:
+        if not (self.reorder_delay >= 0):
             raise ValueError("reorder_delay must be non-negative")
-        if self.bandwidth_bps is not None and self.bandwidth_bps <= 0:
+        if self.bandwidth_bps is not None and not (self.bandwidth_bps > 0):
             raise ValueError("bandwidth_bps must be positive")
-        if self.max_queue_delay is not None and self.max_queue_delay < 0:
+        if self.max_queue_delay is not None and not (self.max_queue_delay >= 0):
             raise ValueError("max_queue_delay must be non-negative")
 
 
@@ -133,15 +134,15 @@ class Link:
         self._up = True
         self._ge_bad = False  # Gilbert-Elliott state: currently in a burst?
         #: Scheduled-but-undelivered packets: seq -> (timer, sender, receiver,
-        #: packet).  Needed so link flaps and node detachment can drop
-        #: in-flight traffic instead of delivering to a dead segment/host.
+        #: packet).  Needed so a link flap can drop in-flight traffic instead
+        #: of delivering it over a dead segment.
         self._in_flight: Dict[int, Tuple[Timer, "Node", "Node", Packet]] = {}
         self._flight_seq = itertools.count()
         #: Pending coalesced-delivery timers (fast path only; see
-        #: Scheduler.call_later_batched), insertion-ordered so flap/detach
-        #: drops replay in schedule order; :meth:`_drain_batch` removes a
-        #: batch once it has drained.  Items are (sender, receiver, packet)
-        #: triples; a detached item is nulled in place.
+        #: Scheduler.call_later_batched), insertion-ordered so flap drops
+        #: replay in schedule order; :meth:`_drain_batch` removes a batch
+        #: once it has drained.  Items are (sender, receiver, packet)
+        #: triples.
         self._batches: Dict[Timer, None] = {}
         self._open_batch: Optional[Timer] = None
         #: Scheduler tick at which ``_open_batch`` was created.  While the
@@ -256,33 +257,7 @@ class Link:
         self._attachments.append((node, address))
         self._owner_values[address._value] = node
 
-    def detach(self, node: "Node") -> None:
-        """Remove every attachment belonging to *node*.
-
-        In-flight deliveries addressed to *node* are cancelled: a crashed or
-        unplugged host must not keep receiving packets that were already on
-        the wire when it left the segment.
-        """
-        self._attachments = [(n, ip) for n, ip in self._attachments if n is not node]
-        self._owner_values = {ip._value: n for n, ip in self._attachments}
-        for seq, (timer, sender, receiver, packet) in list(self._in_flight.items()):
-            if receiver is node:
-                timer.cancel()
-                del self._in_flight[seq]
-                self._drop(packet, sender, receiver, "detach-drop")
-        for timer in self._batches:
-            items = timer._items
-            for i in range(timer._inext, len(items)):
-                item = items[i]
-                if item is not None and item[1] is node:
-                    items[i] = None
-                    self._drop(item[2], item[0], node, "detach-drop")
-
     # -- link state (fault injection) -------------------------------------------
-
-    @property
-    def is_up(self) -> bool:
-        return self._up
 
     def down(self) -> None:
         """Take the segment down: in-flight packets are dropped and further
@@ -302,10 +277,9 @@ class Link:
         for timer in self._batches:
             items = timer._items
             for i in range(timer._inext, len(items)):
-                item = items[i]
-                if item is not None:
-                    self._drop(item[2], item[0], item[1], "flap-drop")
-                    self.flap_drops += 1
+                sender, receiver, packet = items[i]
+                self._drop(packet, sender, receiver, "flap-drop")
+                self.flap_drops += 1
             timer.cancel()
         self._batches.clear()
         self._open_batch = None
@@ -320,14 +294,6 @@ class Link:
         self._busy_until = 0.0
         self._ge_bad = False
         self._refresh_fast_path()
-
-    @property
-    def attached_nodes(self) -> List["Node"]:
-        return [node for node, _ in self._attachments]
-
-    def owner_of(self, ip) -> Optional["Node"]:
-        """Node whose interface on this link owns *ip*, if any."""
-        return self._owner_values.get(IPv4Address(ip)._value)
 
     def transmit(self, packet: Packet, sender: "Node", next_hop_ip) -> bool:
         """Send *packet* toward the attached interface owning *next_hop_ip*.
@@ -442,8 +408,7 @@ class Link:
         :meth:`Scheduler.call_later_batched`).
 
         Every item goes through the receiver's ``receive()`` — the same
-        route the per-packet timer takes (:meth:`_deliver`).  A nulled item
-        was detach-dropped in flight and fires as an empty event.  The
+        route the per-packet timer takes (:meth:`_deliver`).  The
         packet is recycled into the pool when whoever held it says it kept
         no reference: ``receive()`` returned ``True`` (a UDP socket
         delivery) or the receiver declares ``consumes_packets`` (NAT
@@ -466,20 +431,17 @@ class Link:
             # zero-latency link may append to this batch while it fires.
             while i < stop and i < len(items):
                 batch._inext = i + 1
-                item = items[i]
-                if item is not None:
-                    receiver = item[1]
-                    packet = item[2]
-                    if (
-                        receiver.receive(packet, self) is True
-                        or receiver.consumes_packets
-                    ) and free is not None:
-                        if poison:
-                            pool.release(packet)  # counts itself
-                        else:
-                            packet.gen += 1
-                            free.append(packet)
-                            released += 1
+                _, receiver, packet = items[i]
+                if (
+                    receiver.receive(packet, self) is True
+                    or receiver.consumes_packets
+                ) and free is not None:
+                    if poison:
+                        pool.release(packet)  # counts itself
+                    else:
+                        packet.gen += 1
+                        free.append(packet)
+                        released += 1
                 if batch._cancelled:
                     # Cancelled mid-drain: this link went down inside a
                     # delivery callback and flap-dropped the rest.

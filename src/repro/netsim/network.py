@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 from repro.netsim.addresses import IPv4Network
 from repro.netsim.clock import Scheduler
 from repro.netsim.link import Link, LinkProfile
-from repro.netsim.node import Host, Node, Router
+from repro.netsim.node import Host, Node
 from repro.netsim.trace import PacketTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.util.rng import SeededRng
@@ -120,12 +120,6 @@ class Network:
                 host.set_default_gateway(gateway)
         return host
 
-    def add_router(self, name: str) -> Router:
-        """Create and register a plain Router (interfaces wired by caller)."""
-        router = Router(name, self.scheduler)
-        self.add_node(router)
-        return router
-
     def host(self, name: str) -> Host:
         node = self.nodes[name]
         if not isinstance(node, Host):
@@ -151,9 +145,6 @@ class Network:
 
     def total_packets_sent(self) -> int:
         return sum(link.packets_sent for link in self.links.values())
-
-    def total_bytes_sent(self) -> int:
-        return sum(link.bytes_sent for link in self.links.values())
 
     # -- observability ----------------------------------------------------------
 

@@ -110,11 +110,6 @@ class Node:
         """
         self._handlers_by_index[proto.wire_index] = handler
 
-    def unregister_protocol(self, proto: IpProtocol) -> None:
-        """Remove the handler for *proto*; packets for it now drop on the
-        local-delivery path, exactly as if it was never bound."""
-        self._handlers_by_index[proto.wire_index] = None
-
     # -- data path -----------------------------------------------------------
 
     def send(self, packet: Packet) -> bool:

@@ -76,9 +76,5 @@ class RoutingTable:
         except RoutingError:
             return None
 
-    @property
-    def routes(self) -> List[Route]:
-        return list(self._routes)
-
     def __len__(self) -> int:
         return len(self._routes)

@@ -96,21 +96,12 @@ class PacketTrace:
     def __len__(self) -> int:
         return len(self._records)
 
-    def filter(self, predicate: Callable[[TraceRecord], bool]) -> List[TraceRecord]:
-        return [r for r in self._records if predicate(r)]
-
     def sent(self, proto: Optional[IpProtocol] = None) -> List[TraceRecord]:
         """Successfully transmitted packets, optionally by protocol."""
         return [
             r
             for r in self._records
             if r.event == "sent" and (proto is None or r.packet.proto is proto)
-        ]
-
-    def between(self, sender: str, receiver: str) -> List[TraceRecord]:
-        """Sent records from node *sender* to node *receiver*."""
-        return [
-            r for r in self._records if r.event == "sent" and r.sender == sender and r.receiver == receiver
         ]
 
     def count(self, event: str = "sent") -> int:

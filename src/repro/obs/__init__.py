@@ -47,7 +47,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "Span": "spans",
     "Verdict": "attribution",
     "explain": "attribution",
-    "explain_all": "attribution",
     "from_chrome_trace": "flight_export",
     "from_jsonl": "flight_export",
     "render_verdict": "attribution",

@@ -85,7 +85,7 @@ CATEGORIES = (
 
 #: Link-layer drop reasons that count toward loss-budget exhaustion.
 _LOSS_REASONS = frozenset(
-    {"lost", "burst-lost", "queue-drop", "link-down", "flap-drop", "detach-drop", "no-next-hop"}
+    {"lost", "burst-lost", "queue-drop", "link-down", "flap-drop", "no-next-hop"}
 )
 
 #: Fault kinds that mean the rendezvous server went away.
@@ -368,11 +368,6 @@ def explain(attempt: Attempt, recorder: FlightRecorder) -> Verdict:
         timeline,
         attempt,
     )
-
-
-def explain_all(recorder: FlightRecorder, name: Optional[str] = None) -> List[Verdict]:
-    """Explain every (optionally name-filtered) attempt in the recorder."""
-    return [explain(a, recorder) for a in recorder.find_attempts(name)]
 
 
 def render_verdict(verdict: Verdict, max_evidence: int = 12) -> str:

@@ -257,13 +257,6 @@ class FlightRecorder:
         """Every retained event, oldest first."""
         return list(self._events)
 
-    def events_for(
-        self, attempt: Attempt, include_children: bool = True
-    ) -> List[FlightEvent]:
-        """Events owned by *attempt* (and its descendants by default)."""
-        wanted = set(attempt.ids()) if include_children else {attempt.id}
-        return [e for e in self._events if e.attempt in wanted]
-
     def timeline(self, attempt: Attempt, include_global: bool = True) -> List[FlightEvent]:
         """The merged, ordered per-attempt timeline.
 

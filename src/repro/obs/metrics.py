@@ -76,9 +76,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def __repr__(self) -> str:
         return f"Gauge({format_metric_name(self.name, self.labels)}={self.value})"
 
@@ -186,9 +183,6 @@ class _NullGauge(Gauge):
         pass
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
 

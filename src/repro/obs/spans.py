@@ -82,9 +82,6 @@ class Span:
         """Record a point annotation at the current virtual time."""
         self.events.append((self._now(), name, dict(attrs)))
 
-    def set_tag(self, key: str, value: object) -> None:
-        self.tags[key] = value
-
     def finish(self, outcome: str = OUTCOME_OK, **tags: object) -> "Span":
         """Close the span (idempotent — the first outcome wins)."""
         if self.end is None:
@@ -142,9 +139,6 @@ class _NullSpan(Span):
         return self
 
     def event(self, name: str, **attrs: object) -> None:
-        pass
-
-    def set_tag(self, key: str, value: object) -> None:
         pass
 
     def finish(self, outcome: str = OUTCOME_OK, **tags: object) -> "Span":

@@ -43,20 +43,6 @@ class HostStack:
         host.register_protocol(IpProtocol.TCP, self.tcp.handle_packet)
         host.register_protocol(IpProtocol.ICMP, self._handle_icmp)
 
-    def detach(self) -> None:
-        """Unregister this stack's protocol handlers from the host.
-
-        Locally-addressed packets drop afterwards, exactly as on a host that
-        never attached a stack — packets already in flight included, since
-        every delivery looks the handler up when it fires.
-        """
-        host = self.host
-        host.unregister_protocol(IpProtocol.UDP)
-        host.unregister_protocol(IpProtocol.TCP)
-        host.unregister_protocol(IpProtocol.ICMP)
-        if getattr(host, "stack", None) is self:
-            host.stack = None  # type: ignore[attr-defined]
-
     def _handle_icmp(self, packet: Packet) -> None:
         error = packet.icmp
         if error.original_proto is IpProtocol.TCP:

@@ -583,11 +583,6 @@ class TcpListener:
         else:
             self._accept_queue.append(conn)
 
-    def accept_pending(self) -> List[TcpConnection]:
-        """Drain connections queued while no accept callback was set."""
-        drained, self._accept_queue = self._accept_queue, []
-        return drained
-
     @property
     def pending(self) -> int:
         """Half-open (SYN_RCVD) connections this listener spawned."""

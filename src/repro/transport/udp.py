@@ -156,7 +156,3 @@ class UdpStack:
         sock = self._socket_for(error.original_src)
         if sock is not None and sock.on_icmp_error is not None:
             sock.on_icmp_error(error)
-
-    @property
-    def bound_ports(self) -> Dict[_BindKey, UdpSocket]:
-        return dict(self._bindings)

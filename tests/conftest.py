@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.netsim.addresses import Endpoint
 from repro.netsim.network import Network
+from repro.netsim.packet import IpProtocol
 from repro.transport.stack import attach_stack
 from repro.transport.tcp import TcpStyle
 
@@ -45,3 +48,21 @@ def ep(text: str) -> Endpoint:
 def run_until(net: Network, predicate, timeout: float = 30.0) -> bool:
     """Drive the network until predicate() is true or timeout elapses."""
     return net.scheduler.run_while(lambda: not predicate(), net.scheduler.now + timeout)
+
+
+def detach_stack(host) -> None:
+    """Unplug *host*'s transport stack mid-run: locally addressed packets
+    drop afterwards, as on a host that never attached one — packets already
+    in flight included, since every delivery looks its handler up when it
+    fires."""
+    for proto in (IpProtocol.UDP, IpProtocol.TCP, IpProtocol.ICMP):
+        host.register_protocol(proto, None)
+    host.stack = None
+
+
+def handover(primary, successor) -> int:
+    """Planned failover: *successor* adopts a copy of each of *primary*'s UDP
+    registrations; returns how many it adopted (its own are kept)."""
+    return successor.udp_clients.adopt(
+        {cid: dataclasses.replace(reg) for cid, reg in primary.udp_clients.items()}
+    )

@@ -1,10 +1,9 @@
-"""Unit + property tests for IPv4 addresses, prefixes, endpoints, pools."""
+"""Unit + property tests for IPv4 addresses, prefixes and endpoints."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.netsim.addresses import (
-    AddressPool,
     Endpoint,
     IPv4Address,
     IPv4Network,
@@ -100,7 +99,7 @@ class TestIPv4Network:
         assert str(n) == "10.0.0.0/8"
 
     def test_network_address_masked(self):
-        assert str(IPv4Network("10.1.2.3/24").network_address) == "10.1.2.0"
+        assert str(IPv4Network("10.1.2.3/24")) == "10.1.2.0/24"
 
     def test_contains(self):
         n = IPv4Network("192.168.1.0/24")
@@ -117,9 +116,6 @@ class TestIPv4Network:
 
     def test_broadcast(self):
         assert str(IPv4Network("10.0.0.0/24").broadcast_address) == "10.0.0.255"
-
-    def test_num_addresses(self):
-        assert IPv4Network("10.0.0.0/24").num_addresses == 256
 
     def test_hosts_excludes_network_and_broadcast(self):
         hosts = list(IPv4Network("10.0.0.0/29").hosts())
@@ -143,7 +139,8 @@ class TestIPv4Network:
     @given(st.integers(0, 0xFFFFFFFF), st.integers(0, 32))
     def test_network_contains_own_address_range(self, value, prefix_len):
         n = IPv4Network(IPv4Address(value), prefix_len)
-        assert n.network_address in n
+        assert IPv4Address(value) in n
+        assert str(n).partition("/")[0] in n
         assert n.broadcast_address in n
 
 
@@ -255,30 +252,3 @@ class TestEndpoint:
         assert clone == e and hash(clone) == hash(e) and clone._key == e._key
         assert type(clone.ip) is IPv4Address
 
-
-class TestAddressPool:
-    def test_deterministic_order(self):
-        pool = AddressPool(IPv4Network("10.0.0.0/29"))
-        assert [str(pool.allocate()) for _ in range(3)] == [
-            "10.0.0.1",
-            "10.0.0.2",
-            "10.0.0.3",
-        ]
-
-    def test_reserved_skipped(self):
-        pool = AddressPool(IPv4Network("10.0.0.0/29"), reserved=["10.0.0.1"])
-        assert str(pool.allocate()) == "10.0.0.2"
-
-    def test_exhaustion(self):
-        pool = AddressPool(IPv4Network("10.0.0.0/30"))  # 2 usable hosts
-        pool.allocate()
-        pool.allocate()
-        with pytest.raises(AddressError):
-            pool.allocate()
-
-    def test_release_tracks_allocated(self):
-        pool = AddressPool(IPv4Network("10.0.0.0/24"))
-        a = pool.allocate()
-        assert a in pool.allocated
-        pool.release(a)
-        assert a not in pool.allocated

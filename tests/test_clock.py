@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.registry import KeepaliveWheel, RegistrationTable
 from repro.netsim.clock import Scheduler
+from repro.netsim.link import LinkProfile
 
 
 def test_starts_at_zero():
@@ -88,6 +90,57 @@ def test_cannot_schedule_in_past():
 def test_negative_delay_rejected():
     with pytest.raises(ValueError):
         Scheduler().call_later(-0.1, lambda: None)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("drive", [
+    lambda s: s.call_later(NAN, lambda: None),
+    lambda s: s.call_at(NAN, lambda: None),
+    lambda s: s.run_until(NAN),
+    lambda s: s.run_while(lambda: True, NAN),
+], ids=["call_later", "call_at", "run_until", "run_while"])
+def test_nan_times_are_rejected(drive):
+    """No comparison orders NaN: a NaN timer would fire between its
+    neighbours with ``now = nan``, and a NaN clock poisons every later
+    deadline.  The clock and the heap are left as they were."""
+    s = Scheduler()
+    fired = []
+    s.call_later(1.0, fired.append, 1)
+    with pytest.raises(ValueError):
+        drive(s)
+    assert s.now == 0.0 and fired == [] and s.pending == 1
+    s.run_until(2.0)
+    assert fired == [1] and s.now == 2.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LinkProfile(latency=NAN),
+    lambda: LinkProfile(jitter=NAN),
+    lambda: LinkProfile(reorder_delay=NAN),
+    lambda: LinkProfile(reorder=0.1, reorder_delay=NAN),
+    lambda: LinkProfile(bandwidth_bps=NAN),
+    lambda: LinkProfile(bandwidth_bps=1e6, max_queue_delay=NAN),
+    lambda: RegistrationTable(lambda: 0.0, ttl=NAN),
+    lambda: RegistrationTable(lambda: 0.0, ttl=30.0, sweep_granularity=NAN),
+    lambda: KeepaliveWheel(Scheduler(), granularity=NAN),
+], ids=["latency", "jitter", "reorder_delay", "reorder_delay-on", "bandwidth_bps",
+        "max_queue_delay", "ttl", "sweep_granularity", "wheel-granularity"])
+def test_nan_durations_are_rejected_at_construction(build):
+    """A NaN duration is refused where it is given, not later as "cannot
+    convert float NaN to integer" or as a NaN clock."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_negative_zero_and_infinite_times_still_schedule():
+    s = Scheduler()
+    fired = []
+    s.call_later(-0.0, fired.append, "now")
+    s.call_later(float("inf"), fired.append, "never")
+    s.run_until(1.0)
+    assert fired == ["now"] and s.pending == 1
 
 
 def test_run_until_stops_at_deadline():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.connector import (
     P2PConnector,
-    RetryPolicy,
     STRATEGY_PUNCH,
     STRATEGY_RELAY,
     STRATEGY_REVERSAL,
@@ -129,13 +128,15 @@ def test_turn_rung_wins_before_s_relay_when_enabled():
     assert sc.server.relayed_bytes == 0  # S carried no application data
 
 
-def test_retry_policy_reruns_ladder_after_nat_reboot():
-    """A RetryPolicy turns the one-shot ladder into a self-healing channel:
+def test_retry_policy_reruns_ladder_after_nat_reboot(monkeypatch):
+    """Recovery turns the one-shot ladder into a self-healing channel:
     when the punched hole dies, the connector re-runs the ladder and hands
     the application a fresh channel with result.recovery incremented."""
+    from repro.core import connector as connector_module
     from repro.core.udp_punch import PunchConfig
     from repro.netsim.faults import FAULT_NAT_REBOOT, FaultPlan
 
+    monkeypatch.setattr(connector_module, "MAX_RETRIES", 3)
     sc = build_two_nats(seed=71)
     config = PunchConfig(keepalive_interval=1.0, broken_after_missed=3)
     for c in sc.clients.values():
@@ -148,7 +149,6 @@ def test_retry_policy_reruns_ladder_after_nat_reboot():
         sc.clients["A"],
         transport=TRANSPORT_UDP,
         phase_timeout=6.0,
-        retry_policy=RetryPolicy(max_retries=3, backoff=0.5),
     )
     results = []
     connector.connect(2, on_result=results.append)
@@ -167,10 +167,11 @@ def test_retry_policy_reruns_ladder_after_nat_reboot():
 
 def test_retry_policy_off_by_default():
     sc = build_two_nats(seed=72)
+    from repro.core.connector import MAX_RETRIES
+
     result = run_ladder(sc, TRANSPORT_UDP)
     assert result.recovery == 0
-    connector = P2PConnector(sc.clients["A"])
-    assert connector.retry_policy is None
+    assert MAX_RETRIES == 0
 
 
 def test_turn_rung_fails_over_to_s_relay_when_peer_lacks_turn():

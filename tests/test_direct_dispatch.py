@@ -21,6 +21,7 @@ from repro.netsim.addresses import Endpoint
 from repro.netsim.link import LAN_LINK, Link
 from repro.netsim.network import Network
 from repro.transport.stack import attach_stack
+from tests.conftest import detach_stack
 
 PACKETS = 80
 SEND_SPACING = 0.0005  # 80 datagrams over 40ms; perturbations land mid-stream
@@ -130,7 +131,7 @@ def _both(perturb=None, serve: bool = True):
 class TestStackDetachMidRun:
     def test_cached_entries_fall_back_and_drop(self):
         def perturb(net, nat, client, server, echo):
-            net.scheduler.call_at(0.02, server.stack.detach)
+            net.scheduler.call_at(0.02, detach_stack, server)
 
         obs = _both(perturb)
         # Echoes before the detach arrived; datagrams after it drop at the

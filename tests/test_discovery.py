@@ -47,7 +47,7 @@ def test_cone_nat_classified():
     result = discover(B.WELL_BEHAVED)
     assert result.behind_nat is True
     assert result.mapping is MappingPolicy.ENDPOINT_INDEPENDENT
-    assert result.is_cone and result.punch_friendly_udp
+    assert result.is_cone
 
 
 def test_port_restricted_filtering_classified():
@@ -74,7 +74,6 @@ def test_symmetric_nat_classified():
     result = discover(B.SYMMETRIC_PREDICTABLE)
     assert result.mapping is MappingPolicy.ADDRESS_AND_PORT_DEPENDENT
     assert result.is_cone is False
-    assert result.punch_friendly_udp is False
 
 
 def test_symmetric_sequential_ports_are_predictable():

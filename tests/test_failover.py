@@ -10,8 +10,9 @@ from repro.netsim.faults import (
     FaultPlan,
 )
 from repro.scenarios import build_public_pair, build_two_nats
+from tests.conftest import handover
 
-FAST_FAILOVER = FailoverConfig(keepalive_interval=1.0, dead_after_missed=3)
+FAST_FAILOVER = FailoverConfig(keepalive_interval=1.0)
 
 
 def _failover_scenario(seed=301, **kw):
@@ -117,8 +118,7 @@ class TestRegistrationMigration:
         _arm(sc)
         sc.run_for(2.0)
         # Planned failover: S pushes its table to S2 before dying.
-        sc.servers["S"].handover_to(sc.servers["S2"])
-        assert sc.servers["S2"].adopted_registrations == 2
+        assert handover(sc.servers["S"], sc.servers["S2"]) == 2
         assert set(sc.servers["S2"].udp_clients) == {1, 2}
         sc.servers["S"].stop()
         # Even before any client re-registers, S2 can already relay and

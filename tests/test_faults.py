@@ -84,7 +84,7 @@ class TestLinkUpDown:
         assert got == []
         assert link.packets_dropped == 2
         assert link.flap_drops == 2
-        assert not link.is_up
+        assert not link._up
 
     def test_up_restores_delivery(self):
         net, link, a, b = _pair(LinkProfile(latency=0.1))
@@ -232,9 +232,9 @@ class TestFaultPlan:
         net, link, a, b = _pair(LinkProfile(latency=0.01))
         FaultPlan([(1.0, "link-flap", "l")]).schedule(net)
         net.run_until(1.0 + DEFAULT_FLAP_SECONDS / 2)
-        assert not link.is_up
+        assert not link._up
         net.run_until(1.0 + DEFAULT_FLAP_SECONDS + 0.1)
-        assert link.is_up
+        assert link._up
 
     def test_unknown_targets_raise_at_fire_time(self):
         net, link, a, b = _pair()

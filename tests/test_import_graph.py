@@ -11,12 +11,17 @@ Three things are pinned here:
     order, that its eager ``__all__`` listed, each the very object its
     defining submodule holds;
 (c) **no per-access cost** — a resolved name lives in the package's globals,
-    so the hook runs once per name.
+    so the hook runs once per name;
+(d) **nothing only tests reach** — every ``def`` and ``class`` in ``src/``
+    is named somewhere outside its own body in ``src/``, ``benchmarks/`` or
+    ``examples/``, and every ``*Config`` / ``*Policy`` dataclass field is set
+    by one of them, unless :data:`KEEP` / :data:`KEEP_FIELDS` says why not.
 
 Every case of (a) runs in a fresh interpreter: ``sys.modules`` of the test
 process says nothing about what an import pulls in.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -212,7 +217,7 @@ EXPORTS = {
     "repro.core": {
         "PeerClient": "client", "FailoverConfig": "failover", "ServerFailover": "failover",
         "ConnectOutcome": "connector", "ConnectResult": "connector",
-        "P2PConnector": "connector", "RetryPolicy": "connector",
+        "P2PConnector": "connector",
         "RendezvousServer": "rendezvous", "RelaySession": "relay",
         "UdpHolePuncher": "udp_punch", "UdpSession": "udp_punch",
         "TcpHolePuncher": "tcp_punch", "TcpStream": "tcp_punch",
@@ -233,7 +238,7 @@ EXPORTS = {
     },
     "repro.netsim": {
         "Endpoint": "addresses", "IPv4Address": "addresses", "IPv4Network": "addresses",
-        "AddressPool": "addresses", "is_private": "addresses", "Scheduler": "clock",
+        "is_private": "addresses", "Scheduler": "clock",
         "Timer": "clock", "AttemptTracker": "chaos", "ChaosConfig": "chaos",
         "check_invariants": "chaos", "random_fault_plan": "chaos",
         "trace_fingerprint": "chaos", "FaultEvent": "faults", "FaultInjector": "faults",
@@ -252,7 +257,7 @@ EXPORTS = {
         "FlightEvent": "flight", "FlightRecorder": "flight", "Gauge": "metrics",
         "Histogram": "metrics", "MetricsRegistry": "metrics", "RunProfiler": "profile",
         "Span": "spans", "Verdict": "attribution", "explain": "attribution",
-        "explain_all": "attribution", "from_chrome_trace": "flight_export",
+        "from_chrome_trace": "flight_export",
         "from_jsonl": "flight_export", "render_verdict": "attribution",
         "to_chrome_trace": "flight_export", "to_jsonl": "flight_export",
         "write_flight_files": "flight_export", "NULL_SPAN": "spans",
@@ -287,7 +292,7 @@ def test_every_package_is_covered():
         m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
     }
     assert found == set(EXPORTS)
-    assert sum(len(table) for table in EXPORTS.values()) == 149
+    assert sum(len(table) for table in EXPORTS.values()) == 146
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -379,3 +384,243 @@ def test_the_hook_runs_once_per_name(package, monkeypatch):
         assert vars(module)[name] is first
         assert getattr(module, name) is first
         assert calls.count(name) == 1
+
+
+# -- (d) nothing only tests reach ------------------------------------------------
+
+_REPO = os.path.dirname(_SRC)
+
+#: Where a use counts: the library, the benchmarks and the examples.  A name
+#: only ``tests/`` reaches is dead weight the suite keeps alive.
+SCANNED = ("src", "benchmarks", "examples")
+
+#: Definitions in ``src/`` that nothing outside ``tests/`` names, each kept on
+#: purpose.  A key is a module plus a qualified name; a module or class key
+#: covers everything defined inside it.
+KEEP = {
+    "repro.netsim.chaos": "the chaos-soak harness of ROADMAP north star 3; "
+        "tests/test_chaos.py and tests/test_adversary.py run it in CI",
+    "repro.netsim.adversary.LeakProbe": "the soak harness's cross-peer leak probe",
+    "repro.obs.metrics.MetricsRegistry.counter_value": "the metrics read API tests assert through",
+    "repro.core.rendezvous.RendezvousServer.registration":
+        "the registration read API tests assert through",
+    "repro.netsim.clock.Scheduler.step": "public drive API: fire one event",
+    "repro.netsim.addresses.Endpoint.parse": "public parse API, the inverse of str()",
+    "repro.netsim.packet.Packet.stow": "the packet-pool contract until ROADMAP item 2 decides the pool",
+    "repro.netsim.network.Network.metrics_summary":
+        "README.md:118 and docs/observability.md:12 tell users to call it",
+    "repro.netsim.network.Network.metrics_json":
+        "named in benchmarks/e2e/README.md, which only a benchmark change edits",
+    "repro.obs.flight.attempts_from_payload":
+        "docs/observability.md:229 tells users to call it on a dumped flight log",
+    "repro.obs.export.from_json": "reads back what to_json writes (docs/observability.md:236)",
+    "repro.obs.flight_export.from_jsonl":
+        "reads back what to_jsonl writes (docs/observability.md:222)",
+    "repro.obs.flight_export.from_chrome_trace":
+        "reads back what to_chrome_trace writes (docs/observability.md:225)",
+    "repro.core.registry.RegistrationTable.adopt":
+        "the registry's bulk import: a rule of the RegistrationTable state machine "
+        "(tests/test_registry_model.py) and the handover of the shard model "
+        "(tests/test_shard_model.py)",
+    "repro.netsim.addresses.Endpoint.obfuscated":
+        "the §3.1 / §5.3 endpoint obfuscation stated once; tests/test_protocol.py "
+        "checks the codec's compiled mask against it",
+    "repro.natcheck.fleet.device_seed":
+        "pinned by tests/test_fleet_parallel.py, which ROADMAP item 11 deletes",
+    "repro.obs.export.summarize_values":
+        "exported repro.obs digest; left to the next pass with the one test that pins it",
+    "repro.scenarios.topologies.build_public_pair":
+        "exported scenario builder seven test modules stand on; moving it is not deleting it",
+    "repro.scenarios.topologies.build_sharded_pool":
+        "exported scenario builder the shard tests stand on; moving it is not deleting it",
+}
+
+#: ``*Config`` / ``*Policy`` fields nothing outside ``tests/`` sets, each kept
+#: on purpose.
+KEEP_FIELDS = {
+    **{
+        f"NatCheckConfig.{name}": "device_fingerprint canonicalises the whole config "
+            "into each Table 1 device's seed: dropping a field re-seeds every device"
+        for name in ("secondary_port", "udp_wait", "hairpin_wait", "tcp_echo_wait",
+                     "tcp_connect_wait")
+    },
+    "TcpPunchConfig.select_delay": "ROADMAP item 13 deletes it with the settle window",
+    "ChaosConfig.warmup": "the chaos-soak harness (see KEEP); tests/test_chaos.py sets it",
+    "ChaosConfig.horizon": "the chaos-soak harness (see KEEP); tests/test_chaos.py sets it",
+}
+
+
+def _parsed(root: str):
+    """``(module, path, tree)`` for every Python file under *root*'s
+    :data:`SCANNED` directories; *module* is dotted for ``src/`` only."""
+    for top in SCANNED:
+        for folder, dirs, files in os.walk(os.path.join(root, top)):
+            dirs[:] = sorted(d for d in dirs if not d.startswith("."))
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), path)
+                module = None
+                if top == "src":
+                    parts = os.path.relpath(path, os.path.join(root, "src"))[:-3].split(os.sep)
+                    module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+                yield module, path, tree
+
+
+def _export_table_keys(tree) -> set:
+    """The key strings of every ``_lazy_exports(name, {...})`` table: a name
+    reachable only from there is exported, not used."""
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lazy_exports":
+            for arg in node.args:
+                if isinstance(arg, ast.Dict):
+                    keys.update(id(key) for key in arg.keys)
+    return keys
+
+
+def _definitions(module: str, tree):
+    """``(qualified name, node)`` for every non-dunder def/class in *tree*."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified = f"{prefix}.{child.name}"
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found.append((qualified, child))
+                visit(child, qualified)
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return found
+
+
+def _config_fields(tree):
+    """``Class.field`` names of the ``*Config`` / ``*Policy`` dataclasses."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Policy"))):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            continue
+        for statement in node.body:
+            if (
+                isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+                and "ClassVar" not in ast.dump(statement.annotation)
+            ):
+                yield f"{node.name}.{statement.target.id}"
+
+
+def scan(root: str = _REPO):
+    """``(unused, unset)``: qualified names of the ``src/`` definitions whose
+    name nothing in :data:`SCANNED` uses outside the definition itself, and
+    the config fields no call sets by keyword and no code sets by attribute
+    store.
+
+    Uses are collected by name from the ``ast`` — a load, an attribute, an
+    imported name, or an identifier string (``getattr`` dispatch) outside an
+    export table — so expressions inside f-strings count, the same on every
+    Python the package supports.  Matching by name over-approximates use: a
+    definition sharing its name with anything used survives the scan."""
+    definitions, fields = [], []
+    uses, sets = {}, set()
+    for module, path, tree in _parsed(root):
+        if module is not None:
+            definitions.extend((name, path, node) for name, node in _definitions(module, tree))
+            fields.extend(_config_fields(tree))
+        exported = _export_table_keys(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+                if isinstance(node.ctx, ast.Store):
+                    sets.add(name)
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            elif isinstance(node, ast.keyword):
+                sets.add(node.arg)
+                continue
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.isidentifier()
+                and id(node) not in exported
+            ):
+                name = node.value
+            else:
+                continue
+            uses.setdefault(name, []).append((path, getattr(node, "lineno", 0)))
+    unused = []
+    for qualified, path, node in definitions:
+        inside = range(node.lineno, node.end_lineno + 1)
+        if all(where == path and line in inside for where, line in uses.get(node.name, ())):
+            unused.append(qualified)
+    return unused, [field for field in fields if field.rpartition(".")[2] not in sets]
+
+
+def _kept(qualified: str):
+    """The :data:`KEEP` key that covers *qualified*, if any."""
+    return next((key for key in KEEP if qualified == key or qualified.startswith(key + ".")), None)
+
+
+@pytest.fixture(scope="module")
+def repo_scan():
+    return scan()
+
+
+def test_every_definition_is_reached_outside_tests(repo_scan):
+    unused, _ = repo_scan
+    assert [name for name in unused if _kept(name) is None] == []
+    # An entry that no longer covers anything unused is stale: delete it.
+    assert set(KEEP) == {_kept(name) for name in unused} - {None}
+
+
+def test_every_config_field_is_set_outside_tests(repo_scan):
+    _, unset = repo_scan
+    assert sorted(unset) == sorted(KEEP_FIELDS)
+
+
+def test_the_scan_counts_f_strings_and_not_export_tables(tmp_path):
+    """The scan itself: a name used only inside an f-string is used (a
+    tokenizer that sees an f-string as one STRING token, as Python 3.11's
+    does, would call it dead); a name only an export table lists is not; and
+    one uncalled method is caught."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from repro import _lazy_exports\n"
+        "__getattr__, __dir__, __all__ = _lazy_exports(__name__, {'exported': 'mod'})\n"
+    )
+    (package / "mod.py").write_text(
+        "def _yn(flag):\n"
+        "    return 'yes' if flag else 'no'\n"
+        "\n"
+        "def exported():\n"
+        "    return exported\n"
+        "\n"
+        "class Shown:\n"
+        "    def __repr__(self):\n"
+        "        return f'Shown({_yn(True)})'\n"
+        "\n"
+        "    def uncalled(self):\n"
+        "        return self\n"
+    )
+    unused, _ = scan(str(tmp_path))
+    assert unused == ["pkg.mod.exported", "pkg.mod.Shown", "pkg.mod.Shown.uncalled"]
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text("from pkg.mod import Shown\nprint(Shown())\n")
+    assert scan(str(tmp_path))[0] == ["pkg.mod.exported", "pkg.mod.Shown.uncalled"]
+
+
+@pytest.mark.parametrize("module, name", [("repro.obs.export", "_format_value"),
+                                          ("repro.natcheck.classify", "_yn")])
+def test_the_scan_reads_the_real_f_string_users(repo_scan, module, name):
+    """Two helpers that are used only inside f-strings: the scan sees them."""
+    assert callable(getattr(importlib.import_module(module), name))
+    assert f"{module}.{name}" not in repo_scan[0]

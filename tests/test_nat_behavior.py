@@ -69,9 +69,11 @@ def test_presets_are_frozen():
 
 
 def test_canonical_is_stable_and_complete():
-    canon = B.WELL_BEHAVED.canonical()
+    from repro.cache import canonicalize
+
+    canon = canonicalize(B.WELL_BEHAVED)
     assert canon["__type__"] == "NatBehavior"
-    assert canon == B.WELL_BEHAVED.canonical()  # pure
+    assert canon == canonicalize(B.WELL_BEHAVED)  # pure
     # Every axis is present — a new field silently missing from the
     # fingerprint would make behaviourally different devices collide.
     from dataclasses import fields

@@ -58,7 +58,7 @@ def test_gauge_set_inc_dec():
     g = reg.gauge("queue_depth")
     g.set(10)
     g.inc(5)
-    g.dec(3)
+    g.inc(-3)  # a gauge goes down through a negative increment
     assert reg.gauges()["queue_depth"] == 12
 
 

@@ -249,7 +249,7 @@ class TestDrainBooks:
             if len(calls) == 3:
                 raise RuntimeError("application bug")
 
-        b.stack.udp.bound_ports[(None, 9)].on_datagram = on_datagram
+        b.stack.udp._bindings[(None, 9)].on_datagram = on_datagram
         sock = a.stack.udp.socket(8)
         for i in range(3):  # same tick: one coalesced batch
             sock.sendto(b"%d" % i, Endpoint("10.0.0.2", 9))

@@ -6,6 +6,7 @@ import pytest
 from repro.core.protocol import Keepalive, TRANSPORT_UDP
 from repro.core.registry import RegistryConfig
 from repro.scenarios import build_sharded_pool, build_two_nats
+from tests.conftest import handover
 
 
 def _registered_pair(sc, timeout=10.0):
@@ -98,7 +99,7 @@ def test_server_ttl_sweep_expires_silent_clients_and_allows_reregistration():
     assert B.client_id in server.udp_clients
 
 
-def test_handover_preserves_last_seen_and_pair_nonces():
+def test_handover_preserves_last_seen():
     sc = build_two_nats(seed=11, num_servers=2)
     A, B = _registered_pair(sc)
     sessions = {}
@@ -109,18 +110,13 @@ def test_handover_preserves_last_seen_and_pair_nonces():
         cid: (reg.last_seen, reg.registered_at, reg.keepalives)
         for cid, reg in primary.udp_clients.items()
     }
-    nonces = dict(primary._pair_nonces)
-    assert nonces  # the connect minted one
-    primary.handover_to(successor)
-    assert successor.adopted_registrations == len(exported)
+    assert handover(primary, successor) == len(exported)
     for cid, (last_seen, registered_at, keepalives) in exported.items():
         adopted = successor.registration(cid, TRANSPORT_UDP)
         assert adopted is not None
         assert adopted.last_seen == last_seen
         assert adopted.registered_at == registered_at
         assert adopted.keepalives == keepalives
-    for key, (nonce, _stamp) in nonces.items():
-        assert successor._pair_nonces[key][0] == nonce
 
 
 def test_lookups_redirect_to_successor_during_shard_failover():
@@ -134,9 +130,9 @@ def test_lookups_redirect_to_successor_during_shard_failover():
         s for s in sc.servers.values() if s.endpoint == ring.endpoints[successor_index]
     )
     # Planned failover: hand the registrations over, then kill the owner.
-    owner.handover_to(successor)
+    handover(owner, successor)
     owner.stop()
-    assert ring.is_down(owner_index)
+    assert owner_index in ring._down
     assert ring.owner_index(B.client_id) == successor_index
     # B notices the decay (failover manager armed by the pool builder) and
     # re-homes; its re-registration may bounce through a redirect.
@@ -150,5 +146,5 @@ def test_lookups_redirect_to_successor_during_shard_failover():
     assert sessions["A"].alive
     # Revival: the ring marks the shard back up.
     owner.start()
-    assert not ring.is_down(owner_index)
+    assert owner_index not in ring._down
     assert ring.owner_index(B.client_id) == owner_index

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import tcp_sequential
 from repro.core.tcp_sequential import SequentialConfig
 from repro.nat import behavior as B
 from repro.scenarios import build_one_sided, build_public_pair, build_two_nats
@@ -55,10 +56,9 @@ class TestSequentialPunch:
         sc.wait_for(lambda: "a" in result, 40.0)
         assert sum(c.control_reconnects for c in sc.clients.values()) == 0
 
-    def test_no_consume_config(self):
+    def test_no_consume_config(self, monkeypatch):
+        monkeypatch.setattr(tcp_sequential, "CONSUME_CONTROL", False)
         sc = build_two_nats(seed=44)
-        for c in sc.clients.values():
-            c.sequential_config = SequentialConfig(consume_control=False)
         result = sequential(sc)
         assert "stream" in result
         assert sum(c.control_reconnects for c in sc.clients.values()) == 0

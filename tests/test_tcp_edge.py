@@ -431,7 +431,7 @@ def test_listener_pending_equals_the_scan_after_every_step(ops, backlog):
             else:
                 conn.abort()
         assert listener.pending == _half_open_scan(listener) <= backlog
-    assert listener.accepted_count == len(listener.accept_pending())
+    assert listener.accepted_count == len(listener._accept_queue)
 
 
 def test_backlog_refuses_exactly_the_next_half_open_syn():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.connector import P2PConnector, RetryPolicy, STRATEGY_PUNCH
+from repro.core import connector as connector_module
+from repro.core.connector import P2PConnector, STRATEGY_PUNCH
 from repro.core.protocol import TRANSPORT_TCP
 from repro.core.tcp_punch import TcpPunchConfig
 from repro.netsim.faults import FAULT_LINK_FLAP, FaultPlan
@@ -94,9 +95,11 @@ class TestStreamKeepalives:
 
 
 class TestConnectorTcpRecovery:
-    def test_ladder_reruns_after_peer_death(self):
+    def test_ladder_reruns_after_peer_death(self, monkeypatch):
         """The connector's recovery ladder now covers TCP channels: a dead
         peer stream triggers a backoff and a fresh ladder run."""
+        monkeypatch.setattr(connector_module, "MAX_RETRIES", 2)
+        monkeypatch.setattr(connector_module, "TCP_KEEPALIVE_INTERVAL", 1.0)
         sc = build_two_nats(seed=410)
         sc.register_all_tcp()
         sc.register_all_udp()
@@ -106,16 +109,13 @@ class TestConnectorTcpRecovery:
             sc.clients["A"],
             transport=TRANSPORT_TCP,
             phase_timeout=8.0,
-            retry_policy=RetryPolicy(
-                max_retries=2, backoff=0.5, tcp_keepalive_interval=1.0
-            ),
         )
         results = []
         connector.connect(2, on_result=results.append)
         sc.wait_for(lambda: results and incoming, 60.0)
         assert results[0].strategy == STRATEGY_PUNCH
         first = results[0].channel
-        assert first._keepalive_interval == 1.0  # policy armed the probes
+        assert first._keepalive_interval == 1.0  # recovery armed the probes
         # Peer's application dies, resetting the stream under A.
         incoming[0].abort()
         sc.wait_for(lambda: len(results) >= 2, 60.0)

@@ -77,9 +77,7 @@ class TestStackPortRules:
         listener = b.stack.tcp.listen(80)  # no on_accept
         a.stack.tcp.connect(B_EP)
         net.run_until(net.now + 2)
-        pending = listener.accept_pending()
-        assert len(pending) == 1
-        assert listener.accept_pending() == []  # drained
+        assert len(listener._accept_queue) == 1
 
 
 class TestSocketApi:

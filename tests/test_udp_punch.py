@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import udp_punch
 from repro.core.udp_punch import PunchConfig
 from repro.nat import behavior as B
 from repro.nat.policy import FilteringPolicy
@@ -165,9 +166,10 @@ class TestPuncherMechanics:
         # Puncher is gone, but the session's remote is B's only endpoint.
         assert str(result["s"].remote) == "138.76.29.7:4321"
 
-    def test_probe_retry_cadence(self):
+    def test_probe_retry_cadence(self, monkeypatch):
+        monkeypatch.setattr(udp_punch, "PROBE_INTERVAL", 0.1)
         sc = build_two_nats(seed=18)
-        config = PunchConfig(probe_interval=0.1, timeout=5.0)
+        config = PunchConfig(timeout=5.0)
         result = punch(sc, config=config)
         assert "session" in result
         assert result["session"].established_at < 1.0
