@@ -54,9 +54,8 @@ from repro.natcheck.fleet import (
     VENDOR_SPECS,
     resolve_workers,
     run_fleet,
-    run_monte_carlo,
-    run_monte_carlo_stratified,
     scale_population,
+    survey_design_space,
 )
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Scheduler
@@ -378,41 +377,16 @@ def bench_fleet_parallel(ctx: "BenchContext") -> dict:
     return record
 
 
-def bench_monte_carlo(quick: bool = False) -> dict:
-    """Monte-Carlo punch-success survey over the NAT design space.
+def bench_design_space(quick: bool = False) -> dict:
+    """Punch success over the whole NAT design space, counted exactly.
 
-    Samples the behaviour-axis space uniformly (see
-    :func:`repro.natcheck.fleet.run_monte_carlo`) and reports per-column
-    success rates with 95% Wilson confidence intervals — Table 1 generalized
-    from the observed 2004 vendor mix to the design space.  Only tractable
-    at this sample count because fingerprint dedup collapses repeated draws
-    onto one simulation each.
+    NAT Check runs once on every cell of the behaviour-axis cross product
+    (see :func:`repro.natcheck.fleet.survey_design_space`): Table 1
+    generalized from the observed 2004 vendor mix to every design the axes
+    express.  Quick mode sweeps the first 24 cells.
     """
-    samples = 200 if quick else 1500
     started = time.perf_counter()
-    record = run_monte_carlo(samples=samples, seed=42)
-    record["wall_seconds"] = time.perf_counter() - started
-    record["quick"] = quick
-    return record
-
-
-def bench_monte_carlo_stratified(quick: bool = False) -> dict:
-    """Million-sample stratified Monte-Carlo with per-axis sensitivity.
-
-    Every cell of the behaviour-axis cross product is a stratum (see
-    :func:`repro.natcheck.fleet.run_monte_carlo_stratified`), so the million
-    draws cost at most one simulation per cell and the per-axis Wilson
-    intervals tighten with the sample count instead of the simulation
-    count.  Quick mode caps both the draw count and the swept strata — the
-    CI smoke still exercises allocation, dedup, and the sensitivity
-    aggregation, just over a prefix of the space.
-    """
-    samples = 100_000 if quick else 1_000_000
-    strata_limit = 24 if quick else None
-    started = time.perf_counter()
-    record = run_monte_carlo_stratified(
-        samples=samples, seed=42, strata_limit=strata_limit
-    )
+    record = survey_design_space(seed=42, cells=24 if quick else None)
     record["wall_seconds"] = time.perf_counter() - started
     record["quick"] = quick
     return record
@@ -555,12 +529,8 @@ def emit_perf(ctx: BenchContext) -> dict:
         "scaled_population",
         lambda: bench_scaled_population(quick=ctx.quick, serial_wall=serial_wall),
     )
-    record["monte_carlo"] = ctx.get(
-        "monte_carlo", lambda: bench_monte_carlo(quick=ctx.quick)
-    )
-    record["monte_carlo_stratified"] = ctx.get(
-        "monte_carlo_stratified",
-        lambda: bench_monte_carlo_stratified(quick=ctx.quick),
+    record["design_space"] = ctx.get(
+        "design_space", lambda: bench_design_space(quick=ctx.quick)
     )
     record["adversarial"] = ctx.get(
         "adversarial", lambda: bench_adversarial(quick=ctx.quick)
@@ -576,7 +546,7 @@ def bench_rendezvous_subprocess(quick: bool = False) -> dict:
     """Run the rendezvous scale bench in a fresh interpreter.
 
     The workload is memory-layout sensitive: a million slotted registration
-    objects measured after the fleet and Monte-Carlo corpora have churned
+    objects measured after the fleet and the design-space survey have churned
     this process's arenas read systematically slower than the same code on
     a clean heap — which is how CI's ``rendezvous-scale`` job and the
     standalone CLI run it.  Process isolation keeps the committed record
@@ -663,9 +633,6 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", metavar="PATH", default=None,
                         help="dump a cProfile of the NAT echo loop to PATH "
                              "(pstats format; load with pstats.Stats)")
-    parser.add_argument("--sensitivity-out", metavar="PATH", default=None,
-                        help="write the stratified Monte-Carlo record (incl. "
-                             "the per-axis sensitivity table) to PATH as JSON")
     args = parser.parse_args(argv)
     selected = args.only or sorted(BENCH_EMITTERS)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -722,43 +689,16 @@ def main(argv=None) -> int:
                 wheel=rdv["wheel_bytes_per_registrant"],
             )
         )
-        mc = perf["monte_carlo"]
-        udp = mc["columns"]["udp"]
-        print(
-            "  monte-carlo: {samples} samples -> {distinct_designs} designs; "
-            "UDP punch {rate:.1%} (95% CI {lo:.1%}-{hi:.1%})".format(
-                samples=mc["samples"],
-                distinct_designs=mc["distinct_designs"],
-                rate=udp["rate"],
-                lo=udp["ci95"][0],
-                hi=udp["ci95"][1],
-            )
-        )
-        strat = perf["monte_carlo_stratified"]
-        sudp = strat["columns"]["udp"]
-        print(
-            "  stratified:  {samples:,} samples over {populated}/{strata} "
-            "strata -> {sims} simulations; UDP punch {rate:.1%} "
-            "(95% CI {lo:.1%}-{hi:.1%})".format(
-                samples=strat["samples"],
-                populated=strat["strata_populated"],
-                strata=strat["strata"],
-                sims=strat["distinct_designs"],
-                rate=sudp["rate"],
-                lo=sudp["ci95"][0],
-                hi=sudp["ci95"][1],
-            )
-        )
+        design = perf["design_space"]
+        print(f"  design space: {design['cells']} of {design['space_size']} cells; " + ", ".join(
+            f"{name} {column['successes']}/{column['trials']}"
+            for name, column in design["columns"].items()
+        ))
         cold = perf["cold_start"]
         print("  cold start: " + "; ".join(
             f"{name} {cell['repro_modules']} modules {cell['import_wall_ms']:.0f} ms"
             for name, cell in cold.items()
         ))
-        if args.sensitivity_out:
-            with open(args.sensitivity_out, "w") as fh:
-                json.dump(strat, fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {args.sensitivity_out} (per-axis sensitivity)")
     if args.profile:
         # A separate profiled run, after the records are emitted, so the
         # profiler's ~4x call overhead never contaminates a recorded number.

@@ -27,7 +27,7 @@ import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache import Fingerprint, behavior_fingerprint, mix_seed
 from repro.nat.behavior import NatBehavior
@@ -40,7 +40,6 @@ from repro.netsim.link import BACKBONE_LINK, LAN_LINK
 from repro.netsim.network import Network
 from repro.obs.metrics import MetricsRegistry
 from repro.transport.stack import attach_stack
-from repro.util.rng import SeededRng
 
 Count = Tuple[int, int]  # (supporting, reporting)
 
@@ -607,21 +606,17 @@ def run_fleet(
     return result
 
 
-# -- Monte-Carlo parameterized populations ------------------------------------
+# -- The NAT design space ------------------------------------------------------
 #
 # Table 1 measures punch success over the *observed* 2004 vendor mix.  The
-# Monte-Carlo mode asks the generalized question: over the NAT *design
-# space* — every combination of the behaviour axes, sampled uniformly —
-# what fraction of devices supports each hole-punching technique?  Each
-# sampled device runs the real NAT Check protocol (the same packet-level
-# measurement as the fleet); the fingerprint dedup makes the sweep cheap,
-# because the sampled space is finite and the same combination is only ever
-# simulated once.
+# design-space survey asks the generalized question: over every combination
+# of the behaviour axes, what fraction of devices supports each hole-punching
+# technique?  Each cell runs the real NAT Check protocol (the same
+# packet-level measurement as the fleet) once, so the counts are exact.
 
-#: The axis options a Monte-Carlo device draws from, one uniform choice per
-#: axis.  ``tcp_mapping=None`` means "inherit the UDP mapping policy" —
-#: included so single-table NATs (the common implementation) appear in the
-#: population alongside split-table ones.
+#: The behaviour axes the survey crosses.  ``tcp_mapping=None`` means
+#: "inherit the UDP mapping policy" — included so single-table NATs (the
+#: common implementation) appear in the space alongside split-table ones.
 MONTE_CARLO_AXES: Dict[str, Tuple[object, ...]] = {
     "mapping": tuple(MappingPolicy),
     "filtering": tuple(FilteringPolicy),
@@ -635,23 +630,13 @@ MONTE_CARLO_AXES: Dict[str, Tuple[object, ...]] = {
 MONTE_CARLO_SPACE = math.prod(len(options) for options in MONTE_CARLO_AXES.values())
 
 
-def sample_behavior(rng: SeededRng) -> NatBehavior:
-    """Draw one NAT design uniformly from :data:`MONTE_CARLO_AXES`.
-
-    The axes are drawn in the fixed dict order above, one ``rng.choice``
-    each, so a given rng stream always reproduces the same device sequence.
-    """
-    draws = {axis: rng.choice(options) for axis, options in MONTE_CARLO_AXES.items()}
-    return NatBehavior(**draws)
-
-
 def wilson_interval(
     successes: int, trials: int, z: float = 1.96
 ) -> Tuple[float, float]:
     """Wilson score confidence interval for a binomial proportion.
 
     Preferred over the normal approximation because punch-success rates sit
-    near the extremes (a symmetric-heavy draw can yield rates near 0), where
+    near the extremes (a symmetric-heavy mix can yield rates near 0), where
     the Wald interval collapses or escapes [0, 1].  ``trials == 0`` returns
     the vacuous (0, 1) interval.
     """
@@ -670,31 +655,7 @@ def wilson_interval(
     )
 
 
-@dataclass
-class MonteCarloColumn:
-    """One punch-technique column of the Monte-Carlo survey."""
-
-    successes: int = 0
-    trials: int = 0
-
-    def add(self, outcome: Optional[bool], weight: int) -> None:
-        if outcome is None:
-            return
-        self.trials += weight
-        if outcome:
-            self.successes += weight
-
-    def to_dict(self) -> Dict[str, object]:
-        low, high = wilson_interval(self.successes, self.trials)
-        return {
-            "successes": self.successes,
-            "trials": self.trials,
-            "rate": self.successes / self.trials if self.trials else 0.0,
-            "ci95": [low, high],
-        }
-
-
-#: Punch-technique columns every Monte-Carlo survey reports, mapped to the
+#: Punch-technique columns the survey reports, mapped to the
 #: :class:`~repro.natcheck.classify.NatCheckReport` field holding the outcome.
 MONTE_CARLO_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("udp", "udp_punch_ok"),
@@ -703,84 +664,21 @@ MONTE_CARLO_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("tcp_hairpin", "tcp_hairpin"),
 )
 
-_Columns = Dict[str, MonteCarloColumn]
+_Tally = Dict[str, List[int]]  # column -> [successes, trials]
 
 
-def _fresh_columns() -> _Columns:
-    return {name: MonteCarloColumn() for name, _ in MONTE_CARLO_COLUMNS}
+def _fresh_tally() -> _Tally:
+    return {name: [0, 0] for name, _ in MONTE_CARLO_COLUMNS}
 
 
-def _columns_record(columns: _Columns) -> Dict[str, object]:
-    return {name: column.to_dict() for name, column in columns.items()}
-
-
-def _survey_designs(
-    designs: Iterable[Tuple[NatBehavior, int]],
-    seed: int,
-    config: Optional[NatCheckConfig],
-    also_into: Optional[Callable[[NatBehavior], Iterable[_Columns]]] = None,
-) -> Dict[str, object]:
-    """The Monte-Carlo engine both survey modes feed.
-
-    Takes ``(design, weight)`` pairs, simulates each distinct behavioral
-    fingerprint once with the full NAT Check protocol (*config* None = every
-    probe: hairpin + TCP) and adds every design's outcomes, weighted, into
-    the overall columns — and into whatever extra column sets
-    ``also_into(design)`` names (the stratified mode's sensitivity buckets).
-    Returns the record tail: ``distinct_designs`` (the number of simulations
-    actually run) and the ``columns`` table.
-    """
-    if config is None:
-        config = NatCheckConfig(
-            run_udp_hairpin=True, run_tcp=True, run_tcp_hairpin=True
-        )
-    columns = _fresh_columns()
-    reports: Dict[str, NatCheckReport] = {}
-    for behavior, weight in designs:
-        fingerprint = device_fingerprint(behavior, config, seed)
-        report = reports.get(fingerprint.core)
-        if report is None:
-            report = check_device(behavior, config, seed=fingerprint.seed)
-            reports[fingerprint.core] = report
-        targets = [columns, *also_into(behavior)] if also_into else [columns]
-        for name, field_name in MONTE_CARLO_COLUMNS:
-            outcome = getattr(report, field_name)
-            for target in targets:
-                target[name].add(outcome, weight)
+def _tally_record(tally: _Tally) -> Dict[str, object]:
     return {
-        "distinct_designs": len(reports),
-        "columns": _columns_record(columns),
-    }
-
-
-def run_monte_carlo(
-    samples: int = 1500,
-    seed: int = 0,
-    config: Optional[NatCheckConfig] = None,
-) -> Dict[str, object]:
-    """Survey punch success over a uniformly sampled NAT design space.
-
-    Draws *samples* devices via :func:`sample_behavior` (stream
-    ``SeededRng(seed, "monte-carlo")``) and feeds them, weight one each, to
-    :func:`_survey_designs`, which dedups them by behavioral fingerprint —
-    the sample space holds :data:`MONTE_CARLO_SPACE` distinct designs, so a
-    large draw repeats combinations — and simulates each distinct design
-    once.
-
-    Returns a record with, per Table 1 column, the weighted success count,
-    trial count, success rate, and 95% Wilson confidence interval, plus the
-    dedup accounting (``distinct_designs`` is the number of simulations the
-    sweep actually ran).
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = SeededRng(seed, "monte-carlo")
-    designs = ((sample_behavior(rng), 1) for _ in range(samples))
-    return {
-        "samples": samples,
-        "seed": seed,
-        "space_size": MONTE_CARLO_SPACE,
-        **_survey_designs(designs, seed, config),
+        name: {
+            "successes": successes,
+            "trials": trials,
+            "rate": successes / trials if trials else 0.0,
+        }
+        for name, (successes, trials) in tally.items()
     }
 
 
@@ -795,82 +693,52 @@ def _option_key(option: object) -> str:
     return str(value)
 
 
-def run_monte_carlo_stratified(
-    samples: int = 1_000_000,
-    seed: int = 0,
-    config: Optional[NatCheckConfig] = None,
-    strata_limit: Optional[int] = None,
-) -> Dict[str, object]:
-    """Stratified Monte-Carlo survey with per-axis sensitivity reports.
+def survey_design_space(seed: int = 0, cells: Optional[int] = None) -> Dict[str, object]:
+    """Punch success over every cell of the NAT design space, counted exactly.
 
-    Where :func:`run_monte_carlo` draws designs uniformly — so rare corners
-    of the space may be missed entirely at small sample counts — this sweep
-    treats every cell of the :data:`MONTE_CARLO_AXES` cross product
-    (:data:`MONTE_CARLO_SPACE` cells) as a stratum: each cell receives
-    ``samples // cells`` draws, and the remainder is spread over distinct
-    cells chosen by the seeded stream ``SeededRng(seed, "monte-carlo/
-    strata")``.  Every populated cell is simulated at most once (cells that
-    alias to the same behavioral fingerprint — e.g. ``tcp_mapping=None``
-    against the explicit same policy — share one simulation), so a
-    million-sample survey costs at most :data:`MONTE_CARLO_SPACE`
-    ``check_device`` runs; the sample count only sharpens the weights.
+    Runs the full NAT Check protocol (hairpin + TCP) once on each cell of the
+    :data:`MONTE_CARLO_AXES` cross product, in product order; *cells* caps
+    the sweep at the first N cells (the CI smoke), None sweeps all
+    :data:`MONTE_CARLO_SPACE`.  Each simulation is seeded by
+    :func:`device_fingerprint` from *seed*, as the fleet's are.
 
-    Besides the overall per-technique columns, the record carries a
-    ``sensitivity`` table: per axis, per option, the weighted success rate
-    and 95% Wilson CI of each technique over all strata holding that option
-    fixed — i.e. how much each behavioral axis moves hole-punch success.
-
-    Args:
-        samples: total draws to allocate across strata.
-        seed: stream seed (also mixed into each design's simulation seed).
-        config: probe plan; defaults to the full protocol (hairpin + TCP).
-        strata_limit: cap the sweep to the first N cells in axis product
-            order — the CI smoke knob; None sweeps the full space.
+    Returns, per Table 1 column, the exact ``successes`` / ``trials`` /
+    ``rate`` over the swept cells, and a ``sensitivity`` table holding the
+    same counts per axis, per option: over the cells holding that option
+    fixed, i.e. how much each behavioural axis moves hole-punch success.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if strata_limit is not None and strata_limit < 1:
-        raise ValueError(f"strata_limit must be >= 1, got {strata_limit}")
-    axis_names = tuple(MONTE_CARLO_AXES)
-    cells = list(itertools.product(*MONTE_CARLO_AXES.values()))
-    if strata_limit is not None:
-        cells = cells[:strata_limit]
-    allocation = [samples // len(cells)] * len(cells)
-    remainder = samples - allocation[0] * len(cells)
-    if remainder:
-        rng = SeededRng(seed, "monte-carlo/strata")
-        for index in rng.sample(range(len(cells)), remainder):
-            allocation[index] += 1
-
-    sensitivity: Dict[str, Dict[str, _Columns]] = {
-        axis: {_option_key(option): _fresh_columns() for option in options}
+    if cells is not None and cells < 1:
+        raise ValueError(f"cells must be >= 1, got {cells}")
+    config = NatCheckConfig(run_udp_hairpin=True, run_tcp=True, run_tcp_hairpin=True)
+    columns = _fresh_tally()
+    sensitivity: Dict[str, Dict[str, _Tally]] = {
+        axis: {_option_key(option): _fresh_tally() for option in options}
         for axis, options in MONTE_CARLO_AXES.items()
     }
-    designs = [
-        (NatBehavior(**dict(zip(axis_names, assignment))), weight)
-        for assignment, weight in zip(cells, allocation)
-        if weight
-    ]
-
-    def buckets_of(behavior: NatBehavior) -> Iterable[_Columns]:
-        return (
-            sensitivity[axis][_option_key(getattr(behavior, axis))]
-            for axis in axis_names
+    grid = list(itertools.islice(itertools.product(*MONTE_CARLO_AXES.values()), cells))
+    for assignment in grid:
+        behavior = NatBehavior(**dict(zip(MONTE_CARLO_AXES, assignment)))
+        report = check_device(
+            behavior, config, seed=device_fingerprint(behavior, config, seed).seed
         )
-
+        tallies = [columns] + [
+            sensitivity[axis][_option_key(option)]
+            for axis, option in zip(MONTE_CARLO_AXES, assignment)
+        ]
+        for name, field_name in MONTE_CARLO_COLUMNS:
+            outcome = getattr(report, field_name)
+            if outcome is None:
+                continue
+            for tally in tallies:
+                tally[name][0] += outcome
+                tally[name][1] += 1
     return {
-        "samples": samples,
         "seed": seed,
         "space_size": MONTE_CARLO_SPACE,
-        "strata": len(cells),
-        "strata_populated": len(designs),
-        "strata_limit": strata_limit,
-        **_survey_designs(designs, seed, config, also_into=buckets_of),
+        "cells": len(grid),
+        "columns": _tally_record(columns),
         "sensitivity": {
-            axis: {
-                option: _columns_record(buckets)
-                for option, buckets in options.items()
-            }
+            axis: {option: _tally_record(tally) for option, tally in options.items()}
             for axis, options in sensitivity.items()
         },
     }

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.util.errors import AddressError
 
@@ -141,25 +141,12 @@ class IPv4Network:
     def prefix_len(self) -> int:
         return self._prefix_len
 
-    @property
-    def broadcast_address(self) -> IPv4Address:
-        return IPv4Address(self._network | (~self.netmask_int() & 0xFFFFFFFF))
-
     def __contains__(self, address) -> bool:
         try:
             value = address._value
         except AttributeError:  # given as str/int/bytes
             value = IPv4Address(address)._value
         return value & self.netmask_int() == self._network
-
-    def hosts(self) -> Iterator[IPv4Address]:
-        """Iterate usable host addresses (excludes network/broadcast on /30-)."""
-        first, last = self._network, int(self.broadcast_address)
-        if self._prefix_len <= 30:
-            first += 1
-            last -= 1
-        for value in range(first, last + 1):
-            yield IPv4Address(value)
 
     def __eq__(self, other) -> bool:
         return (

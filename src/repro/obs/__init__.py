@@ -64,6 +64,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "from_json": "export",
     "render_text": "export",
     "summarize_for_report": "export",
-    "summarize_values": "export",
     "to_json": "export",
 })

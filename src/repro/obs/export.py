@@ -1,15 +1,13 @@
 """Exporters: text summaries and JSON dumps of a metrics registry.
 
-Three consumers:
+Two consumers:
 
 * humans — :func:`render_text` prints the full catalog of a run;
   :func:`summarize_for_report` produces the compact per-section block that
   ``python -m repro.analysis`` appends to every figure;
 * machines — :func:`to_json` / :func:`from_json` round-trip a snapshot, so
   ``analysis`` and the benchmark harness can archive run instrumentation
-  next to the measured artifacts;
-* latency tables — :func:`summarize_values` digests a raw list of
-  virtual-time observations (the fleet's per-vendor punch latencies).
+  next to the measured artifacts.
 """
 
 from __future__ import annotations
@@ -107,19 +105,6 @@ def _percentile(values: Sequence[float], p: float) -> float:
     ordered = sorted(values)
     rank = max(1, -(-int(p * len(ordered)) // 100))
     return ordered[min(rank, len(ordered)) - 1]
-
-
-def summarize_values(values: Sequence[float], unit: str = "s") -> str:
-    """Digest a raw observation list: ``n=… p50=… p95=… p99=… max=…``."""
-    if not values:
-        return "n=0"
-    return (
-        f"n={len(values)} "
-        f"p50={_format_value(_percentile(values, 50), unit)} "
-        f"p95={_format_value(_percentile(values, 95), unit)} "
-        f"p99={_format_value(_percentile(values, 99), unit)} "
-        f"max={_format_value(max(values), unit)}"
-    )
 
 
 #: Counter prefixes surfaced by the compact per-section report summary.

@@ -264,7 +264,7 @@ EXPORTS = {
         "OUTCOME_ERROR": "spans", "OUTCOME_FALLBACK": "spans", "OUTCOME_LOCKED": "spans",
         "OUTCOME_MIGRATED": "spans", "OUTCOME_OK": "spans", "OUTCOME_TIMEOUT": "spans",
         "format_metric_name": "metrics", "from_json": "export", "render_text": "export",
-        "summarize_for_report": "export", "summarize_values": "export", "to_json": "export",
+        "summarize_for_report": "export", "to_json": "export",
     },
     "repro.scenarios": {
         "Scenario": "topologies", "build_common_nat": "topologies",
@@ -292,7 +292,7 @@ def test_every_package_is_covered():
         m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
     }
     assert found == set(EXPORTS)
-    assert sum(len(table) for table in EXPORTS.values()) == 146
+    assert sum(len(table) for table in EXPORTS.values()) == 145
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -427,8 +427,6 @@ KEEP = {
         "checks the codec's compiled mask against it",
     "repro.natcheck.fleet.device_seed":
         "pinned by tests/test_fleet_parallel.py, which ROADMAP item 11 deletes",
-    "repro.obs.export.summarize_values":
-        "exported repro.obs digest; left to the next pass with the one test that pins it",
     "repro.scenarios.topologies.build_public_pair":
         "exported scenario builder seven test modules stand on; moving it is not deleting it",
     "repro.scenarios.topologies.build_sharded_pool":

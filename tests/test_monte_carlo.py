@@ -1,10 +1,8 @@
-"""Monte-Carlo NAT population mode (repro.natcheck.fleet.run_monte_carlo).
+"""The NAT design-space survey (repro.natcheck.fleet.survey_design_space).
 
-The sampler draws parameterized NAT designs from the full behavior-axis
-space (rather than the fixed Table 1 vendor list), dedups by behavioral
-fingerprint so each distinct design simulates once, weights outcomes by
-draw multiplicity, and reports punch-success rates with Wilson 95%
-confidence intervals.
+Every cell of the behaviour-axis cross product runs the real NAT Check
+protocol once, so the per-column counts and the per-axis sensitivity
+buckets are exact.  The full sweep runs once per module.
 """
 
 import math
@@ -15,12 +13,26 @@ from repro.natcheck.fleet import (
     MONTE_CARLO_AXES,
     MONTE_CARLO_COLUMNS,
     MONTE_CARLO_SPACE,
-    run_monte_carlo,
-    run_monte_carlo_stratified,
-    sample_behavior,
+    survey_design_space,
     wilson_interval,
 )
-from repro.util.rng import SeededRng
+
+
+@pytest.fixture(scope="module")
+def survey():
+    return survey_design_space()
+
+
+def _trials(buckets):
+    return {column["trials"] for columns in buckets.values() for column in columns.values()}
+
+
+def _successes(buckets):
+    """``{option: (udp, udp_hairpin, tcp, tcp_hairpin) successes}``."""
+    return {
+        option: tuple(columns[name]["successes"] for name, _ in MONTE_CARLO_COLUMNS)
+        for option, columns in buckets.items()
+    }
 
 
 class TestDesignSpace:
@@ -30,13 +42,6 @@ class TestDesignSpace:
         )
         # 3 mapping x 4 filtering x 4 tcp_mapping x 3 tcp_refusal x 2 x 2
         assert MONTE_CARLO_SPACE == 576
-
-    def test_sample_behavior_covers_every_axis(self):
-        rng = SeededRng(3, "mc-axis-coverage")
-        draws = [sample_behavior(rng) for _ in range(300)]
-        for axis, options in MONTE_CARLO_AXES.items():
-            seen = {getattr(b, axis) for b in draws}
-            assert seen == set(options), f"axis {axis} not fully explored"
 
 
 class TestWilsonInterval:
@@ -55,93 +60,59 @@ class TestWilsonInterval:
         assert (high_big - low_big) < (high_small - low_small)
 
 
-class TestRunMonteCarlo:
-    def test_deterministic_for_a_seed(self):
-        first = run_monte_carlo(samples=40, seed=5)
-        second = run_monte_carlo(samples=40, seed=5)
-        assert first == second
+class TestSurveyDesignSpace:
+    def test_column_counts_are_exact(self, survey):
+        assert survey["cells"] == MONTE_CARLO_SPACE
+        assert {
+            name: (column["successes"], column["trials"])
+            for name, column in survey["columns"].items()
+        } == {
+            "udp": (192, 576),
+            "udp_hairpin": (288, 576),
+            "tcp": (128, 576),
+            "tcp_hairpin": (96, 576),
+        }
+        assert survey["columns"]["udp"]["rate"] == 192 / 576
 
-    def test_seed_changes_the_draw(self):
-        assert run_monte_carlo(samples=40, seed=5) != run_monte_carlo(
-            samples=40, seed=6
-        )
+    def test_mapping_buckets(self, survey):
+        # Only EIM punches UDP.
+        assert _trials(survey["sensitivity"]["mapping"]) == {576 // 3}
+        assert _successes(survey["sensitivity"]["mapping"]) == {
+            "endpoint-independent": (192, 96, 64, 48),
+            "address-dependent": (0, 96, 32, 24),
+            "address-and-port-dependent": (0, 96, 32, 24),
+        }
 
-    def test_dedup_bounds_and_column_shape(self):
-        result = run_monte_carlo(samples=40, seed=5)
-        assert result["samples"] == 40
-        assert result["space_size"] == MONTE_CARLO_SPACE
-        assert 1 <= result["distinct_designs"] <= 40
-        udp = result["columns"]["udp"]
-        # Every sampled design reports a UDP punch verdict, and the weighted
-        # trials must account for every draw (multiplicity preserved).
-        assert udp["trials"] == 40
-        assert udp["ci95"][0] <= udp["rate"] <= udp["ci95"][1]
-        for column in result["columns"].values():
-            assert 0 <= column["trials"] <= 40
-            assert 0.0 <= column["rate"] <= 1.0
+    def test_tcp_mapping_buckets(self, survey):
+        # "inherit" punches TCP only where the inherited UDP mapping is EIM.
+        assert _trials(survey["sensitivity"]["tcp_mapping"]) == {576 // 4}
+        assert _successes(survey["sensitivity"]["tcp_mapping"]) == {
+            "inherit": (48, 72, 32, 24),
+            "endpoint-independent": (48, 72, 96, 72),
+            "address-dependent": (48, 72, 0, 0),
+            "address-and-port-dependent": (48, 72, 0, 0),
+        }
 
-
-class TestRunMonteCarloStratified:
-    """The million-sample survey: every axis cell is a stratum, simulations
-    are fingerprint-dedup'd, and the sample count only sharpens weights."""
-
-    def test_full_space_million_samples_costs_bounded_simulations(self):
-        result = run_monte_carlo_stratified(samples=1_000_000, seed=42)
-        assert result["samples"] == 1_000_000
-        assert result["strata"] == MONTE_CARLO_SPACE
-        assert result["strata_populated"] == MONTE_CARLO_SPACE
-        # Dedup bound: a million draws never cost more than one simulation
-        # per cell (aliasing fingerprints share even fewer).
-        assert result["distinct_designs"] <= MONTE_CARLO_SPACE
-        udp = result["columns"]["udp"]
-        assert udp["trials"] == 1_000_000
-        assert udp["ci95"][0] <= udp["rate"] <= udp["ci95"][1]
-
-    def test_deterministic_for_a_seed(self):
-        first = run_monte_carlo_stratified(samples=2000, seed=9, strata_limit=24)
-        second = run_monte_carlo_stratified(samples=2000, seed=9, strata_limit=24)
-        assert first == second
-
-    def test_strata_limit_caps_the_sweep(self):
-        result = run_monte_carlo_stratified(samples=480, seed=1, strata_limit=24)
-        assert result["strata"] == 24
-        assert result["strata_limit"] == 24
-        assert result["strata_populated"] == 24
-        assert result["distinct_designs"] <= 24
-        assert result["columns"]["udp"]["trials"] == 480
-
-    def test_remainder_spreads_over_distinct_cells(self):
-        # 100 samples over 24 strata: 4 each plus a 4-sample remainder that
-        # must land on distinct cells — total weight is exactly preserved.
-        result = run_monte_carlo_stratified(samples=100, seed=7, strata_limit=24)
-        assert result["strata_populated"] == 24
-        assert result["columns"]["udp"]["trials"] == 100
-
-    def test_fewer_samples_than_cells_populates_a_subset(self):
-        result = run_monte_carlo_stratified(samples=5, seed=3, strata_limit=24)
-        assert result["strata_populated"] == 5
-        assert result["columns"]["udp"]["trials"] == 5
-
-    def test_sensitivity_partitions_every_axis(self):
-        result = run_monte_carlo_stratified(samples=5760, seed=11)
-        sensitivity = result["sensitivity"]
+    def test_each_axis_partitions_the_cells(self, survey):
+        sensitivity = survey["sensitivity"]
         assert set(sensitivity) == set(MONTE_CARLO_AXES)
         for axis, options in MONTE_CARLO_AXES.items():
             buckets = sensitivity[axis]
             assert len(buckets) == len(options)
             for name, _field in MONTE_CARLO_COLUMNS:
-                # Holding one axis fixed partitions the draws: the option
-                # buckets of each axis sum back to the total sample count.
+                assert sum(b[name]["trials"] for b in buckets.values()) == survey["cells"]
                 assert (
-                    sum(bucket[name]["trials"] for bucket in buckets.values())
-                    == 5760
+                    sum(b[name]["successes"] for b in buckets.values())
+                    == survey["columns"][name]["successes"]
                 )
-                for bucket in buckets.values():
-                    cell = bucket[name]
-                    assert cell["ci95"][0] <= cell["rate"] <= cell["ci95"][1]
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            run_monte_carlo_stratified(samples=0)
-        with pytest.raises(ValueError):
-            run_monte_carlo_stratified(samples=10, strata_limit=0)
+    def test_cells_caps_the_sweep(self):
+        result = survey_design_space(cells=24)
+        assert result["cells"] == 24
+        for column in result["columns"].values():
+            assert column["trials"] == 24
+
+    def test_cells_below_one_is_rejected(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                survey_design_space(cells=bad)

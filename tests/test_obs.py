@@ -12,7 +12,6 @@ from repro.obs.export import (
     from_json,
     render_text,
     summarize_for_report,
-    summarize_values,
     to_json,
 )
 from repro.obs.metrics import (
@@ -185,13 +184,6 @@ def test_summarize_for_report_filters_prefixes():
     assert "punch spans: locked=1" in joined
     assert "scheduler.events_fired" not in joined
     assert summarize_for_report(MetricsRegistry()) == []
-
-
-def test_summarize_values():
-    assert summarize_values([]) == "n=0"
-    digest = summarize_values([0.01, 0.02, 0.03])
-    assert digest.startswith("n=3 ")
-    assert "p50=" in digest and "max=" in digest
 
 
 # -- profiler ----------------------------------------------------------------
