@@ -42,9 +42,9 @@ After every timed phase has finished, one *untimed* pass
 (:func:`measure_plane_bytes`) registers 100k peers under ``tracemalloc`` and
 reports what a peer costs in memory: ``table_bytes_per_registration`` (the
 record plus its share of the shard's dict and sweep bucket) and
-``wheel_bytes_per_registrant`` (the keepalive handle, its args tuple and
-wheel bucket slot).  Allocated bytes do not depend on the host's load, so
-``check_regression.py`` holds them to 10 %.
+``wheel_bytes_per_registrant`` (the keepalive handle, which carries the
+peer id itself, and its wheel bucket slot).  Allocated bytes do not depend
+on the host's load, so ``check_regression.py`` holds them to 10 %.
 
 Run standalone:  PYTHONPATH=src python benchmarks/rendezvous_scale.py [--quick]
 """

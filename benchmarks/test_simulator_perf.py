@@ -8,6 +8,7 @@ translation) are visible.  The 380-device Table 1 fleet leans on these.
 import collections
 import contextlib
 import enum
+import gc
 import os
 import random
 import sys
@@ -377,6 +378,56 @@ def test_registry_route_cost_guard():
         reads = [sched.now for _ in range(100)]
     assert reads == [sched.now] * 100
     assert all(n < 100 for n in calls.values())
+
+
+def _tracked_allocations(work) -> int:
+    """Net GC-tracked objects *work()* leaves behind, counted with the
+    collector off: generation 0's count rises by one per tracked allocation
+    and falls by one per release, and nothing resets it mid-run."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        work()
+        return gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_keepalive_wheel_allocation_guard():
+    """A keepalive registrant costs the wheel one tracked object, and a tick
+    allocates the same number of them whatever its fan-out.
+
+    Counts, not clocks: the difference between two population sizes cancels
+    the per-wheel constant (the first bucket and its timer), so what is left
+    is exactly the per-registrant allocation — the handle, nothing beside it.
+    """
+    from repro.core.registry import KeepaliveWheel
+
+    def filled(n):
+        sched = Scheduler()
+        wheel = KeepaliveWheel(sched, granularity=1.0)
+        fired = []
+        callback = fired.append
+
+        def add_all():
+            for cid in range(n):
+                wheel.add(10.0, callback, cid)
+
+        return sched, fired, _tracked_allocations(add_all)
+
+    small, large = 200, 1_000
+    sched_small, fired_small, added_small = filled(small)
+    sched_large, fired_large, added_large = filled(large)
+    assert added_large - added_small == large - small
+
+    # The tick at t = 11 fires every entry and re-files it into one bucket.
+    tick_small = _tracked_allocations(lambda: sched_small.run_until(11.0))
+    tick_large = _tracked_allocations(lambda: sched_large.run_until(11.0))
+    assert len(fired_small) == small and len(fired_large) == large
+    assert tick_small == tick_large
 
 
 def test_private_port_conflict_check_scales_flat():

@@ -588,18 +588,17 @@ class ShardedRegistry:
 class _WheelEntry:
     """Handle for one registrant on a :class:`KeepaliveWheel`."""
 
-    __slots__ = ("callback", "args", "interval", "cancelled")
+    __slots__ = ("callback", "arg", "interval")
 
     def __init__(
-        self, callback: Callable[..., None], interval: float, args: tuple = ()
+        self, callback: Callable[[object], None], interval: float, arg: object
     ) -> None:
-        self.callback = callback
-        self.args = args
+        self.callback: Optional[Callable[[object], None]] = callback
+        self.arg = arg
         self.interval = interval
-        self.cancelled = False
 
     def cancel(self) -> None:
-        self.cancelled = True
+        self.callback = None
 
 
 class KeepaliveWheel:
@@ -610,7 +609,8 @@ class KeepaliveWheel:
     The wheel files every registrant due in the same coarse tick under one
     bucket and fires them from a single timer, so a million keepalive loops
     cost the scheduler ``ttl / granularity``-ish events per period instead
-    of a million.
+    of a million.  A registrant is one callback with one argument, its id,
+    so the wheel keeps one small object per registrant.
     """
 
     def __init__(self, scheduler, granularity: float = 1.0) -> None:
@@ -623,21 +623,21 @@ class KeepaliveWheel:
         self.ticks_fired = 0
 
     def add(
-        self, interval: float, callback: Callable[..., None], *args: object
+        self, interval: float, callback: Callable[[object], None], arg: object
     ) -> _WheelEntry:
-        """Run ``callback(*args)`` roughly every *interval* virtual seconds.
+        """Run ``callback(arg)`` roughly every *interval* virtual seconds.
 
         "Roughly": fires are quantised to wheel ticks, so a callback lands
         at most one granularity late — the same trade every kernel timer
-        wheel makes.  Extra positional *args* ride on the entry (the
-        ``call_later`` convention), so a million registrants can share one
-        callback function instead of a million closures.  *interval* must
-        be positive: a non-positive one would re-file into an already-due
-        bucket on every fire and never let the clock move.
+        wheel makes.  *arg* is the registrant's id and rides on the entry,
+        so a million registrants can share one callback function instead of
+        a million closures.  *interval* must be positive: a non-positive one
+        would re-file into an already-due bucket on every fire and never let
+        the clock move.
         """
         if not interval > 0:  # NaN included
             raise ValueError(f"interval must be positive, got {interval!r}")
-        entry = _WheelEntry(callback, interval, args)
+        entry = _WheelEntry(callback, interval, arg)
         self.registrants += 1
         index = int((self.scheduler.now + interval) / self.granularity) + 1
         bucket = self._buckets.get(index)
@@ -674,10 +674,21 @@ class KeepaliveWheel:
         # bucket stays filed, since only its own tick removes it.
         targets: Dict[float, List[_WheelEntry]] = {}
         for entry in entries:
-            if entry.cancelled:
+            callback = entry.callback
+            if callback is None:
                 self.registrants -= 1
                 continue
-            entry.callback(*entry.args)
+            try:
+                callback(entry.arg)
+            except BaseException:
+                # As with one timer per registrant: the raising loop ends,
+                # and the rest of this tick fires at this same instant when
+                # the run resumes.
+                self.registrants -= 1
+                rest = entries[entries.index(entry) + 1:]
+                if rest:
+                    self._file(index, rest[0]).extend(rest[1:])
+                raise
             interval = entry.interval
             bucket = targets.get(interval)
             if bucket is None:

@@ -57,18 +57,13 @@ class Timer:
         """Prevent the callback from running; idempotent.
 
         Cancelling a timer that already fired is a no-op: the timer stays
-        in the ``fired`` state rather than reporting both ``fired`` and
-        ``cancelled`` True.
+        in the ``fired`` state and the scheduler does not count a cancel.
         """
         if self._cancelled or self._fired:
             return
         self._cancelled = True
         if self._scheduler is not None:
             self._scheduler._note_cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
 
     @property
     def fired(self) -> bool:

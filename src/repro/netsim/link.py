@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.clock import Scheduler, Timer
 from repro.netsim.packet import PACKET_POOL, IpProtocol, Packet
-from repro.obs.metrics import Counter
 from repro.util.rng import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -157,22 +156,11 @@ class Link:
         self.duplicates_delivered = 0
         self.packets_reordered = 0
         self.bytes_sent = 0
-        # Pre-bound per-protocol counter handles (one attribute add per
-        # packet on the hot path); the owning network's collector reads the
-        # dict views below at snapshot time.
-        self._sent_handles: Dict[IpProtocol, Counter] = {
-            proto: Counter("link.packets_sent", (("proto", proto.value),))
-            for proto in IpProtocol
-        }
-        self._lost_handles: Dict[IpProtocol, Counter] = {
-            proto: Counter("link.packets_lost", (("proto", proto.value),))
-            for proto in IpProtocol
-        }
-        #: Dense ``wire_index``-ordered view of ``_sent_handles`` for the
-        #: fast path (list index + direct ``.value`` bump, no enum hashing).
-        self._sent_by_index: List[Counter] = [
-            self._sent_handles[proto] for proto in IpProtocol
-        ]
+        #: Per-protocol sent / lost counts indexed by ``wire_index`` (a list
+        #: index per packet, no enum hashing); the owning network's
+        #: collector reads the dict views below at snapshot time.
+        self._sent: List[int] = [0] * len(IpProtocol)
+        self._lost: List[int] = [0] * len(IpProtocol)
         self._refresh_fast_path()
         if trace is not None:
             trace.subscribe(self._refresh_fast_path)
@@ -181,12 +169,11 @@ class Link:
     def packets_sent(self) -> int:
         """Total packets placed on the wire.
 
-        Derived from the per-protocol counters — every wire path bumps
-        exactly one per-proto handle, so the transmit hot path pays one
-        counter write instead of two and this read-rare total sums at
-        snapshot time.
+        Derived from the per-protocol counts — every wire path bumps
+        exactly one, so the transmit hot path pays one count write instead
+        of two and this read-rare total sums at snapshot time.
         """
-        return sum(counter.value for counter in self._sent_by_index)
+        return sum(self._sent)
 
     # -- statistical fast path ---------------------------------------------------
 
@@ -242,12 +229,12 @@ class Link:
     @property
     def sent_by_proto(self) -> Dict[IpProtocol, int]:
         """Per-protocol sent counts (protocols actually seen only)."""
-        return {p: c.value for p, c in self._sent_handles.items() if c.value}
+        return {p: n for p, n in zip(IpProtocol, self._sent) if n}
 
     @property
     def lost_by_proto(self) -> Dict[IpProtocol, int]:
         """Per-protocol loss counts (protocols actually seen only)."""
-        return {p: c.value for p, c in self._lost_handles.items() if c.value}
+        return {p: n for p, n in zip(IpProtocol, self._lost) if n}
 
     def attach(self, node: "Node", ip) -> None:
         """Attach *node*'s interface at *ip* to this segment."""
@@ -321,7 +308,7 @@ class Link:
         if self._fast:
             proto = packet.proto
             self.bytes_sent += proto.header_bytes + len(packet.payload)
-            self._sent_by_index[proto.wire_index].value += 1
+            self._sent[proto.wire_index] += 1
             scheduler = self.scheduler
             batch = self._open_batch
             if (
@@ -366,12 +353,12 @@ class Link:
         profile = self._profile
         if profile.loss and self._rng.chance(profile.loss):
             self._drop(packet, sender, receiver, "lost")
-            self._lost_handles[packet.proto].inc()
+            self._lost[packet.proto.wire_index] += 1
             return False
         if profile.burst_enter and self._ge_burst_drops(packet):
             self._drop(packet, sender, receiver, "burst-lost")
             self.burst_drops += 1
-            self._lost_handles[packet.proto].inc()
+            self._lost[packet.proto.wire_index] += 1
             return False
         delay = profile.latency + extra_delay
         if profile.jitter:
@@ -396,7 +383,7 @@ class Link:
             self.duplicates_delivered += 1
         proto = packet.proto
         self.bytes_sent += proto.header_bytes + len(packet.payload)
-        self._sent_by_index[proto.wire_index].value += 1
+        self._sent[proto.wire_index] += 1
         if self._tracing:
             self._record(packet, sender, receiver, "duplicated" if dup else "sent")
         self._schedule_delivery(packet, sender, receiver, delay)

@@ -46,8 +46,7 @@ def test_cancel_prevents_firing():
     timer.cancel()
     s.run()
     assert fired == []
-    assert timer.cancelled
-    assert not timer.fired
+    assert not timer.active and not timer.fired
 
 
 def test_cancel_is_idempotent():
@@ -55,18 +54,18 @@ def test_cancel_is_idempotent():
     timer = s.call_later(1.0, lambda: None)
     timer.cancel()
     timer.cancel()
-    assert timer.cancelled
+    assert not timer.active and not timer.fired
+    assert s.events_cancelled == 1
 
 
 def test_cancel_after_firing_is_noop():
-    """A fired timer must stay 'fired', not become fired *and* cancelled."""
+    """A fired timer must stay 'fired', not also count as cancelled."""
     s = Scheduler()
     timer = s.call_later(1.0, lambda: None)
     s.run()
     assert timer.fired
     timer.cancel()
     assert timer.fired
-    assert not timer.cancelled
     assert s.events_cancelled == 0
 
 

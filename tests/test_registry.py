@@ -292,10 +292,10 @@ def test_keepalive_wheel_batches_many_loops_into_few_timers():
     sched = Scheduler()
     wheel = KeepaliveWheel(sched, granularity=1.0)
     fired = [0] * 200
-    def make(i):
-        return lambda: fired.__setitem__(i, fired[i] + 1)
+    def bump(i):
+        fired[i] += 1
     for i in range(200):
-        wheel.add(10.0, make(i))
+        wheel.add(10.0, bump, i)
     # 200 loops due at the same tick share one bucket => one pending timer.
     assert sched.pending == 1
     sched.run_until(35.0)
@@ -308,7 +308,7 @@ def test_keepalive_wheel_cancel():
     sched = Scheduler()
     wheel = KeepaliveWheel(sched, granularity=1.0)
     fired = []
-    handle = wheel.add(5.0, lambda: fired.append(sched.now))
+    handle = wheel.add(5.0, lambda _: fired.append(sched.now), None)
     sched.run_until(7.0)
     assert len(fired) == 1
     handle.cancel()
@@ -333,10 +333,10 @@ def test_keepalive_wheel_rejects_a_non_positive_interval(interval):
 
 
 class _Registrant:
-    __slots__ = ("callback", "args", "interval", "cancelled")
+    __slots__ = ("callback", "arg", "interval", "cancelled")
 
-    def __init__(self, callback, interval, args):
-        self.callback, self.interval, self.args = callback, interval, args
+    def __init__(self, callback, interval, arg):
+        self.callback, self.interval, self.arg = callback, interval, arg
         self.cancelled = False
 
     def cancel(self):
@@ -350,7 +350,10 @@ class _ReferenceWheel:
     fire at *T* files the next at ``tick(T + interval)``, where ``tick(t) =
     (int(t / g) + 1) * g``; fires sharing a tick run in filing order.  A
     cancelled registrant stays filed until its tick comes, and only then
-    stops counting as a registrant.  Also its own clock.
+    stops counting as a registrant.  A registrant whose callback raises
+    stops and leaves the count at once; the rest of its tick fires when the
+    run resumes, from one more bucket event (``resumes``).  Also its own
+    clock.
     """
 
     def __init__(self, granularity):
@@ -359,6 +362,7 @@ class _ReferenceWheel:
         self.registrants = 0
         #: Every tick a filing ever targeted: one wheel bucket each.
         self.ticks = set()
+        self.resumes = 0
         self._heap = []
         self._seq = 0
 
@@ -371,8 +375,8 @@ class _ReferenceWheel:
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, registrant))
 
-    def add(self, interval, callback, *args):
-        registrant = _Registrant(callback, interval, args)
+    def add(self, interval, callback, arg):
+        registrant = _Registrant(callback, interval, arg)
         self.registrants += 1
         self._file(registrant, self.now)
         return registrant
@@ -384,14 +388,24 @@ class _ReferenceWheel:
                 self.registrants -= 1
                 continue
             self.now = when
-            registrant.callback(*registrant.args)
+            try:
+                registrant.callback(registrant.arg)
+            except Exception:
+                self.registrants -= 1
+                self.resumes += bool(self._heap) and self._heap[0][0] == when
+                raise
             self._file(registrant, when)
         self.now = deadline
 
 
+class _Raised(Exception):
+    pass
+
+
 def _drive_wheel(wheel, clock, script, counts):
     """Run *script* against *wheel* on *clock* (anything with ``now`` and
-    ``run_until``), then cancel every handle.  Returns the fire log
+    ``run_until``), then cancel every handle.  An advance that a raising
+    callback interrupts resumes to its deadline.  Returns the fire log
     ``[(time, id)]``, each id's ``(t_add, interval)``, and ``counts()`` as
     read after every advance."""
     log, meta, handles, actions, seen = [], [], [], {}, []
@@ -411,6 +425,8 @@ def _drive_wheel(wheel, clock, script, counts):
             handles[action[1] % len(handles)].cancel()
         elif action[0] == "cancel_self":
             handles[cid].cancel()
+        elif action[0] == "raise":
+            raise _Raised(cid)
         else:  # an add; no interval means this entry's own, i.e. into the
             # bucket it is about to be re-filed under
             add(action[1] or meta[cid][1], None)
@@ -422,7 +438,13 @@ def _drive_wheel(wheel, clock, script, counts):
             if handles:
                 handles[step[1] % len(handles)].cancel()
         else:
-            clock.run_until(clock.now + step[1])
+            deadline = clock.now + step[1]
+            while True:
+                try:
+                    clock.run_until(deadline)
+                    break
+                except _Raised:
+                    pass
             seen.append(counts())
     for handle in handles:
         handle.cancel()
@@ -434,6 +456,7 @@ _ACTIONS = st.one_of(
     st.none(),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
     st.just(("cancel_self",)),
+    st.just(("raise",)),
     st.tuples(st.just("add"), st.one_of(st.none(), _INTERVALS)),
 )
 _STEPS = st.one_of(
@@ -459,9 +482,15 @@ def test_keepalive_wheel_matches_one_timer_per_registrant(granularity, script):
     reference = _ReferenceWheel(granularity)
 
     def reference_counts():
-        # One scheduler event per bucket, i.e. per distinct tick targeted.
+        # One scheduler event per bucket, i.e. per distinct tick targeted,
+        # plus one per tick a raise interrupted.
         fired = sum(1 for t in reference.ticks if t <= reference.now)
-        return (reference.now, reference.registrants, fired, len(reference.ticks) - fired)
+        return (
+            reference.now,
+            reference.registrants,
+            fired + reference.resumes,
+            len(reference.ticks) - fired,
+        )
 
     expected, _, expected_counts = _drive_wheel(
         reference, reference, script, reference_counts
@@ -485,7 +514,31 @@ def test_keepalive_wheel_matches_one_timer_per_registrant(granularity, script):
     # them all and the wheel empties.
     sched.run(max_events=10_000)
     assert wheel.registrants == 0 and not wheel._buckets and sched.pending == 0
-    assert sched.events_fired == len(reference.ticks)
+    assert sched.events_fired == len(reference.ticks) + reference.resumes
+
+
+def test_keepalive_wheel_a_raising_callback_stops_only_its_own_loop():
+    sched = Scheduler()
+    wheel = KeepaliveWheel(sched, granularity=1.0)
+    fired = []
+
+    def fire(cid):
+        fired.append((sched.now, cid))
+        if cid == 1 and len(fired) == 2:
+            raise RuntimeError("once")
+
+    for cid in range(3):
+        wheel.add(2.0, fire, cid)  # all three on the tick at t = 3
+    with pytest.raises(RuntimeError):
+        sched.run_until(10.0)
+    assert fired == [(3.0, 0), (3.0, 1)]
+    sched.run_until(10.0)
+    # The rest of the tick fires at the same instant once the run resumes;
+    # the loop that raised is over and no longer counts.
+    assert fired == [
+        (3.0, 0), (3.0, 1), (3.0, 2), (6.0, 0), (6.0, 2), (9.0, 0), (9.0, 2)
+    ]
+    assert wheel.registrants == 2
 
 
 # -- metrics -----------------------------------------------------------------------
