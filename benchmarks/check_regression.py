@@ -13,11 +13,8 @@ when it does not, so a baseline refresh is never required just to grow the
 record.  A metric present in the baseline but missing from the fresh record
 always fails: that is a bench-harness regression, not a perf one.
 
-The ``table1_fleet`` record is shape-checked rather than gated: a
-single-core host omits the parallel timing and marks the record
-``skipped: "single-core"`` (older baselines just omit the keys); a
-multi-core record must carry the parallel timing and speedup.  Both shapes
-pass — an inconsistent mixture fails.
+The ``table1_fleet`` record is shape-checked rather than gated: it must
+carry the fleet's ``wall_seconds``.
 
 The ``cold_start`` record is gated on its counts, not its times: the number
 of ``repro`` modules an entry point loads in a fresh interpreter is exact on
@@ -84,31 +81,11 @@ def lookup(record: dict, path: str) -> Optional[float]:
 
 
 def fleet_shape_error(fleet: object, label: str) -> Optional[str]:
-    """Validate one record's ``table1_fleet`` shape; None when acceptable.
-
-    Serial shape: ``effective_workers == 1`` (ideally with the explicit
-    ``skipped: "single-core"`` marker; older baselines omit it) and no
-    parallel keys.  Parallel shape: both ``parallel_wall_seconds`` and
-    ``speedup`` present.
-    """
+    """Validate one record's ``table1_fleet`` shape; None when acceptable."""
     if not isinstance(fleet, dict):
         return f"{label}: table1_fleet record missing"
-    has_parallel = "parallel_wall_seconds" in fleet or "speedup" in fleet
-    if fleet.get("effective_workers", 1) <= 1 or "skipped" in fleet:
-        if has_parallel:
-            return (
-                f"{label}: serial-shaped table1_fleet "
-                f"(skipped={fleet.get('skipped')!r}) carries parallel keys"
-            )
-        return None
-    missing = [
-        key for key in ("parallel_wall_seconds", "speedup") if key not in fleet
-    ]
-    if missing:
-        return (
-            f"{label}: parallel table1_fleet omits {', '.join(missing)} "
-            f"without a skipped marker"
-        )
+    if "wall_seconds" not in fleet:
+        return f"{label}: table1_fleet omits wall_seconds"
     return None
 
 
@@ -215,13 +192,7 @@ def main(argv=None) -> int:
     for label, record in (("baseline", baseline), ("fresh", fresh)):
         error = fleet_shape_error(record.get("table1_fleet"), label)
         if error is None:
-            shape = (
-                "serial"
-                if "skipped" in record.get("table1_fleet", {})
-                or "speedup" not in record.get("table1_fleet", {})
-                else "parallel"
-            )
-            print(f"[OK] table1_fleet ({label}): {shape} shape")
+            print(f"[OK] table1_fleet ({label}): serial shape")
         else:
             print(f"[FAIL] {error}")
             failures.append(f"table1_fleet[{label}]")

@@ -10,16 +10,15 @@ Records:
 
 ``BENCH_obs.json``
     The observability-era record: RunProfiler dumps for the scheduler and
-    NAT-echo workloads, the serial Table 1 fleet wall time, and the
+    NAT-echo workloads, the uncached Table 1 fleet wall time, and the
     ``obs_overhead`` flight-recorder cost record (attached vs detached NAT
     packet path; the detached path must stay within 2% of the
     ``nat_packets_per_second`` workload).
 
 ``BENCH_perf.json``
     The perf-overhaul record: scheduler events/s, NAT packets/s, the
-    serial-vs-parallel Table 1 fleet comparison (``requested_workers`` vs
-    ``effective_workers``; the parallel timing and ``speedup`` are omitted
-    when the host collapses the pool to serial), the 100k-device
+    uncached Table 1 fleet wall time (the same measurement as
+    ``BENCH_obs.json``'s, taken once per run), the 100k-device
     ``scaled_population`` record, the ``adversarial`` record (forged
     packet injection rate plus the robustness sweep's hardening verdicts),
     the ``rendezvous_scale`` record (the sharded registration plane at
@@ -52,7 +51,6 @@ from repro.nat import behavior as B
 from repro.nat.device import NatDevice
 from repro.natcheck.fleet import (
     VENDOR_SPECS,
-    resolve_workers,
     run_fleet,
     scale_population,
     survey_design_space,
@@ -297,84 +295,19 @@ def bench_obs_overhead(
     }
 
 
-def _timed_fleet(quick: bool, workers: int, cache: bool = False) -> dict:
-    specs = VENDOR_SPECS[:2] if quick else VENDOR_SPECS
+def bench_fleet(ctx: "BenchContext") -> dict:
+    """Wall time of the uncached Table 1 fleet — the raw-simulation
+    baseline the dedup speedup is measured against."""
+    specs = VENDOR_SPECS[:2] if ctx.quick else VENDOR_SPECS
     started = time.perf_counter()
-    fleet = run_fleet(specs=specs, seed=42, workers=workers, cache=cache)
+    fleet = run_fleet(specs=specs, seed=42, cache=False)
     wall = time.perf_counter() - started
     return {
         "wall_seconds": wall,
         "devices": fleet.total_devices,
         "devices_per_second": fleet.total_devices / wall if wall > 0 else 0.0,
-        "quick": quick,
-        "rows": [report.summary() for report in fleet.all_reports()],
-        "cache_stats": fleet.cache.to_dict() if fleet.cache else None,
+        "quick": ctx.quick,
     }
-
-
-def _serial_fleet(ctx: "BenchContext") -> dict:
-    """The uncached serial Table 1 fleet, measured once per bench run.
-
-    Both ``BENCH_obs.json``'s ``table1_fleet`` record and the perf record's
-    serial-vs-parallel comparison need this exact measurement; sharing it
-    through the context means a full emit run pays for it once (it used to
-    be measured twice — and on a single-core host the second run was spent
-    producing a number the record immediately marked ``skipped``).
-    """
-    return ctx.get(
-        "fleet_serial", lambda: _timed_fleet(ctx.quick, workers=1, cache=False)
-    )
-
-
-def bench_fleet(ctx: "BenchContext") -> dict:
-    """Wall time of the uncached serial Table 1 fleet — the raw-simulation
-    baseline every dedup/parallel speedup is measured against."""
-    record = dict(_serial_fleet(ctx))
-    record.pop("rows")
-    record.pop("cache_stats")
-    return record
-
-
-def bench_fleet_parallel(ctx: "BenchContext") -> dict:
-    """Serial vs parallel Table 1 fleet, with the fingerprint dedup off so
-    the pool is dividing real simulation work.
-
-    Both runs must produce identical report summaries — the parallel path is
-    only allowed to be a speedup, never a behaviour change — so the rows are
-    compared before the timing record is returned.  ``requested_workers``
-    records what we asked for (all cores); ``effective_workers`` what the
-    host delivers.  On a single-core host they collapse to serial: the
-    parallel run and the (meaningless) ``speedup`` are omitted, and the
-    record says so explicitly with ``skipped: "single-core"`` — a silently
-    absent key reads like a bench-harness bug, an explicit marker reads like
-    the measurement decision it is (``check_regression.py`` accepts both
-    shapes).  The serial baseline comes from the shared per-run measurement
-    (see :func:`_serial_fleet`), so it is never timed twice.
-    """
-    quick = ctx.quick
-    requested = resolve_workers(0)  # all cores
-    serial = _serial_fleet(ctx)
-    effective = requested if requested > 1 else 1
-    record = {
-        "devices": serial["devices"],
-        "serial_wall_seconds": serial["wall_seconds"],
-        "requested_workers": requested,
-        "effective_workers": effective,
-        "quick": quick,
-    }
-    if effective == 1:
-        record["skipped"] = "single-core"
-        return record
-    parallel = _timed_fleet(quick, workers=effective)
-    assert serial["rows"] == parallel["rows"], "parallel fleet diverged from serial"
-    record["parallel_wall_seconds"] = parallel["wall_seconds"]
-    record["speedup"] = (
-        serial["wall_seconds"] / parallel["wall_seconds"]
-        if parallel["wall_seconds"] > 0
-        else 0.0
-    )
-    record["rows_identical"] = True
-    return record
 
 
 def bench_design_space(quick: bool = False) -> dict:
@@ -521,10 +454,8 @@ def emit_perf(ctx: BenchContext) -> dict:
         "nat_link", lambda: max(_echo_throughput(5_000, flight=False) for _ in range(3))
     )
     record["batched_delivery"] = ctx.get("batched_delivery", bench_batched_delivery)
-    record["table1_fleet"] = ctx.get(
-        "fleet_parallel", lambda: bench_fleet_parallel(ctx)
-    )
-    serial_wall = record["table1_fleet"]["serial_wall_seconds"]
+    record["table1_fleet"] = ctx.get("table1_fleet", lambda: bench_fleet(ctx))
+    serial_wall = record["table1_fleet"]["wall_seconds"]
     record["scaled_population"] = ctx.get(
         "scaled_population",
         lambda: bench_scaled_population(quick=ctx.quick, serial_wall=serial_wall),
@@ -649,17 +580,7 @@ def main(argv=None) -> int:
         fleet = perf["table1_fleet"]
         print(f"  scheduler: {perf['scheduler_events_per_second']:,.0f} events/s")
         print(f"  nat echo:  {perf['nat_packets_per_second']:,.0f} packets/s")
-        if "speedup" in fleet:
-            print(
-                "  fleet:     {devices} devices, serial {serial_wall_seconds:.2f}s, "
-                "parallel {parallel_wall_seconds:.2f}s x{effective_workers} "
-                "(speedup {speedup:.2f})".format(**fleet)
-            )
-        else:
-            print(
-                "  fleet:     {devices} devices, serial {serial_wall_seconds:.2f}s "
-                "(single-core host; parallel run skipped)".format(**fleet)
-            )
+        print("  fleet:     {devices} devices in {wall_seconds:.2f}s".format(**fleet))
         scaled = perf["scaled_population"]
         print(
             "  scaled:    {devices} devices in {wall_seconds:.2f}s "

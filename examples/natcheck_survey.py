@@ -5,11 +5,8 @@ Synthesises the 380-device population matching the paper's per-vendor
 behaviour mix and runs the full NAT Check protocol (§6.1) against every
 device, then prints the aggregated table next to the paper's numbers.
 
-Run:  python examples/natcheck_survey.py [--quick] [--workers N]
-                                         [--population N] [--no-cache]
+Run:  python examples/natcheck_survey.py [--quick] [--population N] [--no-cache]
       --quick tests one device per vendor instead of the full population.
-      --workers N fans simulations out over N processes (0 = all cores);
-      defaults to the REPRO_FLEET_WORKERS environment variable, else serial.
       --population N scales the synthetic fleet to at least N devices while
       preserving every vendor's behaviour mix — tractable even at 100k+
       devices because behaviourally identical devices are simulated once
@@ -28,7 +25,6 @@ from repro.natcheck.table import render_table1
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument(
         "--population", type=int, default=None, metavar="N",
         help="scale the synthetic fleet to at least N devices",
@@ -59,13 +55,7 @@ def main() -> None:
         if done == total:
             print(f"  {vendor}: {total} device(s) tested")
 
-    result = run_fleet(
-        specs,
-        seed=42,
-        progress=progress,
-        workers=args.workers,
-        cache=not args.no_cache,
-    )
+    result = run_fleet(specs, seed=42, progress=progress, cache=not args.no_cache)
     print(f"\n{result.total_devices} simulated NAT Check reports\n")
     print(render_table1(result.reports))
     if result.cache is not None:

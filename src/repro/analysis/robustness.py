@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.fingerprint import canonical_json, mix_seed
 from repro.nat.behavior import FULL_CONE, WELL_BEHAVED, NatBehavior
-from repro.natcheck.fleet import VENDOR_SPECS, VendorSpec, device_behavior, wilson_interval
+from repro.natcheck.fleet import VENDOR_SPECS, VendorSpec, device_behavior
 from repro.obs.attribution import explain
 
 #: Attack families reported on (and their scenario protocols below).
@@ -64,7 +64,12 @@ class RunResult:
 
 @dataclasses.dataclass
 class Cell:
-    """One (family, mode) aggregate over the weighted fleet."""
+    """One (family, mode) aggregate over the weighted fleet.
+
+    Each distinct behaviour runs once and counts with its device weight, so
+    the tallies are exact over the behaviours swept; the weights are not
+    independent trials, and the cell carries no sampling interval.
+    """
 
     family: str
     mode: str
@@ -98,14 +103,12 @@ class Cell:
         return self.survived / self.survive_total
 
     def to_dict(self) -> Dict[str, object]:
-        low, high = wilson_interval(self.punched, self.punch_total)
         return {
             "family": self.family,
             "mode": self.mode,
             "punched": self.punched,
             "punch_total": self.punch_total,
             "punch_rate": self.punch_rate,
-            "punch_ci": [low, high],
             "survived": self.survived,
             "survive_total": self.survive_total,
             "survival_rate": self.survival_rate,
@@ -469,11 +472,7 @@ def render_robustness(report: RobustnessReport) -> str:
             if key not in report.cells:
                 continue
             cell = report.cells[key]
-            low, high = wilson_interval(cell.punched, cell.punch_total)
-            punch = (
-                f"{cell.punched}/{cell.punch_total} "
-                f"({100.0 * cell.punch_rate:.0f}%, CI {100 * low:.0f}-{100 * high:.0f}%)"
-            )
+            punch = f"{cell.punched}/{cell.punch_total} ({100.0 * cell.punch_rate:.0f}%)"
             survival = cell.survival_rate
             surv = (
                 f"{cell.survived}/{cell.survive_total} ({100.0 * survival:.0f}%)"

@@ -6,11 +6,11 @@ outcome** so that equal fingerprints provably denote equal results:
 * the *payload* — a canonical JSON encoding of the inputs (the device's
   :class:`~repro.nat.behavior.NatBehavior` axes, its NAT Check config, the
   link profiles the harness wires up);
-* the *derived seed* — mixed from the run seed and the payload with the
-  same crc32 recipe as :func:`repro.natcheck.fleet.device_seed`, so two
-  behaviourally identical devices replay the **identical** simulation (this
-  is what makes in-run dedup sound even for behaviours that consume
-  randomness, e.g. random port allocation).
+* the *derived seed* — mixed from the run seed and the payload by
+  :func:`mix_seed` (crc32, not ``hash()``), so two behaviourally identical
+  devices replay the **identical** simulation (this is what makes in-run
+  dedup sound even for behaviours that consume randomness, e.g. random port
+  allocation).
 
 A fingerprint never outlives the process that computed it: it keys an
 in-run dedup, never a stored result, so there is no code version to fold in.
@@ -78,9 +78,10 @@ def canonical_json(obj: object) -> str:
 def mix_seed(seed: int, text: str) -> int:
     """Mix *seed* with *text* into a derived seed (crc32-based, hash-stable).
 
-    The same recipe as :func:`repro.natcheck.fleet.device_seed` (which calls
-    this): ``zlib.crc32`` rather than ``hash()`` so the derivation never
-    varies with ``PYTHONHASHSEED`` across interpreters or pool workers.
+    The one seed-derivation recipe: fingerprints and the robustness report
+    both call it.  ``zlib.crc32`` rather than ``hash()`` so the derivation
+    never varies with ``PYTHONHASHSEED`` across interpreters;
+    :func:`repro.core.registry.shard_of` places peers with the same crc32.
     """
     return seed * 1_000_003 + zlib.crc32(text.encode()) % 1_000_000
 

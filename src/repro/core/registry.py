@@ -27,9 +27,9 @@ This module supplies the scalable plane:
 
 :class:`ShardRing`
     Deterministic peer-id → shard mapping over an ordered server pool (the
-    PR 3 failover server list doubles as the ring).  ``crc32`` keyed like
-    :func:`repro.netsim.device_seed` so placement is stable under
-    ``PYTHONHASHSEED``.  Downed shards are probed past linearly, which is
+    failover server list doubles as the ring).  :func:`shard_of` keys
+    ``crc32`` like :func:`repro.cache.mix_seed`, so placement is stable
+    under ``PYTHONHASHSEED``.  Downed shards are probed past linearly, which is
     what makes lookups during a shard failover land on the successor that
     adopted (or will re-learn) the registrations.
 

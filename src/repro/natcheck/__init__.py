@@ -19,8 +19,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "VendorSpec": "fleet",
     "VENDOR_SPECS": "fleet",
     "device_fingerprint": "fleet",
-    "device_seed": "fleet",
-    "resolve_workers": "fleet",
     "run_fleet": "fleet",
     "scale_population": "fleet",
     "NatCheckServers": "servers",

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache import Fingerprint, behavior_fingerprint, mix_seed
+from repro.cache import Fingerprint, behavior_fingerprint
 from repro.nat.behavior import NatBehavior
 from repro.nat.device import NatDevice
 from repro.nat.policy import FilteringPolicy, MappingPolicy, TcpRefusalPolicy
@@ -294,33 +293,6 @@ class FleetResult:
         return totals
 
 
-#: Environment override for :func:`run_fleet`'s worker count.  An integer
-#: sets the pool size; ``auto`` (or ``0``) means ``os.cpu_count()``.
-WORKERS_ENV = "REPRO_FLEET_WORKERS"
-
-#: Devices per parallel task.  Small enough that the biggest vendor rows
-#: split across workers, large enough to amortise task/pickle overhead.
-FLEET_CHUNK = 16
-
-
-def device_seed(seed: int, vendor: str, index: int) -> int:
-    """Stable per-device seed: same fleet for the same *seed*, everywhere.
-
-    Uses ``zlib.crc32`` (via :func:`repro.cache.mix_seed`, the shared
-    derivation recipe) rather than ``hash()`` — the builtin string hash is
-    randomized per interpreter by ``PYTHONHASHSEED``, which would silently
-    break "same seed => same fleet" across runs and across pool workers.
-
-    Note: since the behavioral-fingerprint dedup, fleet simulations are
-    seeded by :func:`device_fingerprint` — the same crc32 mix, but over the
-    device's behavioural content instead of its identity, so behaviourally
-    identical devices replay the *identical* simulation (the property that
-    makes dedup provably sound).  ``device_seed`` remains the derivation
-    for callers who want unique-per-device seeds.
-    """
-    return mix_seed(seed, f"{vendor}:{index}")
-
-
 def device_fingerprint(
     behavior: NatBehavior, config: NatCheckConfig, seed: int
 ) -> Fingerprint:
@@ -340,18 +312,6 @@ def device_fingerprint(
     )
 
 
-def resolve_workers(workers: Optional[int]) -> int:
-    """Effective pool size: explicit kwarg > ``REPRO_FLEET_WORKERS`` > 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip().lower()
-        if not raw:
-            return 1
-        workers = 0 if raw == "auto" else int(raw)
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
-
-
 def _check_one(spec: VendorSpec, seed: int, index: int) -> NatCheckReport:
     behavior = device_behavior(spec, index)
     config = device_config(spec, index)
@@ -360,29 +320,6 @@ def _check_one(spec: VendorSpec, seed: int, index: int) -> NatCheckReport:
     report.vendor = spec.name
     report.device = f"{spec.name}-{index}"
     return report
-
-
-def _check_range(
-    spec: VendorSpec, seed: int, start: int, stop: int
-) -> List[NatCheckReport]:
-    """Worker task: run devices ``start:stop`` of one vendor population.
-
-    Module-level (picklable) so :class:`~concurrent.futures.ProcessPoolExecutor`
-    can ship it to pool workers; every device builds its own private
-    :class:`~repro.netsim.network.Network`, so tasks share no state.
-    """
-    return [_check_one(spec, seed, index) for index in range(start, stop)]
-
-
-def _chunk_tasks(
-    specs: Sequence[VendorSpec], chunk: int
-) -> List[Tuple[int, int, int]]:
-    """Vendor-sliced task list: (spec position, start index, stop index)."""
-    tasks = []
-    for position, spec in enumerate(specs):
-        for start in range(0, spec.population, chunk):
-            tasks.append((position, start, min(start + chunk, spec.population)))
-    return tasks
 
 
 def _plan_fleet(
@@ -449,66 +386,19 @@ def _clone_report(base: NatCheckReport, vendor: str, device: str) -> NatCheckRep
     return clone
 
 
-def _fan_out(
-    jobs: Sequence[Tuple[object, VendorSpec, int, int]],
-    seed: int,
-    effective: int,
-    _runner: Callable[[VendorSpec, int, int, int], List[NatCheckReport]],
-) -> Iterator[Tuple[object, List[NatCheckReport]]]:
-    """Run ``(key, spec, start, stop)`` jobs on a process pool, yielding
-    ``(key, reports)`` in completion order; the first error (a job's, or the
-    consumer's while handling a result) cancels whatever has not started."""
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    with ProcessPoolExecutor(max_workers=min(effective, len(jobs) or 1)) as pool:
-        futures = {
-            pool.submit(_runner, spec, seed, start, stop): key
-            for key, spec, start, stop in jobs
-        }
-        try:
-            for future in as_completed(futures):
-                yield futures[future], future.result()
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-
-
 def _run_fleet_nocache(
     specs: Sequence[VendorSpec],
     seed: int,
     progress: Optional[Callable[[str, int, int], None]],
-    effective: int,
-    _runner: Callable[[VendorSpec, int, int, int], List[NatCheckReport]],
 ) -> FleetResult:
     """The ``--no-cache`` path: simulate every device individually."""
     result = FleetResult()
-    if effective == 1:
-        for spec in specs:
-            vendor_reports: List[NatCheckReport] = []
-            for index in range(spec.population):
-                vendor_reports.append(_check_one(spec, seed, index))
-                if progress is not None:
-                    progress(spec.name, index + 1, spec.population)
-            result.reports[spec.name] = vendor_reports
-        return result
-
-    chunks: Dict[Tuple[int, int], List[NatCheckReport]] = {}
-    completed = {spec.name: 0 for spec in specs}
-    jobs = [
-        ((position, start, stop), specs[position], start, stop)
-        for position, start, stop in _chunk_tasks(specs, FLEET_CHUNK)
-    ]
-    for (position, start, stop), reports in _fan_out(jobs, seed, effective, _runner):
-        chunks[(position, start)] = reports
-        if progress is not None:
-            spec = specs[position]
-            completed[spec.name] += stop - start
-            progress(spec.name, completed[spec.name], spec.population)
-    for position, spec in enumerate(specs):
-        vendor_reports = []
-        for start in range(0, spec.population, FLEET_CHUNK):
-            vendor_reports.extend(chunks[(position, start)])
+    for spec in specs:
+        vendor_reports: List[NatCheckReport] = []
+        for index in range(spec.population):
+            vendor_reports.append(_check_one(spec, seed, index))
+            if progress is not None:
+                progress(spec.name, index + 1, spec.population)
         result.reports[spec.name] = vendor_reports
     return result
 
@@ -517,24 +407,14 @@ def _run_fleet_dedup(
     specs: Sequence[VendorSpec],
     seed: int,
     progress: Optional[Callable[[str, int, int], None]],
-    effective: int,
-    _runner: Callable[[VendorSpec, int, int, int], List[NatCheckReport]],
 ) -> FleetResult:
     """The dedup path: one simulation per distinct fingerprint, then clone."""
     plan, representatives = _plan_fleet(specs, seed)
     total = sum(spec.population for spec in specs)
-    reports_by_fp: Dict[str, NatCheckReport] = {}
-    if effective == 1 or len(representatives) <= 1:
-        for core, (position, index) in representatives.items():
-            reports_by_fp[core] = _runner(specs[position], seed, index, index + 1)[0]
-    else:
-        jobs = [
-            (core, specs[position], index, index + 1)
-            for core, (position, index) in representatives.items()
-        ]
-        for core, reports in _fan_out(jobs, seed, effective, _runner):
-            reports_by_fp[core] = reports[0]
-
+    reports_by_fp = {
+        core: _check_one(specs[position], seed, index)
+        for core, (position, index) in representatives.items()
+    }
     result = FleetResult(
         cache=FleetCacheStats(
             devices=total,
@@ -561,10 +441,9 @@ def run_fleet(
     specs: Tuple[VendorSpec, ...] = VENDOR_SPECS,
     seed: int = 0,
     progress: Optional[Callable[[str, int, int], None]] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     cache: bool = True,
     metrics: Optional[MetricsRegistry] = None,
-    _runner: Callable[[VendorSpec, int, int, int], List[NatCheckReport]] = _check_range,
 ) -> FleetResult:
     """Run NAT Check against the whole synthetic fleet (Table 1's workload).
 
@@ -581,21 +460,21 @@ def run_fleet(
     pure function of the code and *seed*.  Both paths derive each
     simulation's seed from the device's behavioral fingerprint, so they
     produce field-for-field identical :class:`FleetResult`\\ s, in the same
-    order.
+    order.  Simulations run one after another in the calling process; when
+    *metrics* is given, the run's dedup counters are published as
+    ``fleet.cache.*``.
 
-    With ``workers > 1`` (or ``REPRO_FLEET_WORKERS`` set) simulations fan
-    out over a :class:`~concurrent.futures.ProcessPoolExecutor` — vendor-
-    sliced chunks when uncached, one task per distinct fingerprint when
-    dedup'd — with identical results either way.  *progress* always runs in
-    the calling process; a worker exception propagates to the caller after
-    cancelling the remaining tasks.  When *metrics* is given, the run's
-    dedup counters are published as ``fleet.cache.*``.
+    *workers* accepts only ``1``, the serial run, and raises
+    :class:`ValueError` for anything else.  It stays for the e2e
+    ``table1_survey`` workload, which passes ``workers=1``; ROADMAP item 10
+    drops that argument, and then this keyword goes.
     """
-    effective = resolve_workers(workers)
+    if workers != 1:
+        raise ValueError(f"run_fleet runs serially; workers must be 1, got {workers!r}")
     if cache:
-        result = _run_fleet_dedup(specs, seed, progress, effective, _runner)
+        result = _run_fleet_dedup(specs, seed, progress)
     else:
-        result = _run_fleet_nocache(specs, seed, progress, effective, _runner)
+        result = _run_fleet_nocache(specs, seed, progress)
         result.cache = FleetCacheStats(
             enabled=False,
             devices=result.total_devices,
@@ -628,31 +507,6 @@ MONTE_CARLO_AXES: Dict[str, Tuple[object, ...]] = {
 
 #: Number of distinct devices the axes can express.
 MONTE_CARLO_SPACE = math.prod(len(options) for options in MONTE_CARLO_AXES.values())
-
-
-def wilson_interval(
-    successes: int, trials: int, z: float = 1.96
-) -> Tuple[float, float]:
-    """Wilson score confidence interval for a binomial proportion.
-
-    Preferred over the normal approximation because punch-success rates sit
-    near the extremes (a symmetric-heavy mix can yield rates near 0), where
-    the Wald interval collapses or escapes [0, 1].  ``trials == 0`` returns
-    the vacuous (0, 1) interval.
-    """
-    if trials <= 0:
-        return (0.0, 1.0)
-    phat = successes / trials
-    z2 = z * z
-    denominator = 1.0 + z2 / trials
-    centre = phat + z2 / (2.0 * trials)
-    margin = z * math.sqrt(
-        phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)
-    )
-    return (
-        max(0.0, (centre - margin) / denominator),
-        min(1.0, (centre + margin) / denominator),
-    )
 
 
 #: Punch-technique columns the survey reports, mapped to the

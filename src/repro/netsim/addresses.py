@@ -228,9 +228,10 @@ class Endpoint:
         return Endpoint(self.ip.complement(), self.port)
 
     def __reduce__(self):
-        # The immutable __setattr__ defeats pickle's default slot restore;
-        # rebuild through the constructor instead (fleet workers ship
-        # NatCheckReports, which embed Endpoints, back across the pool).
+        # The immutable __setattr__ defeats the default slot restore that
+        # copy.deepcopy and pickle use; rebuild through the constructor
+        # instead, so any record holding an Endpoint (a Registration, a
+        # NatCheckReport) can be deep-copied or pickled.
         return (Endpoint, (self.ip, self.port))
 
     def __eq__(self, other) -> bool:

@@ -9,6 +9,7 @@ the derived seed is a pure ``PYTHONHASHSEED``-free function of the inputs.
 import dataclasses
 import enum
 import hashlib
+import zlib
 from dataclasses import dataclass
 
 import pytest
@@ -22,7 +23,6 @@ from repro.cache import (
 )
 from repro.cache import fingerprint as fingerprint_mod
 from repro.nat import behavior as B
-from repro.natcheck.fleet import device_seed
 
 
 class Color(enum.Enum):
@@ -75,9 +75,14 @@ def test_canonical_json_is_sorted_and_compact():
 # -- derived seeds ------------------------------------------------------------
 
 
-def test_mix_seed_matches_device_seed_recipe():
-    # device_seed is mix_seed over "vendor:index" — one recipe, two callers.
-    assert device_seed(42, "Linksys", 3) == mix_seed(42, "Linksys:3")
+def test_mix_seed_value_is_pinned():
+    """The crc32 recipe, pinned by value: an earlier ``hash()``-based
+    derivation changed with ``PYTHONHASHSEED``, so "same seed => same
+    fleet" broke silently across interpreters."""
+    assert mix_seed(0, "Linksys:0") == 461721
+    assert mix_seed(42, "(other):130") == (
+        42 * 1_000_003 + zlib.crc32(b"(other):130") % 1_000_000
+    )
 
 
 def test_mix_seed_varies_with_both_inputs():

@@ -8,10 +8,14 @@ memoisation, and the metrics flow — plus the headline perf claim (dedup
 >= 5x faster than simulating every device).
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.natcheck.fleet import (
     VENDOR_SPECS,
     VendorSpec,
@@ -62,6 +66,50 @@ def test_dedup_equals_nocache_field_for_field():
     assert dedup.cache.simulated == dedup.cache.distinct_fingerprints
     assert dedup.cache.dedup_clones == 26 - dedup.cache.distinct_fingerprints
     assert baseline.cache.enabled is False
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["nocache", "dedup"])
+def test_progress_reaches_each_vendor_population(cache):
+    calls = []
+    result = run_fleet(
+        SMALL_SPECS, seed=11, cache=cache, progress=lambda *a: calls.append(a)
+    )
+    assert result.total_devices == 26
+    # The last call per vendor reports the full population.
+    finals = {vendor: (done, total) for vendor, done, total in calls}
+    assert finals == {"Linksys": (20, 20), "Windows": (6, 6)}
+
+
+def test_run_fleet_rejects_workers_other_than_one():
+    with pytest.raises(ValueError, match="workers must be 1"):
+        run_fleet(SMALL_SPECS, seed=11, workers=2)
+
+
+def test_fingerprint_seed_stable_under_different_hash_seed():
+    """Every fleet simulation runs on ``device_fingerprint(...).seed``;
+    derive a few in a subprocess with another ``PYTHONHASHSEED`` and
+    require the same values."""
+    devices = [(0, 0, 0), (42, len(VENDOR_SPECS) - 1, 130), (7, 2, 20)]
+    script = (
+        "from repro.natcheck.fleet import VENDOR_SPECS, device_behavior, "
+        "device_config, device_fingerprint\n"
+        "print([device_fingerprint(device_behavior(VENDOR_SPECS[p], i), "
+        "device_config(VENDOR_SPECS[p], i), s).seed "
+        f"for s, p, i in {devices!r}])\n"
+    )
+    ours = [
+        device_fingerprint(
+            device_behavior(VENDOR_SPECS[p], i), device_config(VENDOR_SPECS[p], i), s
+        ).seed
+        for s, p, i in devices
+    ]
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED="4242", PYTHONPATH=src_root)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert eval(out.stdout.strip()) == ours
 
 
 def test_full_fleet_cached_identical_and_5x_faster():

@@ -231,10 +231,9 @@ EXPORTS = {
         "DiscoveryResult": "discovery", "NatDiscovery": "discovery",
         "NatCheckReport": "classify", "NatCheckClient": "client", "NatCheckConfig": "client",
         "FleetCacheStats": "fleet", "FleetResult": "fleet", "VendorSpec": "fleet",
-        "VENDOR_SPECS": "fleet", "device_fingerprint": "fleet", "device_seed": "fleet",
-        "resolve_workers": "fleet", "run_fleet": "fleet", "scale_population": "fleet",
-        "NatCheckServers": "servers", "Table1Row": "table", "render_table1": "table",
-        "table1_rows": "table",
+        "VENDOR_SPECS": "fleet", "device_fingerprint": "fleet", "run_fleet": "fleet",
+        "scale_population": "fleet", "NatCheckServers": "servers", "Table1Row": "table",
+        "render_table1": "table", "table1_rows": "table",
     },
     "repro.netsim": {
         "Endpoint": "addresses", "IPv4Address": "addresses", "IPv4Network": "addresses",
@@ -292,7 +291,7 @@ def test_every_package_is_covered():
         m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
     }
     assert found == set(EXPORTS)
-    assert sum(len(table) for table in EXPORTS.values()) == 145
+    assert sum(len(table) for table in EXPORTS.values()) == 143
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -425,8 +424,6 @@ KEEP = {
     "repro.netsim.addresses.Endpoint.obfuscated":
         "the §3.1 / §5.3 endpoint obfuscation stated once; tests/test_protocol.py "
         "checks the codec's compiled mask against it",
-    "repro.natcheck.fleet.device_seed":
-        "pinned by tests/test_fleet_parallel.py, which ROADMAP item 11 deletes",
     "repro.scenarios.topologies.build_public_pair":
         "exported scenario builder seven test modules stand on; moving it is not deleting it",
     "repro.scenarios.topologies.build_sharded_pool":

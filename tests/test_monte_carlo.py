@@ -14,7 +14,6 @@ from repro.natcheck.fleet import (
     MONTE_CARLO_COLUMNS,
     MONTE_CARLO_SPACE,
     survey_design_space,
-    wilson_interval,
 )
 
 
@@ -42,22 +41,6 @@ class TestDesignSpace:
         )
         # 3 mapping x 4 filtering x 4 tcp_mapping x 3 tcp_refusal x 2 x 2
         assert MONTE_CARLO_SPACE == 576
-
-
-class TestWilsonInterval:
-    def test_degenerate_and_clamped(self):
-        assert wilson_interval(0, 0) == (0.0, 1.0)
-        assert wilson_interval(0, 10)[0] == 0.0
-        assert wilson_interval(10, 10)[1] == 1.0
-
-    def test_brackets_the_point_estimate(self):
-        low, high = wilson_interval(5, 10)
-        assert low < 0.5 < high
-
-    def test_narrows_with_more_trials(self):
-        low_small, high_small = wilson_interval(50, 100)
-        low_big, high_big = wilson_interval(500, 1000)
-        assert (high_big - low_big) < (high_small - low_small)
 
 
 class TestSurveyDesignSpace:
