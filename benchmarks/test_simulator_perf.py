@@ -307,19 +307,18 @@ def test_session_route_cost_guard():
 def test_registry_route_cost_guard():
     """The registration route does its work without helper frames around it.
 
-    On a healthy ring ``ShardedRegistry`` places a peer inline (no
-    ``ShardRing.owner_index`` frame per register / touch / lookup); a wheel
-    opens a bucket with ``_file`` once and appends every later entry, on
-    ``add`` and when a tick re-files N same-interval entries; a sweep
-    re-files M live entries with no per-entry call; and reading
-    ``Scheduler.now`` runs no Python frame.
+    ``ShardedRegistry`` places a peer inline: a register / touch / lookup is
+    its own frame plus the one table method it lands on, and no other
+    ``repro.core.registry`` frame; a wheel opens a bucket with ``_file``
+    once and appends every later entry, on ``add`` and when a tick re-files
+    N same-interval entries; a sweep re-files M live entries with no
+    per-entry call; and reading ``Scheduler.now`` runs no Python frame.
     """
     from repro.core.registry import (
         KeepaliveWheel,
         RegistrationTable,
         RegistryConfig,
         ShardedRegistry,
-        ShardRing,
     )
     from repro.core.rendezvous import Registration
 
@@ -338,13 +337,17 @@ def test_registry_route_cost_guard():
             registry.register(cid, record)
         for cid in peers:
             assert registry.touch(cid)
-            assert registry.lookup(cid) is registry.shard_for(cid)[cid]
-    assert calls[RegistrationTable.register.__code__] == len(peers)
-    assert calls[ShardRing.owner_index.__code__] == 0
-    registry.ring.mark_down(3)  # only a downed shard sends placement to the ring
-    with _counting_calls() as (calls, _edges):
-        registry.lookup(peers[0])
-    assert calls[ShardRing.owner_index.__code__] == 1
+        found = [registry.lookup(cid) for cid in peers]
+    assert found == records
+    assert all(registry.shard_for(cid)[cid] is record for cid, record in zip(peers, records))
+    routes = (
+        (ShardedRegistry.register, RegistrationTable.register),
+        (ShardedRegistry.touch, RegistrationTable.refresh),
+        (ShardedRegistry.lookup, RegistrationTable.lookup),
+    )
+    module = RegistrationTable.register.__code__.co_filename
+    frames = {code: n for code, n in calls.items() if code.co_filename == module}
+    assert frames == {method.__code__: len(peers) for route in routes for method in route}
 
     wheel = KeepaliveWheel(sched, granularity=1.0)
     fired = []

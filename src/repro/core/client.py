@@ -197,9 +197,6 @@ class PeerClient:
         self.control_reconnects = 0
         self.reversal_dial_failures = 0
         self.stray_messages = 0
-        #: Shard redirects followed (sharded rendezvous pools re-home a
-        #: client whose id another server owns).
-        self.shard_redirects = 0
         #: The owning network's registry (set on the host by Network.add_node);
         #: standalone hosts get a private one so instrumentation never branches.
         self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry(
@@ -471,8 +468,6 @@ class PeerClient:
             self._relay_send_failed(message, TRANSPORT_UDP)
         elif isinstance(message, protocol.TurnExchange):
             self._handle_turn_exchange(message)
-        elif isinstance(message, protocol.ShardRedirect):
-            self._handle_shard_redirect(message)
         elif isinstance(message, RendezvousError):
             self._request_failed(message, TRANSPORT_UDP)
 
@@ -486,26 +481,6 @@ class PeerClient:
         callback, self._udp_register_cb = self._udp_register_cb, None
         if callback is not None:
             callback()
-
-    def _handle_shard_redirect(self, message: protocol.ShardRedirect) -> None:
-        """A sharded rendezvous pool re-homed us: follow the redirect.
-
-        Repoints ``self.server`` (every send path reads it live), keeps any
-        failover manager's index coherent, and re-registers so the owning
-        shard observes our public endpoint itself.  The pending
-        ``register_udp`` callback (if any) survives the re-registration.
-        """
-        if message.peer_id != self.client_id:
-            self.stray_messages += 1
-            return
-        if message.server == self.server and self.udp_registered:
-            return  # already home
-        self.shard_redirects += 1
-        self.metrics.counter("client.shard_redirects").inc()
-        self.server = message.server
-        if self.failover is not None:
-            self.failover.retarget(message.server)
-        self.register_udp(self._udp_register_cb)
 
     @property
     def behind_nat_udp(self) -> Optional[bool]:
@@ -526,8 +501,7 @@ class PeerClient:
         if session is not None and session.alive and session.nonce == message.nonce:
             # Late duplicate of an exchange we already completed (S reuses
             # the pairing nonce precisely so stragglers — e.g. a nudge's
-            # response arriving after lock-in, or the extra shard-to-shard
-            # hop in a sharded pool — don't restart a live punch).
+            # response arriving after lock-in — don't restart a live punch).
             return
         connect = self._take_pending(technique, peer_id)
         requester = connect is not None

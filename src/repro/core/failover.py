@@ -4,8 +4,10 @@ The paper's §2.2 guarantee — "relaying always works as long as both clients
 can connect to the server" — makes the rendezvous server the single point of
 failure of the whole toolbox: punched sessions survive S dying, but nothing
 new can be punched, reversed, or relayed until S is back.  Production
-rendezvous deployments therefore run *pools* of servers; this module gives
-:class:`~repro.core.client.PeerClient` the client half of that design.
+rendezvous deployments therefore keep standby servers; this module gives
+:class:`~repro.core.client.PeerClient` the client half of that design.  The
+servers share no state: a successor learns a client only from the client's
+own re-registration, so it observes the public endpoint itself.
 
 A :class:`ServerFailover` manager owns an ordered list of server endpoints
 and drives the client's server keepalives (§3.6).  Every keepalive to a live
@@ -138,21 +140,6 @@ class ServerFailover:
         self._misses += 1  # provisional; an ack resets it
         self.client._send_server_udp(Keepalive(client_id=self.client.client_id))
         self._schedule_tick()
-
-    def retarget(self, endpoint: Endpoint) -> None:
-        """Re-point at *endpoint* without counting a migration.
-
-        Used when the server itself re-homes the client (a shard redirect,
-        see :class:`~repro.core.protocol.ShardRedirect`): probes must track
-        the server that actually holds the registration, and a later decay
-        there should migrate to *its* list neighbour.  Endpoints outside the
-        configured pool are appended — a ring can name servers the client
-        was never told about.
-        """
-        if endpoint not in self.servers:
-            self.servers.append(endpoint)
-        self.index = self.servers.index(endpoint)
-        self._misses = 0
 
     def note_ack(self) -> None:
         """A KeepaliveAck arrived from the current server."""

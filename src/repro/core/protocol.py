@@ -264,83 +264,8 @@ class KeepaliveAck(Message):
     client_id: int
 
 
-@_register
-@dataclass
-class ShardRedirect(Message):
-    """S -> client: another server in the pool owns your id — go there.
-
-    Sent by a shard-aware server when a Register/Keepalive/ConnectRequest
-    arrives for a peer id the shard ring assigns elsewhere.  The client
-    repoints at ``server`` and re-registers so the owning shard observes the
-    client's public endpoint itself (an adopted endpoint would only be a
-    guess)."""
-
-    TYPE: ClassVar[int] = 0x08
-    _layout: ClassVar = (("peer_id", "u32"), ("server", "ep"))
-    peer_id: int
-    server: Endpoint
-
-
-@_register
-@dataclass
-class ShardForward(Message):
-    """Server -> server: resolve a connect request whose target lives on
-    another shard.
-
-    Carries everything the owning shard needs to run §3.2 step 2 on its
-    own: the requester's identity and endpoints (as observed by the shard
-    holding its registration) plus the target id.  The owner mints the
-    pairing nonce and sends PeerEndpoints to both clients directly."""
-
-    TYPE: ClassVar[int] = 0x09
-    _layout: ClassVar = (
-        ("requester_id", "u32"),
-        ("requester_public", "ep"),
-        ("requester_private", "ep"),
-        ("target_id", "u32"),
-        ("transport", "u8"),
-    )
-    requester_id: int
-    requester_public: Endpoint
-    requester_private: Endpoint
-    target_id: int
-    transport: int
-
-
-@_register
-@dataclass
-class ShardForwardReply(Message):
-    """Owner shard -> requesting shard: outcome of a :class:`ShardForward`.
-
-    On ``STATUS_OK`` it carries the target's endpoints and the pairing nonce
-    the owner minted; the requesting shard builds the requester's
-    PeerEndpoints from it and delivers the copy *itself*.  Each client must
-    hear from the server it actually exchanges traffic with — a datagram
-    from a server the client never contacted dies in the client's NAT
-    filter, which is why the owner cannot reply to the requester directly.
-    ``STATUS_UNKNOWN_PEER`` reports a target the owner doesn't hold (the
-    endpoint fields are zero-filled padding)."""
-
-    TYPE: ClassVar[int] = 0x0A
-    _layout: ClassVar = (
-        ("requester_id", "u32"),
-        ("target_id", "u32"),
-        ("target_public", "ep"),
-        ("target_private", "ep"),
-        ("nonce", "u64"),
-        ("transport", "u8"),
-        ("status", "u8"),
-    )
-    requester_id: int
-    target_id: int
-    target_public: Endpoint
-    target_private: Endpoint
-    nonce: int
-    transport: int
-    status: int
-
-    STATUS_OK: ClassVar[int] = 0
-    STATUS_UNKNOWN_PEER: ClassVar[int] = 1
+# Type codes 0x08-0x0A are retired (a networked shard pool's redirect and
+# forwarding messages) and are not reused.
 
 
 # -- punching ----------------------------------------------------------------------

@@ -1,40 +1,32 @@
-"""Sharded, batch-sweeping registration plane for the rendezvous servers.
+"""Registration tables for the rendezvous server, and their scale-out plane.
 
-The paper's rendezvous server S (§3.1) is trivially correct at the scale of
-its examples — a handful of clients, one dict, one keepalive timer each.  The
-ROADMAP north star ("millions of users") needs the same observable behaviour
-at 1M+ live registrations in one simulation, which rules out two things the
-naive design does per peer:
+The paper's rendezvous server S (§3.1) keeps one record per client: a
+handful of clients, one dict, one keepalive timer each.  S here does the
+same with two plain :class:`RegistrationTable`\\ s (no expiry, no bound).
+The rest of this module is the plane the ``rendezvous_churn`` workload and
+the scale bench drive with no packets at all, where two things the naive
+design does per peer would not scale:
 
 * **one ``Scheduler`` timer per registration** for TTL expiry — a million
   heap entries churned on every keepalive refresh; and
-* **one server owning every registration** — a single Python dict is fine,
-  but every lookup, sweep, and handover then serialises through one host.
-
-This module supplies the scalable plane:
+* **one dict holding every registration** — every lookup and sweep then
+  walks one structure.
 
 :class:`RegistrationTable`
-    One shard's registration store.  Dict-compatible (so existing code and
-    tests that iterate ``server.udp_clients`` keep working verbatim), with
-    optional TTL + LRU eviction.  Expiry uses *timer-wheel buckets* on the
-    virtual clock: registrations are filed under coarse deadline buckets and
-    a single repeating sweep timer retires whole buckets at once.  Keepalive
+    One shard's registration store.  Dict-compatible (so code and tests that
+    iterate ``server.udp_clients`` see a dict), with optional TTL + LRU
+    eviction.  Expiry uses *timer-wheel buckets* on the virtual clock:
+    registrations are filed under coarse deadline buckets and a single
+    repeating sweep timer retires whole buckets at once.  Keepalive
     refreshes are O(1) — they update ``last_seen`` and the LRU order only;
     the wheel re-files the entry lazily when its old bucket comes due.  With
-    no TTL and no size bound configured the table degenerates to a plain
-    dict: no sweep timer is ever scheduled and event traces stay
-    byte-identical to the unsharded design.
-
-:class:`ShardRing`
-    Deterministic peer-id → shard mapping over an ordered server pool (the
-    failover server list doubles as the ring).  :func:`shard_of` keys
-    ``crc32`` like :func:`repro.cache.mix_seed`, so placement is stable
-    under ``PYTHONHASHSEED``.  Downed shards are probed past linearly, which is
-    what makes lookups during a shard failover land on the successor that
-    adopted (or will re-learn) the registrations.
+    no TTL and no size bound configured the table is a plain dict: no sweep
+    timer is ever scheduled.
 
 :class:`ShardedRegistry`
-    Ring + tables in one object — the shape the scale bench drives directly.
+    A fixed number of tables; each peer id lives on table :func:`shard_of`
+    — ``crc32`` like :func:`repro.cache.mix_seed`, so placement is stable
+    under ``PYTHONHASHSEED`` — and nothing ever moves it.
 
 :class:`KeepaliveWheel`
     The client-side dual: any number of keepalive loops share one scheduler
@@ -53,7 +45,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 from zlib import crc32
 
 from repro.netsim.addresses import Endpoint
@@ -306,20 +298,6 @@ class RegistrationTable:
         self._age_hist.observe(self._now() - entry.last_seen)
         return entry
 
-    def adopt(self, registrations: Dict[int, object]) -> int:
-        """Bulk import for warm failover: O(n) inserts, zero timer churn.
-
-        Entries the table already holds are kept — the local observation is
-        fresher than the predecessor's export.  Returns how many were
-        adopted.
-        """
-        adopted = 0
-        for client_id, entry in registrations.items():
-            if client_id not in self._entries:
-                self.register(client_id, entry)
-                adopted += 1
-        return adopted
-
     # -- timer wheel -------------------------------------------------------------
 
     def _strand(self, client_id: int) -> None:
@@ -420,11 +398,6 @@ class RegistrationTable:
         self.sweep()
         self._sweep_timer = scheduler.call_later(self.granularity, self._sweep_tick, scheduler)
 
-    def stop_sweeps(self) -> None:
-        if self._sweep_timer is not None:
-            self._sweep_timer.cancel()
-            self._sweep_timer = None
-
     def __repr__(self) -> str:
         return (
             f"RegistrationTable(live={len(self._entries)}, ttl={self.ttl}, "
@@ -432,71 +405,15 @@ class RegistrationTable:
         )
 
 
-class ShardRing:
-    """Deterministic peer-id → owning-server mapping over an ordered pool.
-
-    The ring is one shared object: every server in the pool (and any code
-    that needs placement, like the scenario builders) holds a reference to
-    the *same* ring, so marking a shard down is immediately visible
-    everywhere.  ``owner_index`` probes linearly past downed shards, which
-    sends redirects-under-failover to the successor that adopts the downed
-    shard's registrations.
-    """
-
-    __slots__ = ("endpoints", "_down")
-
-    def __init__(self, endpoints: Sequence[Endpoint]) -> None:
-        if not endpoints:
-            raise ValueError("ShardRing needs at least one endpoint")
-        self.endpoints: List[Endpoint] = list(endpoints)
-        self._down: set = set()
-
-    def __len__(self) -> int:
-        return len(self.endpoints)
-
-    def home_index(self, peer_id: int) -> int:
-        """The shard that owns *peer_id* when every server is up."""
-        return shard_of(peer_id, len(self.endpoints))
-
-    def owner_index(self, peer_id: int) -> int:
-        """The live shard responsible for *peer_id* right now.
-
-        Healthy-pool fast path: with nothing down (the steady state, and
-        the one the million-peer bench hammers) this is one crc32 and a
-        modulo — no probe loop, no extra frame through ``home_index``.
-        :class:`ShardedRegistry` computes that healthy index itself and
-        calls here only while a shard is down.
-        """
-        down = self._down
-        index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % len(self.endpoints)
-        if not down:
-            return index
-        for _ in range(len(self.endpoints)):
-            if index not in down:
-                return index
-            index = (index + 1) % len(self.endpoints)
-        return self.home_index(peer_id)  # whole pool down: nothing better
-
-    def owner(self, peer_id: int) -> Endpoint:
-        return self.endpoints[self.owner_index(peer_id)]
-
-    def mark_down(self, index: int) -> None:
-        self._down.add(index)
-
-    def mark_up(self, index: int) -> None:
-        self._down.discard(index)
-
-    def __repr__(self) -> str:
-        return f"ShardRing(shards={len(self.endpoints)}, down={sorted(self._down)})"
-
-
 class ShardedRegistry:
-    """A pool of :class:`RegistrationTable` shards behind one :class:`ShardRing`.
+    """A fixed pool of :class:`RegistrationTable` shards, one per endpoint.
 
     This is the registration plane as one object — what the
-    ``rendezvous_scale`` bench drives directly (no packets, just the data
-    structures every packet handler sits on), and a convenient backing store
-    for tests that care about placement rather than wire behaviour.
+    ``rendezvous_churn`` workload and the ``rendezvous_scale`` bench drive
+    directly (no packets, just the data structures a packet handler sits
+    on).  Every operation places the peer on ``shards[shard_of(peer_id,
+    len(shards))]``, computed inline so a register, touch or lookup costs
+    no extra frame.
     """
 
     def __init__(
@@ -506,8 +423,9 @@ class ShardedRegistry:
         config: Optional[RegistryConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
+        if not endpoints:
+            raise ValueError("ShardedRegistry needs at least one endpoint")
         self.config = config or RegistryConfig()
-        self.ring = ShardRing(endpoints)
         self.shards: List[RegistrationTable] = [
             RegistrationTable(
                 now_fn,
@@ -518,48 +436,24 @@ class ShardedRegistry:
             )
             for _ in endpoints
         ]
-        #: Shards in the pool; the pool never resizes, so this is the
-        #: healthy-ring modulus.
+        #: Shards in the pool; the pool never resizes.
         self._count = len(self.shards)
 
-    # Each operation places the peer inline (ShardRing.owner_index's
-    # healthy-pool fast path, without its frame) and asks the ring only
-    # while a shard is down.
-
     def shard_for(self, peer_id: int) -> RegistrationTable:
-        ring = self.ring
-        if ring._down:
-            index = ring.owner_index(peer_id)
-        else:
-            index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count
-        return self.shards[index]
+        return self.shards[crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count]
 
     def register(self, peer_id: int, entry) -> int:
-        """Place *entry* on its owning shard; returns the shard index."""
-        ring = self.ring
-        if ring._down:
-            index = ring.owner_index(peer_id)
-        else:
-            index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count
+        """Place *entry* on its shard; returns the shard index."""
+        index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count
         self.shards[index].register(peer_id, entry)
         return index
 
     def touch(self, peer_id: int) -> bool:
-        """Keepalive refresh: the owning shard's :meth:`RegistrationTable.refresh`."""
-        ring = self.ring
-        if ring._down:
-            index = ring.owner_index(peer_id)
-        else:
-            index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count
-        return self.shards[index].refresh(peer_id)
+        """Keepalive refresh: the peer's shard's :meth:`RegistrationTable.refresh`."""
+        return self.shards[crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count].refresh(peer_id)
 
     def lookup(self, peer_id: int):
-        ring = self.ring
-        if ring._down:
-            index = ring.owner_index(peer_id)
-        else:
-            index = crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count
-        return self.shards[index].lookup(peer_id)
+        return self.shards[crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count].lookup(peer_id)
 
     @property
     def live(self) -> int:
@@ -576,10 +470,6 @@ class ShardedRegistry:
     def start_sweeps(self, scheduler) -> None:
         for shard in self.shards:
             shard.start_sweeps(scheduler)
-
-    def stop_sweeps(self) -> None:
-        for shard in self.shards:
-            shard.stop_sweeps()
 
     def __repr__(self) -> str:
         return f"ShardedRegistry(shards={len(self.shards)}, live={self.live})"
@@ -700,17 +590,3 @@ class KeepaliveWheel:
                 targets[interval] = bucket
             bucket.append(entry)
 
-
-def attach_shard_ring(servers: Iterable) -> ShardRing:
-    """Wire a server pool into one shared :class:`ShardRing`.
-
-    Builds the ring from each server's well-known endpoint (in pool order —
-    the same order a failover server list uses) and points every server's
-    ``shard_ring``/``shard_index`` at it.  Returns the ring.
-    """
-    pool = list(servers)
-    ring = ShardRing([server.endpoint for server in pool])
-    for index, server in enumerate(pool):
-        server.shard_ring = ring
-        server.shard_index = index
-    return ring

@@ -36,14 +36,11 @@ from repro.core.protocol import (
     SeqConnect,
     SeqReady,
     SeqRequest,
-    ShardForward,
-    ShardForwardReply,
-    ShardRedirect,
     TurnExchange,
     TRANSPORT_TCP,
     TRANSPORT_UDP,
 )
-from repro.core.registry import RegistrationTable, RegistryConfig, ShardRing
+from repro.core.registry import RegistrationTable
 from repro.netsim.addresses import Endpoint
 from repro.netsim.node import Host
 from repro.obs.metrics import MetricsRegistry
@@ -67,11 +64,6 @@ class Registration:
     registered_at: float
     last_seen: float
     keepalives: int = 0
-
-    @property
-    def behind_nat(self) -> bool:
-        """Private and public endpoints differ => a NAT is on the path."""
-        return self.public_ep != self.private_ep
 
 
 class _ControlConnection:
@@ -137,20 +129,12 @@ class RendezvousServer:
         port: the well-known port (paper examples use 1234).
         obfuscate: set to protect endpoint fields against payload-mangling
             NATs (§5.3); clients must use the same setting.
-        registry_config: TTL/LRU eviction policy for the UDP registration
-            table (see :class:`~repro.core.registry.RegistryConfig`).  The
-            default is inert — no expiry, no bound, no sweep timer — so
-            small-scale scenarios behave exactly as before.  TCP
-            registrations are governed by their control connection's
-            lifetime and stay policy-free.
-        shard_ring: when this server is one shard of a pool, the shared
-            :class:`~repro.core.registry.ShardRing` (see
-            :func:`~repro.core.registry.attach_shard_ring`).  Requests for
-            peer ids owned elsewhere draw a :class:`ShardRedirect` (client
-            requests) or are forwarded shard-to-shard (connect requests).
-            Sharding covers the UDP plane; TCP control connections pin a
-            client to whichever server it dialled.
-        shard_index: this server's position on the ring.
+
+    S keeps one registration table per transport, each a plain, metered
+    :class:`~repro.core.registry.RegistrationTable` with no expiry and no
+    size bound: a registration lives until S restarts or stops (§4.5 closes
+    control connections mid-exchange and still expects S to remember the
+    client).
     """
 
     def __init__(
@@ -159,9 +143,6 @@ class RendezvousServer:
         port: int = 1234,
         obfuscate: bool = False,
         rng: Optional[SeededRng] = None,
-        registry_config: Optional[RegistryConfig] = None,
-        shard_ring: Optional[ShardRing] = None,
-        shard_index: Optional[int] = None,
     ) -> None:
         self.host = host
         self.port = port
@@ -174,19 +155,9 @@ class RendezvousServer:
         self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry(
             now_fn=lambda: host.scheduler.now
         )
-        self.registry_config = registry_config or RegistryConfig()
-        cfg = self.registry_config
         now_fn = lambda: self.host.scheduler.now  # noqa: E731 - tiny closure
-        self.udp_clients: RegistrationTable = RegistrationTable(
-            now_fn,
-            ttl=cfg.ttl,
-            max_entries=cfg.max_entries,
-            sweep_granularity=cfg.sweep_granularity,
-            metrics=self.metrics,
-        )
+        self.udp_clients: RegistrationTable = RegistrationTable(now_fn, metrics=self.metrics)
         self.tcp_clients: RegistrationTable = RegistrationTable(now_fn, metrics=self.metrics)
-        self.shard_ring = shard_ring
-        self.shard_index = shard_index
         self._tcp_conns: Dict[int, _ControlConnection] = {}
         self._udp = stack.udp.socket(port)
         self._udp.on_datagram = self._on_udp
@@ -203,14 +174,8 @@ class RendezvousServer:
         self.errors_sent = 0
         self.restarts = 0
         self.endpoint_moves = 0
-        self.shard_redirects = 0
-        self.shard_forwards = 0
-        self._redirect_counter = self.metrics.counter("rendezvous.shard.redirects")
-        self._forward_counter = self.metrics.counter("rendezvous.shard.forwards")
         #: True while the server is killed (see :meth:`stop`).
         self.stopped = False
-        if cfg.ttl is not None:
-            self.udp_clients.start_sweeps(self.scheduler)
 
     @property
     def scheduler(self):
@@ -222,13 +187,13 @@ class RendezvousServer:
         Unlike :meth:`restart` (amnesia, but still answering), a stopped
         server is *gone*: UDP keepalives fall on an unbound port (no ack, no
         error — exactly what a dead host looks like) and TCP connection
-        attempts draw an RST.  Clients with a server list detect the decay
-        and fail over; see :mod:`repro.core.failover`.
+        attempts draw an RST.  Nothing is handed to another server: clients
+        with a server list detect the decay, fail over, and re-register with
+        the next server themselves; see :mod:`repro.core.failover`.
         """
         if self.stopped:
             return
         self.stopped = True
-        self.udp_clients.stop_sweeps()
         self.udp_clients.clear()
         self.tcp_clients.clear()
         self._pair_nonces.clear()
@@ -237,10 +202,6 @@ class RendezvousServer:
             control.conn.abort()
         self._udp.close()
         self._listener.close()
-        if self.shard_ring is not None and self.shard_index is not None:
-            # Let surviving shards redirect our peers to the ring successor
-            # instead of pointing them at a dead server.
-            self.shard_ring.mark_down(self.shard_index)
 
     def start(self) -> None:
         """Revive a stopped server on the same well-known endpoint.
@@ -256,10 +217,6 @@ class RendezvousServer:
         self._udp = stack.udp.socket(self.port)
         self._udp.on_datagram = self._on_udp
         self._listener = stack.tcp.listen(self.port, on_accept=self._on_accept, reuse=True)
-        if self.registry_config.ttl is not None:
-            self.udp_clients.start_sweeps(self.scheduler)
-        if self.shard_ring is not None and self.shard_index is not None:
-            self.shard_ring.mark_up(self.shard_index)
 
     def restart(self) -> None:
         """Simulate a server crash/restart: all soft state is lost.
@@ -291,12 +248,8 @@ class RendezvousServer:
         if message is None:
             return  # stray traffic
         if isinstance(message, Register):
-            if self._misrouted(message.client_id, src):
-                return
             self._register(self.udp_clients, message, src, src)
         elif isinstance(message, Keepalive):
-            if self._misrouted(message.client_id, src):
-                return
             reg = self.udp_clients.get(message.client_id)
             if reg is None:
                 # We don't know this client (e.g. our state was lost across a
@@ -320,10 +273,6 @@ class RendezvousServer:
             self._send_udp(KeepaliveAck(client_id=message.client_id), src)
         elif isinstance(message, ConnectRequest):
             self._handle_connect(message, src)
-        elif isinstance(message, ShardForward):
-            self._handle_shard_forward(message, src)
-        elif isinstance(message, ShardForwardReply):
-            self._handle_shard_forward_reply(message)
         elif isinstance(message, RelayPayload):
             self._handle_relay(message, TRANSPORT_UDP, src)
         elif isinstance(message, TurnExchange):
@@ -332,106 +281,6 @@ class RendezvousServer:
                 self._send_to_client(target, message, TRANSPORT_UDP)
         elif isinstance(message, ReverseRequest):
             self._handle_reverse(message, src)
-
-    # -- sharding ----------------------------------------------------------------
-
-    def _owns(self, peer_id: int) -> bool:
-        """Does the ring place *peer_id* on this shard (true when unsharded)?"""
-        if self.shard_ring is None or self.shard_index is None:
-            return True
-        return self.shard_ring.owner_index(peer_id) == self.shard_index
-
-    def _misrouted(self, peer_id: int, src: Endpoint) -> bool:
-        """Redirect a client whose id another shard owns; True when redirected."""
-        if self._owns(peer_id):
-            return False
-        self.shard_redirects += 1
-        self._redirect_counter.inc()
-        self._send_udp(
-            ShardRedirect(peer_id=peer_id, server=self.shard_ring.owner(peer_id)),
-            src,
-        )
-        return True
-
-    def _handle_shard_forward(self, forward: ShardForward, src: Endpoint) -> None:
-        """Finish a cross-shard connect request as the target's owner.
-
-        We resolve the target locally, mint the pairing nonce, send the
-        *target's* PeerEndpoints copy ourselves (the target keepalives here,
-        so its NAT passes our datagrams), and return a
-        :class:`ShardForwardReply` to the requesting shard — which delivers
-        the requester's copy, for the mirror-image NAT-filter reason.
-        """
-        target = self.udp_clients.lookup(forward.target_id)
-        if target is None:
-            self._send_udp(
-                ShardForwardReply(
-                    requester_id=forward.requester_id,
-                    target_id=forward.target_id,
-                    target_public=Endpoint("0.0.0.0", 0),
-                    target_private=Endpoint("0.0.0.0", 0),
-                    nonce=0,
-                    transport=forward.transport,
-                    status=ShardForwardReply.STATUS_UNKNOWN_PEER,
-                ),
-                src,
-            )
-            return
-        nonce = self._pair_nonce(forward.requester_id, forward.target_id, forward.transport)
-        self._send_to_client(
-            target,
-            PeerEndpoints(
-                peer_id=forward.requester_id,
-                public_ep=forward.requester_public,
-                private_ep=forward.requester_private,
-                nonce=nonce,
-                transport=forward.transport,
-                role=PeerEndpoints.ROLE_RESPONDER,
-            ),
-            forward.transport,
-        )
-        self._send_udp(
-            ShardForwardReply(
-                requester_id=forward.requester_id,
-                target_id=forward.target_id,
-                target_public=target.public_ep,
-                target_private=target.private_ep,
-                nonce=nonce,
-                transport=forward.transport,
-                status=ShardForwardReply.STATUS_OK,
-            ),
-            src,
-        )
-
-    def _handle_shard_forward_reply(self, reply: ShardForwardReply) -> None:
-        """Deliver the requester's half of a cross-shard endpoint exchange.
-
-        The requester registered with (and keepalives toward) *this* shard,
-        so our datagrams pass its NAT filter.  A requester we no longer hold
-        (re-homed since the forward) is dropped silently — its connect
-        retransmit re-routes through the new home.
-        """
-        requester = self.udp_clients.get(reply.requester_id)
-        if requester is None:
-            return
-        if reply.status != ShardForwardReply.STATUS_OK:
-            self._error(
-                RendezvousError.UNKNOWN_PEER,
-                f"peer {reply.target_id} not registered",
-                requester.public_ep,
-            )
-            return
-        self._send_udp(
-            PeerEndpoints(
-                peer_id=reply.target_id,
-                public_ep=reply.target_public,
-                private_ep=reply.target_private,
-                nonce=reply.nonce,
-                transport=reply.transport,
-                role=PeerEndpoints.ROLE_REQUESTER,
-            ),
-            requester.public_ep,
-        )
 
     # -- TCP side ---------------------------------------------------------------
 
@@ -504,11 +353,6 @@ class RendezvousServer:
         """§3.2 step 2: forward each peer's endpoints to the other."""
         self.connect_requests += 1
         transport = request.transport
-        # Sharding covers the UDP plane only: a UDP exchange asked for by
-        # datagram is the one request another shard may own.
-        sharded = transport == TRANSPORT_UDP and isinstance(reply, Endpoint)
-        if sharded and self._misrouted(request.requester_id, reply):
-            return
         table = self.udp_clients if transport == TRANSPORT_UDP else self.tcp_clients
         requester = table.lookup(request.requester_id)
         if requester is None:
@@ -516,24 +360,6 @@ class RendezvousServer:
                 RendezvousError.NOT_REGISTERED,
                 f"client {request.requester_id} not registered",
                 reply,
-            )
-            return
-        if sharded and not self._owns(request.target_id):
-            # The target's registration lives on another shard: hand the
-            # exchange over with everything the owner needs (§3.2 step 2 runs
-            # there).  Retransmitted connect requests re-forward; the owner's
-            # stable pair nonce keeps them converging on one punch attempt.
-            self.shard_forwards += 1
-            self._forward_counter.inc()
-            self._send_udp(
-                ShardForward(
-                    requester_id=requester.client_id,
-                    requester_public=requester.public_ep,
-                    requester_private=requester.private_ep,
-                    target_id=request.target_id,
-                    transport=transport,
-                ),
-                self.shard_ring.owner(request.target_id),
             )
             return
         target = table.lookup(request.target_id)

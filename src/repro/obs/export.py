@@ -110,9 +110,8 @@ def _percentile(values: Sequence[float], p: float) -> float:
 #: Counter prefixes surfaced by the compact per-section report summary.
 #: ``fleet.cache.`` carries the Table 1 dedup counters (distinct
 #: fingerprints, simulations, clones) published by ``run_fleet(metrics=...)``.
-#: ``rendezvous.`` carries the registration-plane counters (lookup hits and
-#: misses, TTL/LRU evictions, shard redirects/forwards) from
-#: ``repro.core.registry``.
+#: ``rendezvous.`` carries the registration-table counters (lookup hits and
+#: misses, TTL/LRU evictions) from ``repro.core.registry``.
 _REPORT_PREFIXES = (
     "punch.",
     "session.",

@@ -8,6 +8,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "build_multilevel": "topologies",
     "build_one_sided": "topologies",
     "build_public_pair": "topologies",
-    "build_sharded_pool": "topologies",
     "build_two_nats": "topologies",
 })

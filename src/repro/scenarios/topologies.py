@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.core.client import PeerClient
-from repro.core.registry import RegistryConfig, ShardRing, attach_shard_ring
 from repro.core.rendezvous import RendezvousServer
 from repro.nat.behavior import NatBehavior, WELL_BEHAVED
 from repro.nat.device import NatDevice
@@ -51,8 +50,6 @@ class Scenario:
         clients: PeerClients by label ("A", "B", ...).
         nats: NAT devices by label.
         hosts: every host by label (clients, servers, decoys).
-        ring: the shared shard ring when the servers form a sharded pool
-            (see :func:`build_sharded_pool`); None otherwise.
     """
 
     net: Network
@@ -61,7 +58,6 @@ class Scenario:
     nats: Dict[str, NatDevice] = field(default_factory=dict)
     hosts: Dict[str, Host] = field(default_factory=dict)
     servers: Dict[str, RendezvousServer] = field(default_factory=dict)
-    ring: Optional[ShardRing] = None
 
     def __post_init__(self) -> None:
         if not self.servers:
@@ -142,7 +138,6 @@ class ScenarioBuilder:
         ip: str = SERVER_IP,
         port: int = SERVER_PORT,
         label: str = "S",
-        registry_config: Optional[RegistryConfig] = None,
     ) -> RendezvousServer:
         """Add a rendezvous server.  The first one becomes the primary; later
         ones (give each a distinct *label* and *ip*) become failover targets
@@ -157,7 +152,6 @@ class ScenarioBuilder:
             port=port,
             obfuscate=self.obfuscate,
             rng=self.net.rng.child(rng_name),
-            registry_config=registry_config,
         )
         if self._server is None:
             self._server = server
@@ -342,51 +336,6 @@ def build_two_nats(
             "decoy", "10.1.1.3", lan_a_net, lan_a, gw_a, tcp_style_a
         )
         scenario.hosts["decoy"] = decoy
-    scenario.clients = {
-        "A": builder.make_client(host_a, 1),
-        "B": builder.make_client(host_b, 2),
-    }
-    return scenario
-
-
-def build_sharded_pool(
-    seed: int = 0,
-    num_shards: int = 3,
-    behavior_a: NatBehavior = WELL_BEHAVED,
-    behavior_b: Optional[NatBehavior] = None,
-    registry_config: Optional[RegistryConfig] = None,
-    tcp_style_a: TcpStyle = TcpStyle.BSD,
-    tcp_style_b: TcpStyle = TcpStyle.BSD,
-    **kw,
-) -> Scenario:
-    """Figure 5 clients in front of a *sharded* rendezvous pool.
-
-    The failover server list (S, S2, ... on 18.181.0.31+) doubles as the
-    shard ring: every server holds the same :class:`ShardRing` and owns the
-    peer ids that hash to its slot.  Clients start pointed at the primary
-    and follow :class:`~repro.core.protocol.ShardRedirect`\\ s to their
-    owners; connect requests whose target lives elsewhere are forwarded
-    shard-to-shard.  Pass a *registry_config* to arm TTL/LRU eviction on
-    every shard (the default keeps the tables unbounded, like the
-    single-server builders).
-    """
-    builder = ScenarioBuilder(seed=seed, **kw)
-    server = builder.add_server(registry_config=registry_config)
-    for i in range(2, num_shards + 1):
-        builder.add_server(
-            ip=f"18.181.0.{30 + i}", label=f"S{i}", registry_config=registry_config
-        )
-    ring = attach_shard_ring(builder._servers.values())
-    behavior_b = behavior_b if behavior_b is not None else behavior_a
-    nat_a, lan_a, gw_a = builder.add_nat("A", NAT_A_PUBLIC, "10.0.0.0/24", behavior_a)
-    nat_b, lan_b, gw_b = builder.add_nat("B", NAT_B_PUBLIC, "10.1.1.0/24", behavior_b)
-    host_a = builder.add_client_host("A", "10.0.0.1", "10.0.0.0/24", lan_a, gw_a, tcp_style_a)
-    host_b = builder.add_client_host("B", "10.1.1.3", "10.1.1.0/24", lan_b, gw_b, tcp_style_b)
-    scenario = Scenario(
-        net=builder.net, server=server, servers=dict(builder._servers), ring=ring
-    )
-    scenario.nats = {"A": nat_a, "B": nat_b}
-    scenario.hosts = {"S": server.host, "A": host_a, "B": host_b}
     scenario.clients = {
         "A": builder.make_client(host_a, 1),
         "B": builder.make_client(host_b, 2),

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.netsim.addresses import Endpoint
@@ -59,10 +57,3 @@ def detach_stack(host) -> None:
         host.register_protocol(proto, None)
     host.stack = None
 
-
-def handover(primary, successor) -> int:
-    """Planned failover: *successor* adopts a copy of each of *primary*'s UDP
-    registrations; returns how many it adopted (its own are kept)."""
-    return successor.udp_clients.adopt(
-        {cid: dataclasses.replace(reg) for cid, reg in primary.udp_clients.items()}
-    )

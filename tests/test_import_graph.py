@@ -268,8 +268,7 @@ EXPORTS = {
     "repro.scenarios": {
         "Scenario": "topologies", "build_common_nat": "topologies",
         "build_multilevel": "topologies", "build_one_sided": "topologies",
-        "build_public_pair": "topologies", "build_sharded_pool": "topologies",
-        "build_two_nats": "topologies",
+        "build_public_pair": "topologies", "build_two_nats": "topologies",
     },
     "repro.transport": {
         "HostStack": "stack", "attach_stack": "stack", "TcpConnection": "tcp",
@@ -291,7 +290,7 @@ def test_every_package_is_covered():
         m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
     }
     assert found == set(EXPORTS)
-    assert sum(len(table) for table in EXPORTS.values()) == 143
+    assert sum(len(table) for table in EXPORTS.values()) == 142
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -417,17 +416,14 @@ KEEP = {
         "reads back what to_jsonl writes (docs/observability.md:222)",
     "repro.obs.flight_export.from_chrome_trace":
         "reads back what to_chrome_trace writes (docs/observability.md:225)",
-    "repro.core.registry.RegistrationTable.adopt":
-        "the registry's bulk import: a rule of the RegistrationTable state machine "
-        "(tests/test_registry_model.py) and the handover of the shard model "
-        "(tests/test_shard_model.py)",
+    "repro.core.registry.shard_of":
+        "placement stated once; tests/test_registry.py checks ShardedRegistry's "
+        "inline crc32 against it",
     "repro.netsim.addresses.Endpoint.obfuscated":
         "the §3.1 / §5.3 endpoint obfuscation stated once; tests/test_protocol.py "
         "checks the codec's compiled mask against it",
     "repro.scenarios.topologies.build_public_pair":
         "exported scenario builder seven test modules stand on; moving it is not deleting it",
-    "repro.scenarios.topologies.build_sharded_pool":
-        "exported scenario builder the shard tests stand on; moving it is not deleting it",
 }
 
 #: ``*Config`` / ``*Policy`` fields nothing outside ``tests/`` sets, each kept

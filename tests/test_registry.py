@@ -1,6 +1,8 @@
 """Unit tests for the sharded registration plane (repro.core.registry)."""
 
 import heapq
+import struct
+import zlib
 from collections import defaultdict
 
 import pytest
@@ -10,9 +12,7 @@ from repro.core.registry import (
     KeepaliveWheel,
     RegistrationTable,
     RegistryConfig,
-    ShardRing,
     ShardedRegistry,
-    attach_shard_ring,
     shard_of,
 )
 from repro.netsim.addresses import Endpoint
@@ -217,49 +217,41 @@ def test_churn_never_evicts_peers_with_live_keepalives():
     assert len(table) == 50
 
 
-# -- bulk adoption ----------------------------------------------------------------
-
-
-def test_adopt_is_bulk_and_timerless():
-    sched = Scheduler()
-    table = make_table(sched, ttl=30.0, sweep_granularity=5.0)
-    table.start_sweeps(sched)
-    table.register(7, Entry(last_seen=0.0))
-    pending_before = sched.pending
-    incoming = {cid: Entry(last_seen=1.0) for cid in range(1000)}
-    adopted = table.adopt(incoming)
-    assert adopted == 999  # id 7 already present, kept
-    assert table[7] is not incoming[7]
-    assert sched.pending == pending_before  # zero per-entry timer churn
-    assert len(table) == 1000
-
-
-# -- the shard ring ----------------------------------------------------------------
+# -- the sharded plane ------------------------------------------------------------
 
 
 def endpoints(n):
     return [Endpoint(f"18.181.0.{31 + i}", 1234) for i in range(n)]
 
 
-def test_shard_ring_deterministic_placement():
-    ring = ShardRing(endpoints(4))
-    for peer_id in range(100):
-        home = shard_of(peer_id, 4)
-        assert ring.home_index(peer_id) == home
-        assert ring.owner_index(peer_id) == home
-        assert ring.owner(peer_id) == ring.endpoints[home]
+def test_sharded_registry_places_each_peer_on_its_shard_of():
+    """Placement is ``shard_of``: the inline crc32 in every operation agrees
+    with the reference, ids of 2**32 and up (and negative ones) included."""
+    ids = [*range(300), 2**32 - 1, 2**32, 2**32 + 5, 2**40 + 3, 2**63 - 1, -1, -(2**33)]
+    for shards in (1, 2, 3, 5, 8):
+        registry = ShardedRegistry(lambda: 0.0, endpoints(shards))
+        for peer_id in ids:
+            home = registry.shards[shard_of(peer_id, shards)]
+            assert registry.shard_for(peer_id) is home
+            entry = Entry()
+            assert registry.shards[registry.register(peer_id, entry)] is home
+            assert registry.lookup(peer_id) is entry and home[peer_id] is entry
 
 
-def test_shard_ring_probes_past_down_shards():
-    ring = ShardRing(endpoints(4))
-    victim = next(p for p in range(100) if ring.home_index(p) == 2)
-    ring.mark_down(2)
-    assert ring.owner_index(victim) == 3
-    ring.mark_down(3)
-    assert ring.owner_index(victim) == 0  # wraps
-    ring.mark_up(2)
-    assert ring.owner_index(victim) == 2
-    assert ring._down == {3}
+@given(shards=st.integers(1, 8), peer_id=st.integers(-(2**64), 2**64))
+def test_sharded_registry_placement_is_the_reference_hash(shards, peer_id):
+    """Every operation lands on the crc32 of the id's low 32 bits, big-endian,
+    modulo the pool size — recomputed here without the registry's helpers."""
+    home_index = zlib.crc32(struct.pack("!I", peer_id % 2**32)) % shards
+    assert shard_of(peer_id, shards) == home_index
+    registry = ShardedRegistry(lambda: 0.0, endpoints(shards))
+    home = registry.shards[home_index]
+    assert registry.shard_for(peer_id) is home
+    entry = Entry()
+    assert registry.register(peer_id, entry) == home_index
+    assert registry.lookup(peer_id) is entry and home[peer_id] is entry
+    assert registry.touch(peer_id)
+    assert registry.live == 1
 
 
 def test_sharded_registry_places_touches_and_sweeps():
@@ -565,28 +557,12 @@ def test_registry_metrics_names():
     assert hists["rendezvous.sweep.batch_size"].count == 1
 
 
-def test_attach_shard_ring_wires_every_server():
-    class FakeServer:
-        def __init__(self, ip):
-            self.endpoint = Endpoint(ip, 1234)
-            self.shard_ring = None
-            self.shard_index = None
-
-    servers = [FakeServer(f"18.181.0.{31 + i}") for i in range(3)]
-    ring = attach_shard_ring(servers)
-    assert len(ring) == 3
-    for index, server in enumerate(servers):
-        assert server.shard_ring is ring
-        assert server.shard_index == index
-        assert ring.endpoints[index] == server.endpoint
-
-
 def test_config_validation():
     sched = Scheduler()
     with pytest.raises(ValueError):
         RegistrationTable(lambda: sched.now, ttl=10.0, sweep_granularity=0.0)
     with pytest.raises(ValueError):
-        ShardRing([])
+        ShardedRegistry(lambda: sched.now, [])
     with pytest.raises(ValueError):
         KeepaliveWheel(sched, granularity=0.0)
 
@@ -599,8 +575,8 @@ def test_policy_values_are_validated(policy):
     sched = Scheduler()
     with pytest.raises(ValueError):
         RegistrationTable(lambda: sched.now, **policy)
-    # The sharded plane and the servers build their tables from a
-    # RegistryConfig, so the same check covers them.
+    # The sharded plane builds its tables from a RegistryConfig, so the
+    # same check covers it.
     with pytest.raises(ValueError):
         ShardedRegistry(lambda: sched.now, endpoints(2), RegistryConfig(**policy))
 

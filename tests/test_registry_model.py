@@ -2,13 +2,14 @@
 
 One hypothesis state machine drives a TTL-only, an LRU-only and a TTL + LRU
 :class:`~repro.core.registry.RegistrationTable` through every operation the
-servers and the failover path use — register, replace, ``del``, re-register,
-``refresh``, stamp-and-``touch``, ``adopt``, clock advances, ``sweep``,
-``clear`` — and checks three things after every step:
+servers and the sharded plane use — register (stamped now or earlier),
+replace, ``del``, re-register, ``refresh``, stamp-and-``touch``, clock
+advances, ``sweep``, ``clear`` — and checks three things after every step:
 
 (a) **differential** — :class:`ParentRegistrationTable`, the table as it was
     before its wheel index went sparse (a dense ``_armed: id -> bucket`` map
-    written on every filing), kept here verbatim as the reference, returns
+    written on every filing), kept here as the reference (less the methods
+    the table has since dropped), returns
     the same ``sweep()`` lists, counters, ``on_evict`` calls, iteration order
     and wheel buckets;
 (b) **oracle** — a plain dict of ``id -> last_seen``: nothing is evicted
@@ -246,20 +247,6 @@ class ParentRegistrationTable:
         self._age_hist.observe(self._now() - entry.last_seen)
         return entry
 
-    def adopt(self, registrations: Dict[int, object]) -> int:
-        """Bulk import for warm failover: O(n) inserts, zero timer churn.
-
-        Entries the table already holds are kept — the local observation is
-        fresher than the predecessor's export.  Returns how many were
-        adopted.
-        """
-        adopted = 0
-        for client_id, entry in registrations.items():
-            if client_id not in self._entries:
-                self.register(client_id, entry)
-                adopted += 1
-        return adopted
-
     # -- timer wheel -------------------------------------------------------------
 
     def _bucket_index(self, deadline: float) -> int:
@@ -340,11 +327,6 @@ class ParentRegistrationTable:
         self.sweep()
         self._sweep_timer = scheduler.call_later(self.granularity, self._sweep_tick, scheduler)
 
-    def stop_sweeps(self) -> None:
-        if self._sweep_timer is not None:
-            self._sweep_timer.cancel()
-            self._sweep_timer = None
-
     def __repr__(self) -> str:
         return (
             f"RegistrationTable(live={len(self._entries)}, ttl={self.ttl}, "
@@ -361,8 +343,8 @@ TTL = 12.0
 IDS = st.integers(0, 7)
 #: Clock steps: same tick, inside one bucket, across one, across a whole TTL.
 STEPS = st.sampled_from([0.0, 0.5, 2.5, 5.0, 7.5, 13.0]) | st.floats(0.0, 20.0)
-#: How long ago an adopted entry was last seen: fresher *and* staler than the
-#: registration the successor may have just dropped, some already past the TTL.
+#: How long ago an aged registration was last seen: fresher *and* staler than
+#: the registration it may replace, some already past the TTL.
 AGES = st.sampled_from([0.0, 3.0, 11.0, 12.5]) | st.floats(0.0, 20.0)
 
 
@@ -489,26 +471,15 @@ class TableMachine(RuleBasedStateMachine):
         if cid in self.model:
             self._model_refresh(cid)
 
-    @rule(batch=st.dictionaries(IDS, AGES, min_size=1, max_size=5))
-    def adopt(self, batch):
-        """Warm failover: ids already held are kept, the rest filed from
-        the predecessor's ``last_seen``."""
-        self.serial += 1
-        incoming = [
-            {cid: Entry(cid, self.serial, max(0.0, self.now - age)) for cid, age in batch.items()}
-            for _ in self.tables
-        ]
-        before = len(self.calls[0])
-        adopted = [table.adopt(entries) for table, entries in zip(self.tables, incoming)]
-        expected, victims = 0, []
-        for cid, entry in incoming[0].items():
-            if cid not in self.model:
-                victim = self._model_store(cid, entry.last_seen)
-                expected += 1
-                if victim is not None:
-                    victims.append((victim, "lru"))
-        assert adopted == [expected, expected]
-        assert [(key[0], reason) for key, reason in self.calls[0][before:]] == victims
+    @rule(cid=IDS, age=AGES)
+    def register_aged(self, cid, age):
+        """A registration whose ``last_seen`` is already in the past: it is
+        filed in the bucket of its real deadline, which may already be due.
+        Only for ids the table does not hold: a replacement keeps the live
+        id's filing (see ``register``), so it is never staler than the entry
+        it replaces."""
+        if cid not in self.model:
+            self._register(cid, max(0.0, self.now - age))
 
     @rule(dt=STEPS)
     def advance(self, dt):
@@ -690,8 +661,11 @@ def test_registration_has_no_dict_and_round_trips():
 
 
 def test_registration_behind_nat():
-    assert Registration(**FIELDS).behind_nat
-    assert not Registration(7, PRIVATE, PRIVATE, 0.0, 0.0).behind_nat
+    """Behind a NAT, S holds two different endpoints for the client (§3.1)."""
+    behind = Registration(**FIELDS)
+    assert behind.public_ep != behind.private_ep
+    direct = Registration(7, PRIVATE, PRIVATE, 0.0, 0.0)
+    assert direct.public_ep == direct.private_ep
 
 
 # -- what one registration costs ---------------------------------------------------
