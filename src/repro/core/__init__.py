@@ -9,16 +9,13 @@
 * :mod:`repro.core.reversal` — connection reversal (§2.3);
 * :mod:`repro.core.relay` — relaying through S (§2.2);
 * :mod:`repro.core.client` — :class:`PeerClient`, the application-facing API;
-* :mod:`repro.core.connector` — the direct → reversal → punch → relay ladder;
-* :mod:`repro.core.failover` — rendezvous-server failover (survivability).
+* :mod:`repro.core.connector` — the direct → reversal → punch → relay ladder.
 """
 
 from repro import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "PeerClient": "client",
-    "FailoverConfig": "failover",
-    "ServerFailover": "failover",
     "ConnectOutcome": "connector",
     "ConnectResult": "connector",
     "P2PConnector": "connector",

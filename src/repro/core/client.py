@@ -21,16 +21,14 @@ connection to S, all sharing one local TCP port via SO_REUSEADDR (§4.1).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import protocol
-from repro.core.failover import FailoverConfig, ServerFailover
 from repro.core.protocol import (
     ConnectRequest,
     FrameBuffer,
     Hello,
     Keepalive,
-    KeepaliveAck,
     Message,
     PeerEndpoints,
     Punch,
@@ -117,27 +115,17 @@ class PeerClient:
         self,
         host: Host,
         client_id: int,
-        server: Optional[Endpoint] = None,
+        server: Endpoint,
         local_port: int = 4321,
         obfuscate: bool = False,
         punch_config: Optional[PunchConfig] = None,
         tcp_punch_config: Optional[TcpPunchConfig] = None,
         sequential_config: Optional[SequentialConfig] = None,
-        servers: Optional[Sequence[Endpoint]] = None,
-        failover_config: Optional[FailoverConfig] = None,
     ) -> None:
-        if servers:
-            server_list = list(servers)
-        elif server is not None:
-            server_list = [server]
-        else:
-            raise ReproError("PeerClient needs a server endpoint (or servers list)")
         self.host = host
         self.scheduler = host.scheduler
         self.client_id = client_id
-        #: The rendezvous server currently in use; a ServerFailover manager
-        #: rewrites this on migration, and every send path reads it live.
-        self.server = server_list[0]
+        self.server = server
         self.obfuscate = obfuscate
         self.punch_config = punch_config or PunchConfig()
         self.tcp_punch_config = tcp_punch_config or TcpPunchConfig()
@@ -166,6 +154,9 @@ class PeerClient:
         self.tcp_registered = False
         self._tcp_register_cb: Optional[Callable[[], None]] = None
         self._control = None  # TcpConnection
+        #: The control connection errored (S restarted, died or is
+        #: unreachable); the server-keepalive tick re-dials while this is set.
+        self._control_failed = False
         self._control_buffer = FrameBuffer()
         self._listener = None
         self.tcp_punchers: Dict[int, TcpHolePuncher] = {}
@@ -213,13 +204,6 @@ class PeerClient:
         #: (retransmits, punch probes, the server's replies) inherits its
         #: correlation id through the scheduler context.
         self.flight = getattr(host, "flight", None)
-        # --- rendezvous failover (multi-server survivability) ----------------------
-        #: Present when the client was given an ordered ``servers`` list (or an
-        #: explicit failover config): drives keepalives and migrates the
-        #: registration when acks to the current server decay.
-        self.failover: Optional[ServerFailover] = None
-        if servers or failover_config is not None:
-            self.failover = ServerFailover(self, server_list, failover_config)
 
     # -- conveniences ------------------------------------------------------------
 
@@ -264,24 +248,20 @@ class PeerClient:
     def start_server_keepalives(self, interval: float = 15.0) -> None:
         """Periodically refresh the registration's NAT mapping (§3.6).
 
-        With a :class:`~repro.core.failover.ServerFailover` attached the
-        manager drives the loop instead: its probes double as liveness
-        checks, and unanswered ones trigger migration to the next server.
+        Each tick also re-dials a TCP control connection that errored, so a
+        TCP registration heals once S answers again.
         """
-        if self.failover is not None:
-            self.failover.start(interval)
-            return
         self.stop_server_keepalives()
 
         def tick() -> None:
             self._send_server_udp(Keepalive(client_id=self.client_id))
+            if self._control_failed:
+                self._reopen_control()
             self._server_keepalive_timer = self.scheduler.call_later(interval, tick)
 
         self._server_keepalive_timer = self.scheduler.call_later(interval, tick)
 
     def stop_server_keepalives(self) -> None:
-        if self.failover is not None:
-            self.failover.stop()
         if self._server_keepalive_timer is not None:
             self._server_keepalive_timer.cancel()
             self._server_keepalive_timer = None
@@ -456,9 +436,6 @@ class PeerClient:
             self._route_peer_message(message, src)
         elif isinstance(message, Registered):
             self._udp_registered(message)
-        elif isinstance(message, KeepaliveAck):
-            if message.client_id == self.client_id and self.failover is not None:
-                self.failover.note_ack()
         elif isinstance(message, PeerEndpoints):
             if message.transport == TRANSPORT_UDP:
                 self._endpoint_exchange(message)
@@ -659,6 +636,7 @@ class PeerClient:
         self._open_control()
 
     def _open_control(self) -> None:
+        self._control_failed = False
         self._control_buffer = FrameBuffer()
         self._control = self.tcp_stack.connect(
             self.server,
@@ -678,16 +656,14 @@ class PeerClient:
         )
 
     def _control_error(self, error) -> None:
+        # RST from a restarted or stopped S, or a retransmission timeout
+        # toward an unreachable one: the next server-keepalive tick re-dials.
         self.tcp_registered = False
-        if self.failover is not None:
-            # RST from a dead/stopped server or retransmission timeout toward
-            # an unreachable one: feed the failover miss counter so TCP-only
-            # clients migrate as promptly as UDP ones.
-            self.failover.note_control_failure()
+        self._control_failed = True
 
     def _reopen_control(self) -> None:
-        """Tear down the control connection and re-dial the current server
-        (used by failover after migration and for reconnects)."""
+        """Tear down the control connection and re-dial S (after an error,
+        and when §4.5 consumes it)."""
         self.control_reconnects += 1
         self.tcp_registered = False
         if self._control is not None:
@@ -710,8 +686,7 @@ class PeerClient:
         except ConnectionError_:
             # The control connection died under us (server kill mid-exchange).
             # Swallow rather than unwind the caller: pending requests have
-            # their own deadlines, and failover/reconnect machinery restores
-            # the channel.
+            # their own deadlines, and the server-keepalive tick re-dials.
             self.metrics.counter("client.control_send_failures").inc()
 
     def _consume_control_connection(self) -> None:
@@ -825,37 +800,15 @@ class PeerClient:
         self,
         turn_server: Endpoint,
         refresh_interval: Optional[float] = None,
-        fallback_servers: Sequence[Endpoint] = (),
     ) -> None:
         """Attach a TURN client so :meth:`connect_via_turn` (and incoming
-        TURN exchanges) can build relayed channels.
-
-        With *fallback_servers* the client re-allocates on the next server
-        when refreshes to the current one decay; either way, a relay
-        endpoint that *moves* (server restart rebuilt the allocation on a
-        new port) is re-advertised to every active pair session.
-        """
+        TURN exchanges) can build relayed channels."""
         if self.turn is not None:
             return
         self.turn = TurnClient(
-            self.host,
-            turn_server,
-            self.client_id,
-            refresh_interval=refresh_interval,
-            fallback_servers=fallback_servers,
+            self.host, turn_server, self.client_id, refresh_interval=refresh_interval
         )
         self.turn.on_data = self._on_turn_data
-        self.turn.on_relocated = self._turn_relocated
-
-    def _turn_relocated(self, new_relay: Endpoint) -> None:
-        """Our relayed endpoint moved: re-advertise it to every live pair
-        (via S) and re-run each pair's opener handshake so permissions are
-        installed from the new allocation."""
-        for peer_id, pair in list(self.turn_pairs.items()):
-            if pair.closed:
-                continue
-            self._advertise_relay(peer_id, pair.nonce)
-            pair.resume()
 
     def _advertise_relay(self, peer_id: int, nonce: int) -> None:
         """Tell *peer_id* (via S) where our relayed endpoint is."""
@@ -920,14 +873,7 @@ class PeerClient:
         # deliver the session once the openers cross.
         existing = self.turn_pairs.get(peer_id)
         if existing is not None and existing.nonce == message.nonce:
-            if not existing.closed and existing.peer_relay != message.relay_ep:
-                # The peer's relay moved (its TURN server restarted or it
-                # failed over): adopt the new endpoint, re-advertise ours,
-                # and re-run the opener handshake.
-                existing.resume(peer_relay=message.relay_ep)
-                if self.turn.relay_endpoint is not None:
-                    self._advertise_relay(peer_id, message.nonce)
-            return  # duplicate (or now-refreshed) exchange
+            return  # duplicate exchange
 
         def respond() -> None:
             pair = TurnPairSession(

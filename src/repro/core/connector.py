@@ -192,7 +192,7 @@ class P2PConnector:
                 on_result(result)
 
         # A strategy can fail synchronously (e.g. the client is momentarily
-        # unregistered mid-failover): route the error through fail() so the
+        # unregistered after S restarted): route the error through fail() so the
         # ladder keeps descending and every connect attempt terminates.
         try:
             if strategy == STRATEGY_PUNCH:
@@ -241,9 +241,10 @@ class P2PConnector:
                 channel.start_keepalives(TCP_KEEPALIVE_INTERVAL)
         elif isinstance(channel, RelaySession):
             # Relaying rides the client/server connections, so the only
-            # breakage signal is S bouncing a payload (peer gone / failover
-            # lag): treat that like any other broken channel.  The guard
-            # matters here — S may bounce several queued payloads at once.
+            # breakage signal is S bouncing a payload (peer gone, or S
+            # restarted and forgot it): treat that like any other broken
+            # channel.  The guard matters here — S may bounce several queued
+            # payloads at once.
             channel.on_error = trip
 
     def _channel_broken(self, peer_id: int, on_result: ResultHandler, recovery: int) -> None:

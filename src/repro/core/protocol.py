@@ -252,12 +252,8 @@ class Keepalive(Message):
 class KeepaliveAck(Message):
     """S -> client: the keepalive landed on a live registration.
 
-    The ack is what makes S's liveness *observable*: a client that stops
-    receiving acks can distinguish "S is dead / unreachable" from "nothing
-    to say" and fail over to the next rendezvous server in its list (the
-    §2.2 guarantee — "relaying always works as long as both clients can
-    connect to the server" — only holds if the clients notice when they
-    can't)."""
+    Clients consume the ack and ignore it: a registration S lost shows up as
+    a NOT_REGISTERED error instead."""
 
     TYPE: ClassVar[int] = 0x07
     _layout: ClassVar = (("client_id", "u32"),)

@@ -187,9 +187,9 @@ class RendezvousServer:
         Unlike :meth:`restart` (amnesia, but still answering), a stopped
         server is *gone*: UDP keepalives fall on an unbound port (no ack, no
         error — exactly what a dead host looks like) and TCP connection
-        attempts draw an RST.  Nothing is handed to another server: clients
-        with a server list detect the decay, fail over, and re-register with
-        the next server themselves; see :mod:`repro.core.failover`.
+        attempts draw an RST.  After :meth:`start` clients re-register on
+        their own: a keepalive draws NOT_REGISTERED, and the keepalive tick
+        re-dials a TCP control connection that errored.
         """
         if self.stopped:
             return

@@ -20,7 +20,7 @@ A TURN-to-TURN channel between two clients rides the punch lifecycle
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.core import protocol
 from repro.core.auth import message_is_from_peer
@@ -29,14 +29,10 @@ from repro.core.udp_punch import PunchConfig, _Connect, _HolePunch, _PeerSession
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
 from repro.netsim.node import Host
-from repro.util.errors import ReproError
 
 DEFAULT_TURN_PORT = 3478
 DEFAULT_LIFETIME = 600.0
 
-#: Consecutive unanswered refreshes after which a TurnClient declares its
-#: server dead and re-allocates (on the next server if it has fallbacks).
-REFRESH_MISSES = 3
 #: Seconds between the openers a TURN pair sends until the peer answers.
 OPENER_INTERVAL = 0.5
 
@@ -113,51 +109,15 @@ class TurnServer:
         self._stack = host.stack  # type: ignore[attr-defined]
         self._control = self._stack.udp.socket(port)
         self._control.on_datagram = self._on_control
-        self.port = port
         self.endpoint = Endpoint(host.primary_ip, port)
         self.allocations: Dict[Endpoint, _Allocation] = {}
         self.rejected_inbound = 0
         self.allocations_created = 0
         self.allocations_expired = 0
-        self.restarts = 0
-        self.stopped = False
 
     @property
     def scheduler(self):
         return self.host.scheduler
-
-    def restart(self) -> None:
-        """Crash/restart: every allocation (and its relay port) is lost.
-
-        The control socket stays bound, so refreshes from existing clients
-        are answered — but with *fresh* allocations on *new* relay ports.
-        A client that does not notice the relay-endpoint change keeps
-        advertising a dead one; see ``TurnClient.on_relocated``.
-        """
-        self.restarts += 1
-        allocations, self.allocations = self.allocations, {}
-        for allocation in allocations.values():
-            allocation.close()
-
-    def stop(self) -> None:
-        """Kill the server: allocations die and the control port unbinds,
-        so refreshes fall on a dead endpoint (no answer at all)."""
-        if self.stopped:
-            return
-        self.stopped = True
-        allocations, self.allocations = self.allocations, {}
-        for allocation in allocations.values():
-            allocation.close()
-        self._control.close()
-
-    def start(self) -> None:
-        """Revive a stopped server (same endpoint, no state)."""
-        if not self.stopped:
-            return
-        self.stopped = False
-        self.restarts += 1
-        self._control = self._stack.udp.socket(self.port)
-        self._control.on_datagram = self._on_control
 
     def _on_control(self, data: bytes, src: Endpoint) -> None:
         message = protocol.try_decode(data)
@@ -203,46 +163,25 @@ class TurnClient:
     """
 
     def __init__(self, host: Host, server: Endpoint, client_id: int,
-                 refresh_interval: Optional[float] = None,
-                 fallback_servers: Sequence[Endpoint] = ()) -> None:
+                 refresh_interval: Optional[float] = None) -> None:
         self.host = host
-        self.servers: List[Endpoint] = [server, *fallback_servers]
-        self.server_index = 0
+        self.server = server
         self.client_id = client_id
         self._stack = host.stack  # type: ignore[attr-defined]
         self.socket = self._stack.udp.socket(0)
         self.socket.on_datagram = self._on_datagram
         self.relay_endpoint: Optional[Endpoint] = None
         self.on_data: Optional[Callable[[Endpoint, bytes], None]] = None
-        #: Fired when a re-allocation came back on a *different* relay
-        #: endpoint (server restarted, or we failed over to a fallback):
-        #: whoever advertised the old endpoint must re-advertise.
-        self.on_relocated: Optional[Callable[[Endpoint], None]] = None
-        #: Fired when ``REFRESH_MISSES`` refreshes went unanswered.
-        self.on_failure: Optional[Callable[[Exception], None]] = None
         #: Everyone waiting on the next TurnAllocated, in request order.
         self._on_allocated: List[Callable[[Endpoint], None]] = []
         self._refresh_interval = refresh_interval
         self._refresh_timer: Optional[Timer] = None
-        self._refresh_misses = 0
-        self.failovers = 0
-        self.relocations = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        self._metrics = getattr(host, "metrics", None)
-
-    @property
-    def server(self) -> Endpoint:
-        """The TURN server currently in use."""
-        return self.servers[self.server_index]
 
     @property
     def scheduler(self):
         return self.host.scheduler
-
-    def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(name).inc()
 
     def allocate(self, on_allocated: Optional[Callable[[Endpoint], None]] = None) -> None:
         """Request (or refresh) the relayed endpoint."""
@@ -260,30 +199,6 @@ class TurnClient:
         )
 
     def _refresh(self) -> None:
-        # Refreshing is not fire-and-forget: each TurnAllocate should draw a
-        # TurnAllocated back.  Count the ones that did not — a dead server
-        # would otherwise be refreshed forever while our allocation is gone.
-        self._refresh_misses += 1
-        if self._refresh_misses > REFRESH_MISSES:
-            self._server_dead()
-            return
-        self.socket.sendto(
-            protocol.encode(TurnAllocate(client_id=self.client_id)), self.server
-        )
-        self._schedule_refresh()
-
-    def _server_dead(self) -> None:
-        """Refreshes decayed: rotate to the next server (wrapping — a single
-        server is simply re-tried, which covers revives) and re-allocate."""
-        self.failovers += 1
-        self._count("turn.failovers")
-        dead = self.server
-        self.server_index = (self.server_index + 1) % len(self.servers)
-        self._refresh_misses = 0
-        if self.on_failure is not None:
-            self.on_failure(
-                ReproError(f"TURN server {dead} stopped answering refreshes")
-            )
         self.socket.sendto(
             protocol.encode(TurnAllocate(client_id=self.client_id)), self.server
         )
@@ -304,23 +219,10 @@ class TurnClient:
     def _on_datagram(self, data: bytes, src: Endpoint) -> None:
         message = protocol.try_decode(data)
         if isinstance(message, TurnAllocated) and message.client_id == self.client_id:
-            self._refresh_misses = 0
-            moved = (
-                self.relay_endpoint is not None
-                and self.relay_endpoint != message.relay_ep
-            )
             self.relay_endpoint = message.relay_ep
             callbacks, self._on_allocated = self._on_allocated, []
             for callback in callbacks:
                 callback(message.relay_ep)
-            if moved:
-                # The server rebuilt our allocation on a new relay port
-                # (restart) or we failed over: silently keeping the old
-                # advertised endpoint would blackhole every pair session.
-                self.relocations += 1
-                self._count("turn.relocations")
-                if self.on_relocated is not None:
-                    self.on_relocated(message.relay_ep)
         elif isinstance(message, TurnData):
             self.bytes_received += len(message.payload)
             if self.on_data is not None:
@@ -336,9 +238,9 @@ class TurnPairSession(_PeerSession):
     double-symmetric, where every punching variant fails.  Messages carry
     the usual (sender, receiver, nonce) authentication.
 
-    A :class:`TurnPunch` opens it (and re-opens it after a relay moved,
-    :meth:`resume`); *config*'s timeout bounds each opening.  The §3.6
-    keepalive ladder runs only once :meth:`start_keepalives` is called.
+    A :class:`TurnPunch` opens it; *config*'s timeout bounds the opening.
+    The §3.6 keepalive ladder runs only once :meth:`start_keepalives` is
+    called.
     """
 
     _name = "turn"
@@ -354,10 +256,6 @@ class TurnPairSession(_PeerSession):
         self.config = config
         self.established = False
         self.on_data: Optional[Callable[[bytes], None]] = None
-        #: Fired each time a resumed session re-establishes (a relay moved
-        #: and the opener handshake completed again).
-        self.on_resumed: Optional[Callable[["TurnPairSession"], None]] = None
-        self.resumes = 0
 
     @property
     def remote(self) -> Endpoint:
@@ -389,32 +287,6 @@ class TurnPairSession(_PeerSession):
         if not self.closed:
             self._finish_session("closed")
 
-    def resume(self, peer_relay: Optional[Endpoint] = None) -> None:
-        """Re-run the opener handshake after a relay moved.
-
-        Called with the peer's *new* relay endpoint when it re-advertised
-        (its TURN server restarted / failed over), or with none when *our*
-        relay moved and the peer needs fresh permissions installed from the
-        new endpoint.  The session drops back to not-established until a
-        fresh :class:`TurnPunch` wins (an opening still under way just
-        carries on toward the new endpoint); application ``send`` keeps
-        working (toward the current ``peer_relay``) throughout.
-        """
-        if self.closed:
-            return
-        if peer_relay is not None:
-            self.peer_relay = peer_relay
-        self.resumes += 1
-        self.established = False
-        punch = self.client._punch_books["turn"].get(self.peer_id)
-        if punch is None or punch.finished:
-            connect = _Connect([(self._resumed, None)], self.config)
-            self.client._start_punch(TurnPunch(self, connect))
-
-    def _resumed(self, session: "TurnPairSession") -> None:
-        if self.on_resumed is not None:
-            self.on_resumed(session)
-
     # -- the §3.6 ladder's carrier hooks ---------------------------------------------
 
     def _send_keepalive(self) -> None:
@@ -436,10 +308,9 @@ class TurnPairSession(_PeerSession):
         now = self.client.scheduler.now
         self._last_inbound = now
         if isinstance(message, protocol.SessionKeepalive):
-            # The peer is re-opening (it resumed after a relay move and needs
-            # an answer to cross with) or probing.  Suppress echoes within
-            # half an opener interval of our last send so two established
-            # sides do not ping-pong forever.
+            # The peer is still opening (it needs an answer to cross with)
+            # or probing.  Suppress echoes within half an opener interval of
+            # our last send so two established sides do not ping-pong forever.
             if now - self._last_outbound >= OPENER_INTERVAL / 2:
                 self._ping()
         elif isinstance(message, protocol.SessionData):
@@ -455,7 +326,7 @@ class TurnPairSession(_PeerSession):
 
 
 class TurnPunch(_HolePunch):
-    """The opener handshake that opens (or re-opens) a :class:`TurnPairSession`:
+    """The opener handshake that opens a :class:`TurnPairSession`:
     a SessionKeepalive via our relay every :data:`OPENER_INTERVAL` until the
     first authenticated message from the peer's relay wins."""
 
@@ -480,8 +351,7 @@ class TurnPunch(_HolePunch):
         and the session then takes it (it may carry the first payload)."""
         if not message_is_from_peer(message, self.client.client_id, self.peer_id, self.nonce):
             return
-        kind = "resume" if self.pair.resumes else "open"
-        self._succeed(self.pair, kind, relay=str(self.pair.peer_relay))
+        self._succeed(self.pair, "open", relay=str(self.pair.peer_relay))
         self.pair._handle(message)
 
     def _session(self, pair: TurnPairSession) -> TurnPairSession:

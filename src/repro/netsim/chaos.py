@@ -2,12 +2,12 @@
 
 Scripted :class:`~repro.netsim.faults.FaultPlan`\\ s exercise the failure
 modes someone thought of; the survivability claims of the toolbox (punched
-sessions repair themselves, clients fail over between rendezvous servers,
-relays resume) are about the failures nobody scripted.  This module closes
-that gap with a *chaos harness*: deterministic, seed-driven generation of
-composite fault plans — link flaps, burst-loss windows, NAT reboots, server
-restarts, kills and revives — plus a set of **global invariants** every run
-must satisfy regardless of what the plan did:
+sessions repair themselves, clients re-register when the rendezvous server
+forgets them or comes back) are about the failures nobody scripted.  This
+module closes that gap with a *chaos harness*: deterministic, seed-driven
+generation of composite fault plans — link flaps, burst-loss windows, NAT
+reboots, server restarts, kills and revives — plus a set of **global
+invariants** every run must satisfy regardless of what the plan did:
 
 * every connect attempt terminates (success or failure — never a hang);
 * no leaked timers once the actors are shut down;
@@ -26,9 +26,9 @@ Typical soak iteration::
 
     rng = SeededRng(seed, "chaos")
     plan = random_fault_plan(
-        rng, links=["backbone"], nats=["NAT-A", "NAT-B"], servers=["S", "S2"]
+        rng, links=["backbone"], nats=["NAT-A", "NAT-B"], servers=["S"]
     )
-    sc = build_two_nats(seed=seed, num_servers=2)
+    sc = build_two_nats(seed=seed)
     tracker = AttemptTracker()
     connector.connect(2, tracker.expect("A->B"))
     sc.inject_faults(plan)
@@ -80,9 +80,6 @@ FLAP_RANGE = (0.5, 3.0)
 #: (min, max) seconds between a ``server-kill`` and its paired
 #: ``server-revive``.
 KILL_DEAD_RANGE = (3.0, 10.0)
-#: Generate kill/revive pairs (needs actors with ``stop``/``start`` — turn
-#: off when targets only support ``restart``).
-KILL_SERVERS = True
 
 
 def random_fault_plan(
@@ -108,8 +105,7 @@ def random_fault_plan(
         families.append("nat-reboot")
     if servers:
         families.append("server-restart")
-        if KILL_SERVERS:
-            families.append("server-kill")
+        families.append("server-kill")
     if not families:
         raise ValueError("random_fault_plan needs at least one target family")
 

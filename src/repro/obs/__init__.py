@@ -57,7 +57,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "OUTCOME_ERROR": "spans",
     "OUTCOME_FALLBACK": "spans",
     "OUTCOME_LOCKED": "spans",
-    "OUTCOME_MIGRATED": "spans",
     "OUTCOME_OK": "spans",
     "OUTCOME_TIMEOUT": "spans",
     "format_metric_name": "metrics",

@@ -24,7 +24,6 @@ OUTCOME_LOCKED = "locked"
 OUTCOME_TIMEOUT = "timeout"
 OUTCOME_ERROR = "error"
 OUTCOME_FALLBACK = "fallback-to-relay"
-OUTCOME_MIGRATED = "migrated"
 
 
 class Span:

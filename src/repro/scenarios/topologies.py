@@ -44,9 +44,7 @@ class Scenario:
 
     Attributes:
         net: the simulated network (scheduler, links, trace).
-        server: the (primary) rendezvous server S.
-        servers: every rendezvous server by label ("S", "S2", ...); holds
-            just S unless the builder added failover servers.
+        server: the rendezvous server S.
         clients: PeerClients by label ("A", "B", ...).
         nats: NAT devices by label.
         hosts: every host by label (clients, servers, decoys).
@@ -57,11 +55,6 @@ class Scenario:
     clients: Dict[str, PeerClient] = field(default_factory=dict)
     nats: Dict[str, NatDevice] = field(default_factory=dict)
     hosts: Dict[str, Host] = field(default_factory=dict)
-    servers: Dict[str, RendezvousServer] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.servers:
-            self.servers = {"S": self.server}
 
     @property
     def scheduler(self):
@@ -98,13 +91,13 @@ class Scenario:
     def inject_faults(self, plan, extra_targets: Optional[Dict[str, object]] = None) -> "FaultInjector":
         """Arm a :class:`~repro.netsim.faults.FaultPlan` on this scenario.
 
-        Application-level targets are pre-wired: ``"S"``/``"S2"``/... name the
-        rendezvous servers (for ``server-restart``/``-kill``/``-revive``), and
-        NAT faults may use either the scenario label (``"A"``) or the device
-        name (``"NAT-A"``).  *extra_targets* adds actors the scenario does not
-        know about (e.g. a :class:`~repro.core.turn.TurnServer`).
+        Application-level targets are pre-wired: ``"S"`` names the rendezvous
+        server (for ``server-restart``/``-kill``/``-revive``), and NAT faults
+        may use either the scenario label (``"A"``) or the device name
+        (``"NAT-A"``).  *extra_targets* adds actors the scenario does not know
+        about (e.g. a flooding attacker).
         """
-        targets: Dict[str, object] = dict(self.servers)
+        targets: Dict[str, object] = {"S": self.server}
         targets.update(self.nats)
         if extra_targets:
             targets.update(extra_targets)
@@ -130,33 +123,19 @@ class ScenarioBuilder:
         self.backbone = self.net.create_link("backbone", backbone_profile)
         self._client_counter = 0
         self._server: Optional[RendezvousServer] = None
-        self._servers: Dict[str, RendezvousServer] = {}
         self.scenario: Optional[Scenario] = None
 
-    def add_server(
-        self,
-        ip: str = SERVER_IP,
-        port: int = SERVER_PORT,
-        label: str = "S",
-    ) -> RendezvousServer:
-        """Add a rendezvous server.  The first one becomes the primary; later
-        ones (give each a distinct *label* and *ip*) become failover targets
-        that :meth:`make_client` hands to clients as an ordered server list."""
-        host = self.net.add_host(label, ip=ip, network=PUBLIC_NET, link=self.backbone)
-        attach_stack(host, rng=self.net.rng.child(f"stack/{label}"))
-        # The primary keeps the historical "server" RNG stream so existing
-        # single-server scenarios replay byte-identically.
-        rng_name = "server" if label == "S" else f"server/{label}"
-        server = RendezvousServer(
+    def add_server(self, ip: str = SERVER_IP, port: int = SERVER_PORT) -> RendezvousServer:
+        """Add the rendezvous server S (host label ``"S"``)."""
+        host = self.net.add_host("S", ip=ip, network=PUBLIC_NET, link=self.backbone)
+        attach_stack(host, rng=self.net.rng.child("stack/S"))
+        self._server = RendezvousServer(
             host,
             port=port,
             obfuscate=self.obfuscate,
-            rng=self.net.rng.child(rng_name),
+            rng=self.net.rng.child("server"),
         )
-        if self._server is None:
-            self._server = server
-        self._servers[label] = server
-        return server
+        return self._server
 
     def add_public_host(self, label: str, ip: str, tcp_style: TcpStyle = TcpStyle.BSD) -> Host:
         host = self.net.add_host(label, ip=ip, network=PUBLIC_NET, link=self.backbone)
@@ -206,10 +185,6 @@ class ScenarioBuilder:
         if self._server is None:
             raise RuntimeError("add_server() must be called first")
         kwargs.setdefault("obfuscate", self.obfuscate)
-        if len(self._servers) > 1 and "servers" not in kwargs:
-            # Failover deployment: hand every client the ordered server list
-            # (primary first) so a ServerFailover manager is armed.
-            kwargs["servers"] = [s.endpoint for s in self._servers.values()]
         return PeerClient(
             host,
             client_id=client_id,
@@ -230,23 +205,13 @@ def _gateway_of(network: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_failover_servers(builder: ScenarioBuilder, num_servers: int) -> None:
-    """Add ``num_servers - 1`` failover rendezvous servers (S2, S3, ...) on
-    consecutive addresses next to the paper's 18.181.0.31."""
-    for i in range(2, num_servers + 1):
-        builder.add_server(ip=f"18.181.0.{30 + i}", label=f"S{i}")
-
-
-def build_public_pair(
-    seed: int = 0, tcp_style: TcpStyle = TcpStyle.BSD, num_servers: int = 1, **kw
-) -> Scenario:
+def build_public_pair(seed: int = 0, tcp_style: TcpStyle = TcpStyle.BSD, **kw) -> Scenario:
     """Figure 1 baseline: A and B both in the global realm (no NATs)."""
     builder = ScenarioBuilder(seed=seed, **kw)
     server = builder.add_server()
-    _add_failover_servers(builder, num_servers)
     host_a = builder.add_public_host("A", NAT_A_PUBLIC, tcp_style)
     host_b = builder.add_public_host("B", NAT_B_PUBLIC, tcp_style)
-    scenario = Scenario(net=builder.net, server=server, servers=dict(builder._servers))
+    scenario = Scenario(net=builder.net, server=server)
     scenario.hosts = {"S": server.host, "A": host_a, "B": host_b}
     scenario.clients = {
         "A": builder.make_client(host_a, 1),
@@ -306,7 +271,6 @@ def build_two_nats(
     tcp_style_a: TcpStyle = TcpStyle.BSD,
     tcp_style_b: TcpStyle = TcpStyle.BSD,
     private_collision: bool = False,
-    num_servers: int = 1,
     **kw,
 ) -> Scenario:
     """Figure 5: the paper's canonical scenario — different NATs.
@@ -318,7 +282,6 @@ def build_two_nats(
     """
     builder = ScenarioBuilder(seed=seed, **kw)
     server = builder.add_server()
-    _add_failover_servers(builder, num_servers)
     behavior_b = behavior_b if behavior_b is not None else behavior_a
     if private_collision:
         lan_a_net, client_a_ip = "10.1.1.0/24", "10.1.1.2"
@@ -328,7 +291,7 @@ def build_two_nats(
     nat_b, lan_b, gw_b = builder.add_nat("B", NAT_B_PUBLIC, "10.1.1.0/24", behavior_b)
     host_a = builder.add_client_host("A", client_a_ip, lan_a_net, lan_a, gw_a, tcp_style_a)
     host_b = builder.add_client_host("B", "10.1.1.3", "10.1.1.0/24", lan_b, gw_b, tcp_style_b)
-    scenario = Scenario(net=builder.net, server=server, servers=dict(builder._servers))
+    scenario = Scenario(net=builder.net, server=server)
     scenario.nats = {"A": nat_a, "B": nat_b}
     scenario.hosts = {"S": server.host, "A": host_a, "B": host_b}
     if private_collision:

@@ -47,14 +47,14 @@ def _chaos_plan(seed, config=CHAOS_CONFIG):
         SeededRng(seed, "chaos"),
         links=["backbone"],
         nats=["NAT-A", "NAT-B"],
-        servers=["S", "S2"],
+        servers=["S"],
         config=config,
     )
 
 
 def _chaos_run(seed, trace=False):
     """One full chaos iteration; returns (violations, fingerprint-or-None)."""
-    sc = build_two_nats(seed=seed, num_servers=2)
+    sc = build_two_nats(seed=seed)
     if trace:
         sc.net.trace.enable()
     punch = PunchConfig(keepalive_interval=1.0, broken_after_missed=5)

@@ -1,16 +1,19 @@
 """Fault injection (repro.netsim.faults) and the recovery machinery it exercises:
-link flaps, burst loss, duplication, reordering, NAT reboots, server restarts,
-automatic re-punch, and auto-re-registration."""
+link flaps, burst loss, duplication, reordering, NAT reboots, server restarts
+and kills, automatic re-punch, and auto-re-registration."""
 
 import pytest
 
-from repro.core.protocol import TRANSPORT_UDP
+from repro.core.protocol import TRANSPORT_TCP, TRANSPORT_UDP
+from repro.core.tcp_punch import TcpPunchConfig
 from repro.core.udp_punch import PunchConfig
 from repro.netsim.addresses import Endpoint
 from repro.netsim.faults import (
     DEFAULT_FLAP_SECONDS,
     FAULT_LINK_FLAP,
     FAULT_NAT_REBOOT,
+    FAULT_SERVER_KILL,
+    FAULT_SERVER_REVIVE,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -18,7 +21,7 @@ from repro.netsim.faults import (
 from repro.netsim.link import LinkProfile
 from repro.netsim.network import Network
 from repro.netsim.packet import IpProtocol, udp_packet
-from repro.scenarios import build_two_nats
+from repro.scenarios import build_public_pair, build_two_nats
 
 
 def _pair(profile=None, seed=1):
@@ -312,6 +315,189 @@ class TestServerRestart:
         sc.inject_faults(FaultPlan([(3.0, "server-restart", "S")]))
         sc.run_for(20.0)
         assert sc.server.registration(1, TRANSPORT_UDP) is None
+
+    @pytest.mark.parametrize("outage", ["restart", "kill-revive"])
+    def test_tcp_registration_heals_after_server_outage(self, outage):
+        """S drops every control connection (restart) or is gone for a while
+        (kill, then revive): the server-keepalive tick re-dials the errored
+        control connection until S answers, and TCP connects work again."""
+        sc = build_two_nats(seed=7)
+        sc.register_all_tcp()
+        for c in sc.clients.values():
+            c.start_server_keepalives(interval=1.0)
+        sc.run_for(2.0)
+        if outage == "restart":
+            sc.server.restart()
+            sc.wait_for(lambda: not any(c.tcp_registered for c in sc.clients.values()), 5.0)
+        else:
+            sc.server.stop()
+            sc.run_for(5.0)
+            assert not any(c.tcp_registered for c in sc.clients.values())
+            sc.server.start()
+        sc.wait_for(lambda: all(c.tcp_registered for c in sc.clients.values()), 10.0)
+        assert sc.server.registration(1, TRANSPORT_TCP) is not None
+        assert sc.server.registration(2, TRANSPORT_TCP) is not None
+        for c in sc.clients.values():
+            assert c.control_reconnects >= 1
+        result = {}
+        sc.clients["B"].on_peer_stream = lambda s: result.setdefault("b", s)
+        sc.clients["A"].connect_tcp(
+            2,
+            on_stream=lambda s: result.setdefault("a", s),
+            on_failure=lambda e: result.setdefault("failure", e),
+        )
+        sc.wait_for(lambda: ("a" in result and "b" in result) or "failure" in result, 60.0)
+        assert "a" in result and "b" in result, result.get("failure")
+
+
+class TestServerKill:
+    """S dies outright; what never went through it keeps working, and the
+    clients find S again once it is revived."""
+
+    def test_keepalive_acks_are_not_stray(self):
+        """S acks every keepalive; the client drops the ack without counting
+        it as stray traffic."""
+        sc = build_two_nats(seed=303)
+        sc.register_all_udp()
+        for c in sc.clients.values():
+            c.start_server_keepalives(interval=1.0)
+        sc.run_for(10.0)
+        for c in sc.clients.values():
+            assert sc.server.registration(c.client_id, TRANSPORT_UDP).keepalives >= 9
+            assert c.stray_messages == 0
+
+    def test_server_kill_and_revive_faults_heal_udp_registration(self):
+        """server-kill / server-revive as scripted faults: keepalives fall on
+        silence while S is dead, then draw NOT_REGISTERED from the revived S
+        and the clients re-register there."""
+        sc = build_two_nats(seed=306)
+        sc.register_all_udp()
+        for c in sc.clients.values():
+            c.start_server_keepalives(interval=1.0)
+        injector = sc.inject_faults(
+            FaultPlan([
+                (3.0, FAULT_SERVER_KILL, "S"),
+                (20.0, FAULT_SERVER_REVIVE, "S"),
+            ])
+        )
+        sc.run_until(19.0)
+        assert sc.server.stopped
+        assert sc.server.registration(1, TRANSPORT_UDP) is None
+        sc.run_until(30.0)
+        assert [e.fault for e in injector.injected] == [
+            FAULT_SERVER_KILL,
+            FAULT_SERVER_REVIVE,
+        ]
+        assert not sc.server.stopped
+        for c in sc.clients.values():
+            assert sc.server.registration(c.client_id, TRANSPORT_UDP) is not None
+            assert c.udp_registered
+
+    def test_punched_udp_session_survives_server_kill(self):
+        sc = build_two_nats(seed=310)
+        config = PunchConfig(keepalive_interval=1.0, broken_after_missed=5)
+        for c in sc.clients.values():
+            c.punch_config = config
+        sc.register_all_udp()
+        for c in sc.clients.values():
+            c.start_server_keepalives(interval=1.0)
+        sessions = {}
+        sc.clients["B"].on_peer_session = lambda s: sessions.setdefault("b", s)
+        sc.clients["A"].connect_udp(
+            2, on_session=lambda s: sessions.setdefault("a", s), config=config
+        )
+        sc.wait_for(lambda: "a" in sessions and "b" in sessions, 20.0)
+        sc.server.stop()
+        sc.run_for(10.0)
+        # The punched path never touched S: the session outlived it.
+        assert sessions["a"].alive and sessions["b"].alive
+        got = []
+        sessions["b"].on_data = got.append
+        sessions["a"].send(b"still here")
+        sc.run_for(2.0)
+        assert got == [b"still here"]
+
+    def test_punched_tcp_stream_survives_server_kill(self):
+        sc = build_two_nats(seed=311)
+        sc.register_all_tcp()
+        sc.register_all_udp()
+        for c in sc.clients.values():
+            c.start_server_keepalives(interval=1.0)
+        result = {}
+        sc.clients["B"].on_peer_stream = lambda s: result.setdefault("b", s)
+        sc.clients["A"].connect_tcp(
+            2,
+            on_stream=lambda s: result.setdefault("a", s),
+            on_failure=lambda e: result.setdefault("failure", e),
+        )
+        sc.wait_for(lambda: ("a" in result and "b" in result) or "failure" in result, 60.0)
+        assert "a" in result and "b" in result, result.get("failure")
+        sc.server.stop()
+        sc.run_for(10.0)
+        # The control connections died with S; the punched stream did not.
+        # The stream shares its NAT mapping with the control connection (one
+        # local port, §4.1), and the NAT closes that mapping on S's RST: the
+        # keepalive tick's re-dial toward S is what re-opens it.
+        assert not any(c.tcp_registered for c in sc.clients.values())
+        assert not result["a"].closed and not result["b"].closed
+        got_a, got_b = [], []
+        result["a"].on_data = got_a.append
+        result["b"].on_data = got_b.append
+        result["a"].send(b"tcp survived")
+        result["b"].send(b"indeed")
+        sc.run_for(2.0)
+        assert got_b == [b"tcp survived"] and got_a == [b"indeed"]
+
+
+class TestRelaySendFailures:
+    def test_relay_error_fires_metric_and_callback(self):
+        """S restarts and loses B's registration: A's next relayed payload
+        draws a structured RelayError instead of blackholing."""
+        sc = build_two_nats(seed=320)
+        sc.register_all_udp()
+        relay = sc.clients["A"].open_relay(2)
+        errors = []
+        relay.on_error = errors.append
+        sc.server.restart()  # amnesia; sockets stay bound
+        relay.send(b"into the void")
+        sc.wait_for(lambda: errors, 5.0)
+        assert relay.send_failures == 1
+        assert "unreachable" in str(errors[0])
+        assert sc.clients["A"].metrics.counter("relay.send_failures").value == 1
+        assert sc.server.relay_send_failures == 1
+
+    def test_relay_error_does_not_disturb_other_sessions(self):
+        sc = build_two_nats(seed=321)
+        sc.register_all_udp()
+        relay = sc.clients["A"].open_relay(2)
+        sc.server.restart()
+        relay.send(b"bounced")
+        sc.run_for(2.0)
+        # Only the session's own counter moved; no pending connects were
+        # failed, and the client is still considered registered until a
+        # keepalive says otherwise.
+        assert relay.send_failures == 1
+        assert sc.clients["A"].stray_messages == 0
+
+
+class TestConnectTcpDeadline:
+    def test_connect_tcp_fails_in_bounded_time_when_s_silent(self):
+        """Parity with connect_udp: S never answering the ConnectRequest must
+        fail the attempt within the configured timeout, not hang forever."""
+        sc = build_public_pair(seed=330)
+        sc.register_all_tcp()
+        sc.server.stop()
+        failures = []
+        started = sc.scheduler.now
+        sc.clients["A"].connect_tcp(
+            2,
+            on_stream=lambda s: failures.append("unexpected-stream"),
+            on_failure=failures.append,
+            config=TcpPunchConfig(timeout=5.0),
+        )
+        sc.wait_for(lambda: failures, 30.0)
+        assert "timed out" in str(failures[0])
+        assert sc.scheduler.now - started == pytest.approx(5.0, abs=1.5)
 
 
 class TestEndToEndRecovery:

@@ -1,8 +1,8 @@
 """What one registered, idle client costs in GC-tracked objects.
 
 ROADMAP item 5 ("PeerClient on a diet") asked whether constructing the
-optional subsystems (relay table, TURN, failover, reversal, sequential,
-stream claims) on first use would shrink a large realm.  The census says no:
+optional subsystems (relay table, TURN, reversal, sequential, stream
+claims) on first use would shrink a large realm.  The census says no:
 they own a handful of the objects a client owns, and a client owns a third
 of what it costs.  These tests pin both numbers, so a change that makes every
 client carry optional state eagerly fails here instead of surfacing later as
@@ -29,7 +29,6 @@ SHARED = (Host, Scheduler, MetricsRegistry, HostStack, Network, type, types.Modu
 OPTIONAL_PARTS = (
     "relays", "on_relay_session",
     "turn", "turn_pairs", "_turn_punchers", "on_turn_session",
-    "failover",
     "_reversal_punchers", "_sequential_punchers", "sequential_config",
     "_stream_claimants", "_parked_streams",
 )

@@ -58,13 +58,14 @@ def _enable_turn(sc):
 
 def _turn_dies_after_allocation(sc, turn):
     """TURN crosses any NAT pair; its handshake fails only when the relay
-    dies after both sides allocated (S still forwards the exchange, but the
-    openers never cross)."""
+    loses both allocations after both sides allocated (S still forwards the
+    exchange, but the openers never cross)."""
     relays = []
     for client in sc.clients.values():
         client.turn.allocate(relays.append)
     sc.wait_for(lambda: len(relays) == 2, 5.0)
-    turn.stop()
+    for allocation in list(turn.allocations.values()):
+        turn._expire(allocation)
 
 
 def _requester(sc, technique, peer=None, timeout=None):
