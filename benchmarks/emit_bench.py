@@ -18,9 +18,9 @@ Records:
 ``BENCH_perf.json``
     The perf-overhaul record: scheduler events/s, NAT packets/s, the
     uncached Table 1 fleet wall time (the same measurement as
-    ``BENCH_obs.json``'s, taken once per run), the 100k-device
-    ``scaled_population`` record, the ``adversarial`` record (forged
-    packet injection rate plus the robustness sweep's hardening verdicts),
+    ``BENCH_obs.json``'s, taken once per run), the ``adversarial`` record
+    (forged packet injection rate plus the robustness sweep's hardening
+    verdicts),
     the ``rendezvous_scale`` record (the sharded registration plane at
     10k/100k/1M peers vs a per-peer-timer baseline, plus the untimed
     ``table_bytes_per_registration`` / ``wheel_bytes_per_registrant``
@@ -45,14 +45,13 @@ import statistics
 import subprocess
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.nat import behavior as B
 from repro.nat.device import NatDevice
 from repro.natcheck.fleet import (
     VENDOR_SPECS,
     run_fleet,
-    scale_population,
     survey_design_space,
 )
 from repro.netsim.addresses import Endpoint
@@ -375,47 +374,6 @@ def bench_adversarial(quick: bool = False) -> dict:
     }
 
 
-#: Scale factor that pushes the 380-device fleet past 100k devices.
-SCALED_FACTOR = 264
-
-
-def bench_scaled_population(quick: bool = False, serial_wall: Optional[float] = None) -> dict:
-    """A 100k-device synthetic survey, tractable only because of dedup.
-
-    The acceptance bar: the scaled population's full survey (fleet run plus
-    Table 1 aggregation) completes in less wall time than the *uncached*
-    380-device serial run on the same host (``serial_wall``).
-    """
-    from repro.natcheck.table import table1_rows
-
-    factor = 8 if quick else SCALED_FACTOR
-    specs = scale_population(factor)
-    started = time.perf_counter()
-    fleet = run_fleet(specs=specs, seed=42, cache=True)
-    survey_wall = time.perf_counter() - started
-    started = time.perf_counter()
-    rows = {row.vendor: row for row in table1_rows(fleet.reports)}
-    aggregate_wall = time.perf_counter() - started
-    totals = rows["All Vendors"]
-    record = {
-        "devices": fleet.total_devices,
-        "scale_factor": factor,
-        "wall_seconds": survey_wall,
-        "aggregate_wall_seconds": aggregate_wall,
-        "devices_per_second": (
-            fleet.total_devices / survey_wall if survey_wall > 0 else 0.0
-        ),
-        "distinct_fingerprints": fleet.cache.distinct_fingerprints,
-        "udp_total": list(totals.udp),
-        "tcp_total": list(totals.tcp),
-        "quick": quick,
-    }
-    if serial_wall is not None:
-        record["serial_380_wall_seconds"] = serial_wall
-        record["under_serial_380"] = survey_wall + aggregate_wall < serial_wall
-    return record
-
-
 # -- emitters ----------------------------------------------------------------
 
 
@@ -455,11 +413,6 @@ def emit_perf(ctx: BenchContext) -> dict:
     )
     record["batched_delivery"] = ctx.get("batched_delivery", bench_batched_delivery)
     record["table1_fleet"] = ctx.get("table1_fleet", lambda: bench_fleet(ctx))
-    serial_wall = record["table1_fleet"]["wall_seconds"]
-    record["scaled_population"] = ctx.get(
-        "scaled_population",
-        lambda: bench_scaled_population(quick=ctx.quick, serial_wall=serial_wall),
-    )
     record["design_space"] = ctx.get(
         "design_space", lambda: bench_design_space(quick=ctx.quick)
     )
@@ -581,11 +534,6 @@ def main(argv=None) -> int:
         print(f"  scheduler: {perf['scheduler_events_per_second']:,.0f} events/s")
         print(f"  nat echo:  {perf['nat_packets_per_second']:,.0f} packets/s")
         print("  fleet:     {devices} devices in {wall_seconds:.2f}s".format(**fleet))
-        scaled = perf["scaled_population"]
-        print(
-            "  scaled:    {devices} devices in {wall_seconds:.2f}s "
-            "({distinct_fingerprints} simulations)".format(**scaled)
-        )
         adv = perf["adversarial"]
         holds = all(f["hardening_holds"] for f in adv["families"].values())
         print(

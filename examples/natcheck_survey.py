@@ -5,20 +5,15 @@ Synthesises the 380-device population matching the paper's per-vendor
 behaviour mix and runs the full NAT Check protocol (§6.1) against every
 device, then prints the aggregated table next to the paper's numbers.
 
-Run:  python examples/natcheck_survey.py [--quick] [--population N] [--no-cache]
+Run:  python examples/natcheck_survey.py [--quick] [--no-cache]
       --quick tests one device per vendor instead of the full population.
-      --population N scales the synthetic fleet to at least N devices while
-      preserving every vendor's behaviour mix — tractable even at 100k+
-      devices because behaviourally identical devices are simulated once
-      (fingerprint dedup) and their reports cloned.
       --no-cache disables the fingerprint dedup and simulates every device
       individually; results are identical either way, only slower.
 """
 
 import argparse
-import math
 
-from repro.natcheck.fleet import VENDOR_SPECS, VendorSpec, run_fleet, scale_population
+from repro.natcheck.fleet import VENDOR_SPECS, VendorSpec, run_fleet
 from repro.natcheck.table import render_table1
 
 
@@ -26,16 +21,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true")
     parser.add_argument(
-        "--population", type=int, default=None, metavar="N",
-        help="scale the synthetic fleet to at least N devices",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="simulate every device individually (skip the fingerprint dedup)",
     )
     args = parser.parse_args()
-    if args.quick and args.population:
-        parser.error("--quick and --population are mutually exclusive")
     specs = VENDOR_SPECS
     if args.quick:
         specs = tuple(
@@ -44,12 +33,6 @@ def main() -> None:
             for s in VENDOR_SPECS
         )
         print("quick mode: one representative device per vendor\n")
-    elif args.population:
-        base = sum(s.population for s in VENDOR_SPECS)
-        factor = max(1, math.ceil(args.population / base))
-        specs = scale_population(factor)
-        scaled = sum(s.population for s in specs)
-        print(f"scaled fleet: {scaled} devices ({factor}x the paper's {base})\n")
 
     def progress(vendor: str, done: int, total: int) -> None:
         if done == total:

@@ -31,7 +31,7 @@ def _lazy_exports(package: str, table: dict):
 
     PEP 562: the hook runs only for a name the package's globals lack, and
     stores what it resolves there, so each name costs one call per process.
-    A name the table lacks is tried as a submodule (``repro.netsim.chaos``
+    A name the table lacks is tried as a submodule (``repro.netsim.adversary``
     after a bare ``import repro.netsim``).  Importing ``repro.x.y`` therefore
     executes y's own dependency closure and nothing else.
     """

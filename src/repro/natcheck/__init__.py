@@ -20,7 +20,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "VENDOR_SPECS": "fleet",
     "device_fingerprint": "fleet",
     "run_fleet": "fleet",
-    "scale_population": "fleet",
     "NatCheckServers": "servers",
     "Table1Row": "table",
     "render_table1": "table",

@@ -93,29 +93,6 @@ VENDOR_SPECS: Tuple[VendorSpec, ...] = (
 )
 
 
-def scale_population(factor: int, specs: Sequence[VendorSpec] = VENDOR_SPECS) -> Tuple[VendorSpec, ...]:
-    """A synthetic population *factor* times the size of *specs*.
-
-    Every column count is multiplied, so the scaled fleet preserves the
-    per-vendor behaviour mix exactly (each Table 1 percentage is unchanged)
-    while the device count grows — ``scale_population(264)`` turns the
-    380-device fleet into 100,320 devices.  The behavioural variety does
-    *not* grow with the factor, which is precisely why the fingerprint
-    dedup makes such populations tractable: the distinct-simulation count
-    stays a few dozen regardless of scale.
-    """
-    if factor < 1:
-        raise ValueError(f"scale factor must be >= 1, got {factor}")
-
-    def mul(count: Count) -> Count:
-        return (count[0] * factor, count[1] * factor)
-
-    return tuple(
-        VendorSpec(s.name, mul(s.udp), mul(s.udp_hairpin), mul(s.tcp), mul(s.tcp_hairpin))
-        for s in specs
-    )
-
-
 def device_behavior(spec: VendorSpec, index: int) -> NatBehavior:
     """Deterministically synthesise device *index* of the vendor population.
 

@@ -7,9 +7,10 @@ UDP, TCP, and ICMP (:mod:`repro.netsim.packet`), links with latency/jitter/loss
 (:mod:`repro.netsim.link`), hosts and routers with longest-prefix-match
 forwarding (:mod:`repro.netsim.node`, :mod:`repro.netsim.routing`), a
 topology container (:mod:`repro.netsim.network`), deterministic fault
-injection (:mod:`repro.netsim.faults`), and a chaos-soak harness that
-composes randomized fault plans and checks global run invariants
-(:mod:`repro.netsim.chaos`).
+injection (:mod:`repro.netsim.faults`), and scripted attackers
+(:mod:`repro.netsim.adversary`).  The chaos-soak harness that composes
+randomized fault plans and checks global run invariants is a test
+instrument and lives in ``tests/chaos.py``.
 """
 
 from repro import _lazy_exports
@@ -21,11 +22,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "is_private": "addresses",
     "Scheduler": "clock",
     "Timer": "clock",
-    "AttemptTracker": "chaos",
-    "ChaosConfig": "chaos",
-    "check_invariants": "chaos",
-    "random_fault_plan": "chaos",
-    "trace_fingerprint": "chaos",
     "FaultEvent": "faults",
     "FaultInjector": "faults",
     "FaultPlan": "faults",
@@ -41,6 +37,4 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "TcpFlags": "packet",
     "TcpHeader": "packet",
     "RoutingTable": "routing",
-    "PacketTrace": "trace",
-    "TraceRecord": "trace",
 })

@@ -1,9 +1,9 @@
 """Adversarial workloads: scripted attacks against live NAT scenarios.
 
-The chaos harness (:mod:`repro.netsim.faults`, :mod:`repro.netsim.chaos`)
-models networks that are unreliable but honest.  This module models networks
-that are *hostile*, following the ReDAN attack taxonomy (arXiv 2410.21984)
-against the paper's hole-punched sessions:
+Fault injection (:mod:`repro.netsim.faults`, and the chaos soak built on it
+in ``tests/chaos.py``) models networks that are unreliable but honest.  This
+module models networks that are *hostile*, following the ReDAN attack
+taxonomy (arXiv 2410.21984) against the paper's hole-punched sessions:
 
 =====================  ======================================================
 ``exhaustion-flood``   :class:`ExhaustionFlood` — a host behind (or in front
@@ -389,42 +389,3 @@ def attach_wan_attacker(
 ) -> Host:
     """Attach a raw public host (the off-path spoofing position)."""
     return net.add_host(label, ip=ip, network="0.0.0.0/0", link=backbone)
-
-
-# ---------------------------------------------------------------------------
-# Cross-peer leak probe (the soak invariant's evidence collector)
-# ---------------------------------------------------------------------------
-
-
-class LeakProbe:
-    """Asserts no cross-peer data leak: every payload delivered on a watched
-    session/stream must carry the stamp of the peer that session belongs to.
-
-    Stamp outbound data with :meth:`stamp`; wire delivery with
-    :meth:`watch`.  Violations (payloads from the wrong peer, or unstamped
-    attacker bytes that reached an application) accumulate in
-    :attr:`violations`, formatted with the offending fingerprint, and feed
-    ``chaos.check_invariants(..., leak_probes=[probe])``.
-    """
-
-    def __init__(self) -> None:
-        self.violations: List[str] = []
-        self.payloads_checked = 0
-
-    @staticmethod
-    def stamp(sender_id: int, payload: bytes = b"") -> bytes:
-        return b"from:%d:" % sender_id + payload
-
-    def watch(self, session, expected_sender: int, label: str) -> None:
-        """Attach to anything with an ``on_data`` handler slot."""
-
-        def on_data(payload: bytes) -> None:
-            self.payloads_checked += 1
-            expected = b"from:%d:" % expected_sender
-            if not payload.startswith(expected):
-                self.violations.append(
-                    f"cross-peer leak on {label}: expected payload from peer "
-                    f"{expected_sender}, got {payload[:32]!r}"
-                )
-
-        session.on_data = on_data

@@ -116,17 +116,6 @@ class FaultPlan:
             else:
                 self.events.append(FaultEvent(*entry))
 
-    def add(self, time: float, fault: str, target: str, arg: Optional[float] = None) -> "FaultPlan":
-        """Append one fault; chainable."""
-        self.events.append(FaultEvent(time, fault, target, arg))
-        return self
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
     def schedule(
         self,
         net: "Network",

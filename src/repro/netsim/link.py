@@ -25,7 +25,6 @@ from repro.util.rng import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.netsim.node import Node
-    from repro.netsim.trace import PacketTrace
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,10 @@ BACKBONE_LINK = LinkProfile(latency=0.005)
 class Link:
     """An L2 segment with one or more attached node interfaces."""
 
-    #: Class-wide switch for the statistical fast path.  The trace-identity
-    #: suite flips this off to prove the fast path is behaviourally inert;
+    #: Class-wide switch for the statistical fast path.  The fast-path
+    #: identity suite flips it off to prove the fast path is behaviourally
+    #: inert, and the tests' wire tap flips it off while it captures (the
+    #: per-packet route never recycles a packet a capture still holds);
     #: everything else leaves it on.
     fast_path_enabled = True
 
@@ -114,13 +115,11 @@ class Link:
         name: str = "link",
         profile: Optional[LinkProfile] = None,
         rng: Optional[SeededRng] = None,
-        trace: Optional["PacketTrace"] = None,
     ) -> None:
         self.scheduler = scheduler
         self.name = name
         self._profile = profile or LinkProfile()
         self._rng = rng or SeededRng(0, f"link/{name}")
-        self._trace = trace
         #: FlightRecorder set by ``Network.attach_flight``; None (the
         #: default) keeps every drop site to a single attribute test.
         self._flight = None
@@ -162,8 +161,6 @@ class Link:
         self._sent: List[int] = [0] * len(IpProtocol)
         self._lost: List[int] = [0] * len(IpProtocol)
         self._refresh_fast_path()
-        if trace is not None:
-            trace.subscribe(self._refresh_fast_path)
 
     @property
     def packets_sent(self) -> int:
@@ -196,25 +193,21 @@ class Link:
 
         The fast path is legal exactly when every per-packet branch of the
         slow path is statically known to be a no-op: link up, no flight
-        recorder, trace absent or disabled, and a plain profile (no loss,
+        recorder, and a plain profile (no loss,
         burst, jitter, bandwidth, duplication, or reordering).  Zero-valued
         fault knobs draw no RNG on the slow path either (pinned by
         ``test_defaults_draw_no_rng``), so both paths consume identical RNG
         streams — the fast path is observably inert.
 
         Called from ``__init__``, the ``profile`` setter, :meth:`up` /
-        :meth:`down`, :meth:`set_flight`, and trace enable/disable
-        subscriptions; see docs/performance.md for the invalidation matrix.
+        :meth:`down` and :meth:`set_flight`; see docs/performance.md for the
+        invalidation matrix.
         """
         p = self._profile
-        #: Whether wire events are being captured; the per-packet sites test
-        #: this instead of calling into a disabled trace.
-        self._tracing = self._trace is not None and self._trace.enabled
         self._fast = (
             self.fast_path_enabled
             and self._up
             and self._flight is None
-            and not self._tracing
             and p.bandwidth_bps is None
             and not (
                 p.loss or p.jitter or p.burst_enter or p.duplicate or p.reorder
@@ -303,7 +296,7 @@ class Link:
             self._drop(packet, sender, None, "no-next-hop")
             return False
         # The gate (see _refresh_fast_path) picks only how the delivery is
-        # timed: a coalesced batch when every fault/trace/flight branch of
+        # timed: a coalesced batch when every fault/flight branch of
         # ``_wire_one`` is proven a no-op, a per-packet timer otherwise.
         if self._fast:
             proto = packet.proto
@@ -384,8 +377,6 @@ class Link:
         proto = packet.proto
         self.bytes_sent += proto.header_bytes + len(packet.payload)
         self._sent[proto.wire_index] += 1
-        if self._tracing:
-            self._record(packet, sender, receiver, "duplicated" if dup else "sent")
         self._schedule_delivery(packet, sender, receiver, delay)
         return True
 
@@ -464,25 +455,13 @@ class Link:
         receiver.receive(packet, self)
 
     def _drop(self, packet: Packet, sender: "Node", receiver, reason: str) -> None:
-        """Count, trace and flight-record one packet this link dropped (the
-        trace and flight tests are no-ops whenever the fast gate holds)."""
+        """Count and flight-record one packet this link dropped (the flight
+        test is a no-op whenever the fast gate holds)."""
         self.packets_dropped += 1
-        if self._tracing:
-            self._record(packet, sender, receiver, reason)
         if self._flight is not None:
             self._flight.packet_event(
                 "link.drop", packet, link=self.name, reason=reason
             )
-
-    def _record(self, packet: Packet, sender: "Node", receiver, event: str) -> None:
-        self._trace.record(
-            time=self.scheduler.now,
-            link=self.name,
-            sender=sender.name,
-            receiver=receiver.name if receiver is not None else None,
-            event=event,
-            packet=packet,
-        )
 
     def __repr__(self) -> str:
         return f"Link({self.name!r}, attached={len(self._attachments)})"

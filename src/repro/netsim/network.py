@@ -1,4 +1,4 @@
-"""Topology container: owns the scheduler, RNG, trace, metrics, nodes, links."""
+"""Topology container: owns the scheduler, RNG, metrics, nodes, links."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.netsim.addresses import IPv4Network
 from repro.netsim.clock import Scheduler
 from repro.netsim.link import Link, LinkProfile
 from repro.netsim.node import Host, Node
-from repro.netsim.trace import PacketTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.util.rng import SeededRng
 
@@ -38,7 +37,6 @@ class Network:
     def __init__(self, seed: int = 0, metrics_enabled: bool = True) -> None:
         self.scheduler = Scheduler()
         self.rng = SeededRng(seed, "network")
-        self.trace = PacketTrace(enabled=False)
         self.metrics = MetricsRegistry(
             now_fn=lambda: self.scheduler.now, enabled=metrics_enabled
         )
@@ -65,7 +63,6 @@ class Network:
             name=name,
             profile=profile,
             rng=self.rng.child(f"link/{name}"),
-            trace=self.trace,
         )
         if self.flight is not None:
             link.set_flight(self.flight)
@@ -159,9 +156,6 @@ class Network:
         registry.counter("scheduler.compacted_entries").value = scheduler.compacted_entries
         registry.gauge("scheduler.queue_depth").set(scheduler.queue_depth)
         registry.gauge("scheduler.max_queue_depth").set(scheduler.max_queue_depth)
-        # Eviction visibility: a truncated capture must be detectable from a
-        # JSON snapshot, not just the trace dump header.
-        registry.gauge("trace.dropped_records").set(self.trace.dropped_records)
         if self.flight is not None:
             registry.gauge("flight.dropped_events").set(self.flight.dropped_events)
             registry.gauge("flight.attempts").set(len(self.flight.attempts))

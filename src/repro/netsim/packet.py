@@ -342,7 +342,7 @@ class Packet:
         return self.proto.header_bytes + len(self.payload)
 
     def describe(self) -> str:
-        """One-line human-readable summary, used by traces and logs."""
+        """One-line human-readable summary, used by the flight recorder and logs."""
         base = f"{self.proto.value} {self.src} -> {self.dst}"
         if self.tcp is not None:
             base += f" [{self.tcp.flags.describe()} seq={self.tcp.seq} ack={self.tcp.ack}]"

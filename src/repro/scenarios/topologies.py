@@ -43,7 +43,7 @@ class Scenario:
     """A constructed topology plus its protocol actors.
 
     Attributes:
-        net: the simulated network (scheduler, links, trace).
+        net: the simulated network (scheduler, links, metrics).
         server: the rendezvous server S.
         clients: PeerClients by label ("A", "B", ...).
         nats: NAT devices by label.

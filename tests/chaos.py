@@ -14,13 +14,14 @@ invariants** every run must satisfy regardless of what the plan did:
 * NAT mapping tables stay bounded;
 * every memoised forwarding closure and outbound mapping is what a fresh
   lookup would return (a memo is never served stale);
-* the same seed replays to a byte-identical wire trace.
+* no payload crosses from one peer's session into another's
+  (:class:`LeakProbe`);
+* the same seed replays to a byte-identical wire trace (captured with
+  :func:`tests.conftest.wire_tap`).
 
-The module sits at the netsim layer: it knows nothing about clients or
-rendezvous protocols.  Fault targets are *names* (resolved by the injector at
-fire time) and invariant subjects are duck-typed (anything with a ``table``,
-any scheduler with ``pending``), so tests compose it freely with the
-scenario builders one layer up.
+It is a test instrument, not part of the simulated system.  Fault targets
+are *names* (resolved by the injector at fire time), so tests compose it
+freely with the scenario builders.
 
 Typical soak iteration::
 
@@ -54,7 +55,8 @@ from repro.netsim.faults import (
 from repro.netsim.packet import IpProtocol
 from repro.util.rng import SeededRng
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.nat.device import NatDevice
     from repro.netsim.network import Network
 
 
@@ -109,7 +111,7 @@ def random_fault_plan(
     if not families:
         raise ValueError("random_fault_plan needs at least one target family")
 
-    plan = FaultPlan()
+    entries = []
     count = rng.randint(*EVENTS_RANGE)
     killed_until = {name: 0.0 for name in servers}
     for _ in range(count):
@@ -117,24 +119,24 @@ def random_fault_plan(
         family = rng.choice(families)
         if family == "flap":
             duration = rng.uniform(*FLAP_RANGE)
-            plan.add(time, FAULT_LINK_FLAP, rng.choice(list(links)), duration)
+            entries.append((time, FAULT_LINK_FLAP, rng.choice(list(links)), duration))
         elif family == "nat-reboot":
-            plan.add(time, FAULT_NAT_REBOOT, rng.choice(list(nats)))
+            entries.append((time, FAULT_NAT_REBOOT, rng.choice(list(nats))))
         elif family == "server-restart":
-            plan.add(time, FAULT_SERVER_RESTART, rng.choice(list(servers)))
+            entries.append((time, FAULT_SERVER_RESTART, rng.choice(list(servers))))
         else:  # server-kill (+ paired revive)
             target = rng.choice(list(servers))
             dead_for = rng.uniform(*KILL_DEAD_RANGE)
             if killed_until[target] > time:
                 # Already down around this time; turn it into a restart so
                 # plans never depend on kill/revive idempotence for sanity.
-                plan.add(time, FAULT_SERVER_RESTART, target)
+                entries.append((time, FAULT_SERVER_RESTART, target))
                 continue
             revive_at = min(time + dead_for, cfg.horizon)
-            plan.add(time, FAULT_SERVER_KILL, target)
-            plan.add(revive_at, FAULT_SERVER_REVIVE, target)
+            entries.append((time, FAULT_SERVER_KILL, target))
+            entries.append((revive_at, FAULT_SERVER_REVIVE, target))
             killed_until[target] = revive_at
-    return plan
+    return FaultPlan(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +193,11 @@ class AttemptTracker:
 
 def check_invariants(
     net: "Network",
-    nats: Iterable[object] = (),
+    nats: Iterable["NatDevice"] = (),
     attempts: Optional[AttemptTracker] = None,
     pending_timer_cap: Optional[int] = None,
     nat_table_cap: int = 256,
-    leak_probes: Iterable[object] = (),
+    leak_probes: Iterable["LeakProbe"] = (),
 ) -> List[str]:
     """Evaluate the global invariants; returns human-readable violations.
 
@@ -205,7 +207,7 @@ def check_invariants(
 
     Args:
         net: the network under test (its scheduler is inspected).
-        nats: NAT devices (anything with a ``table`` supporting ``len``).
+        nats: the NAT devices whose tables to check.
         attempts: if given, every registered attempt must have terminated.
         pending_timer_cap: if given, at most this many *active* timers may
             remain in the scheduler.  Check it after shutting the actors
@@ -216,8 +218,7 @@ def check_invariants(
             own ``table.capacity`` (adversarial hardening, see
             :mod:`repro.netsim.adversary`) that bound is enforced instead —
             a flood must never push a table past its configured memory.
-        leak_probes: :class:`~repro.netsim.adversary.LeakProbe` instances (or
-            anything with a ``violations`` list); any cross-peer payload
+        leak_probes: :class:`LeakProbe` instances; any cross-peer payload
             leak they witnessed becomes an invariant violation.
     """
     violations: List[str] = []
@@ -247,23 +248,18 @@ def check_invariants(
                 f"(cap {pending_timer_cap})"
             )
     for nat in nats:
-        table = getattr(nat, "table", None)
-        if table is None:
-            continue
-        name = getattr(nat, "name", repr(nat))
+        table = nat.table
+        name = nat.name
         size = len(table)
-        cap = getattr(table, "capacity", None)
-        if cap is None:
-            cap = nat_table_cap
+        cap = table.capacity if table.capacity is not None else nat_table_cap
         if size > cap:
             violations.append(
                 f"NAT {name} table unbounded: {size} mappings (cap {cap})"
             )
         # Per-host quota: a quota the table advertises must actually hold.
-        quota = getattr(table, "max_per_host", None)
-        by_host = getattr(table, "_by_host", None)
-        if quota is not None and by_host is not None:
-            for host_key, owned in by_host.items():
+        quota = table.max_per_host
+        if quota is not None:
+            for host_key, owned in table._by_host.items():
                 if len(owned) > quota:
                     violations.append(
                         f"NAT {name} quota violated: host {host_key} holds "
@@ -271,15 +267,14 @@ def check_invariants(
                     )
         # Timer/table skew: more armed expiry timers than live mappings
         # means stale generations are still wired to fire.
-        timers = getattr(table, "_timers", None)
-        if timers is not None and len(timers) > size:
+        if len(table._timers) > size:
             violations.append(
-                f"NAT {name} timer skew: {len(timers)} expiry timers for "
+                f"NAT {name} timer skew: {len(table._timers)} expiry timers for "
                 f"{size} mappings"
             )
         # Memo coherence: each memoised outbound mapping is the live one a
         # fresh lookup under the device's effective policy returns.
-        for key, mapping in getattr(table, "outbound_memo", {}).items():
+        for key, mapping in table.outbound_memo.items():
             proto = tuple(IpProtocol)[key[0]]
             private = Endpoint(key[1] >> 16, key[1] & 0xFFFF)
             remote = Endpoint(key[2] >> 16, key[2] & 0xFFFF)
@@ -294,17 +289,17 @@ def check_invariants(
                     f"{private} -> {remote}: {mapping} (live: {live})"
                 )
     for probe in leak_probes:
-        violations.extend(getattr(probe, "violations", ()))
+        violations.extend(probe.violations)
     return violations
 
 
-def trace_fingerprint(net: "Network") -> List[tuple]:
-    """Reduce a run's packet trace to a comparable fingerprint.
+def trace_fingerprint(records) -> List[tuple]:
+    """Reduce the records of a :func:`tests.conftest.wire_tap` capture to a
+    comparable fingerprint.
 
     Two runs of the same seed must produce identical fingerprints (the
-    determinism invariant); enable tracing with ``net.trace.enable()`` before
-    the run.  Times are rounded to nanoseconds to wash out float formatting
-    noise without hiding real divergence.
+    determinism invariant).  Times are rounded to nanoseconds to wash out
+    float formatting noise without hiding real divergence.
     """
     return [
         (
@@ -317,5 +312,39 @@ def trace_fingerprint(net: "Network") -> List[tuple]:
             str(r.packet.src),
             str(r.packet.dst),
         )
-        for r in net.trace.records
+        for r in records
     ]
+
+
+class LeakProbe:
+    """Asserts no cross-peer data leak: every payload delivered on a watched
+    session/stream must carry the stamp of the peer that session belongs to.
+
+    Stamp outbound data with :meth:`stamp`; wire delivery with
+    :meth:`watch`.  Violations (payloads from the wrong peer, or unstamped
+    attacker bytes that reached an application) accumulate in
+    :attr:`violations`, formatted with the offending fingerprint, and feed
+    ``check_invariants(..., leak_probes=[probe])``.
+    """
+
+    def __init__(self) -> None:
+        self.violations: List[str] = []
+        self.payloads_checked = 0
+
+    @staticmethod
+    def stamp(sender_id: int, payload: bytes = b"") -> bytes:
+        return b"from:%d:" % sender_id + payload
+
+    def watch(self, session, expected_sender: int, label: str) -> None:
+        """Attach to anything with an ``on_data`` handler slot."""
+
+        def on_data(payload: bytes) -> None:
+            self.payloads_checked += 1
+            expected = b"from:%d:" % expected_sender
+            if not payload.startswith(expected):
+                self.violations.append(
+                    f"cross-peer leak on {label}: expected payload from peer "
+                    f"{expected_sender}, got {payload[:32]!r}"
+                )
+
+        session.on_data = on_data

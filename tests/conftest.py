@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+from collections import namedtuple
+
 import pytest
 
 from repro.netsim.addresses import Endpoint
+from repro.netsim.link import Link
 from repro.netsim.network import Network
 from repro.netsim.packet import IpProtocol
 from repro.transport.stack import attach_stack
@@ -57,3 +61,38 @@ def detach_stack(host) -> None:
         host.register_protocol(proto, None)
     host.stack = None
 
+
+WireRecord = namedtuple("WireRecord", "time link sender receiver event packet")
+
+
+@contextlib.contextmanager
+def wire_tap(net: Network):
+    """Record *net*'s wire events in order (``event``: ``"sent"``, ``"duplicated"`` or a
+    drop reason); links take the per-packet route, which never recycles a held packet."""
+    records, wire_one, drop, prior = [], Link._wire_one, Link._drop, Link.fast_path_enabled
+
+    def record(link, packet, sender, receiver_name, event):
+        if link.scheduler is net.scheduler:
+            records.append(
+                WireRecord(net.now, link.name, sender.name, receiver_name, event, packet))
+
+    def tapped_wire_one(link, packet, sender, receiver, extra_delay, dup):
+        placed = wire_one(link, packet, sender, receiver, extra_delay, dup)
+        if placed:
+            record(link, packet, sender, receiver.name, "duplicated" if dup else "sent")
+        return placed
+
+    def tapped_drop(link, packet, sender, receiver, reason):
+        drop(link, packet, sender, receiver, reason)
+        record(link, packet, sender, receiver and receiver.name, reason)
+
+    def install(wire, dropper, fast):
+        Link._wire_one, Link._drop, Link.fast_path_enabled = wire, dropper, fast
+        for link in net.links.values():
+            link._refresh_fast_path()
+
+    install(tapped_wire_one, tapped_drop, False)
+    try:
+        yield records
+    finally:
+        install(wire_one, drop, prior)

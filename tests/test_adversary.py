@@ -29,15 +29,15 @@ from repro.nat.mapping import QuotaExceeded, TableExhausted
 from repro.nat.policy import MappingPolicy
 from repro.netsim.adversary import (
     ExhaustionFlood,
-    LeakProbe,
     SpoofedRstInjector,
     attach_lan_attacker,
     attach_wan_attacker,
 )
 from repro.netsim.addresses import IPv4Address
-from repro.netsim.chaos import check_invariants
 from repro.netsim.faults import FaultPlan
 from repro.scenarios.topologies import build_two_nats
+
+from tests.chaos import LeakProbe, check_invariants
 
 SEED = 424242
 
@@ -146,11 +146,10 @@ class TestAttackerLifecycle:
     def test_fault_plan_drives_attacker_on_and_off(self):
         sc, attacker = _flood_scenario(seed=SEED + 3)
         sched = sc.net.scheduler
-        plan = (
-            FaultPlan()
-            .add(1.0, "server-revive", "flood")  # revive == start()
-            .add(3.0, "server-kill", "flood")  # kill == stop()
-        )
+        plan = FaultPlan([
+            (1.0, "server-revive", "flood"),  # revive == start()
+            (3.0, "server-kill", "flood"),  # kill == stop()
+        ])
         sc.inject_faults(plan, extra_targets={"flood": attacker})
         sched.run_until(2.0)
         assert attacker.active

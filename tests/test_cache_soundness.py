@@ -24,7 +24,6 @@ from repro.natcheck.fleet import (
     device_config,
     device_fingerprint,
     run_fleet,
-    scale_population,
 )
 from repro.natcheck.table import table1_rows
 from repro.obs.export import summarize_for_report
@@ -167,25 +166,3 @@ def test_disabled_cache_publishes_disabled_counter():
     metrics = MetricsRegistry()
     run_fleet(SMALL_SPECS[:1], seed=1, cache=False, metrics=metrics)
     assert metrics.counters()["fleet.cache.disabled"] == 1
-
-
-def test_scaled_population_preserves_mix_and_variety():
-    factor = 4
-    scaled = scale_population(factor, SMALL_SPECS)
-    assert sum(s.population for s in scaled) == factor * 26
-    result = run_fleet(scaled, seed=11, cache=True)
-    base = run_fleet(SMALL_SPECS, seed=11, cache=True)
-    # Behavioural variety does not grow with population...
-    assert result.cache.distinct_fingerprints == base.cache.distinct_fingerprints
-    # ...and every Table 1 cell scales exactly (percentages unchanged).
-    for scaled_row, base_row in zip(table1_rows(result.reports), table1_rows(base.reports)):
-        assert scaled_row.vendor == base_row.vendor
-        for column in ("udp", "udp_hairpin", "tcp", "tcp_hairpin"):
-            s_n, s_d = getattr(scaled_row, column)
-            b_n, b_d = getattr(base_row, column)
-            assert (s_n, s_d) == (b_n * factor, b_d * factor)
-
-
-def test_scale_population_rejects_bad_factor():
-    with pytest.raises(ValueError):
-        scale_population(0)

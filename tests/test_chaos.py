@@ -3,10 +3,13 @@
 Tier-1 keeps a handful of smoke tests (plan generation, invariant checker,
 one full chaos run, one determinism pair).  The real soak — ``-m soak`` —
 sweeps ``CHAOS_SEED_COUNT`` seeds from ``CHAOS_SEED_BASE``, running every
-seed twice to assert byte-identical wire traces on top of the liveness,
-timer, and NAT-table invariants.
+seed three times: once untapped, so batched delivery and packet recycling
+run under the fault plan, then twice under the wire tap to assert
+byte-identical wire traces on top of the liveness, timer, and NAT-table
+invariants.
 """
 
+import contextlib
 import os
 
 import pytest
@@ -15,13 +18,6 @@ from repro.core import connector as connector_module
 from repro.core.connector import P2PConnector
 from repro.core.protocol import TRANSPORT_UDP
 from repro.core.udp_punch import PunchConfig
-from repro.netsim.chaos import (
-    AttemptTracker,
-    ChaosConfig,
-    check_invariants,
-    random_fault_plan,
-    trace_fingerprint,
-)
 from repro.netsim.faults import (
     FAULT_SERVER_KILL,
     FAULT_SERVER_REVIVE,
@@ -29,6 +25,15 @@ from repro.netsim.faults import (
 )
 from repro.scenarios import build_two_nats
 from repro.util.rng import SeededRng
+
+from tests.chaos import (
+    AttemptTracker,
+    ChaosConfig,
+    check_invariants,
+    random_fault_plan,
+    trace_fingerprint,
+)
+from tests.conftest import wire_tap
 
 CHAOS_CONFIG = ChaosConfig(warmup=6.0, horizon=40.0)
 GRACE = 25.0
@@ -53,10 +58,19 @@ def _chaos_plan(seed, config=CHAOS_CONFIG):
 
 
 def _chaos_run(seed, trace=False):
-    """One full chaos iteration; returns (violations, fingerprint-or-None)."""
+    """One full chaos iteration; returns (violations, fingerprint-or-None).
+
+    With *trace* the whole run is under :func:`wire_tap`, which keeps every
+    link on the per-packet route; without it the plain links take the fast
+    path, batched delivery and packet recycling included.
+    """
     sc = build_two_nats(seed=seed)
-    if trace:
-        sc.net.trace.enable()
+    with wire_tap(sc.net) if trace else contextlib.nullcontext() as records:
+        violations = _chaos_drive(sc, seed)
+    return violations, (trace_fingerprint(records) if trace else None)
+
+
+def _chaos_drive(sc, seed):
     punch = PunchConfig(keepalive_interval=1.0, broken_after_missed=5)
     for c in sc.clients.values():
         c.punch_config = punch
@@ -86,26 +100,25 @@ def _chaos_run(seed, trace=False):
         if channel is not None and hasattr(channel, "close"):
             channel.close()
     sc.run_for(5.0)
-    violations = check_invariants(
+    return check_invariants(
         sc.net,
         nats=sc.nats.values(),
         attempts=tracker,
         pending_timer_cap=PENDING_TIMER_CAP,
         nat_table_cap=NAT_TABLE_CAP,
     )
-    return violations, (trace_fingerprint(sc.net) if trace else None)
 
 
 class TestPlanGeneration:
     def test_same_seed_same_plan(self):
-        first = [(e.time, e.fault, e.target, e.arg) for e in _chaos_plan(900)]
-        second = [(e.time, e.fault, e.target, e.arg) for e in _chaos_plan(900)]
+        first = [(e.time, e.fault, e.target, e.arg) for e in _chaos_plan(900).events]
+        second = [(e.time, e.fault, e.target, e.arg) for e in _chaos_plan(900).events]
         assert first == second
         assert first  # never an empty plan
 
     def test_different_seeds_differ(self):
         plans = {
-            tuple((e.time, e.fault, e.target) for e in _chaos_plan(seed))
+            tuple((e.time, e.fault, e.target) for e in _chaos_plan(seed).events)
             for seed in range(900, 910)
         }
         assert len(plans) > 1
@@ -114,12 +127,12 @@ class TestPlanGeneration:
         for seed in range(920, 940):
             plan = _chaos_plan(seed)
             revives = {}
-            for e in plan:
+            for e in plan.events:
                 assert e.fault in KNOWN_FAULTS
                 assert CHAOS_CONFIG.warmup <= e.time <= CHAOS_CONFIG.horizon
                 if e.fault == FAULT_SERVER_REVIVE:
                     revives.setdefault(e.target, []).append(e.time)
-            for e in plan:
+            for e in plan.events:
                 if e.fault == FAULT_SERVER_KILL:
                     assert any(t >= e.time for t in revives.get(e.target, [])), (
                         f"seed {seed}: kill of {e.target} at {e.time} has no "
@@ -192,7 +205,10 @@ SEED_COUNT = int(os.environ.get("CHAOS_SEED_COUNT", "25"))
 @pytest.mark.soak
 @pytest.mark.parametrize("seed", range(SEED_BASE, SEED_BASE + SEED_COUNT))
 def test_chaos_soak(seed):
-    """Each parametrized case is two full runs: invariants + determinism."""
+    """Each parametrized case is three full runs: invariants on the fast
+    path, then invariants + determinism under the wire tap."""
+    violations, _ = _chaos_run(seed)
+    assert violations == [], f"seed {seed} (untapped): {violations}"
     violations, first = _chaos_run(seed, trace=True)
     assert violations == [], f"seed {seed}: {violations}"
     _, second = _chaos_run(seed, trace=True)

@@ -361,34 +361,35 @@ def _punched_fingerprint(compaction_enabled):
     schedules-and-cancels a block of dummy timers — enough dead heap
     entries to force a rebuild while real deliveries are in flight.
     """
-    from repro.netsim.chaos import trace_fingerprint
     from repro.netsim.link import LinkProfile
     from repro.scenarios import build_two_nats
+    from tests.chaos import trace_fingerprint
+    from tests.conftest import wire_tap
 
     sc = build_two_nats(
         seed=77,
         backbone_profile=LinkProfile(latency=0.02, jitter=0.01, loss=0.05),
     )
     sc.scheduler.compaction_enabled = compaction_enabled
-    sc.net.trace.enable()
-    for client in sc.clients.values():
-        client.register_udp(max_tries=8)
-    sc.wait_for(lambda: all(c.udp_registered for c in sc.clients.values()), 15.0)
 
     def churn():
         batch = [sc.scheduler.call_later(60.0, lambda: None) for _ in range(256)]
         for timer in batch[:224]:
             timer.cancel()
 
-    sc.scheduler.call_later(0.05, churn)
-    done = {}
-    sc.clients["A"].connect_udp(
-        2,
-        on_session=lambda session: done.setdefault("s", session),
-        on_failure=lambda err: done.setdefault("f", err),
-    )
-    sc.scheduler.run_while(lambda: not done, sc.scheduler.now + 20.0)
-    return trace_fingerprint(sc.net), sc.scheduler.compactions
+    with wire_tap(sc.net) as records:
+        for client in sc.clients.values():
+            client.register_udp(max_tries=8)
+        sc.wait_for(lambda: all(c.udp_registered for c in sc.clients.values()), 15.0)
+        sc.scheduler.call_later(0.05, churn)
+        done = {}
+        sc.clients["A"].connect_udp(
+            2,
+            on_session=lambda session: done.setdefault("s", session),
+            on_failure=lambda err: done.setdefault("f", err),
+        )
+        sc.scheduler.run_while(lambda: not done, sc.scheduler.now + 20.0)
+    return trace_fingerprint(records), sc.scheduler.compactions
 
 
 def test_same_seed_trace_identical_with_and_without_compaction():

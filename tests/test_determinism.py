@@ -2,27 +2,25 @@
 
 from repro.natcheck.fleet import check_device
 from repro.nat import behavior as B
-from repro.netsim.packet import IpProtocol
+from repro.netsim.link import LinkProfile
 from repro.scenarios import build_two_nats
+
+from tests.chaos import trace_fingerprint
+from tests.conftest import wire_tap
 
 
 def _punch_trace(seed):
-    sc = build_two_nats(seed=seed, backbone_profile=None or __import__(
-        "repro.netsim.link", fromlist=["LinkProfile"]).LinkProfile(
+    sc = build_two_nats(seed=seed, backbone_profile=LinkProfile(
         latency=0.02, jitter=0.01, loss=0.05))
-    sc.net.trace.enable()
-    for c in sc.clients.values():
-        c.register_udp(max_tries=8)
-    sc.wait_for(lambda: all(c.udp_registered for c in sc.clients.values()), 15.0)
-    done = {}
-    sc.clients["A"].connect_udp(2, on_session=lambda s: done.setdefault("s", s),
-                                on_failure=lambda e: done.setdefault("f", e))
-    sc.scheduler.run_while(lambda: not done, sc.scheduler.now + 20.0)
-    return [
-        (round(r.time, 9), r.link, r.sender, r.receiver, r.event,
-         r.packet.proto.value, str(r.packet.src), str(r.packet.dst))
-        for r in sc.net.trace.records
-    ]
+    with wire_tap(sc.net) as records:
+        for c in sc.clients.values():
+            c.register_udp(max_tries=8)
+        sc.wait_for(lambda: all(c.udp_registered for c in sc.clients.values()), 15.0)
+        done = {}
+        sc.clients["A"].connect_udp(2, on_session=lambda s: done.setdefault("s", s),
+                                    on_failure=lambda e: done.setdefault("f", e))
+        sc.scheduler.run_while(lambda: not done, sc.scheduler.now + 20.0)
+    return trace_fingerprint(records)
 
 
 def test_identical_seed_identical_wire_trace():

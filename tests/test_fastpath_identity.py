@@ -1,19 +1,18 @@
-"""Trace-identity suite for the statistical link fast path.
+"""Identity suite for the statistical link fast path.
 
 The fast path (``Link._fast``, gated by :meth:`Link._refresh_fast_path`) must
 be *observably inert*: flipping the class-wide ``Link.fast_path_enabled``
 switch off may change only wall-clock time, never a single observable — not
-a delivery time, not a counter, not a trace record, not a flight-recorder
-event.  This suite pins that property three ways:
+a delivery time, not a counter, not a flight-recorder event.  This suite
+pins that property three ways:
 
 * the six ``--explain`` post-mortem scenarios, byte-identical flight
   timelines and rendered verdicts either way;
 * the NAT echo workload (the ``nat_packets_per_second`` bench topology),
   identical arrival timelines and counters either way;
-* a plain-profile network whose ``PacketTrace`` is enabled mid-run, so the
-  capture window opens while the fast path is engaged — the trace
-  subscription must flip the gate and the captured records must match a
-  run that never used the fast path at all.
+* a plain-profile echo run whose flight recorder attaches mid-run, so the
+  gate flips while batches are in flight — the arrival timeline and the
+  flight log must match a run that never used the fast path at all.
 
 The packet pool (:data:`repro.netsim.packet.PACKET_POOL`) is held to the
 same standard along a second axis: every scenario above must also be
@@ -94,13 +93,9 @@ class TestFastPathGate:
         assert not lossy._fast
         assert not shaped._fast
 
-    def test_invalidated_by_trace_flap_and_flight(self):
+    def test_invalidated_by_flap_and_flight(self):
         net = Network(seed=1)
         link = net.create_link("l", LAN_LINK)
-        assert link._fast
-        net.trace.enable()
-        assert not link._fast
-        net.trace.disable()
         assert link._fast
         link.down()
         assert not link._fast
@@ -219,27 +214,37 @@ class TestPoolingIdentity:
             PACKET_POOL.debug_poison = prior
 
 
-class TestMidRunTraceIdentity:
+class TestMidRunGateFlip:
     @staticmethod
     def _run(packets: int = 120):
         net, backbone, lan, nat, client, server = _build_echo()
-        arrivals = []
+        arrivals, gates = [], []
         sock = client.stack.udp.socket(4321)
         sock.on_datagram = lambda d, src: arrivals.append((net.now, d))
         dest = Endpoint("18.181.0.31", 1234)
+        # Every tenth datagram also goes to a LAN address nobody owns: the
+        # lan link drops it, which the flight log records once attached.
+        dark = Endpoint("10.0.0.99", 1234)
         for i in range(packets):
             net.scheduler.call_at(i * 0.0005, sock.sendto, b"%04d" % i, dest)
-        # The capture window opens mid-traffic: on the fast-path run the
-        # trace subscription must flip the gate at this instant.
-        net.scheduler.call_at(0.03, net.trace.enable)
+            if i % 10 == 0:
+                net.scheduler.call_at(i * 0.0005, sock.sendto, b"dark", dark)
+        # The recorder attaches mid-traffic: on the fast-path run it flips
+        # every link's gate at this instant, with batches still in flight.
+        net.scheduler.call_at(0.03, lambda: gates.append(backbone._fast))
+        net.scheduler.call_at(0.03, net.attach_flight)
+        net.scheduler.call_at(0.03, lambda: gates.append(backbone._fast))
         net.run_until(5.0)
         assert len(arrivals) == packets
-        return [str(r) for r in net.trace.records]
+        return arrivals, to_jsonl(net.flight), gates
 
-    def test_capture_identical_either_path(self):
+    def test_arrivals_identical_either_path(self):
         with _fast_path(True):
-            fast = self._run()
+            fast_arrivals, fast_log, fast_gates = self._run()
         with _fast_path(False):
-            slow = self._run()
-        assert fast  # the capture window saw traffic — identity is not vacuous
-        assert fast == slow
+            slow_arrivals, slow_log, slow_gates = self._run()
+        assert fast_gates == [True, False]  # the flip happened mid-run
+        assert slow_gates == [False, False]
+        assert fast_arrivals == slow_arrivals
+        assert '"link.drop"' in fast_log  # the log is not vacuous
+        assert fast_log == slow_log

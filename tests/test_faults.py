@@ -23,6 +23,9 @@ from repro.netsim.network import Network
 from repro.netsim.packet import IpProtocol, udp_packet
 from repro.scenarios import build_public_pair, build_two_nats
 
+from tests.chaos import trace_fingerprint
+from tests.conftest import wire_tap
+
 
 def _pair(profile=None, seed=1):
     net = Network(seed=seed)
@@ -213,10 +216,14 @@ class TestFaultPlan:
             FaultEvent(1.0, "meteor-strike", "earth")
 
     def test_tuple_entries_and_iteration(self):
-        plan = FaultPlan([(1.0, "link-down", "l"), (2.0, "link-up", "l")])
-        plan.add(3.0, FAULT_LINK_FLAP, "l", 0.5)
-        assert len(plan) == 3
-        assert [e.fault for e in plan] == ["link-down", "link-up", "link-flap"]
+        plan = FaultPlan([
+            (1.0, "link-down", "l"),
+            (2.0, "link-up", "l"),
+            FaultEvent(3.0, FAULT_LINK_FLAP, "l", 0.5),
+        ])
+        assert len(plan.events) == 3
+        assert [e.fault for e in plan.events] == ["link-down", "link-up", "link-flap"]
+        assert plan.events[1] == FaultEvent(2.0, "link-up", "l")
 
     def test_scheduled_flap_fires_and_recovers(self):
         net, link, a, b = _pair(LinkProfile(latency=0.01))
@@ -607,29 +614,25 @@ class TestFaultedDeterminism:
             repunch_attempts=3, repunch_backoff=0.5,
         )
         sc = build_two_nats(seed=seed, backbone_profile=profile)
-        sc.net.trace.enable()
-        for c in sc.clients.values():
-            c.punch_config = config
-            c.register_udp(max_tries=8)
-        sc.wait_for(lambda: all(c.udp_registered for c in sc.clients.values()), 15.0)
-        for c in sc.clients.values():
-            c.start_server_keepalives(interval=1.0)
-        done = {}
-        sc.clients["A"].connect_udp(2, on_session=lambda s: done.setdefault("s", s))
-        sc.scheduler.run_while(lambda: not done, sc.scheduler.now + 20.0)
-        sc.inject_faults(
-            FaultPlan([
-                (sc.scheduler.now + 1.0, "link-flap", "backbone", 0.5),
-                (sc.scheduler.now + 4.0, FAULT_NAT_REBOOT, "A"),
-                (sc.scheduler.now + 12.0, "server-restart", "S"),
-            ])
-        )
-        sc.run_for(30.0)
-        return [
-            (round(r.time, 9), r.link, r.sender, r.receiver, r.event,
-             r.packet.proto.value, str(r.packet.src), str(r.packet.dst))
-            for r in sc.net.trace.records
-        ]
+        with wire_tap(sc.net) as records:
+            for c in sc.clients.values():
+                c.punch_config = config
+                c.register_udp(max_tries=8)
+            sc.wait_for(lambda: all(c.udp_registered for c in sc.clients.values()), 15.0)
+            for c in sc.clients.values():
+                c.start_server_keepalives(interval=1.0)
+            done = {}
+            sc.clients["A"].connect_udp(2, on_session=lambda s: done.setdefault("s", s))
+            sc.scheduler.run_while(lambda: not done, sc.scheduler.now + 20.0)
+            sc.inject_faults(
+                FaultPlan([
+                    (sc.scheduler.now + 1.0, "link-flap", "backbone", 0.5),
+                    (sc.scheduler.now + 4.0, FAULT_NAT_REBOOT, "A"),
+                    (sc.scheduler.now + 12.0, "server-restart", "S"),
+                ])
+            )
+            sc.run_for(30.0)
+        return trace_fingerprint(records)
 
     def test_same_seed_same_faulted_wire_trace(self):
         assert self._faulted_trace(2718) == self._faulted_trace(2718)

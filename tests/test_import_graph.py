@@ -116,8 +116,8 @@ def test_import_repro_loads_no_subpackage():
 def test_network_entry_point():
     loaded = _repro_modules_after("import repro.netsim.network")
     assert not _outside(loaded, ("repro.netsim.*", "repro.obs.metrics", "repro.util.*"))
-    # Fault injection, chaos and the attackers are opt-in, not part of a Network.
-    assert not loaded & {"repro.netsim.chaos", "repro.netsim.adversary", "repro.netsim.faults"}
+    # Fault injection and the attackers are opt-in, not part of a Network.
+    assert not loaded & {"repro.netsim.adversary", "repro.netsim.faults"}
 
 
 def test_registry_entry_point():
@@ -134,8 +134,7 @@ def test_fleet_entry_point():
     banned = ("repro.core", "repro.scenarios", "repro.analysis")
     assert not {m for m in loaded if m.startswith(banned)}
     assert not loaded & {
-        "repro.netsim.chaos", "repro.netsim.adversary", "repro.netsim.faults",
-        "repro.obs.export", "repro.obs.flight_export", "repro.obs.profile", "repro.obs.spans",
+        "repro.netsim.adversary", "repro.netsim.faults", "repro.obs.export", "repro.obs.flight_export", "repro.obs.profile", "repro.obs.spans",
     }
 
 
@@ -157,7 +156,7 @@ def test_topologies_entry_point():
         {m for m in loaded if m.startswith(("repro.netsim", "repro.obs"))},
         ("repro.netsim.addresses", "repro.netsim.clock", "repro.netsim.link",
          "repro.netsim.network", "repro.netsim.node", "repro.netsim.packet",
-         "repro.netsim.routing", "repro.netsim.trace", "repro.obs.metrics", "repro.obs.spans"),
+         "repro.netsim.routing", "repro.obs.metrics", "repro.obs.spans"),
     )
 
 
@@ -232,20 +231,17 @@ EXPORTS = {
         "NatCheckReport": "classify", "NatCheckClient": "client", "NatCheckConfig": "client",
         "FleetCacheStats": "fleet", "FleetResult": "fleet", "VendorSpec": "fleet",
         "VENDOR_SPECS": "fleet", "device_fingerprint": "fleet", "run_fleet": "fleet",
-        "scale_population": "fleet", "NatCheckServers": "servers", "Table1Row": "table",
+        "NatCheckServers": "servers", "Table1Row": "table",
         "render_table1": "table", "table1_rows": "table",
     },
     "repro.netsim": {
         "Endpoint": "addresses", "IPv4Address": "addresses", "IPv4Network": "addresses",
         "is_private": "addresses", "Scheduler": "clock",
-        "Timer": "clock", "AttemptTracker": "chaos", "ChaosConfig": "chaos",
-        "check_invariants": "chaos", "random_fault_plan": "chaos",
-        "trace_fingerprint": "chaos", "FaultEvent": "faults", "FaultInjector": "faults",
+        "Timer": "clock", "FaultEvent": "faults", "FaultInjector": "faults",
         "FaultPlan": "faults", "Link": "link", "LinkProfile": "link", "Network": "network",
         "Host": "node", "Node": "node", "Router": "node", "IcmpError": "packet",
         "IpProtocol": "packet", "Packet": "packet", "TcpFlags": "packet",
-        "TcpHeader": "packet", "RoutingTable": "routing", "PacketTrace": "trace",
-        "TraceRecord": "trace",
+        "TcpHeader": "packet", "RoutingTable": "routing",
     },
     "repro.obs": {
         "Attempt": "flight", "CATEGORIES": "attribution", "CAT_FILTERED": "attribution",
@@ -290,7 +286,7 @@ def test_every_package_is_covered():
         m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
     }
     assert found == set(EXPORTS)
-    assert sum(len(table) for table in EXPORTS.values()) == 139
+    assert sum(len(table) for table in EXPORTS.values()) == 131
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -347,7 +343,7 @@ def test_a_submodule_that_fails_to_import_is_not_reported_as_a_missing_attribute
 
 
 def test_submodules_resolve_after_a_bare_package_import():
-    """``import repro.netsim`` then ``repro.netsim.chaos``: eager imports used
+    """``import repro.netsim`` then ``repro.netsim.adversary``: eager imports used
     to bind every submodule as a side effect; the hook's fallback keeps it."""
     script = ["import sys"]
     for package in PACKAGES:
@@ -355,8 +351,8 @@ def test_submodules_resolve_after_a_bare_package_import():
             script.append(f"import {package}")
             script.append(f"assert {submodule} is sys.modules[{submodule!r}]")
     # First of all, one that nothing else would have loaded on the way.
-    script.insert(1, "import repro.netsim\nassert repro.netsim.chaos.ChaosConfig\n"
-                     "assert 'chaos' in vars(repro.netsim)")
+    script.insert(1, "import repro.netsim\nassert repro.netsim.adversary.ExhaustionFlood\n"
+                     "assert 'adversary' in vars(repro.netsim)")
     done = _python("-c", "\n".join(script))
     assert done.returncode == 0, done.stderr
 
@@ -396,9 +392,6 @@ SCANNED = ("src", "benchmarks", "examples")
 #: purpose.  A key is a module plus a qualified name; a module or class key
 #: covers everything defined inside it.
 KEEP = {
-    "repro.netsim.chaos": "the chaos-soak harness of ROADMAP north star 3; "
-        "tests/test_chaos.py and tests/test_adversary.py run it in CI",
-    "repro.netsim.adversary.LeakProbe": "the soak harness's cross-peer leak probe",
     "repro.obs.metrics.MetricsRegistry.counter_value": "the metrics read API tests assert through",
     "repro.core.rendezvous.RendezvousServer.registration":
         "the registration read API tests assert through",
@@ -436,8 +429,6 @@ KEEP_FIELDS = {
                      "tcp_connect_wait")
     },
     "TcpPunchConfig.select_delay": "ROADMAP item 13 deletes it with the settle window",
-    "ChaosConfig.warmup": "the chaos-soak harness (see KEEP); tests/test_chaos.py sets it",
-    "ChaosConfig.horizon": "the chaos-soak harness (see KEEP); tests/test_chaos.py sets it",
 }
 
 

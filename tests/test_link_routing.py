@@ -11,6 +11,8 @@ from repro.netsim.routing import RoutingTable
 from repro.util.errors import RoutingError
 from repro.util.rng import SeededRng
 
+from tests.conftest import wire_tap
+
 
 class TestLinkProfile:
     def test_defaults(self):
@@ -295,36 +297,25 @@ class TestNetworkContainer:
 class TestTrace:
     def test_trace_capture_and_query(self):
         net = Network(seed=1)
-        net.trace.enable()
         link = net.create_link("l")
         a = net.add_host("a", ip="10.0.0.1", network="10.0.0.0/24", link=link)
         b = net.add_host("b", ip="10.0.0.2", network="10.0.0.0/24", link=link)
         b.register_protocol(IpProtocol.UDP, lambda p: None)
+        with wire_tap(net) as records:
+            assert not link._fast  # the tap holds every link on the per-packet route
+            a.send(udp_packet(Endpoint("10.0.0.1", 1), Endpoint("10.0.0.2", 2)))
+            a.send(udp_packet(Endpoint("10.0.0.1", 1), Endpoint("10.0.0.9", 2)))
+            net.run()
+        assert link._fast
+        assert [(r.link, r.sender, r.receiver, r.event) for r in records] == [
+            ("l", "a", "b", "sent"),
+            ("l", "a", None, "no-next-hop"),
+        ]
+        assert records[0].packet.proto is IpProtocol.UDP
+        assert "udp" in records[0].packet.describe()
         a.send(udp_packet(Endpoint("10.0.0.1", 1), Endpoint("10.0.0.2", 2)))
         net.run()
-        assert net.trace.count("sent") == 1
-        assert [(r.sender, r.receiver) for r in net.trace.sent()] == [("a", "b")]
-        assert net.trace.sent(IpProtocol.UDP)
-        assert "udp" in net.trace.dump()
-
-    def test_trace_disabled_by_default(self):
-        net = Network(seed=1)
-        link = net.create_link("l")
-        a = net.add_host("a", ip="10.0.0.1", network="10.0.0.0/24", link=link)
-        net.add_host("b", ip="10.0.0.2", network="10.0.0.0/24", link=link)
-        a.send(udp_packet(Endpoint("10.0.0.1", 1), Endpoint("10.0.0.2", 2)))
-        net.run()
-        assert net.trace.records == []
-
-    def test_capacity_limit(self):
-        from repro.netsim.trace import PacketTrace
-
-        trace = PacketTrace(enabled=True, capacity=2)
-        p = udp_packet(Endpoint("1.1.1.1", 1), Endpoint("2.2.2.2", 2))
-        for _ in range(5):
-            trace.record(0.0, "l", "a", "b", "sent", p)
-        assert len(trace.records) == 2
-        assert trace.dropped_records == 3
+        assert len(records) == 2  # closed: nothing more is captured
 
 
 class TestBandwidth:

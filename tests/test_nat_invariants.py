@@ -13,10 +13,11 @@ from repro.netsim.packet import IpProtocol
 from repro.transport.stack import attach_stack
 from repro.util.errors import ProtocolError
 
+from tests.conftest import wire_tap
+
 
 def build_world(behavior, seed=1, lan_hosts=1):
     net = Network(seed=seed)
-    net.trace.enable()
     backbone = net.create_link("backbone")
     server = net.add_host("S", ip="18.181.0.31", network="0.0.0.0/0", link=backbone)
     attach_stack(server, rng=net.rng.child("s"))
@@ -43,16 +44,17 @@ def test_no_private_source_ever_crosses_the_wan(behavior):
     net, nat, hosts, server = build_world(behavior, lan_hosts=3)
     echo = server.stack.udp.socket(1234)
     echo.on_datagram = lambda d, src: echo.sendto(b"e" + d, src)
-    for index, host in enumerate(hosts):
-        sock = host.stack.udp.socket(4321)
-        for port in (1234,):
-            sock.sendto(bytes([index]) * 8, Endpoint("18.181.0.31", port))
-    # Also some TCP traffic.
-    server.stack.tcp.listen(80)
-    for host in hosts:
-        host.stack.tcp.connect(Endpoint("18.181.0.31", 80), local_port=4321, reuse=True)
-    net.run_until(5.0)
-    backbone_records = [r for r in net.trace.records
+    with wire_tap(net) as records:
+        for index, host in enumerate(hosts):
+            sock = host.stack.udp.socket(4321)
+            for port in (1234,):
+                sock.sendto(bytes([index]) * 8, Endpoint("18.181.0.31", port))
+        # Also some TCP traffic.
+        server.stack.tcp.listen(80)
+        for host in hosts:
+            host.stack.tcp.connect(Endpoint("18.181.0.31", 80), local_port=4321, reuse=True)
+        net.run_until(5.0)
+    backbone_records = [r for r in records
                         if r.link == "backbone" and r.event == "sent"]
     assert backbone_records
     for record in backbone_records:

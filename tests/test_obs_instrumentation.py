@@ -1,6 +1,6 @@
 """Integration tests for the instrumentation points: the punching stack,
-the substrate collectors, the trace ring buffer, and the fleet latency
-wiring all feed the network's metrics registry."""
+the substrate collectors, and the fleet latency wiring all feed the
+network's metrics registry."""
 
 from __future__ import annotations
 
@@ -8,9 +8,6 @@ from repro.core.connector import P2PConnector, STRATEGY_RELAY
 from repro.nat.behavior import HAIRPIN_CAPABLE, WELL_BEHAVED
 from repro.natcheck.fleet import check_device
 from repro.natcheck.table import latency_histograms, render_latency_appendix
-from repro.netsim.addresses import Endpoint
-from repro.netsim.packet import IpProtocol, Packet
-from repro.netsim.trace import PacketTrace
 from repro.obs.spans import OUTCOME_FALLBACK, OUTCOME_LOCKED, OUTCOME_TIMEOUT
 from repro.scenarios.topologies import build_multilevel, build_two_nats
 
@@ -120,28 +117,6 @@ def test_metrics_disabled_network_records_nothing():
     assert not net.metrics.enabled
     snapshot = net.metrics.snapshot()
     assert snapshot["counters"] == {} and snapshot["spans"] == []
-
-
-def test_trace_ring_buffer_evicts_oldest_and_reports():
-    trace = PacketTrace(enabled=True, capacity=3)
-    packets = [
-        Packet(
-            proto=IpProtocol.UDP,
-            src=Endpoint("10.0.0.1", 1),
-            dst=Endpoint("10.0.0.2", 2),
-            payload=bytes([i]),
-        )
-        for i in range(5)
-    ]
-    for i, packet in enumerate(packets):
-        trace.record(float(i), "wire", "a", "b", "sent", packet)
-    assert len(trace) == 3
-    assert trace.dropped_records == 2
-    assert [r.time for r in trace.records] == [2.0, 3.0, 4.0]  # newest retained
-    dump = trace.dump()
-    assert "2 older records evicted (capacity 3)" in dump
-    trace.clear()
-    assert trace.dropped_records == 0 and len(trace) == 0
 
 
 def test_natcheck_reports_carry_punch_latencies():

@@ -10,7 +10,7 @@ from repro.netsim.packet import (
 from repro.transport.tcp import TIME_WAIT_SECONDS, TcpState, TcpStyle, seq_add
 from repro.util.errors import ConnectionError_
 
-from tests.conftest import make_lan_pair, run_until
+from tests.conftest import make_lan_pair, run_until, wire_tap
 
 B_EP = Endpoint("192.0.2.2", 80)
 
@@ -158,15 +158,16 @@ def test_close_with_unsent_data_flushes_first():
 def test_stale_syn_ack_refused_with_rst():
     """A SYN-ACK acking a sequence we never sent gets an RST (RFC 793 p72)."""
     net, a, b = make_lan_pair()
-    net.trace.enable()
-    client = a.stack.tcp.connect(B_EP)  # B not listening; ignore its RSTs
-    # Craft a mismatched SYN-ACK from B's endpoint before B's RST arrives.
-    ghost = tcp_packet(B_EP, client.local, TcpFlags.SYN | TcpFlags.ACK,
-                       seq=12345, ack=999)  # wrong ack
-    b.send(ghost)
-    net.run_until(net.now + 0.2)
-    rsts = [r for r in net.trace.sent(IpProtocol.TCP)
-            if r.sender == "hostA" and r.packet.tcp.is_rst]
+    with wire_tap(net) as records:
+        client = a.stack.tcp.connect(B_EP)  # B not listening; ignore its RSTs
+        # Craft a mismatched SYN-ACK from B's endpoint before B's RST arrives.
+        ghost = tcp_packet(B_EP, client.local, TcpFlags.SYN | TcpFlags.ACK,
+                           seq=12345, ack=999)  # wrong ack
+        b.send(ghost)
+        net.run_until(net.now + 0.2)
+    rsts = [r for r in records
+            if r.event == "sent" and r.packet.proto is IpProtocol.TCP
+            and r.sender == "hostA" and r.packet.tcp.is_rst]
     assert rsts
 
 

@@ -6,7 +6,7 @@ from repro.netsim.addresses import Endpoint
 from repro.transport.tcp import TcpState, TcpStyle
 from repro.util.errors import ConnectionError_
 
-from tests.conftest import make_lan_pair, run_until
+from tests.conftest import make_lan_pair, run_until, wire_tap
 
 A_EP = Endpoint("192.0.2.1", 7000)
 B_EP = Endpoint("192.0.2.2", 7000)
@@ -120,13 +120,14 @@ def test_both_listen_preferred_both_accept():
 def test_syn_ack_replays_original_sequence_number():
     """§4.3: the SYN-ACK's SYN part replays the original outbound SYN."""
     net, a, b = make_lan_pair()
-    net.trace.enable()
-    a.stack.tcp.connect(B_EP, local_port=7000)
-    b.stack.tcp.connect(A_EP, local_port=7000)
-    net.run_until(net.now + 2)
-    from repro.netsim.packet import IpProtocol, TcpFlags
+    with wire_tap(net) as records:
+        a.stack.tcp.connect(B_EP, local_port=7000)
+        b.stack.tcp.connect(A_EP, local_port=7000)
+        net.run_until(net.now + 2)
+    from repro.netsim.packet import IpProtocol
 
-    records = net.trace.sent(IpProtocol.TCP)
+    records = [r for r in records
+               if r.event == "sent" and r.packet.proto is IpProtocol.TCP]
     syns = {}
     for r in records:
         hdr = r.packet.tcp
@@ -140,17 +141,18 @@ def test_syn_ack_replays_original_sequence_number():
 
 def test_duplicate_syn_in_syn_rcvd_replays_syn_ack():
     net, a, b = make_lan_pair()
-    net.trace.enable()
     conns = {}
-    a.stack.tcp.connect(B_EP, local_port=7000, on_connected=lambda c: conns.setdefault("a", c))
-    b.stack.tcp.connect(A_EP, local_port=7000, on_connected=lambda c: conns.setdefault("b", c))
-    run_until(net, lambda: len(conns) == 2)
+    with wire_tap(net) as records:
+        a.stack.tcp.connect(B_EP, local_port=7000, on_connected=lambda c: conns.setdefault("a", c))
+        b.stack.tcp.connect(A_EP, local_port=7000, on_connected=lambda c: conns.setdefault("b", c))
+        run_until(net, lambda: len(conns) == 2)
     # Replay A's original SYN at B: B must not break, just re-ACK.
-    from repro.netsim.packet import IpProtocol, TcpFlags, tcp_packet
+    from repro.netsim.packet import IpProtocol
 
     a_syn = next(
-        r.packet for r in net.trace.sent(IpProtocol.TCP)
-        if r.sender == "hostA" and r.packet.tcp.is_syn_only
+        r.packet for r in records
+        if r.event == "sent" and r.packet.proto is IpProtocol.TCP
+        and r.sender == "hostA" and r.packet.tcp.is_syn_only
     )
     a.send(a_syn.copy())
     net.run_until(net.now + 1)
