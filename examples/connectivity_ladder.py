@@ -58,20 +58,6 @@ def main() -> None:
         build_two_nats(seed=3, behavior_a=B.SYMMETRIC_RANDOM, behavior_b=B.SYMMETRIC_RANDOM),
         TRANSPORT_UDP,
     )
-    # Same hopeless NAT pair, but with a dedicated TURN relay available:
-    # the ladder prefers it over burdening the rendezvous server with data.
-    from repro.core.turn import TurnServer
-    from repro.transport.stack import attach_stack
-
-    sc = build_two_nats(seed=4, behavior_a=B.SYMMETRIC_RANDOM,
-                        behavior_b=B.SYMMETRIC_RANDOM)
-    relay_host = sc.net.add_host("relay", ip="30.0.0.1", network="0.0.0.0/0",
-                                 link=sc.net.links["backbone"])
-    attach_stack(relay_host)
-    turn = TurnServer(relay_host)
-    for client in sc.clients.values():
-        client.enable_turn(turn.endpoint)
-    run_ladder("symmetric NATs + TURN server available, UDP", sc, TRANSPORT_UDP)
 
 
 if __name__ == "__main__":

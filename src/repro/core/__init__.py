@@ -9,7 +9,7 @@
 * :mod:`repro.core.reversal` — connection reversal (§2.3);
 * :mod:`repro.core.relay` — relaying through S (§2.2);
 * :mod:`repro.core.client` — :class:`PeerClient`, the application-facing API;
-* :mod:`repro.core.connector` — the direct → reversal → punch → relay ladder.
+* :mod:`repro.core.connector` — the punch → reversal → relay ladder.
 """
 
 from repro import _lazy_exports

@@ -58,12 +58,10 @@ from repro.core.tcp_sequential import (
     SequentialRequester,
     SequentialResponder,
 )
-from repro.core.turn import TurnClient, TurnPairSession, TurnPunch
 from repro.core.udp_punch import PunchConfig, UdpHolePuncher, UdpSession, _Connect
 from repro.netsim.addresses import Endpoint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import OUTCOME_ERROR
-from repro.util.rng import SeededRng
 from repro.netsim.clock import Timer
 from repro.netsim.node import Host
 from repro.util.errors import ConnectionError_, ProtocolError, ReproError, TimeoutError_
@@ -86,14 +84,12 @@ ACCEPT_AUTH_GRACE = 5.0
 
 #: Each connect technique by its name — the key of the client's books and the
 #: label of its connect span and flight attempt, never sent on the wire — and
-#: the carrier on which S may refuse its requests (S forwards a TurnExchange
-#: or drops it, never refuses it).
+#: the carrier on which S may refuse its requests.
 _TECHNIQUES = {
     "udp": TRANSPORT_UDP,
     "tcp": TRANSPORT_TCP,
     "reversal": TRANSPORT_TCP,
     "sequential": TRANSPORT_TCP,
-    "turn": None,
 }
 
 
@@ -164,14 +160,12 @@ class PeerClient:
         self._parked_streams: Dict[Tuple[int, int], Tuple[TcpStream, Hello]] = {}
         self._reversal_punchers: Dict[int, ReversalRequest] = {}
         self._sequential_punchers: Dict[int, SequentialRequester] = {}
-        self._turn_punchers: Dict[int, TurnPunch] = {}
         #: The punch under way toward each peer, one book per technique.
         self._punch_books = {
             "udp": self.punchers,
             "tcp": self.tcp_punchers,
             "reversal": self._reversal_punchers,
             "sequential": self._sequential_punchers,
-            "turn": self._turn_punchers,
         }
         # --- fallbacks and app handlers ----------------------------------------
         self.relays: Dict[Tuple[int, int], RelaySession] = {}
@@ -179,11 +173,6 @@ class PeerClient:
         self.on_peer_stream: Optional[StreamHandler] = None
         self.on_relay_session: Optional[Callable[[RelaySession], None]] = None
         self.incoming_streams: List[TcpStream] = []
-        # --- TURN (enabled via enable_turn) ---------------------------------------
-        self.turn: Optional[TurnClient] = None
-        self.turn_pairs: Dict[int, TurnPairSession] = {}
-        self.on_turn_session: Optional[Callable[[TurnPairSession], None]] = None
-        self._rng = SeededRng(client_id, "peer-client")
         # --- metrics --------------------------------------------------------------
         self.control_reconnects = 0
         self.reversal_dial_failures = 0
@@ -194,10 +183,9 @@ class PeerClient:
             now_fn=lambda: host.scheduler.now
         )
         #: Connects awaiting S's answer (the peer's endpoints, ReverseExpect /
-        #: SeqReady, or the peer's TurnExchange), keyed by (technique,
-        #: peer_id).  A record leaves when the answer arrives — and rides the
-        #: punch it starts — when its deadline passes, or when S answers with
-        #: a RendezvousError.
+        #: SeqReady), keyed by (technique, peer_id).  A record leaves when
+        #: the answer arrives — and rides the punch it starts — when its
+        #: deadline passes, or when S answers with a RendezvousError.
         self._connects: Dict[Tuple[str, int], _Connect] = {}
         #: The owning network's flight recorder (None when none is attached).
         #: Every connect opens one attempt; everything causally downstream
@@ -443,8 +431,6 @@ class PeerClient:
             self._route_relay(message, TRANSPORT_UDP)
         elif isinstance(message, RelayError):
             self._relay_send_failed(message, TRANSPORT_UDP)
-        elif isinstance(message, protocol.TurnExchange):
-            self._handle_turn_exchange(message)
         elif isinstance(message, RendezvousError):
             self._request_failed(message, TRANSPORT_UDP)
 
@@ -791,118 +777,6 @@ class PeerClient:
         if connect is None:
             return  # nothing asked, or the request already failed
         self._start_punch(carrier(self, message, connect))
-
-    # =====================================================================
-    # TURN: relayed peer-to-peer channels (§2.2's TURN design)
-    # =====================================================================
-
-    def enable_turn(
-        self,
-        turn_server: Endpoint,
-        refresh_interval: Optional[float] = None,
-    ) -> None:
-        """Attach a TURN client so :meth:`connect_via_turn` (and incoming
-        TURN exchanges) can build relayed channels."""
-        if self.turn is not None:
-            return
-        self.turn = TurnClient(
-            self.host, turn_server, self.client_id, refresh_interval=refresh_interval
-        )
-        self.turn.on_data = self._on_turn_data
-
-    def _advertise_relay(self, peer_id: int, nonce: int) -> None:
-        """Tell *peer_id* (via S) where our relayed endpoint is."""
-        self._send_server_udp(
-            protocol.TurnExchange(
-                sender=self.client_id,
-                target=peer_id,
-                relay_ep=self.turn.relay_endpoint,
-                nonce=nonce,
-            )
-        )
-
-    def _when_allocated(self, action: Callable[[], None]) -> None:
-        """Run *action* once we hold a relayed endpoint, allocating if needed."""
-        if self.turn.relay_endpoint is not None:
-            action()
-        else:
-            self.turn.allocate(lambda _relay_ep: action())
-
-    def connect_via_turn(
-        self,
-        peer_id: int,
-        on_session: Callable[[TurnPairSession], None],
-        on_failure: Optional[FailureHandler] = None,
-        timeout: float = 10.0,
-    ) -> None:
-        """Build a TURN-to-TURN channel with *peer_id*.
-
-        Works across ANY NAT pair (both sides only ever talk outbound to
-        the relay), at the cost of relaying every byte — the §2.2 trade.
-        The peer must also have TURN enabled.  *timeout* bounds the peer's
-        answer and then the opener handshake, like ``connect_udp``'s.
-        """
-        if self.turn is None:
-            raise ReproError("connect_via_turn before enable_turn")
-        if not self.udp_registered:
-            raise ReproError("connect_via_turn before UDP registration")
-        nonce = self._rng.nonce64()
-        config = dataclasses.replace(self.punch_config, timeout=timeout)
-        connect = self._open_connect("turn", peer_id, on_session, on_failure, config)
-        if connect is None:
-            return
-        connect.nonce = nonce
-        self._when_allocated(lambda: self._advertise_relay(peer_id, nonce))
-        self.scheduler.call_later(timeout, self._connect_deadline, ("turn", peer_id), connect)
-
-    def _handle_turn_exchange(self, message) -> None:
-        """The peer advertised its relayed endpoint (forwarded by S)."""
-        if message.target != self.client_id or self.turn is None:
-            return
-        peer_id = message.sender
-        connect = self._connects.get(("turn", peer_id))
-        if connect is not None:
-            if message.nonce != connect.nonce:
-                return
-            self._take_pending("turn", peer_id)
-            pair = TurnPairSession(self, peer_id, connect.nonce, message.relay_ep, connect.config)
-            self.turn_pairs[peer_id] = pair
-            self._start_punch(TurnPunch(pair, connect))
-            return
-        # Responder role: allocate, answer with our relay endpoint, and
-        # deliver the session once the openers cross.
-        existing = self.turn_pairs.get(peer_id)
-        if existing is not None and existing.nonce == message.nonce:
-            return  # duplicate exchange
-
-        def respond() -> None:
-            pair = TurnPairSession(
-                self, peer_id, message.nonce, message.relay_ep, self.punch_config
-            )
-            self.turn_pairs[peer_id] = pair
-            connect = _Connect([(self._deliver_incoming_turn, None)], pair.config)
-            self._start_punch(TurnPunch(pair, connect))
-            self._advertise_relay(peer_id, message.nonce)
-
-        self._when_allocated(respond)
-
-    def _deliver_incoming_turn(self, session: TurnPairSession) -> None:
-        if self.on_turn_session is not None:
-            self.on_turn_session(session)
-
-    def _on_turn_data(self, src: Endpoint, payload: bytes) -> None:
-        """Traffic arrived at our relayed endpoint: route by source relay to
-        the pair's opening punch while one runs, else to the pair."""
-        message = protocol.try_decode(payload)
-        pair = self.turn_pairs.get(getattr(message, "sender", None))
-        if pair is None or src != pair.peer_relay:
-            self.stray_messages += 1
-            return
-        punch = self._turn_punchers.get(pair.peer_id)
-        if punch is not None and not punch.finished:
-            punch.handle(message)
-        else:
-            pair._handle(message)
 
     # -- accepted-stream routing (§4.2 step 5) -------------------------------------------------
 

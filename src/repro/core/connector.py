@@ -33,7 +33,6 @@ ResultHandler = Callable[["ConnectResult"], None]
 #: Strategy names, in ladder order.
 STRATEGY_PUNCH = "hole-punch"
 STRATEGY_REVERSAL = "reversal"
-STRATEGY_TURN = "turn-relay"
 STRATEGY_RELAY = "relay"
 
 
@@ -132,9 +131,6 @@ class P2PConnector:
         strategies = [STRATEGY_PUNCH]
         if self.transport == TRANSPORT_TCP:
             strategies.append(STRATEGY_REVERSAL)
-        if self.transport == TRANSPORT_UDP and self.client.turn is not None:
-            # A dedicated TURN relay (§2.2) beats burdening S with data.
-            strategies.append(STRATEGY_TURN)
         strategies.append(STRATEGY_RELAY)
         span = self.client.metrics.span(
             "connect.ladder",
@@ -167,11 +163,7 @@ class P2PConnector:
             result.strategy = strategy
             if span is not None:
                 # Relayed channels are the §2.2 fallback, not a direct win.
-                outcome = (
-                    OUTCOME_FALLBACK
-                    if strategy in (STRATEGY_RELAY, STRATEGY_TURN)
-                    else OUTCOME_OK
-                )
+                outcome = OUTCOME_FALLBACK if strategy == STRATEGY_RELAY else OUTCOME_OK
                 span.finish(outcome, strategy=strategy)
             if result.recovery < MAX_RETRIES:
                 self._watch_channel(peer_id, channel, on_result, result.recovery)
@@ -197,13 +189,6 @@ class P2PConnector:
         try:
             if strategy == STRATEGY_PUNCH:
                 self._try_punch(peer_id, succeed, fail)
-            elif strategy == STRATEGY_TURN:
-                self.client.connect_via_turn(
-                    peer_id,
-                    on_session=lambda s: succeed(s, f"TURN pair via {s.peer_relay}"),
-                    on_failure=fail,
-                    timeout=self.phase_timeout,
-                )
             elif strategy == STRATEGY_REVERSAL:
                 self.client.request_reversal(
                     peer_id,

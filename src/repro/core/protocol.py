@@ -434,71 +434,9 @@ class RelayError(Message):
     TARGET_UNREACHABLE: ClassVar[int] = 1
 
 
-# -- TURN-style relaying (§2.2 cites TURN as the secure relay design) ---------------------
-
-
-@_register
-@dataclass
-class TurnAllocate(Message):
-    """Client -> TURN server: allocate (or refresh) a relayed endpoint."""
-
-    TYPE: ClassVar[int] = 0x60
-    _layout: ClassVar = (("client_id", "u32"),)
-    client_id: int
-
-
-@_register
-@dataclass
-class TurnAllocated(Message):
-    """TURN server -> client: your relayed transport address."""
-
-    TYPE: ClassVar[int] = 0x61
-    _layout: ClassVar = (("client_id", "u32"), ("relay_ep", "ep"))
-    client_id: int
-    relay_ep: Endpoint
-
-
-@_register
-@dataclass
-class TurnSend(Message):
-    """Client -> TURN server: emit *payload* from my relay endpoint toward
-    *dest* (also installs a permission for *dest*)."""
-
-    TYPE: ClassVar[int] = 0x62
-    _layout: ClassVar = (("dest", "ep"), ("payload", "bytes"))
-    dest: Endpoint
-    payload: bytes = b""
-
-
-@_register
-@dataclass
-class TurnData(Message):
-    """TURN server -> client: *payload* arrived at your relay endpoint."""
-
-    TYPE: ClassVar[int] = 0x63
-    _layout: ClassVar = (("src", "ep"), ("payload", "bytes"))
-    src: Endpoint
-    payload: bytes = b""
-
-
-@_register
-@dataclass
-class TurnExchange(Message):
-    """Client -> S -> peer: advertise my relayed transport address so the
-    peers can build a TURN-to-TURN channel (the fallback for NAT pairs no
-    punching variant can traverse)."""
-
-    TYPE: ClassVar[int] = 0x64
-    _layout: ClassVar = (
-        ("sender", "u32"),
-        ("target", "u32"),
-        ("relay_ep", "ep"),
-        ("nonce", "u64"),
-    )
-    sender: int
-    target: int
-    relay_ep: Endpoint
-    nonce: int
+# Type codes 0x60-0x64 are retired (a second relay's allocate, send and data
+# messages and its relayed-endpoint exchange; S is the only relay, §2.2) and
+# are not reused.
 
 
 # -- connection reversal (§2.3) ----------------------------------------------------------

@@ -36,7 +36,6 @@ from repro.core.protocol import (
     SeqConnect,
     SeqReady,
     SeqRequest,
-    TurnExchange,
     TRANSPORT_TCP,
     TRANSPORT_UDP,
 )
@@ -171,6 +170,9 @@ class RendezvousServer:
         self.relayed_messages = 0
         self.relayed_bytes = 0
         self.relay_send_failures = 0
+        #: Relayed payloads dropped because they did not come from the client
+        #: they name as sender (see :meth:`_handle_relay`).
+        self.relay_rejected = 0
         self.errors_sent = 0
         self.restarts = 0
         self.endpoint_moves = 0
@@ -275,10 +277,6 @@ class RendezvousServer:
             self._handle_connect(message, src)
         elif isinstance(message, RelayPayload):
             self._handle_relay(message, TRANSPORT_UDP, src)
-        elif isinstance(message, TurnExchange):
-            target = self.udp_clients.lookup(message.target)
-            if target is not None:
-                self._send_to_client(target, message, TRANSPORT_UDP)
         elif isinstance(message, ReverseRequest):
             self._handle_reverse(message, src)
 
@@ -420,6 +418,12 @@ class RendezvousServer:
         reported back to the sender instead of silently dropped, so the
         sending :class:`~repro.core.relay.RelaySession` can surface the
         failure and the application can react.
+
+        A payload to a live target is forwarded only from the client it
+        names as sender — that client's registered public endpoint over UDP,
+        its own control connection over TCP — so no host can put words in
+        another client's mouth.  A forgery is dropped unanswered: a reply
+        would answer an off-path prober.
         """
         table = self.udp_clients if transport == TRANSPORT_UDP else self.tcp_clients
         target = table.lookup(message.target)
@@ -433,6 +437,14 @@ class RendezvousServer:
                 ),
                 reply,
             )
+            return
+        if transport == TRANSPORT_UDP:
+            sender = self.udp_clients.get(message.sender)
+            genuine = sender is not None and sender.public_ep == reply
+        else:
+            genuine = reply.client_id == message.sender
+        if not genuine:
+            self.relay_rejected += 1
             return
         self.relayed_messages += 1
         self.relayed_bytes += len(message.payload)

@@ -14,7 +14,6 @@ from repro.core.tcp_punch import TcpStream
 from repro.core.udp_punch import UdpSession
 from repro.nat import behavior as B
 from repro.scenarios import build_one_sided, build_two_nats
-from tests.test_punch_lifecycle import _enable_turn, _turn_dies_after_allocation
 
 
 def run_ladder(scenario, transport, requester="A", target=2, phase_timeout=6.0):
@@ -100,34 +99,6 @@ def test_attempt_timings_recorded():
     assert "timed out" in punch_attempt.detail
 
 
-def test_turn_rung_wins_before_s_relay_when_enabled():
-    """With TURN enabled on both clients, double-symmetric NATs fall back to
-    the TURN pair channel instead of burdening S with data."""
-    from repro.core.connector import STRATEGY_TURN
-    from repro.core.turn import TurnPairSession, TurnServer
-    from repro.transport.stack import attach_stack
-
-    sc = build_two_nats(seed=68, behavior_a=B.SYMMETRIC_RANDOM,
-                        behavior_b=B.SYMMETRIC_RANDOM)
-    relay_host = sc.net.add_host("relay", ip="30.0.0.1", network="0.0.0.0/0",
-                                 link=sc.net.links["backbone"])
-    attach_stack(relay_host)
-    turn_server = TurnServer(relay_host)
-    for c in sc.clients.values():
-        c.enable_turn(turn_server.endpoint)
-    result = run_ladder(sc, TRANSPORT_UDP, phase_timeout=5.0)
-    assert result.strategy == STRATEGY_TURN
-    assert isinstance(result.channel, TurnPairSession)
-    assert [a.strategy for a in result.attempts] == ["hole-punch", STRATEGY_TURN]
-    # The channel carries data (through both relays).
-    got = []
-    sc.clients["B"].turn_pairs[1].on_data = got.append
-    result.channel.send(b"laddered via TURN")
-    sc.run_for(2.0)
-    assert got == [b"laddered via TURN"]
-    assert sc.server.relayed_bytes == 0  # S carried no application data
-
-
 def test_retry_policy_reruns_ladder_after_nat_reboot(monkeypatch):
     """Recovery turns the one-shot ladder into a self-healing channel:
     when the punched hole dies, the connector re-runs the ladder and hands
@@ -174,40 +145,6 @@ def test_retry_policy_off_by_default():
     assert MAX_RETRIES == 0
 
 
-def test_turn_rung_fails_over_to_s_relay_when_peer_lacks_turn():
-    from repro.core.connector import STRATEGY_RELAY, STRATEGY_TURN
-    from repro.core.turn import TurnServer
-    from repro.transport.stack import attach_stack
-
-    sc = build_two_nats(seed=69, behavior_a=B.SYMMETRIC_RANDOM,
-                        behavior_b=B.SYMMETRIC_RANDOM)
-    relay_host = sc.net.add_host("relay", ip="30.0.0.1", network="0.0.0.0/0",
-                                 link=sc.net.links["backbone"])
-    attach_stack(relay_host)
-    turn_server = TurnServer(relay_host)
-    sc.clients["A"].enable_turn(turn_server.endpoint)  # B has no TURN client
-    result = run_ladder(sc, TRANSPORT_UDP, phase_timeout=4.0)
-    assert [a.strategy for a in result.attempts] == [
-        "hole-punch", STRATEGY_TURN, STRATEGY_RELAY,
-    ]
-    assert result.strategy == STRATEGY_RELAY
-
-
-def test_turn_rung_fails_over_to_s_relay_when_the_relay_dies():
-    """Regression: with both relays allocated and then the TURN server
-    gone, the ladder hung on its TURN rung instead of falling back."""
-    from repro.core.connector import STRATEGY_TURN
-
-    sc = build_two_nats(seed=70, behavior_a=B.SYMMETRIC_RANDOM,
-                        behavior_b=B.SYMMETRIC_RANDOM)
-    _turn_dies_after_allocation(sc, _enable_turn(sc))
-    result = run_ladder(sc, TRANSPORT_UDP, phase_timeout=5.0)
-    assert [a.strategy for a in result.attempts] == [
-        STRATEGY_PUNCH, STRATEGY_TURN, STRATEGY_RELAY,
-    ]
-    assert result.strategy == STRATEGY_RELAY
-
-
 # -- every rung answers exactly once (the ladder keeps no once-only guard) ----
 
 
@@ -240,31 +177,6 @@ def test_reversal_rung_answers_once(build, expected):
     sc.register_all_tcp()
     b = sc.clients["B"]
     start = lambda ok, fail: b.request_reversal(1, ok, fail, timeout=4.0)
-    assert _answers(sc, start) == [expected]
-
-
-@pytest.mark.parametrize(
-    "peer_has_turn, relay_dies, expected",
-    [(True, False, "ok"), (False, False, "failed"), (True, True, "failed")],
-    ids=["wins", "fails", "relay-dies"],
-)
-def test_turn_rung_answers_once(peer_has_turn, relay_dies, expected):
-    from repro.core.turn import TurnServer
-    from repro.transport.stack import attach_stack
-
-    sc = build_two_nats(seed=75, behavior_a=B.SYMMETRIC_RANDOM)
-    relay_host = sc.net.add_host("relay", ip="30.0.0.1", network="0.0.0.0/0",
-                                 link=sc.net.links["backbone"])
-    attach_stack(relay_host)
-    turn_server = TurnServer(relay_host)
-    sc.register_all_udp()
-    clients = sc.clients.values() if peer_has_turn else [sc.clients["A"]]
-    for c in clients:
-        c.enable_turn(turn_server.endpoint)
-    if relay_dies:
-        _turn_dies_after_allocation(sc, turn_server)
-    a = sc.clients["A"]
-    start = lambda ok, fail: a.connect_via_turn(2, ok, fail, timeout=4.0)
     assert _answers(sc, start) == [expected]
 
 

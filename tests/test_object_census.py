@@ -1,10 +1,10 @@
 """What one registered, idle client costs in GC-tracked objects.
 
 ROADMAP item 5 ("PeerClient on a diet") asked whether constructing the
-optional subsystems (relay table, TURN, reversal, sequential, stream
-claims) on first use would shrink a large realm.  The census says no:
-they own a handful of the objects a client owns, and a client owns a third
-of what it costs.  These tests pin both numbers, so a change that makes every
+optional subsystems (relay table, reversal, sequential, stream claims) on
+first use would shrink a large realm.  The census says no: they own a
+handful of the objects a client owns, and a client owns a third of what it
+costs.  These tests pin both numbers, so a change that makes every
 client carry optional state eagerly fails here instead of surfacing later as
 ``peak_rss_mb`` drift on the mesh workloads.
 """
@@ -20,7 +20,7 @@ from repro.scenarios.topologies import ScenarioBuilder
 from repro.transport.stack import HostStack
 
 CLIENTS = 32
-#: 181 on CPython 3.11 (99 at build for NAT + LAN + host + stack + client,
+#: 154 on CPython 3.11 (72 at build for NAT + LAN + host + stack + client,
 #: 82 from the two registrations, server side included).
 MAX_TRACKED_PER_CLIENT = 200
 #: What the rest of the simulation owns: the walk from a client stops here.
@@ -28,7 +28,6 @@ SHARED = (Host, Scheduler, MetricsRegistry, HostStack, Network, type, types.Modu
 #: Attributes of the subsystems a client may never use.
 OPTIONAL_PARTS = (
     "relays", "on_relay_session",
-    "turn", "turn_pairs", "_turn_punchers", "on_turn_session",
     "_reversal_punchers", "_sequential_punchers", "sequential_config",
     "_stream_claimants", "_parked_streams",
 )

@@ -33,10 +33,6 @@ SAMPLE_MESSAGES = [
     p.ReverseRequest(requester_id=3, target_id=4),
     p.ReverseConnect(peer_id=3, public_ep=EP_B, private_ep=EP_A, nonce=11),
     p.ReverseExpect(peer_id=4, nonce=11),
-    p.TurnAllocate(client_id=5),
-    p.TurnAllocated(client_id=5, relay_ep=EP_B),
-    p.TurnSend(dest=EP_B, payload=b"relay me"),
-    p.TurnData(src=EP_B, payload=b"relayed"),
     p.SeqRequest(requester_id=1, target_id=2),
     p.SeqConnect(peer_id=1, public_ep=EP_B, private_ep=EP_A, nonce=12),
     p.SeqReady(peer_id=1, public_ep=EP_B, private_ep=EP_A, nonce=12),
@@ -96,6 +92,15 @@ def test_decode_trailing_garbage():
 def test_try_decode_returns_none_on_garbage():
     assert p.try_decode(b"not a message") is None
     assert p.try_decode(b"") is None
+
+
+def test_retired_type_code_does_not_decode():
+    """0x64 once carried a relayed-endpoint exchange (sender, target, relay
+    endpoint, nonce); a frame of exactly that shape is now garbage."""
+    frame = struct.pack(
+        "!BBBBIIIHQ", p.MAGIC, p.VERSION, 0x64, 0, 1, 2, int(EP_B.ip), EP_B.port, 7
+    )
+    assert p.try_decode(frame) is None
 
 
 def test_error_reason_text():
@@ -314,9 +319,11 @@ def _cuts(length):
 
 
 def test_every_registered_class_and_layout_kind_is_generated():
-    assert len(MESSAGE_CLASSES) >= 29
-    # 0x08-0x0A belonged to a deleted shard pool's messages and stay retired.
-    assert not {0x08, 0x09, 0x0A} & {cls.TYPE for cls in MESSAGE_CLASSES}
+    assert len(MESSAGE_CLASSES) == 24
+    # 0x08-0x0A belonged to a deleted shard pool's messages, 0x60-0x64 to a
+    # deleted second relay's; they stay retired.
+    retired = {0x08, 0x09, 0x0A, 0x60, 0x61, 0x62, 0x63, 0x64}
+    assert not retired & {cls.TYPE for cls in MESSAGE_CLASSES}
     assert {kind for cls in MESSAGE_CLASSES for _, kind in cls._layout} <= set(_FIELD_VALUES)
 
 

@@ -1,35 +1,28 @@
 """The hole-punch lifecycle every connect technique shares — UDP and TCP
-punching (§3.2, §4.2), connection reversal (§2.3), sequential punching
-(§4.5) and the TURN pair's opener handshake (§2.2) — and the §3.6 session
-ladder that follows the two parallel punches and the TURN handshake, pinned
-once per technique: the span tree, the counters, the flight attempts and
-their verdicts — and the joining of a second connect to the same peer."""
+punching (§3.2, §4.2), connection reversal (§2.3) and sequential punching
+(§4.5) — and the §3.6 session ladder that follows the two parallel punches,
+pinned once per technique: the span tree, the counters, the flight attempts
+and their verdicts — and the joining of a second connect to the same peer."""
 
 import pytest
 
 from repro.core.tcp_punch import TcpPunchConfig
 from repro.core.tcp_sequential import SequentialConfig
-from repro.core.turn import TurnServer
 from repro.core.udp_punch import PunchConfig
 from repro.nat import behavior as B
 from repro.obs.attribution import CAT_FILTERED, CAT_REFUSED, CAT_UNKNOWN, explain
 from repro.obs.spans import OUTCOME_LOCKED, OUTCOME_TIMEOUT
 from repro.scenarios import build_one_sided, build_two_nats
-from repro.transport.stack import attach_stack
 
-CARRIERS = ["udp", "tcp"]
-#: What S may refuse: it forwards a TurnExchange or drops it.
-REQUESTS = CARRIERS + ["reversal", "sequential"]
-TECHNIQUES = REQUESTS + ["turn"]
 #: The techniques whose punch leaves a session of its own — and where the
 #: responder punches too (a root span): a reversal or sequential responder
 #: only dials or listens.
-SESSIONS = CARRIERS + ["turn"]
+CARRIERS = ["udp", "tcp"]
+TECHNIQUES = CARRIERS + ["reversal", "sequential"]
 #: The keepalive counter each session bumps.
 KEEPALIVE_COUNTER = {
     "udp": "session.udp.keepalives",
     "tcp": "session.tcp.keepalives_sent",
-    "turn": "session.turn.keepalives",
 }
 #: Reversal needs a reachable requester: B (public in build_one_sided) asks
 #: A (id 1).  With every other technique A asks B (id 2).
@@ -40,32 +33,7 @@ SCENARIO = {
     "tcp": (build_two_nats, 3),
     "reversal": (build_one_sided, 51),
     "sequential": (build_two_nats, 41),
-    "turn": (build_two_nats, 3),
 }
-
-
-def _enable_turn(sc):
-    """A TURN server on the backbone, and every client allocating on it."""
-    host = sc.net.add_host(
-        "relay", ip="30.0.0.1", network="0.0.0.0/0", link=sc.net.links["backbone"]
-    )
-    attach_stack(host)
-    turn = TurnServer(host)
-    for client in sc.clients.values():
-        client.enable_turn(turn.endpoint)
-    return turn
-
-
-def _turn_dies_after_allocation(sc, turn):
-    """TURN crosses any NAT pair; its handshake fails only when the relay
-    loses both allocations after both sides allocated (S still forwards the
-    exchange, but the openers never cross)."""
-    relays = []
-    for client in sc.clients.values():
-        client.turn.allocate(relays.append)
-    sc.wait_for(lambda: len(relays) == 2, 5.0)
-    for allocation in list(turn.allocations.values()):
-        turn._expire(allocation)
 
 
 def _requester(sc, technique, peer=None, timeout=None):
@@ -80,14 +48,6 @@ def _requester(sc, technique, peer=None, timeout=None):
         sc.register_all_udp()
         config = PunchConfig(timeout=timeout) if timeout else None
         return lambda ok, fail: requester.connect_udp(peer, ok, fail, config=config), target
-    if technique == "turn":
-        if requester.turn is None:
-            _enable_turn(sc)
-        sc.register_all_udp()
-        return (
-            lambda ok, fail: requester.connect_via_turn(peer, ok, fail, timeout=timeout or 10.0),
-            target,
-        )
     sc.register_all_tcp()
     if technique == "tcp":
         config = TcpPunchConfig(timeout=timeout) if timeout else None
@@ -110,8 +70,6 @@ def _connect(sc, technique, timeout=None):
     incoming = lambda s: result.setdefault("b", s)
     if technique == "udp":
         target.on_peer_session = incoming
-    elif technique == "turn":
-        target.on_turn_session = incoming
     else:
         target.on_peer_stream = incoming
     connect(lambda s: result.setdefault("a", s), lambda e: result.setdefault("error", e))
@@ -146,9 +104,9 @@ def test_locked_punch_span_tree_and_counters(technique):
     assert connect.tags["transport"] == technique and connect.outcome == OUTCOME_LOCKED
     assert [c.name for c in connect.children] == [f"punch.{technique}"]
     assert connect.children[0].outcome == OUTCOME_LOCKED
-    # The responder's parallel punch or TURN handshake is a root span of its
-    # own; a reversal or sequential responder only dials or listens.
-    both_punch = technique in SESSIONS
+    # The responder's parallel punch is a root span of its own; a reversal
+    # or sequential responder only dials or listens.
+    both_punch = technique in CARRIERS
     roots = reg.find_spans(f"punch.{technique}", recursive=False)
     assert [s.outcome for s in roots] == [OUTCOME_LOCKED] * both_punch
     assert reg.counter_value(f"punch.{technique}.succeeded") == 1 + both_punch
@@ -158,8 +116,6 @@ def test_locked_punch_span_tree_and_counters(technique):
 @pytest.mark.parametrize("technique", TECHNIQUES)
 def test_timed_out_punch_span_tree_and_counters(technique):
     sc = build_two_nats(seed=62, behavior_a=B.SYMMETRIC_RANDOM, flight=True)
-    if technique == "turn":
-        _turn_dies_after_allocation(sc, _enable_turn(sc))
     result = _connect(sc, technique, timeout=4.0)
     sc.wait_for(lambda: "error" in result, 10.0)
     sc.run_for(float(40 if technique == "tcp" else 15))  # the responder times out too
@@ -174,14 +130,14 @@ def test_timed_out_punch_span_tree_and_counters(technique):
         (f"punch.{technique}", OUTCOME_TIMEOUT)
     ]
     assert reg.counter_value(f"punch.{technique}.succeeded") == 0
-    assert reg.counter_value(f"punch.{technique}.failed") == 1 + (technique in SESSIONS)
+    assert reg.counter_value(f"punch.{technique}.failed") == 1 + (technique in CARRIERS)
     (attempt,) = _attempts(sc, f"connect.{technique}")
     assert attempt.outcome == "timeout"
     assert explain(attempt, sc.net.flight).category != CAT_UNKNOWN
     assert _attempts(sc, f"session.{technique}") == []
 
 
-@pytest.mark.parametrize("carrier", SESSIONS)
+@pytest.mark.parametrize("carrier", CARRIERS)
 def test_session_attempt_parented_to_connect_and_closed(carrier):
     sc, sa, _ = _connected(carrier, seed=63)
     (connect,) = _attempts(sc, f"connect.{carrier}")
@@ -196,7 +152,7 @@ def test_session_attempt_parented_to_connect_and_closed(carrier):
     assert mine.outcome == "closed"
 
 
-@pytest.mark.parametrize("carrier", SESSIONS)
+@pytest.mark.parametrize("carrier", CARRIERS)
 def test_silent_session_breaks_once(carrier):
     sc, sa, _ = _connected(carrier, seed=64)
     (connect,) = _attempts(sc, f"connect.{carrier}")
@@ -210,8 +166,7 @@ def test_silent_session_breaks_once(carrier):
         if e.kind == "session.broken" and e.attrs["peer"] == 2
     ]
     assert len(broken) == 1
-    # UDP: both ends probe and both break; TCP and TURN: only A armed its
-    # probes.
+    # UDP: both ends probe and both break; TCP: only A armed its probes.
     expected = 2 if carrier == "udp" else 1
     assert sc.net.metrics.counter_value(f"session.{carrier}.broken") == expected
 
@@ -238,8 +193,7 @@ def _outcomes():
 def test_back_to_back_connects_both_hear_back(technique):
     """Regressions: a second sequential request made the peer re-dial the
     4-tuple of its first doomed connect (the run raised); a second reversal's
-    nonce went to the first request, so the second waited out its timeout;
-    a second TURN connect overwrote the first, which never heard back."""
+    nonce went to the first request, so the second waited out its timeout."""
     build, seed = SCENARIO[technique]
     sc = build(seed=seed, flight=True)
     connect, _ = _requester(sc, technique)
@@ -277,7 +231,7 @@ def test_connect_during_punch_joins_it(technique):
     assert sc.scheduler.now - started < 1.0
 
 
-@pytest.mark.parametrize("carrier", SESSIONS)
+@pytest.mark.parametrize("carrier", CARRIERS)
 def test_connect_joins_responder_punch(carrier):
     """B is punching toward A as the responder when B's application asks
     for A itself: the connect rides that punch."""
@@ -286,11 +240,6 @@ def test_connect_joins_responder_punch(carrier):
     if carrier == "udp":
         sc.register_all_udp()
         a_connect, b_connect, punchers = a.connect_udp, b.connect_udp, b.punchers
-    elif carrier == "turn":
-        _enable_turn(sc)
-        sc.register_all_udp()
-        a_connect, b_connect = a.connect_via_turn, b.connect_via_turn
-        punchers = b._punch_books["turn"]
     else:
         sc.register_all_tcp()
         a_connect, b_connect, punchers = a.connect_tcp, b.connect_tcp, b.tcp_punchers
@@ -309,7 +258,7 @@ def test_connect_joins_responder_punch(carrier):
 # -- a refused request fails at once; every failure explains itself ----------
 
 
-@pytest.mark.parametrize("technique", REQUESTS)
+@pytest.mark.parametrize("technique", TECHNIQUES)
 def test_refused_request_fails_at_once(technique):
     """S refuses a request for an unregistered peer within one round trip,
     and the connect fails then (a refused reversal or sequential request
@@ -327,13 +276,11 @@ def test_refused_request_fails_at_once(technique):
     assert explain(attempt, sc.net.flight).category == CAT_REFUSED
 
 
-#: Every way a connect ends, with a seeded scenario for it: S refuses only
-#: the requests it may refuse.
+#: Every way a connect ends, with a seeded scenario for it.
 DRAIN_CASES = [
     (technique, outcome)
     for technique in TECHNIQUES
     for outcome in ("locked", "timed-out", "refused")
-    if outcome != "refused" or technique in REQUESTS
 ]
 
 
@@ -350,8 +297,6 @@ def test_connect_book_drains(technique, outcome):
             behavior_a=B.SYMMETRIC_RANDOM if outcome == "timed-out" else B.WELL_BEHAVED,
             flight=True,
         )
-    if technique == "turn" and outcome == "timed-out":
-        _turn_dies_after_allocation(sc, _enable_turn(sc))
     connect, _ = _requester(
         sc, technique, peer=99 if outcome == "refused" else None, timeout=4.0
     )
@@ -390,39 +335,3 @@ def test_refused_sequential_dial_explains():
     (attempt,) = _attempts(sc, "connect.sequential")
     assert attempt.outcome == "error"
     assert explain(attempt, sc.net.flight).category not in (CAT_UNKNOWN, CAT_REFUSED)
-
-
-# -- TURN: a handshake that never crosses fails; refusals leave it alone -------
-
-
-def test_turn_connect_fails_when_the_relay_dies():
-    """Regression: once S had forwarded the exchange, a TURN connect whose
-    openers never crossed called neither callback, and the connector's
-    ladder hung on its TURN rung."""
-    sc = build_two_nats(seed=5, behavior_a=B.SYMMETRIC_RANDOM, behavior_b=B.SYMMETRIC_RANDOM)
-    _turn_dies_after_allocation(sc, _enable_turn(sc))
-    connect, _ = _requester(sc, "turn", timeout=5.0)
-    calls = []
-    started = sc.scheduler.now
-    connect(
-        lambda session: calls.append(("ok", session)),
-        lambda error: calls.append((sc.scheduler.now - started, error)),
-    )
-    sc.run_for(30.0)
-    ((elapsed, error),) = calls
-    assert elapsed <= 2 * 5.0
-    assert "peer 2" in str(error)
-    assert sc.clients["A"]._punch_books["turn"] == {}
-
-
-def test_refusal_of_another_request_leaves_a_turn_connect_alone():
-    """S never refuses a TurnExchange, and a RendezvousError names no
-    request: a UDP refusal that lands while a TURN connect is pending must
-    not fail it."""
-    sc = build_two_nats(seed=3)
-    connect, _ = _requester(sc, "turn")
-    calls, note = _outcomes()
-    connect(note("turn"), note("turn-failed"))
-    sc.clients["A"].connect_udp(99, note("udp"), note("udp-failed"))
-    sc.run_for(15.0)
-    assert [tag for tag, _ in calls] == ["udp-failed", "turn"]

@@ -218,6 +218,55 @@ class TestRelay:
         fresh = sc.clients["A"].open_relay(2)
         assert fresh is not relay
 
+    def test_relay_drops_payload_forged_over_udp(self):
+        """A host off the path names client 1 as the sender: S drops the
+        payload without an answer instead of filing it under A's relay
+        session at B."""
+        from repro.core import protocol
+        from repro.transport.stack import attach_stack
+
+        sc = build_two_nats(seed=1)
+        sc.register_all_udp()
+        evil = sc.net.add_host(
+            "evil", ip="30.0.0.9", network="0.0.0.0/0", link=sc.net.links["backbone"]
+        )
+        attach_stack(evil)
+        socket = evil.stack.udp.socket(7000)
+        replies = []
+        socket.on_datagram = lambda data, src: replies.append(data)
+        forged = protocol.RelayPayload(sender=1, target=2, payload=b"forged by evil")
+        socket.sendto(protocol.encode(forged), sc.server.endpoint)
+        sc.run_for(2.0)
+        assert sc.clients["B"].relays == {}
+        assert sc.server.relayed_messages == 0
+        assert sc.server.relay_rejected == 1
+        assert replies == []
+
+    def test_relay_drops_payload_forged_over_tcp(self):
+        """A registered client C claims on its own control connection to be
+        A: S drops the payload, and still relays what C sends as itself."""
+        from repro.core.client import PeerClient
+        from repro.core.protocol import RelayPayload
+        from repro.transport.stack import attach_stack
+
+        sc = build_two_nats(seed=18)
+        host = sc.net.add_host(
+            "C", ip="30.0.0.9", network="0.0.0.0/0", link=sc.net.links["backbone"]
+        )
+        attach_stack(host)
+        sc.clients["C"] = c = PeerClient(host, client_id=3, server=sc.server.endpoint)
+        sc.register_all_tcp()
+        got = {}
+        sc.clients["B"].on_relay_session = lambda s: setattr(
+            s, "on_data", lambda data: got.setdefault(s.peer_id, []).append(data)
+        )
+        c._send_server_tcp(RelayPayload(sender=1, target=2, payload=b"I am A"))
+        c._send_server_tcp(RelayPayload(sender=3, target=2, payload=b"I am C"))
+        sc.run_for(2.0)
+        assert got == {3: [b"I am C"]}
+        assert sc.server.relayed_messages == 1
+        assert sc.server.relay_rejected == 1
+
 
 # -- carrier x transport -------------------------------------------------------
 
