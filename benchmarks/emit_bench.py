@@ -49,11 +49,7 @@ from typing import Callable, Dict
 
 from repro.nat import behavior as B
 from repro.nat.device import NatDevice
-from repro.natcheck.fleet import (
-    VENDOR_SPECS,
-    run_fleet,
-    survey_design_space,
-)
+from repro.natcheck.fleet import VENDOR_SPECS, run_fleet
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Scheduler
 from repro.netsim.link import LAN_LINK
@@ -309,21 +305,6 @@ def bench_fleet(ctx: "BenchContext") -> dict:
     }
 
 
-def bench_design_space(quick: bool = False) -> dict:
-    """Punch success over the whole NAT design space, counted exactly.
-
-    NAT Check runs once on every cell of the behaviour-axis cross product
-    (see :func:`repro.natcheck.fleet.survey_design_space`): Table 1
-    generalized from the observed 2004 vendor mix to every design the axes
-    express.  Quick mode sweeps the first 24 cells.
-    """
-    started = time.perf_counter()
-    record = survey_design_space(seed=42, cells=24 if quick else None)
-    record["wall_seconds"] = time.perf_counter() - started
-    record["quick"] = quick
-    return record
-
-
 def bench_adversarial(quick: bool = False) -> dict:
     """Attack-injection throughput plus the robustness sweep's headline.
 
@@ -413,9 +394,6 @@ def emit_perf(ctx: BenchContext) -> dict:
     )
     record["batched_delivery"] = ctx.get("batched_delivery", bench_batched_delivery)
     record["table1_fleet"] = ctx.get("table1_fleet", lambda: bench_fleet(ctx))
-    record["design_space"] = ctx.get(
-        "design_space", lambda: bench_design_space(quick=ctx.quick)
-    )
     record["adversarial"] = ctx.get(
         "adversarial", lambda: bench_adversarial(quick=ctx.quick)
     )
@@ -430,7 +408,7 @@ def bench_rendezvous_subprocess(quick: bool = False) -> dict:
     """Run the rendezvous scale bench in a fresh interpreter.
 
     The workload is memory-layout sensitive: a million slotted registration
-    objects measured after the fleet and the design-space survey have churned
+    objects measured after the fleet and the adversarial sweep have churned
     this process's arenas read systematically slower than the same code on
     a clean heap — which is how CI's ``rendezvous-scale`` job and the
     standalone CLI run it.  Process isolation keeps the committed record
@@ -558,11 +536,6 @@ def main(argv=None) -> int:
                 wheel=rdv["wheel_bytes_per_registrant"],
             )
         )
-        design = perf["design_space"]
-        print(f"  design space: {design['cells']} of {design['space_size']} cells; " + ", ".join(
-            f"{name} {column['successes']}/{column['trials']}"
-            for name, column in design["columns"].items()
-        ))
         cold = perf["cold_start"]
         print("  cold start: " + "; ".join(
             f"{name} {cell['repro_modules']} modules {cell['import_wall_ms']:.0f} ms"

@@ -7,14 +7,18 @@ full report (see :mod:`repro.analysis.explain` for the scenario list).
 ``--robustness`` runs the adversarial sweep instead: every attack family
 from :mod:`repro.netsim.adversary` against the Table 1 fleet in
 baseline / attacked / hardened modes (see :mod:`repro.analysis.robustness`).
+
+The exit status is 1 when the report has a failing section or the
+robustness sweep a family whose hardening regressed, else 0.
 """
 
 import argparse
+import sys
 
 from repro.analysis.explain import SCENARIOS  # ``choices=`` needs the names
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Regenerate every table/figure of the hole-punching paper.",
@@ -36,6 +40,7 @@ def main() -> None:
                              "fleet) instead of the paper tables; --quick "
                              "keeps a small diverse behaviour subset")
     args = parser.parse_args()
+    status = 0
     try:
         if args.explain:
             from repro.analysis.explain import render_explanation
@@ -43,17 +48,23 @@ def main() -> None:
             print(render_explanation(args.explain, seed=args.seed,
                                      dump_dir=args.dump_dir))
         elif args.robustness:
-            from repro.analysis.robustness import render_robustness, run_robustness
+            from repro.analysis.robustness import (
+                FAMILIES, render_robustness, run_robustness,
+            )
 
-            print(render_robustness(
-                run_robustness(seed=args.seed, quick=args.quick)))
+            report = run_robustness(seed=args.seed, quick=args.quick)
+            status = int(not all(report.hardening_wins(f) for f in FAMILIES))
+            print(render_robustness(report))
         else:
-            from repro.analysis.report import generate_report
+            from repro.analysis.report import render_report, report_sections
 
-            print(generate_report(seed=args.seed, quick=args.quick))
+            sections = report_sections(seed=args.seed, quick=args.quick)
+            status = int(not all(section.passed for section in sections))
+            print(render_report(sections))
     except BrokenPipeError:  # output piped into head etc.
         pass
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,7 +1,7 @@
 """Generate the complete reproduction report (all figures + Table 1).
 
 This is the one-shot driver behind ``python -m repro.analysis``: it runs
-every figure scenario, the Table 1 fleet, and the ablation summaries, and
+every figure scenario, the Table 1 fleet and the design-space survey, and
 renders a text report mirroring EXPERIMENTS.md — but freshly measured.
 """
 
@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 from repro.nat import behavior as B
-from repro.natcheck.fleet import run_fleet
+from repro.natcheck.fleet import run_fleet, survey_design_space
 from repro.natcheck.table import (
     render_attribution_appendix,
+    render_design_space,
     render_latency_appendix,
     render_table1,
 )
@@ -58,12 +59,41 @@ def _figure_section(title: str, runner: Callable, **kwargs) -> ReportSection:
     )
 
 
-def generate_report(seed: int = 7, quick: bool = False) -> str:
-    """Regenerate everything and return the report text.
+def _design_space_section() -> ReportSection:
+    """NAT Check once on every cell of the §5 behaviour axes."""
+    started = time.monotonic()
+    survey = survey_design_space(seed=42)
+    buckets = survey["sensitivity"]
+
+    def rate(axis: str, option: str, column: str) -> float:
+        return buckets[axis][option][column]["rate"]
+
+    # §5.1: only endpoint-independent mapping punches, UDP and TCP alike;
+    # §5.4: only a hairpinning NAT passes the hairpin test.
+    passed = (
+        rate("mapping", "endpoint-independent", "udp") == 1.0
+        and rate("mapping", "address-dependent", "udp") == 0.0
+        and rate("mapping", "address-and-port-dependent", "udp") == 0.0
+        and rate("tcp_mapping", "address-dependent", "tcp") == 0.0
+        and rate("tcp_mapping", "address-and-port-dependent", "tcp") == 0.0
+        and rate("hairpin_udp", "true", "udp_hairpin") == 1.0
+        and rate("hairpin_udp", "false", "udp_hairpin") == 0.0
+    )
+    return ReportSection(
+        title=f"Design space: NAT Check on all {survey['cells']} behaviour cells",
+        body=render_design_space(survey),
+        passed=passed,
+        wall_seconds=time.monotonic() - started,
+    )
+
+
+def report_sections(seed: int = 7, quick: bool = False) -> List[ReportSection]:
+    """Regenerate every artifact, one section each.
 
     Args:
         seed: simulation seed shared across the figure scenarios.
-        quick: skip the full 380-device Table 1 fleet (for smoke runs).
+        quick: skip the full 380-device Table 1 fleet and the design-space
+            survey (for smoke runs).
     """
     sections: List[ReportSection] = []
     sections.append(_figure_section("Figure 1: address realms", run_figure1, seed=seed))
@@ -109,6 +139,12 @@ def generate_report(seed: int = 7, quick: bool = False) -> str:
                 wall_seconds=time.monotonic() - started,
             )
         )
+        sections.append(_design_space_section())
+    return sections
+
+
+def render_report(sections: List[ReportSection]) -> str:
+    """The report text: a banner counting the sections that pass, then each."""
     passed = sum(1 for s in sections if s.passed)
     banner = (
         "repro: 'Peer-to-Peer Communication Across Network Address Translators'\n"

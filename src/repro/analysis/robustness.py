@@ -31,7 +31,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.fingerprint import canonical_json, mix_seed
 from repro.nat.behavior import FULL_CONE, WELL_BEHAVED, NatBehavior
-from repro.natcheck.fleet import VENDOR_SPECS, VendorSpec, device_behavior
+from repro.natcheck.client import NatCheckConfig
+from repro.natcheck.fleet import VENDOR_SPECS, VendorSpec, device_behavior, plan_runs
 from repro.obs.attribution import explain
 
 #: Attack families reported on (and their scenario protocols below).
@@ -329,28 +330,6 @@ _PROTOCOLS: Dict[str, Callable[[NatBehavior, str, int], RunResult]] = {
 # ---------------------------------------------------------------------------
 
 
-def distinct_behaviors(
-    specs: Tuple[VendorSpec, ...] = VENDOR_SPECS,
-) -> List[Tuple[NatBehavior, int]]:
-    """The fleet's distinct behaviours with their device multiplicities.
-
-    Same dedup foundation as the fleet cache: behaviours are keyed by their
-    canonical encoding, so the 380 devices collapse to the handful of
-    distinct simulations that actually need running.
-    """
-    seen: Dict[str, List] = {}
-    order: List[str] = []
-    for spec in specs:
-        for index in range(spec.population):
-            behavior = device_behavior(spec, index)
-            key = canonical_json(behavior)
-            if key not in seen:
-                seen[key] = [behavior, 0]
-                order.append(key)
-            seen[key][1] += 1
-    return [(seen[k][0], seen[k][1]) for k in order]
-
-
 @dataclasses.dataclass
 class RobustnessReport:
     """All (family × mode) aggregates plus run metadata."""
@@ -421,7 +400,11 @@ def run_robustness(
     runs with the **same** derived seed, so attacked-vs-hardened deltas are
     never seed noise.
     """
-    pairs = distinct_behaviors(specs)
+    behaviors = [device_behavior(spec, index) for spec in specs for index in range(spec.population)]
+    # One fixed NAT Check config, so the planned runs are the distinct
+    # behaviours, each weighted by the devices sharing it.
+    plan = plan_runs([(behavior, NatCheckConfig()) for behavior in behaviors], seed)
+    pairs = [(behaviors[covered[0]], len(covered)) for covered in plan.values()]
     if quick:
         # Keep a small but *diverse* subset: the first behaviour seen per
         # (UDP mapping, TCP refusal) combination.  Taking the first N rows

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import Fingerprint, behavior_fingerprint
@@ -289,6 +289,36 @@ def device_fingerprint(
     )
 
 
+def plan_runs(
+    items: Sequence[Tuple[NatBehavior, NatCheckConfig]], seed: int
+) -> Dict[Fingerprint, List[int]]:
+    """The distinct NAT Check runs behind *items*, without simulating any.
+
+    Maps each distinct :func:`device_fingerprint` of the ``(behaviour,
+    config)`` items, in first-seen order, to the positions in *items* it
+    covers: one :func:`check_device` run on ``fingerprint.seed`` stands for
+    every item it covers.  The fleet's dedup, the design-space survey and the
+    robustness sweep all plan through it.
+    """
+    plan: Dict[Fingerprint, List[int]] = {}
+    for position, (behavior, config) in enumerate(items):
+        plan.setdefault(device_fingerprint(behavior, config, seed), []).append(position)
+    return plan
+
+
+def _check_plan(
+    items: Sequence[Tuple[NatBehavior, NatCheckConfig]], plan: Dict[Fingerprint, List[int]]
+) -> List[NatCheckReport]:
+    """Run each of *plan*'s distinct checks once, in plan order; returns, per
+    item, the report that stands for it (shared by every item it covers)."""
+    by_position: Dict[int, NatCheckReport] = {}
+    for fingerprint, covered in plan.items():
+        by_position.update(
+            dict.fromkeys(covered, check_device(*items[covered[0]], seed=fingerprint.seed))
+        )
+    return [by_position[position] for position in range(len(items))]
+
+
 def _check_one(spec: VendorSpec, seed: int, index: int) -> NatCheckReport:
     behavior = device_behavior(spec, index)
     config = device_config(spec, index)
@@ -297,70 +327,6 @@ def _check_one(spec: VendorSpec, seed: int, index: int) -> NatCheckReport:
     report.vendor = spec.name
     report.device = f"{spec.name}-{index}"
     return report
-
-
-def _plan_fleet(
-    specs: Sequence[VendorSpec], seed: int
-) -> Tuple[List[List[Fingerprint]], Dict[str, Tuple[int, int]]]:
-    """Fingerprint every device without simulating anything.
-
-    Returns ``(plan, representatives)``: ``plan[position][index]`` is the
-    device's fingerprint, and ``representatives`` maps each distinct
-    ``Fingerprint.core`` to the first ``(position, index)`` carrying it —
-    the one device actually simulated.
-
-    Devices are memoised by the boolean threshold key that fully determines
-    :func:`device_behavior` + :func:`device_config` (the column slicing
-    comparisons plus the fail-mode parity), so planning a 100k-device scaled
-    population costs a tuple build and a dict hit per device, not a
-    dataclass construction and a sha256.
-    ``tests/test_cache_soundness.py::test_plan_matches_direct_fingerprints``
-    pins the memo key against the direct derivation.
-    """
-    plan: List[List[Fingerprint]] = []
-    representatives: Dict[str, Tuple[int, int]] = {}
-    for position, spec in enumerate(specs):
-        combos: Dict[Tuple[bool, ...], Fingerprint] = {}
-        row: List[Fingerprint] = []
-        udp_n = spec.udp[0]
-        udp_hp_n, udp_hp_d = spec.udp_hairpin
-        tcp_n, tcp_d = spec.tcp
-        tcp_hp_n, tcp_hp_d = spec.tcp_hairpin
-        for index in range(spec.population):
-            key = (
-                index < udp_n,
-                index < udp_hp_n,
-                index < udp_hp_d,
-                index < tcp_n,
-                index < tcp_d,
-                index < tcp_hp_n,
-                index < tcp_hp_d,
-                index % 2 == 0,
-            )
-            fingerprint = combos.get(key)
-            if fingerprint is None:
-                behavior = device_behavior(spec, index)
-                config = device_config(spec, index)
-                fingerprint = combos[key] = device_fingerprint(behavior, config, seed)
-                representatives.setdefault(fingerprint.core, (position, index))
-            row.append(fingerprint)
-        plan.append(row)
-    return plan, representatives
-
-
-def _clone_report(base: NatCheckReport, vendor: str, device: str) -> NatCheckReport:
-    """A per-device copy of a shared result with its identity rewritten.
-
-    Bypasses ``__init__`` (instance-dict copy) because a scaled population
-    clones hundreds of thousands of reports; every field except the identity
-    pair is byte-identical to the base simulation's, which is exactly the
-    soundness contract the tier-1 cache tests assert.
-    """
-    clone = NatCheckReport.__new__(NatCheckReport)
-    clone.__dict__.update(base.__dict__)
-    clone.__dict__["vendor"] = vendor
-    clone.__dict__["device"] = device
-    return clone
 
 
 def _run_fleet_nocache(
@@ -385,32 +351,30 @@ def _run_fleet_dedup(
     seed: int,
     progress: Optional[Callable[[str, int, int], None]],
 ) -> FleetResult:
-    """The dedup path: one simulation per distinct fingerprint, then clone."""
-    plan, representatives = _plan_fleet(specs, seed)
-    total = sum(spec.population for spec in specs)
-    reports_by_fp = {
-        core: _check_one(specs[position], seed, index)
-        for core, (position, index) in representatives.items()
-    }
+    """The dedup path: one simulation per distinct fingerprint, then a copy
+    per device with its identity rewritten."""
+    items = [
+        (device_behavior(spec, index), device_config(spec, index))
+        for spec in specs
+        for index in range(spec.population)
+    ]
+    plan = plan_runs(items, seed)
+    checked = iter(_check_plan(items, plan))
     result = FleetResult(
         cache=FleetCacheStats(
-            devices=total,
-            distinct_fingerprints=len(representatives),
-            simulated=len(representatives),
-            dedup_clones=total - len(representatives),
+            devices=len(items),
+            distinct_fingerprints=len(plan),
+            simulated=len(plan),
+            dedup_clones=len(items) - len(plan),
         )
     )
-    for position, spec in enumerate(specs):
-        row = plan[position]
-        prefix = spec.name + "-"
-        population = spec.population
-        vendor_reports = [
-            _clone_report(reports_by_fp[row[index].core], spec.name, prefix + str(index))
-            for index in range(population)
+    for spec in specs:
+        result.reports[spec.name] = [
+            replace(next(checked), vendor=spec.name, device=f"{spec.name}-{index}")
+            for index in range(spec.population)
         ]
-        result.reports[spec.name] = vendor_reports
         if progress is not None:
-            progress(spec.name, population, population)
+            progress(spec.name, spec.population, spec.population)
     return result
 
 
@@ -473,7 +437,7 @@ def run_fleet(
 #: The behaviour axes the survey crosses.  ``tcp_mapping=None`` means
 #: "inherit the UDP mapping policy" — included so single-table NATs (the
 #: common implementation) appear in the space alongside split-table ones.
-MONTE_CARLO_AXES: Dict[str, Tuple[object, ...]] = {
+DESIGN_SPACE_AXES: Dict[str, Tuple[object, ...]] = {
     "mapping": tuple(MappingPolicy),
     "filtering": tuple(FilteringPolicy),
     "tcp_mapping": (None,) + tuple(MappingPolicy),
@@ -483,12 +447,12 @@ MONTE_CARLO_AXES: Dict[str, Tuple[object, ...]] = {
 }
 
 #: Number of distinct devices the axes can express.
-MONTE_CARLO_SPACE = math.prod(len(options) for options in MONTE_CARLO_AXES.values())
+DESIGN_SPACE_SIZE = math.prod(len(options) for options in DESIGN_SPACE_AXES.values())
 
 
 #: Punch-technique columns the survey reports, mapped to the
 #: :class:`~repro.natcheck.classify.NatCheckReport` field holding the outcome.
-MONTE_CARLO_COLUMNS: Tuple[Tuple[str, str], ...] = (
+DESIGN_SPACE_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("udp", "udp_punch_ok"),
     ("udp_hairpin", "udp_hairpin"),
     ("tcp", "tcp_punch_ok"),
@@ -499,7 +463,7 @@ _Tally = Dict[str, List[int]]  # column -> [successes, trials]
 
 
 def _fresh_tally() -> _Tally:
-    return {name: [0, 0] for name, _ in MONTE_CARLO_COLUMNS}
+    return {name: [0, 0] for name, _ in DESIGN_SPACE_COLUMNS}
 
 
 def _tally_record(tally: _Tally) -> Dict[str, object]:
@@ -524,39 +488,35 @@ def _option_key(option: object) -> str:
     return str(value)
 
 
-def survey_design_space(seed: int = 0, cells: Optional[int] = None) -> Dict[str, object]:
+def survey_design_space(seed: int = 0) -> Dict[str, object]:
     """Punch success over every cell of the NAT design space, counted exactly.
 
-    Runs the full NAT Check protocol (hairpin + TCP) once on each cell of the
-    :data:`MONTE_CARLO_AXES` cross product, in product order; *cells* caps
-    the sweep at the first N cells (the CI smoke), None sweeps all
-    :data:`MONTE_CARLO_SPACE`.  Each simulation is seeded by
-    :func:`device_fingerprint` from *seed*, as the fleet's are.
+    Plans the full NAT Check protocol (hairpin + TCP) on each of the
+    :data:`DESIGN_SPACE_SIZE` cells of the :data:`DESIGN_SPACE_AXES` cross
+    product with :func:`plan_runs`, seeded from *seed* as the fleet is, and
+    runs each cell once, in product order.
 
     Returns, per Table 1 column, the exact ``successes`` / ``trials`` /
-    ``rate`` over the swept cells, and a ``sensitivity`` table holding the
-    same counts per axis, per option: over the cells holding that option
-    fixed, i.e. how much each behavioural axis moves hole-punch success.
+    ``rate`` over the cells, and a ``sensitivity`` table holding the same
+    counts per axis, per option: over the cells holding that option fixed,
+    i.e. how much each behavioural axis moves hole-punch success.
     """
-    if cells is not None and cells < 1:
-        raise ValueError(f"cells must be >= 1, got {cells}")
-    config = NatCheckConfig(run_udp_hairpin=True, run_tcp=True, run_tcp_hairpin=True)
+    config = NatCheckConfig()
+    cells = [
+        dict(zip(DESIGN_SPACE_AXES, assignment))
+        for assignment in itertools.product(*DESIGN_SPACE_AXES.values())
+    ]
+    items = [(NatBehavior(**cell), config) for cell in cells]
     columns = _fresh_tally()
     sensitivity: Dict[str, Dict[str, _Tally]] = {
         axis: {_option_key(option): _fresh_tally() for option in options}
-        for axis, options in MONTE_CARLO_AXES.items()
+        for axis, options in DESIGN_SPACE_AXES.items()
     }
-    grid = list(itertools.islice(itertools.product(*MONTE_CARLO_AXES.values()), cells))
-    for assignment in grid:
-        behavior = NatBehavior(**dict(zip(MONTE_CARLO_AXES, assignment)))
-        report = check_device(
-            behavior, config, seed=device_fingerprint(behavior, config, seed).seed
-        )
+    for cell, report in zip(cells, _check_plan(items, plan_runs(items, seed))):
         tallies = [columns] + [
-            sensitivity[axis][_option_key(option)]
-            for axis, option in zip(MONTE_CARLO_AXES, assignment)
+            sensitivity[axis][_option_key(option)] for axis, option in cell.items()
         ]
-        for name, field_name in MONTE_CARLO_COLUMNS:
+        for name, field_name in DESIGN_SPACE_COLUMNS:
             outcome = getattr(report, field_name)
             if outcome is None:
                 continue
@@ -565,8 +525,7 @@ def survey_design_space(seed: int = 0, cells: Optional[int] = None) -> Dict[str,
                 tally[name][1] += 1
     return {
         "seed": seed,
-        "space_size": MONTE_CARLO_SPACE,
-        "cells": len(grid),
+        "cells": len(cells),
         "columns": _tally_record(columns),
         "sensitivity": {
             axis: {option: _tally_record(tally) for option, tally in options.items()}

@@ -2,7 +2,8 @@
 
 `table1_rows` aggregates measured :class:`NatCheckReport` objects into the
 paper's rows; `render_table1` prints them in the paper's format, optionally
-side by side with the paper's published numbers.
+side by side with the paper's published numbers.  `render_design_space`
+prints the same four columns over the whole NAT design space.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ def table1_rows(reports_by_vendor: Dict[str, List[NatCheckReport]]) -> List[Tabl
     return rows
 
 
+def _row(cells: List[str], widths: List[int]) -> str:
+    return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+
 def render_table1(
     reports_by_vendor: Dict[str, List[NatCheckReport]],
     compare_with_paper: bool = True,
@@ -109,7 +114,7 @@ def render_table1(
     widths = [14, 16, 16, 16, 16]
 
     def emit(cells: List[str]) -> None:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
+        lines.append(_row(cells, widths))
 
     emit(header)
     emit(["-" * w for w in widths])
@@ -140,6 +145,31 @@ def render_table1(
                 *(Table1Row._fmt(c) for c in paper)
             )
         )
+    return "\n".join(lines)
+
+
+def render_design_space(survey: Dict[str, object]) -> str:
+    """Render :func:`~repro.natcheck.fleet.survey_design_space`: Table 1's
+    four columns per axis option, over the cells holding that option fixed,
+    then over every cell."""
+    widths = [12, 28, 16, 16, 16, 16]
+    rule = _row(["-" * w for w in widths], widths)
+
+    def counts(columns: Dict[str, Dict[str, object]]) -> List[str]:
+        return [Table1Row._fmt((c["successes"], c["trials"])) for c in columns.values()]
+
+    lines = [
+        f"NAT Check (all four tests) once on each of the {survey['cells']} cells of",
+        f"{' x '.join(survey['sensitivity'])} (seed {survey['seed']}); exact counts",
+        "",
+        _row(["axis", "option", "UDP punch", "UDP hairpin", "TCP punch", "TCP hairpin"], widths),
+        rule,
+    ]
+    for axis, options in survey["sensitivity"].items():
+        for option, columns in options.items():
+            lines.append(_row([axis, option] + counts(columns), widths))
+    lines.append(rule)
+    lines.append(_row(["all cells", ""] + counts(survey["columns"]), widths))
     return "\n".join(lines)
 
 

@@ -20,13 +20,14 @@ from repro.analysis.robustness import (
     _run_exhaustion,
     _run_port_prediction,
     _run_spoofed_rst,
-    distinct_behaviors,
     run_robustness,
 )
 from repro.core.udp_punch import PunchConfig
 from repro.nat.behavior import FULL_CONE, SYMMETRIC, WELL_BEHAVED
 from repro.nat.mapping import QuotaExceeded, TableExhausted
 from repro.nat.policy import MappingPolicy
+from repro.natcheck.client import NatCheckConfig
+from repro.natcheck.fleet import VENDOR_SPECS, device_behavior, plan_runs
 from repro.netsim.adversary import (
     ExhaustionFlood,
     SpoofedRstInjector,
@@ -421,8 +422,15 @@ class TestSpoofedRstHardening:
 
 class TestRobustnessReport:
     def test_quick_subset_is_behavior_diverse(self):
-        pairs = distinct_behaviors()
-        mappings = {b.mapping for b, _ in pairs}
+        # The sweep plans the fleet under one fixed NAT Check config, so its
+        # runs are the fleet's distinct behaviours; symmetric ones among them.
+        behaviors = [
+            device_behavior(spec, index)
+            for spec in VENDOR_SPECS
+            for index in range(spec.population)
+        ]
+        plan = plan_runs([(b, NatCheckConfig()) for b in behaviors], seed=7)
+        mappings = {behaviors[covered[0]].mapping for covered in plan.values()}
         assert MappingPolicy.ADDRESS_AND_PORT_DEPENDENT in mappings
 
     def test_quick_report_hardening_holds_everywhere(self):

@@ -4,7 +4,7 @@ The behavioral-fingerprint dedup is only admissible if it is invisible in
 the results: a Table 1 produced by dedup + cloning, or by simulating all
 380 devices individually, must be field-for-field the same, and must
 reflect the code that ran.  These tests pin that contract, the planner's
-memoisation, and the metrics flow — plus the headline perf claim (dedup
+grouping, and the metrics flow — plus the headline perf claim (dedup
 >= 5x faster than simulating every device).
 """
 
@@ -19,10 +19,10 @@ import repro
 from repro.natcheck.fleet import (
     VENDOR_SPECS,
     VendorSpec,
-    _plan_fleet,
     device_behavior,
     device_config,
     device_fingerprint,
+    plan_runs,
     run_fleet,
 )
 from repro.natcheck.table import table1_rows
@@ -43,18 +43,21 @@ def _dicts(result):
 
 
 def test_plan_matches_direct_fingerprints():
-    """The planner's boolean memo key must be exactly as discriminating as
-    the full derivation: for every device of the real fleet, the planned
-    fingerprint equals device_fingerprint(behavior, config, seed)."""
-    plan, representatives = _plan_fleet(VENDOR_SPECS, seed=42)
-    for position, spec in enumerate(VENDOR_SPECS):
-        for index in range(spec.population):
-            direct = device_fingerprint(
-                device_behavior(spec, index), device_config(spec, index), 42
-            )
-            assert plan[position][index] == direct, (spec.name, index)
-    planned_cores = {fp.core for row in plan for fp in row}
-    assert set(representatives) == planned_cores
+    """The planner groups the real fleet's devices by their direct
+    device_fingerprint(behavior, config, seed): distinct fingerprints in
+    first-seen order, every device covered exactly once."""
+    items = [
+        (device_behavior(spec, index), device_config(spec, index))
+        for spec in VENDOR_SPECS
+        for index in range(spec.population)
+    ]
+    direct = [device_fingerprint(behavior, config, 42) for behavior, config in items]
+    plan = plan_runs(items, seed=42)
+    assert list(plan) == list(dict.fromkeys(direct))
+    assert len(plan) == 18
+    for fingerprint, covered in plan.items():
+        assert {direct[position] for position in covered} == {fingerprint}
+    assert sorted(p for covered in plan.values() for p in covered) == list(range(len(items)))
 
 
 def test_dedup_equals_nocache_field_for_field():

@@ -2,17 +2,25 @@
 
 Every cell of the behaviour-axis cross product runs the real NAT Check
 protocol once, so the per-column counts and the per-axis sensitivity
-buckets are exact.  The full sweep runs once per module.
+buckets are exact.  The full sweep runs once per module.  Table 1's fleet
+is a weighted handful of those cells, and the last test pins that.
 """
 
 import math
 
 import pytest
 
+from repro.nat.behavior import NatBehavior
+from repro.natcheck.client import NatCheckConfig
 from repro.natcheck.fleet import (
-    MONTE_CARLO_AXES,
-    MONTE_CARLO_COLUMNS,
-    MONTE_CARLO_SPACE,
+    DESIGN_SPACE_AXES,
+    DESIGN_SPACE_COLUMNS,
+    DESIGN_SPACE_SIZE,
+    VENDOR_SPECS,
+    check_device,
+    device_behavior,
+    device_fingerprint,
+    run_fleet,
     survey_design_space,
 )
 
@@ -29,23 +37,23 @@ def _trials(buckets):
 def _successes(buckets):
     """``{option: (udp, udp_hairpin, tcp, tcp_hairpin) successes}``."""
     return {
-        option: tuple(columns[name]["successes"] for name, _ in MONTE_CARLO_COLUMNS)
+        option: tuple(columns[name]["successes"] for name, _ in DESIGN_SPACE_COLUMNS)
         for option, columns in buckets.items()
     }
 
 
 class TestDesignSpace:
     def test_space_size_is_axis_product(self):
-        assert MONTE_CARLO_SPACE == math.prod(
-            len(options) for options in MONTE_CARLO_AXES.values()
+        assert DESIGN_SPACE_SIZE == math.prod(
+            len(options) for options in DESIGN_SPACE_AXES.values()
         )
         # 3 mapping x 4 filtering x 4 tcp_mapping x 3 tcp_refusal x 2 x 2
-        assert MONTE_CARLO_SPACE == 576
+        assert DESIGN_SPACE_SIZE == 576
 
 
 class TestSurveyDesignSpace:
     def test_column_counts_are_exact(self, survey):
-        assert survey["cells"] == MONTE_CARLO_SPACE
+        assert survey["cells"] == DESIGN_SPACE_SIZE
         assert {
             name: (column["successes"], column["trials"])
             for name, column in survey["columns"].items()
@@ -78,24 +86,42 @@ class TestSurveyDesignSpace:
 
     def test_each_axis_partitions_the_cells(self, survey):
         sensitivity = survey["sensitivity"]
-        assert set(sensitivity) == set(MONTE_CARLO_AXES)
-        for axis, options in MONTE_CARLO_AXES.items():
+        assert set(sensitivity) == set(DESIGN_SPACE_AXES)
+        for axis, options in DESIGN_SPACE_AXES.items():
             buckets = sensitivity[axis]
             assert len(buckets) == len(options)
-            for name, _field in MONTE_CARLO_COLUMNS:
+            for name, _field in DESIGN_SPACE_COLUMNS:
                 assert sum(b[name]["trials"] for b in buckets.values()) == survey["cells"]
                 assert (
                     sum(b[name]["successes"] for b in buckets.values())
                     == survey["columns"][name]["successes"]
                 )
 
-    def test_cells_caps_the_sweep(self):
-        result = survey_design_space(cells=24)
-        assert result["cells"] == 24
-        for column in result["columns"].values():
-            assert column["trials"] == 24
 
-    def test_cells_below_one_is_rejected(self):
-        for bad in (0, -1):
-            with pytest.raises(ValueError):
-                survey_design_space(cells=bad)
+def test_table1_is_fourteen_cells_of_the_design_space():
+    """Every Table 1 device's behaviour is a design-space cell (14 distinct
+    on seed 42), and every column its NAT Check config ran equals what the
+    survey's full-config run of that cell measures."""
+    config = NatCheckConfig()
+    cells = {}
+    behaviors = [
+        device_behavior(spec, index) for spec in VENDOR_SPECS for index in range(spec.population)
+    ]
+    for behavior in behaviors:
+        axes = {axis: getattr(behavior, axis) for axis in DESIGN_SPACE_AXES}
+        assert all(value in DESIGN_SPACE_AXES[axis] for axis, value in axes.items())
+        assert NatBehavior(**axes) == behavior  # nothing set off the axes
+        if behavior not in cells:
+            seed = device_fingerprint(behavior, config, 42).seed
+            cells[behavior] = check_device(behavior, config, seed=seed)
+    assert len(cells) == 14
+
+    outcomes = mismatches = 0
+    for behavior, report in zip(behaviors, run_fleet(seed=42).all_reports()):
+        for _name, field_name in DESIGN_SPACE_COLUMNS:
+            measured = getattr(report, field_name)
+            if measured is None:
+                continue
+            outcomes += 1
+            mismatches += measured != getattr(cells[behavior], field_name)
+    assert (outcomes, mismatches) == (1285, 0)
