@@ -2,10 +2,11 @@
 
 The fault layer (repro.netsim.faults) breaks live punched sessions —
 NAT reboots wipe translation state, server restarts wipe registrations —
-and the robustness ladder (keepalive decay -> auto-re-punch -> fresh
-lock-in) heals them.  These benches measure how long healing takes in
-virtual time, reporting p50/p95 across seeds so the paper's "re-run the
-hole punching procedure on demand" alternative has a quantified cost.
+and §3.6's recovery (keepalive decay -> the application re-punches from
+``on_broken`` -> fresh lock-in) heals them.  These benches measure how long
+healing takes in virtual time, reporting p50/p95 across seeds so the
+paper's "re-run the hole punching procedure on demand" alternative has a
+quantified cost.
 """
 
 import statistics
@@ -14,20 +15,15 @@ from repro.core.udp_punch import PunchConfig
 from repro.netsim.faults import FAULT_NAT_REBOOT, FAULT_SERVER_RESTART, FaultPlan
 from repro.scenarios import build_two_nats
 
+from tests.conftest import repunch_on_break
+
 SEEDS = (101, 102, 103, 104, 105, 106, 107)
 
-RECOVERY_CONFIG = PunchConfig(
-    keepalive_interval=1.0,
-    broken_after_missed=3,
-    repunch_attempts=5,
-    repunch_backoff=0.5,
-    repunch_backoff_cap=4.0,
-)
+RECOVERY_CONFIG = PunchConfig(keepalive_interval=1.0, broken_after_missed=3)
 
 
 def _establish(seed):
-    """Punched pair with keepalives + auto-re-punch armed; returns
-    (scenario, A's session)."""
+    """Punched pair with keepalives armed; returns (scenario, A's session)."""
     sc = build_two_nats(seed=seed)
     for c in sc.clients.values():
         c.punch_config = RECOVERY_CONFIG
@@ -44,15 +40,16 @@ def _establish(seed):
 
 def _recovery_latency(seed, fault):
     """Virtual seconds from fault injection until A holds a live replacement
-    session (keepalive decay detects the break, auto-re-punch heals it)."""
+    session (keepalive decay detects the break, A's application re-punches:
+    up to five tries, 0.5 s after the break and doubling, at most 4 s)."""
     sc, session = _establish(seed)
     healed = {}
 
-    def on_repunched(replacement):
+    def on_session(replacement):
         healed["session"] = replacement
         healed["at"] = sc.scheduler.now
 
-    session.on_repunched = on_repunched
+    repunch_on_break(session, on_session, attempts=5, backoff=0.5, cap=4.0)
     fault_at = sc.scheduler.now + 2.0
     sc.inject_faults(FaultPlan([(fault_at, fault, "A" if fault == FAULT_NAT_REBOOT
                                  else "S")]))
@@ -69,9 +66,9 @@ def _percentiles(latencies):
 
 
 def test_nat_reboot_recovery_latency(benchmark):
-    """NAT reboot wipes A's translation state mid-session; the ladder heals
-    without application involvement.  Recovery = detection (missed
-    keepalives) + backoff + fresh endpoint exchange + lock-in."""
+    """NAT reboot wipes A's translation state mid-session; A's application
+    re-punches on demand.  Recovery = detection (missed keepalives) +
+    backoff + fresh endpoint exchange + lock-in."""
 
     def sweep():
         return [_recovery_latency(seed, FAULT_NAT_REBOOT) for seed in SEEDS]

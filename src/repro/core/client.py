@@ -345,10 +345,11 @@ class PeerClient:
 
     def _connect_deadline(self, key: Tuple[str, int], connect: _Connect) -> None:
         """If S never answers (down, unreachable, restarting, killed
-        mid-request) the request must still fail in bounded time so recovery
-        loops can back off and retry.  The timer is never cancelled; it
-        carries the record it was armed for, so once that request is settled
-        it cannot fail a later request to the same peer."""
+        mid-request) the request must still fail in bounded time so an
+        application re-punching on demand can back off and retry.  The timer
+        is never cancelled; it carries the record it was armed for, so once
+        that request is settled it cannot fail a later request to the same
+        peer."""
         if self._connects.get(key) is not connect:
             return  # endpoints arrived (or the request already failed)
         del self._connects[key]
@@ -556,50 +557,6 @@ class PeerClient:
     def _session_closed(self, session: UdpSession) -> None:
         if self.sessions.get(session.peer_id) is session:
             del self.sessions[session.peer_id]
-
-    # -- automatic re-punch (§3.6: "re-run hole punching on demand") ---------------
-
-    def _session_broken(self, session: UdpSession) -> None:
-        """Keepalives went unanswered.  With ``repunch_attempts > 0`` the
-        client re-runs hole punching itself, with exponential backoff,
-        instead of leaving recovery to the application's ``on_broken``."""
-        if session.config.repunch_attempts <= 0:
-            return
-        self._repunch(session, attempt=0)
-
-    def _repunch(self, session: UdpSession, attempt: int) -> None:
-        config = session.config
-        if attempt >= config.repunch_attempts:
-            self.metrics.counter("session.udp.repunch_exhausted").inc()
-            return
-        delay = min(config.repunch_backoff * (2 ** attempt), config.repunch_backoff_cap)
-        self.scheduler.call_later(delay, self._repunch_attempt, session, attempt)
-
-    def _repunch_attempt(self, session: UdpSession, attempt: int) -> None:
-        current = self.sessions.get(session.peer_id)
-        if current is not None and current.alive:
-            return  # the peer re-punched first; ride that session
-        if not self.udp_registered:
-            # Registration is itself healing (e.g. server restart): back off
-            # and retry — connect_udp would raise right now.
-            self._repunch(session, attempt + 1)
-            return
-        self.metrics.counter("session.udp.repunch_attempts").inc()
-        self.connect_udp(
-            session.peer_id,
-            on_session=lambda new: self._repunched(session, new),
-            on_failure=lambda _err: self._repunch(session, attempt + 1),
-            config=session.config,
-        )
-
-    def _repunched(self, old: UdpSession, new: UdpSession) -> None:
-        if new is old:
-            return
-        self.metrics.counter("session.udp.repunched").inc()
-        if old.on_repunched is not None:
-            old.on_repunched(new)
-        elif self.on_peer_session is not None:
-            self.on_peer_session(new)
 
     def _deliver_incoming_session(self, session: UdpSession) -> None:
         if self.on_peer_session is not None:

@@ -36,26 +36,6 @@ STRATEGY_REVERSAL = "reversal"
 STRATEGY_RELAY = "relay"
 
 
-# How the connector reacts when an established channel later breaks.  NAT
-# holes are leases, not contracts (§3.6): a NAT reboot or idle timeout can
-# kill a punched session mid-conversation.  With recovery on, the connector
-# re-runs the whole ladder — the network may have changed, so the winning
-# strategy may differ — with exponential backoff between recoveries.
-
-#: Ladder re-runs before giving up; 0 (the default) disables recovery.
-MAX_RETRIES = 0
-#: Delay before the first re-run; doubles per recovery, up to
-#: :data:`BACKOFF_CAP`.
-RETRY_BACKOFF = 0.5
-#: If > 0, arm in-band keepalive probes on a winning :class:`TcpStream` so an
-#: idle punched stream detects a dead peer (UDP sessions carry their own
-#: keepalive config).
-TCP_KEEPALIVE_INTERVAL = 0.0
-#: Upper bound on the delay between ladder re-runs (§3.6 asks for re-punching
-#: "on demand": recovery may slow down but never stops being prompt).
-BACKOFF_CAP = 8.0
-
-
 @dataclass
 class ConnectOutcome:
     """One strategy attempt's result."""
@@ -75,14 +55,11 @@ class ConnectResult:
             RelaySession) or None if even relaying was impossible.
         strategy: the winning strategy name, or None.
         attempts: per-strategy outcomes in the order tried.
-        recovery: 0 for the initial connect; N for the Nth ladder re-run
-            after a channel broke (see :data:`MAX_RETRIES`).
     """
 
     channel: Optional[Channel] = None
     strategy: Optional[str] = None
     attempts: List[ConnectOutcome] = field(default_factory=list)
-    recovery: int = 0
 
     @property
     def connected(self) -> bool:
@@ -99,9 +76,11 @@ class P2PConnector:
             (punch, reversal, then relay).
         phase_timeout: per-strategy budget in virtual seconds.
 
-    With :data:`MAX_RETRIES` above 0, a channel that later breaks (UDP
-    keepalive decay, peer-closed TCP stream) re-runs the ladder and fires
-    *on_result* again with ``result.recovery`` incremented.
+    The ladder runs once per :meth:`connect`.  A won channel that later
+    breaks says so through its own hook (``UdpSession.on_broken``,
+    ``TcpStream.on_close`` with ``start_keepalives`` armed,
+    ``RelaySession.on_error``); re-running the ladder from there is the
+    application's call (§3.6: re-punch "on demand").
     """
 
     def __init__(
@@ -113,21 +92,10 @@ class P2PConnector:
         self.client = client
         self.transport = transport
         self.phase_timeout = phase_timeout
-        #: Ladder re-runs triggered by broken channels, across all connects.
-        self.recoveries = 0
 
     def connect(self, peer_id: int, on_result: ResultHandler) -> None:
-        """Run the ladder toward *peer_id*.
-
-        With recovery off (:data:`MAX_RETRIES` = 0), *on_result* fires exactly
-        once.  With it on, it fires again after each successful recovery
-        (``recovery`` > 0 on the new result), so the application can swap in
-        the new channel.
-        """
-        self._connect(peer_id, on_result, recovery=0)
-
-    def _connect(self, peer_id: int, on_result: ResultHandler, recovery: int) -> None:
-        result = ConnectResult(recovery=recovery)
+        """Run the ladder toward *peer_id*; *on_result* fires exactly once."""
+        result = ConnectResult()
         strategies = [STRATEGY_PUNCH]
         if self.transport == TRANSPORT_TCP:
             strategies.append(STRATEGY_REVERSAL)
@@ -165,8 +133,6 @@ class P2PConnector:
                 # Relayed channels are the §2.2 fallback, not a direct win.
                 outcome = OUTCOME_FALLBACK if strategy == STRATEGY_RELAY else OUTCOME_OK
                 span.finish(outcome, strategy=strategy)
-            if result.recovery < MAX_RETRIES:
-                self._watch_channel(peer_id, channel, on_result, result.recovery)
             on_result(result)
 
         def fail(error: Exception) -> None:
@@ -203,42 +169,6 @@ class P2PConnector:
                 succeed(relay, "relayed via S")
         except ReproError as error:
             fail(error)
-
-    # -- recovery (MAX_RETRIES) ----------------------------------------------------
-
-    def _watch_channel(
-        self, peer_id: int, channel: Channel, on_result: ResultHandler, recovery: int
-    ) -> None:
-        """Hook the channel's breakage signal to a ladder re-run."""
-        tripped = {"fired": False}
-
-        def trip(*_args) -> None:
-            if tripped["fired"]:
-                return
-            tripped["fired"] = True
-            self._channel_broken(peer_id, on_result, recovery)
-
-        if isinstance(channel, UdpSession):
-            channel.on_broken = trip
-        elif isinstance(channel, TcpStream):
-            channel.on_close = trip
-            if TCP_KEEPALIVE_INTERVAL > 0:
-                channel.start_keepalives(TCP_KEEPALIVE_INTERVAL)
-        elif isinstance(channel, RelaySession):
-            # Relaying rides the client/server connections, so the only
-            # breakage signal is S bouncing a payload (peer gone, or S
-            # restarted and forgot it): treat that like any other broken
-            # channel.  The guard matters here — S may bounce several queued
-            # payloads at once.
-            channel.on_error = trip
-
-    def _channel_broken(self, peer_id: int, on_result: ResultHandler, recovery: int) -> None:
-        self.recoveries += 1
-        self.client.metrics.counter("connector.recoveries").inc()
-        delay = min(RETRY_BACKOFF * (2 ** recovery), BACKOFF_CAP)
-        self.client.scheduler.call_later(
-            delay, self._connect, peer_id, on_result, recovery + 1
-        )
 
     def _try_punch(self, peer_id: int, succeed, fail) -> None:
         import dataclasses

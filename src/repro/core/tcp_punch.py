@@ -145,8 +145,7 @@ class TcpStream(_PeerSession):
         """Too long without a peer frame: declare the stream dead.
 
         Resetting the connection fires ``on_close`` (via the connection
-        teardown) — that is the signal the connector's channel watch re-runs
-        the ladder on.
+        teardown) — the signal an application re-punches on.
         """
         self.broken = True
         self.client.metrics.counter("session.tcp.broken").inc()

@@ -57,22 +57,12 @@ class PunchConfig:
             guessing which port the peer's NAT will assign to the punch
             session.  0 (default) disables it — the paper calls prediction
             "chasing a moving target", useful but not a robust solution.
-        repunch_attempts: §3.6's "re-run the hole punching procedure on
-            demand", automated: when the session is declared broken the
-            client re-punches up to this many times before giving up.
-            0 (default) leaves recovery to the application's ``on_broken``.
-        repunch_backoff: delay before the first re-punch attempt; each
-            subsequent attempt doubles it (exponential backoff).
-        repunch_backoff_cap: upper bound on the backoff delay.
     """
 
     timeout: float = 10.0
     keepalive_interval: float = 15.0
     broken_after_missed: int = 3
     predict_ports: int = 0
-    repunch_attempts: int = 0
-    repunch_backoff: float = 0.5
-    repunch_backoff_cap: float = 8.0
 
 
 class _PeerSession:
@@ -141,10 +131,12 @@ class _PeerSession:
 
         After ``interval * broken_after_missed`` seconds without hearing from
         the peer the session is marked broken and torn down — §3.6's cue to
-        re-run hole punching on demand.
+        re-run hole punching on demand.  Calling it again re-arms the one
+        probe chain with the new interval.
         """
         if self.closed:
             return
+        self._stop_keepalives()
         self._keepalive_interval = interval
         self._broken_after_missed = broken_after_missed
         self._last_inbound = self.client.scheduler.now
@@ -184,10 +176,10 @@ class UdpSession(_PeerSession):
         remote: the locked-in endpoint for the peer (§3.2 step 3).
         on_data: callback ``(payload: bytes)`` for application data.
         on_broken: callback invoked once if the NAT hole dies (keepalives
-            unanswered); the application should re-punch on demand.
-        on_repunched: callback ``(new_session)`` invoked when the client's
-            automatic re-punch (``config.repunch_attempts > 0``) replaces
-            this broken session with a fresh one.
+            unanswered).  The library never re-punches by itself: §3.6
+            leaves it to the application, which re-runs
+            :meth:`PeerClient.connect_udp` from here when it wants the peer
+            back, with whatever backoff it likes.
 
     *parent* is the connect attempt its session attempt belongs to.
     """
@@ -209,7 +201,6 @@ class UdpSession(_PeerSession):
         self._scheduler = client.scheduler
         self.on_data: Optional[Callable[[bytes], None]] = None
         self.on_broken: Optional[Callable[[], None]] = None
-        self.on_repunched: Optional[Callable[["UdpSession"], None]] = None
         self.on_closed_by_peer: Optional[Callable[[], None]] = None
         client.metrics.counter("session.udp.established").inc()
         self._keepalive_counter = client.metrics.counter("session.udp.keepalives")
@@ -281,9 +272,6 @@ class UdpSession(_PeerSession):
         callback = self.on_broken
         self._finish_session("broken")
         self.client._session_closed(self)
-        # The client gets first look so automatic re-punch (§3.6: re-run the
-        # hole punching procedure on demand) can start before the app reacts.
-        self.client._session_broken(self)
         if callback is not None:
             callback()
 

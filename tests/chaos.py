@@ -1,9 +1,10 @@
 """Chaos soak: randomized fault composition plus global run invariants.
 
 Scripted :class:`~repro.netsim.faults.FaultPlan`\\ s exercise the failure
-modes someone thought of; the survivability claims of the toolbox (punched
-sessions repair themselves, clients re-register when the rendezvous server
-forgets them or comes back) are about the failures nobody scripted.  This
+modes someone thought of; the survivability claims of the toolbox (a dead
+session is detected so the application can re-punch it, clients re-register
+when the rendezvous server forgets them or comes back) are about the
+failures nobody scripted.  This
 module closes that gap with a *chaos harness*: deterministic, seed-driven
 generation of composite fault plans — link flaps, burst-loss windows, NAT
 reboots, server restarts, kills and revives — plus a set of **global
@@ -97,7 +98,7 @@ def random_fault_plan(
     actor names (as passed to ``FaultPlan.schedule(targets=...)``) for server
     faults.  Every ``server-kill`` is paired with a ``server-revive`` inside
     the horizon, so a run always ends with every server answering — the
-    recovery ladder, not the outage, is what the soak measures.
+    recovery, not the outage, is what the soak measures.
     """
     cfg = config or ChaosConfig()
     families: List[str] = []
@@ -167,8 +168,9 @@ class AttemptTracker:
         """Declare one attempt; returns the callback that completes it.
 
         The callback tolerates any argument shape (result objects, sessions,
-        nothing at all) and may fire multiple times (ladder recoveries) —
-        only the first firing marks termination.
+        nothing at all) and may fire multiple times (an application
+        re-running the ladder after a break) — only the first firing marks
+        termination.
         """
         record = _Attempt(label=label)
         self.attempts.append(record)

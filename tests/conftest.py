@@ -7,6 +7,8 @@ from collections import namedtuple
 
 import pytest
 
+from repro.core.tcp_punch import TcpStream
+from repro.core.udp_punch import UdpSession
 from repro.netsim.addresses import Endpoint
 from repro.netsim.link import Link
 from repro.netsim.network import Network
@@ -96,3 +98,68 @@ def wire_tap(net: Network):
         yield records
     finally:
         install(wire_one, drop, prior)
+
+
+# -- §3.6 on demand: the application re-punches, the library only detects -------
+
+
+def repunch_on_break(session, on_session, attempts, backoff, cap, on_give_up=None):
+    """The application's re-punch: when *session* breaks, re-run
+    ``connect_udp`` toward its peer up to *attempts* times, *backoff* seconds
+    after the break and after each failure, doubling up to *cap*.
+    *on_session* gets the fresh session; *on_give_up* fires when the budget
+    is spent."""
+    client = session.client
+
+    def retry(tries):
+        if tries >= attempts:
+            if on_give_up is not None:
+                on_give_up()
+            return
+        client.scheduler.call_later(min(backoff * 2 ** tries, cap), punch, tries)
+
+    def punch(tries):
+        if not client.udp_registered:  # registration is itself healing
+            retry(tries + 1)
+            return
+        client.connect_udp(
+            session.peer_id,
+            on_session=on_session,
+            on_failure=lambda _error: retry(tries + 1),
+            config=session.config,
+        )
+
+    session.on_broken = lambda: retry(0)
+
+
+def rerun_ladder_on_break(connector, peer_id, on_result, retries, backoff, cap):
+    """The application's ladder re-run: connect through *connector*, and
+    each time the won channel breaks, run the ladder again after *backoff*
+    seconds, doubling up to *cap*, at most *retries* times.  *on_result*
+    sees every result, the first connect's first; returns that list."""
+    results = []
+
+    def landed(result):
+        results.append(result)
+        channel, reruns = result.channel, len(results) - 1
+        if channel is not None and reruns < retries:
+            tripped = []
+
+            def trip(*_args):
+                if tripped:  # S may bounce several queued relay payloads at once
+                    return
+                tripped.append(True)
+                connector.client.scheduler.call_later(
+                    min(backoff * 2 ** reruns, cap), connector.connect, peer_id, landed
+                )
+
+            if isinstance(channel, UdpSession):
+                channel.on_broken = trip
+            elif isinstance(channel, TcpStream):
+                channel.on_close = trip
+            else:
+                channel.on_error = trip
+        on_result(result)
+
+    connector.connect(peer_id, landed)
+    return results

@@ -14,7 +14,6 @@ import os
 
 import pytest
 
-from repro.core import connector as connector_module
 from repro.core.connector import P2PConnector
 from repro.core.protocol import TRANSPORT_UDP
 from repro.core.udp_punch import PunchConfig
@@ -33,18 +32,12 @@ from tests.chaos import (
     random_fault_plan,
     trace_fingerprint,
 )
-from tests.conftest import wire_tap
+from tests.conftest import rerun_ladder_on_break, wire_tap
 
 CHAOS_CONFIG = ChaosConfig(warmup=6.0, horizon=40.0)
 GRACE = 25.0
 PENDING_TIMER_CAP = 64
 NAT_TABLE_CAP = 64
-
-
-@pytest.fixture(autouse=True)
-def _recovering_connector(monkeypatch):
-    """Every soak connect re-runs the ladder up to twice after a break."""
-    monkeypatch.setattr(connector_module, "MAX_RETRIES", 2)
 
 
 def _chaos_plan(seed, config=CHAOS_CONFIG):
@@ -82,8 +75,12 @@ def _chaos_drive(sc, seed):
     tracker = AttemptTracker()
 
     def attempt(label, client, peer_id):
+        # The soak's application re-runs the ladder up to twice after a
+        # break, 0.5 s after it and doubling, at most 8 s.
         connector = P2PConnector(client, transport=TRANSPORT_UDP, phase_timeout=6.0)
-        connector.connect(peer_id, on_result=tracker.expect(label))
+        rerun_ladder_on_break(
+            connector, peer_id, tracker.expect(label), retries=2, backoff=0.5, cap=8.0
+        )
 
     attempt("A->B pre-chaos", sc.clients["A"], 2)
     # A second attempt launched once faults are already flying.

@@ -11,9 +11,12 @@ from repro.core.connector import (
 from repro.core.protocol import TRANSPORT_TCP, TRANSPORT_UDP
 from repro.core.relay import RelaySession
 from repro.core.tcp_punch import TcpStream
-from repro.core.udp_punch import UdpSession
+from repro.core.udp_punch import PunchConfig, UdpSession
 from repro.nat import behavior as B
+from repro.netsim.faults import FAULT_NAT_REBOOT, FaultPlan
 from repro.scenarios import build_one_sided, build_two_nats
+
+from tests.conftest import rerun_ladder_on_break
 
 
 def run_ladder(scenario, transport, requester="A", target=2, phase_timeout=6.0):
@@ -99,16 +102,8 @@ def test_attempt_timings_recorded():
     assert "timed out" in punch_attempt.detail
 
 
-def test_retry_policy_reruns_ladder_after_nat_reboot(monkeypatch):
-    """Recovery turns the one-shot ladder into a self-healing channel:
-    when the punched hole dies, the connector re-runs the ladder and hands
-    the application a fresh channel with result.recovery incremented."""
-    from repro.core import connector as connector_module
-    from repro.core.udp_punch import PunchConfig
-    from repro.netsim.faults import FAULT_NAT_REBOOT, FaultPlan
-
-    monkeypatch.setattr(connector_module, "MAX_RETRIES", 3)
-    sc = build_two_nats(seed=71)
+def _punched_pair_with_keepalives(seed):
+    sc = build_two_nats(seed=seed)
     config = PunchConfig(keepalive_interval=1.0, broken_after_missed=3)
     for c in sc.clients.values():
         c.punch_config = config
@@ -116,33 +111,42 @@ def test_retry_policy_reruns_ladder_after_nat_reboot(monkeypatch):
     sc.wait_for(lambda: all(c.udp_registered for c in sc.clients.values()), 10.0)
     for c in sc.clients.values():
         c.start_server_keepalives(interval=1.0)
-    connector = P2PConnector(
-        sc.clients["A"],
-        transport=TRANSPORT_UDP,
-        phase_timeout=6.0,
+    return sc
+
+
+def test_retry_policy_reruns_ladder_after_nat_reboot():
+    """§3.6 on demand: when the punched hole dies, the application re-runs
+    the ladder from the channel's breakage hook and gets a fresh channel."""
+    sc = _punched_pair_with_keepalives(seed=71)
+    connector = P2PConnector(sc.clients["A"], transport=TRANSPORT_UDP, phase_timeout=6.0)
+    results = rerun_ladder_on_break(
+        connector, 2, lambda _result: None, retries=3, backoff=0.5, cap=8.0
     )
-    results = []
-    connector.connect(2, on_result=results.append)
     sc.wait_for(lambda: results, 30.0)
-    assert results[0].recovery == 0
     assert results[0].strategy == STRATEGY_PUNCH
     sc.inject_faults(FaultPlan([(sc.scheduler.now + 1.0, FAULT_NAT_REBOOT, "A")]))
     sc.wait_for(lambda: len(results) >= 2, 60.0)
     recovered = results[1]
-    assert recovered.recovery == 1
     assert recovered.connected
     assert recovered.channel is not results[0].channel
-    assert connector.recoveries == 1
-    assert sc.clients["A"].metrics.counter("connector.recoveries").value == 1
+    assert results[0].channel.broken
 
 
 def test_retry_policy_off_by_default():
-    sc = build_two_nats(seed=72)
-    from repro.core.connector import MAX_RETRIES
-
-    result = run_ladder(sc, TRANSPORT_UDP)
-    assert result.recovery == 0
-    assert MAX_RETRIES == 0
+    """The ladder runs once per connect: a won channel that later breaks
+    fires its hook, and the connector re-runs nothing by itself."""
+    sc = _punched_pair_with_keepalives(seed=72)
+    connector = P2PConnector(sc.clients["A"], transport=TRANSPORT_UDP, phase_timeout=6.0)
+    results = []
+    connector.connect(2, on_result=results.append)
+    sc.wait_for(lambda: results, 30.0)
+    broken = []
+    results[0].channel.on_broken = lambda: broken.append(sc.scheduler.now)
+    sc.inject_faults(FaultPlan([(sc.scheduler.now + 1.0, FAULT_NAT_REBOOT, "A")]))
+    sc.run_for(60.0)
+    assert len(broken) == 1
+    assert len(results) == 1
+    assert 2 not in sc.clients["A"].sessions  # nothing punched the peer again
 
 
 # -- every rung answers exactly once (the ladder keeps no once-only guard) ----

@@ -24,7 +24,7 @@ from repro.netsim.packet import IpProtocol, udp_packet
 from repro.scenarios import build_public_pair, build_two_nats
 
 from tests.chaos import trace_fingerprint
-from tests.conftest import wire_tap
+from tests.conftest import repunch_on_break, wire_tap
 
 
 def _pair(profile=None, seed=1):
@@ -508,36 +508,40 @@ class TestConnectTcpDeadline:
 
 
 class TestEndToEndRecovery:
-    def _recovery_config(self):
-        return PunchConfig(
-            keepalive_interval=1.0,
-            broken_after_missed=3,
-            repunch_attempts=5,
-            repunch_backoff=0.5,
-            repunch_backoff_cap=4.0,
-        )
+    """§3.6: the library detects a dead session; re-punching on demand is
+    the application's, from ``on_broken``."""
 
-    def test_nat_reboot_breaks_then_repunch_heals(self):
-        """The acceptance scenario: a mid-session NAT reboot kills the hole,
-        keepalive decay detects it, the client re-punches automatically, and
-        the recovery lock-in lands in punch.udp.lock_in_seconds."""
-        config = self._recovery_config()
-        sc = build_two_nats(seed=41)
+    CONFIG = PunchConfig(keepalive_interval=1.0, broken_after_missed=3)
+
+    def _punched(self, seed, config=CONFIG):
+        sc = build_two_nats(seed=seed, flight=True)
         for c in sc.clients.values():
             c.punch_config = config
         sc.register_all_udp()
         for c in sc.clients.values():
-            # Server keepalives cut a fresh NAT mapping after the reboot, so
+            # Server keepalives cut a fresh NAT mapping after a reboot, so
             # S learns A's new public endpoint (reg.endpoint_moves).
             c.start_server_keepalives(interval=1.0)
         sessions = {}
         sc.clients["B"].on_peer_session = lambda s: sessions.setdefault("b", s)
         sc.clients["A"].connect_udp(2, on_session=lambda s: sessions.setdefault("a", s))
         sc.wait_for(lambda: "a" in sessions and "b" in sessions, 20.0)
-        first = sessions["a"]
-        replacement = {}
-        first.on_repunched = lambda s: replacement.setdefault("new", s)
+        return sc, sessions["a"]
 
+    def test_nat_reboot_breaks_then_repunch_heals(self):
+        """The application route end to end: a mid-session NAT reboot kills
+        the hole, keepalive decay fires ``on_broken``, the application calls
+        ``connect_udp``, and the new lock-in lands in
+        punch.udp.lock_in_seconds."""
+        sc, first = self._punched(seed=41)
+        a = sc.clients["A"]
+        replacement = {}
+
+        def on_broken():
+            replacement["broken_at"] = sc.scheduler.now
+            a.connect_udp(2, on_session=lambda s: replacement.setdefault("new", s))
+
+        first.on_broken = on_broken
         hist = sc.net.metrics.histogram("punch.udp.lock_in_seconds")
         locks_before = hist.count
         reboot_at = sc.scheduler.now + 2.0
@@ -547,10 +551,12 @@ class TestEndToEndRecovery:
         healed = replacement["new"]
         assert healed is not first
         assert healed.alive and first.broken
+        # Detection takes broken_after_missed silent keepalive intervals.
+        assert replacement["broken_at"] - reboot_at >= 3.0
         assert sc.server.endpoint_moves >= 1
         assert sc.nats["A"].reboots == 1
-        assert sc.net.metrics.counter("session.udp.repunched").value >= 1
         assert hist.count > locks_before  # recovery latency was observed
+        assert a.sessions[2] is healed
 
         # The healed hole carries data both ways (B may lock in a beat later).
         b = sc.clients["B"]
@@ -563,43 +569,49 @@ class TestEndToEndRecovery:
         assert got == [b"back from the dead"]
 
     def test_repunch_gives_up_after_budget(self):
-        config = PunchConfig(
-            keepalive_interval=1.0,
-            broken_after_missed=2,
-            timeout=2.0,
-            repunch_attempts=2,
-            repunch_backoff=0.25,
-            repunch_backoff_cap=1.0,
+        """Every re-punch fails in bounded time, so an application's budget
+        runs out: two tries with backoff, then it stops asking."""
+        config = PunchConfig(keepalive_interval=1.0, broken_after_missed=2, timeout=2.0)
+        sc, first = self._punched(seed=42, config=config)
+        gave_up = []
+        repunch_on_break(
+            first, on_session=lambda s: pytest.fail("re-punched across a dead backbone"),
+            attempts=2, backoff=0.25, cap=1.0, on_give_up=lambda: gave_up.append(True),
         )
-        sc = build_two_nats(seed=42)
-        for c in sc.clients.values():
-            c.punch_config = config
-        sc.register_all_udp()
-        sessions = {}
-        sc.clients["B"].on_peer_session = lambda s: sessions.setdefault("b", s)
-        sc.clients["A"].connect_udp(2, on_session=lambda s: sessions.setdefault("a", s))
-        sc.wait_for(lambda: "a" in sessions and "b" in sessions, 20.0)
         # Sever both realms from the backbone: nothing can ever re-punch.
         sc.net.links["backbone"].down()
         sc.run_for(120.0)
-        a = sc.clients["A"]
-        assert a.metrics.counter("session.udp.repunch_exhausted").value >= 1
-        assert not sessions["a"].alive
+        assert gave_up == [True]
+        assert not first.alive
+        connects = [a for a in sc.net.flight.attempts.values() if a.name == "connect.udp"]
+        assert [a.outcome for a in connects] == ["connected", "timeout", "timeout"]
 
-    def test_repunch_disabled_by_default(self):
-        sc = build_two_nats(seed=43)
-        config = PunchConfig(keepalive_interval=1.0, broken_after_missed=2)
-        for c in sc.clients.values():
-            c.punch_config = config
-        sc.register_all_udp()
-        sessions = {}
-        sc.clients["B"].on_peer_session = lambda s: sessions.setdefault("b", s)
-        sc.clients["A"].connect_udp(2, on_session=lambda s: sessions.setdefault("a", s))
-        sc.wait_for(lambda: "a" in sessions, 20.0)
-        sc.net.links["backbone"].down()
+    def test_library_detects_but_never_repunches(self):
+        """A session breaks with no ``on_broken`` hook: the break is
+        recorded, and no new connect opens — no punch, no lookup at S."""
+        sc, first = self._punched(seed=43)
+        flight, server = sc.net.flight, sc.server.metrics
+
+        def lookups():
+            return (
+                server.counter_value("rendezvous.lookup.hits"),
+                server.counter_value("rendezvous.lookup.misses"),
+            )
+
+        def connects():
+            return [a for a in flight.attempts.values() if a.name == "connect.udp"]
+
+        connects_before, lookups_before = connects(), lookups()
+        punches_before = len(sc.net.metrics.find_spans("punch.udp"))
+        sc.inject_faults(FaultPlan([(sc.scheduler.now + 1.0, FAULT_NAT_REBOOT, "A")]))
         sc.run_for(60.0)
-        assert not sessions["a"].alive
-        assert sc.clients["A"].metrics.counter("session.udp.repunch_attempts").value == 0
+        assert first.broken and not first.alive
+        assert any(e.kind == "session.broken" for e in flight.events())
+        assert sc.server.endpoint_moves >= 1  # S could have served a lookup
+        assert connects() == connects_before
+        assert len(sc.net.metrics.find_spans("punch.udp")) == punches_before
+        assert lookups() == lookups_before
+        assert 2 not in sc.clients["A"].sessions
 
 
 class TestFaultedDeterminism:
@@ -609,10 +621,7 @@ class TestFaultedDeterminism:
             burst_enter=0.02, burst_exit=0.3, burst_loss=1.0,
             duplicate=0.05, reorder=0.05, reorder_delay=0.05,
         )
-        config = PunchConfig(
-            keepalive_interval=1.0, broken_after_missed=3,
-            repunch_attempts=3, repunch_backoff=0.5,
-        )
+        config = PunchConfig(keepalive_interval=1.0, broken_after_missed=3)
         sc = build_two_nats(seed=seed, backbone_profile=profile)
         with wire_tap(sc.net) as records:
             for c in sc.clients.values():
@@ -624,6 +633,8 @@ class TestFaultedDeterminism:
             done = {}
             sc.clients["A"].connect_udp(2, on_session=lambda s: done.setdefault("s", s))
             sc.scheduler.run_while(lambda: not done, sc.scheduler.now + 20.0)
+            if done:  # the application re-punches up to three times after a break
+                repunch_on_break(done["s"], lambda _s: None, attempts=3, backoff=0.5, cap=8.0)
             sc.inject_faults(
                 FaultPlan([
                     (sc.scheduler.now + 1.0, "link-flap", "backbone", 0.5),

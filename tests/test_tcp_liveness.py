@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core import connector as connector_module
 from repro.core.connector import P2PConnector, STRATEGY_PUNCH
 from repro.core.protocol import TRANSPORT_TCP
-from repro.core.tcp_punch import TcpPunchConfig
+from repro.core.tcp_punch import TcpPunchConfig, TcpStream
 from repro.netsim.faults import FAULT_LINK_FLAP, FaultPlan
 from repro.netsim.link import LinkProfile
 from repro.scenarios import build_two_nats
+
+from tests.conftest import rerun_ladder_on_break
 
 
 def punched_streams(sc, timeout=60.0, config=None):
@@ -95,11 +96,10 @@ class TestStreamKeepalives:
 
 
 class TestConnectorTcpRecovery:
-    def test_ladder_reruns_after_peer_death(self, monkeypatch):
-        """The connector's recovery ladder now covers TCP channels: a dead
-        peer stream triggers a backoff and a fresh ladder run."""
-        monkeypatch.setattr(connector_module, "MAX_RETRIES", 2)
-        monkeypatch.setattr(connector_module, "TCP_KEEPALIVE_INTERVAL", 1.0)
+    def test_ladder_reruns_after_peer_death(self):
+        """An application's ladder re-run covers TCP channels too: it arms
+        in-band probes on the won stream, and a dead peer stream triggers a
+        backoff and a fresh ladder run."""
         sc = build_two_nats(seed=410)
         sc.register_all_tcp()
         sc.register_all_udp()
@@ -110,20 +110,25 @@ class TestConnectorTcpRecovery:
             transport=TRANSPORT_TCP,
             phase_timeout=8.0,
         )
-        results = []
-        connector.connect(2, on_result=results.append)
+
+        def arm_probes(result):
+            if isinstance(result.channel, TcpStream):
+                result.channel.start_keepalives(1.0)
+
+        results = rerun_ladder_on_break(
+            connector, 2, arm_probes, retries=2, backoff=0.5, cap=8.0
+        )
         sc.wait_for(lambda: results and incoming, 60.0)
         assert results[0].strategy == STRATEGY_PUNCH
         first = results[0].channel
-        assert first._keepalive_interval == 1.0  # recovery armed the probes
+        assert first._keepalive_interval == 1.0
         # Peer's application dies, resetting the stream under A.
         incoming[0].abort()
         sc.wait_for(lambda: len(results) >= 2, 60.0)
         recovered = results[1]
-        assert recovered.recovery == 1
         assert recovered.connected
         assert recovered.channel is not first
-        assert connector.recoveries == 1
+        assert first.closed
 
     def test_sync_strategy_errors_descend_ladder_not_crash(self):
         """connect_tcp raises synchronously when the client is unregistered

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.udp_punch import PunchConfig
+from repro.core.udp_punch import PunchConfig, UdpSession
 from repro.nat import behavior as B
 from repro.scenarios import build_two_nats
 from repro.util.errors import TimeoutError_
@@ -51,6 +51,27 @@ def test_keepalives_sent_when_idle():
     sc, sa, sb = establish(seed=3, config=config)
     sc.run_for(30.0)
     assert sa.keepalives_sent >= 4
+    assert sa.alive and sb.alive
+
+
+def test_rearming_keepalives_keeps_one_probe_chain(monkeypatch):
+    """An application that arms probes itself re-arms a session that already
+    probes at ``keepalive_interval``: the new interval replaces the pending
+    tick chain instead of running a second one beside it."""
+    config = PunchConfig(keepalive_interval=1.0)
+    sc, sa, sb = establish(seed=7, config=config)
+    ticks = []
+    tick = UdpSession._keepalive_tick
+
+    def counted(session):
+        ticks.append("a" if session is sa else "b")
+        tick(session)
+
+    monkeypatch.setattr(UdpSession, "_keepalive_tick", counted)
+    sa.start_keepalives(1.0)
+    sb.start_keepalives(1.0)
+    sc.run_for(10.5)
+    assert (ticks.count("a"), ticks.count("b")) == (10, 10)
     assert sa.alive and sb.alive
 
 
