@@ -9,6 +9,7 @@ paper's "re-run the hole punching procedure on demand" alternative has a
 quantified cost.
 """
 
+import random
 import statistics
 
 from repro.core.udp_punch import PunchConfig
@@ -41,7 +42,11 @@ def _establish(seed):
 def _recovery_latency(seed, fault):
     """Virtual seconds from fault injection until A holds a live replacement
     session (keepalive decay detects the break, A's application re-punches:
-    up to five tries, 0.5 s after the break and doubling, at most 4 s)."""
+    up to five tries, 0.5 s after the break and doubling, at most 4 s).
+
+    The fault lands at a phase of the keepalive cycle drawn uniformly from
+    ``random.Random(seed)``: how long detection takes depends on where in
+    the cycle the break falls, and that is what the seeds vary."""
     sc, session = _establish(seed)
     healed = {}
 
@@ -50,7 +55,8 @@ def _recovery_latency(seed, fault):
         healed["at"] = sc.scheduler.now
 
     repunch_on_break(session, on_session, attempts=5, backoff=0.5, cap=4.0)
-    fault_at = sc.scheduler.now + 2.0
+    phase = random.Random(seed).uniform(0.0, RECOVERY_CONFIG.keepalive_interval)
+    fault_at = sc.scheduler.now + 2.0 + phase
     sc.inject_faults(FaultPlan([(fault_at, fault, "A" if fault == FAULT_NAT_REBOOT
                                  else "S")]))
     sc.wait_for(lambda: "session" in healed, 120.0)
@@ -75,10 +81,14 @@ def test_nat_reboot_recovery_latency(benchmark):
 
     latencies = benchmark(sweep)
     p50, p95 = _percentiles(latencies)
-    # Detection alone needs broken_after_missed * keepalive_interval = 3s;
-    # anything past ~60s means the re-punch loop is thrashing, not healing.
-    assert 3.0 <= p50 <= 60.0
-    assert p95 < 120.0
+    # Detection takes broken_after_missed keepalive intervals, plus up to
+    # one more for where in the cycle the reboot fell; the first re-punch
+    # waits its 0.5 s backoff, and the fresh exchange and lock-in add tens
+    # of milliseconds.  A retry (one more backoff) would land outside.
+    interval = RECOVERY_CONFIG.keepalive_interval
+    floor = RECOVERY_CONFIG.broken_after_missed * interval + 0.5
+    assert all(floor <= latency <= floor + interval + 0.05 for latency in latencies), latencies
+    assert p95 > p50  # the phase is drawn per seed: not one constant
     benchmark.extra_info["seeds"] = len(SEEDS)
     benchmark.extra_info["recovery_p50_s"] = round(p50, 2)
     benchmark.extra_info["recovery_p95_s"] = round(p95, 2)

@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core import protocol
 from repro.core.protocol import (
     ConnectRequest,
-    FrameBuffer,
     Hello,
     Keepalive,
     Message,
@@ -64,6 +63,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import OUTCOME_ERROR
 from repro.netsim.clock import Timer
 from repro.netsim.node import Host
+from repro.transport.tcp import FrameBuffer
 from repro.util.errors import ConnectionError_, ProtocolError, ReproError, TimeoutError_
 
 SessionHandler = Callable[[UdpSession], None]
@@ -136,7 +136,6 @@ class PeerClient:
         self.udp_registered = False
         self._udp_register_cb: Optional[Callable[[], None]] = None
         self._udp_register_timer: Optional[Timer] = None
-        self._udp_register_tries = 0
         self._server_keepalive_timer: Optional[Timer] = None
         self.punchers: Dict[int, UdpHolePuncher] = {}
         self.sessions: Dict[int, UdpSession] = {}
@@ -153,7 +152,7 @@ class PeerClient:
         #: The control connection errored (S restarted, died or is
         #: unreachable); the server-keepalive tick re-dials while this is set.
         self._control_failed = False
-        self._control_buffer = FrameBuffer()
+        self._control_buffer = FrameBuffer(protocol.decode)
         self._listener = None
         self.tcp_punchers: Dict[int, TcpHolePuncher] = {}
         self._stream_claimants: Dict[Tuple[int, int], _Claimant] = {}
@@ -215,7 +214,6 @@ class PeerClient:
         """
         self.udp_registered = False
         self._udp_register_cb = on_registered
-        self._udp_register_tries = 0
         if self._udp_register_timer is not None:
             self._udp_register_timer.cancel()
         self._udp_register_attempt(retry_interval, max_tries)
@@ -225,7 +223,6 @@ class PeerClient:
             return
         if tries_left <= 0:
             return
-        self._udp_register_tries += 1
         self._send_server_udp(
             Register(client_id=self.client_id, private_ep=self.udp_private)
         )
@@ -580,7 +577,7 @@ class PeerClient:
 
     def _open_control(self) -> None:
         self._control_failed = False
-        self._control_buffer = FrameBuffer()
+        self._control_buffer = FrameBuffer(protocol.decode)
         self._control = self.tcp_stack.connect(
             self.server,
             local_port=self.tcp_local_port,

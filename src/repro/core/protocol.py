@@ -13,15 +13,16 @@ defence against NATs that blindly translate address-like payload bytes.  The
 codec applies/removes the complement transparently, so application code
 always sees true endpoints.
 
-Over TCP, messages are framed with a u16 big-endian length prefix; use
-:class:`FrameBuffer` to reassemble a stream into messages.
+Over TCP, messages are framed with a u16 big-endian length prefix; a
+``repro.transport.tcp.FrameBuffer(decode)`` reassembles a stream into
+messages.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Callable, ClassVar, Dict, Optional, Tuple, Type
 
 from repro.netsim.addresses import Endpoint
 from repro.util.errors import ProtocolError
@@ -571,28 +572,3 @@ def frame(message: Message, obfuscate: bool = False) -> bytes:
     if len(encoded) > 0xFFFF:
         raise ProtocolError(f"message too large to frame ({len(encoded)} bytes)")
     return U16.pack(len(encoded)) + encoded
-
-
-class FrameBuffer:
-    """Reassembles a TCP byte stream into messages.
-
-    Feed arbitrary chunks; get back complete messages.  Garbage raises
-    ProtocolError from decode — callers on authenticated streams treat that
-    as a hostile/stray peer and drop the stream.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes) -> List[Message]:
-        self._buffer.extend(chunk)
-        messages: List[Message] = []
-        while True:
-            if len(self._buffer) < 2:
-                return messages
-            length = U16.unpack_from(self._buffer)[0]
-            if len(self._buffer) < 2 + length:
-                return messages
-            raw = bytes(self._buffer[2 : 2 + length])
-            del self._buffer[: 2 + length]
-            messages.append(decode(raw))

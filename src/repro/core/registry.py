@@ -510,7 +510,6 @@ class KeepaliveWheel:
         self.granularity = granularity
         self._buckets: Dict[int, List[_WheelEntry]] = {}
         self.registrants = 0
-        self.ticks_fired = 0
 
     def add(
         self, interval: float, callback: Callable[[object], None], arg: object
@@ -554,7 +553,6 @@ class KeepaliveWheel:
 
     def _fire(self, index: int) -> None:
         entries = self._buckets.pop(index, ())
-        self.ticks_fired += 1
         now = self.scheduler.now
         granularity = self.granularity
         buckets = self._buckets

@@ -20,7 +20,6 @@ from typing import Dict, Optional, Union
 from repro.core import protocol
 from repro.core.protocol import (
     ConnectRequest,
-    FrameBuffer,
     Keepalive,
     KeepaliveAck,
     Message,
@@ -43,7 +42,7 @@ from repro.core.registry import RegistrationTable
 from repro.netsim.addresses import Endpoint
 from repro.netsim.node import Host
 from repro.obs.metrics import MetricsRegistry
-from repro.transport.tcp import TcpConnection, TcpState
+from repro.transport.tcp import FrameBuffer, TcpConnection, TcpState
 from repro.util.errors import ProtocolError
 from repro.util.rng import SeededRng
 
@@ -71,7 +70,7 @@ class _ControlConnection:
     def __init__(self, server: "RendezvousServer", conn: TcpConnection) -> None:
         self.server = server
         self.conn = conn
-        self.buffer = FrameBuffer()
+        self.buffer = FrameBuffer(protocol.decode)
         self.client_id: Optional[int] = None
         conn.on_data = self._on_data
         conn.on_close = self._on_close_event

@@ -24,11 +24,11 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.core import protocol
 from repro.core.auth import message_is_from_peer
-from repro.core.protocol import FrameBuffer, Hello, StreamData, StreamKeepalive, StreamSelect
+from repro.core.protocol import Hello, StreamData, StreamKeepalive, StreamSelect
 from repro.core.udp_punch import _Connect, _HolePunch, _PeerSession
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
-from repro.transport.tcp import TcpConnection
+from repro.transport.tcp import FrameBuffer, TcpConnection
 from repro.util.errors import ConnectionError_, ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,7 +77,7 @@ class TcpStream(_PeerSession):
         super().__init__(client)
         self.conn = conn
         self.origin = origin  # "connect" | "accept"
-        self.buffer = FrameBuffer()
+        self.buffer = FrameBuffer(protocol.decode)
         self.authenticated = False
         self.hello_sent = False
         self.nonce: Optional[int] = None
@@ -260,9 +260,6 @@ class TcpHolePuncher(_HolePunch):
         self._retry_counter = metrics.counter("punch.tcp.retries")
         self._in_use_counter = metrics.counter("punch.tcp.address_in_use")
         self.controlling = controlling
-        self.connect_attempts = 0
-        self.retries = 0
-        self.address_in_use_errors = 0
         self.streams: List[TcpStream] = []
         self.authenticated_streams: List[TcpStream] = []
         self.winner: Optional[TcpStream] = None
@@ -289,7 +286,6 @@ class TcpHolePuncher(_HolePunch):
     def _attempt(self, endpoint: Endpoint) -> None:
         if self.finished:
             return
-        self.connect_attempts += 1
         self._attempt_counter.inc()
         try:
             conn = self.client.tcp_stack.connect(
@@ -335,7 +331,6 @@ class TcpHolePuncher(_HolePunch):
         if error.reason == "address-in-use":
             # §4.3: the listen socket claimed the session; the working stream
             # arrives via accept().  Ignore this failure.
-            self.address_in_use_errors += 1
             self._in_use_counter.inc()
             return
         # "connection reset" / "host unreachable" / timeout: §4.2 step 4 —
@@ -346,7 +341,6 @@ class TcpHolePuncher(_HolePunch):
         remaining = (self.started_at + self.config.timeout) - self.client.scheduler.now
         if remaining <= CONNECT_RETRY_DELAY:
             return
-        self.retries += 1
         self._retry_counter.inc()
         self._retry_timers.append(
             self.client.scheduler.call_later(CONNECT_RETRY_DELAY, self._attempt, endpoint)

@@ -470,9 +470,6 @@ class UdpHolePuncher(_HolePunch):
         self._probe_counter = metrics.counter("punch.udp.probes_sent")
         self._ack_counter = metrics.counter("punch.udp.acks_received")
         self._reflexive_counter = metrics.counter("punch.udp.peer_reflexive")
-        self.probes_sent = 0
-        self.acks_received = 0
-        self.peer_reflexive_candidates = 0
         self.locked_endpoint: Optional[Endpoint] = None
         self._probe_timer: Optional[Timer] = None
 
@@ -485,7 +482,6 @@ class UdpHolePuncher(_HolePunch):
         if self.finished:
             return
         for candidate in self.candidates:
-            self.probes_sent += 1
             self.client._send_peer(
                 Punch(
                     sender=self.client.client_id,
@@ -525,11 +521,9 @@ class UdpHolePuncher(_HolePunch):
                 # passes the peer NAT's filter — the trick ICE later named
                 # "peer-reflexive candidates".
                 self.candidates.append(src)
-                self.peer_reflexive_candidates += 1
                 self._reflexive_counter.inc()
                 self.span.event("peer-reflexive-candidate", endpoint=str(src))
         elif isinstance(message, PunchAck):
-            self.acks_received += 1
             self._ack_counter.inc()
             self._lock_in(src)
         elif isinstance(message, (SessionData, SessionKeepalive)):

@@ -65,7 +65,6 @@ class NatDevice(Router):
         super().__init__(name, scheduler)
         self._wan_iface: Optional[Interface] = None
         self._wan_link: Optional[Link] = None
-        self._cached_public_ip: Optional[IPv4Address] = None
         #: Raw 32-bit value of the public IP for the per-packet "is this
         #: addressed to us / is this a hairpin" compares (int equality is
         #: C-level; IPv4Address equality is a Python call per packet).
@@ -195,7 +194,6 @@ class NatDevice(Router):
         # classification, same as the _iface_by_link scan order).
         if self._iface_by_link.get(interface.link) is interface:
             self._wan_link = interface.link
-        self._cached_public_ip = interface.ip
         self._public_value = interface.ip._value
         if gateway is not None:
             self.routing.add_default("wan", gateway)

@@ -84,7 +84,6 @@ class NatMapping:
         self.private = private
         self.public = public
         self.key = key
-        self.created_at = created_at
         self.last_activity = created_at
         #: Remote endpoints contacted outbound -> last activity time, keyed
         #: by the folded int ``ip_value * 65536 + port`` (C-speed hashing on
@@ -243,7 +242,6 @@ class NatTable:
         #: was gone (drives the ``nat.table.exhausted`` metric).
         self.exhaustions = 0
         self.quota_refusals = 0
-        self.quota_evictions = 0
 
     # -- port allocation -------------------------------------------------------
 
@@ -318,7 +316,6 @@ class NatTable:
             if owned is not None and len(owned) >= self.max_per_host:
                 if self.quota_eviction is QuotaPolicy.EVICT_OLDEST:
                     oldest = min(owned.values(), key=_last_activity)
-                    self.quota_evictions += 1
                     self.remove(oldest)
                 else:
                     self.quota_refusals += 1

@@ -15,6 +15,7 @@ from repro.natcheck import messages as m
 from repro.natcheck.classify import NatCheckReport
 from repro.netsim.addresses import Endpoint
 from repro.netsim.node import Host
+from repro.transport.tcp import FrameBuffer
 from repro.util.errors import ConnectionError_
 
 
@@ -57,11 +58,8 @@ class NatCheckClient:
         self._stack = host.stack  # type: ignore[attr-defined]
         self._on_complete: Optional[Callable[[NatCheckReport], None]] = None
         self._started_at = 0.0
-        self._udp_primary = None
         self._udp_secondary = None
-        self._listener = None
         self._token = 0
-        self._tcp_echo1_seen = False
         self._tcp_echo2_seen = False
         # Flight recorder (if the owning network attached one): one attempt
         # per test phase, so attribution can explain each Table 1 column
@@ -121,7 +119,6 @@ class NatCheckClient:
     def _udp_test(self) -> None:
         self._phase_start("udp", "natcheck.udp")
         sock = self._stack.udp.socket(self.config.local_port)
-        self._udp_primary = sock
         token1, token2 = self._next_token(), self._next_token()
         sent_at = self.scheduler.now
 
@@ -172,7 +169,7 @@ class NatCheckClient:
             return
         self._phase_start("tcp", "natcheck.tcp")
         self.report.tcp_tested = True
-        self._listener = self._stack.tcp.listen(
+        self._stack.tcp.listen(
             self.config.local_port, on_accept=self._on_accept, reuse=True
         )
         token1 = self._next_token()
@@ -181,13 +178,12 @@ class NatCheckClient:
         def s1_connected(conn) -> None:
             if self.report.tcp_connect_rtt is None:
                 self.report.tcp_connect_rtt = self.scheduler.now - tcp_started
-            buffer = m.TcpMessageBuffer()
+            buffer = FrameBuffer(m.unpack)
 
             def on_data(data: bytes) -> None:
                 for message in buffer.feed(data):
                     if isinstance(message, m.Echo) and message.token == token1:
                         self.report.tcp_ep1 = message.observed
-                        self._tcp_echo1_seen = True
                         conn.close()
 
             conn.on_data = on_data
@@ -204,7 +200,7 @@ class NatCheckClient:
         token2 = self._next_token()
 
         def s2_connected(conn) -> None:
-            buffer = m.TcpMessageBuffer()
+            buffer = FrameBuffer(m.unpack)
 
             def on_data(data: bytes) -> None:
                 for message in buffer.feed(data):
@@ -238,7 +234,7 @@ class NatCheckClient:
         if conn.remote.ip == self.servers[2].ip:
             self.report.tcp_unsolicited_accepted = True
             return
-        buffer = m.TcpMessageBuffer()
+        buffer = FrameBuffer(m.unpack)
 
         def on_data(data: bytes) -> None:
             for message in buffer.feed(data):
@@ -261,7 +257,7 @@ class NatCheckClient:
             self._tcp_hairpin_test()
 
         def s3_connected(conn) -> None:
-            buffer = m.TcpMessageBuffer()
+            buffer = FrameBuffer(m.unpack)
 
             def on_data(data: bytes) -> None:
                 for message in buffer.feed(data):

@@ -109,7 +109,6 @@ class NatDiscovery:
 
     def _mapping_phase(self) -> None:
         sock = self._stack.udp.socket(self.local_port)
-        self._mapping_sock = sock
         self.result.local_endpoint = sock.local
 
         def on_datagram(data: bytes, src: Endpoint) -> None:

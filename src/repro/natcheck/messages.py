@@ -165,22 +165,3 @@ def frame_tcp(message: AnyMessage) -> bytes:
     """u16-length framing for the TCP legs."""
     raw = message.pack()
     return U16.pack(len(raw)) + raw
-
-
-class TcpMessageBuffer:
-    """Reassembles framed NAT Check messages from a TCP byte stream."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes):
-        self._buffer.extend(chunk)
-        out = []
-        while len(self._buffer) >= 2:
-            length = U16.unpack_from(self._buffer)[0]
-            if len(self._buffer) < 2 + length:
-                break
-            raw = bytes(self._buffer[2 : 2 + length])
-            del self._buffer[: 2 + length]
-            out.append(unpack(raw))
-        return out

@@ -19,7 +19,7 @@ from repro.netsim.addresses import Endpoint
 from repro.netsim.network import Network
 from repro.netsim.node import Host
 from repro.transport.stack import attach_stack
-from repro.transport.tcp import TcpConnection
+from repro.transport.tcp import FrameBuffer, TcpConnection
 from repro.util.errors import ConnectionError_
 
 #: Default server addresses: three distinct global IPs (§6.1).
@@ -39,7 +39,7 @@ class _TcpPeer:
     def __init__(self, server: "_Server", conn: TcpConnection) -> None:
         self.server = server
         self.conn = conn
-        self.buffer = m.TcpMessageBuffer()
+        self.buffer = FrameBuffer(m.unpack)
         conn.on_data = self._on_data
 
     def send(self, message: m.AnyMessage) -> None:
@@ -72,7 +72,6 @@ class _Server:
         self.endpoint = Endpoint(host.primary_ip, SERVER_PORT)
         # server 3 state: token -> in-flight unsolicited connect bookkeeping
         self._probes: Dict[int, dict] = {}
-        self.unsolicited_attempts = 0
 
     def _accept(self, conn: TcpConnection) -> None:
         _TcpPeer(self, conn)
@@ -154,7 +153,6 @@ class _Server:
     # -- server 3's unsolicited connect (§6.1.2) ----------------------------------
 
     def _begin_unsolicited_connect(self, forward: m.Forward, reporter: Endpoint) -> None:
-        self.unsolicited_attempts += 1
         token = forward.token
         state = {"outcome": m.SYN_PENDING, "reported": False}
         self._probes[token] = state

@@ -14,9 +14,8 @@ drawn from the owning network's seeded RNG, so runs are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.clock import Scheduler, Timer
@@ -123,7 +122,6 @@ class Link:
         #: FlightRecorder set by ``Network.attach_flight``; None (the
         #: default) keeps every drop site to a single attribute test.
         self._flight = None
-        self._attachments: List[Tuple["Node", IPv4Address]] = []
         #: Attached node per interface IP, keyed by the raw 32-bit address
         #: value: int probes hash at C speed, IPv4Address probes pay a
         #: Python-level ``__hash__`` call per packet.
@@ -131,17 +129,11 @@ class Link:
         self._busy_until = 0.0
         self._up = True
         self._ge_bad = False  # Gilbert-Elliott state: currently in a burst?
-        #: Scheduled-but-undelivered packets: seq -> (timer, sender, receiver,
-        #: packet).  Needed so a link flap can drop in-flight traffic instead
-        #: of delivering it over a dead segment.
-        self._in_flight: Dict[int, Tuple[Timer, "Node", "Node", Packet]] = {}
-        self._flight_seq = itertools.count()
-        #: Pending coalesced-delivery timers (fast path only; see
-        #: Scheduler.call_later_batched), insertion-ordered so flap drops
-        #: replay in schedule order; :meth:`_drain_batch` removes a batch
-        #: once it has drained.  Items are (sender, receiver, packet)
-        #: triples.
-        self._batches: Dict[Timer, None] = {}
+        #: The coalesced-delivery timer (fast path only; see
+        #: Scheduler.call_later_batched) that same-tick transmits append
+        #: (sender, receiver, packet) triples to.  A packet in flight is
+        #: booked nowhere but on the scheduler: :meth:`down` finds this
+        #: link's pending timers there.
         self._open_batch: Optional[Timer] = None
         #: Scheduler tick at which ``_open_batch`` was created.  While the
         #: batch stays open the latency is constant (``_refresh_fast_path``
@@ -192,21 +184,21 @@ class Link:
         """Re-evaluate the once-per-change gate for the per-packet fast path.
 
         The fast path is legal exactly when every per-packet branch of the
-        slow path is statically known to be a no-op: link up, no flight
-        recorder, and a plain profile (no loss,
-        burst, jitter, bandwidth, duplication, or reordering).  Zero-valued
-        fault knobs draw no RNG on the slow path either (pinned by
-        ``test_defaults_draw_no_rng``), so both paths consume identical RNG
-        streams — the fast path is observably inert.
+        slow path is statically known to be a no-op: no flight recorder and
+        a plain profile (no loss, burst, jitter, bandwidth, duplication, or
+        reordering).  Zero-valued fault knobs draw no RNG on the slow path
+        either (pinned by ``test_defaults_draw_no_rng``), so both paths
+        consume identical RNG streams — the fast path is observably inert.
+        Link state is no term: :meth:`transmit` tests ``_up`` before the
+        gate.
 
-        Called from ``__init__``, the ``profile`` setter, :meth:`up` /
-        :meth:`down` and :meth:`set_flight`; see docs/performance.md for the
-        invalidation matrix.
+        Called from ``__init__``, the ``profile`` setter and
+        :meth:`set_flight`; see docs/performance.md for the invalidation
+        matrix.
         """
         p = self._profile
         self._fast = (
             self.fast_path_enabled
-            and self._up
             and self._flight is None
             and p.bandwidth_bps is None
             and not (
@@ -234,7 +226,6 @@ class Link:
         address = IPv4Address(ip)
         if address._value in self._owner_values:
             raise ValueError(f"duplicate IP {address} on link {self.name}")
-        self._attachments.append((node, address))
         self._owner_values[address._value] = node
 
     # -- link state (fault injection) -------------------------------------------
@@ -244,26 +235,29 @@ class Link:
         transmissions fail until :meth:`up`.  Idempotent.  The Gilbert-
         Elliott burst chain is reset: a carrier loss tears down whatever
         channel condition caused the burst, so the segment must not come
-        back "mid-burst" from pre-flap traffic."""
+        back "mid-burst" from pre-flap traffic.
+
+        The drops go per-packet deliveries first, then batches, each kind
+        in scheduling order, and a batch from its next undelivered item."""
         if not self._up:
             return
         self._up = False
         self._ge_bad = False
-        for timer, sender, receiver, packet in self._in_flight.values():
+        self._open_batch = None
+        callbacks = (self._deliver, self._drain_batch)
+        pending = sorted(
+            (timer._items is not None, seq, timer)
+            for _, seq, timer in self.scheduler._heap
+            if timer._callback in callbacks and timer.active
+        )
+        for _, _, timer in pending:
             timer.cancel()
-            self._drop(packet, sender, receiver, "flap-drop")
-            self.flap_drops += 1
-        self._in_flight.clear()
-        for timer in self._batches:
             items = timer._items
-            for i in range(timer._inext, len(items)):
-                sender, receiver, packet = items[i]
+            for sender, receiver, packet in (
+                [timer._args] if items is None else items[timer._inext:]
+            ):
                 self._drop(packet, sender, receiver, "flap-drop")
                 self.flap_drops += 1
-            timer.cancel()
-        self._batches.clear()
-        self._open_batch = None
-        self._refresh_fast_path()
 
     def up(self) -> None:
         """Bring the segment back; the transmit queue restarts empty and the
@@ -273,7 +267,6 @@ class Link:
         self._up = True
         self._busy_until = 0.0
         self._ge_bad = False
-        self._refresh_fast_path()
 
     def transmit(self, packet: Packet, sender: "Node", next_hop_ip) -> bool:
         """Send *packet* toward the attached interface owning *next_hop_ip*.
@@ -313,7 +306,6 @@ class Link:
                 batch = scheduler.call_later_batched(
                     self._fast_latency, self._drain_batch
                 )
-                self._batches[batch] = None
                 self._open_batch = batch
                 self._open_tick = scheduler.now
             # Either the batch is new, or no timer was created since its own,
@@ -377,7 +369,7 @@ class Link:
         proto = packet.proto
         self.bytes_sent += proto.header_bytes + len(packet.payload)
         self._sent[proto.wire_index] += 1
-        self._schedule_delivery(packet, sender, receiver, delay)
+        self.scheduler.call_later(delay, self._deliver, sender, receiver, packet)
         return True
 
     def _drain_batch(self, batch: Timer, limit: int) -> None:
@@ -427,10 +419,8 @@ class Link:
                 i = batch._inext
         finally:
             # Also when a delivery callback raises: the packets already on
-            # the free list stay counted and a spent batch leaves the books.
+            # the free list stay counted.
             pool.released += released
-            if batch._inext >= len(items):
-                self._batches.pop(batch, None)  # drained; down() may have cleared
 
     def _ge_burst_drops(self, packet: Packet) -> bool:
         """Advance the Gilbert-Elliott two-state chain one packet and report
@@ -443,15 +433,7 @@ class Link:
             self._ge_bad = True
         return self._ge_bad and self._rng.chance(profile.burst_loss)
 
-    def _schedule_delivery(
-        self, packet: Packet, sender: "Node", receiver: "Node", delay: float
-    ) -> None:
-        seq = next(self._flight_seq)
-        timer = self.scheduler.call_later(delay, self._deliver, seq)
-        self._in_flight[seq] = (timer, sender, receiver, packet)
-
-    def _deliver(self, seq: int) -> None:
-        _, _, receiver, packet = self._in_flight.pop(seq)
+    def _deliver(self, sender: "Node", receiver: "Node", packet: Packet) -> None:
         receiver.receive(packet, self)
 
     def _drop(self, packet: Packet, sender: "Node", receiver, reason: str) -> None:
@@ -464,4 +446,4 @@ class Link:
             )
 
     def __repr__(self) -> str:
-        return f"Link({self.name!r}, attached={len(self._attachments)})"
+        return f"Link({self.name!r}, attached={len(self._owner_values)})"

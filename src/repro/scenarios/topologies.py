@@ -121,9 +121,7 @@ class ScenarioBuilder:
             self.net.attach_flight()
         self.obfuscate = obfuscate
         self.backbone = self.net.create_link("backbone", backbone_profile)
-        self._client_counter = 0
         self._server: Optional[RendezvousServer] = None
-        self.scenario: Optional[Scenario] = None
 
     def add_server(self, ip: str = SERVER_IP, port: int = SERVER_PORT) -> RendezvousServer:
         """Add the rendezvous server S (host label ``"S"``)."""

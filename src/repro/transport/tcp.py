@@ -38,7 +38,8 @@ TIME_WAIT shortened to 1 s of virtual time.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Set, Tuple
+import struct
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
@@ -72,6 +73,8 @@ DATA_MAX_TRIES = 8
 #: Shortened 2*MSL for TIME_WAIT (virtual seconds).
 TIME_WAIT_SECONDS = 1.0
 
+_U16 = struct.Struct("!H")
+
 
 def seq_add(seq: int, n: int) -> int:
     return (seq + n) % SEQ_MOD
@@ -84,6 +87,37 @@ def seq_diff(a: int, b: int) -> int:
 
 def seq_ge(a: int, b: int) -> bool:
     return seq_diff(a, b) < _SEQ_HALF
+
+
+class FrameBuffer:
+    """Reassembles a byte stream of u16 big-endian length-prefixed frames.
+
+    Feed arbitrary chunks; get back every frame they complete, passed
+    through *decode*.  Both protocols that run over these streams frame
+    this way and differ only in *decode*: the rendezvous and punching
+    messages (``repro.core.protocol.decode``) and NAT Check's
+    (``repro.natcheck.messages.unpack``).  Whatever *decode* raises on
+    garbage propagates, the frame already consumed — callers on
+    authenticated streams treat that as a hostile or stray peer and drop
+    the stream.
+    """
+
+    def __init__(self, decode: Callable[[bytes], Any]) -> None:
+        self._decode = decode
+        self._buffer = bytearray()
+
+    def feed(self, chunk: bytes) -> List[Any]:
+        buffer = self._buffer
+        buffer.extend(chunk)
+        messages = []
+        while len(buffer) >= 2:
+            end = 2 + _U16.unpack_from(buffer)[0]
+            if len(buffer) < end:
+                break
+            raw = bytes(buffer[2:end])
+            del buffer[:end]
+            messages.append(self._decode(raw))
+        return messages
 
 
 class TcpState(enum.Enum):
@@ -373,7 +407,6 @@ class TcpConnection:
         if self.state is TcpState.CLOSED:
             return
         if self.stack.rst_seq_validation and not self._rst_acceptable(header):
-            self.stack.rsts_rejected += 1
             flight = getattr(self.stack.host, "flight", None)
             if flight is not None:
                 # Context-free: a rejected spoof is evidence for whichever
@@ -629,9 +662,10 @@ class TcpStack:
         #: RFC 5961-flavoured hardening: only honour an RST whose sequence
         #: number is exactly what we expect next (``rcv_nxt``, or in SYN_SENT
         #: an ACK of our ISS+1).  Off-path spoofed RSTs with guessed sequence
-        #: numbers are counted in :attr:`rsts_rejected` and ignored.  Every
-        #: in-sim legitimate RST producer passes this check, so turning it on
-        #: only ever filters forged traffic.
+        #: numbers are ignored, each leaving a ``tcp.rst_rejected`` flight
+        #: record when a flight recorder is attached.  Every in-sim
+        #: legitimate RST producer passes this check, so turning it on only
+        #: ever filters forged traffic.
         self.rst_seq_validation = rst_seq_validation
         #: RFC 1122 4.2.3.9 "soft error" hardening: with this on, ICMP errors
         #: never abort a SYN_SENT connect — retransmission decides — so a
@@ -653,8 +687,6 @@ class TcpStack:
         self._next_ephemeral = 49152
         self.segments_dropped = 0
         self.rsts_sent = 0
-        #: RSTs ignored by the sequence-validation hardening (spoof evidence).
-        self.rsts_rejected = 0
         #: Segments re-sent after their first transmission (SYN, data, FIN).
         self.retransmits = 0
         #: Retransmission timer expiries that found live work to retry.

@@ -77,9 +77,29 @@ class TestLinkProfileKnobs:
         assert plain == knobby
 
 
+def _send_from(a, port):
+    a.send(udp_packet(Endpoint("10.0.0.1", port), Endpoint("10.0.0.2", 2)))
+
+
+def _flap_drop_ports(net):
+    """Source ports of the flap-dropped packets, in flight-record order."""
+    return [
+        int(e.attrs["packet"].split(" -> ")[0].rpartition(":")[2])
+        for e in net.flight.events()
+        if e.kind == "link.drop" and e.attrs["reason"] == "flap-drop"
+    ]
+
+
 class TestLinkUpDown:
-    def test_down_drops_new_and_in_flight(self):
-        net, link, a, b = _pair(LinkProfile(latency=0.5))
+    # Both delivery routes: a coalesced batch (plain profile) and one timer
+    # per packet (any fault knob, or a flight recorder, leaves the fast path).
+    @pytest.mark.parametrize("route", ["batched", "jitter", "flight"])
+    def test_down_drops_new_and_in_flight(self, route):
+        profile = LinkProfile(latency=0.5, jitter=0.1 if route == "jitter" else 0.0)
+        net, link, a, b = _pair(profile)
+        if route == "flight":
+            net.attach_flight()
+        assert link._fast is (route == "batched")
         got = []
         b.register_protocol(IpProtocol.UDP, got.append)
         a.send(udp_packet(Endpoint("10.0.0.1", 1), Endpoint("10.0.0.2", 2)))
@@ -91,6 +111,51 @@ class TestLinkUpDown:
         assert link.packets_dropped == 2
         assert link.flap_drops == 2
         assert not link._up
+        assert net.scheduler.pending == 0
+
+    def test_down_drops_per_packet_deliveries_then_batches_in_order(self):
+        """A link holding both kinds of pending delivery at ``down()`` drops
+        the per-packet ones first, in send order, then each batch in the
+        order it was opened."""
+        plain, jittery = LinkProfile(latency=0.5), LinkProfile(latency=0.5, jitter=0.3)
+        net, link, a, b = _pair(plain, seed=5)
+        got = []
+        b.register_protocol(IpProtocol.UDP, got.append)
+        at = net.scheduler.call_at
+        at(0.0, _send_from, a, 1)
+        at(0.0, _send_from, a, 2)  # first batch: 1, 2
+        at(0.1, setattr, link, "profile", jittery)
+        at(0.1, _send_from, a, 3)
+        at(0.1, _send_from, a, 4)  # per-packet timers
+        at(0.2, setattr, link, "profile", plain)
+        at(0.2, _send_from, a, 5)  # second batch
+        at(0.3, setattr, link, "profile", jittery)
+        at(0.3, _send_from, a, 6)  # a per-packet timer younger than a batch
+        at(0.4, net.attach_flight)  # records the drops; pending timers stay
+        at(0.45, link.down)
+        net.run()
+        assert got == []
+        assert _flap_drop_ports(net) == [3, 4, 6, 1, 2, 5]
+        assert link.flap_drops == 6
+        assert net.scheduler.pending == 0
+
+    def test_down_inside_a_batch_drops_its_undelivered_rest(self):
+        net, link, a, b = _pair(LinkProfile(latency=0.5))
+        got = []
+
+        def on_udp(packet):
+            got.append(packet.src.port)
+            link.down()
+
+        b.register_protocol(IpProtocol.UDP, on_udp)
+        for port in (1, 2, 3):  # same tick: one batch
+            _send_from(a, port)
+        net.attach_flight()
+        net.run()
+        assert got == [1]
+        assert _flap_drop_ports(net) == [2, 3]
+        assert link.flap_drops == 2
+        assert net.scheduler.pending == 0
 
     def test_up_restores_delivery(self):
         net, link, a, b = _pair(LinkProfile(latency=0.1))

@@ -15,7 +15,10 @@ Three things are pinned here:
 (d) **nothing only tests reach** — every ``def`` and ``class`` in ``src/``
     is named somewhere outside its own body in ``src/``, ``benchmarks/`` or
     ``examples/``, and every ``*Config`` / ``*Policy`` dataclass field is set
-    by one of them, unless :data:`KEEP` / :data:`KEEP_FIELDS` says why not.
+    by one of them, unless :data:`KEEP` / :data:`KEEP_FIELDS` says why not;
+(e) **no write-only state** — every ``self.<attr>`` that ``src/`` stores is
+    read somewhere in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``,
+    unless :data:`KEEP_ATTRS` says why not.
 
 Every case of (a) runs in a fresh interpreter: ``sys.modules`` of the test
 process says nothing about what an import pulls in.
@@ -434,10 +437,10 @@ KEEP_FIELDS = {
 }
 
 
-def _parsed(root: str):
-    """``(module, path, tree)`` for every Python file under *root*'s
-    :data:`SCANNED` directories; *module* is dotted for ``src/`` only."""
-    for top in SCANNED:
+def _parsed(root: str, tops: tuple = SCANNED):
+    """``(module, path, tree)`` for every Python file under *root*'s *tops*
+    directories; *module* is dotted for ``src/`` only."""
+    for top in tops:
         for folder, dirs, files in os.walk(os.path.join(root, top)):
             dirs[:] = sorted(d for d in dirs if not d.startswith("."))
             for name in sorted(files):
@@ -608,3 +611,73 @@ def test_the_scan_reads_the_real_f_string_users(repo_scan, module, name):
     """Two helpers that are used only inside f-strings: the scan sees them."""
     assert callable(getattr(importlib.import_module(module), name))
     assert f"{module}.{name}" not in repo_scan[0]
+
+
+# -- (e) no write-only state -----------------------------------------------------
+
+#: Where a read counts: everything (d) scans, and the tests too — a counter
+#: only a test asserts on is still a reading of it.
+READERS = SCANNED + ("tests",)
+
+#: ``self.<attr>`` stores in ``src/`` that nothing reads, each kept on purpose.
+KEEP_ATTRS: dict = {}
+
+
+def write_only(root: str = _REPO) -> list:
+    """Sorted names of the attributes ``src/`` stores as ``self.<attr>`` (an
+    assignment, annotated or augmented) that nothing in :data:`READERS`
+    reads.  A read is an attribute load of that name on any object, or a
+    string constant spelled like it, so a collector that reads by name
+    through ``getattr`` counts.  ``self.n += 1`` alone is no read: a counter
+    nobody looks at is write-only however often it is bumped."""
+    stored, read = set(), set()
+    for module, _, tree in _parsed(root, READERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (
+                    module is not None
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    stored.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(stored - read)
+
+
+def test_every_stored_attribute_is_read():
+    assert write_only() == sorted(KEEP_ATTRS)
+
+
+def test_the_write_only_scan_counts_loads_and_getattr_names(tmp_path):
+    """The scan itself: a counter only bumped is write-only, one a test
+    reads or a collector fetches by name is not."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class Counted:\n"
+        "    def __init__(self):\n"
+        "        self.bumped = 0\n"
+        "        self.asserted = 0\n"
+        "        self.collected: int = 0\n"
+        "\n"
+        "    def tick(self):\n"
+        "        self.bumped += 1\n"
+        "        self.asserted += 1\n"
+        "\n"
+        "def collect(obj):\n"
+        "    return getattr(obj, 'collected')\n"
+    )
+    assert write_only(str(tmp_path)) == ["asserted", "bumped"]
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import Counted\n"
+        "def test_it():\n"
+        "    counted = Counted()\n"
+        "    counted.tick()\n"
+        "    assert counted.asserted == 1\n"
+    )
+    assert write_only(str(tmp_path)) == ["bumped"]

@@ -11,6 +11,7 @@ from repro.netsim.link import LAN_LINK
 from repro.netsim.network import Network
 from repro.netsim.packet import IpProtocol
 from repro.transport.stack import attach_stack
+from repro.transport.tcp import FrameBuffer
 from repro.util.errors import ProtocolError
 
 from tests.conftest import wire_tap
@@ -133,7 +134,7 @@ def test_natcheck_messages_never_crash_on_fuzz(data):
 @given(st.binary(max_size=80), st.integers(1, 7))
 @settings(max_examples=50)
 def test_natcheck_tcp_buffer_survives_fuzz(data, chunk):
-    buf = ncm.TcpMessageBuffer()
+    buf = FrameBuffer(ncm.unpack)
     try:
         for i in range(0, len(data), chunk):
             buf.feed(data[i : i + chunk])

@@ -16,6 +16,7 @@ from repro.natcheck.fleet import (
     run_fleet,
 )
 from repro.natcheck.table import PAPER_TABLE1, Table1Row, render_table1, table1_rows
+from repro.transport.tcp import FrameBuffer
 from repro.util.errors import ProtocolError
 
 
@@ -53,7 +54,7 @@ class TestMessages:
         assert m.try_unpack(b"garbage") is None
 
     def test_tcp_framing_reassembly(self):
-        buf = m.TcpMessageBuffer()
+        buf = FrameBuffer(m.unpack)
         data = m.frame_tcp(m.Probe(m.TCP_PROBE, 1)) + m.frame_tcp(m.Report(2, 1))
         out = []
         for i in range(0, len(data), 3):

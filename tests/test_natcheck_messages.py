@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.natcheck import messages as m
 from repro.netsim.addresses import Endpoint
+from repro.transport.tcp import FrameBuffer
 from repro.util.errors import ProtocolError
 
 tokens = st.integers(0, 0xFFFFFFFF)
@@ -59,7 +60,7 @@ def test_unpack_is_total_over_garbage(data):
 @given(st.lists(any_message, min_size=1, max_size=12), st.integers(1, 17))
 def test_tcp_buffer_reassembles_any_chunking(messages, chunk_size):
     stream = b"".join(m.frame_tcp(message) for message in messages)
-    buffer = m.TcpMessageBuffer()
+    buffer = FrameBuffer(m.unpack)
     out = []
     for i in range(0, len(stream), chunk_size):
         out.extend(buffer.feed(stream[i : i + chunk_size]))
@@ -72,7 +73,7 @@ def test_garbage_frame_discards_the_good_message_before_it_in_the_chunk():
     are lost with it.  No simulated path sends garbage on a NAT Check
     stream, so this is pinned, not fixed."""
     good = m.Probe(m.TCP_PROBE, 7)
-    buffer = m.TcpMessageBuffer()
+    buffer = FrameBuffer(m.unpack)
     with pytest.raises(ProtocolError):
         buffer.feed(m.frame_tcp(good) + b"\x00\x00")  # an empty frame
     # Both frames were consumed: the stream carries on after them.

@@ -20,9 +20,10 @@ from repro.scenarios.topologies import ScenarioBuilder
 from repro.transport.stack import HostStack
 
 CLIENTS = 32
-#: 154 on CPython 3.11 (72 at build for NAT + LAN + host + stack + client,
-#: 82 from the two registrations, server side included).
-MAX_TRACKED_PER_CLIENT = 200
+#: 145 on CPython 3.11 (64 at build for NAT + LAN + host + stack + client,
+#: 81 from the two registrations, server side included); the bound leaves
+#: a 10 % margin for what another CPython tracks differently.
+MAX_TRACKED_PER_CLIENT = 160
 #: What the rest of the simulation owns: the walk from a client stops here.
 SHARED = (Host, Scheduler, MetricsRegistry, HostStack, Network, type, types.ModuleType)
 #: Attributes of the subsystems a client may never use.

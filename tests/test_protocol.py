@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import protocol as p
 from repro.netsim.addresses import Endpoint
+from repro.transport.tcp import FrameBuffer
 from repro.util.errors import AddressError, ProtocolError
 
 EP_A = Endpoint("10.0.0.1", 4321)
@@ -110,18 +111,18 @@ def test_error_reason_text():
 
 class TestFraming:
     def test_frame_roundtrip_single(self):
-        buf = p.FrameBuffer()
+        buf = FrameBuffer(p.decode)
         messages = buf.feed(p.frame(p.Keepalive(client_id=3)))
         assert messages == [p.Keepalive(client_id=3)]
 
     def test_frame_multiple_in_one_chunk(self):
         data = p.frame(p.Keepalive(client_id=1)) + p.frame(p.Keepalive(client_id=2))
-        buf = p.FrameBuffer()
+        buf = FrameBuffer(p.decode)
         assert [m.client_id for m in buf.feed(data)] == [1, 2]
 
     def test_frame_split_across_chunks(self):
         data = p.frame(p.SessionData(sender=1, receiver=2, nonce=3, payload=b"x" * 100))
-        buf = p.FrameBuffer()
+        buf = FrameBuffer(p.decode)
         out = []
         for i in range(0, len(data), 7):
             out.extend(buf.feed(data[i : i + 7]))
@@ -131,7 +132,7 @@ class TestFraming:
 
     def test_frame_partial_then_complete(self):
         data = p.frame(p.Keepalive(client_id=9))
-        buf = p.FrameBuffer()
+        buf = FrameBuffer(p.decode)
         assert buf.feed(data[:1]) == []
         assert buf.feed(data[1:]) == [p.Keepalive(client_id=9)]
 
@@ -142,7 +143,7 @@ class TestFraming:
     def test_obfuscated_framing(self):
         msg = p.PeerEndpoints(peer_id=1, public_ep=EP_B, private_ep=EP_A, nonce=4,
                               transport=0, role=0)
-        buf = p.FrameBuffer()
+        buf = FrameBuffer(p.decode)
         assert buf.feed(p.frame(msg, obfuscate=True)) == [msg]
 
 
@@ -185,7 +186,7 @@ def test_decode_never_crashes_on_garbage(data):
 @given(st.lists(st.integers(0, 0xFFFFFFFF), min_size=1, max_size=20), st.integers(1, 13))
 def test_framebuffer_reassembles_any_chunking(ids, chunk_size):
     stream = b"".join(p.frame(p.Keepalive(client_id=i)) for i in ids)
-    buf = p.FrameBuffer()
+    buf = FrameBuffer(p.decode)
     out = []
     for i in range(0, len(stream), chunk_size):
         out.extend(buf.feed(stream[i : i + chunk_size]))
@@ -342,7 +343,7 @@ def test_compiled_codec_matches_reference_walker(cls, data, obfuscate):
     framed = p.frame(message, obfuscate)
     assert framed == struct.pack("!H", len(wire)) + wire
     for cut in _cuts(len(framed)):
-        buffer = p.FrameBuffer()
+        buffer = FrameBuffer(p.decode)
         assert buffer.feed(framed[:cut]) + buffer.feed(framed[cut:]) == [message]
         assert not buffer._buffer
 

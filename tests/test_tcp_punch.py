@@ -203,14 +203,15 @@ def test_config_timeout_respected():
 def test_authenticate_binds_the_stream_and_says_hello_once(hello_already_sent):
     """The one binding step (§4.2 step 5): identity recorded, and our Hello
     goes out exactly once however the stream came to be authenticated."""
-    from repro.core.protocol import FrameBuffer, Hello
+    from repro.core.protocol import Hello, decode
     from repro.core.tcp_punch import TcpStream
+    from repro.transport.tcp import FrameBuffer
 
     class Wire:  # the slice of TcpConnection a stream touches
         on_data = on_close = on_error = None
 
         def __init__(self):
-            self.sent = FrameBuffer()
+            self.sent = FrameBuffer(decode)
             self.messages = []
 
         def send(self, data):
