@@ -9,7 +9,6 @@ from repro.nat.policy import (
     FilteringPolicy,
     MappingPolicy,
     PortAllocation,
-    QuotaPolicy,
     TcpRefusalPolicy,
 )
 
@@ -63,11 +62,8 @@ class NatBehavior:
             outbound sessions are refused (packet dropped, ``table-exhausted``).
         max_mappings_per_host: hardening quota — live mappings any single
             private host may own (None = no quota).  A flooding LAN host hits
-            its quota and stops consuming table space/ports; legitimate hosts
-            keep allocating.
-        quota_eviction: what happens when a host exceeds its quota —
-            ``REFUSE`` (drop the packet) or ``EVICT_OLDEST`` (reclaim that
-            host's least-recently-active mapping).
+            its quota and its further outbound sessions are refused (packet
+            dropped, ``quota-exceeded``); legitimate hosts keep allocating.
         rst_seq_validation: hardening — the NAT only honours (forwards and
             tears down state for) an inbound TCP RST whose sequence number
             matches the last ACK the private host sent out through the
@@ -98,7 +94,6 @@ class NatBehavior:
     hairpin_tcp: Optional[bool] = None
     table_capacity: Optional[int] = None
     max_mappings_per_host: Optional[int] = None
-    quota_eviction: QuotaPolicy = QuotaPolicy.REFUSE
     rst_seq_validation: bool = False
     icmp_validation: bool = False
 
@@ -198,7 +193,6 @@ SHORT_TIMEOUT = NatBehavior(udp_timeout=20.0)
 HARDENED = NatBehavior(
     table_capacity=2048,
     max_mappings_per_host=64,
-    quota_eviction=QuotaPolicy.REFUSE,
     rst_seq_validation=True,
     icmp_validation=True,
 )

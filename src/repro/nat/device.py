@@ -135,7 +135,6 @@ class NatDevice(Router):
         if table is not None:
             table.capacity = b.table_capacity
             table.max_per_host = b.max_mappings_per_host
-            table.quota_eviction = b.quota_eviction
             # The mapping policy is half of what the outbound memo answers.
             table.outbound_memo.clear()
 
@@ -205,7 +204,6 @@ class NatDevice(Router):
             rng=self._rng.child("ports"),
             capacity=self.behavior.table_capacity,
             max_per_host=self.behavior.max_mappings_per_host,
-            quota_eviction=self.behavior.quota_eviction,
         )
         self._by_public = self.table._by_public
         self._out_memo = self.table.outbound_memo

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.netsim.addresses import Endpoint, IPv4Address
 from repro.netsim.clock import Scheduler, Timer
 from repro.netsim.packet import FIN_BIT, RST_BIT, IpProtocol, TcpFlags
-from repro.nat.policy import MappingPolicy, PortAllocation, QuotaPolicy
+from repro.nat.policy import MappingPolicy, PortAllocation
 from repro.util.errors import AddressError
 from repro.util.rng import SeededRng
 
@@ -27,7 +27,7 @@ class TableExhausted(AddressError):
 
 class QuotaExceeded(AddressError):
     """One private host hit its per-host mapping quota
-    (:class:`~repro.nat.policy.QuotaPolicy.REFUSE` hardening)."""
+    (``NatBehavior.max_mappings_per_host`` hardening)."""
 
 
 #: Dynamic (allocatable) public port range — sequential and random allocation
@@ -63,10 +63,6 @@ def mapping_key(
     if policy is MappingPolicy.ADDRESS_DEPENDENT:
         return (proto.wire_index, private_key, remote.ip._value | _ADDR_QUALIFIER_TAG)
     return (proto.wire_index, private_key, remote._key)
-
-
-def _last_activity(mapping: "NatMapping") -> float:
-    return mapping.last_activity
 
 
 class NatMapping:
@@ -191,7 +187,6 @@ class NatTable:
         on_expire: Optional[Callable[[NatMapping], None]] = None,
         capacity: Optional[int] = None,
         max_per_host: Optional[int] = None,
-        quota_eviction: QuotaPolicy = QuotaPolicy.REFUSE,
     ) -> None:
         self.scheduler = scheduler
         self.public_ip = IPv4Address(public_ip)
@@ -203,7 +198,6 @@ class NatTable:
         #: the ReDAN hardening axes, mirrored from NatBehavior by NatDevice.
         self.capacity = capacity
         self.max_per_host = max_per_host
-        self.quota_eviction = quota_eviction
         self._by_key: Dict[MappingKey, NatMapping] = {}
         #: Public-port index keyed by ``proto.wire_index << 16 | port`` (one
         #: int, C-speed hashing — probed once per inbound packet).
@@ -306,23 +300,18 @@ class NatTable:
 
         Raises :class:`TableExhausted` when translation memory
         (``capacity``) or the dynamic port range is gone, and
-        :class:`QuotaExceeded` when *private*'s host is over its per-host
-        quota under :class:`~repro.nat.policy.QuotaPolicy.REFUSE`.
+        :class:`QuotaExceeded` when *private*'s host is at its per-host
+        quota.
         """
         key = mapping_key(policy, proto, private, remote)
         host_key = private.ip._value
         if self.max_per_host is not None:
             owned = self._by_host.get(host_key)
             if owned is not None and len(owned) >= self.max_per_host:
-                if self.quota_eviction is QuotaPolicy.EVICT_OLDEST:
-                    oldest = min(owned.values(), key=_last_activity)
-                    self.remove(oldest)
-                else:
-                    self.quota_refusals += 1
-                    raise QuotaExceeded(
-                        f"host {private.ip} over mapping quota "
-                        f"({self.max_per_host})"
-                    )
+                self.quota_refusals += 1
+                raise QuotaExceeded(
+                    f"host {private.ip} over mapping quota ({self.max_per_host})"
+                )
         if self.capacity is not None and len(self._by_key) >= self.capacity:
             self.exhaustions += 1
             raise TableExhausted(

@@ -61,18 +61,3 @@ class PortAllocation(enum.Enum):
     SEQUENTIAL = "sequential"
     RANDOM = "random"
     PRESERVING = "preserving"
-
-
-class QuotaPolicy(enum.Enum):
-    """What a NAT does when a private host hits its per-host mapping quota
-    (``NatBehavior.max_mappings_per_host``, the ReDAN exhaustion defense).
-
-    ``REFUSE`` drops the offending outbound packet — the flooding host is
-    starved, everyone else keeps allocating.  ``EVICT_OLDEST`` reclaims the
-    host's least-recently-active mapping to make room — the flood succeeds
-    against *its own* mappings only, which still protects other hosts but
-    can churn the attacker's table slots.
-    """
-
-    REFUSE = "refuse"
-    EVICT_OLDEST = "evict-oldest"

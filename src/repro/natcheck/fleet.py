@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import Fingerprint, behavior_fingerprint
@@ -216,9 +216,6 @@ class FleetCacheStats:
     simulated: int = 0
     #: Reports produced by cloning an in-run result instead of simulating.
     dedup_clones: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
 
     def publish(self, metrics: MetricsRegistry) -> None:
         """Flow the counts into a :mod:`repro.obs` registry

@@ -234,14 +234,6 @@ class NatCheckServers:
         server2.udp.on_datagram = server2_udp
 
     @property
-    def server1(self) -> _Server:
-        return self.servers[0]
-
-    @property
-    def server2(self) -> _Server:
-        return self.servers[1]
-
-    @property
     def server3(self) -> _Server:
         return self.servers[2]
 

@@ -241,8 +241,7 @@ class ExhaustionFlood(_ChurnAttacker):
     one ``NatTable`` allocation; against a box with finite
     ``table_capacity`` the table fills and legitimate punches start dying
     with ``table-exhausted`` drops.  A per-host quota
-    (``max_mappings_per_host`` + ``QuotaPolicy.REFUSE``) caps the damage at
-    the attacker's quota.
+    (``max_mappings_per_host``) caps the damage at the attacker's quota.
 
     Attach the attacking host with :func:`attach_lan_attacker`; in-front
     placement (a public host hammering the NAT's WAN address) exercises the

@@ -234,14 +234,8 @@ class Network:
         for field, value in udp_totals.items():
             registry.counter(f"udp.{field}").value = value
 
-    def metrics_summary(self) -> str:
-        """Full text dump of the run's metrics (collectors included)."""
-        from repro.obs.export import render_text
-
-        return render_text(self.metrics)
-
     def metrics_json(self, indent: Optional[int] = None) -> str:
-        """Round-trippable JSON dump of the run's metrics."""
+        """JSON dump of the run's metrics (collectors included)."""
         from repro.obs.export import to_json
 
         return to_json(self.metrics, indent=indent)

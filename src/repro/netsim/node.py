@@ -91,10 +91,6 @@ class Node:
         self.routing.add(interface.network, name, next_hop=None)
         return interface
 
-    @property
-    def addresses(self) -> List[IPv4Address]:
-        return [i.ip for i in self.interfaces.values()]
-
     # -- protocol handlers ---------------------------------------------------
 
     def register_protocol(

@@ -116,13 +116,6 @@ class PacketPool:
         self.released += 1
         self._free.append(packet)
 
-    def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "free": len(self._free),
-            "released": self.released,
-        }
-
 
 #: Process-wide pool instance; hot constructors read ``PACKET_POOL._free``.
 PACKET_POOL = PacketPool()

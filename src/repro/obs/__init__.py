@@ -8,7 +8,7 @@ The observability layer the evaluation (Table 1, §6) is reported through:
 * :class:`~repro.obs.spans.Span` — connection-attempt lifecycles (rendezvous
   lookup → punch probes → lock-in or fallback-to-relay) with tagged
   outcomes;
-* :mod:`~repro.obs.export` — text summaries and round-trippable JSON dumps;
+* :mod:`~repro.obs.export` — the report's metrics block and JSON dumps;
 * :class:`~repro.obs.flight.FlightRecorder` — the causal flight recorder:
   per-attempt event timelines stitched from NAT decisions, link drops, and
   fault injections via correlation-id propagation;
@@ -47,8 +47,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "Span": "spans",
     "Verdict": "attribution",
     "explain": "attribution",
-    "from_chrome_trace": "flight_export",
-    "from_jsonl": "flight_export",
     "render_verdict": "attribution",
     "to_chrome_trace": "flight_export",
     "to_jsonl": "flight_export",
@@ -60,8 +58,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "OUTCOME_OK": "spans",
     "OUTCOME_TIMEOUT": "spans",
     "format_metric_name": "metrics",
-    "from_json": "export",
-    "render_text": "export",
     "summarize_for_report": "export",
     "to_json": "export",
 })

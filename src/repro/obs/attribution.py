@@ -109,14 +109,6 @@ class Verdict:
         self.evidence = list(evidence)
         self.attempt = attempt
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "category": self.category,
-            "reason": self.reason,
-            "attempt": self.attempt.to_dict() if self.attempt is not None else None,
-            "evidence": [e.to_dict() for e in self.evidence],
-        }
-
     def __repr__(self) -> str:
         return f"Verdict({self.category!r}, {self.reason!r}, evidence={len(self.evidence)})"
 

@@ -1,13 +1,11 @@
-"""Exporters: text summaries and JSON dumps of a metrics registry.
+"""Exporters: a text summary and a JSON dump of a metrics registry.
 
 Two consumers:
 
-* humans — :func:`render_text` prints the full catalog of a run;
-  :func:`summarize_for_report` produces the compact per-section block that
-  ``python -m repro.analysis`` appends to every figure;
-* machines — :func:`to_json` / :func:`from_json` round-trip a snapshot, so
-  ``analysis`` and the benchmark harness can archive run instrumentation
-  next to the measured artifacts.
+* humans — :func:`summarize_for_report` produces the compact per-section
+  block that ``python -m repro.analysis`` appends to every figure;
+* machines — :func:`to_json` writes a snapshot as JSON, so the benchmark
+  harness can archive run instrumentation next to the measured artifacts.
 """
 
 from __future__ import annotations
@@ -22,20 +20,6 @@ from repro.obs.spans import Span
 def to_json(registry: MetricsRegistry, indent: Optional[int] = None) -> str:
     """Serialise a snapshot (collectors included) to a JSON document."""
     return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
-
-
-def from_json(document: str) -> Dict[str, object]:
-    """Parse a document produced by :func:`to_json` back into a snapshot.
-
-    The result compares equal to the originating ``registry.snapshot()``
-    (both are plain dicts of JSON-native values) — the round-trip property
-    the test suite pins down.
-    """
-    snapshot = json.loads(document)
-    for section in ("counters", "gauges", "histograms", "spans"):
-        if section not in snapshot:
-            raise ValueError(f"not a metrics snapshot: missing {section!r}")
-    return snapshot
 
 
 def _format_value(value: float, unit: str = "s") -> str:
@@ -62,49 +46,6 @@ def _span_outcomes(spans: Sequence[Span]) -> Dict[str, int]:
         label = span.outcome if span.finished else "open"
         outcomes[label] = outcomes.get(label, 0) + 1
     return outcomes
-
-
-def render_text(registry: MetricsRegistry) -> str:
-    """Full human-readable dump: counters, gauges, histograms, spans."""
-    registry.collect()
-    lines: List[str] = []
-    counters = registry.counters()
-    if counters:
-        lines.append("counters:")
-        lines.extend(f"  {key} = {value}" for key, value in sorted(counters.items()))
-    gauges = registry.gauges()
-    if gauges:
-        lines.append("gauges:")
-        lines.extend(f"  {key} = {value:g}" for key, value in sorted(gauges.items()))
-    histograms = registry.histograms()
-    if histograms:
-        lines.append("histograms:")
-        lines.extend(
-            "  " + _histogram_line(key, hist)
-            for key, hist in sorted(histograms.items())
-        )
-    if registry.spans:
-        lines.append("spans:")
-        by_name: Dict[str, List[Span]] = {}
-        for span in registry.find_spans():
-            by_name.setdefault(span.name, []).append(span)
-        for name, spans in sorted(by_name.items()):
-            outcomes = ", ".join(
-                f"{label}={count}"
-                for label, count in sorted(_span_outcomes(spans).items())
-            )
-            durations = [s.duration for s in spans if s.duration is not None]
-            timing = ""
-            if durations:
-                timing = f", duration p50={_format_value(_percentile(durations, 50))}"
-            lines.append(f"  {name}: {len(spans)} ({outcomes}{timing})")
-    return "\n".join(lines) if lines else "(no metrics recorded)"
-
-
-def _percentile(values: Sequence[float], p: float) -> float:
-    ordered = sorted(values)
-    rank = max(1, -(-int(p * len(ordered)) // 100))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 #: Counter prefixes surfaced by the compact per-section report summary.

@@ -31,7 +31,7 @@ passive — it never schedules timers or perturbs determinism.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.clock import Scheduler
@@ -289,7 +289,7 @@ class FlightRecorder:
         ]
 
     def to_payload(self) -> Dict[str, object]:
-        """Canonical JSON-native view — the exporters' round-trip format."""
+        """Canonical JSON-native view — what the exporters write."""
         return {
             "dropped_events": self.dropped_events,
             "attempts": [self.attempts[k].to_dict() for k in sorted(self.attempts)],
@@ -301,35 +301,3 @@ class FlightRecorder:
             f"FlightRecorder(events={len(self._events)}, "
             f"attempts={len(self.attempts)}, dropped={self.dropped_events})"
         )
-
-
-def attempts_from_payload(payload: Dict[str, object]) -> Dict[int, Attempt]:
-    """Rebuild :class:`Attempt` objects from a :meth:`to_payload` dict.
-
-    Used by exporter readers so a dumped timeline can be re-explained
-    offline.  Parent links are resolved in a second pass (payload order is
-    id order, but stay defensive).
-    """
-    rebuilt: Dict[int, Attempt] = {}
-    raw: Iterable[Dict[str, object]] = payload.get("attempts", ())  # type: ignore[assignment]
-    for entry in raw:
-        attempt = Attempt(
-            int(entry["id"]),
-            str(entry["name"]),
-            float(entry["start"]),
-            dict(entry.get("tags") or {}),
-        )
-        end = entry.get("end")
-        attempt.end = float(end) if end is not None else None
-        outcome = entry.get("outcome")
-        attempt.outcome = str(outcome) if outcome is not None else None
-        rebuilt[attempt.id] = attempt
-    for entry in raw:
-        parent_id = entry.get("parent")
-        if parent_id is not None:
-            child = rebuilt[int(entry["id"])]
-            parent = rebuilt.get(int(parent_id))
-            if parent is not None:
-                child.parent = parent
-                parent.children.append(child)
-    return rebuilt

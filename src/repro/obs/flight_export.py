@@ -2,18 +2,20 @@
 
 Two machine formats for one timeline:
 
-* :func:`to_jsonl` / :func:`from_jsonl` — newline-delimited JSON, one
+* :func:`to_jsonl` — newline-delimited JSON, one
   record per line (a ``meta`` header, then attempts, then events).  Grep-
   and stream-friendly; the canonical archive format.
-* :func:`to_chrome_trace` / :func:`from_chrome_trace` — the Chrome
+* :func:`to_chrome_trace` — the Chrome
   ``trace_event`` JSON object format, loadable in ``chrome://tracing`` or
   Perfetto.  Attempts become complete (``"X"``) slices nested by causal
   parent, point events become instants (``"i"``); virtual seconds map onto
   trace microseconds.
 
-Both writers operate on :meth:`FlightRecorder.to_payload` and both readers
-return an equal payload dict — the round-trip property the test suite pins
-(including the empty-timeline and eviction-truncated edge cases).
+Both writers operate on :meth:`FlightRecorder.to_payload` and lose nothing
+of it: the JSONL records less their ``type`` tag, and the Chrome trace's
+``args``, are the payload's attempts and events, and both carry
+``dropped_events`` (the test suite pins this, including the empty-timeline
+and eviction-truncated edge cases).
 """
 
 from __future__ import annotations
@@ -51,28 +53,6 @@ def to_jsonl(source) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_jsonl(document: str) -> PayloadLike:
-    """Parse :func:`to_jsonl` output back into a payload dict."""
-    dropped = 0
-    attempts: List[Dict[str, object]] = []
-    events: List[Dict[str, object]] = []
-    for line_number, line in enumerate(document.splitlines(), start=1):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        kind = record.pop("type", None)
-        if kind == "meta":
-            dropped = int(record.get("dropped_events", 0))
-        elif kind == "attempt":
-            attempts.append(record)
-        elif kind == "event":
-            events.append(record)
-        else:
-            raise ValueError(f"line {line_number}: not a flight record: {kind!r}")
-    attempts.sort(key=lambda a: a["id"])
-    return {"dropped_events": dropped, "attempts": attempts, "events": events}
-
-
 # -- Chrome trace_event --------------------------------------------------------
 
 #: Virtual seconds -> trace microseconds.
@@ -95,8 +75,8 @@ def to_chrome_trace(source, indent: Optional[int] = None) -> str:
     One trace process; each root attempt gets its own thread row so nested
     child attempts render as a flame under their causal ancestor, and
     global (attempt-less) events land on thread 0.  Every record carries
-    the original fields under ``args`` so :func:`from_chrome_trace` can
-    reconstruct the payload losslessly.
+    the original fields under ``args``, so the payload can be rebuilt from
+    the trace losslessly.
     """
     payload = _payload(source)
     parents = {a["id"]: a.get("parent") for a in payload["attempts"]}
@@ -136,24 +116,6 @@ def to_chrome_trace(source, indent: Optional[int] = None) -> str:
         "otherData": {"dropped_events": payload["dropped_events"]},
     }
     return json.dumps(document, indent=indent, sort_keys=True)
-
-
-def from_chrome_trace(document: str) -> PayloadLike:
-    """Parse :func:`to_chrome_trace` output back into a payload dict."""
-    parsed = json.loads(document)
-    if "traceEvents" not in parsed:
-        raise ValueError("not a chrome trace: missing traceEvents")
-    attempts: List[Dict[str, object]] = []
-    events: List[Dict[str, object]] = []
-    for record in parsed["traceEvents"]:
-        args = record.get("args", {})
-        if record.get("cat") == "attempt":
-            attempts.append(dict(args))
-        elif record.get("cat") == "flight":
-            events.append(dict(args))
-    attempts.sort(key=lambda a: a["id"])
-    dropped = int(parsed.get("otherData", {}).get("dropped_events", 0))
-    return {"dropped_events": dropped, "attempts": attempts, "events": events}
 
 
 def write_flight_files(recorder: FlightRecorder, jsonl_path, trace_path) -> None:

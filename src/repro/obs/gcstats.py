@@ -36,15 +36,12 @@ class GcPauseMonitor:
 
     Re-entrant ``start`` calls are idempotent; ``stop`` detaches the callback
     and keeps the accumulated totals readable.  One monitor can be started
-    and stopped repeatedly — totals accumulate across windows until
-    :meth:`reset`.
+    and stopped repeatedly — totals accumulate across windows.
     """
 
     def __init__(self) -> None:
         self.collections = 0
         self.pause_seconds = 0.0
-        #: Per-generation collection counts (index = GC generation).
-        self.by_generation = [0, 0, 0]
         self._pause_started = None
         self._attached = False
 
@@ -55,9 +52,6 @@ class GcPauseMonitor:
             self.pause_seconds += time.perf_counter() - self._pause_started
             self._pause_started = None
             self.collections += 1
-            generation = info.get("generation", 0)
-            if 0 <= generation < len(self.by_generation):
-                self.by_generation[generation] += 1
 
     def start(self) -> "GcPauseMonitor":
         if not self._attached:
@@ -74,25 +68,6 @@ class GcPauseMonitor:
             self._attached = False
         self._pause_started = None
         return self
-
-    def reset(self) -> None:
-        self.collections = 0
-        self.pause_seconds = 0.0
-        self.by_generation = [0, 0, 0]
-        self._pause_started = None
-
-    def __enter__(self) -> "GcPauseMonitor":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "collections": self.collections,
-            "pause_seconds": self.pause_seconds,
-            "by_generation": list(self.by_generation),
-        }
 
     def __repr__(self) -> str:
         return (

@@ -95,13 +95,6 @@ class Span:
     def finished(self) -> bool:
         return self.end is not None
 
-    @property
-    def duration(self) -> Optional[float]:
-        """Virtual seconds from start to finish, or None while open."""
-        if self.end is None:
-            return None
-        return self.end - self.start
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable deep view (exporter format)."""
         return {

@@ -17,8 +17,9 @@ Three things are pinned here:
     ``examples/``, and every ``*Config`` / ``*Policy`` dataclass field is set
     by one of them, unless :data:`KEEP` / :data:`KEEP_FIELDS` says why not;
 (e) **no write-only state** — every ``self.<attr>`` that ``src/`` stores is
-    read somewhere in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``,
-    unless :data:`KEEP_ATTRS` says why not.
+    read somewhere in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``
+    (through ``self`` only by its own class, a base or a subclass), unless
+    :data:`KEEP_ATTRS` says why not.
 
 Every case of (a) runs in a fresh interpreter: ``sys.modules`` of the test
 process says nothing about what an import pulls in.
@@ -28,6 +29,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -257,14 +259,12 @@ EXPORTS = {
         "FlightEvent": "flight", "FlightRecorder": "flight", "Gauge": "metrics",
         "Histogram": "metrics", "MetricsRegistry": "metrics", "RunProfiler": "profile",
         "Span": "spans", "Verdict": "attribution", "explain": "attribution",
-        "from_chrome_trace": "flight_export",
-        "from_jsonl": "flight_export", "render_verdict": "attribution",
+        "render_verdict": "attribution",
         "to_chrome_trace": "flight_export", "to_jsonl": "flight_export",
         "write_flight_files": "flight_export", "NULL_SPAN": "spans",
         "OUTCOME_ERROR": "spans", "OUTCOME_FALLBACK": "spans", "OUTCOME_LOCKED": "spans",
         "OUTCOME_OK": "spans", "OUTCOME_TIMEOUT": "spans",
-        "format_metric_name": "metrics", "from_json": "export", "render_text": "export",
-        "summarize_for_report": "export", "to_json": "export",
+        "format_metric_name": "metrics", "summarize_for_report": "export", "to_json": "export",
     },
     "repro.scenarios": {
         "Scenario": "topologies", "build_common_nat": "topologies",
@@ -291,7 +291,7 @@ def test_every_package_is_covered():
         m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
     }
     assert found == set(EXPORTS)
-    assert sum(len(table) for table in EXPORTS.values()) == 132
+    assert sum(len(table) for table in EXPORTS.values()) == 128
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -401,19 +401,9 @@ KEEP = {
     "repro.core.rendezvous.RendezvousServer.registration":
         "the registration read API tests assert through",
     "repro.netsim.clock.Scheduler.step": "public drive API: fire one event",
-    "repro.netsim.addresses.Endpoint.parse": "public parse API, the inverse of str()",
     "repro.netsim.packet.Packet.stow": "the packet-pool contract until ROADMAP item 2 decides the pool",
-    "repro.netsim.network.Network.metrics_summary":
-        "README.md:118 and docs/observability.md:12 tell users to call it",
     "repro.netsim.network.Network.metrics_json":
         "named in benchmarks/e2e/README.md, which only a benchmark change edits",
-    "repro.obs.flight.attempts_from_payload":
-        "docs/observability.md:229 tells users to call it on a dumped flight log",
-    "repro.obs.export.from_json": "reads back what to_json writes (docs/observability.md:236)",
-    "repro.obs.flight_export.from_jsonl":
-        "reads back what to_jsonl writes (docs/observability.md:222)",
-    "repro.obs.flight_export.from_chrome_trace":
-        "reads back what to_chrome_trace writes (docs/observability.md:225)",
     "repro.core.registry.shard_of":
         "placement stated once; tests/test_registry.py checks ShardedRegistry's "
         "inline crc32 against it",
@@ -435,6 +425,25 @@ KEEP_FIELDS = {
     },
     "TcpPunchConfig.select_delay": "ROADMAP item 13 deletes it with the settle window",
 }
+
+
+#: A repository file cited in a keep reason.
+_CITED = r"[\w./-]+\.(?:py|md|json|toml|yml|txt)"
+
+
+def test_keep_reasons_cite_files_that_name_what_they_keep():
+    """A reason cites a file, never a line of one (line numbers drift), and
+    each file it cites exists and names the last component of what it keeps,
+    so a reason cannot outlive the text it points at."""
+    for table in (KEEP, KEEP_FIELDS, KEEP_ATTRS):
+        for kept, reason in table.items():
+            assert not re.search(_CITED + r":\d", reason), (kept, reason)
+            name = kept.rpartition(".")[2]
+            for cited in re.findall(_CITED, reason):
+                path = os.path.join(_REPO, cited)
+                assert os.path.isfile(path), (kept, cited)
+                with open(path, encoding="utf-8") as handle:
+                    assert name in handle.read(), (kept, cited)
 
 
 def _parsed(root: str, tops: tuple = SCANNED):
@@ -623,29 +632,74 @@ READERS = SCANNED + ("tests",)
 KEEP_ATTRS: dict = {}
 
 
+def _related_classes(bases: dict) -> dict:
+    """Class name -> itself, its bases and its subclasses, transitively, by
+    name (*bases* maps a class name to the names it derives from)."""
+
+    def ancestors(name, seen):
+        for base in bases.get(name, ()):
+            if base not in seen:
+                seen.add(base)
+                ancestors(base, seen)
+        return seen
+
+    related = {}
+    for name in bases:
+        for ancestor in ancestors(name, {name}):
+            related.setdefault(name, {name}).add(ancestor)
+            related.setdefault(ancestor, {ancestor}).add(name)
+    return related
+
+
 def write_only(root: str = _REPO) -> list:
-    """Sorted names of the attributes ``src/`` stores as ``self.<attr>`` (an
-    assignment, annotated or augmented) that nothing in :data:`READERS`
-    reads.  A read is an attribute load of that name on any object, or a
-    string constant spelled like it, so a collector that reads by name
-    through ``getattr`` counts.  ``self.n += 1`` alone is no read: a counter
-    nobody looks at is write-only however often it is bumped."""
-    stored, read = set(), set()
+    """Sorted ``Class.attr`` of the attributes ``src/`` stores as
+    ``self.<attr>`` (an assignment, annotated or augmented) inside a class
+    that nothing in :data:`READERS` reads.
+
+    A ``self.<attr>`` load is a read only for the class it sits in, that
+    class's bases and its subclasses (matched by class name), so a class
+    cannot keep another class's unrelated attribute alive by reading its own
+    attribute of the same name.  Any other attribute load — ``obj.attr`` — is
+    a read by name for every class, and so is a string constant spelled like
+    the attribute, so a collector that reads by name through ``getattr``
+    counts.  ``self.n += 1`` alone is no read: a counter nobody looks at is
+    write-only however often it is bumped."""
+    stored, self_reads, read, bases = set(), set(), set(), {}
+
+    def visit(node, owner, in_src):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                bases.setdefault(child.name, set()).update(
+                    getattr(base, "id", getattr(base, "attr", None)) for base in child.bases
+                )
+                visit(child, child.name, in_src)
+                continue
+            if isinstance(child, ast.Attribute):
+                on_self = (
+                    owner is not None
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "self"
+                )
+                if isinstance(child.ctx, ast.Load):
+                    if on_self:
+                        self_reads.add((owner, child.attr))
+                    else:
+                        read.add(child.attr)
+                elif on_self and in_src and isinstance(child.ctx, ast.Store):
+                    stored.add((owner, child.attr))
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                read.add(child.value)
+            visit(child, owner, in_src)
+
     for module, _, tree in _parsed(root, READERS):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                if isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
-                elif (
-                    module is not None
-                    and isinstance(node.ctx, ast.Store)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                ):
-                    stored.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
-    return sorted(stored - read)
+        visit(tree, None, module is not None)
+    related = _related_classes(bases)
+    return sorted(
+        f"{owner}.{attr}"
+        for owner, attr in stored
+        if attr not in read
+        and not any((other, attr) in self_reads for other in related.get(owner, {owner}))
+    )
 
 
 def test_every_stored_attribute_is_read():
@@ -671,7 +725,7 @@ def test_the_write_only_scan_counts_loads_and_getattr_names(tmp_path):
         "def collect(obj):\n"
         "    return getattr(obj, 'collected')\n"
     )
-    assert write_only(str(tmp_path)) == ["asserted", "bumped"]
+    assert write_only(str(tmp_path)) == ["Counted.asserted", "Counted.bumped"]
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_mod.py").write_text(
         "from pkg.mod import Counted\n"
@@ -680,4 +734,31 @@ def test_the_write_only_scan_counts_loads_and_getattr_names(tmp_path):
         "    counted.tick()\n"
         "    assert counted.asserted == 1\n"
     )
-    assert write_only(str(tmp_path)) == ["bumped"]
+    assert write_only(str(tmp_path)) == ["Counted.bumped"]
+
+
+def test_the_write_only_scan_reads_self_loads_by_class(tmp_path):
+    """A ``self.<attr>`` load reads only its own class's attribute, its
+    bases' and its subclasses': ``B`` reading its own ``_x`` does not keep
+    ``A._x`` alive, while ``Child`` reading the ``_y`` its base stores
+    does."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._x = 1\n"
+        "        self._y = 2\n"
+        "\n"
+        "class B:\n"
+        "    def __init__(self):\n"
+        "        self._x = 3\n"
+        "\n"
+        "    def get(self):\n"
+        "        return self._x\n"
+        "\n"
+        "class Child(A):\n"
+        "    def get(self):\n"
+        "        return self._y\n"
+    )
+    assert write_only(str(tmp_path)) == ["A._x"]

@@ -8,12 +8,7 @@ import json
 import pytest
 
 from repro.netsim.network import Network
-from repro.obs.export import (
-    from_json,
-    render_text,
-    summarize_for_report,
-    to_json,
-)
+from repro.obs.export import summarize_for_report, to_json
 from repro.obs.metrics import (
     HISTOGRAM_SAMPLE_CAP,
     Histogram,
@@ -100,7 +95,7 @@ def test_span_lifecycle_and_nesting():
     child.finish(OUTCOME_LOCKED, endpoint="1.2.3.4:600")
     root.finish(OUTCOME_LOCKED)
     assert root.start == 0.0 and root.end == 2.5
-    assert child.start == 1.0 and child.duration == 1.5
+    assert child.start == 1.0 and child.end == 2.5
     assert child.finished and child.outcome == OUTCOME_LOCKED
     assert child.tags["endpoint"] == "1.2.3.4:600"
     assert child.events[0][1] == "probing-started"
@@ -158,19 +153,7 @@ def _populated_registry() -> MetricsRegistry:
 
 def test_json_round_trip():
     reg = _populated_registry()
-    document = to_json(reg)
-    assert from_json(document) == reg.snapshot()
-    with pytest.raises(ValueError):
-        from_json(json.dumps({"counters": {}}))
-
-
-def test_render_text_lists_everything():
-    text = render_text(_populated_registry())
-    assert "punch.udp.probes_sent = 8" in text
-    assert "nat.drops{node=NAT-A,reason=no-mapping} = 2" in text
-    assert "punch.udp.lock_in_seconds" in text
-    assert "locked=1" in text
-    assert render_text(MetricsRegistry()) == "(no metrics recorded)"
+    assert json.loads(to_json(reg)) == reg.snapshot()
 
 
 def test_summarize_for_report_filters_prefixes():
