@@ -323,7 +323,7 @@ def bench_adversarial(quick: bool = False) -> dict:
 
     behavior = SYMMETRIC.but(table_capacity=192, max_mappings_per_host=64)
     sc = build_two_nats(seed=42, behavior_a=behavior, behavior_b=FULL_CONE)
-    mole = attach_lan_attacker(sc.net, sc.nats["A"], ip="10.0.0.66")
+    mole = attach_lan_attacker(sc.net, sc.nats["A"])
     attacker = ExhaustionFlood(
         sc.net, host=mole, nat=sc.nats["A"], name="flood", interval=0.01, burst=64
     )

@@ -13,7 +13,7 @@ from repro.core.udp_punch import PunchConfig
 from repro.nat import behavior as B
 from repro.nat.device import NatDevice
 from repro.natcheck.discovery import NatDiscovery
-from repro.natcheck.servers import SERVER_IPS, NatCheckServers
+from repro.natcheck.servers import NatCheckServers
 from repro.netsim.link import BACKBONE_LINK, LAN_LINK
 from repro.netsim.network import Network
 from repro.scenarios import build_two_nats
@@ -32,7 +32,7 @@ def discover(behavior, label):
     host = net.add_host("probe", ip="10.0.0.1", network="10.0.0.0/24",
                         link=lan, gateway="10.0.0.254")
     attach_stack(host, rng=net.rng.child("probe"))
-    probe = NatDiscovery(host, list(SERVER_IPS))
+    probe = NatDiscovery(host)
     done = []
     probe.run(done.append)
     net.scheduler.run_while(lambda: not done, 30.0)

@@ -154,7 +154,7 @@ def _scenario_exhaustion_flood(seed: int) -> Tuple[FlightRecorder, List[Attempt]
     )
     scenario.register_all_udp()
     nat_a = scenario.nats["A"]
-    mole = attach_lan_attacker(scenario.net, nat_a, ip="10.0.0.66")
+    mole = attach_lan_attacker(scenario.net, nat_a)
     attacker = ExhaustionFlood(
         scenario.net, host=mole, nat=nat_a, name="flood", interval=0.05, burst=64
     )
@@ -188,8 +188,6 @@ def _scenario_spoofed_rst(seed: int) -> Tuple[FlightRecorder, List[Attempt]]:
         host=offpath,
         nat=scenario.nats["A"],
         forged_src=stream.remote,
-        interval=0.1,
-        burst=16,
     )
     attacker.start()
     scenario.wait_for(lambda: stream.broken, _DEADLINE)

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.cache.fingerprint import canonical_json, mix_seed
 from repro.nat.behavior import FULL_CONE, WELL_BEHAVED, NatBehavior
 from repro.natcheck.client import NatCheckConfig
-from repro.natcheck.fleet import VENDOR_SPECS, VendorSpec, device_behavior, plan_runs
+from repro.natcheck.fleet import VENDOR_SPECS, device_behavior, plan_runs
 from repro.obs.attribution import explain
 
 #: Attack families reported on (and their scenario protocols below).
@@ -103,19 +103,6 @@ class Cell:
             return None
         return self.survived / self.survive_total
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "family": self.family,
-            "mode": self.mode,
-            "punched": self.punched,
-            "punch_total": self.punch_total,
-            "punch_rate": self.punch_rate,
-            "survived": self.survived,
-            "survive_total": self.survive_total,
-            "survival_rate": self.survival_rate,
-            "verdicts": dict(sorted(self.verdicts.items())),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Per-family scenario protocols (validated shapes; see tests/test_adversary)
@@ -143,7 +130,7 @@ def _run_exhaustion(behavior: NatBehavior, mode: str, seed: int) -> RunResult:
     nat_a = sc.nats["A"]
     attacker = None
     if mode != "baseline":
-        mole = attach_lan_attacker(sc.net, nat_a, ip="10.0.0.66")
+        mole = attach_lan_attacker(sc.net, nat_a)
         attacker = ExhaustionFlood(
             sc.net, host=mole, nat=nat_a, name="flood", interval=0.05, burst=64
         )
@@ -221,8 +208,6 @@ def _run_spoofed_rst(behavior: NatBehavior, mode: str, seed: int) -> RunResult:
             host=offpath,
             nat=sc.nats["A"],
             forged_src=stream.remote,
-            interval=0.1,
-            burst=16,
             spoof_icmp=True,
             known_remote=stream.remote,
         )
@@ -261,7 +246,7 @@ def _run_port_prediction(behavior: NatBehavior, mode: str, seed: int) -> RunResu
         client.punch_config = config
     attacker = None
     if mode != "baseline":
-        mole = attach_lan_attacker(sc.net, sc.nats["A"], ip="10.0.0.66")
+        mole = attach_lan_attacker(sc.net, sc.nats["A"])
         attacker = PortPredictionRacer(
             sc.net, host=mole, nat=sc.nats["A"], name="racer", interval=0.05, burst=8
         )
@@ -378,29 +363,18 @@ class RobustnessReport:
         )
         return no_regress and punch_recovered and surv_recovered
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "behaviors": self.behaviors,
-            "devices": self.devices,
-            "seed": self.seed,
-            "cells": [c.to_dict() for c in self.cells.values()],
-        }
 
-
-def run_robustness(
-    seed: int = 7,
-    specs: Tuple[VendorSpec, ...] = VENDOR_SPECS,
-    families: Tuple[str, ...] = FAMILIES,
-    quick: bool = False,
-) -> RobustnessReport:
-    """Sweep the (deduplicated) fleet through every attack × mode.
+def run_robustness(seed: int = 7, quick: bool = False) -> RobustnessReport:
+    """Sweep the (deduplicated) Table 1 fleet through every attack × mode.
 
     ``quick`` keeps only the first few distinct behaviours — the CI smoke
     and benchmark variant.  Every mode of a given (behaviour, family) pair
     runs with the **same** derived seed, so attacked-vs-hardened deltas are
     never seed noise.
     """
-    behaviors = [device_behavior(spec, index) for spec in specs for index in range(spec.population)]
+    behaviors = [
+        device_behavior(spec, index) for spec in VENDOR_SPECS for index in range(spec.population)
+    ]
     # One fixed NAT Check config, so the planned runs are the distinct
     # behaviours, each weighted by the devices sharing it.
     plan = plan_runs([(behavior, NatCheckConfig()) for behavior in behaviors], seed)
@@ -421,11 +395,11 @@ def run_robustness(
         pairs = picked[:6]
     cells = {
         (family, mode): Cell(family, mode)
-        for family in families
+        for family in FAMILIES
         for mode in MODES
     }
     for behavior, weight in pairs:
-        for family in families:
+        for family in FAMILIES:
             run_seed = mix_seed(seed, f"robustness/{family}/{canonical_json(behavior)}")
             protocol = _PROTOCOLS[family]
             for mode in MODES:

@@ -104,7 +104,10 @@ class PeerClient:
             used for the UDP socket and (separately) the TCP port family.
         obfuscate: obfuscate endpoint fields in messages (§3.1 defence
             against payload-mangling NATs; must match the server's setting).
-        punch_config / tcp_punch_config / sequential_config: timing knobs.
+
+    The timing knobs start at their defaults; a caller that wants others
+    assigns :attr:`punch_config`, :attr:`tcp_punch_config` or
+    :attr:`sequential_config` before connecting.
     """
 
     def __init__(
@@ -114,18 +117,15 @@ class PeerClient:
         server: Endpoint,
         local_port: int = 4321,
         obfuscate: bool = False,
-        punch_config: Optional[PunchConfig] = None,
-        tcp_punch_config: Optional[TcpPunchConfig] = None,
-        sequential_config: Optional[SequentialConfig] = None,
     ) -> None:
         self.host = host
         self.scheduler = host.scheduler
         self.client_id = client_id
         self.server = server
         self.obfuscate = obfuscate
-        self.punch_config = punch_config or PunchConfig()
-        self.tcp_punch_config = tcp_punch_config or TcpPunchConfig()
-        self.sequential_config = sequential_config or SequentialConfig()
+        self.punch_config = PunchConfig()
+        self.tcp_punch_config = TcpPunchConfig()
+        self.sequential_config = SequentialConfig()
         stack = host.stack  # type: ignore[attr-defined]
         self._stack = stack
         # --- UDP side -------------------------------------------------------

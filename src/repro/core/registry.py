@@ -421,7 +421,6 @@ class ShardedRegistry:
         now_fn: Callable[[], float],
         endpoints: Sequence[Endpoint],
         config: Optional[RegistryConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not endpoints:
             raise ValueError("ShardedRegistry needs at least one endpoint")
@@ -432,7 +431,6 @@ class ShardedRegistry:
                 ttl=self.config.ttl,
                 max_entries=self.config.max_entries,
                 sweep_granularity=self.config.sweep_granularity,
-                metrics=metrics,
             )
             for _ in endpoints
         ]

@@ -46,6 +46,9 @@ from repro.transport.tcp import FrameBuffer, TcpConnection, TcpState
 from repro.util.errors import ProtocolError
 from repro.util.rng import SeededRng
 
+#: S's well-known port, UDP and TCP alike (the paper's examples, Figure 2).
+SERVER_PORT = 1234
+
 
 @dataclass(slots=True)
 class Registration:
@@ -120,11 +123,10 @@ def _describe(kind, reg: Registration, nonce: int, **extra) -> Message:
 
 
 class RendezvousServer:
-    """The well-known server S, serving UDP and TCP on one port.
+    """The well-known server S, serving UDP and TCP on :data:`SERVER_PORT`.
 
     Args:
         host: public simulated host to run on (must have a HostStack).
-        port: the well-known port (paper examples use 1234).
         obfuscate: set to protect endpoint fields against payload-mangling
             NATs (§5.3); clients must use the same setting.
 
@@ -138,16 +140,14 @@ class RendezvousServer:
     def __init__(
         self,
         host: Host,
-        port: int = 1234,
         obfuscate: bool = False,
         rng: Optional[SeededRng] = None,
     ) -> None:
         self.host = host
-        self.port = port
         self.obfuscate = obfuscate
         self._rng = rng or SeededRng(0, f"rendezvous/{host.name}")
         stack = host.stack  # type: ignore[attr-defined]
-        self.endpoint = Endpoint(host.primary_ip, port)
+        self.endpoint = Endpoint(host.primary_ip, SERVER_PORT)
         #: The owning network's registry (set on the host by Network.add_node);
         #: standalone hosts get a private one so instrumentation never branches.
         self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry(
@@ -157,9 +157,9 @@ class RendezvousServer:
         self.udp_clients: RegistrationTable = RegistrationTable(now_fn, metrics=self.metrics)
         self.tcp_clients: RegistrationTable = RegistrationTable(now_fn, metrics=self.metrics)
         self._tcp_conns: Dict[int, _ControlConnection] = {}
-        self._udp = stack.udp.socket(port)
+        self._udp = stack.udp.socket(SERVER_PORT)
         self._udp.on_datagram = self._on_udp
-        self._listener = stack.tcp.listen(port, on_accept=self._on_accept, reuse=True)
+        self._listener = stack.tcp.listen(SERVER_PORT, on_accept=self._on_accept, reuse=True)
         #: Stable pairing nonce per (pair, transport) so that retransmitted
         #: connect requests (datagram loss, §3.2's asynchronous timing) keep
         #: authenticating the same punch attempt.
@@ -215,9 +215,9 @@ class RendezvousServer:
         self.stopped = False
         self.restarts += 1
         stack = self.host.stack  # type: ignore[attr-defined]
-        self._udp = stack.udp.socket(self.port)
+        self._udp = stack.udp.socket(SERVER_PORT)
         self._udp.on_datagram = self._on_udp
-        self._listener = stack.tcp.listen(self.port, on_accept=self._on_accept, reuse=True)
+        self._listener = stack.tcp.listen(SERVER_PORT, on_accept=self._on_accept, reuse=True)
 
     def restart(self) -> None:
         """Simulate a server crash/restart: all soft state is lost.

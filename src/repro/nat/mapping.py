@@ -10,7 +10,7 @@ close-linger without per-packet timer churn.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.netsim.addresses import Endpoint, IPv4Address
 from repro.netsim.clock import Scheduler, Timer
@@ -184,7 +184,6 @@ class NatTable:
         allocation: PortAllocation,
         port_base: int,
         rng: Optional[SeededRng] = None,
-        on_expire: Optional[Callable[[NatMapping], None]] = None,
         capacity: Optional[int] = None,
         max_per_host: Optional[int] = None,
     ) -> None:
@@ -193,7 +192,6 @@ class NatTable:
         self.allocation = allocation
         self.port_base = port_base
         self._rng = rng or SeededRng(0, "nat-table")
-        self._on_expire = on_expire
         #: Translation-memory bound (None = unbounded) and per-host quota —
         #: the ReDAN hardening axes, mirrored from NatBehavior by NatDevice.
         self.capacity = capacity
@@ -433,18 +431,16 @@ class NatTable:
                     self._dynamic_in_use[wire] = count
                 else:
                     self._dynamic_in_use.pop(wire, None)
-        if self._on_expire is not None:
-            self._on_expire(mapping)
 
     def reset(self, port_base: Optional[int] = None) -> None:
         """Forget all translation state — the NAT rebooted.
 
-        Every mapping is dropped without firing ``on_expire`` (the box lost
-        power; nothing ran), every expiry timer is cancelled, and the port
-        allocator restarts from *port_base* (default: the existing base), so
-        sessions re-created after the reboot land on fresh public ports —
-        the classic consumer-NAT state loss the paper's keepalive discussion
-        (§3.6) presupposes.
+        Every mapping is dropped and every expiry timer cancelled (the box
+        lost power; nothing ran), and the port allocator restarts from
+        *port_base* (default: the existing base), so sessions re-created
+        after the reboot land on fresh public ports — the classic
+        consumer-NAT state loss the paper's keepalive discussion (§3.6)
+        presupposes.
         """
         self.mappings_lost_to_reset += len(self._by_key)
         for timer in self._timers.values():

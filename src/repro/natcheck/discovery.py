@@ -22,13 +22,18 @@ IP):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.nat.policy import FilteringPolicy, MappingPolicy
 from repro.natcheck import messages as m
-from repro.natcheck.servers import SERVER_ALT_PORT, SERVER_PORT
+from repro.natcheck.servers import SERVER_ALT_PORT, SERVER_IPS, SERVER_PORT
 from repro.netsim.addresses import Endpoint
 from repro.netsim.node import Host
+
+#: The local UDP port whose mapping the probes measure.
+_LOCAL_PORT = 4321
+#: Seconds each phase waits for the servers' answers before classifying.
+_WAIT = 2.0
 
 
 @dataclass
@@ -67,23 +72,16 @@ class DiscoveryResult:
 
 
 class NatDiscovery:
-    """One discovery run from a host behind the NAT under test.
+    """One discovery run from *host* (with a HostStack) behind the NAT under
+    test, against the NAT Check servers at :data:`SERVER_IPS` (primary and
+    alternate endpoints derive from :data:`SERVER_PORT` /
+    :data:`SERVER_ALT_PORT`)."""
 
-    Args:
-        host: the probing host (with a HostStack).
-        server_ips: the three NAT Check server IPs (primary + alternates
-            derive from :data:`SERVER_PORT` / :data:`SERVER_ALT_PORT`).
-        local_port: the local UDP port whose mapping is probed.
-    """
-
-    def __init__(self, host: Host, server_ips: List, local_port: int = 4321,
-                 wait: float = 2.0) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
-        self.server1 = Endpoint(server_ips[0], SERVER_PORT)
-        self.server1_alt = Endpoint(server_ips[0], SERVER_ALT_PORT)
-        self.server2 = Endpoint(server_ips[1], SERVER_PORT)
-        self.local_port = local_port
-        self.wait = wait
+        self.server1 = Endpoint(SERVER_IPS[0], SERVER_PORT)
+        self.server1_alt = Endpoint(SERVER_IPS[0], SERVER_ALT_PORT)
+        self.server2 = Endpoint(SERVER_IPS[1], SERVER_PORT)
         self.result = DiscoveryResult()
         self._stack = host.stack  # type: ignore[attr-defined]
         self._on_complete: Optional[Callable[[DiscoveryResult], None]] = None
@@ -108,7 +106,7 @@ class NatDiscovery:
     # -- phase 1: mapping policy ---------------------------------------------------
 
     def _mapping_phase(self) -> None:
-        sock = self._stack.udp.socket(self.local_port)
+        sock = self._stack.udp.socket(_LOCAL_PORT)
         self.result.local_endpoint = sock.local
 
         def on_datagram(data: bytes, src: Endpoint) -> None:
@@ -122,7 +120,7 @@ class NatDiscovery:
         sock.sendto(m.Probe(m.UDP_PROBE, self._tag_token("s1")).pack(), self.server1)
         sock.sendto(m.Probe(m.UDP_PROBE, self._tag_token("s1alt")).pack(), self.server1_alt)
         sock.sendto(m.Probe(m.UDP_PROBE, self._tag_token("s2")).pack(), self.server2)
-        self.scheduler.call_later(self.wait, self._classify_mapping)
+        self.scheduler.call_later(_WAIT, self._classify_mapping)
 
     def _classify_mapping(self) -> None:
         observed = self.result.observed
@@ -178,7 +176,7 @@ class NatDiscovery:
                 self.result.filtering = FilteringPolicy.ADDRESS_AND_PORT
             self._finish()
 
-        self.scheduler.call_later(self.wait, classify)
+        self.scheduler.call_later(_WAIT, classify)
 
     # -- completion -----------------------------------------------------------------------
 

@@ -211,12 +211,13 @@ class _Server:
 
 
 class NatCheckServers:
-    """The trio of well-known NAT Check servers on a public segment."""
+    """The trio of well-known NAT Check servers at :data:`SERVER_IPS` on a
+    public segment."""
 
-    def __init__(self, net: Network, link, ips=SERVER_IPS) -> None:
+    def __init__(self, net: Network, link) -> None:
         self.net = net
         self.servers = []
-        for index, ip in enumerate(ips, start=1):
+        for index, ip in enumerate(SERVER_IPS, start=1):
             host = net.add_host(f"ncs{index}", ip=ip, network="0.0.0.0/0", link=link)
             attach_stack(host, rng=net.rng.child(f"stack/ncs{index}"))
             self.servers.append(_Server(self, host, index))

@@ -72,6 +72,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: A flood destination nobody answers (TEST-NET-3): packets die on the
 #: backbone, but the mapping was already allocated by then.
 DARK_ADDRESS = "203.0.113.1"
+#: First source port a churning attacker burns; it wraps back here.
+_SRC_PORT_BASE = 20000
+#: Where the placement helpers put an attacker: inside the NAT's first LAN,
+#: and on the public backbone (TEST-NET-2).
+_LAN_ATTACKER_IP = "10.0.0.66"
+_WAN_ATTACKER_IP = "198.51.100.66"
+#: Public ports a spoofer sweeps, upward from the target NAT's port base.
+_SWEEP_WIDTH = 32
 
 FAMILY_EXHAUSTION = "exhaustion-flood"
 FAMILY_SPOOFED_RST = "spoofed-rst"
@@ -201,16 +209,13 @@ class _ChurnAttacker(Attacker):
         name: str,
         interval: float = 0.25,
         burst: int = 32,
-        remote_ip: str = DARK_ADDRESS,
-        src_port_base: int = 20000,
     ) -> None:
         super().__init__(net, name, interval=interval, burst=burst)
         self.host = host
         self.nat = nat
-        self.remote_ip = IPv4Address(remote_ip)
+        self.remote_ip = IPv4Address(DARK_ADDRESS)
         self._src_ip = host.interfaces["eth0"].ip
-        self._src_port = src_port_base
-        self._src_port_base = src_port_base
+        self._src_port = _SRC_PORT_BASE
         self._dst_port = 40000
 
     def _burst(self) -> int:
@@ -222,7 +227,7 @@ class _ChurnAttacker(Attacker):
             if self._src_port > 0xFFFF:
                 # Wrap onto a fresh destination port so the churned keys stay
                 # distinct for cone *and* symmetric tables.
-                self._src_port = self._src_port_base
+                self._src_port = _SRC_PORT_BASE
                 self._dst_port += 1
             self._launch(
                 self.host, udp_packet(src, Endpoint(remote_ip, self._dst_port))
@@ -300,24 +305,19 @@ class SpoofedRstInjector(Attacker):
         host: Host,
         nat: "NatDevice",
         forged_src: Endpoint,
-        name: str = "spoofer",
-        interval: float = 0.25,
-        burst: int = 16,
-        port_center: Optional[int] = None,
-        sweep_width: int = 32,
         spoof_icmp: bool = False,
         known_remote: Optional[Endpoint] = None,
     ) -> None:
-        super().__init__(net, name, interval=interval, burst=burst)
+        super().__init__(net, "spoofer", interval=0.1, burst=16)
         self.host = host
         self.nat = nat
         self.forged_src = forged_src
         self.spoof_icmp = spoof_icmp
         self.known_remote = known_remote if known_remote is not None else forged_src
         self._target_ip = nat.public_ip
-        base = port_center if port_center is not None else nat.behavior.port_base
+        base = nat.behavior.port_base
         self.sweep_ports: List[int] = [
-            ((base + offset - 1) & 0xFFFF) + 1 for offset in range(sweep_width)
+            ((base + offset - 1) & 0xFFFF) + 1 for offset in range(_SWEEP_WIDTH)
         ]
         self._sweep_idx = 0
 
@@ -365,26 +365,15 @@ class SpoofedRstInjector(Attacker):
 # ---------------------------------------------------------------------------
 
 
-def attach_lan_attacker(
-    net: "Network",
-    nat: "NatDevice",
-    ip: str,
-    label: str = "mole",
-    lan_name: str = "lan0",
-) -> Host:
-    """Attach a raw host to *nat*'s private realm (no transport stack — the
-    attacker speaks packets, not sockets).  Returns the host."""
-    lan = nat.interfaces[lan_name]
+def attach_lan_attacker(net: "Network", nat: "NatDevice") -> Host:
+    """Attach a raw host ``mole`` to *nat*'s private realm (no transport
+    stack — the attacker speaks packets, not sockets).  Returns the host."""
+    lan = nat.interfaces["lan0"]
     return net.add_host(
-        label, ip=ip, network=str(lan.network), link=lan.link, gateway=lan.ip
+        "mole", ip=_LAN_ATTACKER_IP, network=str(lan.network), link=lan.link, gateway=lan.ip
     )
 
 
-def attach_wan_attacker(
-    net: "Network",
-    backbone,
-    ip: str = "198.51.100.66",
-    label: str = "offpath",
-) -> Host:
-    """Attach a raw public host (the off-path spoofing position)."""
-    return net.add_host(label, ip=ip, network="0.0.0.0/0", link=backbone)
+def attach_wan_attacker(net: "Network", backbone) -> Host:
+    """Attach a raw public host ``offpath`` (the off-path spoofing position)."""
+    return net.add_host("offpath", ip=_WAN_ATTACKER_IP, network="0.0.0.0/0", link=backbone)

@@ -78,20 +78,17 @@ class Network:
         node.flight = self.flight
         return node
 
-    def attach_flight(self, capacity: Optional[int] = None) -> "FlightRecorder":
+    def attach_flight(self) -> "FlightRecorder":
         """Attach a causal flight recorder and fan it out to every layer.
 
         Existing and future nodes/links get the reference; idempotent (a
         second call returns the recorder already attached).  Recording stays
         strictly passive — determinism is unaffected.
         """
-        from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
+        from repro.obs.flight import FlightRecorder
 
         if self.flight is None:
-            self.flight = FlightRecorder(
-                self.scheduler,
-                capacity=capacity if capacity is not None else DEFAULT_CAPACITY,
-            )
+            self.flight = FlightRecorder(self.scheduler)
             for link in self.links.values():
                 link.set_flight(self.flight)
             for node in self.nodes.values():
@@ -234,11 +231,11 @@ class Network:
         for field, value in udp_totals.items():
             registry.counter(f"udp.{field}").value = value
 
-    def metrics_json(self, indent: Optional[int] = None) -> str:
+    def metrics_json(self) -> str:
         """JSON dump of the run's metrics (collectors included)."""
         from repro.obs.export import to_json
 
-        return to_json(self.metrics, indent=indent)
+        return to_json(self.metrics)
 
     def __repr__(self) -> str:
         return f"Network(nodes={len(self.nodes)}, links={len(self.links)}, t={self.now:.3f})"

@@ -213,24 +213,17 @@ class Host(Node):
             raise RoutingError(f"host {self.name} has no interfaces")
         return next(iter(self.interfaces.values())).ip
 
-    def set_default_gateway(self, gateway_ip, interface: Optional[str] = None) -> Route:
-        """Install the default route via *gateway_ip*.
-
-        If *interface* is omitted the gateway must be on-link of exactly one
-        interface.
-        """
+    def set_default_gateway(self, gateway_ip) -> Route:
+        """Install the default route via *gateway_ip*, which must be on-link
+        of exactly one interface."""
         gateway = IPv4Address(gateway_ip)
-        if interface is None:
-            candidates = [
-                i.name for i in self.interfaces.values() if gateway in i.network
-            ]
-            if len(candidates) != 1:
-                raise RoutingError(
-                    f"{self.name}: cannot infer interface for gateway {gateway} "
-                    f"(candidates: {candidates})"
-                )
-            interface = candidates[0]
-        return self.routing.add_default(interface, gateway)
+        candidates = [i.name for i in self.interfaces.values() if gateway in i.network]
+        if len(candidates) != 1:
+            raise RoutingError(
+                f"{self.name}: cannot infer interface for gateway {gateway} "
+                f"(candidates: {candidates})"
+            )
+        return self.routing.add_default(candidates[0], gateway)
 
 
 class Router(Node):

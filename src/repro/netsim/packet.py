@@ -78,12 +78,12 @@ class PacketPool:
 
     __slots__ = ("enabled", "debug_poison", "max_free", "released", "_free")
 
-    def __init__(self, max_free: int = 4096) -> None:
+    def __init__(self) -> None:
         self.enabled = True
         self.debug_poison = False
         #: Soft bound on the free list: the drain loop stops releasing for
         #: the rest of a batch once the list reaches this size.
-        self.max_free = max_free
+        self.max_free = 4096
         #: Total packets returned to the pool (obs counter).
         self.released = 0
         self._free: list = []

@@ -362,7 +362,11 @@ def explain(attempt: Attempt, recorder: FlightRecorder) -> Verdict:
     )
 
 
-def render_verdict(verdict: Verdict, max_evidence: int = 12) -> str:
+#: Evidence events a post-mortem lists before "... N more event(s)".
+_MAX_EVIDENCE = 12
+
+
+def render_verdict(verdict: Verdict) -> str:
     """Human-readable post-mortem block (the ``--explain`` CLI output)."""
     lines: List[str] = []
     attempt = verdict.attempt
@@ -379,7 +383,7 @@ def render_verdict(verdict: Verdict, max_evidence: int = 12) -> str:
     lines.append(f"  {verdict.reason}")
     if verdict.evidence:
         lines.append("evidence:")
-        shown = verdict.evidence[:max_evidence]
+        shown = verdict.evidence[:_MAX_EVIDENCE]
         for event in shown:
             attrs = ", ".join(
                 f"{k}={v}" for k, v in sorted(event.attrs.items()) if k != "packet"

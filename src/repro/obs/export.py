@@ -11,15 +11,15 @@ Two consumers:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.spans import Span
 
 
-def to_json(registry: MetricsRegistry, indent: Optional[int] = None) -> str:
+def to_json(registry: MetricsRegistry) -> str:
     """Serialise a snapshot (collectors included) to a JSON document."""
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
+    return json.dumps(registry.snapshot(), sort_keys=True)
 
 
 def _format_value(value: float, unit: str = "s") -> str:

@@ -257,12 +257,12 @@ class FlightRecorder:
         """Every retained event, oldest first."""
         return list(self._events)
 
-    def timeline(self, attempt: Attempt, include_global: bool = True) -> List[FlightEvent]:
+    def timeline(self, attempt: Attempt) -> List[FlightEvent]:
         """The merged, ordered per-attempt timeline.
 
-        Owned events plus (by default) global events falling inside the
-        attempt's ``[start, end]`` window — an open attempt's window extends
-        to the latest retained event.
+        Owned events plus global events falling inside the attempt's
+        ``[start, end]`` window — an open attempt's window extends to the
+        latest retained event.
         """
         wanted = set(attempt.ids())
         end = attempt.end
@@ -272,11 +272,7 @@ class FlightRecorder:
         for event in self._events:
             if event.attempt in wanted:
                 out.append(event)
-            elif (
-                include_global
-                and event.attempt is None
-                and attempt.start <= event.time <= end
-            ):
+            elif event.attempt is None and attempt.start <= event.time <= end:
                 out.append(event)
         return out
 

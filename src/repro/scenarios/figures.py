@@ -210,7 +210,7 @@ def run_figure3(seed: int = 0) -> FigureResult:
 # ---------------------------------------------------------------------------
 
 
-def _punch_udp(scenario: Scenario, timeout: float = 20.0) -> Dict[str, object]:
+def _punch_udp(scenario: Scenario) -> Dict[str, object]:
     scenario.register_all_udp()
     a, b = scenario.clients["A"], scenario.clients["B"]
     result: Dict[str, object] = {}
@@ -223,7 +223,7 @@ def _punch_udp(scenario: Scenario, timeout: float = 20.0) -> Dict[str, object]:
     )
     scenario.scheduler.run_while(
         lambda: not ("a_session" in result or "failure" in result),
-        scenario.scheduler.now + timeout,
+        scenario.scheduler.now + 20.0,
     )
     result["elapsed"] = scenario.scheduler.now - started
     if "a_session" in result:

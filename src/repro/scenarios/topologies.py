@@ -30,7 +30,6 @@ from repro.util.errors import TimeoutError_
 
 #: The paper's well-known server address (Figure 2).
 SERVER_IP = "18.181.0.31"
-SERVER_PORT = 1234
 NAT_A_PUBLIC = "155.99.25.11"
 NAT_B_PUBLIC = "138.76.29.7"
 CLIENT_LOCAL_PORT = 4321
@@ -72,13 +71,11 @@ class Scenario:
         if not self.scheduler.run_while(lambda: not predicate(), deadline):
             raise TimeoutError_(f"condition not reached within {timeout}s of virtual time")
 
-    def register_all_udp(self, timeout: float = 10.0) -> None:
+    def register_all_udp(self) -> None:
         """Register every client with S over UDP and wait for completion."""
         for client in self.clients.values():
             client.register_udp()
-        self.wait_for(
-            lambda: all(c.udp_registered for c in self.clients.values()), timeout
-        )
+        self.wait_for(lambda: all(c.udp_registered for c in self.clients.values()), 10.0)
 
     def register_all_tcp(self, timeout: float = 10.0) -> None:
         """Register every client with S over TCP and wait for completion."""
@@ -123,21 +120,19 @@ class ScenarioBuilder:
         self.backbone = self.net.create_link("backbone", backbone_profile)
         self._server: Optional[RendezvousServer] = None
 
-    def add_server(self, ip: str = SERVER_IP, port: int = SERVER_PORT) -> RendezvousServer:
-        """Add the rendezvous server S (host label ``"S"``)."""
-        host = self.net.add_host("S", ip=ip, network=PUBLIC_NET, link=self.backbone)
+    def add_server(self) -> RendezvousServer:
+        """Add the rendezvous server S (host label ``"S"``) at the paper's
+        well-known endpoint."""
+        host = self.net.add_host("S", ip=SERVER_IP, network=PUBLIC_NET, link=self.backbone)
         attach_stack(host, rng=self.net.rng.child("stack/S"))
         self._server = RendezvousServer(
-            host,
-            port=port,
-            obfuscate=self.obfuscate,
-            rng=self.net.rng.child("server"),
+            host, obfuscate=self.obfuscate, rng=self.net.rng.child("server")
         )
         return self._server
 
-    def add_public_host(self, label: str, ip: str, tcp_style: TcpStyle = TcpStyle.BSD) -> Host:
+    def add_public_host(self, label: str, ip: str) -> Host:
         host = self.net.add_host(label, ip=ip, network=PUBLIC_NET, link=self.backbone)
-        attach_stack(host, tcp_style=tcp_style, rng=self.net.rng.child(f"stack/{label}"))
+        attach_stack(host, rng=self.net.rng.child(f"stack/{label}"))
         return host
 
     def add_nat(
@@ -146,11 +141,10 @@ class ScenarioBuilder:
         public_ip: str,
         lan_network: str,
         behavior: NatBehavior = WELL_BEHAVED,
-        upstream_link=None,
         lan_profile: LinkProfile = LAN_LINK,
     ):
-        """Create a NAT with its WAN on *upstream_link* (default: backbone)
-        and a fresh LAN segment.  Returns (nat, lan_link, gateway_ip)."""
+        """Create a NAT with its WAN on the backbone and a fresh LAN segment.
+        Returns (nat, lan_link, gateway_ip)."""
         nat = NatDevice(
             f"NAT-{label}",
             self.net.scheduler,
@@ -158,7 +152,7 @@ class ScenarioBuilder:
             rng=self.net.rng.child(f"nat/{label}"),
         )
         self.net.add_node(nat)
-        nat.set_wan(public_ip, PUBLIC_NET, upstream_link or self.backbone)
+        nat.set_wan(public_ip, PUBLIC_NET, self.backbone)
         lan = self.net.create_link(f"lan-{label}", lan_profile)
         gateway_ip = _gateway_of(lan_network)
         nat.add_lan(gateway_ip, lan_network, lan)
@@ -179,16 +173,15 @@ class ScenarioBuilder:
         attach_stack(host, tcp_style=tcp_style, rng=self.net.rng.child(f"stack/{label}"))
         return host
 
-    def make_client(self, host: Host, client_id: int, **kwargs) -> PeerClient:
+    def make_client(self, host: Host, client_id: int) -> PeerClient:
         if self._server is None:
             raise RuntimeError("add_server() must be called first")
-        kwargs.setdefault("obfuscate", self.obfuscate)
         return PeerClient(
             host,
             client_id=client_id,
             server=self._server.endpoint,
-            local_port=kwargs.pop("local_port", CLIENT_LOCAL_PORT),
-            **kwargs,
+            local_port=CLIENT_LOCAL_PORT,
+            obfuscate=self.obfuscate,
         )
 
 
@@ -203,12 +196,12 @@ def _gateway_of(network: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_public_pair(seed: int = 0, tcp_style: TcpStyle = TcpStyle.BSD, **kw) -> Scenario:
+def build_public_pair(seed: int = 0, **kw) -> Scenario:
     """Figure 1 baseline: A and B both in the global realm (no NATs)."""
     builder = ScenarioBuilder(seed=seed, **kw)
     server = builder.add_server()
-    host_a = builder.add_public_host("A", NAT_A_PUBLIC, tcp_style)
-    host_b = builder.add_public_host("B", NAT_B_PUBLIC, tcp_style)
+    host_a = builder.add_public_host("A", NAT_A_PUBLIC)
+    host_b = builder.add_public_host("B", NAT_B_PUBLIC)
     scenario = Scenario(net=builder.net, server=server)
     scenario.hosts = {"S": server.host, "A": host_a, "B": host_b}
     scenario.clients = {
@@ -218,18 +211,13 @@ def build_public_pair(seed: int = 0, tcp_style: TcpStyle = TcpStyle.BSD, **kw) -
     return scenario
 
 
-def build_one_sided(
-    seed: int = 0,
-    behavior: NatBehavior = WELL_BEHAVED,
-    tcp_style: TcpStyle = TcpStyle.BSD,
-    **kw,
-) -> Scenario:
+def build_one_sided(seed: int = 0, behavior: NatBehavior = WELL_BEHAVED, **kw) -> Scenario:
     """Figure 3: A behind a NAT, B public — connection reversal territory."""
     builder = ScenarioBuilder(seed=seed, **kw)
     server = builder.add_server()
     nat_a, lan_a, gw_a = builder.add_nat("A", NAT_A_PUBLIC, "10.0.0.0/24", behavior)
-    host_a = builder.add_client_host("A", "10.0.0.1", "10.0.0.0/24", lan_a, gw_a, tcp_style)
-    host_b = builder.add_public_host("B", NAT_B_PUBLIC, tcp_style)
+    host_a = builder.add_client_host("A", "10.0.0.1", "10.0.0.0/24", lan_a, gw_a)
+    host_b = builder.add_public_host("B", NAT_B_PUBLIC)
     scenario = Scenario(net=builder.net, server=server)
     scenario.nats = {"A": nat_a}
     scenario.hosts = {"S": server.host, "A": host_a, "B": host_b}
@@ -240,18 +228,13 @@ def build_one_sided(
     return scenario
 
 
-def build_common_nat(
-    seed: int = 0,
-    behavior: NatBehavior = WELL_BEHAVED,
-    tcp_style: TcpStyle = TcpStyle.BSD,
-    **kw,
-) -> Scenario:
+def build_common_nat(seed: int = 0, behavior: NatBehavior = WELL_BEHAVED, **kw) -> Scenario:
     """Figure 4: both clients behind one NAT, same private realm."""
     builder = ScenarioBuilder(seed=seed, **kw)
     server = builder.add_server()
     nat, lan, gw = builder.add_nat("AB", NAT_A_PUBLIC, "10.0.0.0/24", behavior)
-    host_a = builder.add_client_host("A", "10.0.0.1", "10.0.0.0/24", lan, gw, tcp_style)
-    host_b = builder.add_client_host("B", "10.0.0.2", "10.0.0.0/24", lan, gw, tcp_style)
+    host_a = builder.add_client_host("A", "10.0.0.1", "10.0.0.0/24", lan, gw)
+    host_b = builder.add_client_host("B", "10.0.0.2", "10.0.0.0/24", lan, gw)
     scenario = Scenario(net=builder.net, server=server)
     scenario.nats = {"AB": nat}
     scenario.hosts = {"S": server.host, "A": host_a, "B": host_b}
@@ -304,14 +287,9 @@ def build_two_nats(
     return scenario
 
 
-def build_multilevel(
-    seed: int = 0,
-    nat_c_behavior: NatBehavior = WELL_BEHAVED,
-    consumer_behavior: NatBehavior = WELL_BEHAVED,
-    tcp_style: TcpStyle = TcpStyle.BSD,
-    **kw,
-) -> Scenario:
-    """Figure 6: industrial NAT C over consumer NATs A and B.
+def build_multilevel(seed: int = 0, nat_c_behavior: NatBehavior = WELL_BEHAVED, **kw) -> Scenario:
+    """Figure 6: industrial NAT C over consumer NATs A and B (both
+    well-behaved).
 
     Hole punching here requires NAT C to hairpin (§3.5): pass
     ``nat_c_behavior=HAIRPIN_CAPABLE`` (or any behaviour with
@@ -326,21 +304,21 @@ def build_multilevel(
     # Consumer NATs A and B live in the ISP realm (addresses from Figure 6;
     # port bases 45000/55000 reproduce the figure's mapped ports).
     nat_a = NatDevice("NAT-A", builder.net.scheduler,
-                      consumer_behavior.but(port_base=45000),
+                      WELL_BEHAVED.but(port_base=45000),
                       rng=builder.net.rng.child("nat/A"))
     builder.net.add_node(nat_a)
     nat_a.set_wan("10.0.1.1", "10.0.1.0/24", isp_lan, gateway="10.0.1.254")
     lan_a = builder.net.create_link("lan-A", LAN_LINK)
     nat_a.add_lan("10.0.0.254", "10.0.0.0/24", lan_a)
     nat_b = NatDevice("NAT-B", builder.net.scheduler,
-                      consumer_behavior.but(port_base=55000),
+                      WELL_BEHAVED.but(port_base=55000),
                       rng=builder.net.rng.child("nat/B"))
     builder.net.add_node(nat_b)
     nat_b.set_wan("10.0.1.2", "10.0.1.0/24", isp_lan, gateway="10.0.1.254")
     lan_b = builder.net.create_link("lan-B", LAN_LINK)
     nat_b.add_lan("10.1.1.254", "10.1.1.0/24", lan_b)
-    host_a = builder.add_client_host("A", "10.0.0.1", "10.0.0.0/24", lan_a, "10.0.0.254", tcp_style)
-    host_b = builder.add_client_host("B", "10.1.1.3", "10.1.1.0/24", lan_b, "10.1.1.254", tcp_style)
+    host_a = builder.add_client_host("A", "10.0.0.1", "10.0.0.0/24", lan_a, "10.0.0.254")
+    host_b = builder.add_client_host("B", "10.1.1.3", "10.1.1.0/24", lan_b, "10.1.1.254")
     scenario = Scenario(net=builder.net, server=server)
     scenario.nats = {"A": nat_a, "B": nat_b, "C": nat_c}
     scenario.hosts = {"S": server.host, "A": host_a, "B": host_b}

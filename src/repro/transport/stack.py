@@ -25,8 +25,6 @@ class HostStack:
         tcp_style: TcpStyle = TcpStyle.BSD,
         rng: Optional[SeededRng] = None,
         simultaneous_open_supported: bool = True,
-        rst_seq_validation: bool = False,
-        icmp_validation: bool = False,
     ) -> None:
         self.host = host
         rng = rng or SeededRng(0, f"stack/{host.name}")
@@ -36,8 +34,6 @@ class HostStack:
             style=tcp_style,
             rng=rng.child("tcp"),
             simultaneous_open_supported=simultaneous_open_supported,
-            rst_seq_validation=rst_seq_validation,
-            icmp_validation=icmp_validation,
         )
         host.register_protocol(IpProtocol.UDP, self.udp.handle_packet)
         host.register_protocol(IpProtocol.TCP, self.tcp.handle_packet)
@@ -59,8 +55,6 @@ def attach_stack(
     tcp_style: TcpStyle = TcpStyle.BSD,
     rng: Optional[SeededRng] = None,
     simultaneous_open_supported: bool = True,
-    rst_seq_validation: bool = False,
-    icmp_validation: bool = False,
 ) -> HostStack:
     """Create a :class:`HostStack` for *host* and store it as ``host.stack``."""
     stack = HostStack(
@@ -68,8 +62,6 @@ def attach_stack(
         tcp_style=tcp_style,
         rng=rng,
         simultaneous_open_supported=simultaneous_open_supported,
-        rst_seq_validation=rst_seq_validation,
-        icmp_validation=icmp_validation,
     )
     host.stack = stack  # type: ignore[attr-defined]
     return stack

@@ -654,8 +654,6 @@ class TcpStack:
         style: TcpStyle = TcpStyle.BSD,
         rng: Optional[SeededRng] = None,
         simultaneous_open_supported: bool = True,
-        rst_seq_validation: bool = False,
-        icmp_validation: bool = False,
     ) -> None:
         self.host = host
         self.style = style
@@ -666,11 +664,11 @@ class TcpStack:
         #: record when a flight recorder is attached.  Every in-sim
         #: legitimate RST producer passes this check, so turning it on only
         #: ever filters forged traffic.
-        self.rst_seq_validation = rst_seq_validation
+        self.rst_seq_validation = False
         #: RFC 1122 4.2.3.9 "soft error" hardening: with this on, ICMP errors
         #: never abort a SYN_SENT connect — retransmission decides — so a
         #: spoofed ICMP cannot tear down the connect race.
-        self.icmp_validation = icmp_validation
+        self.icmp_validation = False
         #: §4.5: "Windows hosts prior to XP Service Pack 2 did not correctly
         #: implement simultaneous TCP open".  When False, a raw SYN arriving
         #: for a socket in SYN_SENT is answered with RST instead of entering
@@ -795,7 +793,6 @@ class TcpStack:
         on_connected: Optional[ConnectedHandler] = None,
         on_error: Optional[ErrorHandler] = None,
         on_data: Optional[DataHandler] = None,
-        on_close: Optional[CloseHandler] = None,
     ) -> TcpConnection:
         """Begin an asynchronous active open toward *remote*.
 
@@ -815,7 +812,6 @@ class TcpStack:
         conn.on_connected = on_connected
         conn.on_error = on_error
         conn.on_data = on_data
-        conn.on_close = on_close
         self._connections[key] = conn
         conn._begin_active_open()
         return conn

@@ -108,7 +108,7 @@ def _flood_scenario(seed, capacity=64, quota=None):
     sc = build_two_nats(
         seed=seed, behavior_a=behavior, behavior_b=FULL_CONE, flight=True
     )
-    mole = attach_lan_attacker(sc.net, sc.nats["A"], ip="10.0.0.66")
+    mole = attach_lan_attacker(sc.net, sc.nats["A"])
     attacker = ExhaustionFlood(
         sc.net, host=mole, nat=sc.nats["A"], name="flood", interval=0.05, burst=32
     )
@@ -400,8 +400,6 @@ class TestSpoofedRstHardening:
             host=offpath,
             nat=sc.nats["A"],
             forged_src=stream.remote,
-            interval=0.1,
-            burst=16,
         )
         attacker.start()
         sched.run_until(sched.now + 10.0)
@@ -449,9 +447,8 @@ class TestRobustnessReport:
             assert "unknown" not in attacked.verdicts
             # ...and hardening took it back.
             assert report.hardening_wins(family), family
-        payload = report.to_dict()
-        assert payload["devices"] == report.devices > 0
-        assert len(payload["cells"]) == 9
+        assert report.devices > 0
+        assert len(report.cells) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +471,7 @@ def test_adversarial_soak(seed):
     behavior = SYMMETRIC.but(table_capacity=128, max_mappings_per_host=48)
     sc = build_two_nats(seed=seed, behavior_a=behavior, flight=True)
     sched = sc.net.scheduler
-    mole = attach_lan_attacker(sc.net, sc.nats["A"], ip="10.0.0.66")
+    mole = attach_lan_attacker(sc.net, sc.nats["A"])
     attacker = ExhaustionFlood(
         sc.net, host=mole, nat=sc.nats["A"], name="flood", interval=0.05, burst=48
     )

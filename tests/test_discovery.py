@@ -7,7 +7,7 @@ from repro.nat.behavior import NatBehavior
 from repro.nat.device import NatDevice
 from repro.nat.policy import FilteringPolicy, MappingPolicy, PortAllocation
 from repro.natcheck.discovery import NatDiscovery
-from repro.natcheck.servers import SERVER_IPS, NatCheckServers
+from repro.natcheck.servers import NatCheckServers
 from repro.netsim.link import BACKBONE_LINK, LAN_LINK
 from repro.netsim.network import Network
 from repro.transport.stack import attach_stack
@@ -29,7 +29,7 @@ def discover(behavior=None, seed=1, public_client=False):
         client_host = net.add_host("client", ip="10.0.0.1", network="10.0.0.0/24",
                                    link=lan, gateway="10.0.0.254")
     attach_stack(client_host, rng=net.rng.child("client"))
-    probe = NatDiscovery(client_host, list(SERVER_IPS))
+    probe = NatDiscovery(client_host)
     done = []
     probe.run(done.append)
     net.scheduler.run_while(lambda: not done, 30.0)
@@ -148,7 +148,7 @@ def test_no_connectivity_yields_empty_result():
     host = net.add_host("c", ip="10.0.0.1", network="10.0.0.0/24", link=lan,
                         gateway="10.0.0.254")
     attach_stack(host)
-    probe = NatDiscovery(host, list(SERVER_IPS))
+    probe = NatDiscovery(host)
     done = []
     probe.run(done.append)
     net.scheduler.run_while(lambda: not done, 30.0)

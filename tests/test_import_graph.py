@@ -3,7 +3,7 @@
 A process imports only the layers it runs: the package ``__init__`` files
 export their public names lazily (PEP 562, ``repro._lazy_exports``), so
 ``import repro.x.y`` executes y's own dependency closure and nothing else.
-Three things are pinned here:
+Pinned here, with (d)-(f) read from the ``ast`` of the tree:
 
 (a) **layering** — which packages a fresh interpreter has loaded after
     importing an entry point (``docs/architecture.md``, "Import layers");
@@ -19,7 +19,11 @@ Three things are pinned here:
 (e) **no write-only state** — every ``self.<attr>`` that ``src/`` stores is
     read somewhere in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``
     (through ``self`` only by its own class, a base or a subclass), unless
-    :data:`KEEP_ATTRS` says why not.
+    :data:`KEEP_ATTRS` says why not;
+(f) **no option nothing passes** — every parameter with a default on a
+    ``src/`` function is passed, other than as its default, by some call in
+    ``src/``, ``benchmarks/``, ``examples/`` or ``tests/``, unless
+    :data:`KEEP_PARAMS` says why not: one value in use is a constant.
 
 Every case of (a) runs in a fresh interpreter: ``sys.modules`` of the test
 process says nothing about what an import pulls in.
@@ -435,7 +439,7 @@ def test_keep_reasons_cite_files_that_name_what_they_keep():
     """A reason cites a file, never a line of one (line numbers drift), and
     each file it cites exists and names the last component of what it keeps,
     so a reason cannot outlive the text it points at."""
-    for table in (KEEP, KEEP_FIELDS, KEEP_ATTRS):
+    for table in (KEEP, KEEP_FIELDS, KEEP_ATTRS, KEEP_PARAMS):
         for kept, reason in table.items():
             assert not re.search(_CITED + r":\d", reason), (kept, reason)
             name = kept.rpartition(".")[2]
@@ -762,3 +766,283 @@ def test_the_write_only_scan_reads_self_loads_by_class(tmp_path):
         "        return self._y\n"
     )
     assert write_only(str(tmp_path)) == ["A._x"]
+
+
+# -- (f) no option nothing passes -------------------------------------------------
+
+#: ``src/`` parameters with a default that no call passes, each kept on
+#: purpose.  A key is a module, the function's qualified name and the
+#: parameter.
+KEEP_PARAMS: dict = {}
+
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    """``(type, value)`` of a literal expression, else :data:`_NOT_LITERAL`."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, RecursionError):
+        return _NOT_LITERAL
+    return type(value), value
+
+
+class _Function:
+    """One ``def``: the parameters a call binds by position and by name."""
+
+    def __init__(self, label, node, is_method):
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        self.label = label
+        self.positional = positional[1:] if is_method else positional
+        self.params = set(positional) | {a.arg for a in args.kwonlyargs}
+        self.defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        self.defaults.update(
+            (a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        )
+        self.kwarg = args.kwarg.arg if args.kwarg else None
+
+
+def _bound(function) -> set:
+    """Names *function* binds: its parameters and every name it stores."""
+    args = function.args
+    named = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return {a.arg for a in named if a is not None} | {
+        node.id for node in ast.walk(function)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+
+
+def _value_uses(tree, names: set, attributes: set, local=frozenset()) -> None:
+    """Add to *names* / *attributes* what *tree* loads as a value: anywhere
+    but a call's callee, an attribute's base, an annotation, an
+    ``isinstance`` argument, a base-class list or an ``except`` clause.  A
+    name the enclosing function binds itself is a local, not a ``def``."""
+    if isinstance(tree, ast.Name):
+        if isinstance(tree.ctx, ast.Load) and tree.id not in local:
+            names.add(tree.id)
+        return
+    skipped = set()
+    if isinstance(tree, ast.Attribute):
+        if isinstance(tree.ctx, ast.Load):
+            attributes.add(tree.attr)
+        _reference(tree.value, names, attributes, local)
+        return
+    if isinstance(tree, ast.Call):
+        _reference(tree.func, names, attributes, local)
+        skipped.add(id(tree.func))
+        if getattr(tree.func, "id", None) in ("isinstance", "issubclass"):
+            skipped.update(id(arg) for arg in tree.args[1:])
+    elif isinstance(tree, ast.ClassDef):
+        skipped.update(id(node) for node in tree.bases + tree.keywords)
+    elif isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        skipped.add(id(tree.returns))
+        local = local | _bound(tree)
+    elif isinstance(tree, (ast.arg, ast.AnnAssign)):
+        skipped.add(id(tree.annotation))
+    elif isinstance(tree, ast.ExceptHandler):
+        skipped.add(id(tree.type))
+    for child in ast.iter_child_nodes(tree):
+        if id(child) not in skipped:
+            _value_uses(child, names, attributes, local)
+
+
+def _reference(tree, names: set, attributes: set, local) -> None:
+    """A callee or an attribute's base: its ``a.b.c`` chain is no value, but
+    what the chain starts from may hold some (``f(x).b``: ``x``)."""
+    while isinstance(tree, ast.Attribute):
+        tree = tree.value
+    if not isinstance(tree, ast.Name):
+        _value_uses(tree, names, attributes, local)
+
+
+def unpassed(root: str = _REPO) -> list:
+    """Sorted ``module.qualname.param`` of the ``src/`` parameters with a
+    default that no call in :data:`READERS` passes.
+
+    Calls match a ``def`` by name, and a class name matches its ``__init__``
+    (its bases' when it defines none), so name collisions err toward
+    "passed"; so does a ``*args`` or ``**mapping`` argument, which passes
+    everything it could bind.  A literal equal to the default is no pass.
+    A forward counts only when what it forwards is itself passed: an
+    argument that is the calling function's own parameter of the same name,
+    or its own ``**kwargs``, which forwards each keyword the caller gets
+    beyond its named parameters.  A function that code outside ``tests/``
+    uses as a value (a callback, a ``call_later`` target) has every
+    parameter passed.  An attribute name that code also stores
+    (``self.connect = ...``) is data where it is loaded, not a bound
+    method."""
+    functions, inits, bases, defined, trees = {}, {}, {}, {}, []
+
+    def collect(node, prefix, owner, in_src):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                bases.setdefault(child.name, set()).update(
+                    getattr(b, "id", getattr(b, "attr", None)) for b in child.bases
+                )
+                collect(child, f"{prefix}.{child.name}", child, in_src)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualified = f"{prefix}.{child.name}"
+                is_method = node is owner and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in child.decorator_list
+                )
+                fn = defined[id(child)] = _Function(qualified if in_src else None, child, is_method)
+                if is_method and child.name == "__init__":
+                    inits.setdefault(owner.name, []).append(fn)
+                else:
+                    functions.setdefault(child.name, []).append(fn)
+                collect(child, qualified, owner, in_src)
+            else:
+                collect(child, prefix, owner, in_src)
+
+    for module, path, tree in _parsed(root, READERS):
+        collect(tree, module or path, None, module is not None)
+        trees.append((os.path.relpath(path, root).split(os.sep)[0] == "tests", tree))
+
+    def constructors(name, seen=()):
+        if name in inits:
+            return inits[name]
+        return [fn for base in bases.get(name, ()) if base not in seen
+                for fn in constructors(base, (*seen, name))]
+
+    def callees(name):
+        return functions.get(name, []) + constructors(name)
+
+    passed, forwards, kwargs_to = set(), {}, {}
+
+    def bind(fn, param, value, caller):
+        default, literal = fn.defaults.get(param), _literal(value)
+        if default is not None and literal is not _NOT_LITERAL and literal == _literal(default):
+            return
+        if (caller is not None and isinstance(value, ast.Name) and value.id == param
+                and param in caller.defaults):
+            forwards.setdefault((caller, param), []).append((fn, param))
+        else:
+            passed.add((fn, param))
+
+    def scan_calls(node, caller, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func, targets = child.func, []
+                if isinstance(func, ast.Name):
+                    targets = callees(func.id)
+                elif isinstance(func, ast.Attribute):
+                    on_super = getattr(getattr(func.value, "func", None), "id", None) == "super"
+                    if func.attr == "__init__" and on_super and owner is not None:
+                        targets = [fn for b in bases[owner.name] for fn in constructors(b)]
+                    else:
+                        targets = callees(func.attr)
+                for fn in targets:
+                    for index, arg in enumerate(child.args):
+                        if isinstance(arg, ast.Starred):
+                            passed.update((fn, p) for p in fn.positional[index:])
+                            break
+                        if index < len(fn.positional):
+                            bind(fn, fn.positional[index], arg, caller)
+                    for keyword in child.keywords:
+                        if keyword.arg is not None:
+                            bind(fn, keyword.arg, keyword.value, caller)
+                        elif (caller is not None and caller.kwarg is not None
+                              and getattr(keyword.value, "id", None) == caller.kwarg):
+                            kwargs_to.setdefault(caller, []).append(fn)
+                        else:
+                            passed.update((fn, p) for p in fn.defaults)
+            scan_calls(
+                child,
+                defined.get(id(child), caller),
+                child if isinstance(child, ast.ClassDef) else owner,
+            )
+
+    values, attributes = set(), set()
+    for in_tests, tree in trees:
+        scan_calls(tree, None, None)
+        if not in_tests:
+            _value_uses(tree, values, attributes)
+    stored = {
+        node.attr
+        for _, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    for name in values | (attributes - stored):
+        for fn in callees(name):
+            passed.update((fn, p) for p in fn.defaults)
+    work = list(passed)
+    while work:  # a forward passes once what it forwards is passed
+        fn, param = work.pop()
+        targets = forwards.get((fn, param), [])
+        if param not in fn.params:
+            targets = targets + [(target, param) for target in kwargs_to.get(fn, ())]
+        for target in targets:
+            if target not in passed:
+                passed.add(target)
+                work.append(target)
+    return sorted(
+        f"{fn.label}.{param}"
+        for fn in defined.values()
+        if fn.label is not None
+        for param in fn.defaults
+        if (fn, param) not in passed
+    )
+
+
+def test_every_option_is_passed():
+    assert unpassed() == sorted(KEEP_PARAMS)
+
+
+def test_the_option_scan_counts_real_passes(tmp_path):
+    """The scan itself: a literal equal to the default, a forward of an
+    option nothing passes, and a class only named in an annotation and an
+    ``isinstance`` call pass nothing; a keyword, a position and a
+    ``call_later`` target with positional arguments do."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class Timer:\n"
+        "    def __init__(self, delay=1.0, repeat=False):\n"
+        "        self.delay, self.repeat = delay, repeat\n"
+        "\n"
+        "class Clock:\n"
+        "    def call_later(self, delay, callback, *args):\n"
+        "        return callback(*args)\n"
+        "\n"
+        "class Client:\n"
+        "    def register(self, retries=3):\n"
+        "        return retries\n"
+        "\n"
+        "def connect(host, port=80, timeout=5.0, verbose=False, wait=1.0):\n"
+        "    return host, port, timeout, verbose, wait\n"
+        "\n"
+        "def dial(host, wait=1.0):\n"
+        "    return connect(host, wait=wait)\n"
+        "\n"
+        "def armed(timer: Timer) -> bool:\n"
+        "    return isinstance(timer, Timer)\n"
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from pkg.mod import Client, Clock, connect, dial\n"
+        "connect('a', timeout=2.0, verbose=False)\n"
+        "connect('a', 8080)\n"
+        "dial('a')\n"
+        "Clock().call_later(1.0, Client().register, 5)\n"
+    )
+    assert unpassed(str(tmp_path)) == [
+        "pkg.mod.Timer.__init__.delay",
+        "pkg.mod.Timer.__init__.repeat",
+        "pkg.mod.connect.verbose",
+        "pkg.mod.connect.wait",
+        "pkg.mod.dial.wait",
+    ]
+    # A test's pass counts, and the forward passes with it.
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_dial.py").write_text(
+        "from pkg.mod import dial\n"
+        "def test_dial():\n"
+        "    dial('b', wait=2.0)\n"
+    )
+    assert unpassed(str(tmp_path)) == [
+        "pkg.mod.Timer.__init__.delay",
+        "pkg.mod.Timer.__init__.repeat",
+        "pkg.mod.connect.verbose",
+    ]

@@ -233,9 +233,7 @@ class TestExpiry:
 
 class TestReset:
     def test_reset_clears_everything(self):
-        expired = []
         table = make_table()
-        table._on_expire = expired.append
         table.create(MappingPolicy.ENDPOINT_INDEPENDENT, IpProtocol.UDP, PRIV, S, 20.0)
         table.create(
             MappingPolicy.ENDPOINT_INDEPENDENT, IpProtocol.UDP,
@@ -247,8 +245,7 @@ class TestReset:
         assert table.lookup_inbound(IpProtocol.UDP, 62000) is None
         assert not table.has_conflicting_private_port(Endpoint("10.0.0.9", 4321))
         table.scheduler.run_until(60.0)
-        assert expired == []  # a reboot is not an expiry
-        assert table.mappings_expired == 0
+        assert table.mappings_expired == 0  # a reboot is not an expiry
 
     def test_reset_rebases_port_allocation(self):
         table = make_table()
