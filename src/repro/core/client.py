@@ -60,7 +60,6 @@ from repro.core.tcp_sequential import (
 from repro.core.udp_punch import PunchConfig, UdpHolePuncher, UdpSession, _Connect
 from repro.netsim.addresses import Endpoint
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import OUTCOME_ERROR
 from repro.netsim.clock import Timer
 from repro.netsim.node import Host
 from repro.transport.tcp import FrameBuffer
@@ -83,8 +82,8 @@ PARK_GRACE = 5.0
 ACCEPT_AUTH_GRACE = 5.0
 
 #: Each connect technique by its name — the key of the client's books and the
-#: label of its connect span and flight attempt, never sent on the wire — and
-#: the carrier on which S may refuse its requests.
+#: label of its flight attempt, never sent on the wire — and the carrier on
+#: which S may refuse its requests.
 _TECHNIQUES = {
     "udp": TRANSPORT_UDP,
     "tcp": TRANSPORT_TCP,
@@ -178,9 +177,7 @@ class PeerClient:
         self.stray_messages = 0
         #: The owning network's registry (set on the host by Network.add_node);
         #: standalone hosts get a private one so instrumentation never branches.
-        self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry(
-            now_fn=lambda: host.scheduler.now
-        )
+        self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry()
         #: Connects awaiting S's answer (the peer's endpoints, ReverseExpect /
         #: SeqReady), keyed by (technique, peer_id).  A record leaves when
         #: the answer arrives — and rides the punch it starts — when its
@@ -299,8 +296,8 @@ class PeerClient:
     def _open_connect(
         self, technique: str, peer_id: int, on_connected, on_failure, config
     ) -> Optional[_Connect]:
-        """Open the span, the flight attempt and the record of one connect
-        request, in that order; returns the record.
+        """Open the record of one connect request, with its flight attempt
+        when a recorder is attached; returns the record.
 
         A connect to a peer already pending or punching by *technique* joins
         that one instead and returns None: its callbacks fire after the
@@ -314,14 +311,12 @@ class PeerClient:
         if connect is not None:
             connect.callbacks.append((on_connected, on_failure))
             return None
-        span = self.metrics.span("connect", transport=technique, peer=str(peer_id))
-        span.event("connect-request-sent")
         attempt = None
         if self.flight is not None:
             attempt = self.flight.attempt(
                 "connect." + technique, client=self.client_id, peer=peer_id
             )
-        connect = _Connect([(on_connected, on_failure)], config, span, attempt)
+        connect = _Connect([(on_connected, on_failure)], config, attempt)
         self._connects[key] = connect
         return connect
 
@@ -352,7 +347,6 @@ class PeerClient:
         del self._connects[key]
         self._fail_connect(
             connect,
-            "endpoint exchange timed out",
             "timeout",
             TimeoutError_(f"endpoint exchange with peer {key[1]} timed out"),
         )
@@ -378,13 +372,11 @@ class PeerClient:
         for _, connect in failed:
             self._fail_connect(
                 connect,
-                error.reason,
                 "error",
                 ReproError(f"rendezvous error: {error.reason}"),
             )
 
-    def _fail_connect(self, connect: _Connect, reason: str, outcome: str, error: Exception) -> None:
-        connect.span.finish(OUTCOME_ERROR, reason=reason)
+    def _fail_connect(self, connect: _Connect, outcome: str, error: Exception) -> None:
         if connect.attempt is not None:
             self.flight.finish(connect.attempt, outcome)
         for _, on_failure in connect.callbacks:
@@ -394,10 +386,7 @@ class PeerClient:
     def _take_pending(self, technique: str, peer_id: int) -> Optional[_Connect]:
         """S answered: the connect it answers, for the punch to carry (None
         when we are the responder, or the request already failed)."""
-        connect = self._connects.pop((technique, peer_id), None)
-        if connect is not None:
-            connect.span.event("endpoints-received")
-        return connect
+        return self._connects.pop((technique, peer_id), None)
 
     def _start_punch(self, puncher) -> None:
         """Book *puncher* under its technique and start it."""

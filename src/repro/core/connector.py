@@ -24,7 +24,6 @@ from repro.core.relay import RelaySession
 from repro.core.tcp_punch import TcpStream
 from repro.core.udp_punch import UdpSession
 from repro.core.protocol import TRANSPORT_TCP, TRANSPORT_UDP
-from repro.obs.spans import OUTCOME_ERROR, OUTCOME_FALLBACK, OUTCOME_OK
 from repro.util.errors import ReproError
 
 Channel = Union[UdpSession, TcpStream, RelaySession]
@@ -100,12 +99,7 @@ class P2PConnector:
         if self.transport == TRANSPORT_TCP:
             strategies.append(STRATEGY_REVERSAL)
         strategies.append(STRATEGY_RELAY)
-        span = self.client.metrics.span(
-            "connect.ladder",
-            peer=str(peer_id),
-            transport="udp" if self.transport == TRANSPORT_UDP else "tcp",
-        )
-        self._run_phase(peer_id, strategies, 0, result, on_result, span)
+        self._run_phase(peer_id, strategies, 0, result, on_result)
 
     # -- phases ------------------------------------------------------------------
 
@@ -116,12 +110,9 @@ class P2PConnector:
         index: int,
         result: ConnectResult,
         on_result: ResultHandler,
-        span=None,
     ) -> None:
         strategy = strategies[index]
         started = self.client.scheduler.now
-        if span is not None:
-            span.event("strategy-started", strategy=strategy)
 
         # Every rung answers exactly once (tests/test_connector.py pins it).
         def succeed(channel: Channel, detail: str = "") -> None:
@@ -129,10 +120,6 @@ class P2PConnector:
             result.attempts.append(ConnectOutcome(strategy, True, elapsed, detail))
             result.channel = channel
             result.strategy = strategy
-            if span is not None:
-                # Relayed channels are the §2.2 fallback, not a direct win.
-                outcome = OUTCOME_FALLBACK if strategy == STRATEGY_RELAY else OUTCOME_OK
-                span.finish(outcome, strategy=strategy)
             on_result(result)
 
         def fail(error: Exception) -> None:
@@ -140,13 +127,9 @@ class P2PConnector:
             result.attempts.append(
                 ConnectOutcome(strategy, False, elapsed, detail=str(error))
             )
-            if span is not None:
-                span.event("strategy-failed", strategy=strategy, detail=str(error))
             if index + 1 < len(strategies):
-                self._run_phase(peer_id, strategies, index + 1, result, on_result, span)
+                self._run_phase(peer_id, strategies, index + 1, result, on_result)
             else:  # pragma: no cover - relay cannot fail in-simulation
-                if span is not None:
-                    span.finish(OUTCOME_ERROR)
                 on_result(result)
 
         # A strategy can fail synchronously (e.g. the client is momentarily

@@ -150,9 +150,7 @@ class RendezvousServer:
         self.endpoint = Endpoint(host.primary_ip, SERVER_PORT)
         #: The owning network's registry (set on the host by Network.add_node);
         #: standalone hosts get a private one so instrumentation never branches.
-        self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry(
-            now_fn=lambda: host.scheduler.now
-        )
+        self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry()
         now_fn = lambda: self.host.scheduler.now  # noqa: E731 - tiny closure
         self.udp_clients: RegistrationTable = RegistrationTable(now_fn, metrics=self.metrics)
         self.tcp_clients: RegistrationTable = RegistrationTable(now_fn, metrics=self.metrics)

@@ -45,7 +45,7 @@ class ReversalRequest(_HolePunch):
     def _claim(self, stream: TcpStream, hello: Hello) -> None:
         stream.authenticate(self.peer_id, self.nonce)
         stream.selected = True
-        self._succeed(stream, stream.origin, remote=str(stream.remote), origin=stream.origin)
+        self._succeed(stream, stream.origin)
 
     def _release(self, keep: Optional[TcpStream]) -> None:
         self.client._unregister_stream_claimant(self.peer_id, self.nonce)

@@ -269,11 +269,6 @@ class TcpHolePuncher(_HolePunch):
 
     def _punch(self) -> None:
         """§4.2 step 3: connect to all candidates while listening."""
-        self.span.event(
-            "punching-started",
-            candidates=len(self.candidates),
-            controlling=self.controlling,
-        )
         # Adopt any already-accepted stream that authenticated for us while
         # the endpoint exchange was still in flight.
         for stream, hello in self.client._claim_parked_streams(self.peer_id, self.nonce):
@@ -394,9 +389,6 @@ class TcpHolePuncher(_HolePunch):
     def _stream_authenticated(self, stream: TcpStream) -> None:
         if self.finished:
             return
-        self.span.event(
-            "stream-authenticated", origin=stream.origin, remote=str(stream.remote)
-        )
         self.authenticated_streams.append(stream)
         if self.controlling and self._select_timer is None:
             self._select_timer = self.client.scheduler.call_later(
@@ -427,7 +419,7 @@ class TcpHolePuncher(_HolePunch):
         # parents to is still live, and the losing streams' resets (sent by
         # _release) run in the session's causal context.
         stream._begin_session(self.peer_id, self.connect.attempt)
-        self._succeed(stream, stream.origin, remote=str(stream.remote), origin=stream.origin)
+        self._succeed(stream, stream.origin)
 
     # -- timers / failure -------------------------------------------------------------------
 

@@ -27,7 +27,6 @@ from repro.core.auth import message_is_from_peer
 from repro.core.protocol import Hello, SeqConnect, SeqReady
 from repro.core.tcp_punch import TcpStream
 from repro.core.udp_punch import _Connect, _HolePunch
-from repro.obs.spans import OUTCOME_ERROR
 from repro.util.errors import ConnectionError_
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,11 +92,11 @@ class SequentialRequester(_HolePunch):
             return
         stream.authenticate(self.peer_id, self.nonce)
         stream.selected = True
-        self._succeed(stream, stream.origin, remote=str(stream.remote), origin=stream.origin)
+        self._succeed(stream, stream.origin)
 
     def _on_error(self, error: ConnectionError_) -> None:
         self._fail(
-            OUTCOME_ERROR,
+            "error",
             ConnectionError_(
                 error.reason,
                 f"sequential punch dial to peer {self.peer_id} failed: "

@@ -14,7 +14,7 @@ application can re-punch on demand.
 
 §4.2 runs the same procedure over TCP, so the parts that do not depend on the
 carrier live here once and :mod:`repro.core.tcp_punch` builds on them:
-:class:`_HolePunch` (span, deadline, lock-in and failure accounting — also
+:class:`_HolePunch` (deadline, lock-in and failure accounting — also
 the lifecycle of connection reversal and sequential punching) and
 :class:`_PeerSession` (the session's flight attempt and the §3.6 keep-alive
 ladder).
@@ -29,7 +29,6 @@ from repro.core.auth import message_is_from_peer
 from repro.core.protocol import Punch, PunchAck, SessionClose, SessionData, SessionKeepalive
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Timer
-from repro.obs.spans import OUTCOME_LOCKED, OUTCOME_TIMEOUT, Span
 from repro.util.errors import TimeoutError_
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -315,17 +314,16 @@ class _Connect:
 
     ``callbacks`` holds the ``(on_connected, on_failure)`` of the connect
     that opened it, then of every connect that joined it, in call order;
-    ``config`` is the punch's timing.  ``span`` and ``attempt`` are the
-    connect span and flight attempt: both None for a responder's punch, and
-    ``attempt`` also when no recorder is attached.
+    ``config`` is the punch's timing.  ``attempt`` is the connect's flight
+    attempt, its one per-attempt record: None for a responder's punch, and
+    when no recorder is attached.
     """
 
-    __slots__ = ("callbacks", "config", "span", "attempt")
+    __slots__ = ("callbacks", "config", "attempt")
 
-    def __init__(self, callbacks: list, config, span: Optional[Span] = None, attempt=None) -> None:
+    def __init__(self, callbacks: list, config, attempt=None) -> None:
         self.callbacks = callbacks
         self.config = config
-        self.span = span
         self.attempt = attempt
 
 
@@ -334,14 +332,14 @@ class _HolePunch:
 
     §3.2's lifecycle, which §4.2 repeats over TCP, connection reversal
     (§2.3) and sequential punching (§4.5) repeat with one stream: a
-    ``punch.<t>`` span (child of the requester's connect span, a root span
-    for the responder), a deadline, and the accounting of the ways a punch
-    ends — the first authenticated answer locks in, or it fails (the
-    deadline passes, or the carrier gives up).  A carrier supplies ``_punch``
-    (its probing or connecting) and ``_release`` (stop punching), and
-    ``_session`` when what won is not itself the session.  ``_name`` keys
-    the client's books and names the spans, counters and errors.  The punch
-    carries its :class:`_Connect` whole until it ends.
+    deadline, and the accounting of the ways a punch ends — the first
+    authenticated answer locks in, or it fails (the deadline passes, or the
+    carrier gives up).  A carrier supplies ``_punch`` (its probing or
+    connecting) and ``_release`` (stop punching), and ``_session`` when what
+    won is not itself the session.  ``_name`` keys the client's books and
+    names the counters and errors.  The punch carries its :class:`_Connect`
+    whole until it ends; ``PeerClient._punch_finished`` then finishes the
+    connect's flight attempt.
     """
 
     _name = "udp"
@@ -357,12 +355,6 @@ class _HolePunch:
         self.nonce = nonce
         self.connect = connect
         self.config = connect.config
-        name = "punch." + self._name
-        self.span = (
-            connect.span.child(name)
-            if connect.span is not None
-            else client.metrics.span(name, peer=str(peer_id))
-        )
         self.started_at = client.scheduler.now
         self.finished = False
         self.elapsed: Optional[float] = None
@@ -375,7 +367,7 @@ class _HolePunch:
         )
         self._punch()
 
-    def _succeed(self, keep, kind: str, **span_tags: object):
+    def _succeed(self, keep, kind: str):
         """The first authenticated answer wins (§3.2 step 3, §4.2 step 5):
         account for it, stop punching everywhere but through *keep*, and hand
         the session to the client and then to every waiting caller."""
@@ -387,9 +379,6 @@ class _HolePunch:
         metrics.counter(f"punch.{self._name}.succeeded").inc()
         metrics.counter(self._kind_counter, **{self._kind_label: kind}).inc()
         metrics.histogram(self._latency_histogram).observe(self.elapsed)
-        self.span.finish(OUTCOME_LOCKED, **span_tags)
-        if self.connect.span is not None:
-            self.connect.span.finish(OUTCOME_LOCKED)
         self._release(keep)
         session = self._session(keep)
         self.client._punch_finished(self, "connected", session)
@@ -402,7 +391,7 @@ class _HolePunch:
 
     def _on_deadline(self) -> None:
         self._fail(
-            OUTCOME_TIMEOUT,
+            "timeout",
             TimeoutError_(
                 f"{self._name.upper()} hole punch to peer {self.peer_id} timed out "
                 f"after {self.config.timeout:.1f}s"
@@ -410,17 +399,14 @@ class _HolePunch:
         )
 
     def _fail(self, outcome: str, error: Exception) -> None:
-        """The punch ends without a session (*outcome* on both spans and the
-        connect attempt): stop punching and hand *error* to every caller."""
+        """The punch ends without a session (*outcome* on the connect
+        attempt): stop punching and hand *error* to every caller."""
         if self.finished:
             return
         self.finished = True
         if self._deadline_timer is not None:
             self._deadline_timer.cancel()
         self.client.metrics.counter(f"punch.{self._name}.failed").inc()
-        self.span.finish(outcome)
-        if self.connect.span is not None:
-            self.connect.span.finish(outcome)
         self._release(None)
         self.client._punch_finished(self, outcome)
         for _, on_failure in self.connect.callbacks:
@@ -475,7 +461,6 @@ class UdpHolePuncher(_HolePunch):
 
     def _punch(self) -> None:
         """§3.2 step 3: probe every candidate endpoint at once."""
-        self.span.event("probing-started", candidates=len(self.candidates))
         self._probe_round()
 
     def _probe_round(self) -> None:
@@ -522,7 +507,6 @@ class UdpHolePuncher(_HolePunch):
                 # "peer-reflexive candidates".
                 self.candidates.append(src)
                 self._reflexive_counter.inc()
-                self.span.event("peer-reflexive-candidate", endpoint=str(src))
         elif isinstance(message, PunchAck):
             self._ack_counter.inc()
             self._lock_in(src)
@@ -548,7 +532,7 @@ class UdpHolePuncher(_HolePunch):
             return
         self.locked_endpoint = endpoint
         kind = self.endpoint_kind(endpoint)
-        session = self._succeed(endpoint, kind, endpoint=str(endpoint), endpoint_kind=kind)
+        session = self._succeed(endpoint, kind)
         if replay is not None:
             session._handle(replay, endpoint)
 

@@ -157,11 +157,6 @@ class Scheduler:
         self.compacted_entries += before - len(self._heap)
         self._cancelled_in_heap = 0
 
-    @property
-    def queue_depth(self) -> int:
-        """Raw heap length — the O(1) figure the metrics gauge samples."""
-        return len(self._heap)
-
     def call_at(self, when: float, callback: Callable[..., Any], *args: Any) -> Timer:
         """Schedule *callback(*args)* at absolute time *when*.
 

@@ -382,8 +382,9 @@ class Link:
         packet is recycled into the pool when whoever held it says it kept
         no reference: ``receive()`` returned ``True`` (a UDP socket
         delivery) or the receiver declares ``consumes_packets`` (NAT
-        devices).  Generation-stamping happens at release so stale
-        references are detectable (see :class:`PacketPool`).
+        devices).  Release stamps the generation, so stale references are
+        detectable, and drops the payload and headers, so the free list
+        keeps no application data alive (see :class:`PacketPool`).
         """
         items = batch._items
         pool = PACKET_POOL
@@ -409,6 +410,8 @@ class Link:
                     if poison:
                         pool.release(packet)  # counts itself
                     else:
+                        packet.payload = b""
+                        packet.tcp = packet.icmp = None
                         packet.gen += 1
                         free.append(packet)
                         released += 1

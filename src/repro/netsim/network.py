@@ -37,9 +37,7 @@ class Network:
     def __init__(self, seed: int = 0, metrics_enabled: bool = True) -> None:
         self.scheduler = Scheduler()
         self.rng = SeededRng(seed, "network")
-        self.metrics = MetricsRegistry(
-            now_fn=lambda: self.scheduler.now, enabled=metrics_enabled
-        )
+        self.metrics = MetricsRegistry(enabled=metrics_enabled)
         self.metrics.add_collector(self._collect_builtin)
         #: Causal flight recorder (see :mod:`repro.obs.flight`); attached on
         #: demand via :meth:`attach_flight`, None by default so the packet
@@ -151,11 +149,6 @@ class Network:
         registry.counter("scheduler.events_cancelled").value = scheduler.events_cancelled
         registry.counter("scheduler.compactions").value = scheduler.compactions
         registry.counter("scheduler.compacted_entries").value = scheduler.compacted_entries
-        registry.gauge("scheduler.queue_depth").set(scheduler.queue_depth)
-        registry.gauge("scheduler.max_queue_depth").set(scheduler.max_queue_depth)
-        if self.flight is not None:
-            registry.gauge("flight.dropped_events").set(self.flight.dropped_events)
-            registry.gauge("flight.attempts").set(len(self.flight.attempts))
         sent_by_proto: Dict[object, int] = {}
         lost_by_proto: Dict[object, int] = {}
         packets = drops = queue_drops = total_bytes = 0
@@ -192,7 +185,6 @@ class Network:
             table = getattr(node, "table", None)
             if table is not None and hasattr(table, "mappings_created"):
                 name = node.name
-                registry.gauge("nat.mapping_table_size", node=name).set(len(table))
                 registry.counter("nat.mappings_created", node=name).value = table.mappings_created
                 registry.counter("nat.mappings_expired", node=name).value = table.mappings_expired
                 registry.counter("nat.translations_out", node=name).value = node.translations_out

@@ -65,10 +65,11 @@ class PacketPool:
     :meth:`Packet.stow` anyway, which is recycle-proof by construction.
 
     Every release bumps the packet's generation stamp (:attr:`Packet.gen`),
-    so a holder that snapshots ``gen`` can always detect recycling; with
-    :attr:`debug_poison` on, release additionally poisons the payload and
-    endpoint fields so any use of a stale reference raises (the identity and
-    safety suites run in this mode).
+    so a holder that snapshots ``gen`` can always detect recycling, and
+    drops the carcass's payload and headers, so the free list pins no
+    application data; with :attr:`debug_poison` on, release poisons the
+    payload and endpoint fields instead so any use of a stale reference
+    raises (the identity and safety suites run in this mode).
 
     ``disable()`` empties the free list, which makes the acquire fast path
     (``free.pop() if free else object.__new__``) collapse to the plain
@@ -110,8 +111,10 @@ class PacketPool:
             packet.src = _RECYCLED
             packet.dst = _RECYCLED
             packet.payload = _RECYCLED
-            packet.tcp = None
-            packet.icmp = None
+        else:
+            packet.payload = b""
+        packet.tcp = None
+        packet.icmp = None
         packet.gen += 1
         self.released += 1
         self._free.append(packet)

@@ -2,16 +2,15 @@
 
 The observability layer the evaluation (Table 1, §6) is reported through:
 
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
-  virtual-time histograms, owned by :class:`~repro.netsim.network.Network`
-  and reachable from every layer via ``node.metrics``;
-* :class:`~repro.obs.spans.Span` — connection-attempt lifecycles (rendezvous
-  lookup → punch probes → lock-in or fallback-to-relay) with tagged
-  outcomes;
+* :class:`~repro.obs.metrics.MetricsRegistry` — counters and virtual-time
+  histograms, owned by :class:`~repro.netsim.network.Network` and reachable
+  from every layer via ``node.metrics``;
 * :mod:`~repro.obs.export` — the report's metrics block and JSON dumps;
 * :class:`~repro.obs.flight.FlightRecorder` — the causal flight recorder:
-  per-attempt event timelines stitched from NAT decisions, link drops, and
-  fault injections via correlation-id propagation;
+  one :class:`~repro.obs.flight.Attempt` per connect (request to S, punch,
+  outcome) and per session, with event timelines stitched from NAT
+  decisions, link drops, and fault injections via correlation-id
+  propagation;
 * :func:`~repro.obs.attribution.explain` — the rule-based failure-
   attribution engine that turns a timeline into a root-cause verdict;
 * :mod:`~repro.obs.flight_export` — JSONL event logs and Chrome
@@ -19,7 +18,7 @@ The observability layer the evaluation (Table 1, §6) is reported through:
 * :class:`~repro.obs.profile.RunProfiler` — the wall-clock events/sec and
   packets/sec hook the perf benches assert against.
 
-See ``docs/observability.md`` for the metric and span catalog.
+See ``docs/observability.md`` for the metric catalog.
 """
 
 from repro import _lazy_exports
@@ -40,23 +39,15 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "Counter": "metrics",
     "FlightEvent": "flight",
     "FlightRecorder": "flight",
-    "Gauge": "metrics",
     "Histogram": "metrics",
     "MetricsRegistry": "metrics",
     "RunProfiler": "profile",
-    "Span": "spans",
     "Verdict": "attribution",
     "explain": "attribution",
     "render_verdict": "attribution",
     "to_chrome_trace": "flight_export",
     "to_jsonl": "flight_export",
     "write_flight_files": "flight_export",
-    "NULL_SPAN": "spans",
-    "OUTCOME_ERROR": "spans",
-    "OUTCOME_FALLBACK": "spans",
-    "OUTCOME_LOCKED": "spans",
-    "OUTCOME_OK": "spans",
-    "OUTCOME_TIMEOUT": "spans",
     "format_metric_name": "metrics",
     "summarize_for_report": "export",
     "to_json": "export",

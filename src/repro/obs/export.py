@@ -11,10 +11,9 @@ Two consumers:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import List
 
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.spans import Span
 
 
 def to_json(registry: MetricsRegistry) -> str:
@@ -38,14 +37,6 @@ def _histogram_line(key: str, hist: Histogram) -> str:
         f"p99={_format_value(hist.p99, hist.unit)} "
         f"max={_format_value(hist.max, hist.unit)}"
     )
-
-
-def _span_outcomes(spans: Sequence[Span]) -> Dict[str, int]:
-    outcomes: Dict[str, int] = {}
-    for span in spans:
-        label = span.outcome if span.finished else "open"
-        outcomes[label] = outcomes.get(label, 0) + 1
-    return outcomes
 
 
 #: Counter prefixes surfaced by the compact per-section report summary.
@@ -87,11 +78,4 @@ def summarize_for_report(registry: MetricsRegistry) -> List[str]:
     for key, hist in sorted(registry.histograms().items()):
         if hist.count:
             lines.append("obs " + _histogram_line(key, hist))
-    punch_spans = [s for s in registry.find_spans() if s.name.startswith("punch.")]
-    if punch_spans:
-        outcomes = _span_outcomes(punch_spans)
-        lines.append(
-            "obs punch spans: "
-            + ", ".join(f"{label}={count}" for label, count in sorted(outcomes.items()))
-        )
     return lines

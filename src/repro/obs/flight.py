@@ -1,8 +1,10 @@
 """Causal flight recorder: per-attempt event timelines.
 
-The observability layer so far answers *what happened in aggregate*
-(counters, histograms, spans).  This module answers *what happened to this
-attempt*: a :class:`FlightRecorder` collects low-level decision events —
+The metrics registry answers *what happened in aggregate* (counters,
+histograms).  This module answers *what happened to this attempt*, and it
+keeps the one per-attempt record: each connect and each session is an
+:class:`Attempt` with its start, end and outcome.  A :class:`FlightRecorder`
+collects low-level decision events —
 NAT mapping creations, translate/filter/drop verdicts, link losses, fault
 injections — each stamped with an attempt-scoped correlation id, and merges
 them into one ordered timeline per attempt.  The attribution engine in
@@ -24,8 +26,8 @@ Correlation ids propagate through two complementary channels:
 Recording follows the PR 4 fast-path discipline: every instrumentation site
 is guarded by an ``is not None`` check on the recorder reference, so a
 simulation with no recorder attached pays one attribute load per site (the
-overhead bench pins this under 2%).  Like spans, the recorder is strictly
-passive — it never schedules timers or perturbs determinism.
+overhead bench pins this under 2%).  The recorder is strictly passive —
+it never schedules timers or perturbs determinism.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ DEFAULT_CAPACITY = 65536
 
 #: Attempt outcomes the attribution engine treats as success ("closed"
 #: covers sessions torn down deliberately by the application).
-SUCCESS_OUTCOMES = frozenset({"ok", "locked", "consistent", "connected", "closed"})
+SUCCESS_OUTCOMES = frozenset({"ok", "consistent", "connected", "closed"})
 
 
 class FlightEvent:

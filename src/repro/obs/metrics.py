@@ -21,6 +21,7 @@ Design notes:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -58,26 +59,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({format_metric_name(self.name, self.labels)}={self.value})"
-
-
-class Gauge:
-    """A point-in-time value (table sizes, queue depths)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Gauge({format_metric_name(self.name, self.labels)}={self.value})"
 
 
 class Histogram:
@@ -120,10 +101,7 @@ class Histogram:
         if not 0 <= p <= 100:
             raise ValueError(f"percentile out of range: {p}")
         ordered = sorted(self._values)
-        rank = max(1, -(-int(p * len(ordered)) // 100))  # ceil(p/100 * n), >= 1
-        if p == 0:
-            return ordered[0]
-        rank = min(rank, len(ordered))
+        rank = max(1, math.ceil(p * len(ordered) / 100))  # ceil(p/100 * n), >= 1
         return ordered[rank - 1]
 
     @property
@@ -176,16 +154,6 @@ class _NullCounter(Counter):
         pass
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -194,35 +162,28 @@ class _NullHistogram(Histogram):
 
 
 _NULL_COUNTER = _NullCounter("disabled")
-_NULL_GAUGE = _NullGauge("disabled")
 _NULL_HISTOGRAM = _NullHistogram("disabled")
 
 Collector = Callable[["MetricsRegistry"], None]
 
 
 class MetricsRegistry:
-    """Owns every instrument and span of one simulation run.
+    """Owns every instrument of one simulation run.
 
     Typically constructed by :class:`~repro.netsim.network.Network` (which
-    points ``now_fn`` at the virtual clock and registers its built-in
-    collector); any layer holding a node can reach it via ``node.metrics``.
+    registers its built-in collector); any layer holding a node can reach it
+    via ``node.metrics``.
 
     Args:
-        now_fn: source of virtual time for spans; defaults to a frozen zero
-            clock so a registry is usable standalone in tests.
         enabled: when False every instrument handed out is an inert shared
-            sink and spans are not recorded — the configuration the overhead
-            bench compares against.
+            sink — the configuration the overhead bench compares against.
     """
 
-    def __init__(self, now_fn: Optional[Callable[[], float]] = None, enabled: bool = True) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.now_fn = now_fn or (lambda: 0.0)
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
-        self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
         self._collectors: List[Collector] = []
-        self.spans: List["Span"] = []  # root spans, in start order
 
     # -- instruments ---------------------------------------------------------
 
@@ -244,15 +205,6 @@ class MetricsRegistry:
             instrument = self._counters[key] = Counter(name, key[1])
         return instrument
 
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
-        key = (name, _label_key(labels))
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge(name, key[1])
-        return instrument
-
     def histogram(self, name: str, unit: str = "s", **labels: object) -> Histogram:
         if not self.enabled:
             return _NULL_HISTOGRAM
@@ -261,33 +213,6 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._histograms[key] = Histogram(name, key[1], unit=unit)
         return instrument
-
-    # -- spans ---------------------------------------------------------------
-
-    def span(self, name: str, **tags: object) -> "Span":
-        """Start a root span at the current virtual time."""
-        from repro.obs.spans import Span, NULL_SPAN
-
-        if not self.enabled:
-            return NULL_SPAN
-        span = Span(name, registry=self, start=self.now_fn(), tags=dict(tags))
-        self.spans.append(span)
-        return span
-
-    def find_spans(self, name: Optional[str] = None, recursive: bool = True) -> List["Span"]:
-        """Spans by name, walking children when *recursive* (default)."""
-        found: List["Span"] = []
-
-        def visit(span: "Span") -> None:
-            if name is None or span.name == name:
-                found.append(span)
-            if recursive:
-                for child in span.children:
-                    visit(child)
-
-        for root in self.spans:
-            visit(root)
-        return found
 
     # -- collectors & snapshots ----------------------------------------------
 
@@ -306,12 +231,6 @@ class MetricsRegistry:
             for c in self._counters.values()
         }
 
-    def gauges(self) -> Dict[str, float]:
-        return {
-            format_metric_name(g.name, g.labels): g.value
-            for g in self._gauges.values()
-        }
-
     def histograms(self) -> Dict[str, Histogram]:
         return {
             format_metric_name(h.name, h.labels): h
@@ -328,16 +247,13 @@ class MetricsRegistry:
         self.collect()
         return {
             "counters": self.counters(),
-            "gauges": self.gauges(),
             "histograms": {
                 key: hist.summary() for key, hist in self.histograms().items()
             },
-            "spans": [span.to_dict() for span in self.spans],
         }
 
     def __repr__(self) -> str:
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, histograms={len(self._histograms)}, "
-            f"spans={len(self.spans)}, enabled={self.enabled})"
+            f"histograms={len(self._histograms)}, enabled={self.enabled})"
         )

@@ -99,7 +99,7 @@ LAYERS = {
     "repro.nat": ("repro.netsim.*", "repro.obs.metrics", "repro.util.*"),
     "repro.transport": ("repro.netsim.*", "repro.obs.metrics", "repro.util.*"),
     "repro.core": ("repro.transport.tcp", "repro.netsim.*", "repro.obs.metrics",
-                   "repro.obs.spans", "repro.util.*"),
+                   "repro.util.*"),
     "repro.natcheck": ("repro.cache.*", "repro.nat.*", "repro.transport.*", "repro.netsim.*",
                        "repro.obs.metrics", "repro.util.*"),
 }
@@ -143,7 +143,7 @@ def test_fleet_entry_point():
     banned = ("repro.core", "repro.scenarios", "repro.analysis")
     assert not {m for m in loaded if m.startswith(banned)}
     assert not loaded & {
-        "repro.netsim.adversary", "repro.netsim.faults", "repro.obs.export", "repro.obs.flight_export", "repro.obs.profile", "repro.obs.spans",
+        "repro.netsim.adversary", "repro.netsim.faults", "repro.obs.export", "repro.obs.flight_export", "repro.obs.profile",
     }
 
 
@@ -165,7 +165,7 @@ def test_topologies_entry_point():
         {m for m in loaded if m.startswith(("repro.netsim", "repro.obs"))},
         ("repro.netsim.addresses", "repro.netsim.clock", "repro.netsim.link",
          "repro.netsim.network", "repro.netsim.node", "repro.netsim.packet",
-         "repro.netsim.routing", "repro.obs.metrics", "repro.obs.spans"),
+         "repro.netsim.routing", "repro.obs.metrics"),
     )
 
 
@@ -260,14 +260,12 @@ EXPORTS = {
         "CAT_NAT_REBOOT": "attribution", "CAT_NONE": "attribution", "CAT_RST": "attribution",
         "CAT_SERVER_DEAD": "attribution", "CAT_SYMMETRIC": "attribution",
         "CAT_TIMEOUT": "attribution", "CAT_UNKNOWN": "attribution", "Counter": "metrics",
-        "FlightEvent": "flight", "FlightRecorder": "flight", "Gauge": "metrics",
+        "FlightEvent": "flight", "FlightRecorder": "flight",
         "Histogram": "metrics", "MetricsRegistry": "metrics", "RunProfiler": "profile",
-        "Span": "spans", "Verdict": "attribution", "explain": "attribution",
+        "Verdict": "attribution", "explain": "attribution",
         "render_verdict": "attribution",
         "to_chrome_trace": "flight_export", "to_jsonl": "flight_export",
-        "write_flight_files": "flight_export", "NULL_SPAN": "spans",
-        "OUTCOME_ERROR": "spans", "OUTCOME_FALLBACK": "spans", "OUTCOME_LOCKED": "spans",
-        "OUTCOME_OK": "spans", "OUTCOME_TIMEOUT": "spans",
+        "write_flight_files": "flight_export",
         "format_metric_name": "metrics", "summarize_for_report": "export", "to_json": "export",
     },
     "repro.scenarios": {
@@ -295,7 +293,7 @@ def test_every_package_is_covered():
         m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
     }
     assert found == set(EXPORTS)
-    assert sum(len(table) for table in EXPORTS.values()) == 128
+    assert sum(len(table) for table in EXPORTS.values()) == 120
 
 
 @pytest.mark.parametrize("package", PACKAGES)

@@ -1,4 +1,4 @@
-"""Unit tests for the repro.obs subsystem: registry, instruments, spans,
+"""Unit tests for the repro.obs subsystem: registry, instruments,
 exporters, and the wall-clock profiler."""
 
 from __future__ import annotations
@@ -16,13 +16,6 @@ from repro.obs.metrics import (
     format_metric_name,
 )
 from repro.obs.profile import RunProfiler
-from repro.obs.spans import (
-    NULL_SPAN,
-    OUTCOME_FALLBACK,
-    OUTCOME_LOCKED,
-    OUTCOME_TIMEOUT,
-    Span,
-)
 
 
 # -- instruments -------------------------------------------------------------
@@ -47,15 +40,6 @@ def test_format_metric_name():
     assert format_metric_name("x", (("a", "1"), ("b", "2"))) == "x{a=1,b=2}"
 
 
-def test_gauge_set_inc_dec():
-    reg = MetricsRegistry()
-    g = reg.gauge("queue_depth")
-    g.set(10)
-    g.inc(5)
-    g.inc(-3)  # a gauge goes down through a negative increment
-    assert reg.gauges()["queue_depth"] == 12
-
-
 def test_histogram_percentiles_nearest_rank():
     h = Histogram("lat")
     for v in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]:
@@ -71,6 +55,16 @@ def test_histogram_percentiles_nearest_rank():
         h.percentile(101)
 
 
+def test_histogram_fractional_percentile_ranks_up():
+    # Nearest rank is ceil(33.5/100 * 3) = ceil(1.005) = 2; truncating
+    # 33.5 * 3 to an integer first ranks it ceil(100/100) = 1.
+    h = Histogram("lat")
+    for v in [1.0, 2.0, 3.0]:
+        h.observe(v)
+    assert h.percentile(33.5) == 2.0
+    assert h.percentile(33) == 1.0
+
+
 def test_histogram_empty_and_sample_cap():
     h = Histogram("lat")
     assert h.p50 is None and h.mean is None
@@ -81,73 +75,21 @@ def test_histogram_empty_and_sample_cap():
     assert h.max == float(HISTOGRAM_SAMPLE_CAP + 99)
 
 
-# -- spans -------------------------------------------------------------------
-
-
-def test_span_lifecycle_and_nesting():
-    clock = {"now": 0.0}
-    reg = MetricsRegistry(now_fn=lambda: clock["now"])
-    root = reg.span("connect", peer="2")
-    clock["now"] = 1.0
-    child = root.child("punch.udp")
-    child.event("probing-started", candidates=3)
-    clock["now"] = 2.5
-    child.finish(OUTCOME_LOCKED, endpoint="1.2.3.4:600")
-    root.finish(OUTCOME_LOCKED)
-    assert root.start == 0.0 and root.end == 2.5
-    assert child.start == 1.0 and child.end == 2.5
-    assert child.finished and child.outcome == OUTCOME_LOCKED
-    assert child.tags["endpoint"] == "1.2.3.4:600"
-    assert child.events[0][1] == "probing-started"
-    assert reg.find_spans("punch.udp") == [child]
-    assert len(reg.find_spans()) == 2
-    assert reg.find_spans("punch.udp", recursive=False) == []
-
-
-def test_span_finish_is_idempotent():
-    reg = MetricsRegistry()
-    span = reg.span("connect")
-    span.finish(OUTCOME_TIMEOUT)
-    span.finish(OUTCOME_LOCKED)  # first outcome wins
-    assert span.outcome == OUTCOME_TIMEOUT
-
-
-def test_span_to_dict_coerces_tags():
-    span = Span("x", start=1.0, tags={"n": 3, "obj": object()})
-    span.finish(OUTCOME_FALLBACK)
-    record = span.to_dict()
-    assert record["outcome"] == OUTCOME_FALLBACK
-    assert record["tags"]["n"] == 3
-    assert isinstance(record["tags"]["obj"], str)
-    json.dumps(record)  # fully JSON-native
-
-
 def test_disabled_registry_hands_out_inert_instruments():
     reg = MetricsRegistry(enabled=False)
     reg.counter("x").inc(100)
-    reg.gauge("y").set(5)
     reg.histogram("z").observe(1.0)
-    span = reg.span("connect")
-    assert span is NULL_SPAN
-    assert span.child("punch.udp") is span  # children collapse to the sink
-    span.event("anything")
-    span.finish(OUTCOME_LOCKED)
-    snap = reg.snapshot()
-    assert snap["counters"] == {} and snap["spans"] == []
+    assert reg.snapshot() == {"counters": {}, "histograms": {}}
 
 
 # -- exporters ---------------------------------------------------------------
 
 
 def _populated_registry() -> MetricsRegistry:
-    clock = {"now": 0.0}
-    reg = MetricsRegistry(now_fn=lambda: clock["now"])
+    reg = MetricsRegistry()
     reg.counter("punch.udp.probes_sent").inc(8)
     reg.counter("nat.drops", node="NAT-A", reason="no-mapping").inc(2)
     reg.histogram("punch.udp.lock_in_seconds").observe(0.012)
-    span = reg.span("punch.udp", peer="2")
-    clock["now"] = 0.012
-    span.finish(OUTCOME_LOCKED)
     return reg
 
 
@@ -164,7 +106,6 @@ def test_summarize_for_report_filters_prefixes():
     assert "punch.udp.probes_sent=8" in joined
     assert "nat.drops{node=NAT-A,reason=no-mapping}=2" in joined
     assert "punch.udp.lock_in_seconds" in joined
-    assert "punch spans: locked=1" in joined
     assert "scheduler.events_fired" not in joined
     assert summarize_for_report(MetricsRegistry()) == []
 

@@ -1,14 +1,14 @@
 """Integration tests for the instrumentation points: the punching stack,
 the substrate collectors, and the fleet latency wiring all feed the
-network's metrics registry."""
+network's metrics registry, and a connect's outcome lands on its flight
+attempt."""
 
 from __future__ import annotations
 
-from repro.core.connector import P2PConnector, STRATEGY_RELAY
+from repro.core.connector import P2PConnector, STRATEGY_PUNCH, STRATEGY_RELAY
 from repro.nat.behavior import HAIRPIN_CAPABLE, WELL_BEHAVED
 from repro.natcheck.fleet import check_device
 from repro.natcheck.table import latency_histograms, render_latency_appendix
-from repro.obs.spans import OUTCOME_FALLBACK, OUTCOME_LOCKED, OUTCOME_TIMEOUT
 from repro.scenarios.topologies import build_multilevel, build_two_nats
 
 
@@ -28,8 +28,12 @@ def _punch(scenario, timeout=20.0):
     return result
 
 
+def _connect_attempts(scenario):
+    return [a for a in scenario.net.flight.attempts.values() if a.name == "connect.udp"]
+
+
 def test_udp_punch_populates_metrics_and_spans():
-    scenario = build_two_nats(seed=5)
+    scenario = build_two_nats(seed=5, flight=True)
     result = _punch(scenario)
     assert "session" in result
     reg = scenario.net.metrics
@@ -41,29 +45,23 @@ def test_udp_punch_populates_metrics_and_spans():
     assert reg.counter_value("punch.udp.endpoint", kind="public") == 2
     hist = reg.histogram("punch.udp.lock_in_seconds")
     assert hist.count == 2 and hist.p50 > 0
-    # Requester side: a "connect" root span with a locked punch child.
-    connects = reg.find_spans("connect")
-    assert connects and connects[0].outcome == OUTCOME_LOCKED
-    children = [c for c in connects[0].children if c.name == "punch.udp"]
-    assert children and children[0].outcome == OUTCOME_LOCKED
-    assert children[0].tags["endpoint_kind"] == "public"
-    # Responder side: a root punch span (no connect parent).
-    punches = reg.find_spans("punch.udp")
-    assert len(punches) == 2
-    assert all(span.finished for span in punches)
+    # The requester's connect is one flight attempt; the responder's punch
+    # answers no request of its own, so it opens none.
+    (connect,) = _connect_attempts(scenario)
+    assert connect.outcome == "connected" and connect.tags["peer"] == 2
 
 
 def test_failed_punch_finishes_spans_with_timeout():
     # Without hairpin support at NAT C the multilevel punch cannot complete
     # (the figure 6 "off" configuration).
-    scenario = build_multilevel(seed=5, nat_c_behavior=WELL_BEHAVED)
+    scenario = build_multilevel(seed=5, nat_c_behavior=WELL_BEHAVED, flight=True)
     result = _punch(scenario, timeout=30.0)
     assert "failure" in result
     reg = scenario.net.metrics
     assert reg.counter_value("punch.udp.succeeded") == 0
     assert reg.counter_value("punch.udp.failed") == 2
-    punches = reg.find_spans("punch.udp")
-    assert punches and all(s.outcome == OUTCOME_TIMEOUT for s in punches)
+    (connect,) = _connect_attempts(scenario)
+    assert connect.outcome == "timeout"
     # The hairpin refusals show up as NAT drop reasons in the snapshot.
     snapshot = reg.snapshot()
     assert snapshot["counters"]["nat.drops{node=NAT-C,reason=hairpin-refused}"] > 0
@@ -78,9 +76,11 @@ def test_connector_ladder_records_fallback_outcome():
     connector.connect(2, results.append)
     scenario.scheduler.run_while(lambda: not results, scenario.scheduler.now + 30.0)
     assert results and results[0].strategy == STRATEGY_RELAY
-    ladders = scenario.net.metrics.find_spans("connect.ladder")
-    assert ladders and ladders[0].outcome == OUTCOME_FALLBACK
-    assert ladders[0].tags["strategy"] == STRATEGY_RELAY
+    # The result is the ladder's one record: each rung tried, in order.
+    assert [(a.strategy, a.success) for a in results[0].attempts] == [
+        (STRATEGY_PUNCH, False),
+        (STRATEGY_RELAY, True),
+    ]
     assert scenario.net.metrics.counter_value("relay.sessions_opened") >= 1
 
 
@@ -104,7 +104,7 @@ def test_builtin_collector_snapshots_substrate_counters():
     assert counters["udp.datagrams_sent"] > 0
     assert counters["udp.datagrams_received"] > 0
     assert any(key.startswith("nat.mappings_created") for key in counters)
-    assert snapshot["gauges"]["scheduler.queue_depth"] >= 0
+    assert set(snapshot) == {"counters", "histograms"}
     # The json exporter runs off the same snapshot.
     assert "counters" in scenario.net.metrics_json()
 
@@ -115,7 +115,7 @@ def test_metrics_disabled_network_records_nothing():
     net = Network(seed=5, metrics_enabled=False)
     assert not net.metrics.enabled
     snapshot = net.metrics.snapshot()
-    assert snapshot["counters"] == {} and snapshot["spans"] == []
+    assert snapshot == {"counters": {}, "histograms": {}}
 
 
 def test_natcheck_reports_carry_punch_latencies():

@@ -237,6 +237,27 @@ class TestRecycleLicence:
         assert deliveries == 20 and nat.packets_received == 20
         assert PACKET_POOL.released - before == deliveries + nat.packets_received
 
+    def test_carcasses_pin_no_payload_or_header(self):
+        # A carcass waits on the free list until reused; whatever it carried
+        # last must not stay alive with it, on either release route.
+        from tests.test_nat_device import S_EP, build
+
+        PACKET_POOL._free.clear()
+        net, nat, client, server = build()
+        echo = server.stack.udp.socket(1234)
+        echo.on_datagram = echo.sendto
+        sock = client.stack.udp.socket(4321)
+        sock.on_datagram = lambda payload, src: None
+        for i in range(10):
+            net.scheduler.call_at(i * 0.001, sock.sendto, b"payload-%d" % i, S_EP)
+        net.run_until(1.0)
+        assert sock.datagrams_received == 10
+        PACKET_POOL.release(_packet())
+        assert PACKET_POOL.free > 0
+        assert [
+            p for p in PACKET_POOL._free if p.payload or p.tcp is not None or p.icmp is not None
+        ] == []
+
 
 class TestDrainBooks:
     def test_raising_handler_keeps_pool_and_link_books(self):

@@ -1,8 +1,9 @@
 """The hole-punch lifecycle every connect technique shares — UDP and TCP
 punching (§3.2, §4.2), connection reversal (§2.3) and sequential punching
 (§4.5) — and the §3.6 session ladder that follows the two parallel punches,
-pinned once per technique: the span tree, the counters, the flight attempts
-and their verdicts — and the joining of a second connect to the same peer."""
+pinned once per technique: the counters, the lock-in histogram, the flight
+attempts and their verdicts — and the joining of a second connect to the
+same peer."""
 
 import pytest
 
@@ -11,14 +12,20 @@ from repro.core.tcp_sequential import SequentialConfig
 from repro.core.udp_punch import PunchConfig
 from repro.nat import behavior as B
 from repro.obs.attribution import CAT_FILTERED, CAT_REFUSED, CAT_UNKNOWN, explain
-from repro.obs.spans import OUTCOME_LOCKED, OUTCOME_TIMEOUT
 from repro.scenarios import build_one_sided, build_two_nats
 
 #: The techniques whose punch leaves a session of its own — and where the
-#: responder punches too (a root span): a reversal or sequential responder
-#: only dials or listens.
+#: responder punches too: a reversal or sequential responder only dials or
+#: listens.
 CARRIERS = ["udp", "tcp"]
 TECHNIQUES = CARRIERS + ["reversal", "sequential"]
+#: The lock-in latency histogram each technique observes into.
+LOCK_IN_HISTOGRAM = {
+    "udp": "punch.udp.lock_in_seconds",
+    "tcp": "punch.tcp.connect_seconds",
+    "reversal": "punch.reversal.connect_seconds",
+    "sequential": "punch.sequential.connect_seconds",
+}
 #: The keepalive counter each session bumps.
 KEEPALIVE_COUNTER = {
     "udp": "session.udp.keepalives",
@@ -100,17 +107,16 @@ def test_locked_punch_span_tree_and_counters(technique):
     sc.wait_for(lambda: "a" in result and "b" in result, 40.0)
     sc.run_for(1.0)  # the responder's lock-in may land a beat later
     reg = sc.net.metrics
-    (connect,) = reg.find_spans("connect", recursive=False)
-    assert connect.tags["transport"] == technique and connect.outcome == OUTCOME_LOCKED
-    assert [c.name for c in connect.children] == [f"punch.{technique}"]
-    assert connect.children[0].outcome == OUTCOME_LOCKED
-    # The responder's parallel punch is a root span of its own; a reversal
-    # or sequential responder only dials or listens.
+    # One connect, one attempt: the requester's; the responder's punch
+    # answers no request of its own.
+    (connect,) = [a for a in sc.net.flight.attempts.values() if a.name.startswith("connect.")]
+    assert connect.name == f"connect.{technique}" and connect.outcome == "connected"
+    # The responder's parallel punch locks in too; a reversal or sequential
+    # responder only dials or listens.
     both_punch = technique in CARRIERS
-    roots = reg.find_spans(f"punch.{technique}", recursive=False)
-    assert [s.outcome for s in roots] == [OUTCOME_LOCKED] * both_punch
     assert reg.counter_value(f"punch.{technique}.succeeded") == 1 + both_punch
     assert reg.counter_value(f"punch.{technique}.failed") == 0
+    assert reg.histogram(LOCK_IN_HISTOGRAM[technique]).count == 1 + both_punch
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
@@ -124,13 +130,9 @@ def test_timed_out_punch_span_tree_and_counters(technique):
         result["error"]
     )
     reg = sc.net.metrics
-    (connect,) = reg.find_spans("connect", recursive=False)
-    assert connect.outcome == OUTCOME_TIMEOUT
-    assert [(c.name, c.outcome) for c in connect.children] == [
-        (f"punch.{technique}", OUTCOME_TIMEOUT)
-    ]
     assert reg.counter_value(f"punch.{technique}.succeeded") == 0
     assert reg.counter_value(f"punch.{technique}.failed") == 1 + (technique in CARRIERS)
+    assert reg.histogram(LOCK_IN_HISTOGRAM[technique]).count == 0
     (attempt,) = _attempts(sc, f"connect.{technique}")
     assert attempt.outcome == "timeout"
     assert explain(attempt, sc.net.flight).category != CAT_UNKNOWN
@@ -203,8 +205,6 @@ def test_back_to_back_connects_both_hear_back(technique):
     sc.run_for(45.0)
     assert [tag for tag, _ in calls] == ["first", "second"]
     assert calls[0][1] is calls[1][1]
-    (span,) = sc.net.metrics.find_spans("connect", recursive=False)
-    assert span.outcome == OUTCOME_LOCKED
     (attempt,) = _attempts(sc, f"connect.{technique}")
     assert attempt.outcome == "connected"
 
@@ -305,10 +305,8 @@ def test_connect_book_drains(technique, outcome):
     sc.scheduler.run_while(lambda: not calls, sc.scheduler.now + 40.0)
     assert [tag for tag, _ in calls] == ["connected" if outcome == "locked" else "failed"]
     assert [c._connects for c in sc.clients.values()] == [{}, {}]
-    spans = sc.net.metrics.find_spans("connect", recursive=False)
-    attempts = _attempts(sc, f"connect.{technique}")
-    assert len(spans) == len(attempts) == 1
-    assert spans[0].finished and attempts[0].finished
+    (attempt,) = _attempts(sc, f"connect.{technique}")
+    assert attempt.finished
 
 
 def test_timed_out_reversal_explains():

@@ -538,7 +538,7 @@ def test_keepalive_wheel_a_raising_callback_stops_only_its_own_loop():
 
 def test_registry_metrics_names():
     sched = Scheduler()
-    metrics = MetricsRegistry(now_fn=lambda: sched.now)
+    metrics = MetricsRegistry()
     table = make_table(sched, ttl=10.0, sweep_granularity=5.0, max_entries=2, metrics=metrics)
     table.register(1, Entry(last_seen=0.0))
     table.register(2, Entry(last_seen=0.0))
