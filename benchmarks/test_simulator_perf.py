@@ -343,7 +343,7 @@ def test_registry_route_cost_guard():
     routes = (
         (ShardedRegistry.register, RegistrationTable.register),
         (ShardedRegistry.touch, RegistrationTable.refresh),
-        (ShardedRegistry.lookup, RegistrationTable.lookup),
+        (ShardedRegistry.lookup, RegistrationTable.get),
     )
     module = RegistrationTable.register.__code__.co_filename
     frames = {code: n for code, n in calls.items() if code.co_filename == module}
@@ -374,7 +374,7 @@ def test_registry_route_cost_guard():
         n for (caller, callee), n in edges.items()
         if caller is sweep and not isinstance(callee, str)
     )
-    assert frames <= 2  # the batch-size histogram, not one per entry
+    assert frames <= 1  # the due-bucket comprehension, not one per entry
 
     with _counting_calls() as (calls, _edges):
         reads = [sched.now for _ in range(100)]

@@ -1,11 +1,11 @@
-"""Registration tables for the rendezvous server, and their scale-out plane.
+"""The scale-out registration plane: TTL tables, sharding, a keepalive wheel.
 
 The paper's rendezvous server S (§3.1) keeps one record per client: a
 handful of clients, one dict, one keepalive timer each.  S here does the
-same with two plain :class:`RegistrationTable`\\ s (no expiry, no bound).
-The rest of this module is the plane the ``rendezvous_churn`` workload and
-the scale bench drive with no packets at all, where two things the naive
-design does per peer would not scale:
+same with two plain dicts (:mod:`repro.core.rendezvous`).  This module is
+the plane the ``rendezvous_churn`` workload and the scale bench drive with
+no packets at all, where two things the naive design does per peer would
+not scale:
 
 * **one ``Scheduler`` timer per registration** for TTL expiry — a million
   heap entries churned on every keepalive refresh; and
@@ -13,15 +13,12 @@ design does per peer would not scale:
   walks one structure.
 
 :class:`RegistrationTable`
-    One shard's registration store.  Dict-compatible (so code and tests that
-    iterate ``server.udp_clients`` see a dict), with optional TTL + LRU
-    eviction.  Expiry uses *timer-wheel buckets* on the virtual clock:
-    registrations are filed under coarse deadline buckets and a single
-    repeating sweep timer retires whole buckets at once.  Keepalive
-    refreshes are O(1) — they update ``last_seen`` and the LRU order only;
-    the wheel re-files the entry lazily when its old bucket comes due.  With
-    no TTL and no size bound configured the table is a plain dict: no sweep
-    timer is ever scheduled.
+    One shard's registration store with TTL expiry.  Expiry uses
+    *timer-wheel buckets* on the virtual clock: registrations are filed
+    under coarse deadline buckets and a single repeating sweep timer retires
+    whole buckets at once.  Keepalive refreshes are O(1) — they update
+    ``last_seen`` only; the wheel re-files the entry lazily when its old
+    bucket comes due.
 
 :class:`ShardedRegistry`
     A fixed number of tables; each peer id lives on table :func:`shard_of`
@@ -31,14 +28,6 @@ design does per peer would not scale:
 :class:`KeepaliveWheel`
     The client-side dual: any number of keepalive loops share one scheduler
     timer per wheel tick instead of one timer per peer.
-
-Metric names (pre-bound, virtual-time histograms):
-
-* ``rendezvous.lookup.hits`` / ``rendezvous.lookup.misses`` — counters
-* ``rendezvous.lookup.age`` — histogram, virtual seconds since the looked-up
-  registration's ``last_seen`` (how stale the state we hand out is)
-* ``rendezvous.evictions{reason=ttl|lru}`` — counters
-* ``rendezvous.sweep.batch_size`` — histogram, entries examined per sweep
 """
 
 from __future__ import annotations
@@ -49,9 +38,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 from zlib import crc32
 
 from repro.netsim.addresses import Endpoint
-from repro.obs.metrics import MetricsRegistry
-
-EvictionHandler = Callable[[object, str], None]
 
 #: A peer id's 4 placement bytes: the same as ``int.to_bytes(4, "big")``,
 #: without the method lookup and keyword parsing per call.
@@ -65,38 +51,24 @@ def shard_of(peer_id: int, num_shards: int) -> int:
 
 @dataclass(frozen=True)
 class RegistryConfig:
-    """Eviction policy knobs for a registration table.
-
-    The defaults are deliberately inert: no TTL, no size bound.  A table
-    built from a default config behaves exactly like the plain dict it
-    replaced — no sweep timer, no reordering — which is what keeps the
-    small-scale scenario traces byte-identical.
+    """Expiry policy for the tables of a :class:`ShardedRegistry`.
 
     Attributes:
         ttl: virtual seconds a registration survives without a refresh
-            (Register or Keepalive).  ``None`` disables expiry.
+            (Register or Keepalive).
         sweep_granularity: width of one timer-wheel bucket; also the period
             of the shared sweep timer.  Coarser buckets mean fewer scheduler
             events and slightly later expiry (an entry outlives its deadline
             by at most one granularity).
-        max_entries: LRU bound per shard; ``None`` means unbounded.
     """
 
-    ttl: Optional[float] = None
+    ttl: float
     sweep_granularity: float = 5.0
-    max_entries: Optional[int] = None
 
 
 class RegistrationTable:
-    """One shard's registrations: a dict with TTL + LRU eviction bolted on.
+    """One shard's registrations, expired by TTL through a timer wheel.
 
-    The dict protocol (``len``/``iter``/``get``/``[]``/``items``/``clear``)
-    matches how ``RendezvousServer`` and its tests already use the plain
-    tables, so this is a drop-in replacement.  ``__setitem__`` routes
-    through :meth:`register` so direct assignment stays policy-correct.
-
-    Recency is tracked with the dict itself (Python dicts preserve insertion
-    order; re-inserting moves to the back), so LRU costs one pop + one set.
     TTL deadlines live in coarse wheel buckets keyed by
     ``floor(deadline / granularity) + 1``; :meth:`sweep` retires every due
     bucket in one pass.  A refreshed entry found in a due bucket is simply
@@ -104,266 +76,115 @@ class RegistrationTable:
     eagerly, which is the whole trick: keepalives are O(1) attribute work
     instead of cancel + reschedule on a million-entry timer heap.
 
-    Filing invariant (TTL tables): every live id has exactly one *live
-    filing* — one occurrence in one bucket that the sweep will act on.
-    Removing an id (``del``, LRU eviction) leaves its filing behind as an
-    *orphan*; ``_orphans[id]`` counts them, and only while that count is
-    non-zero does ``_armed[id]`` name the bucket holding the id's live
-    filing (absent when the id is not live), so the sweep can tell the two
-    apart: a filing of an id with orphans in any other bucket is an orphan
-    and consumes one count.  An id that was never removed while filed
-    appears in neither map — with no removals both stay empty.
+    Only the sweep removes an id, and it removes the filing it retires, so
+    every live id is filed exactly once: :meth:`register` files a new id,
+    a replaced entry keeps its id's filing, and the sweep either re-files or
+    evicts each id it meets.
     """
 
     __slots__ = (
         "ttl",
-        "max_entries",
         "granularity",
-        "on_evict",
         "sweeps",
         "evicted_ttl",
-        "evicted_lru",
         "_now",
-        "_tracking",
         "_entries",
-        "_armed",
-        "_orphans",
         "_buckets",
         "_sweep_timer",
-        "_hits",
-        "_misses",
-        "_ttl_evictions",
-        "_lru_evictions",
-        "_age_hist",
-        "_sweep_hist",
     )
+
+    #: Registrations evicted for recency: always 0, a table has no size bound.
+    evicted_lru = 0
 
     def __init__(
         self,
         now_fn: Callable[[], float],
-        ttl: Optional[float] = None,
-        max_entries: Optional[int] = None,
+        ttl: float,
         sweep_granularity: float = 5.0,
-        metrics: Optional[MetricsRegistry] = None,
-        on_evict: Optional[EvictionHandler] = None,
     ) -> None:
         if not (sweep_granularity > 0):  # NaN included
             raise ValueError("sweep_granularity must be positive")
-        if ttl is not None and not (ttl > 0):
-            raise ValueError("ttl must be positive (or None for no expiry)")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1 (or None for unbounded)")
+        if not (ttl > 0):  # NaN included
+            raise ValueError("ttl must be positive")
         self._now = now_fn
         self.ttl = ttl
-        self.max_entries = max_entries
         self.granularity = sweep_granularity
-        self.on_evict = on_evict
-        self._tracking = ttl is not None or max_entries is not None
         self._entries: Dict[int, object] = {}
-        #: client id -> orphan filings it has in the wheel (see the class
-        #: docstring); an id leaves the map when the sweep has met them all.
-        self._orphans: Dict[int, int] = {}
-        #: client id -> bucket of its live filing, kept only for ids that
-        #: have orphans.
-        self._armed: Dict[int, int] = {}
         self._buckets: Dict[int, List[int]] = {}
         self._sweep_timer = None
         self.sweeps = 0
         self.evicted_ttl = 0
-        self.evicted_lru = 0
-        metrics = metrics or MetricsRegistry(enabled=False)
-        self._hits = metrics.counter("rendezvous.lookup.hits")
-        self._misses = metrics.counter("rendezvous.lookup.misses")
-        self._ttl_evictions = metrics.counter("rendezvous.evictions", reason="ttl")
-        self._lru_evictions = metrics.counter("rendezvous.evictions", reason="lru")
-        self._age_hist = metrics.histogram("rendezvous.lookup.age", unit="s")
-        self._sweep_hist = metrics.histogram("rendezvous.sweep.batch_size", unit="entries")
-
-    # -- dict protocol (drop-in for the old plain tables) -----------------------
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._entries)
-
-    def __contains__(self, client_id: object) -> bool:
-        return client_id in self._entries
-
     def __getitem__(self, client_id: int):
         return self._entries[client_id]
 
-    def __setitem__(self, client_id: int, entry) -> None:
-        self.register(client_id, entry)
-
-    def __delitem__(self, client_id: int) -> None:
-        del self._entries[client_id]
-        if self.ttl is not None:
-            self._strand(client_id)
-
-    def get(self, client_id: int, default=None):
-        return self._entries.get(client_id, default)
-
-    def values(self):
-        return self._entries.values()
-
-    def items(self):
-        return self._entries.items()
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._orphans.clear()
-        self._armed.clear()
-        self._buckets.clear()
+    def get(self, client_id: int):
+        return self._entries.get(client_id)
 
     # -- registration lifecycle --------------------------------------------------
 
     def register(self, client_id: int, entry) -> None:
         """Insert (or replace) a registration; O(1).
 
-        A replaced entry keeps its id's wheel slot — the sweep re-files it
-        from the fresh ``last_seen`` when the old bucket comes due.  At
-        capacity the least-recently-refreshed entry is evicted first, which
-        can never be a peer with a live keepalive: every refresh moves the
-        peer to the back of the order.  Recency bookkeeping (move-to-end,
-        capacity checks) only runs when a size bound exists — a TTL-only
-        table registers with one dict store plus one wheel filing.
+        A new id is filed under the bucket of its deadline.  A replaced
+        entry keeps its id's filing — the sweep re-files it from the fresh
+        ``last_seen`` when the old bucket comes due.
         """
         entries = self._entries
-        if not self._tracking:
-            entries[client_id] = entry
-            return
-        filed = client_id in entries  # a live id already has its live filing
-        if self.max_entries is not None:
-            if filed:
-                del entries[client_id]
-            elif len(entries) >= self.max_entries:
-                self._evict_lru()
+        filed = client_id in entries  # a live id already has its filing
         entries[client_id] = entry
-        if self.ttl is not None and not filed:
-            try:
-                last_seen = entry.last_seen
-            except AttributeError:
-                last_seen = self._now()
-            index = int((last_seen + self.ttl) / self.granularity) + 1
-            if self._orphans and client_id in self._orphans:
-                self._armed[client_id] = index
+        if not filed:
+            index = int((entry.last_seen + self.ttl) / self.granularity) + 1
             bucket = self._buckets.get(index)
             if bucket is None:
                 self._buckets[index] = [client_id]
             else:
                 bucket.append(client_id)
 
-    def touch(self, client_id: int) -> None:
-        """Refresh recency after the caller updated ``entry.last_seen``; O(1).
-
-        Deliberately does *not* re-file the wheel bucket — the sweep does
-        that lazily from the real ``last_seen`` — and only moves the entry
-        to the back of the recency order when a size bound makes recency
-        matter.  A keepalive against a TTL-only table is pure attribute
-        work; against a bounded table it costs two dict operations.
-        """
-        if self.max_entries is None:
-            return
-        entry = self._entries.pop(client_id, None)
-        if entry is not None:
-            self._entries[client_id] = entry
-
     def refresh(self, client_id: int) -> bool:
         """The whole server-side keepalive in one call; O(1).
 
-        ``last_seen := now`` plus the recency move (when bounded) — what a
-        shard does when a keepalive lands on it, with the entry lookup,
-        stamp, and reorder fused so a million keepalives a second stay
-        cheap.  Returns ``False`` for unknown ids so callers can answer
-        ``NOT_REGISTERED``.
+        ``last_seen := now`` — what a shard does when a keepalive lands on
+        it, with the entry lookup and stamp fused so a million keepalives a
+        second stay cheap.  Returns ``False`` for unknown ids so callers can
+        answer ``NOT_REGISTERED``.
         """
-        entries = self._entries
-        entry = entries.get(client_id)
+        entry = self._entries.get(client_id)
         if entry is None:
             return False
         entry.last_seen = self._now()
-        if self.max_entries is not None:
-            del entries[client_id]
-            entries[client_id] = entry
         return True
 
-    def lookup(self, client_id: int):
-        """Metered lookup: counts hit/miss and records the entry's staleness."""
-        entry = self._entries.get(client_id)
-        if entry is None:
-            self._misses.inc()
-            return None
-        self._hits.inc()
-        self._age_hist.observe(self._now() - entry.last_seen)
-        return entry
-
     # -- timer wheel -------------------------------------------------------------
-
-    def _strand(self, client_id: int) -> None:
-        """Account for the live filing a just-removed id leaves in the wheel."""
-        orphans = self._orphans
-        orphans[client_id] = orphans.get(client_id, 0) + 1
-        self._armed.pop(client_id, None)
-
-    def _evict_lru(self) -> None:
-        client_id = next(iter(self._entries))
-        entry = self._entries.pop(client_id)
-        if self.ttl is not None:
-            self._strand(client_id)
-        self.evicted_lru += 1
-        self._lru_evictions.inc()
-        if self.on_evict is not None:
-            self.on_evict(entry, "lru")
 
     def sweep(self, now: Optional[float] = None) -> List[object]:
         """Retire every due wheel bucket; returns the evicted entries.
 
         Entries refreshed since they were filed are re-filed under their
         real deadline (the lazy half of the wheel); entries whose deadline
-        has truly passed are evicted with reason ``ttl``.
+        has truly passed are evicted.
         """
-        if self.ttl is None:
-            return []
         if now is None:
             now = self._now()
         ttl = self.ttl
         granularity = self.granularity
         entries = self._entries
-        orphans = self._orphans
-        armed = self._armed
         buckets = self._buckets
         current = int(now / granularity)
         due = [index for index in buckets if index <= current]
         evicted: List[object] = []
-        examined = 0
         for index in sorted(due):
             for client_id in buckets.pop(index):
-                if orphans and client_id in orphans and armed.get(client_id) != index:
-                    # An orphan: the id was removed while filed here.
-                    if orphans[client_id] > 1:
-                        orphans[client_id] -= 1
-                    else:
-                        del orphans[client_id]
-                        armed.pop(client_id, None)
-                    continue
-                entry = entries.get(client_id)
-                if entry is None:
-                    armed.pop(client_id, None)
-                    continue  # filed but no longer held: nothing to expire
-                examined += 1
-                try:
-                    deadline = entry.last_seen + ttl
-                except AttributeError:
-                    # Nothing to refresh, so not refreshed since it was filed.
-                    deadline = now
+                entry = entries[client_id]
+                deadline = entry.last_seen + ttl
                 if deadline > now:
                     # Re-file under the real deadline.  +1 so a bucket only
                     # comes due strictly after every deadline filed in it
                     # has passed; the target is never one of the due ones.
                     target = int(deadline / granularity) + 1
-                    if orphans and client_id in orphans:
-                        armed[client_id] = target
                     bucket = buckets.get(target)
                     if bucket is None:
                         buckets[target] = [client_id]
@@ -371,26 +192,14 @@ class RegistrationTable:
                         bucket.append(client_id)
                 else:
                     del entries[client_id]
-                    if orphans:
-                        armed.pop(client_id, None)
                     evicted.append(entry)
         self.sweeps += 1
-        self._sweep_hist.observe(float(examined))
-        if evicted:
-            self.evicted_ttl += len(evicted)
-            self._ttl_evictions.inc(len(evicted))
-            if self.on_evict is not None:
-                for entry in evicted:
-                    self.on_evict(entry, "ttl")
+        self.evicted_ttl += len(evicted)
         return evicted
 
     def start_sweeps(self, scheduler) -> None:
-        """Drive :meth:`sweep` from one repeating timer on *scheduler*.
-
-        A no-op without a TTL — a table with no expiry policy must add zero
-        events to the simulation.
-        """
-        if self.ttl is None or self._sweep_timer is not None:
+        """Drive :meth:`sweep` from one repeating timer on *scheduler*."""
+        if self._sweep_timer is not None:
             return
         self._sweep_timer = scheduler.call_later(self.granularity, self._sweep_tick, scheduler)
 
@@ -401,7 +210,7 @@ class RegistrationTable:
     def __repr__(self) -> str:
         return (
             f"RegistrationTable(live={len(self._entries)}, ttl={self.ttl}, "
-            f"max_entries={self.max_entries}, sweeps={self.sweeps})"
+            f"sweeps={self.sweeps})"
         )
 
 
@@ -420,17 +229,15 @@ class ShardedRegistry:
         self,
         now_fn: Callable[[], float],
         endpoints: Sequence[Endpoint],
-        config: Optional[RegistryConfig] = None,
+        config: RegistryConfig,
     ) -> None:
         if not endpoints:
             raise ValueError("ShardedRegistry needs at least one endpoint")
-        self.config = config or RegistryConfig()
         self.shards: List[RegistrationTable] = [
             RegistrationTable(
                 now_fn,
-                ttl=self.config.ttl,
-                max_entries=self.config.max_entries,
-                sweep_granularity=self.config.sweep_granularity,
+                ttl=config.ttl,
+                sweep_granularity=config.sweep_granularity,
             )
             for _ in endpoints
         ]
@@ -451,7 +258,7 @@ class ShardedRegistry:
         return self.shards[crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count].refresh(peer_id)
 
     def lookup(self, peer_id: int):
-        return self.shards[crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count].lookup(peer_id)
+        return self.shards[crc32(_pack_u32(peer_id & 0xFFFFFFFF)) % self._count].get(peer_id)
 
     @property
     def live(self) -> int:
@@ -471,6 +278,7 @@ class ShardedRegistry:
 
     def __repr__(self) -> str:
         return f"ShardedRegistry(shards={len(self.shards)}, live={self.live})"
+
 
 
 class _WheelEntry:

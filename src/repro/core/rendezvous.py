@@ -38,7 +38,6 @@ from repro.core.protocol import (
     TRANSPORT_TCP,
     TRANSPORT_UDP,
 )
-from repro.core.registry import RegistrationTable
 from repro.netsim.addresses import Endpoint
 from repro.netsim.node import Host
 from repro.obs.metrics import MetricsRegistry
@@ -130,11 +129,11 @@ class RendezvousServer:
         obfuscate: set to protect endpoint fields against payload-mangling
             NATs (§5.3); clients must use the same setting.
 
-    S keeps one registration table per transport, each a plain, metered
-    :class:`~repro.core.registry.RegistrationTable` with no expiry and no
-    size bound: a registration lives until S restarts or stops (§4.5 closes
-    control connections mid-exchange and still expects S to remember the
-    client).
+    S keeps one registration dict per transport, client id to
+    :class:`Registration`, with no expiry and no size bound: a registration
+    lives until S restarts or stops (§4.5 closes control connections
+    mid-exchange and still expects S to remember the client).  The lookups
+    a request makes go through :meth:`_lookup`, which meters them.
     """
 
     def __init__(
@@ -151,9 +150,13 @@ class RendezvousServer:
         #: The owning network's registry (set on the host by Network.add_node);
         #: standalone hosts get a private one so instrumentation never branches.
         self.metrics: MetricsRegistry = getattr(host, "metrics", None) or MetricsRegistry()
-        now_fn = lambda: self.host.scheduler.now  # noqa: E731 - tiny closure
-        self.udp_clients: RegistrationTable = RegistrationTable(now_fn, metrics=self.metrics)
-        self.tcp_clients: RegistrationTable = RegistrationTable(now_fn, metrics=self.metrics)
+        self.udp_clients: Dict[int, Registration] = {}
+        self.tcp_clients: Dict[int, Registration] = {}
+        self._lookup_hits = self.metrics.counter("rendezvous.lookup.hits")
+        self._lookup_misses = self.metrics.counter("rendezvous.lookup.misses")
+        #: Virtual seconds since the looked-up registration's ``last_seen``:
+        #: how stale the endpoints S hands out are.
+        self._lookup_age = self.metrics.histogram("rendezvous.lookup.age")
         self._tcp_conns: Dict[int, _ControlConnection] = {}
         self._udp = stack.udp.socket(SERVER_PORT)
         self._udp.on_datagram = self._on_udp
@@ -268,7 +271,6 @@ class RendezvousServer:
                 self.endpoint_moves += 1
             reg.last_seen = self.scheduler.now
             reg.keepalives += 1
-            self.udp_clients.touch(message.client_id)
             self._send_udp(KeepaliveAck(client_id=message.client_id), src)
         elif isinstance(message, ConnectRequest):
             self._handle_connect(message, src)
@@ -319,7 +321,11 @@ class RendezvousServer:
             reply.send(message)
 
     def _register(
-        self, table: RegistrationTable, message: Register, observed: Endpoint, reply: _Carrier
+        self,
+        table: Dict[int, Registration],
+        message: Register,
+        observed: Endpoint,
+        reply: _Carrier,
     ) -> None:
         """§3.1: store what the client reported and what S observed, and
         tell the client both."""
@@ -340,6 +346,16 @@ class RendezvousServer:
             reply,
         )
 
+    def _lookup(self, table: Dict[int, Registration], client_id: int) -> Optional[Registration]:
+        """Metered lookup: counts hit / miss and records the entry's staleness."""
+        entry = table.get(client_id)
+        if entry is None:
+            self._lookup_misses.inc()
+            return None
+        self._lookup_hits.inc()
+        self._lookup_age.observe(self.scheduler.now - entry.last_seen)
+        return entry
+
     def _error(self, code: int, detail: str, reply: _Carrier) -> None:
         self.errors_sent += 1
         self._reply(RendezvousError(code=code, detail=detail.encode()), reply)
@@ -349,7 +365,7 @@ class RendezvousServer:
         self.connect_requests += 1
         transport = request.transport
         table = self.udp_clients if transport == TRANSPORT_UDP else self.tcp_clients
-        requester = table.lookup(request.requester_id)
+        requester = self._lookup(table, request.requester_id)
         if requester is None:
             self._error(
                 RendezvousError.NOT_REGISTERED,
@@ -357,7 +373,7 @@ class RendezvousServer:
                 reply,
             )
             return
-        target = table.lookup(request.target_id)
+        target = self._lookup(table, request.target_id)
         if target is None:
             self._error(
                 RendezvousError.UNKNOWN_PEER,
@@ -423,7 +439,7 @@ class RendezvousServer:
         would answer an off-path prober.
         """
         table = self.udp_clients if transport == TRANSPORT_UDP else self.tcp_clients
-        target = table.lookup(message.target)
+        target = self._lookup(table, message.target)
         if target is None:
             self.relay_send_failures += 1
             self._reply(

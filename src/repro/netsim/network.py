@@ -30,8 +30,8 @@ class Network:
     The network owns the run's :class:`MetricsRegistry`: every node added to
     it gets a ``.metrics`` reference, and the built-in collector pulls the
     substrate's plain counters (scheduler, links, NAT tables, host stacks)
-    into the registry at snapshot time.  ``metrics_enabled=False`` turns the
-    whole layer into no-ops for overhead comparisons.
+    into the registry at snapshot time.  ``metrics_enabled=False`` makes the
+    registry keep nothing, for overhead comparisons.
     """
 
     def __init__(self, seed: int = 0, metrics_enabled: bool = True) -> None:

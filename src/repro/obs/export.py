@@ -21,10 +21,8 @@ def to_json(registry: MetricsRegistry) -> str:
     return json.dumps(registry.snapshot(), sort_keys=True)
 
 
-def _format_value(value: float, unit: str = "s") -> str:
-    if unit == "s":
-        return f"{value * 1000:.1f}ms" if value < 1.0 else f"{value:.3f}s"
-    return f"{value:g}{unit}"
+def _format_value(value: float) -> str:
+    return f"{value * 1000:.1f}ms" if value < 1.0 else f"{value:.3f}s"
 
 
 def _histogram_line(key: str, hist: Histogram) -> str:
@@ -32,18 +30,18 @@ def _histogram_line(key: str, hist: Histogram) -> str:
         return f"{key}: (empty)"
     return (
         f"{key}: n={hist.count} "
-        f"p50={_format_value(hist.p50, hist.unit)} "
-        f"p95={_format_value(hist.p95, hist.unit)} "
-        f"p99={_format_value(hist.p99, hist.unit)} "
-        f"max={_format_value(hist.max, hist.unit)}"
+        f"p50={_format_value(hist.p50)} "
+        f"p95={_format_value(hist.p95)} "
+        f"p99={_format_value(hist.p99)} "
+        f"max={_format_value(hist.max)}"
     )
 
 
 #: Counter prefixes surfaced by the compact per-section report summary.
 #: ``fleet.cache.`` carries the Table 1 dedup counters (distinct
 #: fingerprints, simulations, clones) published by ``run_fleet(metrics=...)``.
-#: ``rendezvous.`` carries the registration-table counters (lookup hits and
-#: misses, TTL/LRU evictions) from ``repro.core.registry``.
+#: ``rendezvous.`` carries the rendezvous server's lookup hit and miss
+#: counters from ``repro.core.rendezvous``.
 _REPORT_PREFIXES = (
     "punch.",
     "session.",

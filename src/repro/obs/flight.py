@@ -45,7 +45,7 @@ DEFAULT_CAPACITY = 65536
 
 #: Attempt outcomes the attribution engine treats as success ("closed"
 #: covers sessions torn down deliberately by the application).
-SUCCESS_OUTCOMES = frozenset({"ok", "consistent", "connected", "closed"})
+SUCCESS_OUTCOMES = frozenset({"ok", "connected", "closed"})
 
 
 class FlightEvent:

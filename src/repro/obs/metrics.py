@@ -14,9 +14,9 @@ Design notes:
   and copy counters the lower layers already keep as plain attributes
   (``Link.packets_sent``, ``NatTable.mappings_created``, ...) into the
   registry.  The hot paths therefore pay nothing for those metrics.
-* Histograms record observations in virtual seconds (or whatever unit the
-  creator declares) and answer percentile queries with the nearest-rank
-  method, which is deterministic and exact for the sample sizes we keep.
+* Histograms record observations in virtual seconds and answer percentile
+  queries with the nearest-rank method, which is deterministic and exact
+  for the sample sizes we keep.
 """
 
 from __future__ import annotations
@@ -62,18 +62,17 @@ class Counter:
 
 
 class Histogram:
-    """A distribution of observations (virtual-time latencies, sizes).
+    """A distribution of observations in virtual seconds (latencies, ages).
 
     Keeps exact ``count``/``sum``/``min``/``max`` for every observation and
     the raw values up to :data:`HISTOGRAM_SAMPLE_CAP` for percentile queries.
     """
 
-    __slots__ = ("name", "labels", "unit", "count", "total", "min", "max", "_values")
+    __slots__ = ("name", "labels", "count", "total", "min", "max", "_values")
 
-    def __init__(self, name: str, labels: LabelKey = (), unit: str = "s") -> None:
+    def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
-        self.unit = unit
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
@@ -125,7 +124,7 @@ class Histogram:
         digest: Dict[str, object] = {
             "count": self.count,
             "sum": self.total,
-            "unit": self.unit,
+            "unit": "s",
         }
         if self.count:
             digest.update(
@@ -145,25 +144,6 @@ class Histogram:
         )
 
 
-class _NullCounter(Counter):
-    """Shared sink handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:  # noqa: D102 - intentionally inert
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter("disabled")
-_NULL_HISTOGRAM = _NullHistogram("disabled")
-
 Collector = Callable[["MetricsRegistry"], None]
 
 
@@ -175,8 +155,9 @@ class MetricsRegistry:
     via ``node.metrics``.
 
     Args:
-        enabled: when False every instrument handed out is an inert shared
-            sink — the configuration the overhead bench compares against.
+        enabled: when False every instrument handed out is a fresh one the
+            registry does not keep, so no snapshot sees what it records —
+            the configuration the overhead bench compares against.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -194,24 +175,24 @@ class MetricsRegistry:
         lookup — fine at snapshot time, too much per packet.  Hot layers
         resolve once at setup, keep the returned handle, and increment it
         directly; the handle stays valid for the registry's lifetime, and a
-        disabled registry hands back a shared inert sink so callers never
-        branch.
+        disabled registry hands back an instrument it does not keep, so
+        callers never branch.
         """
         if not self.enabled:
-            return _NULL_COUNTER
+            return Counter(name)
         key = (name, _label_key(labels))
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter(name, key[1])
         return instrument
 
-    def histogram(self, name: str, unit: str = "s", **labels: object) -> Histogram:
+    def histogram(self, name: str, **labels: object) -> Histogram:
         if not self.enabled:
-            return _NULL_HISTOGRAM
+            return Histogram(name)
         key = (name, _label_key(labels))
         instrument = self._histograms.get(key)
         if instrument is None:
-            instrument = self._histograms[key] = Histogram(name, key[1], unit=unit)
+            instrument = self._histograms[key] = Histogram(name, key[1])
         return instrument
 
     # -- collectors & snapshots ----------------------------------------------

@@ -133,7 +133,6 @@ def test_registry_entry_point():
     assert _repro_modules_after("import repro.core.registry") == {
         "repro", "repro.core", "repro.core.registry",
         "repro.netsim", "repro.netsim.addresses",
-        "repro.obs", "repro.obs.metrics",
         "repro.util", "repro.util.errors",
     }
 
@@ -161,6 +160,8 @@ def test_topologies_entry_point():
     loaded = _repro_modules_after("import repro.scenarios.topologies")
     banned = ("repro.natcheck", "repro.analysis", "repro.cache")
     assert not {m for m in loaded if m.startswith(banned)}
+    # S keeps two dicts; the scale-out registration plane is not part of it.
+    assert "repro.core.registry" not in loaded
     assert not _outside(
         {m for m in loaded if m.startswith(("repro.netsim", "repro.obs"))},
         ("repro.netsim.addresses", "repro.netsim.clock", "repro.netsim.link",

@@ -1,4 +1,5 @@
-"""Unit tests for the sharded registration plane (repro.core.registry)."""
+"""Unit tests for the sharded registration plane (repro.core.registry) and
+the rendezvous server's metered lookups."""
 
 import heapq
 import struct
@@ -17,7 +18,7 @@ from repro.core.registry import (
 )
 from repro.netsim.addresses import Endpoint
 from repro.netsim.clock import Scheduler
-from repro.obs.metrics import MetricsRegistry
+from repro.scenarios import build_two_nats
 
 
 class Entry:
@@ -34,57 +35,19 @@ def make_table(scheduler, **kwargs):
     return RegistrationTable(lambda: scheduler.now, **kwargs)
 
 
-# -- plain mode (the drop-in dict) ------------------------------------------------
-
-
-def test_plain_table_is_dict_compatible_and_timer_free():
-    sched = Scheduler()
-    table = make_table(sched)
-    table[1] = Entry()
-    table[2] = Entry()
-    assert len(table) == 2
-    assert set(table) == {1, 2}
-    assert 1 in table and 3 not in table
-    assert table.get(3) is None
-    assert dict(table.items()).keys() == {1, 2}
-    del table[1]
-    assert set(table) == {2}
-    table.clear()
-    assert len(table) == 0
-    # The inert policy must add zero events to the simulation.
-    table.start_sweeps(sched)
-    assert sched.pending == 0
-    assert table.sweep() == []
-
-
-def test_plain_table_preserves_insertion_order_on_reregistration():
-    # The old dict kept a re-registered key in place; dict-identical behaviour
-    # matters for trace identity of existing scenarios.
-    sched = Scheduler()
-    table = make_table(sched)
-    table[1] = Entry()
-    table[2] = Entry()
-    table[1] = Entry()
-    assert list(table) == [1, 2]
-
-
 # -- TTL expiry via the sweep wheel ----------------------------------------------
 
 
 def test_ttl_expiry_with_sweep_timer():
     sched = Scheduler()
-    evicted = []
-    table = make_table(
-        sched, ttl=10.0, sweep_granularity=5.0, on_evict=lambda e, r: evicted.append((e, r))
-    )
+    table = make_table(sched, ttl=10.0, sweep_granularity=5.0)
     table.register(1, Entry(last_seen=sched.now))
     table.start_sweeps(sched)
     assert sched.pending == 1  # exactly one sweep timer, regardless of entries
     sched.run_until(9.0)
-    assert 1 in table
+    assert table.get(1) is not None
     sched.run_until(20.0)
-    assert 1 not in table
-    assert evicted == [(evicted[0][0], "ttl")]
+    assert table.get(1) is None
     assert table.evicted_ttl == 1
 
 
@@ -96,10 +59,10 @@ def test_reregistration_resets_ttl():
     table.register(1, Entry(last_seen=8.0))  # re-register: fresh deadline
     table.start_sweeps(sched)
     sched.run_until(15.0)  # past the original deadline
-    assert 1 in table
+    assert table.get(1) is not None
     # Expires at 18 + at most one sweep granularity of wheel slack.
     sched.run_until(25.0)
-    assert 1 not in table
+    assert table.get(1) is None
 
 
 def test_keepalive_touch_defers_expiry_lazily():
@@ -110,12 +73,11 @@ def test_keepalive_touch_defers_expiry_lazily():
     table.start_sweeps(sched)
     for t in (6.0, 12.0, 18.0, 24.0):
         sched.run_until(t)
-        entry.last_seen = sched.now  # what the server's keepalive handler does
-        table.touch(1)
-        assert 1 in table
+        entry.last_seen = sched.now  # a keepalive: the wheel is not touched
+        assert table.get(1) is entry
     # Stop refreshing: gone within ttl + one bucket of slack.
     sched.run_until(24.0 + 10.0 + 5.0 + 0.1)
-    assert 1 not in table
+    assert table.get(1) is None
     assert table.sweeps > 0
 
 
@@ -133,24 +95,9 @@ def test_sweep_batches_whole_buckets():
     assert table.evicted_ttl == 100
 
 
-def test_sweep_evicts_an_entry_without_last_seen():
-    # ``register`` accepts an entry that has no ``last_seen`` (it is filed
-    # from the clock); such an entry can never be refreshed, so the sweep
-    # that retires its bucket must evict it, not crash on the attribute.
-    sched = Scheduler()
-    reasons = []
-    table = make_table(
-        sched, ttl=5.0, sweep_granularity=5.0, on_evict=lambda e, r: reasons.append((e, r))
-    )
-    table.register(1, "x")
-    assert table.sweep(4.0) == [] and 1 in table
-    assert table.sweep(10.0) == ["x"]
-    assert 1 not in table and reasons == [("x", "ttl")] and table.evicted_ttl == 1
-
-
 def test_ttl_only_lifecycle_leaves_the_wheel_index_empty():
-    # Nothing here removes an id while it is filed, so the orphan count and
-    # the bucket index kept for ids that have orphans are never written.
+    # Each live id is filed once: refreshes and re-registrations of a live
+    # id add no filing, and the last sweep leaves no bucket behind.
     sched = Scheduler()
     table = make_table(sched, ttl=10.0, sweep_granularity=5.0)
     table.start_sweeps(sched)
@@ -161,60 +108,30 @@ def test_ttl_only_lifecycle_leaves_the_wheel_index_empty():
         for cid in range(0, 50, 2):
             assert table.refresh(cid)
         table.register(1, Entry(last_seen=sched.now))  # re-register a live id
-        assert not table._armed and not table._orphans
+        filings = [cid for bucket in table._buckets.values() for cid in bucket]
+        assert sorted(filings) == sorted(table._entries)
     assert len(table) == 26
     sched.run_until(40.0)
     assert len(table) == 0 and table.evicted_ttl == 50
-    assert not table._armed and not table._orphans and not table._buckets
-
-
-def test_removed_ids_are_forgotten_once_their_filings_come_due():
-    sched = Scheduler()
-    table = make_table(sched, ttl=10.0, sweep_granularity=5.0)
-    table.register(1, Entry(last_seen=0.0))
-    del table[1]
-    table.register(1, Entry(last_seen=0.0))  # same bucket as the orphan
-    del table[1]
-    assert table._orphans == {1: 2} and not table._armed
-    sched.run_until(7.0)
-    table.register(1, Entry(last_seen=7.0))  # live filing two buckets later
-    assert table._armed == {1: 4}
-    assert table.sweep(15.0) == [] and 1 in table  # both orphans met and dropped
-    assert not table._orphans and not table._armed
-    assert [e.last_seen for e in table.sweep(20.0)] == [7.0]
     assert not table._buckets
-
-
-# -- LRU eviction ------------------------------------------------------------------
-
-
-def test_lru_eviction_drops_least_recently_refreshed():
-    sched = Scheduler()
-    evicted = []
-    table = make_table(sched, max_entries=3, on_evict=lambda e, r: evicted.append(r))
-    table.register(1, Entry())
-    table.register(2, Entry())
-    table.register(3, Entry())
-    table.touch(1)  # 1 is now most recent; 2 is the LRU
-    table.register(4, Entry())
-    assert set(table) == {1, 3, 4}
-    assert evicted == ["lru"]
-    assert table.evicted_lru == 1
 
 
 def test_churn_never_evicts_peers_with_live_keepalives():
     sched = Scheduler()
-    table = make_table(sched, max_entries=50)
+    table = make_table(sched, ttl=10.0, sweep_granularity=5.0)
+    table.start_sweeps(sched)
     protected = list(range(10))
     for cid in protected:
-        table.register(cid, Entry())
+        table.register(cid, Entry(last_seen=sched.now))
     for wave in range(1, 20):
+        sched.run_until(wave * 4.0)
         for cid in protected:
-            table.touch(cid)  # live keepalives
+            assert table.refresh(cid)  # live keepalives
         for i in range(10):
-            table.register(1000 + wave * 10 + i, Entry())  # churn
-        assert all(cid in table for cid in protected)
-    assert len(table) == 50
+            table.register(1000 + wave * 10 + i, Entry(last_seen=sched.now))  # churn
+        assert all(table.get(cid) is not None for cid in protected)
+    # Only the churn of the last three waves is young enough to be live.
+    assert len(table) == 40 and table.evicted_ttl == 160
 
 
 # -- the sharded plane ------------------------------------------------------------
@@ -229,7 +146,7 @@ def test_sharded_registry_places_each_peer_on_its_shard_of():
     with the reference, ids of 2**32 and up (and negative ones) included."""
     ids = [*range(300), 2**32 - 1, 2**32, 2**32 + 5, 2**40 + 3, 2**63 - 1, -1, -(2**33)]
     for shards in (1, 2, 3, 5, 8):
-        registry = ShardedRegistry(lambda: 0.0, endpoints(shards))
+        registry = ShardedRegistry(lambda: 0.0, endpoints(shards), RegistryConfig(ttl=30.0))
         for peer_id in ids:
             home = registry.shards[shard_of(peer_id, shards)]
             assert registry.shard_for(peer_id) is home
@@ -244,7 +161,7 @@ def test_sharded_registry_placement_is_the_reference_hash(shards, peer_id):
     modulo the pool size — recomputed here without the registry's helpers."""
     home_index = zlib.crc32(struct.pack("!I", peer_id % 2**32)) % shards
     assert shard_of(peer_id, shards) == home_index
-    registry = ShardedRegistry(lambda: 0.0, endpoints(shards))
+    registry = ShardedRegistry(lambda: 0.0, endpoints(shards), RegistryConfig(ttl=30.0))
     home = registry.shards[home_index]
     assert registry.shard_for(peer_id) is home
     entry = Entry()
@@ -537,24 +454,32 @@ def test_keepalive_wheel_a_raising_callback_stops_only_its_own_loop():
 
 
 def test_registry_metrics_names():
-    sched = Scheduler()
-    metrics = MetricsRegistry()
-    table = make_table(sched, ttl=10.0, sweep_granularity=5.0, max_entries=2, metrics=metrics)
-    table.register(1, Entry(last_seen=0.0))
-    table.register(2, Entry(last_seen=0.0))
-    table.register(3, Entry(last_seen=0.0))  # LRU-evicts 1
-    assert table.lookup(2) is not None
-    assert table.lookup(99) is None
-    sched.run_until(16.0)
-    table.sweep()
+    """S meters the lookups a connect request makes: a hit per registered
+    party, each with the registration's age, and a miss for an unknown
+    target (after the requester's hit)."""
+    sc = build_two_nats(seed=31)
+    sc.register_all_udp()
+    server, metrics = sc.server, sc.server.metrics
+    got = []
+    sc.clients["A"].connect_udp(2, on_session=got.append)
+    sc.wait_for(lambda: got, 15.0)
+    requests = server.connect_requests
+    assert requests >= 1
     counters = metrics.counters()
-    assert counters["rendezvous.lookup.hits"] == 1
-    assert counters["rendezvous.lookup.misses"] == 1
-    assert counters["rendezvous.evictions{reason=lru}"] == 1
-    assert counters["rendezvous.evictions{reason=ttl}"] == 2
-    hists = metrics.histograms()
-    assert hists["rendezvous.lookup.age"].count == 1
-    assert hists["rendezvous.sweep.batch_size"].count == 1
+    assert counters["rendezvous.lookup.hits"] == 2 * requests
+    assert counters["rendezvous.lookup.misses"] == 0
+    assert metrics.histograms()["rendezvous.lookup.age"].count == 2 * requests
+    failures = []
+    sc.clients["A"].connect_udp(99, on_session=got.append, on_failure=failures.append)
+    sc.wait_for(lambda: failures, 10.0)
+    unknown = server.connect_requests - requests
+    assert unknown >= 1
+    counters = metrics.counters()
+    assert counters["rendezvous.lookup.misses"] == unknown
+    assert counters["rendezvous.lookup.hits"] == 2 * requests + unknown
+    assert metrics.histograms()["rendezvous.lookup.age"].count == 2 * requests + unknown
+    assert not any(key.startswith(("rendezvous.evictions", "rendezvous.sweep"))
+                   for key in (*counters, *metrics.histograms()))
 
 
 def test_config_validation():
@@ -562,14 +487,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RegistrationTable(lambda: sched.now, ttl=10.0, sweep_granularity=0.0)
     with pytest.raises(ValueError):
-        ShardedRegistry(lambda: sched.now, [])
+        ShardedRegistry(lambda: sched.now, [], RegistryConfig(ttl=10.0))
     with pytest.raises(ValueError):
         KeepaliveWheel(sched, granularity=0.0)
 
 
 @pytest.mark.parametrize(
     "policy",
-    [{"max_entries": 0}, {"max_entries": -1}, {"ttl": 0}, {"ttl": 0.0}, {"ttl": -5.0}],
+    [{"ttl": 0}, {"ttl": 0.0}, {"ttl": -5.0}, {"ttl": 10.0, "sweep_granularity": -1.0},
+     {"ttl": float("nan")}],
 )
 def test_policy_values_are_validated(policy):
     sched = Scheduler()
@@ -583,12 +509,12 @@ def test_policy_values_are_validated(policy):
 
 @pytest.mark.parametrize(
     "policy",
-    [{}, {"ttl": None, "max_entries": None}, {"ttl": 0.5}, {"max_entries": 1},
-     {"ttl": 30.0, "max_entries": 1000}],
+    [{"ttl": 0.5}, {"ttl": 30.0}, {"ttl": 30.0, "sweep_granularity": 1.0},
+     {"ttl": 1e-3, "sweep_granularity": 1e-3}, {"ttl": 1e9, "sweep_granularity": 60.0}],
 )
 def test_valid_policy_values_still_construct(policy):
     sched = Scheduler()
     table = RegistrationTable(lambda: sched.now, **policy)
     table.register(1, Entry())
     table.register(2, Entry())
-    assert len(table) == min(2, policy.get("max_entries") or 2)
+    assert len(table) == 2
